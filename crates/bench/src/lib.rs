@@ -1,7 +1,8 @@
 //! # blameit-bench — experiment harness
 //!
 //! Regenerates every table and figure of the BlameIt paper over the
-//! simulator, plus Criterion performance benches for the system itself.
+//! simulator, plus the `pipeline` performance bench for the system
+//! itself.
 //!
 //! * [`scenarios`] — standard seeded worlds at three scales and the
 //!   88-incident validation suite (§6.3).

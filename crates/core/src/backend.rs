@@ -527,7 +527,9 @@ mod tests {
         // run, so columnar ingest never needs its sort fallback, and
         // the aggregate covers exactly the simulator's quartets.
         let mut arena = crate::columnar::IngestArena::new();
-        let store = crate::columnar::aggregate_records_into(&want, &mut arena);
+        let mut store = crate::columnar::QuartetStore::new();
+        let batch = crate::columnar::RecordBatch::from_records(bucket, &want);
+        crate::columnar::aggregate_batch_reuse(&batch, &mut arena, &mut store);
         assert_eq!(arena.sort_fallbacks, 0, "stream must be run-shaped");
         let sim = w.quartets_in(bucket);
         assert_eq!(store.len(), sim.len());

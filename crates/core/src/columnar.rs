@@ -2,38 +2,37 @@
 //! struct-of-arrays store.
 //!
 //! The paper's analytics cluster aggregates hundreds of millions of
-//! RTT records per day per location into quartets (§6.1). The legacy
-//! path did that with one `HashMap` upsert per record — a SipHash of a
-//! 4-field key plus a probe per sample, which the PR-1 stage profile
-//! showed dominating the tick. The columnar path instead:
+//! RTT records per day per location into quartets (§6.1). Doing that
+//! with one `HashMap` upsert per record — a SipHash of a 4-field key
+//! plus a probe per sample — dominated the tick in the PR-1 stage
+//! profile. The columnar kernel ([`aggregate_batch_reuse`]) instead
+//! takes one bucket's records as a [`RecordBatch`] (pre-packed `u64`
+//! subkeys whose integer order is the canonical `(loc, p24, mobile)`
+//! output order, plus the RTT column) and:
 //!
-//! 1. packs each record's quartet key into one `u128` whose integer
-//!    order equals the canonical `(bucket, loc, p24, mobile)` output
-//!    order ([`pack_key`]);
-//! 2. collapses *consecutive equal-key runs* in a single sequential
+//! 1. collapses *consecutive equal-key runs* in a single sequential
 //!    pass — collector streams are concatenations of per-client record
 //!    vectors, so a key's samples arrive contiguously and the common
 //!    case never hashes or sorts individual records;
-//! 3. sorts only the collapsed run entries (thousands, not millions)
+//! 2. sorts only the collapsed run entries (thousands, not millions)
 //!    when the stream was not already key-ordered; and
-//! 4. falls back to a whole-batch `(key, index)` sort in the rare case
+//! 3. falls back to a whole-batch `(key, index)` sort in the rare case
 //!    a key's samples were split across non-adjacent runs — merging
 //!    partial sums would re-associate `f64` additions, and the
 //!    equivalence contract is *bit-identical* means, not approximately
 //!    equal ones.
 //!
-//! Every path accumulates each key's RTT sum element-by-element in
-//! stream order, exactly like the legacy `HashMap` entry did, so
-//! `sum / n` reproduces the legacy mean to the last bit. The
-//! differential harness (`tests/columnar_equivalence.rs`) holds the two
-//! paths against each other across seeds, thread counts, and chaos
-//! plans.
+//! Every tier accumulates each key's RTT sum element-by-element in
+//! stream order, exactly like the per-record upsert did, so `sum / n`
+//! reproduces its mean to the last bit. That upsert survives as the
+//! oracle [`crate::quartet::aggregate_records_reference`]; the
+//! differential harness (`tests/columnar_equivalence.rs`) holds the
+//! kernel against it across seeds, thread counts, and chaos plans.
 //!
 //! Scratch lives in an [`IngestArena`] owned by the caller and reused
 //! across batches/ticks, so steady-state ingest performs no
 //! allocations beyond store growth.
 
-use crate::shard::{run_sharded, ShardPlan};
 use blameit_simnet::{QuartetObs, RttRecord, TimeBucket};
 use blameit_topology::{CloudLocId, Prefix24};
 
@@ -143,42 +142,26 @@ impl RecordBatch {
     }
 }
 
-/// One collapsed run of equal-key records.
-#[derive(Clone, Copy, Debug)]
-struct RunEntry {
-    key: u128,
-    n: u32,
-    /// Stream-order partial sum of the run's RTTs.
-    sum: f64,
-    /// Index of the run's first record in the input batch (sort
-    /// tie-break: keeps runs of one key in stream order).
-    first: u32,
-}
-
 /// One collapsed run of equal-subkey records in a single-bucket batch.
-/// No `first` field: runs leave tier 1 in stream order, so a run's
-/// first record index is the prefix sum of the `n`s before it —
-/// reconstructed only on the rare unsorted path.
+/// Runs leave tier 1 in stream order, so a run's first record index is
+/// the prefix sum of the `n`s before it — reconstructed only on the
+/// rare unsorted path rather than stored.
 #[derive(Clone, Copy, Debug)]
-struct Run64 {
+struct Run {
     key: u64,
     n: u32,
     sum: f64,
 }
 
-/// Reusable per-batch scratch for [`aggregate_records_into`] and
-/// [`aggregate_batch_reuse`]. Owned by the caller (engine, bench, or
-/// collector loop) and reused across ticks so the hot path allocates
-/// nothing in steady state.
+/// Reusable per-batch scratch for [`aggregate_batch_reuse`]. Owned by
+/// the caller (engine, bench, or collector loop) and reused across
+/// ticks so the hot path allocates nothing in steady state.
 #[derive(Debug, Default)]
 pub struct IngestArena {
-    runs: Vec<RunEntry>,
+    /// Collapsed-run scratch.
+    runs: Vec<Run>,
     /// `(key, index)` pairs for the duplicate-key fallback sort.
-    pairs: Vec<(u128, u32)>,
-    /// Run scratch for the single-bucket `u64`-subkey kernel.
-    runs64: Vec<Run64>,
-    /// Fallback pair scratch for the single-bucket kernel.
-    pairs64: Vec<(u64, u32)>,
+    pairs: Vec<(u64, u32)>,
     /// Batches aggregated through this arena (fast + fallback).
     pub batches: u64,
     /// Batches that needed the whole-batch pair-sort fallback.
@@ -252,164 +235,19 @@ impl QuartetStore {
     }
 
     /// Materializes the canonical `Vec<QuartetObs>` (key order — the
-    /// same `(bucket, loc, p24, mobile)` order the legacy path sorted
+    /// same `(bucket, loc, p24, mobile)` order the reference path sorts
     /// into).
     pub fn to_obs(&self) -> Vec<QuartetObs> {
         self.iter().collect()
     }
-
-    /// K-way merge of per-shard stores in key order. Keys present in
-    /// more than one store combine in ascending store order; the
-    /// bit-exactness contract with the unsharded path therefore only
-    /// holds when shards partition the key space (which
-    /// [`ShardPlan::by_key`] on the location guarantees: a location's
-    /// quartets never split across shards).
-    pub fn merge(stores: &[QuartetStore]) -> QuartetStore {
-        if stores.len() == 1 {
-            return stores[0].clone();
-        }
-        let total: usize = stores.iter().map(QuartetStore::len).sum();
-        let mut out = QuartetStore {
-            keys: Vec::with_capacity(total),
-            n: Vec::with_capacity(total),
-            sum: Vec::with_capacity(total),
-        };
-        let mut cursor = vec![0usize; stores.len()];
-        loop {
-            // Smallest head key across stores; ties resolve in store
-            // order (ascending index), deterministically.
-            let mut best: Option<(u128, usize)> = None;
-            for (s, store) in stores.iter().enumerate() {
-                if let Some(&k) = store.keys.get(cursor[s]) {
-                    if best.is_none_or(|(bk, _)| k < bk) {
-                        best = Some((k, s));
-                    }
-                }
-            }
-            let Some((key, s)) = best else { break };
-            let i = cursor[s];
-            cursor[s] += 1;
-            debug_assert!(
-                out.keys.last().is_none_or(|&last| last <= key),
-                "merge emitted keys out of order"
-            );
-            if out.keys.last() == Some(&key) {
-                let last = out.len() - 1;
-                out.n[last] += stores[s].n[i];
-                out.sum[last] += stores[s].sum[i];
-            } else {
-                out.keys.push(key);
-                out.n.push(stores[s].n[i]);
-                out.sum.push(stores[s].sum[i]);
-            }
-        }
-        out
-    }
-}
-
-/// Aggregates one batch of RTT records into `store` (cleared first),
-/// using `arena` for scratch. See the module docs for the three-tier
-/// strategy; on every tier, each key's sum accumulates element-by-
-/// element in stream order — bit-identical to the legacy per-record
-/// `HashMap` path.
-pub fn aggregate_records_into(records: &[RttRecord], arena: &mut IngestArena) -> QuartetStore {
-    let mut store = QuartetStore::new();
-    aggregate_records_reuse(records, arena, &mut store);
-    store
-}
-
-/// [`aggregate_records_into`] writing into a caller-owned store, for
-/// loops that also want to reuse the output columns.
-pub fn aggregate_records_reuse(
-    records: &[RttRecord],
-    arena: &mut IngestArena,
-    store: &mut QuartetStore,
-) {
-    store.clear();
-    arena.runs.clear();
-    arena.batches += 1;
-
-    // Tier 1: collapse consecutive equal-key runs in one pass. The
-    // open run accumulates in locals (registers), not through
-    // `runs.last_mut()` — the per-record Vec deref and bounds check
-    // were the dominant cost of the previous formulation.
-    let mut key_sorted = true;
-    let mut iter = records.iter().enumerate();
-    if let Some((_, r0)) = iter.next() {
-        let mut cur = RunEntry {
-            key: pack_key(r0.loc, r0.p24, r0.mobile, r0.at.bucket()),
-            n: 1,
-            sum: r0.rtt_ms,
-            first: 0,
-        };
-        for (i, r) in iter {
-            let key = pack_key(r.loc, r.p24, r.mobile, r.at.bucket());
-            if key == cur.key {
-                cur.n += 1;
-                cur.sum += r.rtt_ms;
-            } else {
-                key_sorted &= key > cur.key;
-                arena.runs.push(cur);
-                cur = RunEntry {
-                    key,
-                    n: 1,
-                    sum: r.rtt_ms,
-                    first: i as u32,
-                };
-            }
-        }
-        arena.runs.push(cur);
-    }
-
-    // Tier 2: order the collapsed runs (already ordered for key-sorted
-    // streams). The `first` tie-break keeps same-key runs in stream
-    // order for the duplicate check below.
-    if !key_sorted {
-        arena.runs.sort_unstable_by_key(|r| (r.key, r.first));
-    }
-
-    // Tier 3: if any key spans several runs, adding the runs' partial
-    // sums would re-associate the f64 additions ((a+b)+(c+d) is not
-    // (((a+b)+c)+d)). Redo the batch as a stable (key, index) pair
-    // sort, which restores exact stream order within every key.
-    if arena.runs.windows(2).any(|w| w[0].key == w[1].key) {
-        arena.sort_fallbacks += 1;
-        arena.pairs.clear();
-        arena.pairs.extend(
-            records
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (pack_key(r.loc, r.p24, r.mobile, r.at.bucket()), i as u32)),
-        );
-        arena.pairs.sort_unstable();
-        arena.runs.clear();
-        for &(key, idx) in &arena.pairs {
-            let rtt = records[idx as usize].rtt_ms;
-            match arena.runs.last_mut() {
-                Some(run) if run.key == key => {
-                    run.n += 1;
-                    run.sum += rtt;
-                }
-                _ => arena.runs.push(RunEntry {
-                    key,
-                    n: 1,
-                    sum: rtt,
-                    first: idx,
-                }),
-            }
-        }
-    }
-
-    store.keys.extend(arena.runs.iter().map(|r| r.key));
-    store.n.extend(arena.runs.iter().map(|r| r.n));
-    store.sum.extend(arena.runs.iter().map(|r| r.sum));
 }
 
 /// Aggregates one columnar [`RecordBatch`] into `store` (cleared
-/// first). Same three-tier strategy and bit-identity contract as
-/// [`aggregate_records_reuse`], but over pre-packed `u64` subkeys and
-/// the RTT column — 16 streamed bytes per record, no key packing and
-/// no bucket division on the hot path.
+/// first), using `arena` for scratch. See the module docs for the
+/// three-tier strategy; on every tier each key's sum accumulates
+/// element-by-element in stream order — bit-identical to the reference
+/// upsert. The hot loop streams 16 bytes per record: pre-packed `u64`
+/// subkeys and the RTT column, no key packing and no bucket division.
 #[inline]
 pub fn aggregate_batch_reuse(
     batch: &RecordBatch,
@@ -417,7 +255,7 @@ pub fn aggregate_batch_reuse(
     store: &mut QuartetStore,
 ) {
     store.clear();
-    arena.runs64.clear();
+    arena.runs.clear();
     arena.batches += 1;
 
     // Tier 1: collapse consecutive equal-key runs. The open run lives
@@ -440,7 +278,7 @@ pub fn aggregate_batch_reuse(
             if key == cur_key {
                 cur_sum += v;
             } else {
-                arena.runs64.push(Run64 {
+                arena.runs.push(Run {
                     key: cur_key,
                     n: (i - first) as u32,
                     sum: cur_sum,
@@ -450,7 +288,7 @@ pub fn aggregate_batch_reuse(
                 first = i;
             }
         }
-        arena.runs64.push(Run64 {
+        arena.runs.push(Run {
             key: cur_key,
             n: (n - first) as u32,
             sum: cur_sum,
@@ -461,7 +299,7 @@ pub fn aggregate_batch_reuse(
     // left the stream key-sorted, and whether any key repeats.
     let mut key_sorted = true;
     let mut has_dup = false;
-    for w in arena.runs64.windows(2) {
+    for w in arena.runs.windows(2) {
         key_sorted &= w[0].key < w[1].key;
         has_dup |= w[0].key == w[1].key;
     }
@@ -470,16 +308,16 @@ pub fn aggregate_batch_reuse(
     // resolve by stream position, reconstructed as the prefix sum of
     // run lengths.
     if !key_sorted {
-        let mut keyed: Vec<(u64, u32, Run64)> = Vec::with_capacity(arena.runs64.len());
+        let mut keyed: Vec<(u64, u32, Run)> = Vec::with_capacity(arena.runs.len());
         let mut first = 0u32;
-        for &run in &arena.runs64 {
+        for &run in &arena.runs {
             keyed.push((run.key, first, run));
             first += run.n;
         }
         keyed.sort_unstable_by_key(|&(key, first, _)| (key, first));
-        arena.runs64.clear();
-        arena.runs64.extend(keyed.iter().map(|&(_, _, run)| run));
-        has_dup = arena.runs64.windows(2).any(|w| w[0].key == w[1].key);
+        arena.runs.clear();
+        arena.runs.extend(keyed.iter().map(|&(_, _, run)| run));
+        has_dup = arena.runs.windows(2).any(|w| w[0].key == w[1].key);
     }
 
     // Tier 3: a key split across non-adjacent runs means merging
@@ -488,20 +326,20 @@ pub fn aggregate_batch_reuse(
     // every key.
     if has_dup {
         arena.sort_fallbacks += 1;
-        arena.pairs64.clear();
+        arena.pairs.clear();
         arena
-            .pairs64
+            .pairs
             .extend(batch.keys.iter().enumerate().map(|(i, &k)| (k, i as u32)));
-        arena.pairs64.sort_unstable();
-        arena.runs64.clear();
-        for &(key, idx) in &arena.pairs64 {
+        arena.pairs.sort_unstable();
+        arena.runs.clear();
+        for &(key, idx) in &arena.pairs {
             let rtt = batch.rtt[idx as usize];
-            match arena.runs64.last_mut() {
+            match arena.runs.last_mut() {
                 Some(run) if run.key == key => {
                     run.n += 1;
                     run.sum += rtt;
                 }
-                _ => arena.runs64.push(Run64 {
+                _ => arena.runs.push(Run {
                     key,
                     n: 1,
                     sum: rtt,
@@ -513,27 +351,9 @@ pub fn aggregate_batch_reuse(
     let base = (batch.bucket.0 as u128) << 41;
     store
         .keys
-        .extend(arena.runs64.iter().map(|r| base | r.key as u128));
-    store.n.extend(arena.runs64.iter().map(|r| r.n));
-    store.sum.extend(arena.runs64.iter().map(|r| r.sum));
-}
-
-/// Sharded batch ingest: records partition by location
-/// ([`ShardPlan::by_key`], so shards own disjoint key ranges), each
-/// shard aggregates its records columnar-style with its own arena, and
-/// the per-shard stores merge in key order — byte-identical to the
-/// single-shard aggregation of the whole batch.
-pub fn aggregate_records_sharded(records: &[RttRecord], parallelism: usize) -> QuartetStore {
-    let nthreads = parallelism.max(1);
-    if nthreads == 1 {
-        return aggregate_records_into(records, &mut IngestArena::new());
-    }
-    let plan = ShardPlan::by_key(records, nthreads, |r| r.loc);
-    let stores = run_sharded(nthreads, &plan, |_, idxs| {
-        let shard_records: Vec<RttRecord> = idxs.iter().map(|&i| records[i]).collect();
-        aggregate_records_into(&shard_records, &mut IngestArena::new())
-    });
-    QuartetStore::merge(&stores)
+        .extend(arena.runs.iter().map(|r| base | r.key as u128));
+    store.n.extend(arena.runs.iter().map(|r| r.n));
+    store.sum.extend(arena.runs.iter().map(|r| r.sum));
 }
 
 #[cfg(test)]
@@ -549,6 +369,14 @@ mod tests {
             at: SimTime(secs),
             rtt_ms: rtt,
         }
+    }
+
+    /// One-shot aggregation of bucket-0 records through the kernel.
+    fn aggregate(records: &[RttRecord], arena: &mut IngestArena) -> QuartetStore {
+        let mut store = QuartetStore::new();
+        let batch = RecordBatch::from_records(TimeBucket(0), records);
+        aggregate_batch_reuse(&batch, arena, &mut store);
+        store
     }
 
     #[test]
@@ -605,7 +433,7 @@ mod tests {
             rec(2, 1, false, 5, 10.0),
         ];
         let mut arena = IngestArena::new();
-        let store = aggregate_records_into(&records, &mut arena);
+        let store = aggregate(&records, &mut arena);
         assert_eq!(arena.sort_fallbacks, 0);
         assert_eq!(store.len(), 3);
         let obs = store.to_obs();
@@ -619,56 +447,28 @@ mod tests {
     fn interleaved_keys_take_the_fallback_and_stay_exact() {
         // Key A split across two non-adjacent multi-record runs: the
         // partial-sum merge would be (a1+a2)+(a3+a4); the fallback
-        // must restore ((a1+a2)+a3)+a4. Values chosen so the two
-        // associations differ in the last bit.
-        // 1e16 has ulp 2, so +1.0 rounds away sequentially but the
-        // pre-added (1.0 + 1.0) survives: the two associations differ.
+        // must restore ((a1+a2)+a3)+a4. 1e16 has ulp 2, so +1.0 rounds
+        // away sequentially but the pre-added (1.0 + 1.0) survives: the
+        // two associations differ in the last bit.
         let vals: [f64; 4] = [1e16, 1.0, 1.0, 1.0];
         let split = (vals[0] + vals[1]) + (vals[2] + vals[3]);
         let seq = ((vals[0] + vals[1]) + vals[2]) + vals[3];
         assert_ne!(split.to_bits(), seq.to_bits(), "values must discriminate");
         let records = vec![
-            rec(0, 1, false, 10, vals[0]),
-            rec(0, 1, false, 11, vals[1]),
-            rec(0, 2, false, 12, 5.0),
-            rec(0, 1, false, 13, vals[2]),
-            rec(0, 1, false, 14, vals[3]),
-        ];
-        let mut arena = IngestArena::new();
-        let store = aggregate_records_into(&records, &mut arena);
-        assert_eq!(arena.sort_fallbacks, 1);
-        let key = pack_key(CloudLocId(0), Prefix24::from_block(1), false, TimeBucket(0));
-        let (n, sum) = store.get(key).unwrap();
-        assert_eq!(n, 4);
-        assert_eq!(sum.to_bits(), seq.to_bits(), "stream-order accumulation");
-    }
-
-    #[test]
-    fn batch_kernel_matches_generic_kernel_bit_for_bit() {
-        // Same single-bucket stream through the u64-subkey batch
-        // kernel and the generic u128 record kernel, including a
-        // duplicate-key interleaving that forces both fallbacks.
-        let records = vec![
-            rec(1, 9, false, 10, 1e16),
-            rec(1, 9, false, 20, 1.0),
+            rec(1, 9, false, 10, vals[0]),
+            rec(1, 9, false, 20, vals[1]),
             rec(0, 3, true, 15, 50.0),
-            rec(1, 9, false, 25, 1.0),
-            rec(1, 9, false, 30, 1.0),
+            rec(1, 9, false, 25, vals[2]),
+            rec(1, 9, false, 30, vals[3]),
             rec(2, 1, false, 5, 10.0),
         ];
         let mut arena = IngestArena::new();
-        let want = aggregate_records_into(&records, &mut arena);
+        let store = aggregate(&records, &mut arena);
         assert_eq!(arena.sort_fallbacks, 1);
-
-        let batch = RecordBatch::from_records(TimeBucket(0), &records);
-        assert_eq!(batch.len(), records.len());
-        let mut store = QuartetStore::new();
-        aggregate_batch_reuse(&batch, &mut arena, &mut store);
-        assert_eq!(arena.sort_fallbacks, 2, "batch kernel hit its fallback too");
-        assert_eq!(store, want);
-        for (g, w) in store.to_obs().iter().zip(want.to_obs()) {
-            assert_eq!(g.mean_rtt_ms.to_bits(), w.mean_rtt_ms.to_bits());
-        }
+        let key = pack_key(CloudLocId(1), Prefix24::from_block(9), false, TimeBucket(0));
+        let (n, sum) = store.get(key).unwrap();
+        assert_eq!(n, 4);
+        assert_eq!(sum.to_bits(), seq.to_bits(), "stream-order accumulation");
     }
 
     #[test]
@@ -719,62 +519,13 @@ mod tests {
     #[test]
     fn arena_reuse_is_clean_across_batches() {
         let mut arena = IngestArena::new();
-        let a = aggregate_records_into(&[rec(0, 1, false, 10, 10.0)], &mut arena);
-        let b = aggregate_records_into(&[rec(1, 2, true, 20, 20.0)], &mut arena);
+        let a = aggregate(&[rec(0, 1, false, 10, 10.0)], &mut arena);
+        let b = aggregate(&[rec(1, 2, true, 20, 20.0)], &mut arena);
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
         assert_eq!(b.to_obs()[0].loc, CloudLocId(1));
         assert_eq!(arena.batches, 2);
-        let empty = aggregate_records_into(&[], &mut arena);
+        let empty = aggregate(&[], &mut arena);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn merge_interleaves_disjoint_stores_in_key_order() {
-        let mut arena = IngestArena::new();
-        // Shard by loc, but keys sort bucket-first, so the merged
-        // sequence interleaves the two stores.
-        let s0 = aggregate_records_into(
-            &[rec(0, 1, false, 10, 10.0), rec(0, 1, false, 400, 20.0)],
-            &mut arena,
-        );
-        let s1 = aggregate_records_into(
-            &[rec(1, 1, false, 10, 30.0), rec(1, 1, false, 400, 40.0)],
-            &mut arena,
-        );
-        let merged = QuartetStore::merge(&[s0.clone(), s1.clone()]);
-        assert_eq!(merged.len(), 4);
-        let whole = aggregate_records_into(
-            &[
-                rec(0, 1, false, 10, 10.0),
-                rec(0, 1, false, 400, 20.0),
-                rec(1, 1, false, 10, 30.0),
-                rec(1, 1, false, 400, 40.0),
-            ],
-            &mut arena,
-        );
-        assert_eq!(merged, whole);
-        // Single-store merge is the store itself.
-        assert_eq!(QuartetStore::merge(std::slice::from_ref(&s0)), s0);
-    }
-
-    #[test]
-    fn sharded_aggregation_equals_single_shard() {
-        let mut records = Vec::new();
-        for client in 0..40u32 {
-            for s in 0..6u64 {
-                records.push(rec(
-                    (client % 5) as u16,
-                    100 + client,
-                    client % 3 == 0,
-                    10 + s * 40,
-                    20.0 + client as f64 + s as f64 * 0.125,
-                ));
-            }
-        }
-        let single = aggregate_records_sharded(&records, 1);
-        for par in [2, 4, 8] {
-            assert_eq!(aggregate_records_sharded(&records, par), single);
-        }
     }
 }

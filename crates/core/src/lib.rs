@@ -24,10 +24,11 @@
 //!   traceroute agent, IBGP feed) + the simulator binding.
 //! * [`quartet`] — ⟨/24, location, device, 5-min⟩ aggregation,
 //!   enrichment, the ≥10-sample floor, split-half KS validation.
-//! * [`columnar`] — the struct-of-arrays quartet store and
-//!   arena-backed batch ingest behind [`quartet::aggregate_records`];
-//!   bit-identical to the legacy per-record path by construction and
-//!   by differential test.
+//! * [`columnar`] — the struct-of-arrays quartet store and the
+//!   arena-backed batch kernel ([`aggregate_batch_reuse`]);
+//!   bit-identical to the per-record reference
+//!   ([`aggregate_records_reference`]) by construction and by
+//!   differential test.
 //! * [`fxhash`] — the deterministic non-sip hasher
 //!   ([`fxhash::DetHashMap`]/[`fxhash::DetHashSet`]) mandatory for
 //!   core map construction (enforced by the `sip-hasher` lint rule).
@@ -93,8 +94,7 @@ pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, Gro
 pub use backend::{Backend, ChaosBackend, ChaosStats, RouteInfo, WorldBackend};
 pub use background::{BackgroundScheduler, BaselineEntry, BaselineStore, ProbeTarget};
 pub use columnar::{
-    aggregate_batch_reuse, aggregate_records_into, aggregate_records_reuse,
-    aggregate_records_sharded, pack_key, pack_subkey, unpack_key, IngestArena, QuartetStore,
+    aggregate_batch_reuse, pack_key, pack_subkey, unpack_key, IngestArena, QuartetStore,
     RecordBatch,
 };
 pub use fxhash::{
@@ -122,8 +122,8 @@ pub use provenance::{
     Provenance,
 };
 pub use quartet::{
-    aggregate_records, aggregate_records_reference, enrich_bucket, enrich_bucket_min_samples,
-    enrich_obs, enrich_obs_sharded, split_half_ks, EnrichedQuartet, MIN_SAMPLES,
+    aggregate_records_reference, enrich_bucket, enrich_bucket_min_samples, enrich_obs,
+    enrich_obs_sharded, split_half_ks, EnrichedQuartet, MIN_SAMPLES,
 };
 pub use report::{
     render_blame_explain, render_localization_explain, render_tick_transcript, tally, tally_by_day,

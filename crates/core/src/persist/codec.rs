@@ -1,4 +1,5 @@
-//! Hand-rolled byte codec for snapshots and journals.
+//! Hand-rolled byte codec for every persisted file (snapshots and the
+//! two [`super::log`] users, the tick journal and the ingest WAL).
 //!
 //! Dependency-free, little-endian, bounds-checked. The framing is
 //! deliberately simple: a 7-byte preamble (magic, format version, file
@@ -8,20 +9,31 @@
 //! misparsing. Decoding arbitrary bytes must *error*, never panic:
 //! every read is bounds-checked and every length is validated against
 //! the remaining input before allocation.
+//!
+//! The one composite defined here is the [`RecordBatch`] column layout,
+//! because two transports carry it: the wire `BATCH` body and the WAL
+//! section payload call the same encode/decode pair.
+
+use crate::columnar::RecordBatch;
+use blameit_simnet::TimeBucket;
 
 /// File magic: every persisted file starts with these four bytes.
 pub const MAGIC: [u8; 4] = *b"BLIT";
 
-/// Snapshot/journal format version. Bump on any layout change; loaders
-/// refuse other versions rather than guessing. v2: open incidents carry
-/// an observation count (verdict provenance). v3: snapshots persist the
-/// cumulative observability counters (degraded / chaos / shed).
-pub const FORMAT_VERSION: u16 = 3;
+/// On-disk format version, shared by every file kind. Bump on any
+/// layout change; loaders refuse other versions rather than guessing.
+/// v2: open incidents carry an observation count (verdict provenance).
+/// v3: snapshots persist the cumulative observability counters
+/// (degraded / chaos / shed). v4: the journal and the ingest WAL are
+/// section logs (`persist::log`); the snapshot layout is unchanged.
+pub const FORMAT_VERSION: u16 = 4;
 
 /// File kinds (byte 7 of the preamble).
 pub const KIND_SNAPSHOT: u8 = 1;
 /// Journal file kind.
 pub const KIND_JOURNAL: u8 = 2;
+/// Ingest WAL file kind.
+pub const KIND_INGEST_WAL: u8 = 3;
 
 /// A decode failure. Carries enough context for `fsck` to report where
 /// a file went bad; never panics on malformed input.
@@ -38,7 +50,7 @@ pub enum CodecError {
     BadMagic,
     /// The format version is not [`FORMAT_VERSION`].
     UnsupportedVersion(u16),
-    /// The file kind byte matches neither snapshot nor journal.
+    /// The file kind byte names no known file kind.
     BadKind(u8),
     /// A section's CRC32 does not match its contents.
     BadCrc {
@@ -105,7 +117,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Little-endian byte writer.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
 }
@@ -121,7 +133,17 @@ impl ByteWriter {
         self.buf
     }
 
-    /// Bytes written so far (borrowed).
+    /// The bytes written so far (borrowed).
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drops the contents, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -323,7 +345,7 @@ pub fn read_preamble<'a>(bytes: &'a [u8], want_kind: u8) -> Result<ByteReader<'a
     }
     let kind = r.u8()?;
     if kind != want_kind {
-        if kind != KIND_SNAPSHOT && kind != KIND_JOURNAL {
+        if !(KIND_SNAPSHOT..=KIND_INGEST_WAL).contains(&kind) {
             return Err(CodecError::BadKind(kind));
         }
         return Err(CodecError::Invalid("wrong file kind for this loader"));
@@ -331,20 +353,31 @@ pub fn read_preamble<'a>(bytes: &'a [u8], want_kind: u8) -> Result<ByteReader<'a
     Ok(r)
 }
 
-/// Appends one framed section: `id · len · payload · crc32(id‖len‖payload)`.
-pub fn write_section(w: &mut ByteWriter, id: u8, payload: &[u8]) {
+/// Appends one framed section whose payload `body` writes in place:
+/// `id · len · payload · crc32(id‖len‖payload)`. The length is patched
+/// in and the CRC taken over the writer's own bytes, so the payload is
+/// never staged in a second buffer.
+pub fn write_section_with(w: &mut ByteWriter, id: u8, body: impl FnOnce(&mut ByteWriter)) {
+    let start = w.buf.len();
     w.put_u8(id);
-    w.put_u64(payload.len() as u64);
-    let mut crc_input = Vec::with_capacity(9 + payload.len());
-    crc_input.push(id);
-    crc_input.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    w.put_bytes(payload);
-    w.put_u32(crc32(&crc_input));
+    w.put_u64(0);
+    body(w);
+    let len = (w.buf.len() - start - 9) as u64;
+    // lint:allow(panic-in-decode): encode path — the 9 header bytes at `start` were pushed just above
+    w.buf[start + 1..start + 9].copy_from_slice(&len.to_le_bytes());
+    // lint:allow(panic-in-decode): encode path — `start` is a length this writer has already reached
+    let crc = crc32(&w.buf[start..]);
+    w.put_u32(crc);
+}
+
+/// Appends one framed section holding `payload`.
+pub fn write_section(w: &mut ByteWriter, id: u8, payload: &[u8]) {
+    write_section_with(w, id, |w| w.put_bytes(payload));
 }
 
 /// Reads one framed section, validating its CRC. Returns `(id, payload)`.
 pub fn read_section<'a>(r: &mut ByteReader<'a>) -> Result<(u8, &'a [u8]), CodecError> {
+    let start = r.pos;
     let id = r.u8()?;
     let len = r.u64()?;
     if len > r.remaining() as u64 {
@@ -354,15 +387,46 @@ pub fn read_section<'a>(r: &mut ByteReader<'a>) -> Result<(u8, &'a [u8]), CodecE
         });
     }
     let payload = r.take(len as usize)?;
-    let stored = r.u32()?;
-    let mut crc_input = Vec::with_capacity(9 + payload.len());
-    crc_input.push(id);
-    crc_input.extend_from_slice(&len.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != stored {
+    // lint:allow(panic-in-decode): start..pos is the id‖len‖payload span the three reads above just consumed
+    let covered = &r.buf[start..r.pos];
+    if crc32(covered) != r.u32()? {
         return Err(CodecError::BadCrc { section: id });
     }
     Ok((id, payload))
+}
+
+impl RecordBatch {
+    /// Appends the batch's columns: `bucket:u32 · n:u32 · keys[n]:u64 ·
+    /// rtt[n]:f64`. This is the wire `BATCH` body and the WAL section
+    /// payload, byte for byte.
+    pub fn encode_columns(&self, w: &mut ByteWriter) {
+        w.buf.reserve(8 + 16 * self.keys.len());
+        w.put_u32(self.bucket.0);
+        // lint:allow(as-cast-truncation): a batch near u32::MAX keys is undecodable anyway — write_frame rejects past the 64 MiB frame cap (~4M records)
+        w.put_u32(self.keys.len() as u32);
+        for &k in &self.keys {
+            w.put_u64(k);
+        }
+        for &r in &self.rtt {
+            w.put_f64(r);
+        }
+    }
+
+    /// Reads columns written by [`RecordBatch::encode_columns`]. The
+    /// record count is checked against the bytes remaining before
+    /// either column is allocated.
+    pub fn decode_columns(r: &mut ByteReader<'_>) -> Result<RecordBatch, CodecError> {
+        let bucket = TimeBucket(r.u32()?);
+        let n = r.u32()? as usize;
+        if r.remaining() / 16 < n {
+            return Err(CodecError::Invalid(
+                "batch record count exceeds remaining input",
+            ));
+        }
+        let keys = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
+        let rtt = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
+        Ok(RecordBatch { bucket, keys, rtt })
+    }
 }
 
 #[cfg(test)]
@@ -453,6 +517,35 @@ mod tests {
         let mut w = ByteWriter::new();
         write_preamble(&mut w, KIND_JOURNAL);
         assert!(read_preamble(&w.into_bytes(), KIND_SNAPSHOT).is_err());
+    }
+
+    #[test]
+    fn batch_columns_round_trip_and_refuse_a_length_lie() {
+        let batch = RecordBatch {
+            bucket: TimeBucket(42),
+            keys: vec![3, 3, 9, 700],
+            rtt: vec![10.0, 11.5, -0.0, f64::MAX],
+        };
+        let mut w = ByteWriter::new();
+        batch.encode_columns(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 + 16 * batch.len());
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(RecordBatch::decode_columns(&mut r).unwrap(), batch);
+        assert_eq!(r.remaining(), 0);
+        // Every proper prefix is refused, never a panic.
+        for cut in 0..bytes.len() {
+            assert!(RecordBatch::decode_columns(&mut ByteReader::new(&bytes[..cut])).is_err());
+        }
+        // A count claiming 1M records over an empty body is refused by
+        // the pre-check, not by attempting the allocation.
+        let mut w = ByteWriter::new();
+        w.put_u32(0);
+        w.put_u32(1_000_000);
+        assert_eq!(
+            RecordBatch::decode_columns(&mut ByteReader::new(&w.into_bytes())).unwrap_err(),
+            CodecError::Invalid("batch record count exceeds remaining input")
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! replays the journaled ticks — verifying each tick's digest — so
 //! the resumed run is byte-identical to one that never crashed.
 
-use super::journal::{self, tick_digest, Journal, JournalRecord};
+use super::journal::{tick_digest, Journal, JournalRecord};
 use super::snapshot;
 use super::store::StateStore;
 use super::PersistError;
@@ -199,37 +199,26 @@ impl DurableEngine {
             }
         }
 
-        // Journal: truncate a torn tail, then replay everything the
-        // snapshot does not already cover, verifying digests.
+        // Journal: opening checks the seed and drops a torn tail; then
+        // replay everything the snapshot does not already cover,
+        // verifying digests.
+        let (journal, scan) = Journal::open(&dir, seed)?;
         let mut replayed: Vec<TickOutput> = Vec::new();
-        let mut journal_torn = false;
-        let mut ticks_done = loaded.unwrap_or(0);
+        let mut ticks_done = 0;
         if let Some(snap_ticks) = loaded {
-            if let Some(scan) = journal::scan(&dir)? {
-                if scan.seed != seed {
-                    return Err(PersistError::ConfigMismatch(format!(
-                        "journal seed {:#x} != engine seed {seed:#x}",
-                        scan.seed
-                    )));
+            for rec in scan.records.iter().filter(|r| r.tick >= snap_ticks) {
+                let out = engine.tick(backend, rec.bucket);
+                let got = tick_digest(&out);
+                if got != rec.digest {
+                    return Err(PersistError::ReplayDivergence {
+                        tick: rec.tick,
+                        expected: rec.digest,
+                        got,
+                    });
                 }
-                if scan.trailing_bytes > 0 {
-                    journal::truncate_torn(&dir, scan.valid_len)?;
-                    journal_torn = true;
-                }
-                for rec in scan.records.iter().filter(|r| r.tick >= snap_ticks) {
-                    let out = engine.tick(backend, rec.bucket);
-                    let got = tick_digest(&out);
-                    if got != rec.digest {
-                        return Err(PersistError::ReplayDivergence {
-                            tick: rec.tick,
-                            expected: rec.digest,
-                            got,
-                        });
-                    }
-                    replayed.push(out);
-                }
-                ticks_done = snap_ticks.max(scan.records.len() as u64);
+                replayed.push(out);
             }
+            ticks_done = snap_ticks.max(scan.records.len() as u64);
         }
 
         let mode = match (loaded.is_some(), rejected) {
@@ -258,13 +247,12 @@ impl DurableEngine {
         }
         metrics.replayed_ticks.add(replayed.len() as u64);
 
-        let journal = Journal::open_or_create(&dir, seed)?;
         let report = RecoveryReport {
             mode,
             snapshot_ticks_done: loaded.unwrap_or(0),
             snapshots_rejected: rejected,
             ticks_replayed: replayed.len() as u64,
-            journal_torn,
+            journal_torn: loaded.is_some() && scan.trailing_bytes > 0,
             replayed,
         };
         let last_snapshot_tick = loaded.unwrap_or(0);
@@ -317,7 +305,7 @@ impl DurableEngine {
         sample_every: u32,
     ) -> Result<(), PersistError> {
         self.engine.warmup(backend, range, sample_every);
-        self.journal = Journal::reset(self.store.dir(), self.engine.config().seed)?;
+        self.journal.reset()?;
         self.ticks_done = 0;
         self.last_snapshot_tick = 0;
         self.checkpoint_now()?;

@@ -1,42 +1,30 @@
-//! The append-only tick journal.
-//!
-//! One fixed-size record per completed tick: `tick index · start
-//! bucket · output digest · crc32`. Appends are fsync'd before the
-//! tick's output is considered durable, so after any crash the journal
-//! names exactly the ticks whose effects must be replayed on top of
-//! the last snapshot. A torn final record (crash mid-append) is
-//! detected by its CRC/size and truncated away on recovery — the tick
-//! it described simply re-runs.
-//!
-//! Layout:
+//! The append-only tick journal: a [`super::log`] holding one seed
+//! section, then one section per completed tick.
 //!
 //! ```text
-//! header   MAGIC(4) · version(2) · kind=2(1) · seed(8)          15 B
-//! record   tick(8) · bucket(4) · digest(8) · crc32(4)           24 B
+//! section 1 (first)   seed(8)                          engine identity
+//! section 2 (rest)    tick(8) · bucket(4) · digest(8)   one per tick
 //! ```
 //!
-//! Record `i` always carries tick index `i` (the journal is reset
-//! together with the post-warmup snapshot), which `scan` verifies —
-//! trust in the journal ends at the first record that fails its CRC
-//! or breaks the sequence.
+//! Appends are fsync'd before the tick's output is considered durable,
+//! so after any crash the journal names exactly the ticks whose effects
+//! must be replayed on top of the last snapshot; a torn final record is
+//! truncated away on recovery and the tick it described simply re-runs.
+//! Framing, scan and truncation are the log's. The journal's own rule:
+//! record `i` carries tick index `i` (the journal is reset together with
+//! the post-warmup snapshot), and trust ends at the first record that
+//! breaks the sequence.
 
-use super::codec::{crc32, ByteReader, ByteWriter, CodecError, KIND_JOURNAL, MAGIC};
+use super::codec::{write_section_with, ByteReader, ByteWriter, CodecError, KIND_JOURNAL};
+use super::log::{self, Log, LogScan, Tail, JOURNAL_FILE};
 use super::PersistError;
 use crate::pipeline::TickOutput;
 use crate::report::render_tick_transcript;
 use blameit_simnet::TimeBucket;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Journal file name inside a state directory.
-pub const JOURNAL_FILE: &str = "journal.blj";
-
-/// Header bytes: 7-byte preamble + 8-byte seed.
-pub const HEADER_BYTES: u64 = 15;
-
-/// Fixed record size.
-pub const RECORD_BYTES: u64 = 24;
+const SEC_SEED: u8 = 1;
+const SEC_TICK: u8 = 2;
 
 /// One journal record: a completed tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,6 +35,27 @@ pub struct JournalRecord {
     pub bucket: TimeBucket,
     /// FNV-1a 64 digest of the tick's rendered transcript.
     pub digest: u64,
+}
+
+impl JournalRecord {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u64(self.tick);
+        w.put_u32(self.bucket.0);
+        w.put_u64(self.digest);
+    }
+
+    fn decode(payload: &[u8]) -> Result<JournalRecord, CodecError> {
+        let mut r = ByteReader::new(payload);
+        let rec = JournalRecord {
+            tick: r.u64()?,
+            bucket: TimeBucket(r.u32()?),
+            digest: r.u64()?,
+        };
+        match r.remaining() {
+            0 => Ok(rec),
+            _ => Err(CodecError::Invalid("trailing bytes in journal record")),
+        }
+    }
 }
 
 /// FNV-1a 64-bit hash.
@@ -67,52 +76,6 @@ pub fn tick_digest(out: &TickOutput) -> u64 {
     fnv1a64(render_tick_transcript(std::slice::from_ref(out)).as_bytes())
 }
 
-fn encode_record(rec: &JournalRecord) -> [u8; RECORD_BYTES as usize] {
-    let mut w = ByteWriter::new();
-    w.put_u64(rec.tick);
-    w.put_u32(rec.bucket.0);
-    w.put_u64(rec.digest);
-    let body = w.into_bytes();
-    let crc = crc32(&body);
-    let mut out = [0u8; RECORD_BYTES as usize];
-    // lint:allow(panic-in-decode): encode path — body is exactly 20 bytes by construction (u64+u32+u64), no external input
-    out[..20].copy_from_slice(&body);
-    // lint:allow(panic-in-decode): encode path — fixed 24-byte record leaves exactly 4 CRC bytes
-    out[20..].copy_from_slice(&crc.to_le_bytes());
-    out
-}
-
-fn decode_record(bytes: &[u8]) -> Result<JournalRecord, CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let tick = r.u64()?;
-    let bucket = TimeBucket(r.u32()?);
-    let digest = r.u64()?;
-    let stored = r.u32()?;
-    let Some(body) = bytes.get(..20) else {
-        return Err(CodecError::Truncated { at: 0, wanted: 20 });
-    };
-    if crc32(body) != stored {
-        return Err(CodecError::BadCrc { section: 0 });
-    }
-    Ok(JournalRecord {
-        tick,
-        bucket,
-        digest,
-    })
-}
-
-fn encode_header(seed: u64) -> [u8; HEADER_BYTES as usize] {
-    let mut w = ByteWriter::new();
-    w.put_bytes(&MAGIC);
-    w.put_u16(super::codec::FORMAT_VERSION);
-    w.put_u8(KIND_JOURNAL);
-    w.put_u64(seed);
-    let bytes = w.into_bytes();
-    let mut out = [0u8; HEADER_BYTES as usize];
-    out.copy_from_slice(&bytes);
-    out
-}
-
 /// The journal's path inside `dir`.
 pub fn journal_path(dir: &Path) -> PathBuf {
     dir.join(JOURNAL_FILE)
@@ -121,149 +84,119 @@ pub fn journal_path(dir: &Path) -> PathBuf {
 /// Result of scanning a journal file.
 #[derive(Debug)]
 pub struct JournalScan {
-    /// Seed from the header.
+    /// Seed from the first section.
     pub seed: u64,
     /// Every valid record, in order (record `i` has tick `i`).
     pub records: Vec<JournalRecord>,
-    /// File length covered by the header plus valid records.
+    /// File length covered by the preamble, the seed and valid records.
     pub valid_len: u64,
     /// Bytes past `valid_len` — a torn final record (crash residue) or
     /// deeper corruption; zero for a clean journal.
     pub trailing_bytes: u64,
+    /// Which of the two those trailing bytes are.
+    pub tail: Tail,
 }
 
-/// Scans the journal in `dir`. Returns `Ok(None)` when no journal file
-/// exists; errors only on an unreadable/invalid *header* (a file that
-/// is not a journal at all). Record-level damage is reported via
-/// `trailing_bytes`, never an error — the valid prefix is still
-/// useful.
-pub fn scan(dir: &Path) -> Result<Option<JournalScan>, PersistError> {
-    let path = journal_path(dir);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let mut r = ByteReader::new(&bytes);
-    if r.take(4).map_err(PersistError::Codec)? != MAGIC {
-        return Err(CodecError::BadMagic.into());
-    }
-    let version = r.u16().map_err(PersistError::Codec)?;
-    if version != super::codec::FORMAT_VERSION {
-        return Err(CodecError::UnsupportedVersion(version).into());
-    }
-    let kind = r.u8().map_err(PersistError::Codec)?;
-    if kind != KIND_JOURNAL {
-        return Err(CodecError::BadKind(kind).into());
-    }
-    let seed = r.u64().map_err(PersistError::Codec)?;
+/// The journal's trust rule, fed section by section by the log scan.
+#[derive(Default)]
+struct Reader {
+    seed: Option<u64>,
+    records: Vec<JournalRecord>,
+}
 
-    let mut records = Vec::new();
-    let mut valid_len = HEADER_BYTES;
-    // A failing take (fewer than RECORD_BYTES left) ends the scan: what
-    // remains is a torn final record, reported via `trailing_bytes`.
-    while let Ok(chunk) = r.take(RECORD_BYTES as usize) {
-        match decode_record(chunk) {
-            Ok(rec) if rec.tick == records.len() as u64 => {
-                records.push(rec);
-                valid_len += RECORD_BYTES;
+impl Reader {
+    fn accept(&mut self, id: u8, payload: &[u8]) -> bool {
+        match (id, self.seed) {
+            (SEC_SEED, None) => {
+                self.seed = payload.try_into().ok().map(u64::from_le_bytes);
+                self.seed.is_some()
             }
-            // Bad CRC or out-of-sequence tick: trust ends here.
-            _ => break,
+            (SEC_TICK, Some(_)) => match JournalRecord::decode(payload) {
+                Ok(rec) if rec.tick == self.records.len() as u64 => {
+                    self.records.push(rec);
+                    true
+                }
+                // Undecodable or out-of-sequence tick: trust ends here.
+                _ => false,
+            },
+            _ => false,
         }
     }
-    let trailing_bytes = bytes.len() as u64 - valid_len;
-    Ok(Some(JournalScan {
-        seed,
-        records,
-        valid_len,
-        trailing_bytes,
-    }))
+
+    fn finish(self, scan: LogScan) -> Result<JournalScan, PersistError> {
+        Ok(JournalScan {
+            seed: self
+                .seed
+                .ok_or(CodecError::Invalid("journal has no seed section"))?,
+            records: self.records,
+            valid_len: scan.valid_len,
+            trailing_bytes: scan.trailing_bytes,
+            tail: scan.tail,
+        })
+    }
 }
 
-/// Truncates the journal to its valid prefix (drops a torn tail).
-pub fn truncate_torn(dir: &Path, valid_len: u64) -> std::io::Result<()> {
-    let f = OpenOptions::new().write(true).open(journal_path(dir))?;
-    f.set_len(valid_len)?;
-    f.sync_data()
+/// Scans the journal in `dir` without touching it. Returns `Ok(None)`
+/// when no journal file exists; errors only on a file that is not a
+/// journal at all (bad preamble, no seed). Record-level damage is
+/// reported via `trailing_bytes`, never an error — the valid prefix is
+/// still useful.
+pub fn scan(dir: &Path) -> Result<Option<JournalScan>, PersistError> {
+    let mut reader = Reader::default();
+    log::scan_file(&journal_path(dir), KIND_JOURNAL, |id, p| {
+        reader.accept(id, p)
+    })?
+    .map(|scan| reader.finish(scan))
+    .transpose()
 }
 
 /// An open journal, appending fsync'd records.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
+    log: Log,
+    seed: u64,
 }
 
 impl Journal {
-    /// Opens the journal in `dir`, creating it (header only) if absent
-    /// or empty. An existing journal must carry the same seed —
-    /// replaying another seed's records would silently diverge.
-    pub fn open_or_create(dir: &Path, seed: u64) -> Result<Journal, PersistError> {
-        let path = journal_path(dir);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(&path)?;
-        let len = file.metadata()?.len();
-        if len == 0 {
-            file.write_all(&encode_header(seed))?;
-            file.sync_data()?;
-        } else {
-            let mut header = [0u8; HEADER_BYTES as usize];
-            file.read_exact(&mut header).map_err(|_| {
-                PersistError::Codec(CodecError::Truncated {
-                    at: 0,
-                    wanted: HEADER_BYTES as usize,
-                })
-            })?;
-            let expected = encode_header(seed);
-            // lint:allow(panic-in-decode): both sides are fixed [u8; HEADER_BYTES] arrays (15 bytes); 7-byte prefix slices cannot fail
-            if header[..7] != expected[..7] {
-                return Err(CodecError::BadMagic.into());
-            }
-            if header != expected {
-                // lint:allow(panic-in-decode): header is a fixed 15-byte array, bytes 7.. are exactly the 8-byte seed
-                let found = u64::from_le_bytes(header[7..].try_into().unwrap());
-                return Err(PersistError::ConfigMismatch(format!(
-                    "journal seed {found:#x} != engine seed {seed:#x}"
-                )));
-            }
+    /// Opens the journal in `dir` (creating it when absent), drops a
+    /// torn tail, and returns what it held. An existing journal must
+    /// carry the same seed — replaying another seed's records would
+    /// silently diverge.
+    pub fn open(dir: &Path, seed: u64) -> Result<(Journal, JournalScan), PersistError> {
+        let mut reader = Reader::default();
+        let (log, scan) = Log::open(
+            &journal_path(dir),
+            KIND_JOURNAL,
+            |w| write_section_with(w, SEC_SEED, |w| w.put_u64(seed)),
+            |id, p| reader.accept(id, p),
+        )?;
+        let scan = reader.finish(scan)?;
+        if scan.seed != seed {
+            return Err(PersistError::ConfigMismatch(format!(
+                "journal seed {:#x} != engine seed {seed:#x}",
+                scan.seed
+            )));
         }
-        Ok(Journal { file })
+        Ok((Journal { log, seed }, scan))
     }
 
-    /// Truncates and re-headers the journal (called with the
+    /// Empties the journal back to its seed section (called with the
     /// post-warmup checkpoint: tick indices restart at zero).
-    pub fn reset(dir: &Path, seed: u64) -> Result<Journal, PersistError> {
-        let path = journal_path(dir);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        file.write_all(&encode_header(seed))?;
-        file.sync_data()?;
-        drop(file);
-        Journal::open_or_create(dir, seed)
+    pub fn reset(&mut self) -> std::io::Result<()> {
+        let seed = self.seed;
+        self.log
+            .rewrite(|w| write_section_with(w, SEC_SEED, |w| w.put_u64(seed)))
     }
 
     /// Appends one record and fsyncs — on return the tick is durable.
     pub fn append(&mut self, rec: &JournalRecord) -> std::io::Result<()> {
-        self.file.write_all(&encode_record(rec))?;
-        self.file.sync_data()
+        self.log.append(SEC_TICK, |w| rec.encode(w))
     }
 
     /// Appends only a prefix of the record — the kill-point harness's
-    /// torn write. `fraction` of the record's bytes reach the file
-    /// (clamped to at least 1, at most all-but-the-CRC), and no fsync
-    /// happens, exactly as a crash mid-append would leave it.
+    /// torn write (see [`Log::append_torn`]).
     pub fn append_torn(&mut self, rec: &JournalRecord, fraction: f64) -> std::io::Result<()> {
-        let bytes = encode_record(rec);
-        let n = ((RECORD_BYTES as f64 * fraction) as usize).clamp(1, RECORD_BYTES as usize - 2);
-        // lint:allow(panic-in-decode): write path — n is clamped to at most RECORD_BYTES - 2, within the fixed record array
-        self.file.write_all(&bytes[..n])
+        self.log.append_torn(SEC_TICK, |w| rec.encode(w), fraction)
     }
 }
 
@@ -290,7 +223,8 @@ mod tests {
     #[test]
     fn append_scan_roundtrip() {
         let dir = tmp_dir("roundtrip");
-        let mut j = Journal::open_or_create(&dir, 7).unwrap();
+        let (mut j, found) = Journal::open(&dir, 7).unwrap();
+        assert!(found.records.is_empty());
         for t in 0..5 {
             j.append(&rec(t)).unwrap();
         }
@@ -298,73 +232,62 @@ mod tests {
         assert_eq!(scan.seed, 7);
         assert_eq!(scan.records.len(), 5);
         assert_eq!(scan.records[3], rec(3));
-        assert_eq!(scan.trailing_bytes, 0);
+        assert_eq!((scan.trailing_bytes, scan.tail), (0, Tail::Clean));
         // Reopen and keep appending.
         drop(j);
-        let mut j = Journal::open_or_create(&dir, 7).unwrap();
+        let (mut j, found) = Journal::open(&dir, 7).unwrap();
+        assert_eq!(found.records.len(), 5);
         j.append(&rec(5)).unwrap();
         assert_eq!(super::scan(&dir).unwrap().unwrap().records.len(), 6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn torn_tail_detected_and_truncated() {
-        let dir = tmp_dir("torn");
-        let mut j = Journal::open_or_create(&dir, 7).unwrap();
+    fn tick_sequence_break_ends_trust() {
+        let dir = tmp_dir("sequence");
+        let (mut j, _) = Journal::open(&dir, 7).unwrap();
         j.append(&rec(0)).unwrap();
         j.append(&rec(1)).unwrap();
-        j.append_torn(&rec(2), 0.5).unwrap();
+        // CRC-valid, but record 2 claims tick 3.
+        j.append(&rec(3)).unwrap();
+        j.append(&rec(4)).unwrap();
         drop(j);
         let s = scan(&dir).unwrap().unwrap();
-        assert_eq!(s.records.len(), 2, "torn record must not count");
-        assert!(s.trailing_bytes > 0);
-        truncate_torn(&dir, s.valid_len).unwrap();
-        let s = scan(&dir).unwrap().unwrap();
-        assert_eq!(s.records.len(), 2);
-        assert_eq!(s.trailing_bytes, 0);
-        // Appending after truncation continues the sequence.
-        let mut j = Journal::open_or_create(&dir, 7).unwrap();
+        assert_eq!(s.records.len(), 2, "trust ends at the out-of-sequence tick");
+        assert_eq!(s.tail, Tail::Corrupt);
+        // Opening drops the untrusted suffix; the sequence continues.
+        let (mut j, found) = Journal::open(&dir, 7).unwrap();
+        assert_eq!(found.records.len(), 2);
         j.append(&rec(2)).unwrap();
-        assert_eq!(scan(&dir).unwrap().unwrap().records.len(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_record_ends_trust() {
-        let dir = tmp_dir("corrupt");
-        let mut j = Journal::open_or_create(&dir, 7).unwrap();
-        for t in 0..4 {
-            j.append(&rec(t)).unwrap();
-        }
-        drop(j);
-        let path = journal_path(&dir);
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Flip a bit in record 2.
-        let off = (HEADER_BYTES + 2 * RECORD_BYTES + 5) as usize;
-        bytes[off] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
         let s = scan(&dir).unwrap().unwrap();
-        assert_eq!(s.records.len(), 2, "trust ends at the flipped record");
-        assert_eq!(s.trailing_bytes, 2 * RECORD_BYTES);
+        assert_eq!((s.records.len(), s.tail), (3, Tail::Clean));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn seed_mismatch_refused() {
         let dir = tmp_dir("seed");
-        Journal::open_or_create(&dir, 7).unwrap();
-        let err = Journal::open_or_create(&dir, 8).unwrap_err();
+        let (mut j, _) = Journal::open(&dir, 7).unwrap();
+        j.append(&rec(0)).unwrap();
+        let err = Journal::open(&dir, 8).unwrap_err();
         assert!(matches!(err, PersistError::ConfigMismatch(_)), "{err}");
-        // Reset replaces the seed.
-        Journal::reset(&dir, 8).unwrap();
-        assert_eq!(scan(&dir).unwrap().unwrap().seed, 8);
+        // Reset keeps the seed and drops the records.
+        j.reset().unwrap();
+        let s = scan(&dir).unwrap().unwrap();
+        assert_eq!((s.seed, s.records.len()), (7, 0));
+        j.append(&rec(0)).unwrap();
+        assert_eq!(scan(&dir).unwrap().unwrap().records.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn missing_journal_is_none() {
+    fn missing_journal_is_none_and_a_seedless_log_is_refused() {
         let dir = tmp_dir("missing");
         assert!(scan(&dir).unwrap().is_none());
+        // A journal-kind log with no seed section is not a journal.
+        Log::open(&journal_path(&dir), KIND_JOURNAL, |_| {}, |_, _| true).unwrap();
+        assert!(scan(&dir).is_err());
+        assert!(Journal::open(&dir, 7).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -14,12 +14,16 @@
 //!   influences future ticks (learners, baselines, scheduler clocks,
 //!   incident/episode state, RNG positions). Metrics are write-only
 //!   and deliberately excluded.
-//! * [`journal`] — an append-only, fsync'd record per completed tick
-//!   (tick index, start bucket, output digest). Recovery = newest
-//!   valid snapshot + deterministic replay of the journaled ticks
-//!   through the seeded engine, verifying each digest.
-//! * [`store`] — atomic snapshot writes (temp file + rename), last-N
-//!   retention, and the `fsck` invariant checker.
+//! * [`log`] — the one append-only file type: codec sections behind
+//!   the preamble, with the only valid-prefix scan, torn-tail
+//!   truncation and atomic rewrite. The journal and the daemon's
+//!   ingest WAL are thin typed users of it.
+//! * [`journal`] — an fsync'd log record per completed tick (tick
+//!   index, start bucket, output digest). Recovery = newest valid
+//!   snapshot + deterministic replay of the journaled ticks through
+//!   the seeded engine, verifying each digest.
+//! * [`store`] — snapshot files, last-N retention, `wipe`, and the
+//!   `fsck` invariant checker over snapshots and both logs.
 //! * [`durable`] — [`DurableEngine`], the tick loop with named kill
 //!   points wired to [`blameit_simnet::CrashPlan`] so the crash
 //!   harness can abort at exactly the moments a real crash would.
@@ -36,6 +40,7 @@
 pub mod codec;
 pub mod durable;
 pub mod journal;
+pub mod log;
 pub mod snapshot;
 pub mod store;
 
@@ -106,5 +111,14 @@ impl From<std::io::Error> for PersistError {
 impl From<CodecError> for PersistError {
     fn from(e: CodecError) -> Self {
         PersistError::Codec(e)
+    }
+}
+
+impl From<PersistError> for std::io::Error {
+    fn from(e: PersistError) -> Self {
+        match e {
+            PersistError::Io(e) => e,
+            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
+        }
     }
 }

@@ -1,16 +1,17 @@
-//! Snapshot files on disk: atomic writes, retention, and `fsck`.
+//! The state directory: snapshot files, retention, `wipe` and `fsck`.
 //!
 //! Snapshots are named `snapshot-<ticks_done, zero-padded>.snap` and
-//! written atomically: encode to `.snapshot-<n>.tmp`, fsync, rename
-//! over, fsync the directory. A crash mid-write leaves only a `.tmp`
+//! written through [`log::write_atomic`] (temp sibling, fsync, rename,
+//! directory fsync). A crash mid-write leaves only a hidden `.tmp`
 //! file that loaders never look at. The last
 //! [`StateStore::DEFAULT_RETAIN`] snapshots are kept so a corrupted
 //! newest file falls back to an older one (the journal is never
 //! truncated, so older snapshots can always replay forward).
 
+use super::codec::KIND_INGEST_WAL;
+use super::log::{self, Tail, JOURNAL_FILE, WAL_FILE};
 use super::{journal, snapshot};
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 
 const SNAP_PREFIX: &str = "snapshot-";
@@ -84,22 +85,11 @@ impl StateStore {
         Ok(out)
     }
 
-    /// Writes a snapshot atomically (temp + fsync + rename + dir
-    /// fsync) and prunes beyond the retention count.
+    /// Writes a snapshot atomically and prunes beyond the retention
+    /// count.
     pub fn write_snapshot(&self, ticks_done: u64, bytes: &[u8]) -> std::io::Result<PathBuf> {
-        let tmp = self.tmp_path(ticks_done);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
         let path = self.snapshot_path(ticks_done);
-        fs::rename(&tmp, &path)?;
-        // Persist the rename itself: fsync the directory (a no-op on
-        // platforms where directories cannot be opened).
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        log::write_atomic(&path, bytes)?;
         self.prune()?;
         Ok(path)
     }
@@ -113,17 +103,17 @@ impl StateStore {
         bytes: &[u8],
         fraction: f64,
     ) -> std::io::Result<PathBuf> {
-        let tmp = self.tmp_path(ticks_done);
+        let tmp = log::tmp_path(&self.snapshot_path(ticks_done));
         let n = ((bytes.len() as f64 * fraction) as usize).clamp(1, bytes.len().saturating_sub(1));
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes[..n])?;
+        fs::write(&tmp, &bytes[..n])?;
         Ok(tmp)
     }
 
     /// Removes every blameit-owned file in the directory — snapshots,
-    /// leftover temp files, the journal — so a fresh (non-resume) run
-    /// can reuse it without tripping over another run's identity.
-    /// Foreign files are left alone. Returns the number removed.
+    /// leftover temp files, the journal and the ingest WAL — so a fresh
+    /// (non-resume) run neither trips over another run's identity nor
+    /// replays its queued batches. Foreign files are left alone.
+    /// Returns the number removed.
     pub fn wipe(&self) -> std::io::Result<usize> {
         let mut removed = 0usize;
         for (_, path) in self.list_snapshots()? {
@@ -134,17 +124,14 @@ impl StateStore {
             fs::remove_file(path)?;
             removed += 1;
         }
-        let journal = journal::journal_path(&self.dir);
-        if journal.exists() {
-            fs::remove_file(journal)?;
-            removed += 1;
+        for name in [JOURNAL_FILE, WAL_FILE] {
+            let path = self.dir.join(name);
+            if path.exists() {
+                fs::remove_file(path)?;
+                removed += 1;
+            }
         }
         Ok(removed)
-    }
-
-    fn tmp_path(&self, ticks_done: u64) -> PathBuf {
-        self.dir
-            .join(format!(".{SNAP_PREFIX}{ticks_done:010}{TMP_SUFFIX}"))
     }
 
     fn prune(&self) -> std::io::Result<()> {
@@ -187,6 +174,8 @@ pub struct FsckReport {
     pub snapshots_checked: usize,
     /// Valid journal records found.
     pub journal_records: u64,
+    /// Valid ingest-WAL batches found.
+    pub wal_batches: u64,
 }
 
 impl FsckReport {
@@ -208,6 +197,30 @@ impl FsckReport {
         self.findings.push((sev, msg.into()));
     }
 
+    /// The finding for a log file's tail: a clean end is fine, at most
+    /// one torn record is crash residue recovery truncates (warning),
+    /// anything deeper is corruption (error).
+    fn push_log_tail(&mut self, file: &str, records: usize, trailing_bytes: u64, tail: Tail) {
+        match tail {
+            Tail::Clean => self.push(
+                FsckSeverity::Ok,
+                format!("{file}: {records} record(s), clean tail"),
+            ),
+            Tail::Torn => self.push(
+                FsckSeverity::Warning,
+                format!(
+                    "{file}: torn tail ({trailing_bytes} byte(s) of crash residue after record {records}; recovery truncates it)"
+                ),
+            ),
+            Tail::Corrupt => self.push(
+                FsckSeverity::Error,
+                format!(
+                    "{file}: {trailing_bytes} unparseable byte(s) after record {records} — more than one torn record"
+                ),
+            ),
+        }
+    }
+
     /// The full report as display text.
     pub fn render(&self) -> String {
         let mut out = format!("fsck {}\n", self.dir.display());
@@ -221,9 +234,10 @@ impl FsckReport {
         }
         let errors = self.errors();
         out.push_str(&format!(
-            "{} snapshot(s), {} journal record(s), {} error(s): {}\n",
+            "{} snapshot(s), {} journal record(s), {} wal batch(es), {} error(s): {}\n",
             self.snapshots_checked,
             self.journal_records,
+            self.wal_batches,
             errors,
             if errors == 0 { "CLEAN" } else { "CORRUPT" }
         ));
@@ -231,7 +245,7 @@ impl FsckReport {
     }
 }
 
-/// Validates every snapshot/journal invariant in `dir`:
+/// Validates every snapshot/journal/WAL invariant in `dir`:
 ///
 /// * each `snapshot-*.snap` decodes fully (magic, version, every
 ///   section CRC, structural parse) and its filename matches the
@@ -242,6 +256,8 @@ impl FsckReport {
 ///   warning), not a deeper unparseable region (error);
 /// * the journal reaches at least as far as every snapshot, so replay
 ///   has the records it needs;
+/// * the ingest WAL, when present, is a run of decodable batches under
+///   the same torn-tail rule;
 /// * leftover `.tmp` files are reported (warning).
 pub fn fsck(dir: &Path) -> FsckReport {
     let mut report = FsckReport {
@@ -249,6 +265,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
         findings: Vec::new(),
         snapshots_checked: 0,
         journal_records: 0,
+        wal_batches: 0,
     };
     if !dir.is_dir() {
         report.push(FsckSeverity::Error, "state directory does not exist");
@@ -315,37 +332,13 @@ pub fn fsck(dir: &Path) -> FsckReport {
         Ok(None) => report.push(FsckSeverity::Warning, "no journal found"),
         Ok(Some(scan)) => {
             report.journal_records = scan.records.len() as u64;
-            seeds.push((journal::JOURNAL_FILE.to_string(), scan.seed));
-            if scan.trailing_bytes == 0 {
-                report.push(
-                    FsckSeverity::Ok,
-                    format!(
-                        "{}: {} record(s), clean tail",
-                        journal::JOURNAL_FILE,
-                        scan.records.len()
-                    ),
-                );
-            } else if scan.trailing_bytes <= journal::RECORD_BYTES {
-                report.push(
-                    FsckSeverity::Warning,
-                    format!(
-                        "{}: torn tail ({} byte(s) of crash residue after record {}; recovery truncates it)",
-                        journal::JOURNAL_FILE,
-                        scan.trailing_bytes,
-                        scan.records.len()
-                    ),
-                );
-            } else {
-                report.push(
-                    FsckSeverity::Error,
-                    format!(
-                        "{}: {} unparseable byte(s) after record {} — more than one torn record",
-                        journal::JOURNAL_FILE,
-                        scan.trailing_bytes,
-                        scan.records.len()
-                    ),
-                );
-            }
+            seeds.push((JOURNAL_FILE.to_string(), scan.seed));
+            report.push_log_tail(
+                JOURNAL_FILE,
+                scan.records.len(),
+                scan.trailing_bytes,
+                scan.tail,
+            );
             if (scan.records.len() as u64) < max_snapshot_ticks {
                 report.push(
                     FsckSeverity::Error,
@@ -359,7 +352,26 @@ pub fn fsck(dir: &Path) -> FsckReport {
         }
         Err(e) => report.push(
             FsckSeverity::Error,
-            format!("{}: invalid header: {e}", journal::JOURNAL_FILE),
+            format!("{JOURNAL_FILE}: invalid header: {e}"),
+        ),
+    }
+
+    // The ingest WAL exists only under the daemon; absent is normal.
+    let is_batch = |id: u8, payload: &[u8]| log::wal_batch(id, payload).is_some();
+    match log::scan_file(&dir.join(WAL_FILE), KIND_INGEST_WAL, is_batch) {
+        Ok(None) => {}
+        Ok(Some(scan)) => {
+            report.wal_batches = scan.sections;
+            report.push_log_tail(
+                WAL_FILE,
+                scan.sections as usize,
+                scan.trailing_bytes,
+                scan.tail,
+            );
+        }
+        Err(e) => report.push(
+            FsckSeverity::Error,
+            format!("{WAL_FILE}: invalid header: {e}"),
         ),
     }
 
@@ -390,29 +402,6 @@ pub fn fsck(dir: &Path) -> FsckReport {
         );
     }
     report
-}
-
-/// Atomic-write helper used by callers outside the snapshot flow
-/// (kept here so every durable file in the state dir goes through the
-/// same temp-fsync-rename discipline).
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp-write");
-    {
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(d) = File::open(parent) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

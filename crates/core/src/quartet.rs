@@ -8,7 +8,6 @@
 //! 10 RTT samples.
 
 use crate::backend::{Backend, RouteInfo};
-use crate::columnar::{aggregate_records_into, IngestArena};
 use crate::ks::{ks_two_sample, KsResult};
 use crate::thresholds::BadnessThresholds;
 use blameit_simnet::{QuartetObs, RttRecord, TimeBucket};
@@ -105,26 +104,14 @@ pub fn enrich_obs_sharded<B: Backend>(
 }
 
 /// Groups raw RTT records into quartet observations (the aggregation
-/// the analytics cluster performs on the collector stream, §6.1).
-///
-/// Since the columnar rebuild this is a thin wrapper over
-/// [`crate::columnar::aggregate_records_into`]; output (order *and*
-/// every mean's bits) is identical to the legacy per-record upsert
-/// path, now kept as [`aggregate_records_reference`] for the
-/// differential harness and the ingest bench. Callers on a hot loop
-/// should hold their own [`IngestArena`] and call the columnar API
-/// directly to skip the per-call scratch allocation.
-pub fn aggregate_records(records: &[RttRecord]) -> Vec<QuartetObs> {
-    aggregate_records_into(records, &mut IngestArena::new()).to_obs()
-}
-
-/// The pre-columnar aggregation path: one hash upsert per record into
-/// a SipHash map, then a sort of the distinct quartets. Kept verbatim
-/// as the reference implementation the differential harness
+/// the analytics cluster performs on the collector stream, §6.1) the
+/// pre-columnar way: one hash upsert per record into a SipHash map,
+/// then a sort of the distinct quartets. Kept verbatim as the reference
+/// implementation the differential harness
 /// (`tests/columnar_equivalence.rs`) and the `pipeline` bench's
 /// before/after ingest measurement compare against. Not for production
-/// use — [`aggregate_records`] is ~an order of magnitude faster on
-/// collector-shaped streams.
+/// use — [`crate::columnar::aggregate_batch_reuse`] is ~an order of
+/// magnitude faster on collector-shaped streams.
 pub fn aggregate_records_reference(records: &[RttRecord]) -> Vec<QuartetObs> {
     #[derive(Default)]
     struct Acc {
@@ -211,34 +198,13 @@ mod tests {
         assert!(none_bad.iter().all(|q| !q.bad));
     }
 
-    #[test]
-    fn aggregate_records_groups_by_key() {
-        let mk = |loc: u16, block: u32, secs: u64, rtt: f64| RttRecord {
-            loc: CloudLocId(loc),
-            p24: Prefix24::from_block(block),
-            mobile: false,
-            at: SimTime(secs),
-            rtt_ms: rtt,
-        };
-        let recs = vec![
-            mk(0, 1, 10, 10.0),
-            mk(0, 1, 20, 20.0),
-            mk(0, 1, 400, 40.0), // next bucket
-            mk(1, 1, 10, 99.0),  // different loc
-            mk(0, 2, 10, 7.0),   // different /24
-        ];
-        let qs = aggregate_records(&recs);
-        assert_eq!(qs.len(), 4);
-        let q0 = qs
-            .iter()
-            .find(|q| {
-                q.loc == CloudLocId(0)
-                    && q.p24 == Prefix24::from_block(1)
-                    && q.bucket == TimeBucket(0)
-            })
-            .unwrap();
-        assert_eq!(q0.n, 2);
-        assert!((q0.mean_rtt_ms - 15.0).abs() < 1e-12);
+    /// Single-bucket records through the production kernel.
+    fn aggregate(bucket: TimeBucket, recs: &[RttRecord]) -> Vec<QuartetObs> {
+        use crate::columnar::{aggregate_batch_reuse, IngestArena, QuartetStore, RecordBatch};
+        let mut store = QuartetStore::new();
+        let batch = RecordBatch::from_records(bucket, recs);
+        aggregate_batch_reuse(&batch, &mut IngestArena::new(), &mut store);
+        store.to_obs()
     }
 
     #[test]
@@ -250,7 +216,7 @@ mod tests {
             if recs.is_empty() {
                 continue;
             }
-            let qs = aggregate_records(&recs);
+            let qs = aggregate(bucket, &recs);
             assert_eq!(qs.len(), 1);
             assert_eq!(qs[0].n as usize, recs.len());
         }
@@ -261,7 +227,7 @@ mod tests {
         use blameit_topology::testkit;
         // Random record streams, including duplicate keys scattered
         // across the batch (forcing the pair-sort fallback): the
-        // columnar path must reproduce the legacy path's output
+        // columnar kernel must reproduce the reference upsert's output
         // exactly, means compared by bits.
         testkit::check("quartet::columnar_vs_reference", 64, |rng| {
             let nrecs = rng.below(400) as usize;
@@ -270,11 +236,11 @@ mod tests {
                     loc: CloudLocId(rng.below(4) as u16),
                     p24: Prefix24::from_block(rng.below(6) as u32),
                     mobile: rng.chance(0.3),
-                    at: SimTime(rng.below(3 * 300)),
+                    at: SimTime(rng.below(300)),
                     rtt_ms: 10.0 + rng.f64() * 200.0,
                 })
                 .collect();
-            let fast = aggregate_records(&recs);
+            let fast = aggregate(TimeBucket(0), &recs);
             let slow = aggregate_records_reference(&recs);
             assert_eq!(fast.len(), slow.len());
             for (f, s) in fast.iter().zip(&slow) {
@@ -319,9 +285,9 @@ mod tests {
                 })
                 .collect();
             let flat = |gs: &[Vec<RttRecord>]| gs.concat();
-            let before = aggregate_records(&flat(&groups));
+            let before = aggregate(TimeBucket(0), &flat(&groups));
             rng.shuffle(&mut groups);
-            let after = aggregate_records(&flat(&groups));
+            let after = aggregate(TimeBucket(0), &flat(&groups));
             assert_eq!(before.len(), after.len());
             for (b, a) in before.iter().zip(&after) {
                 assert_eq!(b.n, a.n);

@@ -1,7 +1,7 @@
-//! Property tests for the snapshot codec, driven by the in-repo
-//! seeded harness in `blameit_topology::testkit`.
+//! Property tests for the snapshot codec and the durable log, driven
+//! by the in-repo seeded harness in `blameit_topology::testkit`.
 //!
-//! Three invariants, over *arbitrary* learner/history states:
+//! Three snapshot invariants, over *arbitrary* learner/history states:
 //!
 //! 1. **Canonical round-trip** — `to_bytes → decode → to_bytes` is the
 //!    identity on bytes (so state-equal engines persist identically,
@@ -12,7 +12,15 @@
 //!    silently accept.
 //! 3. **Truncation fuzz** — every proper prefix of a valid snapshot is
 //!    rejected as an error, never a panic.
+//!
+//! And the one damage suite for `persist::log` (the journal and the
+//! ingest WAL are typed users of it and test only what is theirs): a
+//! torn, truncated or bit-flipped log either errors or yields a prefix
+//! of what was appended — never a panic, never an invented section —
+//! and appends after the truncation continue the sequence.
 
+use blameit::persist::codec::{write_section_with, KIND_JOURNAL};
+use blameit::persist::log::{self, Log, LogScan, Tail};
 use blameit::persist::snapshot::{decode, SnapshotState};
 use blameit::persist::SnapshotCounters;
 use blameit::{
@@ -278,5 +286,103 @@ fn truncation_fuzz_is_rejected_never_panics() {
         let mut extended = bytes.clone();
         extended.extend_from_slice(&[0xAB; 3]);
         assert!(decode(&extended).is_err());
+    });
+}
+
+type Sections = Vec<(u8, Vec<u8>)>;
+
+/// Scans `bytes` as a journal-kind log, collecting what it accepts.
+fn scan_all(bytes: &[u8]) -> Option<(LogScan, Sections)> {
+    let mut got = Vec::new();
+    let accept = |id: u8, p: &[u8]| {
+        got.push((id, p.to_vec()));
+        true
+    };
+    let scan = log::scan(bytes, KIND_JOURNAL, accept).ok()?;
+    Some((scan, got))
+}
+
+#[test]
+fn a_damaged_log_errors_or_yields_a_valid_prefix_and_appends_continue() {
+    check("log_damage", 48, |rng| {
+        let path = std::env::temp_dir().join(format!(
+            "blameit-logprops-{}-{:x}",
+            std::process::id(),
+            rng.next_u64()
+        ));
+        let open = || Log::open(&path, KIND_JOURNAL, |_| {}, |_, _| true).unwrap();
+        let (mut log, _) = open();
+        let mut sections: Sections = (0..rng.range_u64(1, 9))
+            .map(|_| {
+                let payload = (0..rng.below(200)).map(|_| rng.below(256) as u8).collect();
+                (rng.below(256) as u8, payload)
+            })
+            .collect();
+        for (id, payload) in &sections {
+            log.append(*id, |w| w.put_bytes(payload)).unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let (scan, got) = scan_all(&bytes).unwrap();
+        assert_eq!((scan.tail, scan.trailing_bytes), (Tail::Clean, 0));
+        assert_eq!(got, sections, "an intact log reads back what was appended");
+
+        // Truncation at any byte: a strict prefix, at most one torn section.
+        for _ in 0..16 {
+            let cut = rng.index(bytes.len());
+            let Some((scan, got)) = scan_all(&bytes[..cut]) else {
+                assert!(cut < 7, "only a cut preamble is not a log at all");
+                continue;
+            };
+            assert!(got.len() < sections.len() && got[..] == sections[..got.len()]);
+            assert_eq!(scan.valid_len + scan.trailing_bytes, cut as u64);
+            assert_eq!(scan.tail == Tail::Clean, scan.trailing_bytes == 0);
+            assert_ne!(scan.tail, Tail::Corrupt, "a cut leaves one torn section");
+        }
+        // A bit flip anywhere: an error, or trust ends at or before the
+        // section holding the flipped byte.
+        for _ in 0..32 {
+            let pos = rng.index(bytes.len());
+            let mut corrupt = bytes.clone();
+            corrupt[pos] ^= 1u8 << rng.below(8);
+            let Some((scan, got)) = scan_all(&corrupt) else {
+                assert!(pos < 7, "only a preamble flip makes it not a log");
+                continue;
+            };
+            assert!(scan.valid_len <= pos as u64, "flip at {pos} undetected");
+            assert_ne!(scan.tail, Tail::Clean);
+            assert_eq!(got[..], sections[..got.len()]);
+        }
+
+        // The kill-point harness's torn append: reopening reports the
+        // residue and truncates it, so the next append lands on a
+        // section boundary and the sequence continues.
+        log.append_torn(9, |w| w.put_bytes(&[0xAB; 40]), rng.f64())
+            .unwrap();
+        let (mut log, scan) = open();
+        assert_eq!(
+            (scan.sections, scan.tail),
+            (sections.len() as u64, Tail::Torn)
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "cut back to the valid prefix"
+        );
+        log.append(3, |w| w.put_bytes(&[1, 2, 3])).unwrap();
+        sections.push((3, vec![1, 2, 3]));
+        let (scan, got) = scan_all(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!((scan.tail, got), (Tail::Clean, sections.clone()));
+
+        // A rewrite keeps exactly what it is given, leaves no temp file,
+        // and appends resume behind it.
+        let (id, payload) = sections.pop().unwrap();
+        log.rewrite(|w| write_section_with(w, id, |w| w.put_bytes(&payload)))
+            .unwrap();
+        log.append(4, |w| w.put_u64(7)).unwrap();
+        let (scan, got) = scan_all(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(scan.tail, Tail::Clean);
+        assert_eq!(got, [(id, payload), (4, 7u64.to_le_bytes().to_vec())]);
+        assert!(!log::tmp_path(&path).exists());
+        std::fs::remove_file(&path).unwrap();
     });
 }

@@ -17,6 +17,7 @@
 
 use crate::queue::QueueBackend;
 use crate::wal::IngestWal;
+use blameit::persist::log::WAL_FILE;
 use blameit::{
     metrics::shed_reason, AdmissionController, AdmissionDecision, Backend, BlameItConfig,
     BlameItEngine, DurableEngine, PersistError, RecordBatch, RecoveryReport, TickOutput,
@@ -171,7 +172,7 @@ impl<B: Backend> DaemonCore<B> {
         std::fs::create_dir_all(&dir)?;
         let feed_start = warmup.end.bucket();
         let backend = QueueBackend::new(inner, feed_start);
-        let (wal, wal_recovery) = IngestWal::open(&dir.join("ingest.wal"))?;
+        let (wal, wal_recovery) = IngestWal::open(&dir.join(WAL_FILE))?;
         for batch in wal_recovery.batches {
             backend.push(batch);
         }

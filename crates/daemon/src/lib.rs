@@ -44,5 +44,5 @@ pub use core::{DaemonConfig, DaemonCore, DaemonError, IngestStats, OfferReply, S
 pub use entry::{run_daemon, run_feed, run_scrape};
 pub use queue::QueueBackend;
 pub use server::{ServeSummary, Server, ServerConfig};
-pub use wal::{read_wal, IngestWal, WalRecovery};
+pub use wal::{IngestWal, WalRecovery};
 pub use wire::{Frame, WireError, WIRE_VERSION};

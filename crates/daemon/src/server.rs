@@ -19,7 +19,7 @@
 
 use crate::clock::Clock;
 use crate::core::{DaemonCore, DaemonError, IngestStats, OfferReply};
-use crate::wire::{read_frame, write_frame, Frame, WIRE_VERSION};
+use crate::wire::{write_frame, Frame, FrameReader, WIRE_VERSION};
 use blameit::{Backend, TickOutput};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -61,6 +61,15 @@ pub struct ServeSummary {
     /// snapshot written.
     pub clean_shutdown: bool,
 }
+
+/// Read timeout on the feeder socket: how often a silent connection
+/// yields to the HTTP listener and the shutdown flag.
+const FEEDER_POLL: Duration = Duration::from_millis(20);
+
+/// Read timeouts a feeder may spend *inside* one frame (≈ 2 s of
+/// silence after the frame's first byte) before it is told `ERR` and
+/// dropped. Between frames a feeder may idle indefinitely.
+const FRAME_STALL_POLLS: u32 = 100;
 
 /// The bound listeners.
 pub struct Server {
@@ -138,46 +147,48 @@ impl Server {
         alert_ring: &mut Vec<String>,
     ) -> Result<bool, DaemonError> {
         stream.set_nodelay(true).ok();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(20)))
-            .ok();
+        stream.set_read_timeout(Some(FEEDER_POLL)).ok();
         let mut hello_seen = false;
+        let mut reader = FrameReader::default();
+        let mut stalls = 0u32;
         loop {
             if shutdown.load(Ordering::Relaxed) {
                 let outs = core.term()?;
                 note_ticks(&outs, summary, alert_ring);
                 return Ok(true);
             }
-            let frame = match read_frame(&mut stream) {
+            let frame = match reader.next_frame(&mut stream) {
                 Ok(Some(f)) => f,
                 Ok(None) => return Ok(false),
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
-                    // Idle between frames: keep the scrape endpoint
-                    // responsive.
+                    // Nothing arrived this poll: keep the scrape
+                    // endpoint responsive. The reader holds on to a
+                    // half-received frame, so a feeder that was merely
+                    // descheduled resumes where it stopped; only one
+                    // that stays silent mid-frame is cut off.
                     self.poll_http(core, alert_ring);
+                    stalls += u32::from(reader.mid_frame());
+                    if stalls > FRAME_STALL_POLLS {
+                        return refuse(stream, "frame stalled: feeder silent mid-frame".into());
+                    }
                     continue;
                 }
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    let _ = write_frame(&mut stream, &Frame::Err { msg: e.to_string() });
-                    return Ok(false);
+                    return refuse(stream, e.to_string());
                 }
                 Err(e) => return Err(DaemonError::Io(e)),
             };
+            stalls = 0;
             match frame {
                 Frame::Hello { version } => {
                     if version != WIRE_VERSION {
-                        let _ = write_frame(
-                            &mut stream,
-                            &Frame::Err {
-                                msg: format!(
-                                    "wire version {version} unsupported (want {WIRE_VERSION})"
-                                ),
-                            },
+                        return refuse(
+                            stream,
+                            format!("wire version {version} unsupported (want {WIRE_VERSION})"),
                         );
-                        return Ok(false);
                     }
                     hello_seen = true;
                     write_frame(
@@ -191,13 +202,7 @@ impl Server {
                 }
                 Frame::Batch { batch } => {
                     if !hello_seen {
-                        let _ = write_frame(
-                            &mut stream,
-                            &Frame::Err {
-                                msg: "batch before hello".to_string(),
-                            },
-                        );
-                        return Ok(false);
+                        return refuse(stream, "batch before hello".into());
                     }
                     let reply = match core.offer(batch)? {
                         OfferReply::Ack {
@@ -228,13 +233,7 @@ impl Server {
                     return Ok(true);
                 }
                 other => {
-                    let _ = write_frame(
-                        &mut stream,
-                        &Frame::Err {
-                            msg: format!("unexpected frame from feeder: {other:?}"),
-                        },
-                    );
-                    return Ok(false);
+                    return refuse(stream, format!("unexpected frame from feeder: {other:?}"));
                 }
             }
         }
@@ -249,6 +248,13 @@ impl Server {
             }
         }
     }
+}
+
+/// Tells a misbehaving feeder why (`ERR`, best effort) and hangs up;
+/// the daemon itself keeps serving.
+fn refuse(mut stream: TcpStream, msg: String) -> Result<bool, DaemonError> {
+    let _ = write_frame(&mut stream, &Frame::Err { msg });
+    Ok(false)
 }
 
 fn note_ticks(outs: &[TickOutput], summary: &mut ServeSummary, alert_ring: &mut Vec<String>) {
@@ -280,11 +286,16 @@ fn serve_http<B: Backend>(mut stream: TcpStream, core: &DaemonCore<B>, alert_rin
     stream
         .set_read_timeout(Some(Duration::from_millis(200)))
         .ok();
+    // Read until the header ends: a request may arrive in pieces, and
+    // answering (then closing) on half of one resets the client.
     let mut buf = [0u8; 2048];
-    let n = match stream.read(&mut buf) {
-        Ok(n) => n,
-        Err(_) => return,
-    };
+    let mut n = 0;
+    while n < buf.len() && !buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
+        match stream.read(&mut buf[n..]) {
+            Ok(0) | Err(_) => break,
+            Ok(k) => n += k,
+        }
+    }
     let req = String::from_utf8_lossy(&buf[..n]);
     let path = req
         .lines()

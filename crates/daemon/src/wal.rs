@@ -9,24 +9,18 @@
 //! journaled ticks *through* the refilled queue — which is what makes
 //! the resumed run byte-identical to one that never crashed.
 //!
-//! Layout reuses the persistence codec: the standard preamble with a
-//! WAL kind byte, then one CRC'd section per admitted batch (the
-//! section payload is the batch's wire frame — one byte dialect
-//! everywhere). A torn tail (the append that was racing the kill) is
-//! detected by the section CRC and truncated on replay, exactly like
-//! the tick journal.
+//! The file is a [`blameit::persist::log`] like the tick journal: one
+//! section per admitted batch, whose payload is the batch's columns
+//! ([`RecordBatch::encode_columns`], the wire `BATCH` body) under the
+//! section's one CRC. Scan, torn-tail truncation and the atomic
+//! compaction rewrite are the log's; this module only says what a
+//! section holds.
 
-use crate::wire::{decode_frame, encode_frame, Frame};
-use blameit::persist::codec::{self, ByteWriter};
+use blameit::persist::codec::{write_section_with, KIND_INGEST_WAL};
+use blameit::persist::log::{wal_batch, Log, WAL_SEC_BATCH};
 use blameit::RecordBatch;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
-
-/// Preamble kind byte for ingest WALs (snapshots are 1, journals 2).
-const KIND_INGEST_WAL: u8 = 3;
-/// Section id for one admitted batch.
-const SEC_BATCH: u8 = 1;
+use std::io;
+use std::path::Path;
 
 /// What [`IngestWal::open`] found on disk.
 #[derive(Debug, Default)]
@@ -39,140 +33,50 @@ pub struct WalRecovery {
 
 /// An append-only, fsync'd log of admitted ingest batches.
 pub struct IngestWal {
-    path: PathBuf,
-    file: File,
+    log: Log,
 }
 
 impl IngestWal {
     /// Opens (creating if absent) the WAL at `path` and replays any
-    /// existing contents. A torn tail is truncated away so subsequent
-    /// appends start at a valid boundary.
+    /// existing contents. Anything past the last decodable batch is the
+    /// append that was racing the kill — the WAL's only writer appends
+    /// whole sections — and is truncated away so subsequent appends
+    /// start at a valid boundary.
     pub fn open(path: &Path) -> io::Result<(IngestWal, WalRecovery)> {
-        let mut recovery = WalRecovery::default();
-        let mut valid_len = 0u64;
-        match std::fs::read(path) {
-            Ok(bytes) if !bytes.is_empty() => {
-                let (batches, valid, torn) = replay(&bytes);
-                recovery.batches = batches;
-                recovery.torn_tail = torn;
-                valid_len = valid;
-            }
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let file = if valid_len == 0 {
-            let mut f = File::create(path)?;
-            let mut w = ByteWriter::new();
-            codec::write_preamble(&mut w, KIND_INGEST_WAL);
-            f.write_all(&w.into_bytes())?;
-            f.sync_data()?;
-            f
-        } else {
-            let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(valid_len)?;
-            f.sync_data()?;
-            let mut f = f;
-            use std::io::Seek;
-            f.seek(io::SeekFrom::End(0))?;
-            f
-        };
-        Ok((
-            IngestWal {
-                path: path.to_path_buf(),
-                file,
-            },
-            recovery,
-        ))
+        let mut batches = Vec::new();
+        let (log, scan) = Log::open(
+            path,
+            KIND_INGEST_WAL,
+            |_| {},
+            |id, payload| wal_batch(id, payload).map(|b| batches.push(b)).is_some(),
+        )?;
+        let torn_tail = scan.trailing_bytes > 0;
+        Ok((IngestWal { log }, WalRecovery { batches, torn_tail }))
     }
 
     /// Appends one admitted batch and fsyncs. Only after this returns
     /// may the batch become engine-visible.
     pub fn append(&mut self, batch: &RecordBatch) -> io::Result<()> {
-        let payload = encode_frame(&Frame::Batch {
-            batch: batch.clone(),
-        });
-        let mut w = ByteWriter::new();
-        codec::write_section(&mut w, SEC_BATCH, &payload);
-        self.file.write_all(&w.into_bytes())?;
-        self.file.sync_data()
+        self.log.append(WAL_SEC_BATCH, |w| batch.encode_columns(w))
     }
 
     /// Rewrites the WAL to hold exactly `retained` (batches whose
-    /// buckets a durable snapshot does not yet cover), via temp file +
-    /// fsync + rename so a kill mid-compaction leaves the old WAL
-    /// intact.
+    /// buckets a durable snapshot does not yet cover). A kill
+    /// mid-compaction leaves the old WAL intact.
     pub fn compact(&mut self, retained: &[RecordBatch]) -> io::Result<()> {
-        let tmp = self.path.with_extension("wal.tmp");
-        let mut w = ByteWriter::new();
-        codec::write_preamble(&mut w, KIND_INGEST_WAL);
-        for batch in retained {
-            let payload = encode_frame(&Frame::Batch {
-                batch: batch.clone(),
-            });
-            codec::write_section(&mut w, SEC_BATCH, &payload);
-        }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&w.into_bytes())?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            // Make the rename itself durable.
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
+        self.log.rewrite(|w| {
+            for batch in retained {
+                write_section_with(w, WAL_SEC_BATCH, |w| batch.encode_columns(w));
             }
-        }
-        let mut f = OpenOptions::new().write(true).open(&self.path)?;
-        use std::io::Seek;
-        f.seek(io::SeekFrom::End(0))?;
-        self.file = f;
-        Ok(())
+        })
     }
-}
-
-/// Walks `bytes`, returning (recovered batches, valid byte length,
-/// torn tail seen). Anything undecodable counts as the torn tail —
-/// the WAL's only writer appends whole sections, so a bad section can
-/// only be the append in flight at the kill.
-fn replay(bytes: &[u8]) -> (Vec<RecordBatch>, u64, bool) {
-    let Ok(mut r) = codec::read_preamble(bytes, KIND_INGEST_WAL) else {
-        return (Vec::new(), 0, true);
-    };
-    let preamble_len = bytes.len() - r.remaining();
-    let mut batches = Vec::new();
-    let mut valid = preamble_len as u64;
-    loop {
-        if r.remaining() == 0 {
-            return (batches, valid, false);
-        }
-        match codec::read_section(&mut r) {
-            Ok((SEC_BATCH, payload)) => match decode_frame(payload) {
-                Ok(Frame::Batch { batch }) => {
-                    batches.push(batch);
-                    valid = (bytes.len() - r.remaining()) as u64;
-                }
-                _ => return (batches, valid, true),
-            },
-            _ => return (batches, valid, true),
-        }
-    }
-}
-
-/// Reads back every batch in a WAL file (fsck-style helper for tests
-/// and the smoke harness).
-pub fn read_wal(path: &Path) -> io::Result<WalRecovery> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let (batches, _, torn_tail) = replay(&bytes);
-    Ok(WalRecovery { batches, torn_tail })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use blameit_simnet::TimeBucket;
+    use std::path::PathBuf;
 
     fn batch(bucket: u32, n: u64) -> RecordBatch {
         RecordBatch {
@@ -183,62 +87,27 @@ mod tests {
     }
 
     fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("blameitd-wal-{name}-{}", std::process::id()))
+        let path = std::env::temp_dir().join(format!("blameitd-wal-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[test]
-    fn append_then_reopen_recovers_in_order() {
+    fn reopen_recovers_in_order_and_compaction_keeps_exactly_retained() {
         let path = tmp("roundtrip");
-        let _ = std::fs::remove_file(&path);
         let (mut wal, rec) = IngestWal::open(&path).unwrap();
         assert!(rec.batches.is_empty());
-        wal.append(&batch(3, 5)).unwrap();
-        wal.append(&batch(4, 2)).unwrap();
-        drop(wal);
-        let (_, rec) = IngestWal::open(&path).unwrap();
-        assert_eq!(rec.batches, vec![batch(3, 5), batch(4, 2)]);
-        assert!(!rec.torn_tail);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_and_appends_resume() {
-        let path = tmp("torn");
-        let _ = std::fs::remove_file(&path);
-        let (mut wal, _) = IngestWal::open(&path).unwrap();
-        wal.append(&batch(3, 5)).unwrap();
-        wal.append(&batch(4, 2)).unwrap();
-        drop(wal);
-        // Tear the last record mid-write.
-        let len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 7).unwrap();
-        drop(f);
-        let (mut wal, rec) = IngestWal::open(&path).unwrap();
-        assert_eq!(rec.batches, vec![batch(3, 5)]);
-        assert!(rec.torn_tail);
-        // The WAL is usable again after truncation.
-        wal.append(&batch(5, 1)).unwrap();
-        drop(wal);
-        let rec = read_wal(&path).unwrap();
-        assert_eq!(rec.batches, vec![batch(3, 5), batch(5, 1)]);
-        assert!(!rec.torn_tail);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn compact_keeps_only_retained() {
-        let path = tmp("compact");
-        let _ = std::fs::remove_file(&path);
-        let (mut wal, _) = IngestWal::open(&path).unwrap();
         for b in 0..6 {
             wal.append(&batch(b, 4)).unwrap();
         }
+        let (mut wal, rec) = IngestWal::open(&path).unwrap();
+        assert_eq!(rec.batches, (0..6).map(|b| batch(b, 4)).collect::<Vec<_>>());
+        assert!(!rec.torn_tail);
         wal.compact(&[batch(4, 4), batch(5, 4)]).unwrap();
         wal.append(&batch(6, 1)).unwrap();
-        drop(wal);
-        let rec = read_wal(&path).unwrap();
+        let (_, rec) = IngestWal::open(&path).unwrap();
         assert_eq!(rec.batches, vec![batch(4, 4), batch(5, 4), batch(6, 1)]);
+        assert!(!rec.torn_tail);
         let _ = std::fs::remove_file(&path);
     }
 }

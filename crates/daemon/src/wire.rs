@@ -1,8 +1,10 @@
 //! The `blameitd` ingest wire protocol.
 //!
-//! Length-prefixed binary frames over localhost TCP, reusing the
+//! Length-prefixed binary frames over localhost TCP, built from the
 //! persistence codec's primitives ([`ByteWriter`]/[`ByteReader`],
-//! CRC-32) so the daemon has exactly one byte-level dialect:
+//! CRC-32). The daemon therefore speaks one byte dialect in two
+//! framings: codec sections on disk (`persist::log`), and on the socket
+//! — where a stream needs its length first, and a cap on it — frames:
 //!
 //! ```text
 //! frame   := len:u32-le  payload[len]
@@ -16,15 +18,14 @@
 //! retry-after hint), `BYE` (TERM acknowledged, snapshot durable),
 //! `ERR` (protocol violation).
 //!
-//! A `BATCH` body is the [`RecordBatch`] layout verbatim: bucket,
-//! record count, the packed subkey column, then the RTT column. The
+//! A `BATCH` body is [`RecordBatch::encode_columns`] verbatim — the
+//! same bytes the ingest WAL stores as a section payload. The
 //! encode/decode pair is pure (no sockets), so the codec is testable
 //! and fuzzable without IO; [`read_frame`]/[`write_frame`] only add
 //! the framing.
 
 use blameit::persist::codec::{crc32, ByteReader, ByteWriter};
 use blameit::RecordBatch;
-use blameit_simnet::TimeBucket;
 use std::io::{self, Read, Write};
 
 /// Wire protocol version, negotiated by `HELLO`. Bump on any frame
@@ -111,15 +112,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         }
         Frame::Batch { batch } => {
             w.put_u8(KIND_BATCH);
-            w.put_u32(batch.bucket.0);
-            // lint:allow(as-cast-truncation): a batch near u32::MAX keys is undecodable anyway — write_frame rejects past the 64 MiB frame cap (~8M keys)
-            w.put_u32(batch.keys.len() as u32);
-            for &k in &batch.keys {
-                w.put_u64(k);
-            }
-            for &r in &batch.rtt {
-                w.put_f64(r);
-            }
+            batch.encode_columns(&mut w);
         }
         Frame::Term => w.put_u8(KIND_TERM),
         Frame::Ack {
@@ -171,28 +164,9 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
         KIND_HELLO => Frame::Hello {
             version: r.u16().map_err(|e| werr(format!("hello: {e}")))?,
         },
-        KIND_BATCH => {
-            let bucket = TimeBucket(r.u32().map_err(|e| werr(format!("batch bucket: {e}")))?);
-            let n = r.u32().map_err(|e| werr(format!("batch len: {e}")))? as usize;
-            // Defensive pre-check: both columns must fit the body.
-            if r.remaining() < n.saturating_mul(16) {
-                return Err(werr(format!(
-                    "batch claims {n} records but only {} body bytes remain",
-                    r.remaining()
-                )));
-            }
-            let mut keys = Vec::with_capacity(n);
-            for _ in 0..n {
-                keys.push(r.u64().map_err(|e| werr(format!("batch key: {e}")))?);
-            }
-            let mut rtt = Vec::with_capacity(n);
-            for _ in 0..n {
-                rtt.push(r.f64().map_err(|e| werr(format!("batch rtt: {e}")))?);
-            }
-            Frame::Batch {
-                batch: RecordBatch { bucket, keys, rtt },
-            }
-        }
+        KIND_BATCH => Frame::Batch {
+            batch: RecordBatch::decode_columns(&mut r).map_err(|e| werr(format!("batch: {e}")))?,
+        },
         KIND_TERM => Frame::Term,
         KIND_ACK => Frame::Ack {
             admitted: r.u64().map_err(|e| werr(format!("ack: {e}")))?,
@@ -245,29 +219,67 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
 /// Reads one length-prefixed frame. `Ok(None)` on clean EOF at a
 /// frame boundary (the peer hung up between frames).
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
-    let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    FrameReader::default().next_frame(r)
+}
+
+/// A resumable [`read_frame`] for a source with a read timeout: the
+/// bytes of a frame that has started arriving are kept across
+/// `WouldBlock`/`TimedOut`, so the next [`FrameReader::next_frame`] continues
+/// the same frame instead of mistaking its middle for a length prefix.
+#[derive(Default)]
+pub struct FrameReader {
+    /// Receive buffer, sized to the current frame (length prefix
+    /// included) and reused across frames.
+    buf: Vec<u8>,
+    /// Bytes of the current frame received so far.
+    filled: usize,
+}
+
+impl FrameReader {
+    /// True once any byte of the next frame has been consumed.
+    pub fn mid_frame(&self) -> bool {
+        self.filled > 0
     }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {MAX_FRAME_BYTES}"),
-        ));
+
+    /// Reads until one whole frame is in. A read error leaves what has
+    /// arrived in place; call again to resume.
+    pub fn next_frame<R: Read>(&mut self, r: &mut R) -> io::Result<Option<Frame>> {
+        loop {
+            let mut want = 4;
+            if self.filled >= 4 {
+                let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
+                if len > MAX_FRAME_BYTES {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("frame length {len} exceeds cap {MAX_FRAME_BYTES}"),
+                    ));
+                }
+                want += len as usize;
+                if self.filled == want {
+                    self.filled = 0;
+                    return decode_frame(&self.buf[4..want])
+                        .map(Some)
+                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0));
+                }
+            }
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
+            match r.read(&mut self.buf[self.filled..want]) {
+                Ok(0) if self.filled == 0 => return Ok(None),
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    decode_frame(&payload)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blameit_simnet::TimeBucket;
 
     fn all_frames() -> Vec<Frame> {
         vec![
@@ -319,6 +331,45 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
     }
 
+    /// One byte per read with a `WouldBlock` before each — a socket
+    /// with a read timeout whose peer pauses everywhere it can.
+    struct Trickle<'a>(&'a [u8], bool);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.1 = !self.1;
+            if self.1 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.0.len().min(1);
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_reader_resumes_a_frame_across_timeouts() {
+        let mut bytes = Vec::new();
+        for f in all_frames() {
+            write_frame(&mut bytes, &f).unwrap();
+        }
+        let (mut src, mut reader) = (Trickle(&bytes, false), FrameReader::default());
+        let mut got = Vec::new();
+        loop {
+            match reader.next_frame(&mut src) {
+                Ok(Some(f)) => got.push(f),
+                Ok(None) => break,
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            }
+            // Mid-frame exactly when part of a frame has been consumed.
+            let sent = bytes.len() - src.0.len();
+            let whole: usize = got.iter().map(|f| 4 + encode_frame(f).len()).sum();
+            assert_eq!(reader.mid_frame(), sent > whole, "at byte {sent}");
+        }
+        assert_eq!(got, all_frames());
+    }
+
     #[test]
     fn bit_flips_are_rejected() {
         let bytes = encode_frame(&all_frames()[1]);
@@ -350,19 +401,5 @@ mod tests {
         buf.extend_from_slice(&[0u8; 16]);
         let mut cursor = &buf[..];
         assert!(read_frame(&mut cursor).is_err());
-    }
-
-    #[test]
-    fn batch_length_lie_is_refused() {
-        // A batch body claiming 1M records with a 4-byte body must be
-        // rejected by the pre-check, not by attempting the allocation.
-        let mut w = ByteWriter::new();
-        w.put_u8(super::KIND_BATCH);
-        w.put_u32(0);
-        w.put_u32(1_000_000);
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        assert!(decode_frame(&bytes).is_err());
     }
 }

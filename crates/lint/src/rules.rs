@@ -493,7 +493,11 @@ impl Rule for FloatKeySort {
 pub struct AsCastTruncation;
 
 /// Paths where narrowing casts feed bytes on disk or on the wire.
-const CAST_SCOPES: &[&str] = &["crates/core/src/persist/", "crates/daemon/src/wire.rs"];
+const CAST_SCOPES: &[&str] = &[
+    "crates/core/src/persist/",
+    "crates/daemon/src/wire.rs",
+    "crates/daemon/src/wal.rs",
+];
 
 /// Integer types narrower than the platform-width/64-bit values that
 /// lengths, counts, and ids carry in this workspace.
@@ -544,13 +548,16 @@ impl Rule for AsCastTruncation {
 /// The persist_props fuzz contract: decoding arbitrary bytes must
 /// return `Err`, never panic — a panic on a torn journal tail or a
 /// bit-flipped snapshot turns recoverable corruption into a crash loop.
-/// Applies to `crates/core/src/persist/{codec,journal,snapshot}.rs`.
+/// Applies to `crates/core/src/persist/{codec,journal,log,snapshot}.rs`
+/// and the daemon's `wal.rs` — every path disk bytes are decoded on.
 pub struct PanicInDecode;
 
 pub const DECODE_FILES: &[&str] = &[
     "crates/core/src/persist/codec.rs",
     "crates/core/src/persist/journal.rs",
+    "crates/core/src/persist/log.rs",
     "crates/core/src/persist/snapshot.rs",
+    "crates/daemon/src/wal.rs",
 ];
 
 impl Rule for PanicInDecode {

@@ -31,6 +31,9 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml (frozen harness vs current API)"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> BLAMEIT_THREADS=8 cargo test --workspace -q"
 BLAMEIT_THREADS=8 cargo test --workspace -q
 

@@ -1,19 +1,20 @@
 //! Differential harness for the columnar ingest path.
 //!
-//! The columnar quartet store replaced the legacy per-record `HashMap`
-//! upsert on the hot path; its contract is *bit* equivalence, not
-//! approximate equivalence. Every test here drives identical RTT
-//! record streams through both aggregators and compares outputs down
-//! to the f64 bit pattern — on organically generated worlds, on
+//! The columnar quartet store replaced the per-record `HashMap` upsert
+//! on the hot path; its contract is *bit* equivalence, not approximate
+//! equivalence. Every test here drives identical RTT record streams
+//! through the batch kernel (one bucket per batch, as the daemon and
+//! the engine feed it) and the reference upsert, and compares outputs
+//! down to the f64 bit pattern — on organically generated worlds, on
 //! chaos-disturbed backends, on adversarial synthetic streams with
 //! duplicates and late (bucket-churned) records, and across
-//! parallelism 1 vs 4 for both the sharded aggregator and full engine
+//! parallelism 1 vs 4 for chaos record streams and full engine
 //! transcripts.
 
 use blameit::{
-    aggregate_batch_reuse, aggregate_records_into, aggregate_records_reference,
-    aggregate_records_sharded, render_tick_transcript, Backend, BadnessThresholds, BlameItConfig,
-    BlameItEngine, ChaosBackend, IngestArena, QuartetStore, RecordBatch, TickOutput, WorldBackend,
+    aggregate_batch_reuse, aggregate_records_reference, render_tick_transcript, Backend,
+    BadnessThresholds, BlameItConfig, BlameItEngine, ChaosBackend, IngestArena, QuartetStore,
+    RecordBatch, TickOutput, WorldBackend,
 };
 use blameit_bench::{quiet_world, Scale};
 use blameit_simnet::{
@@ -44,6 +45,18 @@ fn assert_bit_identical(got: &[QuartetObs], want: &[QuartetObs], what: &str) {
             w.mean_rtt_ms,
         );
     }
+}
+
+/// Aggregates `records` (all in `bucket`, stream order as given) through
+/// the batch kernel.
+fn kernel(bucket: TimeBucket, records: &[RttRecord], arena: &mut IngestArena) -> Vec<QuartetObs> {
+    let mut store = QuartetStore::new();
+    aggregate_batch_reuse(
+        &RecordBatch::from_records(bucket, records),
+        arena,
+        &mut store,
+    );
+    store.to_obs()
 }
 
 /// A quiet tiny world with one cloud fault and one middle fault (the
@@ -88,11 +101,11 @@ fn faulty_world(rng: &mut DetRng) -> (World, SimTime) {
 }
 
 #[test]
-fn columnar_matches_reference_on_organic_streams_across_threads() {
+fn columnar_matches_reference_on_organic_streams() {
     // 8 seeded worlds; for each, every bucket of a faulty hour is
-    // aggregated four ways — reference upsert, columnar single-shot,
-    // columnar with arena/store reuse, sharded at 1 and 4 threads —
-    // and all must agree bit for bit.
+    // aggregated three ways — reference upsert, the kernel over the raw
+    // stream, the kernel over the collector-sorted batch — and all must
+    // agree bit for bit.
     check("columnar_equivalence::organic", 8, |rng| {
         let (world, fault_start) = faulty_world(rng);
         let eval = TimeRange::new(fault_start, fault_start + 3_600);
@@ -105,8 +118,8 @@ fn columnar_matches_reference_on_organic_streams_across_threads() {
                 .expect("WorldBackend serves the raw record stream");
             nonempty += usize::from(!records.is_empty());
             let want = aggregate_records_reference(&records);
-            let store = aggregate_records_into(&records, &mut arena);
-            assert_bit_identical(&store.to_obs(), &want, "columnar vs reference");
+            let got = kernel(bucket, &records, &mut arena);
+            assert_bit_identical(&got, &want, "raw batch kernel vs reference");
             // The collector-sorted columnar batch (the engine's hot
             // ingest shape) must agree too, with zero sort fallbacks.
             let batch = backend
@@ -124,14 +137,6 @@ fn columnar_matches_reference_on_organic_streams_across_threads() {
                 &want,
                 "sorted batch kernel vs reference",
             );
-            for threads in [1usize, 4] {
-                let sharded = aggregate_records_sharded(&records, threads);
-                assert_bit_identical(
-                    &sharded.to_obs(),
-                    &want,
-                    &format!("sharded({threads}) vs reference"),
-                );
-            }
         }
         assert!(nonempty > 0, "the faulty hour must carry records");
     });
@@ -162,8 +167,11 @@ fn chaos_streams_aggregate_identically_and_transcripts_agree() {
                     .rtt_records_in(bucket)
                     .expect("chaos backend serves the record stream");
                 let want = aggregate_records_reference(&records);
-                let store = aggregate_records_into(&records, &mut arena);
-                assert_bit_identical(&store.to_obs(), &want, "chaos columnar vs reference");
+                assert_bit_identical(
+                    &kernel(bucket, &records, &mut arena),
+                    &want,
+                    "chaos columnar vs reference",
+                );
             }
         }
 
@@ -200,9 +208,10 @@ fn chaos_streams_aggregate_identically_and_transcripts_agree() {
 fn duplicate_and_late_records_keep_both_paths_bit_identical() {
     // Adversarial synthetic streams: heavy duplication (the same
     // record re-delivered), late records whose bucket churns behind
-    // the stream head (interleaved old/new buckets force the columnar
-    // fallback sort), and whole-group shuffles. The fallback must
-    // reproduce the reference's stream-order accumulation exactly.
+    // the stream head, and whole-group shuffles (scattered duplicate
+    // keys force the columnar fallback sort). Split per bucket as the
+    // collector does, the fallback must reproduce the reference's
+    // stream-order accumulation exactly.
     check("columnar_equivalence::duplicates_late", 8, |rng| {
         let mut records: Vec<RttRecord> = Vec::new();
         let buckets = [TimeBucket(300), TimeBucket(301), TimeBucket(302)];
@@ -249,8 +258,7 @@ fn duplicate_and_late_records_keep_both_paths_bit_identical() {
 
         let want = aggregate_records_reference(&records);
         let mut arena = IngestArena::new();
-        let store = aggregate_records_into(&records, &mut arena);
-        assert_bit_identical(&store.to_obs(), &want, "adversarial columnar vs reference");
+        let mut all_buckets: Vec<QuartetObs> = Vec::new();
         // Per-bucket columnar batches (raw and collector-sorted) must
         // agree with the reference restricted to that bucket.
         for &bucket in &buckets {
@@ -275,13 +283,10 @@ fn duplicate_and_late_records_keep_both_paths_bit_identical() {
                 &bucket_want,
                 "sorted batch vs reference",
             );
+            all_buckets.extend(batch_store.iter());
         }
-        for threads in [1usize, 4] {
-            assert_bit_identical(
-                &aggregate_records_sharded(&records, threads).to_obs(),
-                &want,
-                &format!("adversarial sharded({threads}) vs reference"),
-            );
-        }
+        // Buckets ascend, so the per-bucket outputs concatenate into
+        // the reference's whole-stream answer.
+        assert_bit_identical(&all_buckets, &want, "per-bucket kernel vs whole reference");
     });
 }

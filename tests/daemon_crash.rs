@@ -6,9 +6,10 @@
 //! state dir that reopens with zero journal replay and zero WAL
 //! refill.
 
+use blameit::persist::log::WAL_FILE;
 use blameit::{
-    render_tick_transcript, Backend, BadnessThresholds, BlameItConfig, PersistError, RecordBatch,
-    StartMode, TickOutput, WorldBackend,
+    fsck, render_tick_transcript, Backend, BadnessThresholds, BlameItConfig, PersistError,
+    RecordBatch, StartMode, StateStore, TickOutput, WorldBackend,
 };
 use blameit_bench::{quiet_world, Scale};
 use blameit_daemon::{DaemonConfig, DaemonCore, DaemonError, OfferReply};
@@ -97,8 +98,9 @@ fn feed(
 }
 
 /// The uninterrupted reference: feed all buckets, terminate, render.
-fn reference_run(world: &World, threads: usize, feed_range: (u32, u32)) -> String {
-    let dir = state_dir(&format!("ref-t{threads}"));
+/// `tag` keeps concurrently running tests out of each other's dirs.
+fn reference_run(world: &World, tag: &str, threads: usize, feed_range: (u32, u32)) -> String {
+    let dir = state_dir(&format!("ref-{tag}-t{threads}"));
     let (mut core, recovery) = open_core(world, &dir, threads);
     assert_eq!(recovery.mode, StartMode::Cold);
     let mut outs = feed(
@@ -124,7 +126,7 @@ fn kill_points_recover_to_byte_identical_transcripts() {
     let end = start + N_TICKS * 3;
 
     for threads in [1usize, 4] {
-        let reference = reference_run(&world, threads, (start, end));
+        let reference = reference_run(&world, "kill", threads, (start, end));
         for point in CrashPoint::ALL {
             // Snapshot-phase kill points only fire on a tick where a
             // snapshot is due (snapshot_every_ticks = 2 → odd 0-based
@@ -207,5 +209,68 @@ fn term_during_surge_leaves_a_clean_resumable_state() {
         "TERM drained and compacted the queue"
     );
     drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_fresh_start_does_not_replay_the_last_runs_wal() {
+    let world = quiet_world(Scale::Tiny, 2, 0xC4A5);
+    let start = TimeRange::days(1).end.bucket().0;
+    let end = start + N_TICKS * 3;
+    let quiet = SurgePlan::default();
+
+    // A previous run fed most of the range and was killed: its WAL
+    // still holds the batches no snapshot covers.
+    let dir = state_dir("fresh");
+    let (mut core, _) = open_core(&world, &dir, 1);
+    feed(&mut core, &world, &quiet, start, end - 1).expect("no crash armed");
+    assert!(core.queue_depth() > 0, "the killed run left batches queued");
+    drop(core);
+
+    // Starting fresh (what `blameitd` without --resume does) wipes the
+    // WAL with the rest: nothing of the old feed comes back.
+    StateStore::create(&dir).unwrap().wipe().unwrap();
+    assert!(!dir.join(WAL_FILE).exists(), "wipe owns the WAL too");
+    let (mut core, recovery) = open_core(&world, &dir, 1);
+    assert_eq!(recovery.mode, StartMode::Cold);
+    assert_eq!(core.queue_depth(), 0, "a fresh start has an empty queue");
+    let mut outs = feed(&mut core, &world, &quiet, start, end).expect("no crash armed");
+    outs.extend(core.term().unwrap());
+    let clean = reference_run(&world, "fresh", 1, (start, end));
+    assert_eq!(render_tick_transcript(&outs), clean);
+    drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fsck_audits_the_ingest_wal() {
+    let world = quiet_world(Scale::Tiny, 2, 0xC4A5);
+    let start = TimeRange::days(1).end.bucket().0;
+    let dir = state_dir("fsck-wal");
+    let (mut core, _) = open_core(&world, &dir, 1);
+    feed(&mut core, &world, &SurgePlan::default(), start, start + 4).expect("no crash armed");
+    drop(core);
+    let wal = dir.join(WAL_FILE);
+    let intact = std::fs::read(&wal).unwrap();
+    let audit = |bytes: &[u8]| {
+        std::fs::write(&wal, bytes).unwrap();
+        let report = fsck(&dir);
+        (report.errors(), report.wal_batches, report.render())
+    };
+
+    let (errors, batches, text) = audit(&intact);
+    assert_eq!((errors, batches), (0, 4), "{text}");
+    // The append a kill interrupted: crash residue, a warning.
+    let (errors, batches, text) = audit(&intact[..intact.len() - 7]);
+    assert_eq!((errors, batches), (0, 3), "{text}");
+    assert!(
+        text.contains(&format!("warn  {WAL_FILE}: torn tail")),
+        "{text}"
+    );
+    // A flipped bit inside the second of four batches: an error.
+    let mut flipped = intact.clone();
+    flipped[intact.len() * 3 / 8] ^= 0x40;
+    let (errors, batches, text) = audit(&flipped);
+    assert_eq!((errors, batches), (1, 1), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }

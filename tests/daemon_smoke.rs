@@ -16,7 +16,7 @@ use blameit_daemon::{
 use blameit_obs::MetricsRegistry;
 use blameit_simnet::{SurgePlan, TimeBucket, TimeRange, World};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn state_dir(tag: &str) -> PathBuf {
@@ -30,6 +30,17 @@ fn config(world: &World, dir: &Path) -> BlameItConfig {
     cfg.state_dir = Some(dir.to_path_buf());
     cfg.snapshot_every_ticks = 2;
     cfg
+}
+
+/// Stops the server when the test body unwinds: a failed assertion
+/// inside `thread::scope` would otherwise wait on the serve loop forever
+/// instead of reporting the failure.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
 }
 
 fn dcfg() -> DaemonConfig {
@@ -73,6 +84,7 @@ fn daemon_serves_feeds_scrapes_and_terminates() {
 
     let summary = std::thread::scope(|s| {
         let handle = s.spawn(|| server.run(&mut core, &clock, &shutdown).unwrap());
+        let _stop = StopOnDrop(&shutdown);
 
         // Quiet first half, no TERM: the connection closes, the daemon
         // keeps serving.
@@ -142,6 +154,81 @@ fn daemon_serves_feeds_scrapes_and_terminates() {
     assert_eq!(recovery.snapshots_rejected, 0);
     assert_eq!(core.ticks_done(), ticks_before);
     assert_eq!(core.queue_depth(), 0);
+    drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_feeder_paused_mid_frame_resumes_and_a_stuck_one_gets_err() {
+    use blameit_daemon::wire::{read_frame, write_frame};
+    use blameit_daemon::{Frame, WIRE_VERSION};
+    use std::io::Write;
+
+    let world = quiet_world(Scale::Tiny, 2, 0x50C7);
+    let dir = state_dir("midframe");
+    let warmup = TimeRange::days(1);
+    let (mut core, _) = DaemonCore::open(
+        config(&world, &dir),
+        dcfg(),
+        Arc::new(MetricsRegistry::new()),
+        WorldBackend::new(&world),
+        warmup,
+    )
+    .unwrap();
+    let server = Server::bind(&ServerConfig::default()).unwrap();
+    let shutdown = AtomicBool::new(false);
+    let clock = WallClock;
+
+    // One BATCH frame's bytes, to be sent in two halves.
+    let batch = blameit::RecordBatch {
+        bucket: warmup.end.bucket(),
+        keys: (0..64).collect(),
+        rtt: vec![25.0; 64],
+    };
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &Frame::Batch { batch }).unwrap();
+    let (head, tail) = bytes.split_at(bytes.len() / 2);
+    let connect = || {
+        let mut s = std::net::TcpStream::connect(server.ingest_addr).unwrap();
+        let version = WIRE_VERSION;
+        write_frame(&mut s, &Frame::Hello { version }).unwrap();
+        assert!(matches!(read_frame(&mut s), Ok(Some(Frame::Ack { .. }))));
+        s
+    };
+
+    std::thread::scope(|s| {
+        let handle = s.spawn(|| server.run(&mut core, &clock, &shutdown).unwrap());
+        let _stop = StopOnDrop(&shutdown);
+
+        // Descheduled for four idle polls between the two halves of a
+        // frame: the server must pick the frame up where it stopped.
+        let mut paused = connect();
+        paused.write_all(head).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(80));
+        paused.write_all(tail).unwrap();
+        let reply = read_frame(&mut paused).unwrap();
+        assert!(
+            matches!(reply, Some(Frame::Ack { admitted: 64, .. })),
+            "a paused feeder must still be ACKed, got {reply:?}"
+        );
+        drop(paused);
+
+        // Never finishes its frame: the server keeps answering HTTP
+        // while it waits, then gives up on the connection with ERR.
+        let mut stuck = connect();
+        stuck.write_all(head).unwrap();
+        let health = http_get(&server.http_addr.to_string(), "/healthz").unwrap();
+        assert!(health.contains("ok"), "healthz says: {health}");
+        let reply = read_frame(&mut stuck).unwrap();
+        assert!(
+            matches!(&reply, Some(Frame::Err { msg }) if msg.contains("stalled")),
+            "a stuck feeder must be told ERR, got {reply:?}"
+        );
+        assert_eq!(read_frame(&mut stuck).unwrap(), None, "then closed");
+
+        shutdown.store(true, Ordering::Relaxed);
+        assert!(handle.join().unwrap().clean_shutdown);
+    });
     drop(core);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,8 +3,9 @@
 //! Driven by the in-repo seeded harness in `blameit_topology::testkit`.
 
 use blameit::{
-    aggregate_records, diff_contributions, ks_two_sample, prioritize, select_within_budget,
-    ClientCountHistory, DurationHistory, MiddleIssue, MiddleKey,
+    aggregate_batch_reuse, diff_contributions, ks_two_sample, prioritize, select_within_budget,
+    ClientCountHistory, DurationHistory, IngestArena, MiddleIssue, MiddleKey, QuartetStore,
+    RecordBatch,
 };
 use blameit_simnet::{RttRecord, SimTime, TimeBucket};
 use blameit_topology::rng::DetRng;
@@ -16,7 +17,7 @@ fn arb_record(rng: &mut DetRng) -> RttRecord {
         loc: CloudLocId(rng.below(8) as u16),
         p24: Prefix24::from_block(rng.below(64) as u32),
         mobile: rng.chance(0.5),
-        at: SimTime(rng.below(3600)),
+        at: SimTime(rng.below(300)),
         rtt_ms: rng.range_f64(1.0, 500.0),
     }
 }
@@ -27,7 +28,10 @@ fn aggregation_conserves_mass() {
     check("aggregation_conserves_mass", 64, |rng| {
         let n = rng.below(300) as usize;
         let records: Vec<RttRecord> = (0..n).map(|_| arb_record(rng)).collect();
-        let quartets = aggregate_records(&records);
+        let mut store = QuartetStore::new();
+        let batch = RecordBatch::from_records(TimeBucket(0), &records);
+        aggregate_batch_reuse(&batch, &mut IngestArena::new(), &mut store);
+        let quartets = store.to_obs();
         let total: u64 = quartets.iter().map(|q| q.n as u64).sum();
         assert_eq!(total, records.len() as u64);
         let lo = records
