@@ -4,9 +4,7 @@
 //! (`1, 2, 4, … --threads`) on one world, times the eval window, and
 //! verifies the determinism contract the sharded tick promises: the
 //! canonical tick transcript at every thread count is *byte-identical*
-//! to the single-threaded run. Also reports how evenly the location
-//! shard key spreads a bucket's quartets, since shard balance bounds
-//! the achievable speedup.
+//! to the single-threaded run.
 //!
 //! The second half benchmarks the ingest stage in isolation on one
 //! core: the same per-bucket RTT streams are aggregated by the legacy
@@ -25,7 +23,7 @@ use blameit::{
     WorldBackend,
 };
 use blameit_bench::{fmt, json::Json, Args, Scale};
-use blameit_simnet::{partition_quartets, RttRecord, SimTime, TimeRange};
+use blameit_simnet::{RttRecord, SimTime, TimeRange};
 use std::time::Instant;
 
 fn main() {
@@ -47,23 +45,6 @@ fn main() {
     let world = blameit_bench::organic_world(scale, days, seed);
     let eval = TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days));
     let thresholds = BadnessThresholds::default_for(&world);
-
-    // Shard balance of the location key on a representative bucket.
-    let probe_bucket = eval.start.bucket();
-    let quartets = world.quartets_in(probe_bucket);
-    let shards = partition_quartets(&quartets, max_threads);
-    let sizes: Vec<usize> = shards.iter().map(Vec::len).collect();
-    let max = sizes.iter().copied().max().unwrap_or(0);
-    let ideal = quartets.len() as f64 / sizes.len().max(1) as f64;
-    println!(
-        "shard balance at {} ({} quartets over {} shards): sizes {:?}, max/ideal {:.2}",
-        probe_bucket,
-        quartets.len(),
-        sizes.len(),
-        sizes,
-        max as f64 / ideal.max(1.0),
-    );
-    println!();
 
     let mut threads = Vec::new();
     let mut n = 1;

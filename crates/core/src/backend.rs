@@ -147,7 +147,7 @@ impl Backend for WorldBackend<'_> {
         // secondary, clients in topology order.
         let world = self.world;
         let clients = &world.topology().clients;
-        crate::shard::parallel_map(self.parallelism, clients, |_, c| {
+        crate::shard::parallel_map(self.parallelism, clients, |c| {
             [
                 world.quartet(c.primary_loc, c, bucket),
                 c.secondary_loc
@@ -168,7 +168,7 @@ impl Backend for WorldBackend<'_> {
         let world = self.world;
         let clients = &world.topology().clients;
         Some(
-            crate::shard::parallel_map(self.parallelism, clients, |_, c| {
+            crate::shard::parallel_map(self.parallelism, clients, |c| {
                 let mut recs = world.rtt_records(c.primary_loc, c, bucket);
                 if let Some(sec) = c.secondary_loc {
                     recs.extend(world.rtt_records(sec, c, bucket));

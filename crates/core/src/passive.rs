@@ -24,8 +24,10 @@
 use crate::fxhash::{DetHashMap, DetHashSet};
 use crate::grouping::{MiddleGrouping, MiddleKey};
 use crate::history::{ExpectedRttLearner, RttKey};
+use crate::metrics::ShardMetrics;
 use crate::provenance::PassiveEvidence;
 use crate::quartet::EnrichedQuartet;
+use crate::shard::run_chunked;
 use blameit_simnet::QuartetObs;
 use blameit_topology::{Asn, CloudLocId, PathId, Region};
 use std::fmt;
@@ -99,7 +101,7 @@ impl Default for BlameConfig {
 }
 
 /// One bad quartet's verdict, with the keys needed downstream.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BlameResult {
     /// The quartet observation.
     pub obs: QuartetObs,
@@ -120,7 +122,7 @@ pub struct BlameResult {
 /// Per-aggregate statistics computed during blame assignment, exposed
 /// for reporting and confidence calculations (§6.3 case 5 reports the
 /// "proportion of quartets blamed in each category").
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AggregateStats {
     /// Quartet count and above-expected count per cloud location.
     pub cloud: DetHashMap<CloudLocId, (usize, usize)>,
@@ -147,12 +149,11 @@ impl AggregateStats {
 }
 
 /// The read-only product of the sequential aggregate pass: everything a
-/// per-quartet verdict needs. Immutable once built, so shard workers
+/// per-quartet verdict needs. Immutable once built, so chunk workers
 /// can evaluate [`PassiveAggregates::verdict`] concurrently.
-#[derive(Clone, Debug)]
-pub struct PassiveAggregates {
+struct PassiveAggregates {
     /// Per-location / per-middle-key counts for reporting.
-    pub stats: AggregateStats,
+    stats: AggregateStats,
     /// (p24 block, mobile, loc) triples that saw good RTT this bucket.
     good_elsewhere: DetHashSet<(u32, bool, CloudLocId)>,
 }
@@ -166,7 +167,8 @@ pub struct PassiveAggregates {
 ///
 /// This stays on one thread because it reads the [`ExpectedRttLearner`]
 /// (whose lookup cache is not thread-safe); the per-quartet verdicts it
-/// enables are pure and shard freely.
+/// enables are pure against the result, so any partition of the
+/// quartets yields the same verdicts.
 ///
 /// Columnar since the quartet-path rebuild: instead of two map upserts
 /// and two learner lookups per quartet, the pass sorts a compact index
@@ -176,7 +178,7 @@ pub struct PassiveAggregates {
 /// so the run order cannot change any value, and the learner's lookup
 /// cache ends the pass with exactly the same entries (same distinct
 /// key set), keeping snapshots byte-identical with the legacy pass.
-pub fn aggregate_pass(
+fn aggregate_pass(
     quartets: &[EnrichedQuartet],
     expected: &ExpectedRttLearner,
     cfg: &BlameConfig,
@@ -259,7 +261,7 @@ impl PassiveAggregates {
     /// Algorithm 1's hierarchical elimination for one quartet: `None`
     /// for good quartets, otherwise the verdict. Pure — depends only on
     /// the quartet and the precomputed aggregates.
-    pub fn verdict(&self, q: &EnrichedQuartet, cfg: &BlameConfig) -> Option<BlameResult> {
+    fn verdict(&self, q: &EnrichedQuartet, cfg: &BlameConfig) -> Option<BlameResult> {
         if !q.bad {
             return None;
         }
@@ -308,12 +310,43 @@ impl PassiveAggregates {
     }
 }
 
-/// Runs Algorithm 1 over one bucket's enriched quartets. Returns a
-/// verdict for every **bad** quartet plus the aggregate statistics.
+/// Algorithm 1 over one bucket's enriched quartets — the one driver the
+/// engine tick and [`assign_blames`] both run. The aggregate pass runs
+/// on the calling thread; the per-quartet verdicts fan out over
+/// `parallelism` contiguous chunks ([`run_chunked`]). Returns a verdict
+/// for every **bad** quartet in input order, the aggregate statistics,
+/// and one metric scratch per chunk for the caller to absorb (histogram
+/// merges are order-independent, so rendered metrics do not depend on
+/// the thread count).
 ///
 /// `expected` must have been fed prior history (the learner is *not*
 /// updated here; the pipeline owns that, and updates it only after
 /// blame assignment so the current bucket never sees its own data).
+pub fn blame_bucket(
+    quartets: &[EnrichedQuartet],
+    expected: &ExpectedRttLearner,
+    cfg: &BlameConfig,
+    parallelism: usize,
+) -> (Vec<BlameResult>, AggregateStats, Vec<ShardMetrics>) {
+    let agg = aggregate_pass(quartets, expected, cfg);
+    let (verdicts, scratch): (Vec<_>, Vec<_>) = run_chunked(parallelism, quartets, |chunk| {
+        let mut scratch = ShardMetrics::new();
+        let mut verdicts = Vec::new();
+        for q in chunk {
+            scratch.observe_quartet(q.obs.mean_rtt_ms);
+            if let Some(r) = agg.verdict(q, cfg) {
+                scratch.record_blame(r.blame);
+                verdicts.push(r);
+            }
+        }
+        (verdicts, scratch)
+    })
+    .into_iter()
+    .unzip();
+    (verdicts.into_iter().flatten().collect(), agg.stats, scratch)
+}
+
+/// [`blame_bucket`] on the calling thread, without the metric scratch.
 pub fn assign_blames(
     quartets: &[EnrichedQuartet],
     expected: &ExpectedRttLearner,
@@ -324,13 +357,9 @@ pub fn assign_blames(
         "assign_blames",
         quartets = quartets.len()
     );
-    let agg = aggregate_pass(quartets, expected, cfg);
-    let out: Vec<BlameResult> = quartets
-        .iter()
-        .filter_map(|q| agg.verdict(q, cfg))
-        .collect();
+    let (out, stats, _) = blame_bucket(quartets, expected, cfg, 1);
     span.record("verdicts", out.len());
-    (out, agg.stats)
+    (out, stats)
 }
 
 #[cfg(test)]

@@ -11,6 +11,10 @@
 //! The engine is generic over [`Backend`], so it runs identically over
 //! the simulator (with ground truth available for scoring) or any other
 //! data plane.
+//!
+//! [`BlameItEngine::tick`] is that job as plain stage functions, one per
+//! [`stage`] name, each documented with what it reads and writes: it
+//! only calls them and laps the stage clock between them.
 
 use crate::active::{
     diff_contributions_with_floor, LocalizationVerdict, TracrouteDiffResult, UnlocalizedReason,
@@ -22,12 +26,12 @@ use crate::fxhash::{DetHashMap, DetHashSet};
 use crate::grouping::MiddleKey;
 use crate::history::{ClientCountHistory, DurationHistory, ExpectedRttLearner, RttKey};
 use crate::incident::IncidentTracker;
-use crate::metrics::{stage, EngineMetrics, ShardMetrics};
-use crate::passive::{aggregate_pass, Blame, BlameConfig, BlameResult};
+use crate::metrics::{stage, EngineMetrics};
+use crate::passive::{blame_bucket, AggregateStats, Blame, BlameConfig, BlameResult};
 use crate::priority::{prioritize, select_within_budgets, MiddleIssue, PrioritizedIssue};
 use crate::provenance::{BaselineEvidence, IncidentEvidence, ProbeEvidence, Provenance};
 use crate::quartet::{enrich_obs_sharded, EnrichedQuartet, MIN_SAMPLES};
-use crate::shard::{parallel_map, run_sharded, ShardPlan};
+use crate::shard::parallel_map;
 use crate::thresholds::BadnessThresholds;
 use blameit_obs::{
     span, FlightFrame, FlightRecorder, FlightTrigger, MetricsRegistry, StageClock, StageTimings,
@@ -81,9 +85,10 @@ pub struct BlameItConfig {
     /// Write a snapshot every this-many completed ticks (journal
     /// records are written every tick regardless).
     pub snapshot_every_ticks: u32,
-    /// Worker threads for the sharded tick. `1` runs the exact legacy
-    /// single-threaded path inline; any value produces byte-identical
-    /// `TickOutput` (shard outputs merge under a canonical sort).
+    /// Worker threads for the tick's parallel stages. `1` runs every
+    /// stage inline on the calling thread; any value produces
+    /// byte-identical `TickOutput` (each parallel stage maps contiguous
+    /// chunks of an ordered worklist and concatenates them in order).
     /// Defaults to `BLAMEIT_THREADS` or the machine's available cores.
     pub parallelism: usize,
     /// Flight-recorder ring capacity (recent tick frames kept).
@@ -336,19 +341,13 @@ impl BlameItEngine {
         // (§5.3a: "P(T|t) … based on historical fault durations").
         // Only meaningful without striding — runs need contiguity.
         let mut tracker: IncidentTracker<(CloudLocId, PathId)> = IncidentTracker::new();
+        // Warm-up is not profiled; the laps are dropped with the clock.
+        let mut clock = StageClock::start();
         for (i, bucket) in range.buckets().enumerate() {
             if !(i as u32).is_multiple_of(sample_every) {
                 continue;
             }
-            let obs = backend.quartets_in(bucket);
-            let enriched = enrich_obs_sharded(
-                backend,
-                obs,
-                bucket,
-                &self.cfg.thresholds,
-                MIN_SAMPLES,
-                self.cfg.parallelism,
-            );
+            let (_, enriched) = self.observe_bucket(backend, bucket, &mut clock);
             if sample_every == 1 {
                 let mut per_path: DetHashMap<(CloudLocId, PathId), (u32, u32)> =
                     DetHashMap::default();
@@ -403,27 +402,25 @@ impl BlameItEngine {
     }
 
     /// Runs one 15-minute analysis tick starting at `start`, consuming
-    /// `cfg.tick_buckets` buckets of telemetry.
+    /// `cfg.tick_buckets` buckets of telemetry: per bucket
+    /// `observe_bucket` → `blame_and_learn`, then once per tick
+    /// `rank_issues` → `localize_issues` → `refresh_baselines` →
+    /// `assemble_alerts`, lapping the stage clock between them.
     ///
     /// With `cfg.parallelism > 1` the heavy stages fan out over scoped
     /// worker threads (see [`crate::shard`]); the output is
     /// byte-identical to `parallelism = 1` because every parallel stage
-    /// is a pure map over a deterministically ordered worklist whose
-    /// results merge under a canonical sort.
+    /// is a pure map over contiguous chunks of an ordered worklist whose
+    /// results concatenate in input order.
     pub fn tick<B: Backend>(&mut self, backend: &mut B, start: TimeBucket) -> TickOutput {
         // Shared view for worker threads; mutation below stays on the
         // coordinator (probe accounting is interior-mutable).
         let backend: &B = backend;
-        let nthreads = self.cfg.parallelism.max(1);
         let mut tick_span = span!("blameit::pipeline", "tick", start_bucket = start.0);
         let mut clock = StageClock::start();
         let mut out = TickOutput::default();
         let probes_before = backend.probes_issued();
-
-        // Per-(loc, path) accumulation of middle-segment badness for
-        // issue construction, plus per-aggregate alert statistics.
-        let mut middle_acc: DetHashMap<(CloudLocId, PathId), MiddleAcc> = DetHashMap::default();
-        let mut alert_acc: DetHashMap<AlertKey, AlertAcc> = DetHashMap::default();
+        let mut acc = TickAcc::default();
         // Raw observation volume for the ingest-throughput instruments
         // (metrics only; never feeds verdicts or transcripts).
         let mut raw_ingested: u64 = 0;
@@ -431,134 +428,185 @@ impl BlameItEngine {
         for i in 0..self.cfg.tick_buckets {
             let bucket = start.plus(i);
             let mut bucket_span = span!("blameit::pipeline", "bucket", bucket = bucket.0);
-            let obs = {
-                let _s = span!("blameit::pipeline", stage::INGEST);
-                backend.quartets_in(bucket)
-            };
-            raw_ingested += obs.len() as u64;
-            clock.lap(stage::INGEST);
-            let enriched = {
-                let mut s = span!("blameit::pipeline", stage::AGGREGATION, raw = obs.len());
-                let e = enrich_obs_sharded(
-                    backend,
-                    obs,
-                    bucket,
-                    &self.cfg.thresholds,
-                    MIN_SAMPLES,
-                    nthreads,
-                );
-                s.record("enriched", e.len());
-                e
-            };
-            clock.lap(stage::AGGREGATION);
-            let mut passive_span = span!(
-                "blameit::pipeline",
-                stage::PASSIVE,
-                quartets = enriched.len()
-            );
-            // The aggregate pass stays on the coordinator (it reads the
-            // expected-RTT learner, whose lookup cache is not
-            // thread-safe); per-quartet verdicts are pure against the
-            // resulting aggregates and shard by cloud location —
-            // Algorithm 1's elimination is independent across
-            // locations. Each shard records into scratch metrics that
-            // are absorbed after the join (histogram merges are
-            // order-independent, so rendered metrics match the legacy
-            // path exactly).
-            let agg = aggregate_pass(&enriched, &self.expected, &self.cfg.blame);
-            let blame_cfg = self.cfg.blame;
-            let plan = ShardPlan::by_key(&enriched, nthreads, |q| q.obs.loc);
-            let shard_out = run_sharded(nthreads, &plan, |_, idxs| {
-                let mut scratch = ShardMetrics::new();
-                let mut verdicts: Vec<(usize, BlameResult)> = Vec::new();
-                for &i in idxs {
-                    let q = &enriched[i];
-                    scratch.observe_quartet(q.obs.mean_rtt_ms);
-                    if let Some(r) = agg.verdict(q, &blame_cfg) {
-                        scratch.record_blame(r.blame);
-                        verdicts.push((i, r));
-                    }
-                }
-                (verdicts, scratch)
-            });
-            let mut indexed: Vec<(usize, BlameResult)> = Vec::new();
-            for (verdicts, scratch) in shard_out {
-                self.metrics.absorb_shard(&scratch);
-                indexed.extend(verdicts);
-            }
-            // Canonical merge: original input order, as one thread
-            // would have produced.
-            indexed.sort_unstable_by_key(|(i, _)| *i);
-            let blames: Vec<BlameResult> = indexed.into_iter().map(|(_, r)| r).collect();
-            let stats = agg.stats;
-            passive_span.record("verdicts", blames.len());
-
-            // Incident continuity for middle issues.
-            let bad_middle: Vec<(CloudLocId, PathId)> = blames
-                .iter()
-                .filter(|b| b.blame == Blame::Middle)
-                .map(|b| (b.obs.loc, b.path))
-                .collect();
-            for key in &bad_middle {
-                self.episodes
-                    .entry(*key)
-                    .and_modify(|(start, last)| {
-                        if bucket.0 - last.0 > EPISODE_GAP_BUCKETS {
-                            *start = bucket;
-                        }
-                        *last = bucket;
-                    })
-                    .or_insert((bucket, bucket));
-            }
-            for inc in self.incidents.observe(bucket, bad_middle) {
-                self.durations.record(inc.key.1, inc.buckets);
-            }
-
-            for b in &blames {
-                // Aggregate for alerts.
-                let akey = match b.blame {
-                    Blame::Cloud => AlertKey::Cloud(b.obs.loc),
-                    Blame::Middle => AlertKey::Middle(b.obs.loc, b.path),
-                    Blame::Client => AlertKey::Client(b.origin),
-                    Blame::Ambiguous | Blame::Insufficient => continue,
-                };
-                let acc = alert_acc.entry(akey).or_default();
-                acc.connections += b.obs.n as u64;
-                acc.p24s.insert(b.obs.p24);
-                acc.bucket = bucket;
-                acc.confidence = match b.blame {
-                    Blame::Cloud => stats.cloud_bad_fraction(b.obs.loc),
-                    Blame::Middle => stats.middle_bad_fraction(b.middle_key),
-                    _ => 1.0,
-                };
-
-                if b.blame == Blame::Middle {
-                    let m = middle_acc.entry((b.obs.loc, b.path)).or_default();
-                    m.clients += b.obs.n as u64;
-                    m.bucket = bucket;
-                    m.middle_key = Some(b.middle_key);
-                    if !m.p24s.contains(&b.obs.p24) {
-                        m.p24s.push(b.obs.p24);
-                    }
-                }
-            }
-
-            // Learn only after assignment: the bucket never sees its
-            // own data in the expected values.
-            self.learn_from(&enriched, bucket);
+            let (raw, enriched) = self.observe_bucket(backend, bucket, &mut clock);
+            raw_ingested += raw as u64;
+            let blames = self.blame_and_learn(bucket, &enriched, &mut acc);
             bucket_span.record("blames", blames.len());
             out.blames.extend(blames);
-            drop(passive_span);
             clock.lap(stage::PASSIVE);
-            drop(bucket_span);
         }
 
-        let priority_span = span!("blameit::pipeline", stage::PRIORITY);
-        // Build and prioritize middle issues. `middle_acc` is a
-        // HashMap, so impose the canonical (loc, path) order before
-        // ranking — prioritize's tie-break keeps the result total
-        // either way, but emission order must never lean on hash-seed
-        // luck.
+        let selected = self.rank_issues(acc.middle, &mut out);
+        clock.lap(stage::PRIORITY);
+        self.localize_issues(backend, selected, &mut out);
+        clock.lap(stage::ACTIVE);
+        self.refresh_baselines(backend, start, &mut out);
+        clock.lap(stage::BASELINE);
+        debug_assert_eq!(
+            backend.probes_issued() - probes_before,
+            out.on_demand_probes + out.background_probes
+        );
+
+        out.alerts = assemble_alerts(acc.alerts, &out.localizations, self.cfg.max_alerts);
+        out.stage_timings = clock.finish();
+        self.metrics.alerts.add(out.alerts.len() as u64);
+        self.metrics.ticks.inc();
+        self.metrics.observe_stage_timings(&out.stage_timings);
+        self.metrics.observe_ingest(
+            raw_ingested,
+            out.stage_timings
+                .get(stage::INGEST)
+                .unwrap_or(std::time::Duration::ZERO),
+        );
+        tick_span.record("blames", out.blames.len());
+        tick_span.record("alerts", out.alerts.len());
+        self.record_flight_frame(start, &out);
+        out
+    }
+
+    /// Ingest + enrich for one bucket — the front half `warmup` and
+    /// `tick` share: fetches the bucket's quartet observations
+    /// ([`stage::INGEST`]), joins routing metadata and classifies
+    /// good/bad ([`stage::AGGREGATION`], chunked fan-out), lapping
+    /// `clock` after each. Reads the configuration only. Returns the raw
+    /// observation count with the enriched quartets.
+    fn observe_bucket<B: Backend>(
+        &self,
+        backend: &B,
+        bucket: TimeBucket,
+        clock: &mut StageClock,
+    ) -> (usize, Vec<EnrichedQuartet>) {
+        let obs = {
+            let _s = span!("blameit::pipeline", stage::INGEST);
+            backend.quartets_in(bucket)
+        };
+        let raw = obs.len();
+        clock.lap(stage::INGEST);
+        let mut s = span!("blameit::pipeline", stage::AGGREGATION, raw = raw);
+        let enriched = enrich_obs_sharded(
+            backend,
+            obs,
+            bucket,
+            &self.cfg.thresholds,
+            MIN_SAMPLES,
+            self.cfg.parallelism,
+        );
+        s.record("enriched", enriched.len());
+        drop(s);
+        clock.lap(stage::AGGREGATION);
+        (raw, enriched)
+    }
+
+    /// [`stage::PASSIVE`] for one bucket: Algorithm 1
+    /// ([`blame_bucket`]: aggregate pass on this thread — the learner's
+    /// lookup cache is not thread-safe — then chunked per-quartet
+    /// verdicts whose metric scratch is absorbed here), incident
+    /// tracking, and only then learning, so the bucket never sees its
+    /// own data in the expected values. Returns the bucket's verdicts
+    /// in quartet order.
+    fn blame_and_learn(
+        &mut self,
+        bucket: TimeBucket,
+        enriched: &[EnrichedQuartet],
+        acc: &mut TickAcc,
+    ) -> Vec<BlameResult> {
+        let mut passive_span = span!(
+            "blameit::pipeline",
+            stage::PASSIVE,
+            quartets = enriched.len()
+        );
+        let (blames, stats, scratch) = blame_bucket(
+            enriched,
+            &self.expected,
+            &self.cfg.blame,
+            self.cfg.parallelism,
+        );
+        for s in &scratch {
+            self.metrics.absorb_shard(s);
+        }
+        passive_span.record("verdicts", blames.len());
+        self.track_incidents(bucket, &blames, &stats, acc);
+        self.learn_from(enriched, bucket);
+        blames
+    }
+
+    /// Folds one bucket's verdicts into incident state — badness
+    /// episodes, the incident tracker (closed incidents feed the
+    /// duration history) — and into the tick's alert and middle-issue
+    /// accumulators.
+    fn track_incidents(
+        &mut self,
+        bucket: TimeBucket,
+        blames: &[BlameResult],
+        stats: &AggregateStats,
+        acc: &mut TickAcc,
+    ) {
+        // Incident continuity for middle issues.
+        let bad_middle: Vec<(CloudLocId, PathId)> = blames
+            .iter()
+            .filter(|b| b.blame == Blame::Middle)
+            .map(|b| (b.obs.loc, b.path))
+            .collect();
+        for key in &bad_middle {
+            self.episodes
+                .entry(*key)
+                .and_modify(|(start, last)| {
+                    if bucket.0 - last.0 > EPISODE_GAP_BUCKETS {
+                        *start = bucket;
+                    }
+                    *last = bucket;
+                })
+                .or_insert((bucket, bucket));
+        }
+        for inc in self.incidents.observe(bucket, bad_middle) {
+            self.durations.record(inc.key.1, inc.buckets);
+        }
+
+        for b in blames {
+            // Aggregate for alerts.
+            let akey = match b.blame {
+                Blame::Cloud => AlertKey::Cloud(b.obs.loc),
+                Blame::Middle => AlertKey::Middle(b.obs.loc, b.path),
+                Blame::Client => AlertKey::Client(b.origin),
+                Blame::Ambiguous | Blame::Insufficient => continue,
+            };
+            let a = acc.alerts.entry(akey).or_default();
+            a.connections += b.obs.n as u64;
+            a.p24s.insert(b.obs.p24);
+            a.bucket = bucket;
+            a.confidence = match b.blame {
+                Blame::Cloud => stats.cloud_bad_fraction(b.obs.loc),
+                Blame::Middle => stats.middle_bad_fraction(b.middle_key),
+                _ => 1.0,
+            };
+
+            if b.blame == Blame::Middle {
+                let m = acc.middle.entry((b.obs.loc, b.path)).or_default();
+                m.clients += b.obs.n as u64;
+                m.bucket = bucket;
+                m.middle_key = Some(b.middle_key);
+                if !m.p24s.contains(&b.obs.p24) {
+                    m.p24s.push(b.obs.p24);
+                }
+            }
+        }
+    }
+
+    /// [`stage::PRIORITY`]: builds the tick's middle issues from the
+    /// accumulator, ranks them by client-time product into
+    /// `out.ranked_issues` (before any budget, for Fig. 12) and returns
+    /// the budgeted prefix to probe. Reads the incident tracker and the
+    /// duration / client-count histories.
+    fn rank_issues(
+        &self,
+        middle_acc: DetHashMap<(CloudLocId, PathId), MiddleAcc>,
+        out: &mut TickOutput,
+    ) -> Vec<PrioritizedIssue> {
+        let _span = span!("blameit::pipeline", stage::PRIORITY);
+        // `middle_acc` is a HashMap, so impose the canonical (loc, path)
+        // order before ranking — prioritize's tie-break keeps the
+        // result total either way, but emission order must never lean
+        // on hash-seed luck.
         let mut issues: Vec<MiddleIssue> = middle_acc
             .into_iter()
             .map(|((loc, path), m)| {
@@ -594,366 +642,55 @@ impl BlameItEngine {
             .probes_suppressed_budget
             .add((ranked.len() - selected.len()) as u64);
         out.ranked_issues = ranked;
-        drop(priority_span);
-        clock.lap(stage::PRIORITY);
+        selected
+    }
 
-        // On-demand probes, while the issue is live (the probe runs
-        // within the tick; we time it at the issue's bucket midpoint).
-        let active_span = span!(
+    /// [`stage::ACTIVE`]: on-demand probes while the issue is live (the
+    /// probe runs within the tick; it is timed at the issue's bucket
+    /// midpoint). Probes go out sequentially in rank order
+    /// ([`probe_issue`](Self::probe_issue)) so probe accounting and the
+    /// issue→probe attribution never depend on the thread count; the
+    /// diffs then run concurrently ([`localize`](Self::localize)).
+    /// Fills `out.localizations` and `out.on_demand_probes`.
+    fn localize_issues<B: Backend>(
+        &mut self,
+        backend: &B,
+        selected: Vec<PrioritizedIssue>,
+        out: &mut TickOutput,
+    ) {
+        let _span = span!(
             "blameit::pipeline",
             stage::ACTIVE,
             selected = selected.len()
         );
-        let mut culprit_by_issue: DetHashMap<(CloudLocId, PathId), Asn> = DetHashMap::default();
-        // Probe sequentially in rank order (probe accounting and the
-        // issue→probe attribution stay in the legacy order), then diff
-        // each traceroute against its baseline concurrently — the diff
-        // is a pure function of the probe and the (unmodified-in-this-
-        // stage) baseline store — and merge back in rank order.
-        struct ProbedIssue {
-            issue: PrioritizedIssue,
-            probe_at: SimTime,
-            p24: Prefix24,
-            client_origin: Option<Asn>,
-            tr: Option<blameit_simnet::Traceroute>,
-            incident_start: SimTime,
-            attempts: u32,
-            /// Attempts that answered nothing usable (lost or late).
-            lost_attempts: u32,
-            /// Backoff waited across retries, seconds.
-            backoff_secs: u64,
-            /// The kept evidence is a truncated traceroute.
-            truncated: bool,
-            /// Dropped unprobed: the deadline budget ran out first.
-            deadline_dropped: bool,
-            /// Rank within the selected (budgeted) set this tick.
-            rank: usize,
-            /// The middle incident this probe serves.
-            incident_ev: IncidentEvidence,
-        }
         // Probe time the tick can spend: lost attempts burn the
         // per-probe timeout, slow answers their wait. Instant answers
         // (the healthy case) cost nothing, so the budget only bites
         // when the measurement plane misbehaves.
-        let probe_timeout = self.cfg.probe_timeout_secs;
         let mut deadline_left = self.cfg.probe_deadline_budget_secs;
-        let candidates = out.ranked_issues.len();
-        let selected_n = selected.len();
         let probed: Vec<ProbedIssue> = selected
             .into_iter()
             .enumerate()
-            .map(|(rank, p)| {
-                let first_at = p.issue.bucket.mid();
-                // Incident evidence for the provenance chain: the open
-                // incident this probe serves (closed-mid-tick incidents
-                // fall back to the issue's own bucket, observation-free).
-                let open = self.incidents.open_incident(&(p.issue.loc, p.issue.path));
-                let incident_ev = IncidentEvidence {
-                    start_bucket: open.map_or(p.issue.bucket, |o| o.start),
-                    elapsed_buckets: p.issue.elapsed_buckets,
-                    observations: open.map_or(0, |o| o.observations),
-                    current_clients: p.issue.current_clients,
-                    affected_p24s: p.issue.affected_p24s.len(),
-                };
-                // Probe an *affected* /24 (§5.3 targets the clients of
-                // the issue). Its last mile may differ from the /24 the
-                // background baseline was measured toward; that
-                // difference lands in the client hop, so the client AS
-                // gets a raised culprit floor in the diff below.
-                let p24 = p.issue.affected_p24s[0];
-                // Diff against the newest baseline that predates the
-                // whole badness *episode* (gap-tolerant): a mid-incident
-                // baseline already carries the inflation (§5.2 compares
-                // against the pre-fault picture), and overnight
-                // detection gaps must not fool the lookup into using
-                // one.
-                let incident_start = self
-                    .episodes
-                    .get(&(p.issue.loc, p.issue.path))
-                    .map(|(start, _)| start.start())
-                    .unwrap_or_else(|| {
-                        p.issue
-                            .bucket
-                            .minus(p.issue.elapsed_buckets.saturating_sub(1))
-                            .start()
-                    });
-                // Detection lags the fault (τ must be breached, activity
-                // must suffice, and a tick must run); pad the lookup so
-                // a baseline taken shortly before *detection* — but
-                // possibly after the true onset — is not trusted.
-                let incident_start = incident_start - 9 * blameit_simnet::BUCKET_SECS;
-                if deadline_left < probe_timeout {
-                    self.metrics.probes_suppressed_deadline.inc();
-                    return ProbedIssue {
-                        issue: p,
-                        probe_at: first_at,
-                        p24,
-                        client_origin: None,
-                        tr: None,
-                        incident_start,
-                        attempts: 0,
-                        lost_attempts: 0,
-                        backoff_secs: 0,
-                        truncated: false,
-                        deadline_dropped: true,
-                        rank,
-                        incident_ev,
-                    };
-                }
-                let client_origin = backend
-                    .route_info(p.issue.loc, p24, first_at)
-                    .map(|i| i.origin);
-                // Bounded retry with deterministic exponential backoff:
-                // re-issue at a later SimTime, so the answer re-derives
-                // purely from (seed, target, time) and the whole loop
-                // stays byte-deterministic at any thread count.
-                let mut at = first_at;
-                let mut evidence: Option<blameit_simnet::Traceroute> = None;
-                let mut evidence_at = first_at;
-                let mut truncated = false;
-                let mut attempts = 0u32;
-                let mut lost_attempts = 0u32;
-                let mut backoff_secs = 0u64;
-                loop {
-                    attempts += 1;
-                    let mut attempt_span = span!(
-                        "blameit::pipeline",
-                        "probe_attempt",
-                        loc = p.issue.loc.0 as u64,
-                        attempt = attempts as u64
-                    );
-                    let got = backend.traceroute(p.issue.loc, p24, at);
-                    self.on_demand_probes_total += 1;
-                    out.on_demand_probes += 1;
-                    // Classify the attempt: lost (no answer, or an
-                    // answer past the per-probe deadline), truncated
-                    // (the hop list never reaches the client AS), or
-                    // complete.
-                    let mut done = false;
-                    let cost = match got {
-                        None => {
-                            self.metrics.probe_attempts_lost.inc();
-                            lost_attempts += 1;
-                            attempt_span.record("outcome", "lost");
-                            probe_timeout
-                        }
-                        Some(t) => {
-                            let wait = t.at.secs().saturating_sub(at.secs());
-                            if wait > probe_timeout {
-                                self.metrics.probe_attempts_lost.inc();
-                                lost_attempts += 1;
-                                attempt_span.record("outcome", "late");
-                                probe_timeout
-                            } else if t.hops.last().is_none_or(|h| h.segment != Segment::Client) {
-                                // Keep truncated evidence: a later
-                                // complete answer overrides it, and a
-                                // partial diff can still clear or
-                                // convict the surviving prefix.
-                                self.metrics.probe_attempts_truncated.inc();
-                                attempt_span.record("outcome", "truncated");
-                                evidence_at = t.at;
-                                evidence = Some(t);
-                                truncated = true;
-                                wait
-                            } else {
-                                attempt_span.record("outcome", "complete");
-                                evidence_at = t.at;
-                                evidence = Some(t);
-                                truncated = false;
-                                done = true;
-                                wait
-                            }
-                        }
-                    };
-                    deadline_left = deadline_left.saturating_sub(cost);
-                    if done
-                        || attempts >= self.cfg.probe_max_attempts
-                        || deadline_left < probe_timeout
-                    {
-                        break;
-                    }
-                    let backoff = self.cfg.probe_backoff_base_secs << (attempts - 1).min(16) as u64;
-                    at = at + cost + backoff;
-                    backoff_secs += backoff;
-                    self.metrics.probe_retries.inc();
-                }
-                ProbedIssue {
-                    issue: p,
-                    probe_at: evidence_at,
-                    p24,
-                    client_origin,
-                    tr: evidence,
-                    incident_start,
-                    attempts,
-                    lost_attempts,
-                    backoff_secs,
-                    truncated,
-                    deadline_dropped: false,
-                    rank,
-                    incident_ev,
-                }
-            })
+            .map(|(rank, p)| self.probe_issue(backend, p, rank, &mut deadline_left))
             .collect();
-        // Diff outcome per issue, computed concurrently (pure function
-        // of the probe and the unmodified-in-this-stage baseline store).
-        enum DiffOutcome {
-            NoProbe,
-            NoBaseline,
-            Stale,
-            Diffed(TracrouteDiffResult),
-        }
-        let baselines = &self.baselines;
-        let max_age = self.cfg.baseline_max_age_secs;
-        let diffs = parallel_map(nthreads, &probed, |_, p| {
-            // Baseline evidence is recorded whether or not a diff runs:
-            // "which picture would we have compared against, and how
-            // old was it" belongs in the provenance of timeouts too.
-            let base = baselines
-                .get_before(p.issue.issue.loc, p.issue.issue.path, p.incident_start)
-                .or_else(|| baselines.oldest(p.issue.issue.loc, p.issue.issue.path));
-            let baseline_ev = match base {
-                None => BaselineEvidence::Missing,
-                Some(b) => {
-                    let age = p.probe_at.secs().saturating_sub(b.at.secs());
-                    if age > max_age {
-                        BaselineEvidence::Stale {
-                            at_secs: b.at.secs(),
-                            age_secs: age,
-                            max_age_secs: max_age,
-                        }
-                    } else {
-                        BaselineEvidence::Fresh {
-                            at_secs: b.at.secs(),
-                            age_secs: age,
-                        }
-                    }
-                }
-            };
-            let Some(t) = p.tr.as_ref() else {
-                return (DiffOutcome::NoProbe, baseline_ev);
-            };
-            let Some(base) = base else {
-                return (DiffOutcome::NoBaseline, baseline_ev);
-            };
-            // Stale-baseline quarantine: a comparison picture this old
-            // reflects a path that may have reshaped entirely; naming a
-            // culprit from it would be misattribution, not evidence.
-            if matches!(baseline_ev, BaselineEvidence::Stale { .. }) {
-                return (DiffOutcome::Stale, baseline_ev);
-            }
-            let diffed = DiffOutcome::Diffed(diff_contributions_with_floor(
-                &base.contributions,
-                &t.as_contributions(),
-                |asn| {
-                    if Some(asn) == p.client_origin {
-                        // Covers the last-mile spread between
-                        // the probed /24 and the baseline's
-                        // /24 (up to ~32 ms for cellular) plus
-                        // evening-congestion variation.
-                        55.0
-                    } else {
-                        MIN_CULPRIT_DELTA_MS
-                    }
-                },
-            ));
-            (diffed, baseline_ev)
-        });
-        for (p, (outcome, baseline_ev)) in probed.into_iter().zip(diffs) {
-            let (verdict, diff) = if p.deadline_dropped {
-                (
-                    LocalizationVerdict::MiddleUnlocalized {
-                        reason: UnlocalizedReason::DeadlineBudget,
-                    },
-                    None,
-                )
-            } else {
-                match outcome {
-                    DiffOutcome::NoProbe => (
-                        LocalizationVerdict::MiddleUnlocalized {
-                            reason: UnlocalizedReason::ProbeTimeout,
-                        },
-                        None,
-                    ),
-                    DiffOutcome::NoBaseline => (
-                        LocalizationVerdict::MiddleUnlocalized {
-                            reason: UnlocalizedReason::NoBaseline,
-                        },
-                        None,
-                    ),
-                    DiffOutcome::Stale => {
-                        self.metrics.baseline_quarantines.inc();
-                        (
-                            LocalizationVerdict::MiddleUnlocalized {
-                                reason: UnlocalizedReason::StaleBaseline,
-                            },
-                            None,
-                        )
-                    }
-                    DiffOutcome::Diffed(d) => {
-                        let verdict = match d.culprit {
-                            Some(c) => LocalizationVerdict::Culprit(c),
-                            // A clean diff with no material delta is an
-                            // honest "nothing stands out"; the same from
-                            // a truncated probe only cleared the
-                            // surviving prefix of the path.
-                            None if p.truncated => LocalizationVerdict::MiddleUnlocalized {
-                                reason: UnlocalizedReason::TruncatedProbe,
-                            },
-                            None => LocalizationVerdict::MiddleUnlocalized {
-                                reason: UnlocalizedReason::NoMaterialDelta,
-                            },
-                        };
-                        (verdict, Some(d))
-                    }
-                }
-            };
-            if let LocalizationVerdict::MiddleUnlocalized { reason } = verdict {
-                self.metrics.degraded_counter(reason).inc();
-            }
-            let culprit = verdict.culprit();
-            if let Some(c) = culprit {
-                culprit_by_issue.insert((p.issue.issue.loc, p.issue.issue.path), c);
-            }
-            // SLO: seconds of baseline age consumed by localizations —
-            // the "staleness burn" that precedes quarantines.
-            if let Some(age) = baseline_ev.age_secs() {
-                self.metrics.baseline_staleness_burn_secs.add(age);
-            }
-            out.localizations.push(MiddleLocalization {
-                probed_at: p.probe_at,
-                probed_p24: p.p24,
-                attempts: p.attempts,
-                diff,
-                verdict,
-                culprit,
-                provenance: Provenance {
-                    incident: p.incident_ev,
-                    priority: p.issue.evidence(p.rank, selected_n, candidates),
-                    probe: ProbeEvidence {
-                        attempts: p.attempts,
-                        lost_attempts: p.lost_attempts,
-                        truncated: p.truncated,
-                        deadline_dropped: p.deadline_dropped,
-                        backoff_secs: p.backoff_secs,
-                    },
-                    baseline: baseline_ev,
-                },
-                issue: p.issue,
-            });
-        }
+        out.on_demand_probes = probed.iter().map(|p| p.probe.attempts as u64).sum();
+        self.on_demand_probes_total += out.on_demand_probes;
         self.metrics.on_demand_probes.add(out.on_demand_probes);
+        out.localizations = self.localize(probed, out.ranked_issues.len());
+
         // SLO instruments derived from this tick's active phase.
         let budget = self.cfg.probe_deadline_budget_secs.max(1);
         self.metrics
             .probe_budget_utilization
             .set((budget - deadline_left.min(budget)) as f64 / budget as f64);
-        let attempted = out.localizations.len() as u64;
         let localized = out
             .localizations
             .iter()
             .filter(|l| l.culprit.is_some())
             .count() as u64;
-        self.metrics.middle_localizations.add(attempted);
+        self.metrics
+            .middle_localizations
+            .add(out.localizations.len() as u64);
         self.metrics.middle_culprits_found.add(localized);
         let loc_total = self.metrics.middle_localizations.get();
         self.metrics
@@ -963,12 +700,205 @@ impl BlameItEngine {
             } else {
                 self.metrics.middle_culprits_found.get() as f64 / loc_total as f64
             });
-        drop(active_span);
-        clock.lap(stage::ACTIVE);
+    }
 
-        // Background probes: periodic + churn-triggered.
-        let baseline_span = span!("blameit::pipeline", stage::BASELINE);
-        let now = start.plus(self.cfg.tick_buckets).start();
+    /// Probes one selected issue: bounded retries with deterministic
+    /// exponential backoff, each attempt classified lost / late /
+    /// truncated / complete and charged against the tick's remaining
+    /// deadline budget `deadline_left` (seconds). An issue the budget
+    /// cannot cover is returned unprobed (`deadline_dropped`). Reads
+    /// the incident tracker and episodes; mutates only `deadline_left`
+    /// and the probe counters.
+    fn probe_issue<B: Backend>(
+        &self,
+        backend: &B,
+        p: PrioritizedIssue,
+        rank: usize,
+        deadline_left: &mut u64,
+    ) -> ProbedIssue {
+        let (loc, path) = (p.issue.loc, p.issue.path);
+        let first_at = p.issue.bucket.mid();
+        // Incident evidence for the provenance chain: the open
+        // incident this probe serves (closed-mid-tick incidents
+        // fall back to the issue's own bucket, observation-free).
+        let open = self.incidents.open_incident(&(loc, path));
+        let incident_ev = IncidentEvidence {
+            start_bucket: open.map_or(p.issue.bucket, |o| o.start),
+            elapsed_buckets: p.issue.elapsed_buckets,
+            observations: open.map_or(0, |o| o.observations),
+            current_clients: p.issue.current_clients,
+            affected_p24s: p.issue.affected_p24s.len(),
+        };
+        // Probe an *affected* /24 (§5.3 targets the clients of the
+        // issue). Its last mile may differ from the /24 the background
+        // baseline was measured toward; that difference lands in the
+        // client hop, so the client AS gets a raised culprit floor in
+        // the diff.
+        let p24 = p.issue.affected_p24s[0];
+        // Diff against the newest baseline that predates the whole
+        // badness *episode* (gap-tolerant): a mid-incident baseline
+        // already carries the inflation (§5.2 compares against the
+        // pre-fault picture), and overnight detection gaps must not
+        // fool the lookup into using one.
+        let incident_start = self
+            .episodes
+            .get(&(loc, path))
+            .map(|(start, _)| start.start())
+            .unwrap_or_else(|| {
+                p.issue
+                    .bucket
+                    .minus(p.issue.elapsed_buckets.saturating_sub(1))
+                    .start()
+            });
+        // Detection lags the fault (τ must be breached, activity must
+        // suffice, and a tick must run); pad the lookup so a baseline
+        // taken shortly before *detection* — but possibly after the
+        // true onset — is not trusted.
+        let incident_start = incident_start - 9 * blameit_simnet::BUCKET_SECS;
+        let probe_timeout = self.cfg.probe_timeout_secs;
+        let mut probed = ProbedIssue {
+            issue: p,
+            probe_at: first_at,
+            p24,
+            client_origin: None,
+            tr: None,
+            incident_start,
+            rank,
+            incident_ev,
+            probe: ProbeEvidence {
+                attempts: 0,
+                lost_attempts: 0,
+                truncated: false,
+                deadline_dropped: *deadline_left < probe_timeout,
+                backoff_secs: 0,
+            },
+        };
+        if probed.probe.deadline_dropped {
+            self.metrics.probes_suppressed_deadline.inc();
+            return probed;
+        }
+        probed.client_origin = backend.route_info(loc, p24, first_at).map(|i| i.origin);
+        // Bounded retry with deterministic exponential backoff:
+        // re-issue at a later SimTime, so the answer re-derives purely
+        // from (seed, target, time) and the whole loop stays
+        // byte-deterministic at any thread count.
+        let mut at = first_at;
+        loop {
+            probed.probe.attempts += 1;
+            let mut attempt_span = span!(
+                "blameit::pipeline",
+                "probe_attempt",
+                loc = loc.0 as u64,
+                attempt = probed.probe.attempts as u64
+            );
+            let got = backend.traceroute(loc, p24, at);
+            // Classify the attempt: lost (no answer, or an answer past
+            // the per-probe deadline), truncated (the hop list never
+            // reaches the client AS), or complete.
+            let mut done = false;
+            let cost = match got {
+                None => {
+                    self.metrics.probe_attempts_lost.inc();
+                    probed.probe.lost_attempts += 1;
+                    attempt_span.record("outcome", "lost");
+                    probe_timeout
+                }
+                Some(t) => {
+                    let wait = t.at.secs().saturating_sub(at.secs());
+                    if wait > probe_timeout {
+                        self.metrics.probe_attempts_lost.inc();
+                        probed.probe.lost_attempts += 1;
+                        attempt_span.record("outcome", "late");
+                        probe_timeout
+                    } else {
+                        // Keep truncated evidence: a later complete
+                        // answer overrides it, and a partial diff can
+                        // still clear or convict the surviving prefix.
+                        let truncated = t.hops.last().is_none_or(|h| h.segment != Segment::Client);
+                        if truncated {
+                            self.metrics.probe_attempts_truncated.inc();
+                            attempt_span.record("outcome", "truncated");
+                        } else {
+                            attempt_span.record("outcome", "complete");
+                        }
+                        probed.probe_at = t.at;
+                        probed.tr = Some(t);
+                        probed.probe.truncated = truncated;
+                        done = !truncated;
+                        wait
+                    }
+                }
+            };
+            *deadline_left = deadline_left.saturating_sub(cost);
+            if done
+                || probed.probe.attempts >= self.cfg.probe_max_attempts
+                || *deadline_left < probe_timeout
+            {
+                break;
+            }
+            let backoff =
+                self.cfg.probe_backoff_base_secs << (probed.probe.attempts - 1).min(16) as u64;
+            at = at + cost + backoff;
+            probed.probe.backoff_secs += backoff;
+            self.metrics.probe_retries.inc();
+        }
+        probed
+    }
+
+    /// Diffs every probed issue against its baseline — concurrently:
+    /// [`diff_against_baseline`] is a pure function of the probe and the
+    /// baseline store, which this stage does not modify — and merges
+    /// the verdicts back in rank order, counting degraded verdicts and
+    /// baseline age as it goes. `candidates` is how many issues competed
+    /// for the budget this tick.
+    fn localize(&self, probed: Vec<ProbedIssue>, candidates: usize) -> Vec<MiddleLocalization> {
+        let selected_n = probed.len();
+        let baselines = &self.baselines;
+        let max_age = self.cfg.baseline_max_age_secs;
+        let diffs = parallel_map(self.cfg.parallelism, &probed, |p| {
+            diff_against_baseline(baselines, max_age, p)
+        });
+        probed
+            .into_iter()
+            .zip(diffs)
+            .map(|(p, (verdict, diff, baseline_ev))| {
+                if let LocalizationVerdict::MiddleUnlocalized { reason } = verdict {
+                    self.metrics.degraded_counter(reason).inc();
+                    if reason == UnlocalizedReason::StaleBaseline {
+                        self.metrics.baseline_quarantines.inc();
+                    }
+                }
+                // SLO: seconds of baseline age consumed by
+                // localizations — the "staleness burn" that precedes
+                // quarantines.
+                if let Some(age) = baseline_ev.age_secs() {
+                    self.metrics.baseline_staleness_burn_secs.add(age);
+                }
+                MiddleLocalization {
+                    probed_at: p.probe_at,
+                    probed_p24: p.p24,
+                    attempts: p.probe.attempts,
+                    diff,
+                    culprit: verdict.culprit(),
+                    verdict,
+                    provenance: Provenance {
+                        incident: p.incident_ev,
+                        priority: p.issue.evidence(p.rank, selected_n, candidates),
+                        probe: p.probe,
+                        baseline: baseline_ev,
+                    },
+                    issue: p.issue,
+                }
+            })
+            .collect()
+    }
+
+    /// The background probes due at `now`, in the scheduler's order:
+    /// periodic targets (one per observed (location, path)) plus
+    /// churn-triggered ones, minus anything inside a badness episode.
+    /// Sequential — it reads and advances engine state (`churn_cursor`,
+    /// the scheduler's clocks).
+    fn due_baseline_targets<B: Backend>(&mut self, backend: &B, now: SimTime) -> Vec<ProbeTarget> {
         // `rep_p24` is a HashMap: sort the candidate list so the probe
         // order never depends on hash-seed iteration order (the
         // scheduler re-sorts, but the invariant belongs at the source).
@@ -1018,10 +948,7 @@ impl BlameItEngine {
         };
         self.churn_cursor = now;
         let now_bucket = now.bucket();
-        // Episode suppression first (sequential — it reads engine
-        // state), leaving an ordered worklist of targets to probe.
-        let targets: Vec<ProbeTarget> = self
-            .scheduler
+        self.scheduler
             .due(now, &periodic, &churn_targets)
             .into_iter()
             .filter(|t| {
@@ -1040,11 +967,24 @@ impl BlameItEngine {
                 }
                 !in_episode
             })
-            .collect();
-        // Refresh probes run concurrently — each is a pure query of the
-        // backend — and their results apply to the baseline store in
-        // the due-list order, exactly as the sequential loop did.
-        let refreshed = parallel_map(nthreads, &targets, |_, t| {
+            .collect()
+    }
+
+    /// [`stage::BASELINE`]: background probes, periodic +
+    /// churn-triggered. The due targets are probed concurrently — each
+    /// is a pure query of the backend — and the answers apply to the
+    /// baseline store in due-list order, so the store ends up the same
+    /// at any thread count. Fills `out.background_probes`.
+    fn refresh_baselines<B: Backend>(
+        &mut self,
+        backend: &B,
+        start: TimeBucket,
+        out: &mut TickOutput,
+    ) {
+        let _span = span!("blameit::pipeline", stage::BASELINE);
+        let now = start.plus(self.cfg.tick_buckets).start();
+        let targets = self.due_baseline_targets(backend, now);
+        let refreshed = parallel_map(self.cfg.parallelism, &targets, |t| {
             backend.traceroute(t.loc, t.p24, now).map(|tr| {
                 // Key by the path actually live at probe time.
                 let live_path = backend
@@ -1074,9 +1014,9 @@ impl BlameItEngine {
                     }
                 }
             }
-            self.background_probes_total += 1;
-            out.background_probes += 1;
         }
+        out.background_probes = targets.len() as u64;
+        self.background_probes_total += out.background_probes;
         self.metrics.background_probes.add(out.background_probes);
         // Staleness of the newest baseline per (location, path): how
         // out-of-date the active phase's comparison pictures are.
@@ -1102,62 +1042,6 @@ impl BlameItEngine {
             } else {
                 stale_sum as f64 / stale_n as f64
             });
-        drop(baseline_span);
-        clock.lap(stage::BASELINE);
-        debug_assert_eq!(
-            backend.probes_issued() - probes_before,
-            out.on_demand_probes + out.background_probes
-        );
-
-        // Alerts: top issues by impacted connections.
-        let mut alerts: Vec<Alert> = alert_acc
-            .into_iter()
-            .map(|(key, acc)| {
-                let (blame, loc, path, client_as) = match key {
-                    AlertKey::Cloud(loc) => (Blame::Cloud, loc, None, None),
-                    AlertKey::Middle(loc, path) => (Blame::Middle, loc, Some(path), None),
-                    AlertKey::Client(origin) => (Blame::Client, CloudLocId(0), None, Some(origin)),
-                };
-                let culprit = match (blame, path) {
-                    (Blame::Middle, Some(p)) => culprit_by_issue.get(&(loc, p)).copied(),
-                    (Blame::Client, _) => client_as,
-                    _ => None,
-                };
-                Alert {
-                    bucket: acc.bucket,
-                    blame,
-                    loc,
-                    path,
-                    client_as,
-                    culprit,
-                    impacted_connections: acc.connections,
-                    impacted_p24s: acc.p24s.len(),
-                    confidence: acc.confidence,
-                }
-            })
-            .collect();
-        alerts.sort_by(|a, b| {
-            b.impacted_connections
-                .cmp(&a.impacted_connections)
-                .then_with(|| (a.loc, a.path, a.client_as).cmp(&(b.loc, b.path, b.client_as)))
-        });
-        alerts.truncate(self.cfg.max_alerts);
-        out.alerts = alerts;
-
-        self.metrics.alerts.add(out.alerts.len() as u64);
-        self.metrics.ticks.inc();
-        out.stage_timings = clock.finish();
-        self.metrics.observe_stage_timings(&out.stage_timings);
-        self.metrics.observe_ingest(
-            raw_ingested,
-            out.stage_timings
-                .get(stage::INGEST)
-                .unwrap_or(std::time::Duration::ZERO),
-        );
-        tick_span.record("blames", out.blames.len());
-        tick_span.record("alerts", out.alerts.len());
-        self.record_flight_frame(start, &out);
-        out
     }
 
     /// Appends this tick's frame to the flight ring and evaluates the
@@ -1268,6 +1152,16 @@ impl BlameItEngine {
     }
 }
 
+/// What the passive half of a tick accumulates across its buckets for
+/// the ranking and alert stages.
+#[derive(Default)]
+struct TickAcc {
+    /// Middle-segment badness per (loc, path), for issue construction.
+    middle: DetHashMap<(CloudLocId, PathId), MiddleAcc>,
+    /// Per-aggregate alert statistics.
+    alerts: DetHashMap<AlertKey, AlertAcc>,
+}
+
 #[derive(Default)]
 struct MiddleAcc {
     clients: u64,
@@ -1291,10 +1185,158 @@ struct AlertAcc {
     confidence: f64,
 }
 
+/// One selected issue after the probe loop, before its diff.
+struct ProbedIssue {
+    issue: PrioritizedIssue,
+    /// When the kept evidence was measured (the first attempt's issue
+    /// time when no attempt answered).
+    probe_at: SimTime,
+    p24: Prefix24,
+    client_origin: Option<Asn>,
+    /// The kept evidence: the last usable (complete or truncated) answer.
+    tr: Option<blameit_simnet::Traceroute>,
+    /// Baselines must predate this to be trusted.
+    incident_start: SimTime,
+    /// Rank within the selected (budgeted) set this tick.
+    rank: usize,
+    /// The middle incident this probe serves.
+    incident_ev: IncidentEvidence,
+    /// What the probe loop went through.
+    probe: ProbeEvidence,
+}
+
+/// The localization verdict for one probed issue: the traceroute diffed
+/// against the newest baseline predating the incident, or the degraded
+/// verdict saying why no trustworthy diff exists. Pure.
+fn diff_against_baseline(
+    baselines: &BaselineStore,
+    max_age: u64,
+    p: &ProbedIssue,
+) -> (
+    LocalizationVerdict,
+    Option<TracrouteDiffResult>,
+    BaselineEvidence,
+) {
+    let (loc, path) = (p.issue.issue.loc, p.issue.issue.path);
+    // Baseline evidence is recorded whether or not a diff runs: "which
+    // picture would we have compared against, and how old was it"
+    // belongs in the provenance of timeouts too.
+    let base = baselines
+        .get_before(loc, path, p.incident_start)
+        .or_else(|| baselines.oldest(loc, path));
+    let baseline_ev = match base {
+        None => BaselineEvidence::Missing,
+        Some(b) => {
+            let age = p.probe_at.secs().saturating_sub(b.at.secs());
+            if age > max_age {
+                BaselineEvidence::Stale {
+                    at_secs: b.at.secs(),
+                    age_secs: age,
+                    max_age_secs: max_age,
+                }
+            } else {
+                BaselineEvidence::Fresh {
+                    at_secs: b.at.secs(),
+                    age_secs: age,
+                }
+            }
+        }
+    };
+    let unlocalized = |reason| {
+        let verdict = LocalizationVerdict::MiddleUnlocalized { reason };
+        (verdict, None, baseline_ev)
+    };
+    if p.probe.deadline_dropped {
+        return unlocalized(UnlocalizedReason::DeadlineBudget);
+    }
+    let Some(t) = p.tr.as_ref() else {
+        return unlocalized(UnlocalizedReason::ProbeTimeout);
+    };
+    let Some(base) = base else {
+        return unlocalized(UnlocalizedReason::NoBaseline);
+    };
+    // Stale-baseline quarantine: a comparison picture this old reflects
+    // a path that may have reshaped entirely; naming a culprit from it
+    // would be misattribution, not evidence.
+    if matches!(baseline_ev, BaselineEvidence::Stale { .. }) {
+        return unlocalized(UnlocalizedReason::StaleBaseline);
+    }
+    let d = diff_contributions_with_floor(&base.contributions, &t.as_contributions(), |asn| {
+        if Some(asn) == p.client_origin {
+            // Covers the last-mile spread between the probed /24 and the
+            // baseline's /24 (up to ~32 ms for cellular) plus
+            // evening-congestion variation.
+            55.0
+        } else {
+            MIN_CULPRIT_DELTA_MS
+        }
+    });
+    let verdict = match d.culprit {
+        Some(c) => LocalizationVerdict::Culprit(c),
+        // A clean diff with no material delta is an honest "nothing
+        // stands out"; the same from a truncated probe only cleared the
+        // surviving prefix of the path.
+        None if p.probe.truncated => LocalizationVerdict::MiddleUnlocalized {
+            reason: UnlocalizedReason::TruncatedProbe,
+        },
+        None => LocalizationVerdict::MiddleUnlocalized {
+            reason: UnlocalizedReason::NoMaterialDelta,
+        },
+    };
+    (verdict, Some(d), baseline_ev)
+}
+
+/// Operator alerts: the tick's blamed aggregates, top `max_alerts` by
+/// impacted connections, middle alerts carrying the culprit their
+/// localization named.
+fn assemble_alerts(
+    acc: DetHashMap<AlertKey, AlertAcc>,
+    localizations: &[MiddleLocalization],
+    max_alerts: usize,
+) -> Vec<Alert> {
+    let culprit_by_issue: DetHashMap<(CloudLocId, PathId), Asn> = localizations
+        .iter()
+        .filter_map(|l| Some(((l.issue.issue.loc, l.issue.issue.path), l.culprit?)))
+        .collect();
+    let mut alerts: Vec<Alert> = acc
+        .into_iter()
+        .map(|(key, acc)| {
+            let (blame, loc, path, client_as) = match key {
+                AlertKey::Cloud(loc) => (Blame::Cloud, loc, None, None),
+                AlertKey::Middle(loc, path) => (Blame::Middle, loc, Some(path), None),
+                AlertKey::Client(origin) => (Blame::Client, CloudLocId(0), None, Some(origin)),
+            };
+            let culprit = match (blame, path) {
+                (Blame::Middle, Some(p)) => culprit_by_issue.get(&(loc, p)).copied(),
+                (Blame::Client, _) => client_as,
+                _ => None,
+            };
+            Alert {
+                bucket: acc.bucket,
+                blame,
+                loc,
+                path,
+                client_as,
+                culprit,
+                impacted_connections: acc.connections,
+                impacted_p24s: acc.p24s.len(),
+                confidence: acc.confidence,
+            }
+        })
+        .collect();
+    alerts.sort_by(|a, b| {
+        b.impacted_connections
+            .cmp(&a.impacted_connections)
+            .then_with(|| (a.loc, a.path, a.client_as).cmp(&(b.loc, b.path, b.client_as)))
+    });
+    alerts.truncate(max_alerts);
+    alerts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::WorldBackend;
+    use crate::backend::{RouteInfo, WorldBackend};
     use blameit_simnet::{Fault, FaultId, FaultTarget, World, WorldConfig};
 
     /// A tiny world with a long cloud fault at one location starting
@@ -1431,5 +1473,170 @@ mod tests {
         let range = TimeRange::new(SimTime::from_days(1), SimTime::from_days(1) + 3 * 3600);
         let outs = engine.run(&mut backend, range);
         assert_eq!(outs.len(), 12, "3 h / 15 min = 12 ticks");
+    }
+
+    /// What a scripted traceroute does, with the wait (seconds) before a
+    /// usable answer arrives.
+    #[derive(Clone, Copy, Debug)]
+    enum Answer {
+        Lost,
+        Late,
+        Truncated(u64),
+        Complete(u64),
+    }
+
+    /// A backend that only answers traceroutes, by script, logging when
+    /// each was issued.
+    struct ScriptedProbes {
+        script: Vec<Answer>,
+        timeout: u64,
+        issued_at: std::sync::Mutex<Vec<SimTime>>,
+    }
+
+    impl Backend for ScriptedProbes {
+        fn quartets_in(&self, _: TimeBucket) -> Vec<blameit_simnet::QuartetObs> {
+            Vec::new()
+        }
+        fn route_info(&self, _: CloudLocId, _: Prefix24, _: SimTime) -> Option<RouteInfo> {
+            None
+        }
+        fn traceroute(
+            &self,
+            loc: CloudLocId,
+            p24: Prefix24,
+            at: SimTime,
+        ) -> Option<blameit_simnet::Traceroute> {
+            let mut issued = self.issued_at.lock().unwrap();
+            let answer = self.script[issued.len()];
+            issued.push(at);
+            let (wait, segment) = match answer {
+                Answer::Lost => return None,
+                Answer::Late => (self.timeout + 1, Segment::Client),
+                Answer::Truncated(wait) => (wait, Segment::Middle),
+                Answer::Complete(wait) => (wait, Segment::Client),
+            };
+            Some(blameit_simnet::Traceroute {
+                loc,
+                p24,
+                at: at + wait,
+                hops: vec![blameit_simnet::TracerouteHop {
+                    asn: Asn(7),
+                    metro: blameit_topology::MetroId(0),
+                    rtt_ms: 30.0,
+                    responded: true,
+                    segment,
+                }],
+            })
+        }
+        fn churn_events(&self, _: TimeRange) -> Vec<blameit_topology::bgp::BgpChurnEvent> {
+            Vec::new()
+        }
+        fn cloud_locations(&self) -> Vec<CloudLocId> {
+            Vec::new()
+        }
+        fn probes_issued(&self) -> u64 {
+            self.issued_at.lock().unwrap().len() as u64
+        }
+    }
+
+    /// The active stage alone, over scripted probe answers: retries stay
+    /// within `probe_max_attempts`, the deadline budget is never
+    /// overspent, an issue the budget cannot cover is dropped unprobed
+    /// with `DeadlineBudget`, and the kept evidence is the last usable
+    /// answer — a later complete one overrides a truncated one.
+    #[test]
+    fn probe_stage_respects_attempts_budget_and_evidence_rules() {
+        blameit_topology::testkit::check("pipeline::probe_stage", 128, |rng| {
+            let mut cfg = BlameItConfig::new(BadnessThresholds::uniform(50.0));
+            cfg.parallelism = 1;
+            cfg.probe_max_attempts = 1 + rng.below(4) as u32;
+            cfg.probe_timeout_secs = 5 + rng.below(36);
+            cfg.probe_deadline_budget_secs = rng.below(201);
+            cfg.probe_backoff_base_secs = 1 + rng.below(30);
+            let (timeout, budget) = (cfg.probe_timeout_secs, cfg.probe_deadline_budget_secs);
+            let n_issues = 1 + rng.below(6) as usize;
+            let script: Vec<Answer> = (0..n_issues * cfg.probe_max_attempts as usize)
+                .map(|_| match rng.below(4) {
+                    0 => Answer::Lost,
+                    1 => Answer::Late,
+                    2 => Answer::Truncated(rng.below(timeout + 1)),
+                    _ => Answer::Complete(rng.below(timeout + 1)),
+                })
+                .collect();
+            let backend = ScriptedProbes {
+                script,
+                timeout,
+                issued_at: Default::default(),
+            };
+            let selected: Vec<PrioritizedIssue> = (0..n_issues as u32)
+                .map(|i| PrioritizedIssue {
+                    issue: MiddleIssue {
+                        loc: CloudLocId(0),
+                        path: PathId(i),
+                        middle_key: MiddleKey::Path(PathId(i)),
+                        bucket: TimeBucket(600),
+                        elapsed_buckets: 1,
+                        current_clients: 100,
+                        affected_p24s: vec![Prefix24::from_block(i)],
+                    },
+                    expected_remaining_buckets: 1.0,
+                    predicted_clients: 100.0,
+                    client_time_product: 100.0,
+                })
+                .collect();
+            let mut engine = BlameItEngine::new(cfg.clone());
+            let mut out = TickOutput::default();
+            engine.localize_issues(&backend, selected, &mut out);
+
+            let issued_at = backend.issued_at.lock().unwrap();
+            assert_eq!(out.localizations.len(), n_issues);
+            assert_eq!(out.on_demand_probes, issued_at.len() as u64);
+            let (mut next, mut spent) = (0usize, 0u64);
+            for l in &out.localizations {
+                let probe = l.provenance.probe;
+                assert!(l.attempts <= cfg.probe_max_attempts);
+                assert_eq!(probe.attempts, l.attempts);
+                let dropped = LocalizationVerdict::MiddleUnlocalized {
+                    reason: UnlocalizedReason::DeadlineBudget,
+                };
+                assert_eq!(probe.deadline_dropped, l.attempts == 0);
+                assert_eq!(probe.deadline_dropped, l.verdict == dropped);
+                // Replay this issue's share of the script.
+                let mut kept: Option<(SimTime, bool)> = None;
+                let mut lost = 0;
+                for k in next..next + l.attempts as usize {
+                    let cost = match backend.script[k] {
+                        Answer::Lost | Answer::Late => {
+                            lost += 1;
+                            timeout
+                        }
+                        Answer::Truncated(wait) => {
+                            kept = Some((issued_at[k] + wait, true));
+                            wait
+                        }
+                        Answer::Complete(wait) => {
+                            kept = Some((issued_at[k] + wait, false));
+                            assert_eq!(k + 1, next + l.attempts as usize, "complete ends it");
+                            wait
+                        }
+                    };
+                    spent += cost;
+                }
+                next += l.attempts as usize;
+                assert_eq!(probe.lost_attempts, lost);
+                assert_eq!(
+                    probe.truncated,
+                    kept.is_some_and(|(_, truncated)| truncated)
+                );
+                if let Some((at, _)) = kept {
+                    assert_eq!(l.probed_at, at, "evidence is the last usable answer");
+                }
+            }
+            assert_eq!(next, issued_at.len());
+            assert!(
+                spent <= budget + timeout,
+                "spent {spent}s of a {budget}s budget"
+            );
+        });
     }
 }

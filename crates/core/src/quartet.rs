@@ -54,32 +54,23 @@ pub fn enrich_bucket_min_samples<B: Backend>(
     thresholds: &BadnessThresholds,
     min_samples: u32,
 ) -> Vec<EnrichedQuartet> {
-    enrich_obs(
+    enrich_obs_sharded(
         backend,
         backend.quartets_in(bucket),
         bucket,
         thresholds,
         min_samples,
+        1,
     )
 }
 
-/// Enrichment over already-fetched observations. Splitting the backend
-/// fetch from the join/classify step lets the engine charge them to
-/// separate profile stages (ingest vs. quartet aggregation).
-pub fn enrich_obs<B: Backend>(
-    backend: &B,
-    obs: Vec<QuartetObs>,
-    bucket: TimeBucket,
-    thresholds: &BadnessThresholds,
-    min_samples: u32,
-) -> Vec<EnrichedQuartet> {
-    enrich_obs_sharded(backend, obs, bucket, thresholds, min_samples, 1)
-}
-
-/// [`enrich_obs`] fanned out over `parallelism` worker threads: the
-/// routing join is a pure per-quartet lookup, so the observation list
-/// splits into contiguous chunks and the enriched output keeps the
-/// input order exactly (`parallelism <= 1` is a plain sequential map).
+/// Enrichment over already-fetched observations, fanned out over
+/// `parallelism` worker threads. Splitting the backend fetch from the
+/// join/classify step lets the engine charge them to separate profile
+/// stages (ingest vs. quartet aggregation); the routing join is a pure
+/// per-quartet lookup, so the observation list splits into contiguous
+/// chunks and the enriched output keeps the input order exactly
+/// (`parallelism <= 1` is a plain sequential map).
 pub fn enrich_obs_sharded<B: Backend>(
     backend: &B,
     obs: Vec<QuartetObs>,
@@ -89,7 +80,7 @@ pub fn enrich_obs_sharded<B: Backend>(
     parallelism: usize,
 ) -> Vec<EnrichedQuartet> {
     let kept: Vec<QuartetObs> = obs.into_iter().filter(|q| q.n >= min_samples).collect();
-    crate::shard::parallel_map(parallelism, &kept, |_, obs| {
+    crate::shard::parallel_map(parallelism, &kept, |obs| {
         let info = backend.route_info(obs.loc, obs.p24, bucket.mid())?;
         let bad = obs.mean_rtt_ms > thresholds.get(info.region, obs.mobile);
         Some(EnrichedQuartet {

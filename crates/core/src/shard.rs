@@ -1,28 +1,21 @@
-//! Dependency-free sharded execution for the engine tick.
+//! Dependency-free fan-out for the engine tick.
 //!
-//! The tick's heavy stages — quartet enrichment, per-location Algorithm-1
+//! The tick's heavy stages — quartet enrichment, per-quartet Algorithm-1
 //! verdicts, traceroute diffs, background baseline probes — are pure
-//! functions of immutable inputs, so they can fan out across a
-//! [`std::thread::scope`] worker pool without any new crates. Two rules
-//! keep the output byte-identical regardless of thread count:
+//! functions of immutable inputs, so they fan out across a
+//! [`std::thread::scope`] worker pool without any new crates. One
+//! primitive does it, [`run_chunked`]: the ordered worklist splits into
+//! contiguous chunks, each chunk runs on its own worker, and the chunk
+//! results come back in chunk order. Concatenating them is the sequence
+//! one thread would have produced, so output is byte-identical at any
+//! thread count, and nothing depends on `HashMap` iteration order or
+//! thread scheduling.
 //!
-//! 1. **Deterministic partitioning.** Work is split either by a sorted
-//!    round-robin over shard keys ([`ShardPlan::by_key`], keyed on
-//!    `CloudLocId` for the passive phase) or into contiguous chunks of an
-//!    ordered worklist ([`parallel_map`]). Neither depends on `HashMap`
-//!    iteration order or thread scheduling.
-//! 2. **Canonical merge.** Shard outputs are joined in shard order and
-//!    re-sorted by the item's original input index, so the merged stream
-//!    equals what a single thread would have produced.
-//!
-//! With `parallelism <= 1` (or a single shard) everything runs inline on
-//! the calling thread in the same order — the exact legacy code path —
-//! which is what the determinism suite compares against.
+//! With `parallelism <= 1` the whole list is one chunk, run inline on
+//! the calling thread.
 
-use crate::fxhash::DetHashMap;
 use blameit_obs::span;
 use blameit_obs::trace::{local_subscribers, with_subscribers};
-use std::hash::Hash;
 
 /// Worker threads available on this machine (at least 1).
 pub fn available_parallelism() -> usize {
@@ -44,121 +37,28 @@ pub fn default_parallelism() -> usize {
     env_threads().unwrap_or_else(available_parallelism)
 }
 
-/// A deterministic assignment of item indices to shards.
+/// Runs `task` over at most `parallelism` contiguous chunks of `items`,
+/// returning the chunk results in input order (always at least one:
+/// empty input is one empty chunk). A chunk-level closure lets a worker
+/// keep per-chunk scratch (e.g. [`crate::metrics::ShardMetrics`]).
 ///
-/// Distinct shard keys are sorted and dealt round-robin over at most
-/// `nshards` shards; every item follows its key, keeping its original
-/// input order within the shard. All quartets of one cloud location
-/// therefore land on one shard (Algorithm 1's aggregate checks are
-/// per-location), and the assignment is independent of `HashMap`
-/// iteration order.
-#[derive(Clone, Debug)]
-pub struct ShardPlan {
-    shards: Vec<Vec<usize>>,
-}
-
-impl ShardPlan {
-    /// Partitions `items` by `key` into at most `nshards` shards.
-    pub fn by_key<T, K>(items: &[T], nshards: usize, key: impl Fn(&T) -> K) -> ShardPlan
-    where
-        K: Ord + Hash + Copy,
-    {
-        let mut keys: Vec<K> = items.iter().map(&key).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let nshards = nshards.clamp(1, keys.len().max(1));
-        let assignment: DetHashMap<K, usize> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (*k, i % nshards))
-            .collect();
-        let mut shards = vec![Vec::new(); nshards];
-        for (idx, item) in items.iter().enumerate() {
-            shards[assignment[&key(item)]].push(idx);
-        }
-        ShardPlan { shards }
-    }
-
-    /// Number of shards (>= 1, even for empty input).
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when the plan holds no items at all.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(Vec::is_empty)
-    }
-
-    /// The per-shard item-index lists, in shard order.
-    pub fn shards(&self) -> &[Vec<usize>] {
-        &self.shards
-    }
-}
-
-/// Runs `task` once per shard of `plan`, returning results in shard
-/// order.
-///
-/// With `parallelism <= 1` or a single shard the tasks run inline on
-/// the calling thread, in shard order — the legacy sequential path.
-/// Otherwise each shard gets a scoped worker thread that inherits this
-/// thread's scoped trace subscribers, so a `with_subscriber` capture on
-/// the coordinator still sees the shard-labelled spans.
-pub fn run_sharded<R: Send>(
-    parallelism: usize,
-    plan: &ShardPlan,
-    task: impl Fn(usize, &[usize]) -> R + Sync,
-) -> Vec<R> {
-    if parallelism <= 1 || plan.len() <= 1 {
-        return plan
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, idxs)| {
-                let _s = span!("blameit::shard", "shard", shard = i, items = idxs.len());
-                task(i, idxs)
-            })
-            .collect();
-    }
-    let subs = local_subscribers();
-    std::thread::scope(|scope| {
-        let task = &task;
-        let handles: Vec<_> = plan
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, idxs)| {
-                let subs = subs.clone();
-                scope.spawn(move || {
-                    with_subscribers(subs, || {
-                        let _s = span!("blameit::shard", "shard", shard = i, items = idxs.len());
-                        task(i, idxs)
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    })
-}
-
-/// Maps `f` over `items` (receiving each item's global index), splitting
-/// the slice into at most `parallelism` contiguous chunks. The output
-/// order always matches the input order; with `parallelism <= 1` this
-/// is a plain sequential map on the calling thread.
-pub fn parallel_map<T: Sync, R: Send>(
+/// With `parallelism <= 1` or a single item the one chunk runs inline on
+/// the calling thread. Otherwise each chunk gets a scoped worker thread
+/// that inherits this thread's scoped trace subscribers, so a
+/// `with_subscriber` capture on the coordinator still sees the workers'
+/// spans.
+pub fn run_chunked<T: Sync, R: Send>(
     parallelism: usize,
     items: &[T],
-    f: impl Fn(usize, &T) -> R + Sync,
+    task: impl Fn(&[T]) -> R + Sync,
 ) -> Vec<R> {
     if parallelism <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return vec![task(items)];
     }
     let chunk = items.len().div_ceil(parallelism.min(items.len()));
     let subs = local_subscribers();
     std::thread::scope(|scope| {
-        let f = &f;
+        let task = &task;
         let handles: Vec<_> = items
             .chunks(chunk)
             .enumerate()
@@ -167,21 +67,34 @@ pub fn parallel_map<T: Sync, R: Send>(
                 scope.spawn(move || {
                     with_subscribers(subs, || {
                         let _s = span!("blameit::shard", "chunk", chunk = ci, items = slice.len());
-                        slice
-                            .iter()
-                            .enumerate()
-                            .map(|(j, t)| f(ci * chunk + j, t))
-                            .collect::<Vec<R>>()
+                        task(slice)
                     })
                 })
             })
             .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for h in handles {
-            out.extend(h.join().expect("chunk worker panicked"));
-        }
-        out
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("chunk worker panicked"))
+            .collect()
     })
+}
+
+/// Maps `f` over `items` on [`run_chunked`]; the output order always
+/// matches the input order.
+pub fn parallel_map<T: Sync, R: Send>(
+    parallelism: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let mut chunks = run_chunked(parallelism, items, |chunk| {
+        chunk.iter().map(&f).collect::<Vec<R>>()
+    })
+    .into_iter();
+    let mut out = chunks.next().unwrap_or_default();
+    for chunk in chunks {
+        out.extend(chunk);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -189,66 +102,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_groups_all_items_of_a_key_on_one_shard() {
-        let items: Vec<u32> = vec![3, 1, 2, 3, 1, 2, 3, 9];
-        let plan = ShardPlan::by_key(&items, 3, |x| *x);
-        assert_eq!(plan.len(), 3);
-        // Every index appears exactly once.
-        let mut all: Vec<usize> = plan.shards().iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..items.len()).collect::<Vec<_>>());
-        // Items sharing a key share a shard, in input order.
-        for shard in plan.shards() {
-            assert!(shard.windows(2).all(|w| w[0] < w[1]), "input order kept");
-        }
-        let shard_of = |v: u32| {
-            plan.shards()
-                .iter()
-                .position(|s| s.iter().any(|&i| items[i] == v))
-                .unwrap()
-        };
-        for v in [1u32, 2, 3] {
-            let s = shard_of(v);
-            for (i, item) in items.iter().enumerate() {
-                if *item == v {
-                    assert!(plan.shards()[s].contains(&i));
-                }
-            }
+    fn chunks_are_contiguous_and_in_input_order() {
+        let items: Vec<u32> = (0..50).collect();
+        for par in [2, 4, 16, 64] {
+            let chunks = run_chunked(par, &items, <[u32]>::to_vec);
+            assert!(chunks.len() <= par, "at most {par} chunks");
+            assert_eq!(chunks.concat(), items, "par={par}");
         }
     }
 
     #[test]
-    fn plan_is_independent_of_requested_width_excess() {
-        let items: Vec<u32> = vec![5, 5, 5];
-        // One distinct key: never more than one shard.
-        let plan = ShardPlan::by_key(&items, 8, |x| *x);
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan.shards()[0], vec![0, 1, 2]);
+    fn one_thread_runs_one_chunk_inline() {
+        let me = std::thread::current().id();
+        let items: Vec<u32> = (0..50).collect();
+        let ran_on = run_chunked(1, &items, |c| (c.len(), std::thread::current().id()));
+        assert_eq!(ran_on, vec![(50, me)]);
+        // Empty input is still one (empty) chunk, so per-chunk scratch
+        // always exists.
         let empty: Vec<u32> = Vec::new();
-        let plan = ShardPlan::by_key(&empty, 4, |x| *x);
-        assert_eq!(plan.len(), 1);
-        assert!(plan.is_empty());
-    }
-
-    #[test]
-    fn run_sharded_matches_inline_order() {
-        let items: Vec<u32> = (0..50).map(|i| i % 7).collect();
-        let plan = ShardPlan::by_key(&items, 4, |x| *x);
-        let collect = |par: usize| -> Vec<(usize, Vec<usize>)> {
-            run_sharded(par, &plan, |shard, idxs| (shard, idxs.to_vec()))
-        };
-        assert_eq!(collect(1), collect(4));
-        assert_eq!(collect(1), collect(16));
+        assert_eq!(run_chunked(8, &empty, <[u32]>::len), vec![0]);
     }
 
     #[test]
     fn parallel_map_preserves_input_order() {
         let items: Vec<u64> = (0..101).collect();
-        let seq = parallel_map(1, &items, |i, x| (i, x * 2));
+        let seq = parallel_map(1, &items, |x| x * 2);
         for par in [2, 4, 8] {
-            assert_eq!(parallel_map(par, &items, |i, x| (i, x * 2)), seq);
+            assert_eq!(parallel_map(par, &items, |x| x * 2), seq);
         }
-        assert_eq!(seq[100], (100, 200));
+        assert_eq!(seq[100], 200);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! the in-repo seeded harness in `blameit_topology::testkit`.
 
 use blameit::{
-    assign_blames, BlameConfig, ClientCountHistory, DurationHistory, ExpectedRttLearner,
-    IncidentTracker, RttKey,
+    assign_blames, blame_bucket, BlameConfig, ClientCountHistory, DurationHistory,
+    ExpectedRttLearner, IncidentTracker, RttKey,
 };
 use blameit_simnet::TimeBucket;
 use blameit_topology::testkit::check;
@@ -250,7 +250,10 @@ fn calibrated_thresholds_monotone_in_knobs() {
 
 /// Algorithm 1 over an empty learner never blames cloud or middle (no
 /// expectations → no aggregate can cross τ), and produces exactly one
-/// verdict per bad quartet.
+/// verdict per bad quartet. With history, the driver the engine tick
+/// runs ([`blame_bucket`]) returns the same verdicts, in the same order,
+/// and the same aggregate statistics at 1 and 4 threads — and
+/// `assign_blames` is that driver at 1.
 #[test]
 fn algorithm1_conservative_without_history() {
     check("algorithm1_conservative_without_history", 64, |rng| {
@@ -259,24 +262,27 @@ fn algorithm1_conservative_without_history() {
         use blameit_topology::{Asn, IpPrefix, MetroId, Prefix24, Region};
         let n_bad = rng.below(30) as usize;
         let n_good = rng.below(30) as usize;
-        let mk = |i: usize, bad: bool| EnrichedQuartet {
-            obs: QuartetObs {
-                loc: CloudLocId(0),
-                p24: Prefix24::from_block(i as u32),
-                mobile: false,
-                bucket: TimeBucket(0),
-                n: 20,
-                mean_rtt_ms: if bad { 200.0 } else { 20.0 },
-            },
-            info: RouteInfo {
-                path: PathId(1),
-                middle: vec![Asn(10)],
-                origin: Asn(100 + (i % 5) as u32),
-                metro: MetroId(0),
-                region: Region::Europe,
-                prefix: IpPrefix::new((i as u32) << 10, 22),
-            },
-            bad,
+        let mut mk = |i: usize, bad: bool| {
+            let path = rng.below(4) as u32;
+            EnrichedQuartet {
+                obs: QuartetObs {
+                    loc: CloudLocId(rng.below(3) as u16),
+                    p24: Prefix24::from_block(i as u32),
+                    mobile: rng.chance(0.3),
+                    bucket: TimeBucket(0),
+                    n: 20,
+                    mean_rtt_ms: if bad { 200.0 } else { 20.0 },
+                },
+                info: RouteInfo {
+                    path: PathId(path),
+                    middle: vec![Asn(10 + path)],
+                    origin: Asn(100 + (i % 5) as u32),
+                    metro: MetroId(0),
+                    region: Region::Europe,
+                    prefix: IpPrefix::new((i as u32) << 10, 22),
+                },
+                bad,
+            }
         };
         let mut quartets = Vec::new();
         for i in 0..n_bad {
@@ -285,8 +291,10 @@ fn algorithm1_conservative_without_history() {
         for i in 0..n_good {
             quartets.push(mk(1000 + i, false));
         }
-        let learner = ExpectedRttLearner::new(1);
-        let (blames, _) = assign_blames(&quartets, &learner, &BlameConfig::default());
+        rng.shuffle(&mut quartets);
+        let cfg = BlameConfig::default();
+        let mut learner = ExpectedRttLearner::new(1);
+        let (blames, _) = assign_blames(&quartets, &learner, &cfg);
         assert_eq!(blames.len(), n_bad);
         for b in &blames {
             assert!(
@@ -295,5 +303,23 @@ fn algorithm1_conservative_without_history() {
                 b.blame
             );
         }
+
+        // A 40 ms expectation everywhere: the 200 ms quartets now push
+        // locations and paths over τ, so every branch is in play.
+        for q in &quartets {
+            learner.observe(RttKey::Cloud(q.obs.loc, q.obs.mobile), 0, 40.0);
+            let key = cfg.grouping.key(&q.info);
+            learner.observe(RttKey::Middle(key, q.obs.mobile), 0, 40.0);
+        }
+        let (one, stats_one, _) = blame_bucket(&quartets, &learner, &cfg, 1);
+        let (four, stats_four, scratch) = blame_bucket(&quartets, &learner, &cfg, 4);
+        assert_eq!(one.len(), n_bad);
+        assert_eq!(one, four, "verdicts differ across thread counts");
+        assert_eq!(stats_one, stats_four);
+        assert!(scratch.len() <= 4, "one metric scratch per chunk");
+        let bad_order: Vec<_> = quartets.iter().filter(|q| q.bad).map(|q| q.obs).collect();
+        let blamed_order: Vec<_> = four.iter().map(|b| b.obs).collect();
+        assert_eq!(blamed_order, bad_order, "verdicts keep quartet order");
+        assert_eq!(assign_blames(&quartets, &learner, &cfg), (one, stats_one));
     });
 }

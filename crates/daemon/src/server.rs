@@ -24,7 +24,7 @@ use blameit::{Backend, TickOutput};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Where to listen. Port 0 binds an ephemeral port (tests); the bound
 /// addresses are on [`Server`].
@@ -70,6 +70,11 @@ const FEEDER_POLL: Duration = Duration::from_millis(20);
 /// silence after the frame's first byte) before it is told `ERR` and
 /// dropped. Between frames a feeder may idle indefinitely.
 const FRAME_STALL_POLLS: u32 = 100;
+
+/// How long one HTTP client may take to deliver its request header, in
+/// total: the responder runs on the single server thread, so a client
+/// trickling bytes must not hold ingest up for longer than this.
+const HTTP_HEADER_DEADLINE: Duration = Duration::from_millis(200);
 
 /// The bound listeners.
 pub struct Server {
@@ -137,7 +142,10 @@ impl Server {
     }
 
     /// Serves one feeder connection. Returns `Ok(true)` after a TERM
-    /// (the daemon should exit), `Ok(false)` when the peer hung up.
+    /// (the daemon should exit), `Ok(false)` when the connection ended —
+    /// the peer hung up, cleanly or not (reset, broken pipe). Socket
+    /// errors are the feeder's problem; only engine persistence and the
+    /// ingest WAL (`Err`) take the daemon down.
     fn serve_ingest<B: Backend>(
         &self,
         mut stream: TcpStream,
@@ -179,7 +187,7 @@ impl Server {
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                     return refuse(stream, e.to_string());
                 }
-                Err(e) => return Err(DaemonError::Io(e)),
+                Err(_) => return Ok(false),
             };
             stalls = 0;
             match frame {
@@ -191,14 +199,14 @@ impl Server {
                         );
                     }
                     hello_seen = true;
-                    write_frame(
-                        &mut stream,
-                        &Frame::Ack {
-                            admitted: 0,
-                            shed: 0,
-                            queue_depth: core.queue_depth() as u64,
-                        },
-                    )?;
+                    let ack = Frame::Ack {
+                        admitted: 0,
+                        shed: 0,
+                        queue_depth: core.queue_depth() as u64,
+                    };
+                    if write_frame(&mut stream, &ack).is_err() {
+                        return Ok(false);
+                    }
                 }
                 Frame::Batch { batch } => {
                     if !hello_seen {
@@ -222,14 +230,20 @@ impl Server {
                             queue_depth,
                         },
                     };
-                    write_frame(&mut stream, &reply)?;
+                    // The batch is admitted and durable whether or not
+                    // the feeder is still there to hear so: pump first,
+                    // then drop the connection if the reply bounced.
+                    let replied = write_frame(&mut stream, &reply);
                     let outs = core.pump()?;
                     note_ticks(&outs, summary, alert_ring);
+                    if replied.is_err() {
+                        return Ok(false);
+                    }
                 }
                 Frame::Term => {
                     let outs = core.term()?;
                     note_ticks(&outs, summary, alert_ring);
-                    write_frame(&mut stream, &Frame::Bye)?;
+                    let _ = write_frame(&mut stream, &Frame::Bye);
                     return Ok(true);
                 }
                 other => {
@@ -283,14 +297,19 @@ fn note_ticks(outs: &[TickOutput], summary: &mut ServeSummary, alert_ring: &mut 
 /// One-shot HTTP/1.0 responder. Errors are swallowed: observability
 /// must never take the daemon down.
 fn serve_http<B: Backend>(mut stream: TcpStream, core: &DaemonCore<B>, alert_ring: &[String]) {
-    stream
-        .set_read_timeout(Some(Duration::from_millis(200)))
-        .ok();
     // Read until the header ends: a request may arrive in pieces, and
-    // answering (then closing) on half of one resets the client.
+    // answering (then closing) on half of one resets the client. Past
+    // the deadline whatever arrived is answered as it stands.
+    // lint:allow(wall-clock): bounds one scrape client's hold on the server thread; never reaches a decision or a transcript
+    let deadline = Instant::now() + HTTP_HEADER_DEADLINE;
     let mut buf = [0u8; 2048];
     let mut n = 0;
     while n < buf.len() && !buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
+        // lint:allow(wall-clock): the same deadline, re-read per segment
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut buf[n..]) {
             Ok(0) | Err(_) => break,
             Ok(k) => n += k,

@@ -228,8 +228,8 @@ impl Rule for SocketIo {
 ///
 /// The sharded tick promises byte-identical transcripts at any thread
 /// count; the moment RNG seeding or emission keys on which thread ran
-/// the work, that promise is gone. Shard RNG keys on
-/// (seed, bucket, shard) only — see `simnet::shard_rng`.
+/// the work, that promise is gone. Every simulator draw keys on
+/// (seed, entity ids, sim time) only — see `DetRng::from_keys`.
 pub struct ThreadIdentity;
 
 impl Rule for ThreadIdentity {

@@ -1,127 +1,14 @@
-//! RTT collector streams and dataset summaries.
+//! Dataset summaries over the collector stream.
 //!
 //! Mirrors the production pipeline of §6.1: cloud locations emit RTT
-//! streams that are aggregated centrally. [`QuartetStream`] walks a
-//! time range bucket by bucket, yielding each bucket's quartets — the
-//! input BlameIt's periodic analysis job consumes. [`DatasetSummary`]
-//! produces Table-2-style corpus statistics.
+//! streams that are aggregated centrally into per-bucket quartets — the
+//! input BlameIt's periodic analysis job consumes.
+//! [`DatasetSummary`] walks a time range bucket by bucket and produces
+//! Table-2-style corpus statistics.
 
-use crate::measure::{QuartetObs, RttRecord};
-use crate::time::{TimeBucket, TimeRange};
+use crate::time::TimeRange;
 use crate::world::World;
-use blameit_topology::rng::DetRng;
-use blameit_topology::CloudLocId;
 use std::collections::HashSet;
-
-/// Key domain separating shard RNG streams from every other simulator
-/// stream.
-const SHARD_STREAM_KEY: u64 = 0x5AAD;
-
-/// A deterministic RNG stream for one shard of one bucket's analysis.
-///
-/// Keyed on `(world seed, bucket, shard index)` — never on thread
-/// identity or scheduling order — so a consumer that fans a bucket out
-/// over N workers draws exactly the same randomness per shard no matter
-/// how many OS threads back the pool or how they interleave.
-pub fn shard_rng(world: &World, bucket: TimeBucket, shard: usize) -> DetRng {
-    DetRng::from_keys(
-        world.config().seed,
-        &[SHARD_STREAM_KEY, bucket.0 as u64, shard as u64],
-    )
-}
-
-/// One [`shard_rng`] stream per shard, `0..nshards`.
-pub fn shard_rngs(world: &World, bucket: TimeBucket, nshards: usize) -> Vec<DetRng> {
-    (0..nshards).map(|s| shard_rng(world, bucket, s)).collect()
-}
-
-/// Partitions a bucket's quartets into at most `nshards` shards keyed
-/// by cloud location: every quartet of a location lands on the same
-/// shard (location-level aggregates never straddle shards), locations
-/// spread round-robin in sorted order, and quartets keep their input
-/// order within a shard. Purely a function of the quartet list, so the
-/// partition is identical across runs and thread counts.
-pub fn partition_quartets(quartets: &[QuartetObs], nshards: usize) -> Vec<Vec<QuartetObs>> {
-    let mut locs: Vec<CloudLocId> = quartets.iter().map(|q| q.loc).collect();
-    locs.sort_unstable();
-    locs.dedup();
-    let n = nshards.clamp(1, locs.len().max(1));
-    let mut shards: Vec<Vec<QuartetObs>> = vec![Vec::new(); n];
-    for q in quartets {
-        let slot = locs.binary_search(&q.loc).expect("loc collected above") % n;
-        shards[slot].push(*q);
-    }
-    shards
-}
-
-/// Streaming iterator over the quartets of consecutive buckets.
-///
-/// Memory stays bounded by one bucket's worth of quartets; a month-long
-/// range never materializes at once.
-pub struct QuartetStream<'w> {
-    world: &'w World,
-    buckets: Box<dyn Iterator<Item = TimeBucket> + 'w>,
-}
-
-impl<'w> QuartetStream<'w> {
-    /// Streams all buckets of `range`.
-    pub fn new(world: &'w World, range: TimeRange) -> Self {
-        QuartetStream {
-            world,
-            buckets: Box::new(range.buckets()),
-        }
-    }
-}
-
-impl Iterator for QuartetStream<'_> {
-    type Item = (TimeBucket, Vec<QuartetObs>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let b = self.buckets.next()?;
-        let mut span = blameit_obs::span!("blameit::collector", "quartet_bucket", bucket = b.0);
-        let quartets = self.world.quartets_in(b);
-        span.record("quartets", quartets.len());
-        Some((b, quartets))
-    }
-}
-
-/// Per-location RTT record stream — the paper's "RTT Collector" at one
-/// edge site (Fig. 7): every TCP-handshake RTT the location records,
-/// bucket by bucket, sample level. Heavier than [`QuartetStream`]'s
-/// pre-aggregated fast path; use it when individual samples matter
-/// (e.g. the §2.1 split-half KS validation).
-pub struct LocationRecordStream<'w> {
-    world: &'w World,
-    loc: CloudLocId,
-    buckets: Box<dyn Iterator<Item = TimeBucket> + 'w>,
-}
-
-impl<'w> LocationRecordStream<'w> {
-    /// Streams every record the location collects over `range`.
-    pub fn new(world: &'w World, loc: CloudLocId, range: TimeRange) -> Self {
-        LocationRecordStream {
-            world,
-            loc,
-            buckets: Box::new(range.buckets()),
-        }
-    }
-}
-
-impl Iterator for LocationRecordStream<'_> {
-    type Item = (TimeBucket, Vec<RttRecord>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let b = self.buckets.next()?;
-        let mut records = Vec::new();
-        for c in &self.world.topology().clients {
-            if c.primary_loc == self.loc || c.secondary_loc == Some(self.loc) {
-                records.extend(self.world.rtt_records(self.loc, c, b));
-            }
-        }
-        records.sort_by_key(|r| (r.at, r.p24));
-        Some((b, records))
-    }
-}
 
 /// Corpus statistics in the shape of the paper's Table 2.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -162,9 +49,9 @@ impl DatasetSummary {
         let mut metros = HashSet::new();
         let mut paths = HashSet::new();
         let mut locs = HashSet::new();
-        for (_, quartets) in QuartetStream::new(world, range) {
+        for bucket in range.buckets() {
             s.buckets += 1;
-            for q in quartets {
+            for q in world.quartets_in(bucket) {
                 s.quartets += 1;
                 s.rtt_measurements += q.n as u64;
                 let c = world.topology().client(q.p24).expect("known client");
@@ -193,16 +80,6 @@ mod tests {
     use crate::world::WorldConfig;
 
     #[test]
-    fn stream_covers_range() {
-        let w = World::new(WorldConfig::tiny(1, 3));
-        let r = TimeRange::new(crate::time::SimTime(0), crate::time::SimTime(3 * 300));
-        let chunks: Vec<_> = QuartetStream::new(&w, r).collect();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].0, TimeBucket(0));
-        assert_eq!(chunks[2].0, TimeBucket(2));
-    }
-
-    #[test]
     fn summary_counts_consistent() {
         let w = World::new(WorldConfig::tiny(1, 5));
         // Two hours of data.
@@ -220,90 +97,6 @@ mod tests {
         assert!(s.client_metros <= w.topology().metros.len());
         assert!(s.cloud_locations <= w.topology().cloud_locations.len());
         assert!(s.bgp_paths > 0);
-    }
-
-    #[test]
-    fn location_stream_matches_quartets() {
-        let w = World::new(WorldConfig::tiny(1, 21));
-        let loc = w.topology().cloud_locations[0].id;
-        let r = TimeRange::new(
-            crate::time::SimTime(150 * 300),
-            crate::time::SimTime(152 * 300),
-        );
-        for (bucket, records) in LocationRecordStream::new(&w, loc, r) {
-            // Record counts agree with the quartet fast path.
-            let quartet_total: u32 = w
-                .quartets_in(bucket)
-                .iter()
-                .filter(|q| q.loc == loc)
-                .map(|q| q.n)
-                .sum();
-            assert_eq!(records.len() as u32, quartet_total, "{bucket}");
-            // All records belong to this location and bucket.
-            for rec in &records {
-                assert_eq!(rec.loc, loc);
-                assert_eq!(rec.at.bucket(), bucket);
-            }
-            // Sorted by time.
-            for w2 in records.windows(2) {
-                assert!(w2[0].at <= w2[1].at);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_rngs_deterministic_and_distinct() {
-        let w = World::new(WorldConfig::tiny(1, 13));
-        let b = TimeBucket(42);
-        let draw = |mut r: DetRng| -> Vec<u64> { (0..4).map(|_| r.next_u64()).collect() };
-        // Same (world, bucket, shard) → same stream, regardless of how
-        // many shards were requested alongside it.
-        let a = shard_rngs(&w, b, 4);
-        let c = shard_rngs(&w, b, 8);
-        for (i, rng) in a.into_iter().enumerate() {
-            assert_eq!(draw(rng), draw(c[i].clone()), "shard {i}");
-        }
-        // Different shard / bucket / seed → different streams.
-        let base = draw(shard_rng(&w, b, 0));
-        assert_ne!(base, draw(shard_rng(&w, b, 1)));
-        assert_ne!(base, draw(shard_rng(&w, TimeBucket(43), 0)));
-        let w2 = World::new(WorldConfig::tiny(1, 14));
-        assert_ne!(base, draw(shard_rng(&w2, b, 0)));
-    }
-
-    #[test]
-    fn partition_keeps_locations_whole_and_order_stable() {
-        let w = World::new(WorldConfig::tiny(2, 7));
-        let quartets = w.quartets_in(TimeBucket(150));
-        assert!(!quartets.is_empty());
-        for nshards in [1, 2, 4, 64] {
-            let shards = partition_quartets(&quartets, nshards);
-            // Nothing lost, nothing duplicated.
-            let total: usize = shards.iter().map(Vec::len).sum();
-            assert_eq!(total, quartets.len(), "nshards={nshards}");
-            // A location appears on exactly one shard.
-            let mut seen = HashSet::new();
-            for shard in &shards {
-                let locs: HashSet<_> = shard.iter().map(|q| q.loc).collect();
-                for loc in locs {
-                    assert!(seen.insert(loc), "loc {loc:?} straddles shards");
-                }
-            }
-            // Within a shard, input order is preserved.
-            for shard in &shards {
-                let mut cursor = 0;
-                for q in shard {
-                    let pos = quartets[cursor..]
-                        .iter()
-                        .position(|o| o == q)
-                        .expect("shard item comes from the input");
-                    cursor += pos + 1;
-                }
-            }
-        }
-        // Requesting more shards than locations degrades gracefully.
-        let locs: HashSet<_> = quartets.iter().map(|q| q.loc).collect();
-        assert!(partition_quartets(&quartets, 1000).len() <= locs.len());
     }
 
     #[test]

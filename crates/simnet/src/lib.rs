@@ -29,8 +29,7 @@
 //! * [`surge`] — seeded ingest-surge plans that replay a world at a
 //!   multiple of its natural volume, for daemon overload testing.
 //! * [`traceroute`] — simulated per-AS-hop traceroutes (§5.2).
-//! * [`collector`] — bucket-by-bucket quartet streams and Table-2-style
-//!   corpus summaries.
+//! * [`collector`] — Table-2-style corpus summaries.
 //! * [`world`] — the [`world::World`] facade tying it all together,
 //!   including ground-truth culprit queries.
 //!
@@ -58,9 +57,7 @@ pub use blameit_topology::rng;
 pub use activity::ActivityModel;
 pub use chaos::{ChurnFault, FaultPlan, ProbeFault};
 pub use churn::ChurnModel;
-pub use collector::{
-    partition_quartets, shard_rng, shard_rngs, DatasetSummary, LocationRecordStream, QuartetStream,
-};
+pub use collector::DatasetSummary;
 pub use crash::{CrashPlan, CrashPoint};
 pub use fault::{Fault, FaultId, FaultRates, FaultSchedule, FaultTarget, Segment};
 pub use latency::{LatencyModel, SegRtt};

@@ -4,20 +4,26 @@
 //! `/metrics`, `/alerts`, and `/healthz` over plain HTTP mid-run, then
 //! TERM — and verify the state dir reopens warm with zero replay.
 //!
-//! This is the only test that exercises the socket shell; everything
-//! it decides is covered socket-free in `tests/daemon_overload.rs` and
-//! `tests/daemon_crash.rs`.
+//! These are the only tests that exercise the socket shell (the others
+//! here cover how it treats a misbehaving connection); everything the
+//! daemon decides is covered socket-free in `tests/daemon_overload.rs`
+//! and `tests/daemon_crash.rs`.
 
 use blameit::{BadnessThresholds, BlameItConfig, StartMode, WorldBackend};
 use blameit_bench::{quiet_world, Scale};
+use blameit_daemon::wire::{read_frame, write_frame};
 use blameit_daemon::{
-    feed_world, http_get, DaemonConfig, DaemonCore, FeedConfig, Server, ServerConfig, WallClock,
+    feed_world, http_get, DaemonConfig, DaemonCore, FeedConfig, Frame, Server, ServerConfig,
+    WallClock, WIRE_VERSION,
 };
 use blameit_obs::MetricsRegistry;
 use blameit_simnet::{SurgePlan, TimeBucket, TimeRange, World};
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn state_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("blameit-dsm-{tag}-{}", std::process::id()));
@@ -158,43 +164,55 @@ fn daemon_serves_feeds_scrapes_and_terminates() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn a_feeder_paused_mid_frame_resumes_and_a_stuck_one_gets_err() {
-    use blameit_daemon::wire::{read_frame, write_frame};
-    use blameit_daemon::{Frame, WIRE_VERSION};
-    use std::io::Write;
-
-    let world = quiet_world(Scale::Tiny, 2, 0x50C7);
-    let dir = state_dir("midframe");
-    let warmup = TimeRange::days(1);
-    let (mut core, _) = DaemonCore::open(
-        config(&world, &dir),
+/// A cold core over `world` with its state under `dir`, for the tests
+/// that only care how the socket shell treats a connection.
+fn cold_core<'w>(world: &'w World, dir: &Path) -> DaemonCore<WorldBackend<'w>> {
+    let (core, _) = DaemonCore::open(
+        config(world, dir),
         dcfg(),
         Arc::new(MetricsRegistry::new()),
-        WorldBackend::new(&world),
-        warmup,
+        WorldBackend::new(world),
+        TimeRange::days(1),
     )
     .unwrap();
+    core
+}
+
+/// One BATCH frame of 64 records for the first bucket after warm-up.
+fn batch_frame() -> Frame {
+    let batch = blameit::RecordBatch {
+        bucket: TimeRange::days(1).end.bucket(),
+        keys: (0..64).collect(),
+        rtt: vec![25.0; 64],
+    };
+    Frame::Batch { batch }
+}
+
+/// Connects a feeder and completes the HELLO handshake. Replies are
+/// awaited for at most 5 s, so a dead server fails the test instead of
+/// hanging it.
+fn hello(server: &Server) -> TcpStream {
+    let mut s = TcpStream::connect(server.ingest_addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let version = WIRE_VERSION;
+    write_frame(&mut s, &Frame::Hello { version }).unwrap();
+    assert!(matches!(read_frame(&mut s), Ok(Some(Frame::Ack { .. }))));
+    s
+}
+
+#[test]
+fn a_feeder_paused_mid_frame_resumes_and_a_stuck_one_gets_err() {
+    let world = quiet_world(Scale::Tiny, 2, 0x50C7);
+    let dir = state_dir("midframe");
+    let mut core = cold_core(&world, &dir);
     let server = Server::bind(&ServerConfig::default()).unwrap();
     let shutdown = AtomicBool::new(false);
     let clock = WallClock;
 
     // One BATCH frame's bytes, to be sent in two halves.
-    let batch = blameit::RecordBatch {
-        bucket: warmup.end.bucket(),
-        keys: (0..64).collect(),
-        rtt: vec![25.0; 64],
-    };
     let mut bytes = Vec::new();
-    write_frame(&mut bytes, &Frame::Batch { batch }).unwrap();
+    write_frame(&mut bytes, &batch_frame()).unwrap();
     let (head, tail) = bytes.split_at(bytes.len() / 2);
-    let connect = || {
-        let mut s = std::net::TcpStream::connect(server.ingest_addr).unwrap();
-        let version = WIRE_VERSION;
-        write_frame(&mut s, &Frame::Hello { version }).unwrap();
-        assert!(matches!(read_frame(&mut s), Ok(Some(Frame::Ack { .. }))));
-        s
-    };
 
     std::thread::scope(|s| {
         let handle = s.spawn(|| server.run(&mut core, &clock, &shutdown).unwrap());
@@ -202,9 +220,9 @@ fn a_feeder_paused_mid_frame_resumes_and_a_stuck_one_gets_err() {
 
         // Descheduled for four idle polls between the two halves of a
         // frame: the server must pick the frame up where it stopped.
-        let mut paused = connect();
+        let mut paused = hello(&server);
         paused.write_all(head).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(80));
+        std::thread::sleep(Duration::from_millis(80));
         paused.write_all(tail).unwrap();
         let reply = read_frame(&mut paused).unwrap();
         assert!(
@@ -215,7 +233,7 @@ fn a_feeder_paused_mid_frame_resumes_and_a_stuck_one_gets_err() {
 
         // Never finishes its frame: the server keeps answering HTTP
         // while it waits, then gives up on the connection with ERR.
-        let mut stuck = connect();
+        let mut stuck = hello(&server);
         stuck.write_all(head).unwrap();
         let health = http_get(&server.http_addr.to_string(), "/healthz").unwrap();
         assert!(health.contains("ok"), "healthz says: {health}");
@@ -225,6 +243,90 @@ fn a_feeder_paused_mid_frame_resumes_and_a_stuck_one_gets_err() {
             "a stuck feeder must be told ERR, got {reply:?}"
         );
         assert_eq!(read_frame(&mut stuck).unwrap(), None, "then closed");
+
+        shutdown.store(true, Ordering::Relaxed);
+        assert!(handle.join().unwrap().clean_shutdown);
+    });
+    drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_feeder_that_hangs_up_unread_does_not_stop_the_daemon() {
+    let world = quiet_world(Scale::Tiny, 2, 0x50C7);
+    let dir = state_dir("hangup");
+    let mut core = cold_core(&world, &dir);
+    let server = Server::bind(&ServerConfig::default()).unwrap();
+    let shutdown = AtomicBool::new(false);
+    let clock = WallClock;
+
+    let summary = std::thread::scope(|s| {
+        let handle = s.spawn(|| server.run(&mut core, &clock, &shutdown).unwrap());
+        let _stop = StopOnDrop(&shutdown);
+
+        // HELLO + BATCH, then gone without reading either ACK: closing
+        // on unread data resets the connection, so the server's next
+        // read or write on it fails (ECONNRESET / EPIPE).
+        let mut rude = TcpStream::connect(server.ingest_addr).unwrap();
+        let version = WIRE_VERSION;
+        write_frame(&mut rude, &Frame::Hello { version }).unwrap();
+        write_frame(&mut rude, &batch_frame()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        drop(rude);
+
+        // The daemon is still there for the next feeder.
+        let mut polite = hello(&server);
+        write_frame(&mut polite, &batch_frame()).unwrap();
+        let reply = read_frame(&mut polite).unwrap();
+        assert!(
+            matches!(reply, Some(Frame::Ack { admitted: 64, .. })),
+            "the next feeder must be ACKed, got {reply:?}"
+        );
+        write_frame(&mut polite, &Frame::Term).unwrap();
+        assert_eq!(read_frame(&mut polite).unwrap(), Some(Frame::Bye));
+        handle.join().unwrap()
+    });
+    assert!(summary.clean_shutdown);
+    assert_eq!(summary.stats.admitted, 128, "both feeders' batches count");
+    drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_trickling_http_client_does_not_freeze_ingest() {
+    let world = quiet_world(Scale::Tiny, 2, 0x50C7);
+    let dir = state_dir("trickle");
+    let mut core = cold_core(&world, &dir);
+    let server = Server::bind(&ServerConfig::default()).unwrap();
+    let shutdown = AtomicBool::new(false);
+    let clock = WallClock;
+
+    std::thread::scope(|s| {
+        let handle = s.spawn(|| server.run(&mut core, &clock, &shutdown).unwrap());
+        let _stop = StopOnDrop(&shutdown);
+
+        // A request header that never ends, one byte every 50 ms for
+        // 1.5 s (the server hangs up on it long before; those writes
+        // fail and are ignored).
+        let mut slow = TcpStream::connect(server.http_addr).unwrap();
+        slow.write_all(b"G").unwrap();
+        s.spawn(move || {
+            for _ in 0..30 {
+                std::thread::sleep(Duration::from_millis(50));
+                let _ = slow.write_all(b"x");
+            }
+        });
+
+        // Once the server has picked the trickler up, a feeder must
+        // still get its HELLO answered promptly.
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        drop(hello(&server));
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "HELLO waited {waited:?} behind a slow HTTP client"
+        );
 
         shutdown.store(true, Ordering::Relaxed);
         assert!(handle.join().unwrap().clean_shutdown);
