@@ -1,7 +1,8 @@
-//! Minimal command-line parsing for the experiment binaries.
+//! Minimal command-line parsing for the experiments, the CLI and the
+//! daemon.
 //!
-//! Every binary accepts `--seed N`, `--scale tiny|small|default`, and
-//! usually `--days N`; figure-specific flags parse through the same
+//! Every experiment accepts `--seed N`, `--scale tiny|small|default`,
+//! and usually `--days N`; figure-specific flags parse through the same
 //! helper. No dependency needed for flags this simple.
 
 use crate::scenarios::Scale;

@@ -14,14 +14,13 @@
 //!
 //! Each selection is scored by the *true* client-time impact covered.
 
-use blameit::{BadnessThresholds, BlameItConfig, BlameItEngine, WorldBackend};
-use blameit_bench::{fmt, organic_world, Args, Scale};
-use blameit_simnet::{FaultId, SimTime, TimeRange};
+use crate::{fmt, organic_world, warmed_engine, Args, Scale};
+use blameit::WorldBackend;
+use blameit_simnet::FaultId;
 use blameit_topology::rng::DetRng;
 use std::collections::HashMap;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 7);
     let warmup_days = args.u64("warmup", 2).min(days.saturating_sub(1));
@@ -33,7 +32,8 @@ fn main() {
         "Investigation budget: impact-ranked vs detection-order vs random",
     );
     let world = organic_world(scale, days, seed);
-    let eval = TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days));
+    let mut backend = WorldBackend::new(&world);
+    let (mut engine, eval) = warmed_engine(&world, &backend, |_| {}, warmup_days, 1, days);
 
     // True impact per middle fault.
     let oracle: HashMap<FaultId, f64> = blameit_baselines::middle_issues(&world, eval)
@@ -45,14 +45,6 @@ fn main() {
     // Run the engine, accumulating per-fault estimates exactly as
     // fig12 does: per (loc, path) issue, the peak client-time product;
     // per fault, the sum over its issues. Also record first detection.
-    let thresholds = BadnessThresholds::default_for(&world);
-    let mut engine = BlameItEngine::new(BlameItConfig::new(thresholds));
-    let mut backend = WorldBackend::new(&world);
-    engine.warmup(
-        &backend,
-        TimeRange::new(SimTime::ZERO, SimTime::from_days(warmup_days)),
-        1,
-    );
     let mut per_issue: HashMap<FaultId, HashMap<(u16, u32), f64>> = HashMap::new();
     let mut first_detect: HashMap<FaultId, u32> = HashMap::new();
     for (tick_i, out) in engine.run(&mut backend, eval).into_iter().enumerate() {
@@ -86,7 +78,9 @@ fn main() {
         .map(|(f, m)| (f, m.values().sum()))
         .collect();
 
-    let detected: Vec<FaultId> = estimates.keys().copied().collect();
+    // Sorted: the shuffles below must not inherit the map's iteration order.
+    let mut detected: Vec<FaultId> = estimates.keys().copied().collect();
+    detected.sort();
     let k = ((oracle.len() as f64 * budget_pct / 100.0).ceil() as usize).max(1);
     println!(
         "middle faults: {} total, {} detected; investigation budget: top {k} ({budget_pct}%)",

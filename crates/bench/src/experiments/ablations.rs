@@ -13,11 +13,11 @@
 //! diagonal over cloud/middle/client verdicts) plus the decisive rate
 //! (how often BlameIt commits to a verdict at all).
 
+use crate::{fmt, organic_world, Args, ConfusionMatrix, Scale};
 use blameit::{
     assign_blames, enrich_bucket_min_samples, BadnessThresholds, Blame, BlameConfig,
     ExpectedRttLearner, RttKey, WorldBackend,
 };
-use blameit_bench::{fmt, organic_world, Args, ConfusionMatrix, Scale};
 use blameit_simnet::{SimTime, TimeRange, World};
 
 struct Row {
@@ -106,8 +106,7 @@ fn run_variant(
     }
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let warmup = args.u64("warmup", 2);
     let scale = args.scale(Scale::Small);

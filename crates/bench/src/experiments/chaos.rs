@@ -9,11 +9,8 @@
 //! designed to flatten: verdicts may become `MiddleUnlocalized`, but
 //! never wrong or panicked.
 
-use blameit::{
-    BadnessThresholds, BlameItConfig, BlameItEngine, ChaosBackend, LocalizationVerdict, TickOutput,
-    UnlocalizedReason, WorldBackend,
-};
-use blameit_bench::{fmt, quiet_world, score_blames, Args, Scale};
+use crate::{fmt, quiet_world, score_blames, warmed_engine, Args, Scale};
+use blameit::{ChaosBackend, LocalizationVerdict, TickOutput, UnlocalizedReason, WorldBackend};
 use blameit_simnet::{Fault, FaultId, FaultPlan, FaultTarget, SimTime, TimeRange, World};
 use blameit_topology::rng::DetRng;
 use blameit_topology::Asn;
@@ -75,10 +72,10 @@ fn run_case(
     plan: FaultPlan,
     eval: TimeRange,
 ) -> CasePoint {
-    let cfg = BlameItConfig::new(BadnessThresholds::default_for(world));
-    let mut engine = BlameItEngine::new(cfg);
     let mut backend = ChaosBackend::new(WorldBackend::new(world), plan);
-    engine.warmup(&backend, TimeRange::days(1), 2);
+    // Warm up on day 0 through the chaos layer; the window scored is
+    // the injected fault's, not the helper's whole second day.
+    let (mut engine, _) = warmed_engine(world, &backend, |_| {}, 1, 2, 2);
     let outs: Vec<TickOutput> = engine.run(&mut backend, eval);
 
     let mut point = CasePoint {
@@ -116,8 +113,7 @@ fn run_case(
     point
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let fault_seed = args.u64("fault-seed", 0xC4A05);
 

@@ -6,32 +6,23 @@
 //! congestion) that actually caused it. Rows are ground-truth
 //! segments, columns BlameIt verdicts.
 
-use blameit::{BadnessThresholds, BlameItConfig, BlameItEngine, WorldBackend};
-use blameit_bench::{fmt, Args, Scale};
-use blameit_simnet::{SimTime, TimeRange};
+use crate::{fmt, warmed_engine, Args, Scale};
+use blameit::WorldBackend;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 3);
     let warmup_days = args.u64("warmup", 2).min(days.saturating_sub(1));
     let scale = args.scale(Scale::Small);
 
     fmt::banner("Confusion", "Algorithm 1 verdicts vs ground truth");
-    let world = blameit_bench::organic_world(scale, days, seed);
-    let thresholds = BadnessThresholds::default_for(&world);
-    let mut engine = BlameItEngine::new(BlameItConfig::new(thresholds));
+    let world = crate::organic_world(scale, days, seed);
     let mut backend = WorldBackend::new(&world);
-    engine.warmup(
-        &backend,
-        TimeRange::new(SimTime::ZERO, SimTime::from_days(warmup_days)),
-        2,
-    );
-    let eval = TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days));
+    let (mut engine, eval) = warmed_engine(&world, &backend, |_| {}, warmup_days, 2, days);
     let mut blames = Vec::new();
     for out in engine.run(&mut backend, eval) {
         blames.extend(out.blames);
     }
-    let matrix = blameit_bench::score_blames(&world, &blames);
+    let matrix = crate::score_blames(&world, &blames);
     println!("{matrix}");
 }

@@ -13,13 +13,12 @@
 //! Expected shape: forward-only accuracy collapses on reverse faults;
 //! adding the reverse probe recovers most of it.
 
+use crate::{fmt, quiet_world, Args, Scale};
 use blameit::{combine_directional_diffs, diff_traceroutes};
-use blameit_bench::{fmt, quiet_world, Args, Scale};
 use blameit_simnet::{Fault, FaultId, FaultTarget, SimTime};
 use blameit_topology::rng::DetRng;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let trials = args.u64("trials", 120) as usize;
     let scale = args.scale(Scale::Small);

@@ -7,31 +7,21 @@
 //! curves here share the same duration law — the comparison point is
 //! the per-category long tail itself.
 
-use blameit::{
-    BadnessThresholds, Blame, BlameItConfig, BlameItEngine, IncidentTracker, WorldBackend,
-};
-use blameit_bench::{fmt, Args, Scale};
-use blameit_simnet::{SimTime, TimeRange};
+use crate::{fmt, warmed_engine, Args, Scale};
+use blameit::{Blame, IncidentTracker, WorldBackend};
 use blameit_topology::{CloudLocId, Prefix24};
 use std::collections::HashMap;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 7);
     let warmup_days = args.u64("warmup", 2).min(days.saturating_sub(1));
     let scale = args.scale(Scale::Small);
 
     fmt::banner("Figure 10", "Incident durations split by blame category");
-    let world = blameit_bench::organic_world(scale, days, seed);
-    let thresholds = BadnessThresholds::default_for(&world);
-    let mut engine = BlameItEngine::new(BlameItConfig::new(thresholds));
+    let world = crate::organic_world(scale, days, seed);
     let mut backend = WorldBackend::new(&world);
-    engine.warmup(
-        &backend,
-        TimeRange::new(SimTime::ZERO, SimTime::from_days(warmup_days)),
-        2,
-    );
+    let (mut engine, eval) = warmed_engine(&world, &backend, |_| {}, warmup_days, 2, days);
 
     // Track incidents per ⟨/24, loc, device⟩; attribute each incident
     // to the plurality blame over its lifetime.
@@ -39,7 +29,6 @@ fn main() {
     let mut votes: HashMap<(Prefix24, CloudLocId, bool), HashMap<Blame, u32>> = HashMap::new();
     let mut per_cat: HashMap<Blame, Vec<f64>> = HashMap::new();
 
-    let eval = TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days));
     let buckets: Vec<_> = eval.buckets().collect();
     let mut i = 0;
     while i + 3 <= buckets.len() {

@@ -9,26 +9,22 @@
 //! continuous traceroutes: a diagnosis counts as corroborated when the
 //! blamed segment's culprit AS matches the true one.
 
-use blameit::{
-    BadnessThresholds, Blame, BlameItConfig, BlameItEngine, MiddleGrouping, WorldBackend,
-};
-use blameit_bench::{fmt, Args, Scale};
-use blameit_simnet::{Segment, SimTime, TimeRange, World};
+use crate::{fmt, warmed_engine, Args, Scale};
+use blameit::{Blame, MiddleGrouping, WorldBackend};
+use blameit_simnet::{Segment, World};
 use blameit_topology::PathId;
 use std::collections::HashMap;
 
 fn ratios(world: &World, grouping: MiddleGrouping, warmup_days: u64, days: u64) -> Vec<f64> {
-    let thresholds = BadnessThresholds::default_for(world);
-    let mut cfg = BlameItConfig::new(thresholds);
-    cfg.blame.grouping = grouping;
-    let mut engine = BlameItEngine::new(cfg);
     let mut backend = WorldBackend::new(world);
-    engine.warmup(
+    let (mut engine, eval) = warmed_engine(
+        world,
         &backend,
-        TimeRange::new(SimTime::ZERO, SimTime::from_days(warmup_days)),
+        |cfg| cfg.blame.grouping = grouping,
+        warmup_days,
         2,
+        days,
     );
-    let eval = TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days));
 
     // Per BGP path: (issues, corroborated).
     let mut per_path: HashMap<PathId, (u64, u64)> = HashMap::new();
@@ -65,8 +61,7 @@ fn ratios(world: &World, grouping: MiddleGrouping, warmup_days: u64, days: u64) 
     ratios
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 3);
     let warmup_days = args.u64("warmup", 2).min(days.saturating_sub(1));
@@ -76,7 +71,7 @@ fn main() {
         "Figure 11",
         "Corroboration ratios: BGP-path grouping vs <AS, Metro> grouping",
     );
-    let world = blameit_bench::organic_world(scale, days, seed);
+    let world = crate::organic_world(scale, days, seed);
 
     let path_ratios = ratios(&world, MiddleGrouping::BgpPath, warmup_days, days);
     let asmetro_ratios = ratios(&world, MiddleGrouping::AsMetro, warmup_days, days);

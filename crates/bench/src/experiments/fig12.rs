@@ -7,13 +7,12 @@
 //! suffices; and BlameIt's estimates prioritize "as good as an
 //! oracle".
 
-use blameit::{BadnessThresholds, BlameItConfig, BlameItEngine, WorldBackend};
-use blameit_bench::{fmt, Args, Scale};
-use blameit_simnet::{FaultId, SimTime, TimeRange};
+use crate::{fmt, warmed_engine, Args, Scale};
+use blameit::WorldBackend;
+use blameit_simnet::FaultId;
 use std::collections::HashMap;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 10);
     let warmup_days = args.u64("warmup", 3).min(days.saturating_sub(1));
@@ -23,8 +22,9 @@ fn main() {
         "Figure 12",
         "Client-time product of middle issues: oracle vs BlameIt ranking",
     );
-    let world = blameit_bench::organic_world(scale, days, seed);
-    let eval = TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days));
+    let world = crate::organic_world(scale, days, seed);
+    let mut backend = WorldBackend::new(&world);
+    let (mut engine, eval) = warmed_engine(&world, &backend, |_| {}, warmup_days, 1, days);
 
     // Oracle: true client-time products of middle issues in the window.
     let oracle = blameit_baselines::middle_issues(&world, eval);
@@ -36,14 +36,6 @@ fn main() {
 
     // BlameIt: run the engine, capture every pre-budget ranked issue's
     // estimated product, attribute it to the ground-truth fault.
-    let thresholds = BadnessThresholds::default_for(&world);
-    let mut engine = BlameItEngine::new(BlameItConfig::new(thresholds));
-    let mut backend = WorldBackend::new(&world);
-    engine.warmup(
-        &backend,
-        TimeRange::new(SimTime::ZERO, SimTime::from_days(warmup_days)),
-        1,
-    );
     // A fault may span many (location, path) issues; the engine
     // estimates per issue, so a fault's estimate is the sum over its
     // issues of each issue's peak client-time product.

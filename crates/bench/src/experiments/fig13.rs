@@ -7,8 +7,8 @@
 //! plus churn triggers retains ≈93% accuracy at 72× fewer probes than
 //! 10-minute continuous probing.
 
-use blameit::{Backend, BadnessThresholds, BlameItConfig, BlameItEngine, WorldBackend};
-use blameit_bench::{fmt, Args, Scale};
+use crate::{fmt, warmed_engine, Args, Scale};
+use blameit::{Backend, BlameItConfig, WorldBackend};
 use blameit_simnet::{Segment, SimTime, TimeRange, World};
 
 struct Cell {
@@ -21,28 +21,20 @@ struct Cell {
 }
 
 fn run_cell(world: &World, period_secs: u64, churn: bool, warmup_days: u64, days: u64) -> Cell {
-    let thresholds = BadnessThresholds::default_for(world);
-    let mut cfg = BlameItConfig::new(thresholds);
-    cfg.background_period_secs = period_secs;
-    cfg.churn_triggered = churn;
-    let mut engine = BlameItEngine::new(cfg);
     let mut backend = WorldBackend::new(world);
-    engine.warmup(
-        &backend,
-        TimeRange::new(SimTime::ZERO, SimTime::from_days(warmup_days - 1)),
-        2,
-    );
+    let configure = |cfg: &mut BlameItConfig| {
+        cfg.background_period_secs = period_secs;
+        cfg.churn_triggered = churn;
+    };
+    let (mut engine, rest) = warmed_engine(world, &backend, configure, warmup_days - 1, 2, days);
     // One unscored burn-in day: the paper's system runs in steady
     // state, with background baselines already in place.
-    let burn_in = TimeRange::new(
-        SimTime::from_days(warmup_days - 1),
-        SimTime::from_days(warmup_days),
-    );
+    let burn_in = TimeRange::new(rest.start, SimTime::from_days(warmup_days));
     for _ in engine.run(&mut backend, burn_in) {}
     backend.reset_probes();
     engine.background_probes_total = 0;
     engine.on_demand_probes_total = 0;
-    let eval = TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days));
+    let eval = TimeRange::new(burn_in.end, rest.end);
 
     let mut attempted = 0u64;
     let mut correct = 0u64;
@@ -77,8 +69,7 @@ fn run_cell(world: &World, period_secs: u64, churn: bool, warmup_days: u64, days
     }
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 5);
     let warmup_days = args.u64("warmup", 2).min(days.saturating_sub(1));
@@ -88,7 +79,7 @@ fn main() {
         "Figure 13",
         "Localization accuracy vs background probing frequency (± churn triggers)",
     );
-    let world = blameit_bench::organic_world(scale, days, seed);
+    let world = crate::organic_world(scale, days, seed);
 
     let periods: [(u64, &str); 5] = [
         (600, "10 min"),

@@ -5,19 +5,18 @@
 //! both device classes; less-developed regions trend higher; the USA
 //! is surprisingly high because its RTT targets are aggressive.
 
+use crate::{fmt, Args, Scale};
 use blameit::{Backend, BadnessThresholds, WorldBackend, MIN_SAMPLES};
-use blameit_bench::{fmt, Args, Scale};
 use blameit_simnet::TimeRange;
 use blameit_topology::Region;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 2);
     let scale = args.scale(Scale::Small);
 
     fmt::banner("Figure 2", "% bad quartets by region (mobile / non-mobile)");
-    let world = blameit_bench::organic_world(scale, days, seed);
+    let world = crate::organic_world(scale, days, seed);
     let thresholds = BadnessThresholds::default_for(&world);
     let backend = WorldBackend::new(&world);
     let topo = world.topology();

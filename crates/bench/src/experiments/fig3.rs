@@ -6,15 +6,14 @@
 //! well-provisioned enterprise networks); weekends flatten the
 //! pattern; different ISPs show different variance.
 
+use crate::{fmt, Args, Scale};
 use blameit::{Backend, BadnessThresholds, WorldBackend, MIN_SAMPLES};
-use blameit_bench::{fmt, Args, Scale};
 use blameit_simnet::time::BUCKETS_PER_HOUR;
 use blameit_simnet::TimeRange;
 use blameit_topology::{Asn, Region};
 use std::collections::HashMap;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 7);
     let scale = args.scale(Scale::Small);
@@ -23,7 +22,7 @@ fn main() {
         "Figure 3",
         "% bad quartets by hour over a week (USA; two ISPs)",
     );
-    let world = blameit_bench::organic_world(scale, days, seed);
+    let world = crate::organic_world(scale, days, seed);
     let thresholds = BadnessThresholds::default_for(&world);
     let backend = WorldBackend::new(&world);
     let topo = world.topology();

@@ -4,13 +4,12 @@
 //! Paper shape: long-tailed — over 60% of issues last ≤ 5 minutes
 //! (one bucket) while ~8% last over 2 hours.
 
+use crate::{fmt, Args, Scale};
 use blameit::{Backend, BadnessThresholds, IncidentTracker, WorldBackend, MIN_SAMPLES};
-use blameit_bench::{fmt, Args, Scale};
 use blameit_simnet::TimeRange;
 use blameit_topology::{CloudLocId, Prefix24};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 1);
     let scale = args.scale(Scale::Small);
@@ -19,7 +18,7 @@ fn main() {
         "Figure 4a",
         "Persistence of bad-RTT incidents (5-min buckets)",
     );
-    let world = blameit_bench::organic_world(scale, days, seed);
+    let world = crate::organic_world(scale, days, seed);
     let thresholds = BadnessThresholds::default_for(&world);
     let backend = WorldBackend::new(&world);
     let topo = world.topology();

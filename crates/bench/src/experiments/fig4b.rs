@@ -6,14 +6,13 @@
 //! of cumulative impact; ranked by impact, only ~20% are needed — a
 //! ~3× difference that motivates impact-proportional probing.
 
+use crate::{fmt, Args, Scale};
 use blameit_baselines::{
     cumulative_impact_curve, rank_by_impact, rank_by_prefix_count, tuples_needed_for_coverage,
 };
-use blameit_bench::{fmt, Args, Scale};
 use blameit_simnet::TimeRange;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 3);
     let scale = args.scale(Scale::Small);
@@ -22,7 +21,7 @@ fn main() {
         "Figure 4b",
         "CDF of problem impact under two rankings of <location, BGP path>",
     );
-    let world = blameit_bench::organic_world(scale, days, seed);
+    let world = crate::organic_world(scale, days, seed);
     let records = blameit_baselines::impact_records(&world, TimeRange::days(days));
     println!("middle-segment issues with footprints: {}", records.len());
 

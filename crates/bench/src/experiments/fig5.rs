@@ -10,11 +10,11 @@
 //!
 //! Prefix-count ranking puts #1 first; impact ranking puts #2 first.
 
+use crate::{fmt, Args};
 use blameit_baselines::{rank_by_impact, rank_by_prefix_count, ImpactRecord};
-use blameit_bench::fmt;
 use blameit_topology::{CloudLocId, PathId, Prefix24};
 
-fn main() {
+pub fn run(_args: &Args) {
     fmt::banner(
         "Figure 5",
         "Ranking tuples by prefix count vs problem impact",

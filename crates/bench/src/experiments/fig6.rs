@@ -6,13 +6,12 @@
 //! why BlameIt groups by BGP path: more RTT samples per aggregate at
 //! no loss of path fidelity.
 
+use crate::{fmt, Args, Scale};
 use blameit::{enrich_bucket, BadnessThresholds, MiddleGrouping, WorldBackend};
-use blameit_bench::{fmt, Args, Scale};
 use blameit_simnet::TimeBucket;
 use std::collections::HashMap;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let scale = args.scale(Scale::Small);
     // A busy mid-week bucket.
@@ -22,7 +21,7 @@ fn main() {
         "Figure 6",
         "CDF of /24s sharing a middle segment (prefix / atom / path)",
     );
-    let world = blameit_bench::organic_world(scale, 3, seed);
+    let world = crate::organic_world(scale, 3, seed);
     let backend = WorldBackend::new(&world);
     // Classification irrelevant here; use permissive thresholds.
     let quartets = enrich_bucket(&backend, bucket, &BadnessThresholds::uniform(1e9));

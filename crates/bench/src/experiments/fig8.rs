@@ -5,12 +5,11 @@
 //! by scheduled maintenance, which we reproduce by injecting cloud
 //! maintenance faults on day 24.
 
-use blameit::{tally_by_day, BadnessThresholds, Blame, BlameItConfig, BlameItEngine, WorldBackend};
-use blameit_bench::{fmt, Args, Scale};
-use blameit_simnet::{Fault, FaultId, FaultTarget, SimTime, TimeRange};
+use crate::{fmt, warmed_engine, Args, Scale};
+use blameit::{tally_by_day, Blame, WorldBackend};
+use blameit_simnet::{Fault, FaultId, FaultTarget, SimTime};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 30);
     let warmup_days = args.u64("warmup", 2).min(days.saturating_sub(1));
@@ -20,7 +19,7 @@ fn main() {
         "Figure 8",
         "Blame fractions over one month (maintenance on day 24)",
     );
-    let mut world = blameit_bench::organic_world(scale, days, seed);
+    let mut world = crate::organic_world(scale, days, seed);
 
     // Scheduled maintenance: several cloud locations degraded for a few
     // hours on day 24 (matching the paper's day-24 cloud spike).
@@ -46,16 +45,9 @@ fn main() {
         world.add_faults(maintenance);
     }
 
-    let thresholds = BadnessThresholds::default_for(&world);
-    let mut engine = BlameItEngine::new(BlameItConfig::new(thresholds));
     let mut backend = WorldBackend::new(&world);
-    engine.warmup(
-        &backend,
-        TimeRange::new(SimTime::ZERO, SimTime::from_days(warmup_days)),
-        2,
-    );
+    let (mut engine, eval) = warmed_engine(&world, &backend, |_| {}, warmup_days, 2, days);
 
-    let eval = TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days));
     let mut all_blames = Vec::new();
     for out in engine.run(&mut backend, eval) {
         all_blames.extend(out.blames);

@@ -4,15 +4,11 @@
 //! Brazil (still-evolving transit networks) relative to mature regions
 //! like the USA; "insufficient"/"ambiguous" are a visible share.
 
-use blameit::{
-    tally_by_region, BadnessThresholds, Blame, BlameItConfig, BlameItEngine, WorldBackend,
-};
-use blameit_bench::{fmt, Args, Scale};
-use blameit_simnet::{SimTime, TimeRange};
+use crate::{fmt, warmed_engine, Args, Scale};
+use blameit::{tally_by_region, Blame, WorldBackend};
 use blameit_topology::Region;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let warmup_days = args.u64("warmup", 2);
     // The paper snapshots one day; at simulation scale a single day
@@ -26,20 +22,17 @@ fn main() {
         "Figure 9",
         "Blame fractions by region (paper: one day; see --eval)",
     );
-    let world = blameit_bench::organic_world(scale, warmup_days + eval_days, seed);
-    let thresholds = BadnessThresholds::default_for(&world);
-    let mut engine = BlameItEngine::new(BlameItConfig::new(thresholds));
+    let world = crate::organic_world(scale, warmup_days + eval_days, seed);
     let mut backend = WorldBackend::new(&world);
-    engine.warmup(
+    let (mut engine, eval) = warmed_engine(
+        &world,
         &backend,
-        TimeRange::new(SimTime::ZERO, SimTime::from_days(warmup_days)),
+        |_| {},
+        warmup_days,
         2,
+        warmup_days + eval_days,
     );
 
-    let eval = TimeRange::new(
-        SimTime::from_days(warmup_days),
-        SimTime::from_days(warmup_days + eval_days),
-    );
     let mut blames = Vec::new();
     for out in engine.run(&mut backend, eval) {
         blames.extend(out.blames);

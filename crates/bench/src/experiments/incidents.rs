@@ -8,12 +8,10 @@
 //! matches the injected segment (and the actively-localized culprit AS
 //! matches for middle incidents).
 
-use blameit::{Backend, BadnessThresholds, BlameItConfig, BlameItEngine, WorldBackend};
-use blameit_bench::{fmt, scenarios, Args, Scale};
-use blameit_simnet::{SimTime, TimeRange};
+use crate::{fmt, scenarios, warmed_engine, Args, Scale};
+use blameit::{Backend, WorldBackend};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let warmup_days = args.u64("warmup", 2);
     let scale = args.scale(Scale::Small);
@@ -34,16 +32,9 @@ fn main() {
         5
     );
 
-    let thresholds = BadnessThresholds::default_for(&world);
-    let mut engine = BlameItEngine::new(BlameItConfig::new(thresholds));
     let mut backend = WorldBackend::new(&world);
-    engine.warmup(
-        &backend,
-        TimeRange::new(SimTime::ZERO, SimTime::from_days(warmup_days)),
-        2,
-    );
+    let (mut engine, eval) = warmed_engine(&world, &backend, |_| {}, warmup_days, 2, days);
 
-    let eval = TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days));
     let mut blames = Vec::new();
     let mut localizations = Vec::new();
     for out in engine.run(&mut backend, eval) {
@@ -61,7 +52,7 @@ fn main() {
     let mut correct = 0usize;
     let mut failures = Vec::new();
     for s in &suite {
-        let v = blameit_bench::score_incident(&world, s, &blames, &localizations);
+        let v = crate::score_incident(&world, s, &blames, &localizations);
         let ok = v.correct;
         if ok {
             correct += 1;

@@ -7,20 +7,19 @@
 //!   one — when all RTTs to a location go bad it is (in ~98% of
 //!   incidents) one cloud fault, not many coincident client faults.
 
+use crate::{fmt, Args, Scale};
 use blameit::{Backend, BadnessThresholds, WorldBackend, MIN_SAMPLES};
-use blameit_bench::{fmt, Args, Scale};
 use blameit_simnet::{FaultTarget, TimeRange};
 use std::collections::HashMap;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 3);
     let stride = args.u64("stride", 4) as usize;
     let scale = args.scale(Scale::Small);
 
     fmt::banner("§4.1", "Empirical insights behind Algorithm 1");
-    let world = blameit_bench::organic_world(scale, days, seed);
+    let world = crate::organic_world(scale, days, seed);
     let thresholds = BadnessThresholds::default_for(&world);
     let backend = WorldBackend::new(&world);
     let topo = world.topology();

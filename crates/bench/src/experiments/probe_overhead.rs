@@ -8,16 +8,13 @@
 //! All three run over the same target set (the (location, path) pairs
 //! that actually carry traffic), with probes counted by the backend.
 
-use blameit::{
-    Backend, BadnessThresholds, BlameItConfig, BlameItEngine, ProbeTarget, WorldBackend,
-};
+use crate::{fmt, warmed_engine, Args, Scale};
+use blameit::{Backend, ProbeTarget, WorldBackend};
 use blameit_baselines::{ActiveOnlyMonitor, TrinocularMonitor};
-use blameit_bench::{fmt, Args, Scale};
-use blameit_simnet::{SimTime, TimeRange};
+use blameit_simnet::TimeRange;
 use std::collections::HashMap;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 3);
     let warmup_days = args.u64("warmup", 2).min(days.saturating_sub(1));
@@ -27,8 +24,9 @@ fn main() {
         "§6.5",
         "Probe overhead: BlameIt vs active-only vs Trinocular",
     );
-    let world = blameit_bench::organic_world(scale, days, seed);
-    let eval = TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days));
+    let world = crate::organic_world(scale, days, seed);
+    let mut backend = WorldBackend::new(&world);
+    let (mut engine, eval) = warmed_engine(&world, &backend, |_| {}, warmup_days, 2, days);
     let eval_days = (days - warmup_days) as f64;
 
     // The common target set: (loc, path) pairs observed carrying
@@ -51,14 +49,6 @@ fn main() {
     println!("monitored (location, BGP path) targets: {}", targets.len());
 
     // BlameIt.
-    let thresholds = BadnessThresholds::default_for(&world);
-    let mut engine = BlameItEngine::new(BlameItConfig::new(thresholds));
-    let mut backend = WorldBackend::new(&world);
-    engine.warmup(
-        &backend,
-        TimeRange::new(SimTime::ZERO, SimTime::from_days(warmup_days)),
-        2,
-    );
     for _ in engine.run(&mut backend, eval) {}
     let blameit_per_day = backend.probes_issued() as f64 / eval_days;
 

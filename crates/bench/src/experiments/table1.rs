@@ -6,9 +6,9 @@
 //! the checklist is grounded in implemented artifacts rather than
 //! citations alone.
 
-use blameit_bench::fmt;
+use crate::{fmt, Args};
 
-fn main() {
+pub fn run(_args: &Args) {
     fmt::banner("Table 1", "Desired properties vs prior solutions");
     let systems = [
         "BlameIt",

@@ -7,17 +7,16 @@
 //! (the simulator runs on one machine), but the row *structure* and
 //! the relative ordering of magnitudes match.
 
-use blameit_bench::{fmt, Args, Scale};
+use crate::{fmt, Args, Scale};
 use blameit_simnet::{DatasetSummary, TimeRange};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 1);
     let scale = args.scale(Scale::Small);
 
     fmt::banner("Table 2", "Details of the dataset analyzed");
-    let world = blameit_bench::organic_world(scale, days, seed);
+    let world = crate::organic_world(scale, days, seed);
     let s = DatasetSummary::collect(&world, TimeRange::days(days));
 
     fmt::kv_table(&[

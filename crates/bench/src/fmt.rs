@@ -1,6 +1,6 @@
-//! Plain-text output helpers for the figure/table binaries.
+//! Plain-text output helpers for the experiments.
 //!
-//! Every experiment binary prints the same rows/series the paper's
+//! Every experiment prints the same rows/series the paper's
 //! table or figure reports, as aligned text — easy to diff across
 //! runs and to paste into EXPERIMENTS.md.
 
@@ -40,14 +40,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Prints a labelled series (e.g. one figure line) as index/value rows.
-pub fn series(label: &str, values: &[(String, f64)]) {
-    println!("  series: {label}");
-    for (k, v) in values {
-        println!("    {k:>16}  {v:>10.3}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,6 +56,5 @@ mod tests {
         kv_table(&[("alpha", "1".into()), ("beta-longer", "2".into())]);
         cdf("empty", &[], 10);
         cdf("tiny", &[(1.0, 0.5), (2.0, 1.0)], 1);
-        series("s", &[("a".into(), 1.0)]);
     }
 }

@@ -1,31 +1,34 @@
 //! # blameit-bench — experiment harness
 //!
 //! Regenerates every table and figure of the BlameIt paper over the
-//! simulator, plus the `pipeline` performance bench for the system
-//! itself.
+//! simulator. Performance is not measured here: that is `benchmark/`'s
+//! ledger (see `benchmark/README.md`).
 //!
-//! * [`scenarios`] — standard seeded worlds at three scales and the
+//! * [`experiments`] — one module per table/figure/validation, each a
+//!   `pub fn run(&Args)`, listed in [`EXPERIMENTS`]. The one
+//!   executable runs them by name:
+//!   `cargo run --release -p blameit-bench -- <name|all> [--scale … --seed …]`.
+//! * [`scenarios`] — standard seeded worlds at three scales, the
+//!   warmed-up engine every engine experiment starts from, and the
 //!   88-incident validation suite (§6.3).
 //! * [`eval`] — ground-truth scoring: confusion matrices and
 //!   per-incident verdicts.
-//! * [`fmt`] — tiny table/CDF printers shared by the figure binaries.
-//! * [`json`] — dependency-free JSON emitter for machine-readable
-//!   results.
-//!
-//! Binaries (`cargo run -p blameit-bench --release --bin <name>`):
-//! `table1`, `table2`, `fig2`, `fig3`, `fig4a`, `fig4b`, `fig6`,
-//! `fig8`, `fig9`, `fig10`, `fig11`, `fig12`, `fig13`,
-//! `probe_overhead`, `incidents`, `insights`, `confusion`, `ablations`,
-//! and `run_all`.
+//! * [`fmt`] — tiny table/CDF printers shared by the experiments.
+//! * [`args`] — `--key value` parsing shared with the CLI and daemon.
 
 pub mod args;
 pub mod eval;
+pub mod experiments;
 pub mod fmt;
-pub mod json;
 pub mod scenarios;
+
+// Re-exported only so the frozen `benchmark/src/json.rs` keeps compiling.
+pub use blameit_obs::json;
 
 pub use args::Args;
 pub use eval::{score_blames, score_incident, ConfusionMatrix, IncidentVerdict};
+pub use experiments::EXPERIMENTS;
 pub use scenarios::{
-    incident_suite, organic_world, quiet_world, world_config, IncidentScenario, Scale,
+    incident_suite, organic_world, quiet_world, warmed_engine, world_config, IncidentScenario,
+    Scale,
 };

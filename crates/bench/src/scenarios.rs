@@ -1,12 +1,12 @@
 //! Standard seeded scenarios for the experiment harness.
 //!
-//! Every figure/table binary builds its world here so scales and seeds
+//! Every experiment builds its world here so scales and seeds
 //! stay consistent and each experiment is reproducible from its
 //! default seed. The incident suite re-creates the paper's §6.3
 //! validation set: 88 scripted incidents (including the five named
 //! case studies) with known ground truth.
 
-use blameit::BadnessThresholds;
+use blameit::{Backend, BadnessThresholds, BlameItConfig, BlameItEngine};
 use blameit_simnet::{
     Fault, FaultId, FaultRates, FaultTarget, Segment, SimTime, TimeRange, World, WorldConfig,
 };
@@ -79,6 +79,27 @@ pub fn organic_world(scale: Scale, days: u64, seed: u64) -> World {
 pub fn quiet_world(scale: Scale, days: u64, seed: u64) -> World {
     let _span = blameit_obs::span!("blameit::bench", "quiet_world", days = days, seed = seed);
     World::new(world_config(scale, days, seed, true))
+}
+
+/// The preamble every engine experiment shares: default badness
+/// thresholds for `world`, a [`BlameItConfig`] adjusted by `configure`,
+/// an engine warmed up through `backend` on every `sample_every`-th
+/// bucket of days `0..warmup_days`, and the evaluation range
+/// `warmup_days..days`.
+pub fn warmed_engine<B: Backend>(
+    world: &World,
+    backend: &B,
+    configure: impl FnOnce(&mut BlameItConfig),
+    warmup_days: u64,
+    sample_every: u32,
+    days: u64,
+) -> (BlameItEngine, TimeRange) {
+    let mut cfg = BlameItConfig::new(BadnessThresholds::default_for(world));
+    configure(&mut cfg);
+    let mut engine = BlameItEngine::new(cfg);
+    engine.warmup(backend, TimeRange::days(warmup_days), sample_every);
+    let eval = TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days));
+    (engine, eval)
 }
 
 /// One scripted incident with ground truth, for the §6.3 validation.

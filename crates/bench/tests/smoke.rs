@@ -1,110 +1,105 @@
-//! Smoke tests: every experiment binary must run to completion at tiny
-//! scale and print its identifying banner. Guards the harness against
-//! bit-rot without the cost of full-scale runs.
+//! Smoke tests: every registered experiment must run to completion at
+//! tiny scale through the one `blameit-bench` executable and print its
+//! identifying line. Guards the harness against bit-rot without the
+//! cost of full-scale runs.
 
-use std::process::Command;
+use blameit_bench::EXPERIMENTS;
+use std::process::{Command, Output};
 
-fn run(bin: &str, extra: &[&str]) -> String {
-    let mut cmd = Command::new(bin);
-    cmd.args(["--scale", "tiny", "--seed", "7"]).args(extra);
-    let out = cmd.output().unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-    assert!(
-        out.status.success(),
-        "{bin} failed: {}\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf8 output")
-}
-
-#[test]
-fn table_binaries() {
-    let out = run(env!("CARGO_BIN_EXE_table1"), &[]);
-    assert!(out.contains("Impact-prioritized probes"));
-    let out = run(env!("CARGO_BIN_EXE_table2"), &[]);
-    assert!(out.contains("# RTT measurements"));
-}
-
-#[test]
-fn measurement_figures() {
-    let out = run(env!("CARGO_BIN_EXE_fig2"), &["--days", "1"]);
-    assert!(out.contains("non-mobile bad%"));
-    let out = run(env!("CARGO_BIN_EXE_fig3"), &["--days", "2"]);
-    assert!(out.contains("usa-bad%"));
-    let out = run(env!("CARGO_BIN_EXE_fig4a"), &[]);
-    assert!(out.contains("incidents observed"));
-    let out = run(env!("CARGO_BIN_EXE_fig4b"), &["--days", "1"]);
-    assert!(out.contains("tuples needed for 80% impact"));
-    let out = run(env!("CARGO_BIN_EXE_fig6"), &[]);
-    assert!(out.contains("BGP path"));
-}
-
-#[test]
-fn engine_figures() {
-    let out = run(
-        env!("CARGO_BIN_EXE_fig8"),
-        &["--days", "4", "--warmup", "1"],
-    );
-    assert!(out.contains("cloud%"));
-    let out = run(
-        env!("CARGO_BIN_EXE_fig9"),
-        &["--warmup", "1", "--eval", "1"],
-    );
-    assert!(out.contains("region"));
-    let out = run(
-        env!("CARGO_BIN_EXE_fig10"),
+/// `(name, flags beyond --scale tiny --seed 7, expected substring)`.
+const CASES: &[(&str, &[&str], &str)] = &[
+    ("table1", &[], "Impact-prioritized probes"),
+    ("table2", &[], "# RTT measurements"),
+    ("fig2", &["--days", "1"], "non-mobile bad%"),
+    ("fig3", &["--days", "2"], "usa-bad%"),
+    ("fig4a", &[], "incidents observed"),
+    ("fig4b", &["--days", "1"], "tuples needed for 80% impact"),
+    ("fig5", &[], "by actual problem impact"),
+    ("fig6", &[], "BGP path"),
+    ("fig8", &["--days", "4", "--warmup", "1"], "cloud%"),
+    ("fig9", &["--warmup", "1", "--eval", "1"], "region"),
+    (
+        "fig10",
         &["--days", "3", "--warmup", "1"],
-    );
-    assert!(out.contains("category middle"));
-    let out = run(
-        env!("CARGO_BIN_EXE_fig11"),
-        &["--days", "2", "--warmup", "1"],
-    );
-    assert!(out.contains("corroboration"));
-    let out = run(
-        env!("CARGO_BIN_EXE_fig12"),
+        "category middle",
+    ),
+    ("fig11", &["--days", "2", "--warmup", "1"], "corroboration"),
+    (
+        "fig12",
         &["--days", "3", "--warmup", "1"],
-    );
-    assert!(out.contains("top-5% coverage"));
-}
-
-#[test]
-fn fig13_short() {
-    let out = run(
-        env!("CARGO_BIN_EXE_fig13"),
+        "top-5% coverage",
+    ),
+    (
+        "fig13",
         &["--days", "3", "--warmup", "2"],
-    );
-    assert!(out.contains("12h+churn accuracy"));
-}
-
-#[test]
-fn validations() {
-    let out = run(env!("CARGO_BIN_EXE_insights"), &["--days", "1"]);
-    assert!(out.contains("Insight-1"));
-    let out = run(
-        env!("CARGO_BIN_EXE_confusion"),
+        "12h+churn accuracy",
+    ),
+    ("insights", &["--days", "1"], "Insight-1"),
+    (
+        "confusion",
         &["--days", "2", "--warmup", "1"],
-    );
-    assert!(out.contains("decisive accuracy"));
-    let out = run(
-        env!("CARGO_BIN_EXE_probe_overhead"),
-        &["--days", "2", "--warmup", "1"],
-    );
-    assert!(out.contains("Trinocular"));
-    let out = run(env!("CARGO_BIN_EXE_ext_reverse"), &["--trials", "20"]);
-    assert!(out.contains("forward + reverse accuracy"));
-}
-
-#[test]
-fn ablation_binaries() {
-    let out = run(env!("CARGO_BIN_EXE_ablations"), &["--warmup", "1"]);
-    assert!(out.contains("tau=0.8"));
-    let out = run(
-        env!("CARGO_BIN_EXE_ablation_priority"),
+        "decisive accuracy",
+    ),
+    ("ablations", &["--warmup", "1"], "tau=0.8"),
+    (
+        "ablation_priority",
         &["--days", "3", "--warmup", "1"],
-    );
-    assert!(out.contains("impact-ranked"));
+        "impact-ranked",
+    ),
+    (
+        "ext_reverse",
+        &["--trials", "20"],
+        "forward + reverse accuracy",
+    ),
+    (
+        "probe_overhead",
+        &["--days", "2", "--warmup", "1"],
+        "Trinocular",
+    ),
+    ("incidents", &[], "correctly localized:"),
+    ("chaos", &[], "graceful: HOLDS"),
+];
+
+fn runner(name: &str, flags: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_blameit-bench"))
+        .arg(name)
+        .args(["--scale", "tiny", "--seed", "7"])
+        .args(flags)
+        .output()
+        .expect("spawn blameit-bench")
 }
 
-// `incidents` at tiny scale takes minutes (88 serialized incidents);
-// exercised by run_all and CI-style full passes instead.
+#[test]
+fn cases_cover_the_registry_exactly() {
+    let registered: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+    let covered: Vec<&str> = CASES.iter().map(|(n, _, _)| *n).collect();
+    assert_eq!(registered, covered, "one CASES row per EXPERIMENTS entry");
+}
+
+#[test]
+fn experiments_run_at_tiny_scale() {
+    for (name, flags, expected) in CASES {
+        let out = runner(name, flags);
+        assert!(
+            out.status.success(),
+            "{name} failed: {}\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).expect("utf8 output");
+        assert!(
+            stdout.contains(expected),
+            "{name}: no {expected:?} in\n{stdout}"
+        );
+    }
+}
+
+#[test]
+fn unknown_name_exits_2_and_lists_the_registry() {
+    let out = runner("fig99", &[]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for (name, _) in EXPERIMENTS {
+        assert!(stderr.contains(name), "{name} missing from:\n{stderr}");
+    }
+}

@@ -308,7 +308,7 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let world = organic_world(args.scale(Scale::Small), days, args.u64("seed", 2019));
     let s = DatasetSummary::collect(&world, TimeRange::days(days));
     if args.get("json").is_some() {
-        let j = blameit_bench::json::Json::obj()
+        let j = blameit_obs::json::Json::obj()
             .field("days", days)
             .field("seed", args.u64("seed", 2019))
             .field("rtt_measurements", s.rtt_measurements)

@@ -65,7 +65,7 @@ pub struct EngineMetrics {
     pub ingest_quartets: Arc<Counter>,
     /// SLO: last tick's ingest throughput, raw quartet observations
     /// per second of ingest-stage wall time. The live counterpart of
-    /// the `BENCH_ingest.json` quartets/sec figure.
+    /// the ledger's `columnar.aggregate_ns_per_record`.
     pub ingest_quartets_per_sec: Arc<Gauge>,
     /// Enriched quartets processed by Algorithm 1.
     pub quartets_processed: Arc<Counter>,

@@ -99,8 +99,7 @@ pub fn enrich_obs_sharded<B: Backend>(
 /// pre-columnar way: one hash upsert per record into a SipHash map,
 /// then a sort of the distinct quartets. Kept verbatim as the reference
 /// implementation the differential harness
-/// (`tests/columnar_equivalence.rs`) and the `pipeline` bench's
-/// before/after ingest measurement compare against. Not for production
+/// (`tests/columnar_equivalence.rs`) compares against. Not for production
 /// use — [`crate::columnar::aggregate_batch_reuse`] is ~an order of
 /// magnitude faster on collector-shaped streams.
 pub fn aggregate_records_reference(records: &[RttRecord]) -> Vec<QuartetObs> {

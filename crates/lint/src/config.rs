@@ -12,7 +12,7 @@
 //!
 //! ```toml
 //! [allow]
-//! wall-clock = ["crates/obs/", "crates/bench/src/bin/"]
+//! wall-clock = ["crates/obs/", "crates/bench/src/main.rs"]
 //!
 //! [effects]
 //! protected = ["crates/core/src/"]
@@ -164,7 +164,7 @@ mod tests {
         )
         .unwrap();
         assert!(cfg.allows("wall-clock", "crates/obs/src/trace.rs"));
-        assert!(cfg.allows("wall-clock", "crates/bench/src/bin/run_all.rs"));
+        assert!(cfg.allows("wall-clock", "crates/bench/src/main.rs"));
         assert!(!cfg.allows("wall-clock", "crates/core/src/pipeline.rs"));
         assert!(!cfg.allows("float-order", "crates/obs/src/trace.rs"));
     }

@@ -117,6 +117,30 @@ fn effect_map_lists_direct_and_transitive_effects() {
 }
 
 #[test]
+fn warm_cache_reproduces_the_cold_report() {
+    // The cache contract: a cold run misses every file, an immediate
+    // second run hits every file, and the verdict does not depend on
+    // which of the two produced the per-file analyses.
+    let tree = repo_root().join("crates/lint/tests/fixtures/transitive-effect/bad");
+    let cache_file = std::env::temp_dir().join(format!(
+        "blameit-lint-cache-contract-{}.cache",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&cache_file);
+    let opts = blameit_lint::WsOptions {
+        cache_file: Some(cache_file.clone()),
+    };
+    let cold = blameit_lint::analyze_workspace(&tree, &opts).expect("cold analysis");
+    let warm = blameit_lint::analyze_workspace(&tree, &opts).expect("warm analysis");
+    let _ = std::fs::remove_file(&cache_file);
+    assert_eq!(cold.cache_stats, (0, cold.files.len()), "cold: all misses");
+    assert_eq!(warm.cache_stats, (warm.files.len(), 0), "warm: all hits");
+    assert!(!cold.files.is_empty());
+    assert_eq!(cold.report().render_json(), warm.report().render_json());
+    assert_eq!(cold.effect_map_json(), warm.effect_map_json());
+}
+
+#[test]
 fn workspace_is_clean() {
     // The tree must lint clean with the checked-in lint.toml — the
     // same gate scripts/verify.sh and the CI lint job enforce.

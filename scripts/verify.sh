@@ -22,9 +22,6 @@ rc=0; "$LINT" --root "$BAD_TREE" --no-cache --only as-cast-truncation >/dev/null
 rc=0; "$LINT" --definitely-not-a-flag >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected exit 2 on an unknown flag, got $rc"; exit 1; }
 
-echo "==> cargo run --release -q -p blameit-bench --bin lint (BENCH_lint.json)"
-cargo run --release -q -p blameit-bench --bin lint
-
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -51,43 +48,7 @@ BLAMEIT_THREADS=8 cargo test --release -q --test daemon_overload --test daemon_c
 
 echo "==> blameitd smoke: 10x surge feed, live scrapes, clean TERM, resume"
 DSTATE=$(mktemp -d)
-WORLD_ARGS=(--scale tiny --seed 2019 --days 2)
-target/release/blameitd --state-dir "$DSTATE" "${WORLD_ARGS[@]}" \
-  --ingest-addr 127.0.0.1:0 --http-addr 127.0.0.1:0 \
-  --queue-cap 160000 --shed-watermark 90000 --per-loc-shed-cap 30000 \
-  >"$DSTATE/daemon.out" 2>"$DSTATE/daemon.err" &
-DPID=$!
-for _ in $(seq 1 100); do
-  grep -q '^http=' "$DSTATE/daemon.out" 2>/dev/null && break
-  sleep 0.1
-done
-INGEST=$(sed -n 's/^ingest=//p' "$DSTATE/daemon.out")
-HTTP=$(sed -n 's/^http=//p' "$DSTATE/daemon.out")
-target/release/blameit feed --addr "$INGEST" "${WORLD_ARGS[@]}" \
-  --surge-mult 10 --surge-start-hour 26 --surge-hours 1 \
-  --max-attempts 3 --max-backoff-ms 50 --no-term 1
-target/release/blameit scrape --addr "$HTTP" --path /healthz | grep -q ok
-target/release/blameit scrape --addr "$HTTP" --path /metrics \
-  | grep -q blameit_ingest_queue_depth_records
-target/release/blameit scrape --addr "$HTTP" --path /alerts >/dev/null
-target/release/blameit feed --addr "$INGEST" "${WORLD_ARGS[@]}" --term-only 1
-wait "$DPID"
-grep -q 'clean_shutdown=true' "$DSTATE/daemon.out"
-grep -Eq 'shed_low_impact=[1-9]' "$DSTATE/daemon.out"
-# A restart with --resume recovers the surged run's state and TERMs clean.
-target/release/blameitd --state-dir "$DSTATE" "${WORLD_ARGS[@]}" --resume 1 \
-  --ingest-addr 127.0.0.1:0 --http-addr 127.0.0.1:0 \
-  >"$DSTATE/resume.out" 2>"$DSTATE/resume.err" &
-DPID=$!
-for _ in $(seq 1 100); do
-  grep -q '^http=' "$DSTATE/resume.out" 2>/dev/null && break
-  sleep 0.1
-done
-INGEST=$(sed -n 's/^ingest=//p' "$DSTATE/resume.out")
-target/release/blameit feed --addr "$INGEST" "${WORLD_ARGS[@]}" --term-only 1
-wait "$DPID"
-grep -q 'clean_shutdown=true' "$DSTATE/resume.out"
-grep -q 'recovered from snapshot' "$DSTATE/resume.err"
+scripts/daemon-smoke.sh "$DSTATE"
 rm -rf "$DSTATE"
 
 echo "==> blameit scenario check --all (1 and 4 threads)"
