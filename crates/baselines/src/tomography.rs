@@ -108,6 +108,7 @@ pub fn boolean_tomography(quartets: &[EnrichedQuartet]) -> TomographyResult {
             }
         }
         let best = *freq
+            // lint:allow(unordered-iteration): max fold under a total order (count, then smallest node); the winner is the same from any visit order
             .iter()
             .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
             .map(|(n, _)| n)

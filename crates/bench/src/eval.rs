@@ -169,6 +169,7 @@ pub fn score_incident(
         *votes.entry(b.blame).or_default() += 1;
     }
     let dominant = votes
+        // lint:allow(unordered-iteration): max fold under a total order (count, then smallest blame); the winner is the same from any visit order
         .iter()
         .max_by_key(|(b, n)| (**n, std::cmp::Reverse(**b)))
         .map(|(b, _)| *b);

@@ -18,7 +18,7 @@ use crate::{fmt, organic_world, warmed_engine, Args, Scale};
 use blameit::WorldBackend;
 use blameit_simnet::FaultId;
 use blameit_topology::rng::DetRng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
@@ -45,7 +45,9 @@ pub fn run(args: &Args) {
     // Run the engine, accumulating per-fault estimates exactly as
     // fig12 does: per (loc, path) issue, the peak client-time product;
     // per fault, the sum over its issues. Also record first detection.
-    let mut per_issue: HashMap<FaultId, HashMap<(u16, u32), f64>> = HashMap::new();
+    // (Ordered maps: the per-fault f64 sum must add up in the same
+    // order every run.)
+    let mut per_issue: BTreeMap<FaultId, BTreeMap<(u16, u32), f64>> = BTreeMap::new();
     let mut first_detect: HashMap<FaultId, u32> = HashMap::new();
     for (tick_i, out) in engine.run(&mut backend, eval).into_iter().enumerate() {
         for p in &out.ranked_issues {

@@ -10,7 +10,7 @@
 use crate::{fmt, warmed_engine, Args, Scale};
 use blameit::WorldBackend;
 use blameit_simnet::FaultId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
@@ -39,10 +39,12 @@ pub fn run(args: &Args) {
     // A fault may span many (location, path) issues; the engine
     // estimates per issue, so a fault's estimate is the sum over its
     // issues of each issue's peak client-time product.
-    let mut per_issue: HashMap<
+    // Ordered maps: each fault's estimate is an f64 sum over its
+    // issues, which must add up in the same order every run.
+    let mut per_issue: BTreeMap<
         FaultId,
-        HashMap<(blameit_topology::CloudLocId, blameit_topology::PathId), f64>,
-    > = HashMap::new();
+        BTreeMap<(blameit_topology::CloudLocId, blameit_topology::PathId), f64>,
+    > = BTreeMap::new();
     let mut max_elapsed: HashMap<FaultId, u32> = HashMap::new();
     let mut max_rem: HashMap<FaultId, f64> = HashMap::new();
     for out in engine.run(&mut backend, eval) {

@@ -12,7 +12,7 @@ use crate::{fmt, warmed_engine, Args, Scale};
 use blameit::{Backend, ProbeTarget, WorldBackend};
 use blameit_baselines::{ActiveOnlyMonitor, TrinocularMonitor};
 use blameit_simnet::TimeRange;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
@@ -32,7 +32,8 @@ pub fn run(args: &Args) {
     // The common target set: (loc, path) pairs observed carrying
     // traffic (primary + secondary anycast assignments).
     let topo = world.topology();
-    let mut targets_map: HashMap<(_, _), ProbeTarget> = HashMap::new();
+    // Ordered: both monitors walk `targets` in this order.
+    let mut targets_map: BTreeMap<(_, _), ProbeTarget> = BTreeMap::new();
     for c in &topo.clients {
         for loc in [Some(c.primary_loc), c.secondary_loc].into_iter().flatten() {
             let route = world.route_at(loc, c, eval.start);

@@ -10,8 +10,10 @@ use blameit::{Backend, BadnessThresholds, BlameItConfig, BlameItEngine};
 use blameit_simnet::{
     Fault, FaultId, FaultRates, FaultTarget, Segment, SimTime, TimeRange, World, WorldConfig,
 };
+use blameit_topology::gen::ClientBlock;
 use blameit_topology::rng::DetRng;
-use blameit_topology::{Asn, CloudLocId, Region, TopologyConfig};
+use blameit_topology::{Asn, CloudLocId, Region, Topology, TopologyConfig};
+use std::collections::BTreeMap;
 
 /// World scale for experiments.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -124,129 +126,108 @@ impl IncidentScenario {
     }
 }
 
-/// Builds the 88-incident validation suite over a (quiet) world:
-/// 5 named case studies patterned on §6.3 plus 83 generated incidents
-/// mixing cloud, middle (AS-wide and path-scoped) and client faults.
-/// Incidents are serialized — each starts ≥ 30 minutes after the
-/// previous one *ends* — so every one can be scored in isolation, as
-/// the paper's individually-investigated incidents were. All are long
-/// (≥ 45 min) and strong — they model *investigated* incidents, which
-/// are exactly the long-lived, high-impact tail (§2.3).
-pub fn incident_suite(world: &World, start_day: u64, seed: u64) -> Vec<IncidentScenario> {
-    let _span = blameit_obs::span!("blameit::bench", "incident_suite", start_day = start_day);
-    let topo = world.topology();
-    // Investigated incidents are the strong, unambiguous ones (the
-    // paper's case 5 is an 18× RTT jump); scale client-fault magnitudes
-    // to the region's badness target so every affected /24 breaches it
-    // at its nearest location, not just dual-homed secondaries.
-    let thresholds = BadnessThresholds::default_for(world);
-    let region_of_as = |asn: Asn| -> Region {
-        topo.clients
-            .iter()
-            .find(|c| c.origin == asn)
-            .map(|c| c.region)
-            .unwrap_or(Region::Europe)
-    };
-    let client_fault_ms = |asn: Asn, rng: &mut DetRng| -> f64 {
-        let thr = thresholds.get(region_of_as(asn), false);
-        (thr * rng.range_f64(0.9, 1.3)).max(80.0)
-    };
-    let mut rng = DetRng::from_keys(seed, &[0x88]);
-    let mut out: Vec<IncidentScenario> = Vec::new();
-    let mut t = SimTime::from_days(start_day);
-    fn advance(t: &mut SimTime, rng: &mut DetRng) -> SimTime {
-        let cur = *t;
-        *t = *t + 3_600 + rng.below(1_800);
+/// For each AS, the largest share it holds of any one location's
+/// clients (locations with < 6 clients are too small to judge), where
+/// `ases_of` names the ASes a client counts towards.
+fn max_location_share<I: IntoIterator<Item = Asn>>(
+    topo: &Topology,
+    ases_of: impl Fn(&ClientBlock) -> I,
+) -> BTreeMap<Asn, f64> {
+    let mut per_loc_total: BTreeMap<CloudLocId, u32> = BTreeMap::new();
+    let mut per_loc_as: BTreeMap<(CloudLocId, Asn), u32> = BTreeMap::new();
+    for c in &topo.clients {
+        *per_loc_total.entry(c.primary_loc).or_default() += 1;
+        for asn in ases_of(c) {
+            *per_loc_as.entry((c.primary_loc, asn)).or_default() += 1;
+        }
+    }
+    let mut share: BTreeMap<Asn, f64> = BTreeMap::new();
+    for ((loc, asn), n) in per_loc_as {
+        let total = per_loc_total[&loc];
+        if total >= 6 {
+            let e = share.entry(asn).or_default();
+            *e = e.max(n as f64 / total as f64);
+        }
+    }
+    share
+}
+
+/// The suite under construction. Every incident draws from one RNG
+/// stream and one clock, so the order of draws is part of the output.
+struct SuiteBuilder<'a> {
+    topo: &'a Topology,
+    /// Investigated incidents are the strong, unambiguous ones (the
+    /// paper's case 5 is an 18× RTT jump); client-fault magnitudes scale
+    /// to the region's badness target so every affected /24 breaches it
+    /// at its nearest location, not just dual-homed secondaries.
+    thresholds: BadnessThresholds,
+    /// Share of each location's clients belonging to one access AS —
+    /// a client AS holding most of a small edge location's traffic is
+    /// indistinguishable from the location itself under hierarchical
+    /// elimination (Azure locations serve thousands of ASes; our
+    /// simulated ones serve a handful).
+    client_loc_share: BTreeMap<Asn, f64>,
+    /// Share of each location's clients whose primary route crosses a
+    /// given AS — the paper's regime has no middle AS carrying ≥80% of
+    /// a location's traffic (each Azure edge is served by many
+    /// transits); overconcentrated ASes stay out of the suite, since
+    /// hierarchical elimination cannot tell them from the cloud itself.
+    middle_loc_share: BTreeMap<Asn, f64>,
+    rng: DetRng,
+    t: SimTime,
+    out: Vec<IncidentScenario>,
+}
+
+impl SuiteBuilder<'_> {
+    /// The next incident's start; the clock moves 60–90 minutes on.
+    fn advance(&mut self) -> SimTime {
+        let cur = self.t;
+        self.t = self.t + 3_600 + self.rng.below(1_800);
         cur
     }
-    fn settle(t: &mut SimTime, out: &[IncidentScenario], rng: &mut DetRng) {
-        if let Some(last) = out.last() {
-            let gap_end = last.fault.end() + 1_800 + rng.below(1_800);
-            if gap_end > *t {
-                *t = gap_end;
+
+    /// Holds the clock until 30–60 minutes after the last incident ends.
+    fn settle(&mut self) {
+        if let Some(last) = self.out.last() {
+            let gap_end = last.fault.end() + 1_800 + self.rng.below(1_800);
+            if gap_end > self.t {
+                self.t = gap_end;
             }
         }
     }
 
-    let loc_in = |region: Region, rng: &mut DetRng| -> CloudLocId {
-        let locs: Vec<CloudLocId> = topo
+    fn loc_in(&mut self, region: Region) -> CloudLocId {
+        let locs: Vec<CloudLocId> = self
+            .topo
             .cloud_locations
             .iter()
             .filter(|l| l.region == region)
             .map(|l| l.id)
             .collect();
-        *rng.pick(&locs)
-    };
-    // A broadband client AS serving a given region (any if None). The
-    // paper's investigated client incidents are broadband ISPs (case 5
-    // is a fixed-line ISP); cellular thresholds are loose enough that a
-    // moderate fault can stay under them at the nearest location.
-    // Share of each location's clients belonging to one access AS —
-    // a client AS holding most of a small edge location's traffic is
-    // indistinguishable from the location itself under hierarchical
-    // elimination (Azure locations serve thousands of ASes; our
-    // simulated ones serve a handful).
-    let mut client_loc_share: std::collections::HashMap<Asn, f64> =
-        std::collections::HashMap::new();
-    {
-        let mut per_loc_total: std::collections::HashMap<CloudLocId, u32> =
-            std::collections::HashMap::new();
-        let mut per_loc_as: std::collections::HashMap<(CloudLocId, Asn), u32> =
-            std::collections::HashMap::new();
-        for c in &topo.clients {
-            *per_loc_total.entry(c.primary_loc).or_default() += 1;
-            *per_loc_as.entry((c.primary_loc, c.origin)).or_default() += 1;
-        }
-        for ((loc, asn), n) in per_loc_as {
-            let total = per_loc_total[&loc];
-            if total >= 6 {
-                let share = n as f64 / total as f64;
-                let e = client_loc_share.entry(asn).or_default();
-                *e = e.max(share);
-            }
-        }
+        *self.rng.pick(&locs)
     }
-    let client_as = |region: Option<Region>, rng: &mut DetRng| -> Asn {
-        let ases: Vec<Asn> = topo
+
+    /// A broadband client AS serving a given region (any if None). The
+    /// paper's investigated client incidents are broadband ISPs (case 5
+    /// is a fixed-line ISP); cellular thresholds are loose enough that a
+    /// moderate fault can stay under them at the nearest location.
+    fn client_as(&mut self, region: Option<Region>) -> Asn {
+        let ases: Vec<Asn> = self
+            .topo
             .clients
             .iter()
             .filter(|c| !c.mobile)
             .filter(|c| region.is_none_or(|r| c.region == r))
-            .filter(|c| client_loc_share.get(&c.origin).copied().unwrap_or(0.0) < 0.6)
+            .filter(|c| self.client_loc_share.get(&c.origin).copied().unwrap_or(0.0) < 0.6)
             .map(|c| c.origin)
             .collect();
-        *rng.pick(&ases)
-    };
-    // Share of each location's clients whose primary route crosses a
-    // given AS — the paper's regime has no middle AS carrying ≥80% of
-    // a location's traffic (each Azure edge is served by many
-    // transits); exclude overconcentrated ASes from the suite, since
-    // hierarchical elimination cannot tell them from the cloud itself.
-    let mut loc_share: std::collections::HashMap<Asn, f64> = std::collections::HashMap::new();
-    {
-        let mut per_loc_total: std::collections::HashMap<CloudLocId, u32> =
-            std::collections::HashMap::new();
-        let mut per_loc_as: std::collections::HashMap<(CloudLocId, Asn), u32> =
-            std::collections::HashMap::new();
-        for c in &topo.clients {
-            *per_loc_total.entry(c.primary_loc).or_default() += 1;
-            let route = &topo.routes_for(c.primary_loc, c).options[0];
-            for asn in &topo.paths.get(route.path_id).middle {
-                *per_loc_as.entry((c.primary_loc, *asn)).or_default() += 1;
-            }
-        }
-        for ((loc, asn), n) in per_loc_as {
-            let total = per_loc_total[&loc];
-            if total >= 6 {
-                let share = n as f64 / total as f64;
-                let e = loc_share.entry(asn).or_default();
-                *e = e.max(share);
-            }
-        }
+        *self.rng.pick(&ases)
     }
-    // A middle AS actually traversed by someone's primary route and
-    // not blanketing any location.
-    let middle_as = |region_hint: Option<Region>, rng: &mut DetRng| -> Asn {
+
+    /// A middle AS actually traversed by someone's primary route and
+    /// not blanketing any location.
+    fn middle_as(&mut self, region_hint: Option<Region>) -> Asn {
+        let topo = self.topo;
         let mut ases: Vec<Asn> = Vec::new();
         for c in &topo.clients {
             if region_hint.is_some_and(|r| c.region != r) {
@@ -260,186 +241,181 @@ pub fn incident_suite(world: &World, start_day: u64, seed: u64) -> Vec<IncidentS
         let diverse: Vec<Asn> = ases
             .iter()
             .copied()
-            .filter(|a| loc_share.get(a).copied().unwrap_or(0.0) < 0.55)
+            .filter(|a| self.middle_loc_share.get(a).copied().unwrap_or(0.0) < 0.55)
             .collect();
         let pool = if diverse.is_empty() { &ases } else { &diverse };
         assert!(!pool.is_empty(), "no middle AS for {region_hint:?}");
-        *rng.pick(pool)
-    };
+        *self.rng.pick(pool)
+    }
 
-    // ── The five named case studies (§6.3) ──────────────────────────
-    // 1) "Maintenance in Brazil": unfinished maintenance inside the
-    //    cloud location; lasted days.
-    {
-        let loc = loc_in(Region::Brazil, &mut rng);
-        let start = advance(&mut t, &mut rng);
-        t = t + 2 * 86_400; // the next incident waits out the two days
-        out.push(IncidentScenario {
-            name: "case1-brazil-maintenance".into(),
+    fn client_fault_ms(&mut self, asn: Asn) -> f64 {
+        let region = self
+            .topo
+            .clients
+            .iter()
+            .find(|c| c.origin == asn)
+            .map(|c| c.region)
+            .unwrap_or(Region::Europe);
+        let thr = self.thresholds.get(region, false);
+        (thr * self.rng.range_f64(0.9, 1.3)).max(80.0)
+    }
+
+    /// Appends one incident; the expected coarse blame is the target's
+    /// own segment, and a cloud incident is visible at its location.
+    fn push(
+        &mut self,
+        name: String,
+        target: FaultTarget,
+        expected_asn: Asn,
+        start: SimTime,
+        duration_secs: u64,
+        added_ms: f64,
+    ) {
+        self.out.push(IncidentScenario {
+            name,
             fault: Fault {
                 id: FaultId(0),
-                target: FaultTarget::CloudLocation(loc),
+                target,
                 start,
-                duration_secs: 2 * 86_400,
-                added_ms: 70.0,
+                duration_secs,
+                added_ms,
             },
-            expected_segment: Segment::Cloud,
-            expected_asn: topo.cloud_asn,
-            visible_at: vec![loc],
-        });
-    }
-    // 2) "Peering fault": a widespread middle-AS issue hitting many US
-    //    clients on all paths through the AS.
-    {
-        settle(&mut t, &out, &mut rng);
-        let asn = middle_as(Some(Region::UnitedStates), &mut rng);
-        out.push(IncidentScenario {
-            name: "case2-us-peering-fault".into(),
-            fault: Fault {
-                id: FaultId(0),
-                target: FaultTarget::MiddleAs {
-                    asn,
-                    via_path: None,
-                },
-                start: advance(&mut t, &mut rng),
-                duration_secs: 4 * 3_600,
-                added_ms: 55.0,
+            expected_segment: target.segment(),
+            expected_asn,
+            visible_at: match target {
+                FaultTarget::CloudLocation(loc) => vec![loc],
+                _ => vec![],
             },
-            expected_segment: Segment::Middle,
-            expected_asn: asn,
-            visible_at: vec![],
-        });
-    }
-    // 3) "Cloud overload in Australia": median RTT 25 → 82 ms from
-    //    server CPU overload.
-    {
-        settle(&mut t, &out, &mut rng);
-        let loc = loc_in(Region::Australia, &mut rng);
-        out.push(IncidentScenario {
-            name: "case3-australia-overload".into(),
-            fault: Fault {
-                id: FaultId(0),
-                target: FaultTarget::CloudLocation(loc),
-                start: advance(&mut t, &mut rng),
-                duration_secs: 3 * 3_600,
-                added_ms: 57.0,
-            },
-            expected_segment: Segment::Cloud,
-            expected_asn: topo.cloud_asn,
-            visible_at: vec![loc],
-        });
-    }
-    // 4) "Traffic shift from East Asia": clients rerouted through a
-    //    poorly-connected transit — a path-scoped middle inflation.
-    {
-        settle(&mut t, &out, &mut rng);
-        let asn = middle_as(Some(Region::EastAsia), &mut rng);
-        out.push(IncidentScenario {
-            name: "case4-east-asia-shift".into(),
-            fault: Fault {
-                id: FaultId(0),
-                target: FaultTarget::MiddleAs {
-                    asn,
-                    via_path: None,
-                },
-                start: advance(&mut t, &mut rng),
-                duration_secs: 5 * 3_600,
-                added_ms: 90.0,
-            },
-            expected_segment: Segment::Middle,
-            expected_asn: asn,
-            visible_at: vec![],
-        });
-    }
-    // 5) "Client ISP issues in Italy": median 9 → 161 ms from an
-    //    unannounced maintenance inside the client ISP.
-    {
-        settle(&mut t, &out, &mut rng);
-        let asn = client_as(Some(Region::Europe), &mut rng);
-        out.push(IncidentScenario {
-            name: "case5-client-isp-maintenance".into(),
-            fault: Fault {
-                id: FaultId(0),
-                target: FaultTarget::ClientAs(asn),
-                start: advance(&mut t, &mut rng),
-                duration_secs: 6 * 3_600,
-                added_ms: client_fault_ms(asn, &mut rng).max(152.0),
-            },
-            expected_segment: Segment::Client,
-            expected_asn: asn,
-            visible_at: vec![],
         });
     }
 
-    // ── 83 generated incidents ──────────────────────────────────────
-    while out.len() < 88 {
-        settle(&mut t, &out, &mut rng);
-        let kind = rng.below(3);
-        let duration_secs = rng.range_u64(2_700, 4 * 3_600);
-        let start = advance(&mut t, &mut rng);
-        let scenario = match kind {
+    /// The five named case studies (§6.3).
+    fn case_studies(&mut self) {
+        let cloud_asn = self.topo.cloud_asn;
+        let as_wide = |asn| FaultTarget::MiddleAs {
+            asn,
+            via_path: None,
+        };
+        // 1) "Maintenance in Brazil": unfinished maintenance inside the
+        //    cloud location; lasted days.
+        let loc = self.loc_in(Region::Brazil);
+        let start = self.advance();
+        self.t = self.t + 2 * 86_400; // the next incident waits out the two days
+        let target = FaultTarget::CloudLocation(loc);
+        let name = "case1-brazil-maintenance".into();
+        self.push(name, target, cloud_asn, start, 2 * 86_400, 70.0);
+        // 2) "Peering fault": a widespread middle-AS issue hitting many US
+        //    clients on all paths through the AS.
+        self.settle();
+        let asn = self.middle_as(Some(Region::UnitedStates));
+        let start = self.advance();
+        let name = "case2-us-peering-fault".into();
+        self.push(name, as_wide(asn), asn, start, 4 * 3_600, 55.0);
+        // 3) "Cloud overload in Australia": median RTT 25 → 82 ms from
+        //    server CPU overload.
+        self.settle();
+        let loc = self.loc_in(Region::Australia);
+        let start = self.advance();
+        let target = FaultTarget::CloudLocation(loc);
+        let name = "case3-australia-overload".into();
+        self.push(name, target, cloud_asn, start, 3 * 3_600, 57.0);
+        // 4) "Traffic shift from East Asia": clients rerouted through a
+        //    poorly-connected transit — a path-scoped middle inflation.
+        self.settle();
+        let asn = self.middle_as(Some(Region::EastAsia));
+        let start = self.advance();
+        let name = "case4-east-asia-shift".into();
+        self.push(name, as_wide(asn), asn, start, 5 * 3_600, 90.0);
+        // 5) "Client ISP issues in Italy": median 9 → 161 ms from an
+        //    unannounced maintenance inside the client ISP.
+        self.settle();
+        let asn = self.client_as(Some(Region::Europe));
+        let start = self.advance();
+        let added_ms = self.client_fault_ms(asn).max(152.0);
+        let name = "case5-client-isp-maintenance".into();
+        self.push(
+            name,
+            FaultTarget::ClientAs(asn),
+            asn,
+            start,
+            6 * 3_600,
+            added_ms,
+        );
+    }
+
+    /// One generated incident: cloud, AS-wide middle, or client AS.
+    fn generated(&mut self) {
+        self.settle();
+        let kind = self.rng.below(3);
+        let duration_secs = self.rng.range_u64(2_700, 4 * 3_600);
+        let start = self.advance();
+        let i = self.out.len();
+        let (name, target, expected_asn, added_ms) = match kind {
             0 => {
-                let loc = *rng.pick(
-                    &topo
-                        .cloud_locations
-                        .iter()
-                        .map(|l| l.id)
-                        .collect::<Vec<_>>(),
-                );
-                IncidentScenario {
-                    name: format!("gen{}-cloud-{loc}", out.len()),
-                    fault: Fault {
-                        id: FaultId(0),
-                        target: FaultTarget::CloudLocation(loc),
-                        start,
-                        duration_secs,
-                        added_ms: rng.range_f64(50.0, 150.0),
-                    },
-                    expected_segment: Segment::Cloud,
-                    expected_asn: topo.cloud_asn,
-                    visible_at: vec![loc],
-                }
+                let locs: Vec<CloudLocId> =
+                    self.topo.cloud_locations.iter().map(|l| l.id).collect();
+                let loc = *self.rng.pick(&locs);
+                let target = FaultTarget::CloudLocation(loc);
+                let added_ms = self.rng.range_f64(50.0, 150.0);
+                (
+                    format!("gen{i}-cloud-{loc}"),
+                    target,
+                    self.topo.cloud_asn,
+                    added_ms,
+                )
             }
             1 => {
-                let asn = middle_as(None, &mut rng);
-                IncidentScenario {
-                    name: format!("gen{}-middle-{asn}", out.len()),
-                    fault: Fault {
-                        id: FaultId(0),
-                        target: FaultTarget::MiddleAs {
-                            asn,
-                            via_path: None,
-                        },
-                        start,
-                        duration_secs,
-                        added_ms: rng.range_f64(50.0, 150.0),
-                    },
-                    expected_segment: Segment::Middle,
-                    expected_asn: asn,
-                    visible_at: vec![],
-                }
+                let asn = self.middle_as(None);
+                let target = FaultTarget::MiddleAs {
+                    asn,
+                    via_path: None,
+                };
+                let added_ms = self.rng.range_f64(50.0, 150.0);
+                (format!("gen{i}-middle-{asn}"), target, asn, added_ms)
             }
             _ => {
-                let asn = client_as(None, &mut rng);
-                let added = client_fault_ms(asn, &mut rng);
-                IncidentScenario {
-                    name: format!("gen{}-client-{asn}", out.len()),
-                    fault: Fault {
-                        id: FaultId(0),
-                        target: FaultTarget::ClientAs(asn),
-                        start,
-                        duration_secs,
-                        added_ms: added,
-                    },
-                    expected_segment: Segment::Client,
-                    expected_asn: asn,
-                    visible_at: vec![],
-                }
+                let asn = self.client_as(None);
+                let added_ms = self.client_fault_ms(asn);
+                (
+                    format!("gen{i}-client-{asn}"),
+                    FaultTarget::ClientAs(asn),
+                    asn,
+                    added_ms,
+                )
             }
         };
-        out.push(scenario);
+        self.push(name, target, expected_asn, start, duration_secs, added_ms);
     }
-    out
+}
+
+/// Builds the 88-incident validation suite over a (quiet) world:
+/// 5 named case studies patterned on §6.3 plus 83 generated incidents
+/// mixing cloud, middle (AS-wide and path-scoped) and client faults.
+/// Incidents are serialized — each starts ≥ 30 minutes after the
+/// previous one *ends* — so every one can be scored in isolation, as
+/// the paper's individually-investigated incidents were. All are long
+/// (≥ 45 min) and strong — they model *investigated* incidents, which
+/// are exactly the long-lived, high-impact tail (§2.3).
+pub fn incident_suite(world: &World, start_day: u64, seed: u64) -> Vec<IncidentScenario> {
+    let _span = blameit_obs::span!("blameit::bench", "incident_suite", start_day = start_day);
+    let topo = world.topology();
+    let mut suite = SuiteBuilder {
+        topo,
+        thresholds: BadnessThresholds::default_for(world),
+        client_loc_share: max_location_share(topo, |c| [c.origin]),
+        middle_loc_share: max_location_share(topo, |c| {
+            let route = &topo.routes_for(c.primary_loc, c).options[0];
+            topo.paths.get(route.path_id).middle.iter().copied()
+        }),
+        rng: DetRng::from_keys(seed, &[0x88]),
+        t: SimTime::from_days(start_day),
+        out: Vec::new(),
+    };
+    suite.case_studies();
+    while suite.out.len() < 88 {
+        suite.generated();
+    }
+    suite.out
 }
 
 /// The end of the last incident in a suite (for sizing the world).

@@ -17,7 +17,7 @@
 
 use crate::config::Config;
 use crate::diag::{Diagnostic, Report, Suppressed};
-use crate::{resolve_site, FileAnalysis, Resolution, Uses, STALE_SUPPRESSION};
+use crate::{resolve_diag, FileAnalysis, Uses, STALE_SUPPRESSION};
 
 /// Runs the audit over the whole workspace and appends its findings
 /// (and their suppressions) to `report`. `uses` must already contain
@@ -48,7 +48,7 @@ pub fn run(files: &[FileAnalysis], cfg: &Config, uses: &mut Uses, report: &mut R
         }
     }
     for (fi, _, d) in second_order {
-        resolve_pass_diag(&files[fi], fi, cfg, d, uses, report);
+        resolve_diag(&files[fi], fi, cfg, d, uses, report);
     }
 
     // Stale lint.toml prefixes. Their findings anchor at lint.toml
@@ -123,40 +123,5 @@ pub fn run(files: &[FileAnalysis], cfg: &Config, uses: &mut Uses, report: &mut R
             snippet: format!("{} = [.. \"{}\" ..]", e.rule, e.prefix),
             witness: Vec::new(),
         });
-    }
-}
-
-/// Resolves one pass-produced diagnostic against the file's own
-/// annotations and the config, marking usage either way.
-pub fn resolve_pass_diag(
-    fa: &FileAnalysis,
-    fi: usize,
-    cfg: &Config,
-    d: Diagnostic,
-    uses: &mut Uses,
-    report: &mut Report,
-) {
-    match resolve_site(fa, cfg, d.rule, d.line) {
-        Resolution::Annotation(ai) => {
-            uses.annotations.insert((fi, ai));
-            report.suppressed.push(Suppressed {
-                rule: d.rule,
-                path: d.path,
-                line: d.line,
-                how: "annotation",
-                reason: fa.allows[ai].reason.clone(),
-            });
-        }
-        Resolution::Config(prefix) => {
-            uses.config.insert((d.rule.to_string(), prefix));
-            report.suppressed.push(Suppressed {
-                rule: d.rule,
-                path: d.path,
-                line: d.line,
-                how: "config",
-                reason: String::new(),
-            });
-        }
-        Resolution::Open => report.diagnostics.push(d),
     }
 }

@@ -23,9 +23,7 @@
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::diag::Diagnostic;
-use crate::rules::{
-    AmbientEntropy, FileCtx, PanicInDecode, Rule, SocketIo, ThreadIdentity, WallClock, DECODE_FILES,
-};
+use crate::rules::{FileCtx, DECODE_FILES, RULES};
 use crate::{resolve_site, FileAnalysis, Resolution, TRANSITIVE_EFFECT};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -58,10 +56,6 @@ impl EffectKind {
         }
     }
 
-    pub fn parse(s: &str) -> Option<EffectKind> {
-        EffectKind::ALL.into_iter().find(|k| k.as_str() == s)
-    }
-
     /// The lexical rule whose suppression justifies a direct site of
     /// this effect (turning it into a propagation boundary).
     pub fn base_rule(self) -> &'static str {
@@ -88,40 +82,26 @@ pub struct EffectSite {
     pub what: String,
 }
 
-/// Extracts every direct effect site from one file by running the
-/// seeding rules. The panic rule is run under a virtual decode path so
-/// it reports sites in *any* file — scoping back to the protected
-/// decode fns happens at emission, not detection.
+/// Extracts every direct effect site from one file by calling each
+/// kind's seeding rule body directly, past the rule's `scope`: the
+/// panic rule thereby reports sites in *any* file — scoping back to
+/// the protected decode fns happens at emission, not detection.
 pub fn direct_sites(ctx: &FileCtx) -> Vec<EffectSite> {
+    let mut sites = Vec::new();
     let mut diags = Vec::new();
-    WallClock.check(ctx, &mut diags);
-    AmbientEntropy.check(ctx, &mut diags);
-    ThreadIdentity.check(ctx, &mut diags);
-    SocketIo.check(ctx, &mut diags);
-    let mut sites: Vec<EffectSite> = diags
-        .iter()
-        .filter_map(|d| {
-            EffectKind::parse(d.rule).map(|kind| EffectSite {
-                kind,
-                line: d.line,
-                col: d.col,
-                what: short_what(&d.message),
-            })
-        })
-        .collect();
-    let vctx = FileCtx {
-        path: DECODE_FILES[0],
-        toks: ctx.toks,
-        lines: ctx.lines,
-    };
-    let mut pdiags = Vec::new();
-    PanicInDecode.check(&vctx, &mut pdiags);
-    sites.extend(pdiags.iter().map(|d| EffectSite {
-        kind: EffectKind::PanicLike,
-        line: d.line,
-        col: d.col,
-        what: short_what(&d.message),
-    }));
+    for kind in EffectKind::ALL {
+        let rule = RULES
+            .iter()
+            .find(|r| r.id == kind.base_rule())
+            .expect("every effect kind is seeded by a table rule");
+        (rule.check)(ctx, &mut diags);
+        sites.extend(diags.drain(..).map(|d| EffectSite {
+            kind,
+            line: d.line,
+            col: d.col,
+            what: short_what(&d.message),
+        }));
+    }
     sites.sort_by_key(|s| (s.line, s.col, s.kind));
     sites
 }

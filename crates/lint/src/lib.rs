@@ -12,10 +12,11 @@
 //!
 //! Since the interprocedural upgrade the pipeline has two layers:
 //!
-//! 1. **analyze** (per file, cacheable): lex, run every lexical rule
+//! 1. **analyze** (per file): lex, run every in-scope lexical rule
 //!    pre-suppression, extract direct effect sites, and parse items
 //!    (`fn`s, `impl` blocks, `use` aliases, call sites). The result is
-//!    a pure function of file content — see `cache`.
+//!    a pure function of (path, content), recomputed every run — the
+//!    whole tree analyzes in well under a second.
 //! 2. **resolve** (whole workspace): apply suppression (annotations
 //!    first, then `lint.toml`), build the call graph (`callgraph`),
 //!    propagate effects caller-ward with witness paths (`effects`),
@@ -26,7 +27,6 @@
 //! costs one token pass per file and no build-dependency closure.
 
 pub mod audit;
-pub mod cache;
 pub mod callgraph;
 pub mod config;
 pub mod diag;
@@ -39,7 +39,7 @@ use config::Config;
 use diag::{Diagnostic, Report, Suppressed};
 use lexer::AllowComment;
 use parse::FileItems;
-use rules::FileCtx;
+use rules::{FileCtx, Rule, Scope};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -48,26 +48,10 @@ pub const TRANSITIVE_EFFECT: &str = "transitive-effect";
 /// Rule ID of the suppression auditor.
 pub const STALE_SUPPRESSION: &str = "stale-suppression";
 
-/// Maps a rule/pass ID to its `&'static str` form (diagnostics store
-/// rule IDs as statics); `None` for unknown IDs, which makes stale
-/// cache entries a miss instead of a panic.
-pub fn intern_rule(id: &str) -> Option<&'static str> {
-    if id == TRANSITIVE_EFFECT {
-        return Some(TRANSITIVE_EFFECT);
-    }
-    if id == STALE_SUPPRESSION {
-        return Some(STALE_SUPPRESSION);
-    }
-    rules::all_rules()
-        .into_iter()
-        .map(|r| r.id())
-        .find(|r| *r == id)
-}
-
 /// Everything the per-file analysis layer produces: raw (pre-
 /// suppression) rule findings, direct effect sites, allow annotations
 /// with their target lines, and the parsed items for the call graph.
-/// A pure function of (path, content) — cacheable on a content hash.
+/// A pure function of (path, content).
 #[derive(Debug, Default, Clone)]
 pub struct FileAnalysis {
     /// Workspace-relative path, `/`-separated.
@@ -103,9 +87,7 @@ pub fn analyze_source(path: &str, src: &str) -> FileAnalysis {
         lines: &lines,
     };
     let mut diags = Vec::new();
-    for rule in rules::all_rules() {
-        rule.check(&ctx, &mut diags);
-    }
+    rules::check_file(&ctx, &mut diags);
     let sites = effects::direct_sites(&ctx);
     let items = parse::parse_items(&lexed.toks);
 
@@ -201,41 +183,38 @@ pub struct Uses {
     pub config: BTreeSet<(String, String)>,
 }
 
-/// Resolves a batch of raw diagnostics from `fa` into `report`,
-/// recording usage in `uses`.
-fn resolve_into(
+/// Resolves one raw diagnostic from `fa` (file index `fi`) into
+/// `report` — a violation or a suppression — recording which escape
+/// consumed it in `uses`.
+pub fn resolve_diag(
     fa: &FileAnalysis,
     fi: usize,
     cfg: &Config,
-    diags: Vec<Diagnostic>,
-    report: &mut Report,
+    d: Diagnostic,
     uses: &mut Uses,
+    report: &mut Report,
 ) {
-    for d in diags {
-        match resolve_site(fa, cfg, d.rule, d.line) {
-            Resolution::Annotation(ai) => {
-                uses.annotations.insert((fi, ai));
-                report.suppressed.push(Suppressed {
-                    rule: d.rule,
-                    path: d.path,
-                    line: d.line,
-                    how: "annotation",
-                    reason: fa.allows[ai].reason.clone(),
-                });
-            }
-            Resolution::Config(prefix) => {
-                uses.config.insert((d.rule.to_string(), prefix));
-                report.suppressed.push(Suppressed {
-                    rule: d.rule,
-                    path: d.path,
-                    line: d.line,
-                    how: "config",
-                    reason: String::new(),
-                });
-            }
-            Resolution::Open => report.diagnostics.push(d),
+    let (how, reason) = match resolve_site(fa, cfg, d.rule, d.line) {
+        Resolution::Annotation(ai) => {
+            uses.annotations.insert((fi, ai));
+            ("annotation", fa.allows[ai].reason.clone())
         }
-    }
+        Resolution::Config(prefix) => {
+            uses.config.insert((d.rule.to_string(), prefix));
+            ("config", String::new())
+        }
+        Resolution::Open => {
+            report.diagnostics.push(d);
+            return;
+        }
+    };
+    report.suppressed.push(Suppressed {
+        rule: d.rule,
+        path: d.path,
+        line: d.line,
+        how,
+        reason,
+    });
 }
 
 /// Lints one file's source text, appending into `report`. Lexical
@@ -243,9 +222,10 @@ fn resolve_into(
 /// whole workspace and run in [`run_workspace`].
 pub fn lint_source(path: &str, src: &str, cfg: &Config, report: &mut Report) {
     let fa = analyze_source(path, src);
-    let diags = fa.diags.clone();
     let mut uses = Uses::default();
-    resolve_into(&fa, 0, cfg, diags, report, &mut uses);
+    for d in fa.diags.iter().cloned() {
+        resolve_diag(&fa, 0, cfg, d, &mut uses, report);
+    }
 }
 
 /// Collects the `.rs` files the workspace lint covers: everything under
@@ -281,13 +261,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Workspace-analysis options.
-#[derive(Debug, Default)]
-pub struct WsOptions {
-    /// Cache file for per-file analyses; `None` disables caching.
-    pub cache_file: Option<PathBuf>,
-}
-
 /// A fully analyzed workspace: per-file analyses, config, call graph,
 /// and propagated effects. [`Workspace::report`] renders the verdict;
 /// [`Workspace::effect_map_json`] the CI artifact.
@@ -296,40 +269,17 @@ pub struct Workspace {
     pub cfg: Config,
     pub graph: callgraph::CallGraph,
     pub taint: effects::Taint,
-    /// Cache statistics of this run: `(hits, misses)`; `(0, n)` cold.
-    pub cache_stats: (usize, usize),
 }
 
 /// Analyzes the whole workspace rooted at `root`, reading `lint.toml`
 /// from the root if present.
-pub fn analyze_workspace(root: &Path, opts: &WsOptions) -> Result<Workspace, String> {
+pub fn analyze_workspace(root: &Path) -> Result<Workspace, String> {
     let cfg = load_config(root)?;
-    let mut cache = opts.cache_file.as_deref().map(cache::Cache::load);
     let mut files = Vec::new();
     for path in walk_workspace(root) {
-        let rel = rel_path(root, &path);
         let src = std::fs::read_to_string(&path)
             .map_err(|e| format!("{}: read failed: {e}", path.display()))?;
-        let hash = cache::fnv64(src.as_bytes());
-        let fa = match cache.as_mut().and_then(|c| c.get(&rel, hash)) {
-            Some(hit) => hit,
-            None => {
-                let fa = analyze_source(&rel, &src);
-                if let Some(c) = cache.as_mut() {
-                    c.put(&rel, hash, &fa);
-                }
-                fa
-            }
-        };
-        files.push(fa);
-    }
-    let cache_stats = cache
-        .as_ref()
-        .map(|c| (c.hits, c.misses))
-        .unwrap_or((0, files.len()));
-    if let Some(c) = cache.as_ref() {
-        // Best-effort: a read-only checkout just stays cold.
-        let _ = c.save();
+        files.push(analyze_source(&rel_path(root, &path), &src));
     }
 
     let parsed: Vec<(&str, &FileItems)> =
@@ -341,7 +291,6 @@ pub fn analyze_workspace(root: &Path, opts: &WsOptions) -> Result<Workspace, Str
         cfg,
         graph,
         taint,
-        cache_stats,
     })
 }
 
@@ -359,10 +308,12 @@ impl Workspace {
         uses.config.extend(self.taint.used_config.iter().cloned());
 
         for (fi, fa) in self.files.iter().enumerate() {
-            resolve_into(fa, fi, &self.cfg, fa.diags.clone(), &mut report, &mut uses);
+            for d in fa.diags.iter().cloned() {
+                resolve_diag(fa, fi, &self.cfg, d, &mut uses, &mut report);
+            }
         }
         for (fi, d) in effects::findings(&self.files, &self.graph, &self.cfg, &self.taint) {
-            audit::resolve_pass_diag(&self.files[fi], fi, &self.cfg, d, &mut uses, &mut report);
+            resolve_diag(&self.files[fi], fi, &self.cfg, d, &mut uses, &mut report);
         }
         audit::run(&self.files, &self.cfg, &mut uses, &mut report);
         report.sort();
@@ -375,10 +326,10 @@ impl Workspace {
     }
 }
 
-/// Lints the whole workspace rooted at `root` (no cache), reading
-/// `lint.toml` from the root if present.
+/// Lints the whole workspace rooted at `root`, reading `lint.toml`
+/// from the root if present.
 pub fn run_workspace(root: &Path) -> Result<Report, String> {
-    analyze_workspace(root, &WsOptions::default()).map(|ws| ws.report())
+    analyze_workspace(root).map(|ws| ws.report())
 }
 
 /// Loads `lint.toml` from `root`; a missing file means an empty config.
@@ -397,14 +348,15 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// The virtual workspace path a rule's fixtures are linted under, so
-/// path-scoped rules fire on them.
-pub fn fixture_virtual_path(rule_id: &str) -> String {
-    match rule_id {
-        "panic-in-decode" => "crates/core/src/persist/codec.rs".to_string(),
-        "as-cast-truncation" => "crates/daemon/src/wire.rs".to_string(),
-        "hash-iteration" => "crates/daemon/src/fixture_hash_iteration.rs".to_string(),
-        _ => format!("crates/core/src/fixture_{}.rs", rule_id.replace('-', "_")),
+/// The virtual workspace path a rule's fixtures are linted under,
+/// derived from the rule's own `scope` so a scoped rule fires on them.
+pub fn fixture_virtual_path(rule: &Rule) -> String {
+    let file = format!("fixture_{}.rs", rule.id.replace('-', "_"));
+    match rule.scope {
+        // A full path in the scope names the file itself.
+        Scope::Under([first, ..]) if first.ends_with(".rs") => first.to_string(),
+        Scope::Under([first, ..]) => format!("{first}{file}"),
+        _ => format!("crates/core/src/{file}"),
     }
 }
 
@@ -417,13 +369,13 @@ pub struct FixtureResult {
     pub detail: String,
 }
 
-fn fixture_result(
-    id: &str,
-    file: String,
-    kind: &str,
-    hits: usize,
-    suppressed: usize,
-) -> FixtureResult {
+fn fixture_result(id: &str, file: String, kind: &str, report: &Report) -> FixtureResult {
+    let hits = report.diagnostics.iter().filter(|d| d.rule == id).count();
+    let suppressed = report
+        .suppressed
+        .iter()
+        .filter(|s| s.rule == id && s.how == "annotation" && !s.reason.is_empty())
+        .count();
     let (pass, detail) = match kind {
         "bad" => (hits >= 1, format!("{hits} diagnostic(s), expected >= 1")),
         "good" => (hits == 0, format!("{hits} diagnostic(s), expected 0")),
@@ -452,52 +404,28 @@ fn fixture_result(
 /// and configs, not single files.
 pub fn self_check(root: &Path) -> Result<Vec<FixtureResult>, String> {
     let cfg = Config::default(); // fixtures never consult lint.toml
+    let fixtures = root.join("crates/lint/tests/fixtures");
     let mut results = Vec::new();
-    for rule in rules::all_rules() {
-        let id = rule.id();
-        let dir = root.join("crates/lint/tests/fixtures").join(id);
-        let vpath = fixture_virtual_path(id);
+    for rule in rules::RULES {
+        let id = rule.id;
+        let vpath = fixture_virtual_path(rule);
         for kind in ["bad", "good", "allow"] {
-            let fpath = dir.join(format!("{kind}.rs"));
+            let fpath = fixtures.join(id).join(format!("{kind}.rs"));
             let src = std::fs::read_to_string(&fpath)
                 .map_err(|e| format!("{}: read failed: {e}", fpath.display()))?;
             let mut report = Report::default();
             lint_source(&vpath, &src, &cfg, &mut report);
-            let hits = report.diagnostics.iter().filter(|d| d.rule == id).count();
-            let suppressed = report
-                .suppressed
-                .iter()
-                .filter(|s| s.rule == id && s.how == "annotation" && !s.reason.is_empty())
-                .count();
-            results.push(fixture_result(
-                id,
-                format!("{id}/{kind}.rs"),
-                kind,
-                hits,
-                suppressed,
-            ));
+            results.push(fixture_result(id, format!("{id}/{kind}.rs"), kind, &report));
         }
     }
     for id in [TRANSITIVE_EFFECT, STALE_SUPPRESSION] {
         for kind in ["bad", "good", "allow"] {
-            let tree = root.join("crates/lint/tests/fixtures").join(id).join(kind);
-            let report = run_workspace(&tree).map_err(|e| format!("{id}/{kind}: {e}"))?;
+            let report = run_workspace(&fixtures.join(id).join(kind))
+                .map_err(|e| format!("{id}/{kind}: {e}"))?;
             if report.files_scanned == 0 {
                 return Err(format!("{id}/{kind}: fixture tree has no files"));
             }
-            let hits = report.diagnostics.iter().filter(|d| d.rule == id).count();
-            let suppressed = report
-                .suppressed
-                .iter()
-                .filter(|s| s.rule == id && s.how == "annotation" && !s.reason.is_empty())
-                .count();
-            results.push(fixture_result(
-                id,
-                format!("{id}/{kind}/"),
-                kind,
-                hits,
-                suppressed,
-            ));
+            results.push(fixture_result(id, format!("{id}/{kind}/"), kind, &report));
         }
     }
     Ok(results)

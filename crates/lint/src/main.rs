@@ -12,7 +12,6 @@ blameit-lint — static analysis for the determinism contract
 USAGE:
     blameit-lint [--root DIR] [--json] [--self-check] [--rules]
                  [--only IDS] [--effect-map PATH]
-                 [--cache-dir DIR | --no-cache]
 
 OPTIONS:
     --root DIR        workspace root to lint (default: .)
@@ -23,9 +22,6 @@ OPTIONS:
     --only IDS        comma-separated rule/pass IDs: report only these
                       (suppression audit still sees the full run)
     --effect-map PATH write the per-function effect map JSON artifact
-    --cache-dir DIR   per-file analysis cache location
-                      (default: <root>/target/blameit-lint)
-    --no-cache        analyze every file from scratch
     -h, --help        this text
 
 Suppression: `// lint:allow(<rule>): <reason>` on or above the line,
@@ -40,8 +36,6 @@ fn main() -> ExitCode {
     let mut list_rules = false;
     let mut only: Option<Vec<String>> = None;
     let mut effect_map: Option<PathBuf> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut no_cache = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -69,14 +63,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--cache-dir" => match args.next() {
-                Some(p) => cache_dir = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--cache-dir needs a directory\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--no-cache" => no_cache = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -89,8 +75,8 @@ fn main() -> ExitCode {
     }
 
     if list_rules {
-        for rule in blameit_lint::rules::all_rules() {
-            println!("{:<20} {}", rule.id(), rule.summary());
+        for rule in blameit_lint::rules::RULES {
+            println!("{:<20} {}", rule.id, rule.summary);
         }
         println!(
             "{:<20} fn in a protected scope reaches a nondeterministic effect through calls",
@@ -130,17 +116,9 @@ fn main() -> ExitCode {
         };
     }
 
-    let cache_file = if no_cache {
-        None
-    } else {
-        let dir = cache_dir.unwrap_or_else(|| root.join("target/blameit-lint"));
-        Some(dir.join("analysis.cache"))
-    };
-    let opts = blameit_lint::WsOptions { cache_file };
-
     // lint:allow(wall-clock): timing the linter itself for the perf baseline, never feeds sim state
     let started = std::time::Instant::now();
-    match blameit_lint::analyze_workspace(&root, &opts) {
+    match blameit_lint::analyze_workspace(&root) {
         Ok(ws) => {
             let mut report = ws.report();
             if let Some(ids) = &only {
@@ -166,10 +144,7 @@ fn main() -> ExitCode {
                 print!("{}", report.render_json());
             } else {
                 print!("{}", report.render_text());
-                let (hits, misses) = ws.cache_stats;
-                eprintln!(
-                    "blameit-lint: scanned in {elapsed_ms:.1} ms (cache: {hits} hit(s), {misses} miss(es))"
-                );
+                eprintln!("blameit-lint: scanned in {elapsed_ms:.1} ms");
             }
             if report.ok() {
                 ExitCode::SUCCESS

@@ -26,25 +26,6 @@ pub enum CallKind {
     Method,
 }
 
-impl CallKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CallKind::Free => "free",
-            CallKind::Path => "path",
-            CallKind::Method => "method",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<CallKind> {
-        match s {
-            "free" => Some(CallKind::Free),
-            "path" => Some(CallKind::Path),
-            "method" => Some(CallKind::Method),
-            _ => None,
-        }
-    }
-}
-
 /// One call expression inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallSite {

@@ -13,7 +13,7 @@
 //! is exactly the audit trail the determinism contract wants.
 
 use crate::diag::Diagnostic;
-use crate::lexer::Tok;
+use crate::lexer::{Tok, TokKind};
 use std::collections::BTreeSet;
 
 /// Everything a rule gets to look at for one file.
@@ -46,30 +46,111 @@ impl FileCtx<'_> {
     }
 }
 
+/// Which files a rule binds. The driver tests it once per (rule,
+/// file), so no `check` fn looks at its own path.
+#[derive(Debug, Clone, Copy)]
+pub enum Scope {
+    /// Every linted file.
+    All,
+    /// Product sources of every workspace crate: `crates/<any>/src/…`.
+    CrateSrc,
+    /// Paths starting with one of these prefixes (a full path names
+    /// one file).
+    Under(&'static [&'static str]),
+}
+
+impl Scope {
+    pub fn contains(self, path: &str) -> bool {
+        match self {
+            Scope::All => true,
+            Scope::CrateSrc => path
+                .strip_prefix("crates/")
+                .and_then(|rest| rest.split_once('/'))
+                .is_some_and(|(_, rest)| rest.starts_with("src/")),
+            Scope::Under(prefixes) => prefixes.iter().any(|p| path.starts_with(p)),
+        }
+    }
+}
+
 /// A determinism rule.
-pub trait Rule {
+pub struct Rule {
     /// Stable rule ID, used in diagnostics, annotations, and lint.toml.
-    fn id(&self) -> &'static str;
+    pub id: &'static str,
     /// One-line description for `--rules` and the docs table.
-    fn summary(&self) -> &'static str;
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>);
+    pub summary: &'static str,
+    pub scope: Scope,
+    /// Detection body: appends raw (pre-suppression) findings. Runs
+    /// only on files inside `scope`.
+    pub check: fn(&FileCtx, &mut Vec<Diagnostic>),
 }
 
 /// The full registry, in diagnostic-ID order.
-pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(AmbientEntropy),
-        Box::new(AsCastTruncation),
-        Box::new(FloatKeySort),
-        Box::new(FloatOrder),
-        Box::new(HashIteration),
-        Box::new(PanicInDecode),
-        Box::new(SipHasher),
-        Box::new(SocketIo),
-        Box::new(ThreadIdentity),
-        Box::new(UnorderedIteration),
-        Box::new(WallClock),
-    ]
+pub const RULES: &[Rule] = &[
+    Rule {
+        id: "ambient-entropy",
+        summary: "rand/RandomState/OS entropy outside DetRng: all randomness must be seed-keyed",
+        scope: Scope::All,
+        check: ambient_entropy,
+    },
+    Rule {
+        id: "as-cast-truncation",
+        summary: "narrowing `as` casts in persist/ and daemon wire codec: use try_from or annotate the range proof",
+        scope: Scope::Under(&[
+            "crates/core/src/persist/",
+            "crates/daemon/src/wire.rs",
+            "crates/daemon/src/wal.rs",
+        ]),
+        check: as_cast_truncation,
+    },
+    Rule {
+        id: "float-order",
+        summary: "partial_cmp or f32/f64 keys in sort/min/max comparators: use total_cmp/to_bits or integer keys",
+        scope: Scope::All,
+        check: float_order,
+    },
+    Rule {
+        id: "panic-in-decode",
+        summary: "unwrap/expect/panic!/indexing in persist decode paths: corrupt input must return Err",
+        scope: Scope::Under(DECODE_FILES),
+        check: panic_in_decode,
+    },
+    Rule {
+        id: "sip-hasher",
+        summary: "bare HashMap/HashSet in crates/core: use fxhash::DetHashMap/DetHashSet (deterministic, non-sip)",
+        scope: Scope::Under(&["crates/core/src/"]),
+        check: sip_hasher,
+    },
+    Rule {
+        id: "socket-io",
+        summary: "TcpListener/TcpStream/UdpSocket outside the daemon IO shell: keep sockets at the edges",
+        scope: Scope::All,
+        check: socket_io,
+    },
+    Rule {
+        id: "thread-identity",
+        summary: "thread::current()/ThreadId near RNG or emission: key on (seed, bucket, shard) instead",
+        scope: Scope::All,
+        check: thread_identity,
+    },
+    Rule {
+        id: "unordered-iteration",
+        summary: "HashMap/HashSet iteration in any crate's src/ without sort/BTree/order-insensitive sink",
+        scope: Scope::CrateSrc,
+        check: check_hash_iteration,
+    },
+    Rule {
+        id: "wall-clock",
+        summary: "Instant::now/SystemTime::now/.elapsed() outside obs & bench: sim code must use sim time",
+        scope: Scope::All,
+        check: wall_clock,
+    },
+];
+
+/// Runs every rule whose scope covers `f.path`.
+pub fn check_file(f: &FileCtx, out: &mut Vec<Diagnostic>) {
+    for rule in RULES.iter().filter(|r| r.scope.contains(f.path)) {
+        (rule.check)(f, out);
+    }
 }
 
 /// True if `toks[i..]` starts with the given `(is_ident, text)`
@@ -95,40 +176,30 @@ fn seq(toks: &[Tok], i: usize, pat: &[&str]) -> bool {
 /// Sim code must use sim time. `.elapsed()` is only flagged in files
 /// that also name `Instant`/`SystemTime`, so sim-time methods that
 /// happen to be called `elapsed` do not trip it.
-pub struct WallClock;
-
-impl Rule for WallClock {
-    fn id(&self) -> &'static str {
-        "wall-clock"
-    }
-    fn summary(&self) -> &'static str {
-        "Instant::now/SystemTime::now/.elapsed() outside obs & bench: sim code must use sim time"
-    }
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>) {
-        let has_std_time = f
-            .toks
-            .iter()
-            .any(|t| !t.in_test && (t.is_ident("Instant") || t.is_ident("SystemTime")));
-        for (i, t) in f.toks.iter().enumerate() {
-            if t.in_test {
-                continue;
-            }
-            for src in ["Instant", "SystemTime"] {
-                if seq(f.toks, i, &[src, ":", ":", "now"]) {
-                    out.push(f.diag(
-                        self.id(),
-                        t,
-                        format!("`{src}::now` reads the wall clock; sim code must derive time from the tick (sim time) so transcripts replay byte-identically"),
-                    ));
-                }
-            }
-            if has_std_time && seq(f.toks, i, &[".", "elapsed", "("]) {
+fn wall_clock(f: &FileCtx, out: &mut Vec<Diagnostic>) {
+    let has_std_time = f
+        .toks
+        .iter()
+        .any(|t| !t.in_test && (t.is_ident("Instant") || t.is_ident("SystemTime")));
+    for (i, t) in f.toks.iter().enumerate() {
+        if t.in_test {
+            continue;
+        }
+        for src in ["Instant", "SystemTime"] {
+            if seq(f.toks, i, &[src, ":", ":", "now"]) {
                 out.push(f.diag(
-                    self.id(),
-                    &f.toks[i + 1],
-                    "`.elapsed()` measures wall time in a file that uses std::time; route durations through sim time or annotate if metrics-only".to_string(),
+                    "wall-clock",
+                    t,
+                    format!("`{src}::now` reads the wall clock; sim code must derive time from the tick (sim time) so transcripts replay byte-identically"),
                 ));
             }
+        }
+        if has_std_time && seq(f.toks, i, &[".", "elapsed", "("]) {
+            out.push(f.diag(
+                "wall-clock",
+                &f.toks[i + 1],
+                "`.elapsed()` measures wall time in a file that uses std::time; route durations through sim time or annotate if metrics-only".to_string(),
+            ));
         }
     }
 }
@@ -149,33 +220,20 @@ impl Rule for WallClock {
 /// the `use` line, before the first map is even built. Annotate the
 /// rare legitimate reference (the alias definitions themselves; the
 /// legacy reference aggregator kept for the differential harness).
-pub struct SipHasher;
-
-impl Rule for SipHasher {
-    fn id(&self) -> &'static str {
-        "sip-hasher"
-    }
-    fn summary(&self) -> &'static str {
-        "bare HashMap/HashSet in crates/core: use fxhash::DetHashMap/DetHashSet (deterministic, non-sip)"
-    }
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>) {
-        if !f.path.starts_with("crates/core/src/") {
-            return;
+fn sip_hasher(f: &FileCtx, out: &mut Vec<Diagnostic>) {
+    for t in f.toks {
+        if t.in_test || !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
+            continue;
         }
-        for t in f.toks {
-            if t.in_test || !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
-                continue;
-            }
-            out.push(f.diag(
-                self.id(),
-                t,
-                format!(
-                    "bare `{name}` hashes with randomly-seeded SipHash; use `crate::fxhash::Det{name}` \
-                     (construct via `::default()` or `det_*_with_capacity`) or annotate why std hashing is required",
-                    name = t.text
-                ),
-            ));
-        }
+        out.push(f.diag(
+            "sip-hasher",
+            t,
+            format!(
+                "bare `{name}` hashes with randomly-seeded SipHash; use `crate::fxhash::Det{name}` \
+                 (construct via `::default()` or `det_*_with_capacity`) or annotate why std hashing is required",
+                name = t.text
+            ),
+        ));
     }
 }
 
@@ -191,32 +249,22 @@ impl Rule for SipHasher {
 /// `lint.toml`). A socket type appearing anywhere else — the engine,
 /// the daemon's decision core, the WAL — means IO is leaking into code
 /// that must replay byte-identically without a network.
-pub struct SocketIo;
-
-impl Rule for SocketIo {
-    fn id(&self) -> &'static str {
-        "socket-io"
-    }
-    fn summary(&self) -> &'static str {
-        "TcpListener/TcpStream/UdpSocket outside the daemon IO shell: keep sockets at the edges"
-    }
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>) {
-        for t in f.toks {
-            if t.in_test {
-                continue;
-            }
-            for name in ["TcpListener", "TcpStream", "UdpSocket"] {
-                if t.is_ident(name) {
-                    out.push(f.diag(
-                        self.id(),
-                        t,
-                        format!(
-                            "`{name}` is raw socket IO; decisions must stay in socket-free code \
-                             (move the IO to the daemon's server/feeder shell, or annotate why \
-                             this edge is sanctioned)"
-                        ),
-                    ));
-                }
+fn socket_io(f: &FileCtx, out: &mut Vec<Diagnostic>) {
+    for t in f.toks {
+        if t.in_test {
+            continue;
+        }
+        for name in ["TcpListener", "TcpStream", "UdpSocket"] {
+            if t.is_ident(name) {
+                out.push(f.diag(
+                    "socket-io",
+                    t,
+                    format!(
+                        "`{name}` is raw socket IO; decisions must stay in socket-free code \
+                         (move the IO to the daemon's server/feeder shell, or annotate why \
+                         this edge is sanctioned)"
+                    ),
+                ));
             }
         }
     }
@@ -230,34 +278,24 @@ impl Rule for SocketIo {
 /// count; the moment RNG seeding or emission keys on which thread ran
 /// the work, that promise is gone. Every simulator draw keys on
 /// (seed, entity ids, sim time) only — see `DetRng::from_keys`.
-pub struct ThreadIdentity;
-
-impl Rule for ThreadIdentity {
-    fn id(&self) -> &'static str {
-        "thread-identity"
-    }
-    fn summary(&self) -> &'static str {
-        "thread::current()/ThreadId near RNG or emission: key on (seed, bucket, shard) instead"
-    }
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>) {
-        for (i, t) in f.toks.iter().enumerate() {
-            if t.in_test {
-                continue;
-            }
-            if seq(f.toks, i, &["thread", ":", ":", "current"]) {
-                out.push(f.diag(
-                    self.id(),
-                    t,
-                    "`thread::current()` makes output depend on which worker ran the shard; derive identity from (seed, bucket, shard) keys".to_string(),
-                ));
-            }
-            if t.is_ident("ThreadId") {
-                out.push(f.diag(
-                    self.id(),
-                    t,
-                    "`ThreadId` is scheduler-assigned and varies run to run; key RNG/emission on (seed, bucket, shard) instead".to_string(),
-                ));
-            }
+fn thread_identity(f: &FileCtx, out: &mut Vec<Diagnostic>) {
+    for (i, t) in f.toks.iter().enumerate() {
+        if t.in_test {
+            continue;
+        }
+        if seq(f.toks, i, &["thread", ":", ":", "current"]) {
+            out.push(f.diag(
+                "thread-identity",
+                t,
+                "`thread::current()` makes output depend on which worker ran the shard; derive identity from (seed, bucket, shard) keys".to_string(),
+            ));
+        }
+        if t.is_ident("ThreadId") {
+            out.push(f.diag(
+                "thread-identity",
+                t,
+                "`ThreadId` is scheduler-assigned and varies run to run; key RNG/emission on (seed, bucket, shard) instead".to_string(),
+            ));
         }
     }
 }
@@ -271,134 +309,123 @@ impl Rule for ThreadIdentity {
 /// entropy (OS RNG, hasher randomization, time-derived seeds) breaks
 /// replay and the 6-seed determinism suites cannot even detect it
 /// reliably, because every run is its own seed.
-pub struct AmbientEntropy;
-
-impl Rule for AmbientEntropy {
-    fn id(&self) -> &'static str {
-        "ambient-entropy"
-    }
-    fn summary(&self) -> &'static str {
-        "rand/RandomState/OS entropy outside DetRng: all randomness must be seed-keyed"
-    }
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>) {
-        for (i, t) in f.toks.iter().enumerate() {
-            if t.in_test {
-                continue;
-            }
-            if seq(f.toks, i, &["rand", ":", ":"])
-                || seq(f.toks, i, &["use", "rand", ";"])
-                || seq(f.toks, i, &["extern", "crate", "rand"])
-            {
+fn ambient_entropy(f: &FileCtx, out: &mut Vec<Diagnostic>) {
+    for (i, t) in f.toks.iter().enumerate() {
+        if t.in_test {
+            continue;
+        }
+        if seq(f.toks, i, &["rand", ":", ":"])
+            || seq(f.toks, i, &["use", "rand", ";"])
+            || seq(f.toks, i, &["extern", "crate", "rand"])
+        {
+            out.push(f.diag(
+                "ambient-entropy",
+                t,
+                "the `rand` crate draws ambient entropy; use `DetRng::from_keys(seed, …)` so every draw is replayable".to_string(),
+            ));
+        }
+        for ident in [
+            "RandomState",
+            "thread_rng",
+            "from_entropy",
+            "OsRng",
+            "getrandom",
+        ] {
+            if t.is_ident(ident) {
                 out.push(f.diag(
-                    self.id(),
+                    "ambient-entropy",
                     t,
-                    "the `rand` crate draws ambient entropy; use `DetRng::from_keys(seed, …)` so every draw is replayable".to_string(),
+                    format!("`{ident}` is an ambient entropy source; all randomness must be keyed on the run seed via DetRng"),
                 ));
             }
-            for ident in [
-                "RandomState",
-                "thread_rng",
-                "from_entropy",
-                "OsRng",
-                "getrandom",
-            ] {
-                if t.is_ident(ident) {
-                    out.push(f.diag(
-                        self.id(),
-                        t,
-                        format!("`{ident}` is an ambient entropy source; all randomness must be keyed on the run seed via DetRng"),
-                    ));
-                }
-            }
-            if t.is_ident("UNIX_EPOCH") {
-                out.push(f.diag(
-                    self.id(),
-                    t,
-                    "time-since-epoch is a wall-clock-derived value; deriving ids or seeds from it varies per run".to_string(),
-                ));
-            }
+        }
+        if t.is_ident("UNIX_EPOCH") {
+            out.push(f.diag(
+                "ambient-entropy",
+                t,
+                "time-since-epoch is a wall-clock-derived value; deriving ids or seeds from it varies per run".to_string(),
+            ));
         }
     }
 }
 
 // --------------------------------------------------------------- float-order
 
-/// `partial_cmp` inside a sort/min/max comparator.
+/// A non-total float order inside a sort/min/max comparator or key.
 ///
-/// `partial_cmp(..).unwrap()` panics on NaN, and `unwrap_or(Equal)`
-/// silently turns NaN into an unstable pivot — either way the order is
-/// not total and the emitted ranking can differ between otherwise
-/// identical runs. Comparators over floats must use `f64::total_cmp`.
-pub struct FloatOrder;
+/// Two shapes of one hazard. `partial_cmp(..).unwrap()` panics on NaN,
+/// and `unwrap_or(Equal)` silently turns NaN into an unstable pivot —
+/// either way the order is not total and the emitted ranking can
+/// differ between otherwise identical runs. And a key or comparator
+/// built from `f32`/`f64` values or float literals (`sort_by_key(|x|
+/// (x.score * 1e6) as i64)`) quantizes differently than the ranking
+/// math; a float-typed key cannot even express a total order.
+/// `total_cmp` and `to_bits` are the sanctioned escape hatches — both
+/// give every bit pattern, NaN included, one fixed position.
+fn float_order(f: &FileCtx, out: &mut Vec<Diagnostic>) {
+    let toks = f.toks;
+    for i in 0..toks.len() {
+        let t = &toks[i];
+        if t.in_test
+            || t.kind != TokKind::Ident
+            || !COMPARATOR_FNS.contains(&t.text.as_str())
+            || !toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+        {
+            continue;
+        }
+        // One walk over the argument list to the matching `)`: every
+        // `partial_cmp` is reported; the first float evidence is too,
+        // unless a sanctioned total order appears anywhere in the list.
+        let mut depth = 0usize;
+        let mut float_at: Option<usize> = None;
+        let mut sanctioned = false;
+        for (j, a) in toks.iter().enumerate().skip(i + 1) {
+            if a.is_punct('(') {
+                depth += 1;
+            } else if a.is_punct(')') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            } else if a.is_ident("partial_cmp") {
+                out.push(f.diag(
+                    "float-order",
+                    a,
+                    format!(
+                        "`partial_cmp` inside `{}` is not a total order (NaN panics or compares Equal); use `f64::total_cmp`",
+                        t.text
+                    ),
+                ));
+            } else if a.is_ident("total_cmp") || a.is_ident("to_bits") {
+                sanctioned = true;
+            } else if float_at.is_none()
+                && (a.is_ident("f32")
+                    || a.is_ident("f64")
+                    || (a.kind == TokKind::Num && is_float_literal(&a.text)))
+            {
+                float_at = Some(j);
+            }
+        }
+        if let Some(fj) = float_at.filter(|_| !sanctioned) {
+            out.push(f.diag(
+                "float-order",
+                &toks[fj],
+                format!(
+                    "float-valued key inside `{}` orders by a non-total comparison; use `total_cmp`/`to_bits` or an integer key so ranking ties break identically every run",
+                    t.text
+                ),
+            ));
+        }
+    }
+}
 
+/// Every std method that takes an ordering closure or key extractor.
 const COMPARATOR_FNS: &[&str] = &[
     "sort_by",
     "sort_unstable_by",
     "max_by",
     "min_by",
     "binary_search_by",
-];
-
-impl Rule for FloatOrder {
-    fn id(&self) -> &'static str {
-        "float-order"
-    }
-    fn summary(&self) -> &'static str {
-        "partial_cmp in sort/min/max comparators: use total_cmp for a total, NaN-safe order"
-    }
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>) {
-        let toks = f.toks;
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.in_test || t.kind != crate::lexer::TokKind::Ident {
-                continue;
-            }
-            if !COMPARATOR_FNS.contains(&t.text.as_str())
-                || !toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-            {
-                continue;
-            }
-            // Scan the comparator's argument list to the matching `)`.
-            let mut depth = 0usize;
-            let mut j = i + 1;
-            while j < toks.len() {
-                if toks[j].is_punct('(') {
-                    depth += 1;
-                } else if toks[j].is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if toks[j].is_ident("partial_cmp") {
-                    out.push(f.diag(
-                        self.id(),
-                        &toks[j],
-                        format!(
-                            "`partial_cmp` inside `{}` is not a total order (NaN panics or compares Equal); use `f64::total_cmp`",
-                            t.text
-                        ),
-                    ));
-                }
-                j += 1;
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------------ float-key-sort
-
-/// Float-keyed sort/min/max outside the sanctioned comparators.
-///
-/// `float-order` catches `partial_cmp`; this rule catches the other
-/// shape of the same hazard: a sort key or comparator built from
-/// `f32`/`f64` values or float literals (`sort_by_key(|x| (x.score *
-/// 1e6) as i64)` quantizes differently than the ranking math, and a
-/// float-typed key cannot even express a total order). `total_cmp` and
-/// `to_bits` are the sanctioned escape hatches — both give every bit
-/// pattern, NaN included, one fixed position.
-pub struct FloatKeySort;
-
-const KEYED_COMPARATOR_FNS: &[&str] = &[
     "sort_by_key",
     "sort_unstable_by_key",
     "sort_by_cached_key",
@@ -407,8 +434,6 @@ const KEYED_COMPARATOR_FNS: &[&str] = &[
     "binary_search_by_key",
 ];
 
-const SANCTIONED_FLOAT_ORDER: &[&str] = &["total_cmp", "to_bits"];
-
 /// A numeric literal token that parses as a float (`1.5`, `2e9`).
 fn is_float_literal(text: &str) -> bool {
     let bytes = text.as_bytes();
@@ -416,68 +441,6 @@ fn is_float_literal(text: &str) -> bool {
         return false;
     }
     text.contains('.') || text.contains('e') || text.contains('E')
-}
-
-impl Rule for FloatKeySort {
-    fn id(&self) -> &'static str {
-        "float-key-sort"
-    }
-    fn summary(&self) -> &'static str {
-        "f32/f64 inside sort/min/max keys or comparators: use total_cmp/to_bits or integer keys"
-    }
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>) {
-        let toks = f.toks;
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.in_test || t.kind != crate::lexer::TokKind::Ident {
-                continue;
-            }
-            if !(KEYED_COMPARATOR_FNS.contains(&t.text.as_str())
-                || COMPARATOR_FNS.contains(&t.text.as_str()))
-                || !toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-            {
-                continue;
-            }
-            // Scan the argument list to the matching `)` for float
-            // evidence, unless a sanctioned total order appears.
-            let mut depth = 0usize;
-            let mut j = i + 1;
-            let mut float_at: Option<usize> = None;
-            let mut sanctioned = false;
-            while j < toks.len() {
-                let a = &toks[j];
-                if a.is_punct('(') {
-                    depth += 1;
-                } else if a.is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if SANCTIONED_FLOAT_ORDER.contains(&a.text.as_str()) {
-                    sanctioned = true;
-                } else if float_at.is_none()
-                    && (a.is_ident("f32")
-                        || a.is_ident("f64")
-                        || (a.kind == crate::lexer::TokKind::Num && is_float_literal(&a.text)))
-                {
-                    float_at = Some(j);
-                }
-                j += 1;
-            }
-            if let Some(fj) = float_at {
-                if !sanctioned {
-                    out.push(f.diag(
-                        self.id(),
-                        &toks[fj],
-                        format!(
-                            "float-valued key inside `{}` orders by a non-total comparison; use `total_cmp`/`to_bits` or an integer key so ranking ties break identically every run",
-                            t.text
-                        ),
-                    ));
-                }
-            }
-        }
-    }
 }
 
 // -------------------------------------------------------- as-cast-truncation
@@ -490,56 +453,36 @@ impl Rule for FloatKeySort {
 /// the decoder walks off the frame. Width changes on these paths must
 /// go through `try_from` (reject) or be annotated with the proof of
 /// range (`lint:allow(as-cast-truncation): …`).
-pub struct AsCastTruncation;
-
-/// Paths where narrowing casts feed bytes on disk or on the wire.
-const CAST_SCOPES: &[&str] = &[
-    "crates/core/src/persist/",
-    "crates/daemon/src/wire.rs",
-    "crates/daemon/src/wal.rs",
-];
+fn as_cast_truncation(f: &FileCtx, out: &mut Vec<Diagnostic>) {
+    let toks = f.toks;
+    for i in 1..toks.len() {
+        let t = &toks[i];
+        if t.in_test || !t.is_ident("as") {
+            continue;
+        }
+        let Some(ty) = toks.get(i + 1) else { continue };
+        if !NARROW_INTS.contains(&ty.text.as_str()) {
+            continue;
+        }
+        // `use x as y` renames are not casts; the previous token of
+        // a cast is an expression end, never the `use` path start.
+        if toks[..i].iter().rev().take(8).any(|p| p.is_ident("use")) {
+            continue;
+        }
+        out.push(f.diag(
+            "as-cast-truncation",
+            t,
+            format!(
+                "`as {ty}` truncates silently on this codec path; use `{ty}::try_from` and surface the error, or annotate the range proof",
+                ty = ty.text
+            ),
+        ));
+    }
+}
 
 /// Integer types narrower than the platform-width/64-bit values that
 /// lengths, counts, and ids carry in this workspace.
 const NARROW_INTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-
-impl Rule for AsCastTruncation {
-    fn id(&self) -> &'static str {
-        "as-cast-truncation"
-    }
-    fn summary(&self) -> &'static str {
-        "narrowing `as` casts in persist/ and daemon wire codec: use try_from or annotate the range proof"
-    }
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>) {
-        if !CAST_SCOPES.iter().any(|p| f.path.starts_with(p)) {
-            return;
-        }
-        let toks = f.toks;
-        for i in 1..toks.len() {
-            let t = &toks[i];
-            if t.in_test || !t.is_ident("as") {
-                continue;
-            }
-            let Some(ty) = toks.get(i + 1) else { continue };
-            if !NARROW_INTS.contains(&ty.text.as_str()) {
-                continue;
-            }
-            // `use x as y` renames are not casts; the previous token of
-            // a cast is an expression end, never the `use` path start.
-            if toks[..i].iter().rev().take(8).any(|p| p.is_ident("use")) {
-                continue;
-            }
-            out.push(f.diag(
-                self.id(),
-                t,
-                format!(
-                    "`as {ty}` truncates silently on this codec path; use `{ty}::try_from` and surface the error, or annotate the range proof",
-                    ty = ty.text
-                ),
-            ));
-        }
-    }
-}
 
 // ----------------------------------------------------------- panic-in-decode
 
@@ -550,8 +493,60 @@ impl Rule for AsCastTruncation {
 /// bit-flipped snapshot turns recoverable corruption into a crash loop.
 /// Applies to `crates/core/src/persist/{codec,journal,log,snapshot}.rs`
 /// and the daemon's `wal.rs` — every path disk bytes are decoded on.
-pub struct PanicInDecode;
+fn panic_in_decode(f: &FileCtx, out: &mut Vec<Diagnostic>) {
+    let toks = f.toks;
+    for i in 0..toks.len() {
+        let t = &toks[i];
+        if t.in_test {
+            continue;
+        }
+        for m in ["unwrap", "expect"] {
+            if seq(toks, i, &[".", m, "("]) {
+                out.push(f.diag(
+                    "panic-in-decode",
+                    &toks[i + 1],
+                    format!("`.{m}()` in a decode path panics on corrupt input; return a codec error (persist_props fuzz contract)"),
+                ));
+            }
+        }
+        for m in [
+            "panic",
+            "unreachable",
+            "todo",
+            "unimplemented",
+            "assert",
+            "assert_eq",
+            "assert_ne",
+        ] {
+            if t.is_ident(m) && toks.get(i + 1).is_some_and(|n| n.is_punct('!')) {
+                out.push(f.diag(
+                    "panic-in-decode",
+                    t,
+                    format!("`{m}!` in a decode path can fire on corrupt input; return a codec error instead"),
+                ));
+            }
+        }
+        // Postfix indexing `x[..]` can panic on short input. Array
+        // types/literals (`[u8; 4]`), macros (`vec![`), and
+        // attributes (`#[`) are not postfix positions.
+        if t.is_punct('[') && i > 0 {
+            let prev = &toks[i - 1];
+            let postfix = (prev.kind == TokKind::Ident && !is_keyword(&prev.text))
+                || prev.is_punct(')')
+                || prev.is_punct(']');
+            if postfix {
+                out.push(f.diag(
+                    "panic-in-decode",
+                    t,
+                    "indexing in a decode path panics when input is shorter than expected; use `get()`/`take()` and return an error".to_string(),
+                ));
+            }
+        }
+    }
+}
 
+/// Every file disk bytes are decoded in: `panic-in-decode`'s scope and
+/// the protected scope of the transitive panic effect.
 pub const DECODE_FILES: &[&str] = &[
     "crates/core/src/persist/codec.rs",
     "crates/core/src/persist/journal.rs",
@@ -559,70 +554,6 @@ pub const DECODE_FILES: &[&str] = &[
     "crates/core/src/persist/snapshot.rs",
     "crates/daemon/src/wal.rs",
 ];
-
-impl Rule for PanicInDecode {
-    fn id(&self) -> &'static str {
-        "panic-in-decode"
-    }
-    fn summary(&self) -> &'static str {
-        "unwrap/expect/panic!/indexing in persist decode paths: corrupt input must return Err"
-    }
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>) {
-        if !DECODE_FILES.contains(&f.path) {
-            return;
-        }
-        let toks = f.toks;
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.in_test {
-                continue;
-            }
-            for m in ["unwrap", "expect"] {
-                if seq(toks, i, &[".", m, "("]) {
-                    out.push(f.diag(
-                        self.id(),
-                        &toks[i + 1],
-                        format!("`.{m}()` in a decode path panics on corrupt input; return a codec error (persist_props fuzz contract)"),
-                    ));
-                }
-            }
-            for m in [
-                "panic",
-                "unreachable",
-                "todo",
-                "unimplemented",
-                "assert",
-                "assert_eq",
-                "assert_ne",
-            ] {
-                if t.is_ident(m) && toks.get(i + 1).is_some_and(|n| n.is_punct('!')) {
-                    out.push(f.diag(
-                        self.id(),
-                        t,
-                        format!("`{m}!` in a decode path can fire on corrupt input; return a codec error instead"),
-                    ));
-                }
-            }
-            // Postfix indexing `x[..]` can panic on short input. Array
-            // types/literals (`[u8; 4]`), macros (`vec![`), and
-            // attributes (`#[`) are not postfix positions.
-            if t.is_punct('[') && i > 0 {
-                let prev = &toks[i - 1];
-                let postfix = (prev.kind == crate::lexer::TokKind::Ident
-                    && !is_keyword(&prev.text))
-                    || prev.is_punct(')')
-                    || prev.is_punct(']');
-                if postfix {
-                    out.push(f.diag(
-                        self.id(),
-                        t,
-                        "indexing in a decode path panics when input is shorter than expected; use `get()`/`take()` and return an error".to_string(),
-                    ));
-                }
-            }
-        }
-    }
-}
 
 fn is_keyword(s: &str) -> bool {
     matches!(
@@ -632,19 +563,6 @@ fn is_keyword(s: &str) -> bool {
 }
 
 // ------------------------------------------------------ unordered-iteration
-
-/// Iterating a `HashMap`/`HashSet` in `crates/core/src/` without an
-/// order-restoring or order-insensitive sink.
-///
-/// Hash iteration order is unspecified and (for transcripts, alerts,
-/// snapshots, metrics absorption) was the single largest source of
-/// nondeterminism fixed in the sharded-tick PR. The rule tracks names
-/// declared as hash containers in the file and flags iteration over
-/// them, *except* when the same statement sorts the result, collects
-/// into a BTree container, or reduces order-insensitively (`sum`,
-/// `count`, `len`, `is_empty`, `all`, `any`, `contains…`), or when a
-/// sort appears within the next three lines.
-pub struct UnorderedIteration;
 
 const ITER_METHODS: &[&str] = &[
     "iter",
@@ -681,59 +599,20 @@ const ORDER_INSENSITIVE: &[&str] = &[
     "BinaryHeap",
 ];
 
-impl Rule for UnorderedIteration {
-    fn id(&self) -> &'static str {
-        "unordered-iteration"
-    }
-    fn summary(&self) -> &'static str {
-        "HashMap/HashSet iteration in core without sort/BTree/order-insensitive sink"
-    }
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>) {
-        if !f.path.starts_with("crates/core/src/") {
-            return;
-        }
-        check_hash_iteration(self.id(), f, out);
-    }
-}
-
-// ------------------------------------------------------------ hash-iteration
-
-/// The same unordered-iteration hazard, extended beyond `crates/core`
-/// to the other transcript-feeding paths the ROADMAP names: the daemon
-/// (verdict batches, WAL records), the scenario runner (expectation
-/// evaluation order), and obs render paths (report sections). These
-/// crates are BTree-first today; the rule keeps growth honest — a
-/// future `HashMap` iteration feeding a wire frame or a rendered table
-/// reintroduces exactly the class of diff the sharded-tick PR killed.
-pub struct HashIteration;
-
-/// Path prefixes `hash-iteration` watches (core stays with
-/// `unordered-iteration`, so each firing names the narrower rule).
-const HASH_ITER_PATHS: &[&str] = &[
-    "crates/daemon/src/",
-    "crates/scenario/src/",
-    "crates/obs/src/",
-];
-
-impl Rule for HashIteration {
-    fn id(&self) -> &'static str {
-        "hash-iteration"
-    }
-    fn summary(&self) -> &'static str {
-        "HashMap/HashSet iteration in daemon/scenario/obs render paths without an ordered sink"
-    }
-    fn check(&self, f: &FileCtx, out: &mut Vec<Diagnostic>) {
-        if !HASH_ITER_PATHS.iter().any(|p| f.path.starts_with(p)) {
-            return;
-        }
-        check_hash_iteration(self.id(), f, out);
-    }
-}
-
-/// Shared detection body for `unordered-iteration` / `hash-iteration`:
-/// flags iteration over names bound to hash containers unless the
-/// statement (or the next three lines) restores or ignores order.
-fn check_hash_iteration(rule_id: &'static str, f: &FileCtx, out: &mut Vec<Diagnostic>) {
+/// Iterating a `HashMap`/`HashSet` in any crate's `src/` without an
+/// order-restoring or order-insensitive sink.
+///
+/// Hash iteration order is unspecified and (for transcripts, alerts,
+/// snapshots, metrics absorption) was the single largest source of
+/// nondeterminism fixed in the sharded-tick PR; outside the engine the
+/// same hazard reaches wire frames, rendered tables and experiment
+/// output. The rule tracks names declared as hash containers in the
+/// file and flags iteration over them, *except* when the same
+/// statement sorts the result, collects into a BTree container, or
+/// reduces order-insensitively (`sum`, `count`, `len`, `is_empty`,
+/// `all`, `any`, `contains…`), or when a sort appears within the next
+/// three lines.
+fn check_hash_iteration(f: &FileCtx, out: &mut Vec<Diagnostic>) {
     let toks = f.toks;
     let events = binding_events(toks);
     if events.iter().all(|e| !e.hash) {
@@ -807,7 +686,7 @@ fn check_hash_iteration(rule_id: &'static str, f: &FileCtx, out: &mut Vec<Diagno
         }
         if !waived {
             out.push(f.diag(
-                rule_id,
+                "unordered-iteration",
                 &toks[idx],
                 format!(
                     "iteration over hash container `{name}` feeds downstream state in arbitrary order; sort before emitting, collect into a BTreeMap/BTreeSet, or annotate why order cannot matter"
@@ -818,7 +697,7 @@ fn check_hash_iteration(rule_id: &'static str, f: &FileCtx, out: &mut Vec<Diagno
 
     for i in 0..toks.len() {
         let t = &toks[i];
-        if t.in_test || t.kind != crate::lexer::TokKind::Ident {
+        if t.in_test || t.kind != TokKind::Ident {
             continue;
         }
         // `name.iter()` / `self.name.keys()` / …
@@ -841,9 +720,10 @@ fn check_hash_iteration(rule_id: &'static str, f: &FileCtx, out: &mut Vec<Diagno
                 {
                     k += 1;
                 }
-                if toks.get(k).is_some_and(|t| {
-                    t.kind == crate::lexer::TokKind::Ident && is_hash_at(&events, &t.text, k)
-                }) && toks.get(k + 1).is_some_and(|t| t.is_punct('{'))
+                if toks
+                    .get(k)
+                    .is_some_and(|t| t.kind == TokKind::Ident && is_hash_at(&events, &t.text, k))
+                    && toks.get(k + 1).is_some_and(|t| t.is_punct('{'))
                 {
                     // A `for` body can do anything with the items;
                     // no lexical waiver applies — sort first or
@@ -921,7 +801,7 @@ fn binding_events(toks: &[Tok]) -> Vec<BindingEvent> {
         while j >= 3
             && toks[j - 1].is_punct(':')
             && toks[j - 2].is_punct(':')
-            && toks[j - 3].kind == crate::lexer::TokKind::Ident
+            && toks[j - 3].kind == TokKind::Ident
         {
             j -= 3;
         }
@@ -942,7 +822,7 @@ fn binding_events(toks: &[Tok]) -> Vec<BindingEvent> {
             continue;
         };
         let cand = &toks[cand_idx];
-        if cand.kind != crate::lexer::TokKind::Ident || is_keyword(&cand.text) {
+        if cand.kind != TokKind::Ident || is_keyword(&cand.text) {
             continue;
         }
         let before = cand_idx.checked_sub(1).map(|b| &toks[b]);
@@ -976,7 +856,7 @@ fn binding_events(toks: &[Tok]) -> Vec<BindingEvent> {
         let Some(name_tok) = toks.get(k) else {
             continue;
         };
-        if name_tok.kind != crate::lexer::TokKind::Ident || is_keyword(&name_tok.text) {
+        if name_tok.kind != TokKind::Ident || is_keyword(&name_tok.text) {
             continue;
         }
         events.push(BindingEvent {
@@ -1012,7 +892,9 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn check_one(rule: &dyn Rule, path: &str, src: &str) -> Vec<Diagnostic> {
+    /// What the driver reports for rule `id` over `src` at `path`.
+    fn check_one(id: &str, path: &str, src: &str) -> Vec<Diagnostic> {
+        assert!(RULES.iter().any(|r| r.id == id), "{id} not in the table");
         let lexed = lex(src);
         let lines: Vec<String> = src.lines().map(|l| l.to_string()).collect();
         let ctx = FileCtx {
@@ -1021,13 +903,14 @@ mod tests {
             lines: &lines,
         };
         let mut out = Vec::new();
-        rule.check(&ctx, &mut out);
+        check_file(&ctx, &mut out);
+        out.retain(|d| d.rule == id);
         out
     }
 
     #[test]
     fn rule_ids_are_sorted_and_unique() {
-        let ids: Vec<_> = all_rules().iter().map(|r| r.id()).collect();
+        let ids: Vec<_> = RULES.iter().map(|r| r.id).collect();
         let mut sorted = ids.clone();
         sorted.sort();
         sorted.dedup();
@@ -1035,11 +918,40 @@ mod tests {
     }
 
     #[test]
+    fn every_check_reports_under_its_own_table_id() {
+        // A `check` fn names its rule ID in a literal; the table is
+        // what the driver, `--rules` and the fixtures key on. One
+        // source that trips all nine pins the two together.
+        let src = "use std::collections::HashMap;\nuse std::time::Instant;\n\
+             fn f(m: HashMap<u32, f64>, b: &[u8], s: TcpStream) {\n\
+             let t = Instant::now(); let r = RandomState::new(); let id = thread::current();\n\
+             let n = b.len() as u8; let x = b[0];\n\
+             for (k, v) in &m { emit(k, v); }\n\
+             v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
+             }";
+        let lexed = lex(src);
+        let ctx = FileCtx {
+            path: "any.rs",
+            toks: &lexed.toks,
+            lines: &[],
+        };
+        for rule in RULES {
+            let mut diags = Vec::new();
+            (rule.check)(&ctx, &mut diags);
+            assert!(!diags.is_empty(), "{} did not fire", rule.id);
+            assert!(diags.iter().all(|d| d.rule == rule.id), "{}", rule.id);
+        }
+    }
+
+    #[test]
     fn elapsed_needs_std_time_in_file() {
         let sim = "fn f(o: &Incident) -> u64 { o.elapsed() }";
-        assert!(check_one(&WallClock, "crates/core/src/x.rs", sim).is_empty());
+        assert!(check_one("wall-clock", "crates/core/src/x.rs", sim).is_empty());
         let wall = "use std::time::Instant;\nfn f(t: Instant) -> u128 { t.elapsed().as_nanos() }";
-        assert_eq!(check_one(&WallClock, "crates/core/src/x.rs", wall).len(), 1);
+        assert_eq!(
+            check_one("wall-clock", "crates/core/src/x.rs", wall).len(),
+            1
+        );
     }
 
     #[test]
@@ -1067,7 +979,7 @@ mod tests {
              for (k, v) in &m { emit(k, v); }\n\
              }";
         assert!(
-            check_one(&UnorderedIteration, "crates/core/src/x.rs", cleared).is_empty(),
+            check_one("unordered-iteration", "crates/core/src/x.rs", cleared).is_empty(),
             "rebinding to an ordered container must clear the name"
         );
         // ordered → hash rebinding: the later `let` re-marks the name;
@@ -1080,7 +992,7 @@ mod tests {
              for (k, v) in &m { emit(k, v); }\n\
              }";
         assert_eq!(
-            check_one(&UnorderedIteration, "crates/core/src/x.rs", remarked).len(),
+            check_one("unordered-iteration", "crates/core/src/x.rs", remarked).len(),
             1,
             "rebinding to a hash container must re-mark the name"
         );
@@ -1092,7 +1004,7 @@ mod tests {
              emit_all(m);\n\
              }";
         assert_eq!(
-            check_one(&UnorderedIteration, "crates/core/src/x.rs", initializer).len(),
+            check_one("unordered-iteration", "crates/core/src/x.rs", initializer).len(),
             1,
             "uses inside the shadowing initializer refer to the old binding"
         );
@@ -1102,64 +1014,75 @@ mod tests {
     fn unordered_iteration_waivers() {
         let flagged = "use std::collections::HashMap;\nfn f(m: HashMap<u32, u32>) { for (k, v) in &m { emit(k, v); } }";
         assert_eq!(
-            check_one(&UnorderedIteration, "crates/core/src/x.rs", flagged).len(),
+            check_one("unordered-iteration", "crates/core/src/x.rs", flagged).len(),
             1
         );
         let sorted_chain = "use std::collections::HashMap;\nfn f(m: HashMap<u32, u32>) { let mut v: Vec<_> = m.iter().collect(); v.sort(); }";
-        assert!(check_one(&UnorderedIteration, "crates/core/src/x.rs", sorted_chain).is_empty());
+        assert!(check_one("unordered-iteration", "crates/core/src/x.rs", sorted_chain).is_empty());
         let sum = "use std::collections::HashMap;\nfn f(m: HashMap<u32, u32>) -> u32 { m.values().sum() }";
-        assert!(check_one(&UnorderedIteration, "crates/core/src/x.rs", sum).is_empty());
+        assert!(check_one("unordered-iteration", "crates/core/src/x.rs", sum).is_empty());
         let next_line_sort = "use std::collections::HashMap;\nfn f(m: HashMap<u32, u32>) { let mut v: Vec<_> = m.keys().copied().collect();\n v.sort_unstable();\n }";
-        assert!(check_one(&UnorderedIteration, "crates/core/src/x.rs", next_line_sort).is_empty());
-        // Outside crates/core the rule is silent.
-        assert!(check_one(&UnorderedIteration, "crates/cli/src/x.rs", flagged).is_empty());
+        assert!(check_one(
+            "unordered-iteration",
+            "crates/core/src/x.rs",
+            next_line_sort
+        )
+        .is_empty());
     }
 
     #[test]
     fn float_order_only_in_comparators() {
         let bad = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }";
-        assert_eq!(check_one(&FloatOrder, "crates/core/src/x.rs", bad).len(), 1);
+        assert_eq!(
+            check_one("float-order", "crates/core/src/x.rs", bad).len(),
+            1
+        );
         let good = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.total_cmp(b)); }";
-        assert!(check_one(&FloatOrder, "crates/core/src/x.rs", good).is_empty());
+        assert!(check_one("float-order", "crates/core/src/x.rs", good).is_empty());
         let outside =
             "impl PartialOrd for S { fn partial_cmp(&self, o: &S) -> Option<Ordering> { None } }";
-        assert!(check_one(&FloatOrder, "crates/core/src/x.rs", outside).is_empty());
+        assert!(check_one("float-order", "crates/core/src/x.rs", outside).is_empty());
     }
 
     #[test]
     fn panic_in_decode_scope_and_postfix_index() {
         let src = "fn decode(b: &[u8]) -> u8 { let x = b[0]; x }";
         assert_eq!(
-            check_one(&PanicInDecode, "crates/core/src/persist/codec.rs", src).len(),
+            check_one("panic-in-decode", "crates/core/src/persist/codec.rs", src).len(),
             1
         );
-        assert!(check_one(&PanicInDecode, "crates/core/src/pipeline.rs", src).is_empty());
+        assert!(check_one("panic-in-decode", "crates/core/src/pipeline.rs", src).is_empty());
         let arr_ty = "fn f() -> [u8; 2] { let a: [u8; 2] = [0, 1]; a }";
-        assert!(check_one(&PanicInDecode, "crates/core/src/persist/codec.rs", arr_ty).is_empty());
+        assert!(check_one(
+            "panic-in-decode",
+            "crates/core/src/persist/codec.rs",
+            arr_ty
+        )
+        .is_empty());
         let mac = "fn f() -> Vec<u8> { vec![0; 4] }";
-        assert!(check_one(&PanicInDecode, "crates/core/src/persist/codec.rs", mac).is_empty());
+        assert!(check_one("panic-in-decode", "crates/core/src/persist/codec.rs", mac).is_empty());
     }
 
     #[test]
-    fn float_key_sort_evidence_and_sanctions() {
+    fn float_order_key_evidence_and_sanctions() {
         let bad = "fn f(v: &mut Vec<Row>) { v.sort_by_key(|x| (x.score * 1e6) as i64); }";
         assert_eq!(
-            check_one(&FloatKeySort, "crates/core/src/x.rs", bad).len(),
+            check_one("float-order", "crates/core/src/x.rs", bad).len(),
             1
         );
         let bad_cmp = "fn f(v: &mut Vec<f64>) { v.sort_unstable_by(|a, b| cmp_f64(*a, *b)); }";
         // `f64` appears inside the comparator args? No — only in the fn
         // signature, outside the call. Must stay quiet.
-        assert!(check_one(&FloatKeySort, "crates/core/src/x.rs", bad_cmp).is_empty());
+        assert!(check_one("float-order", "crates/core/src/x.rs", bad_cmp).is_empty());
         let total = "fn f(v: &mut Vec<f64>) { v.sort_by(f64::total_cmp); }";
-        assert!(check_one(&FloatKeySort, "crates/core/src/x.rs", total).is_empty());
+        assert!(check_one("float-order", "crates/core/src/x.rs", total).is_empty());
         let bits = "fn f(v: &mut Vec<f64>) { v.sort_by_key(|x| x.to_bits()); }";
-        assert!(check_one(&FloatKeySort, "crates/core/src/x.rs", bits).is_empty());
+        assert!(check_one("float-order", "crates/core/src/x.rs", bits).is_empty());
         let ints = "fn f(v: &mut Vec<(u64, u32)>) { v.sort_by_key(|x| x.0); }";
-        assert!(check_one(&FloatKeySort, "crates/core/src/x.rs", ints).is_empty());
+        assert!(check_one("float-order", "crates/core/src/x.rs", ints).is_empty());
         let typed = "fn f(v: &mut Vec<Row>) { v.min_by_key(|x| x.w as f64 ); }";
         assert_eq!(
-            check_one(&FloatKeySort, "crates/core/src/x.rs", typed).len(),
+            check_one("float-order", "crates/core/src/x.rs", typed).len(),
             1
         );
     }
@@ -1169,44 +1092,63 @@ mod tests {
         let bad =
             "fn put(buf: &mut Vec<u8>, len: usize) { let n = len as u32; buf.push(n as u8); }";
         assert_eq!(
-            check_one(&AsCastTruncation, "crates/daemon/src/wire.rs", bad).len(),
+            check_one("as-cast-truncation", "crates/daemon/src/wire.rs", bad).len(),
             2
         );
         assert_eq!(
-            check_one(&AsCastTruncation, "crates/core/src/persist/codec.rs", bad).len(),
+            check_one(
+                "as-cast-truncation",
+                "crates/core/src/persist/codec.rs",
+                bad
+            )
+            .len(),
             2
         );
         // Outside the codec scopes the rule is silent.
-        assert!(check_one(&AsCastTruncation, "crates/core/src/pipeline.rs", bad).is_empty());
+        assert!(check_one("as-cast-truncation", "crates/core/src/pipeline.rs", bad).is_empty());
         // Widening casts are fine.
         let widen = "fn get(b: u8) -> u64 { b as u64 }";
-        assert!(check_one(&AsCastTruncation, "crates/daemon/src/wire.rs", widen).is_empty());
+        assert!(check_one("as-cast-truncation", "crates/daemon/src/wire.rs", widen).is_empty());
     }
 
     #[test]
-    fn hash_iteration_scope() {
+    fn unordered_iteration_scope_is_every_crate_src() {
         let flagged = "use std::collections::HashMap;\nfn f(m: HashMap<u32, u32>) { for (k, v) in &m { emit(k, v); } }";
         for path in [
+            "crates/core/src/x.rs",
             "crates/daemon/src/server.rs",
             "crates/scenario/src/runner.rs",
             "crates/obs/src/render.rs",
+            "crates/bench/src/experiments/fig12.rs",
         ] {
-            assert_eq!(check_one(&HashIteration, path, flagged).len(), 1, "{path}");
+            let diags = check_one("unordered-iteration", path, flagged);
+            assert_eq!(diags.len(), 1, "{path}");
         }
-        // Core belongs to unordered-iteration; elsewhere out of scope.
-        assert!(check_one(&HashIteration, "crates/core/src/x.rs", flagged).is_empty());
-        assert!(check_one(&HashIteration, "crates/bench/src/x.rs", flagged).is_empty());
+        // Tests, examples and a crate's own tests/ are not product code.
+        for path in [
+            "tests/props.rs",
+            "examples/quickstart.rs",
+            "crates/core/tests/props.rs",
+        ] {
+            let diags = check_one("unordered-iteration", path, flagged);
+            assert!(diags.is_empty(), "{path}");
+        }
         let ordered = "use std::collections::BTreeMap;\nfn f(m: BTreeMap<u32, u32>) { for (k, v) in &m { emit(k, v); } }";
-        assert!(check_one(&HashIteration, "crates/daemon/src/server.rs", ordered).is_empty());
+        assert!(check_one(
+            "unordered-iteration",
+            "crates/daemon/src/server.rs",
+            ordered
+        )
+        .is_empty());
     }
 
     #[test]
     fn ambient_entropy_patterns() {
         let bad = "use rand::Rng;\nfn f() { let s = RandomState::new(); }";
-        let diags = check_one(&AmbientEntropy, "crates/core/src/x.rs", bad);
+        let diags = check_one("ambient-entropy", "crates/core/src/x.rs", bad);
         assert_eq!(diags.len(), 2);
         let good =
             "fn f(seed: u64) { let mut rng = DetRng::from_keys(seed, &[1]); rng.next_u64(); }";
-        assert!(check_one(&AmbientEntropy, "crates/core/src/x.rs", good).is_empty());
+        assert!(check_one("ambient-entropy", "crates/core/src/x.rs", good).is_empty());
     }
 }

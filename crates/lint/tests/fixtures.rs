@@ -4,6 +4,7 @@
 //! rule regression fails both the test suite and the lint job.
 
 use blameit_lint::diag::Report;
+use blameit_lint::rules::{Rule, RULES};
 use blameit_lint::{fixture_virtual_path, lint_source, run_workspace, self_check};
 use std::path::{Path, PathBuf};
 
@@ -11,11 +12,24 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+/// Lints `<rule>/<kind>.rs` under the rule's fixture virtual path.
+fn lint_fixture(rule: &Rule, kind: &str) -> Report {
+    let path = repo_root()
+        .join("crates/lint/tests/fixtures")
+        .join(rule.id)
+        .join(format!("{kind}.rs"));
+    let src = std::fs::read_to_string(&path).expect("fixture readable");
+    let mut report = Report::default();
+    let vpath = fixture_virtual_path(rule);
+    lint_source(&vpath, &src, &Default::default(), &mut report);
+    report
+}
+
 #[test]
 fn every_fixture_expectation_holds() {
     let results = self_check(&repo_root()).expect("fixtures readable");
-    // 11 lexical rules plus 2 workspace passes, × {bad, good, allow}.
-    assert_eq!(results.len(), 39, "one fixture triple per rule and pass");
+    // 9 lexical rules plus 2 workspace passes, × {bad, good, allow}.
+    assert_eq!(results.len(), 33, "one fixture triple per rule and pass");
     let failures: Vec<String> = results
         .iter()
         .filter(|r| !r.pass)
@@ -33,20 +47,9 @@ fn allow_fixture_reasons_reach_json() {
     // The `--json` report must carry each annotation's reason, so a
     // reviewer (or a dashboard) can audit every suppression without
     // opening the source.
-    for rule in blameit_lint::rules::all_rules() {
-        let id = rule.id();
-        let path = repo_root()
-            .join("crates/lint/tests/fixtures")
-            .join(id)
-            .join("allow.rs");
-        let src = std::fs::read_to_string(&path).expect("allow fixture readable");
-        let mut report = Report::default();
-        lint_source(
-            &fixture_virtual_path(id),
-            &src,
-            &Default::default(),
-            &mut report,
-        );
+    for rule in RULES {
+        let id = rule.id;
+        let report = lint_fixture(rule, "allow");
         let json = report.render_json();
         let suppressed: Vec<_> = report.suppressed.iter().filter(|s| s.rule == id).collect();
         assert!(
@@ -105,8 +108,7 @@ fn transitive_witness_renders_in_text_and_json() {
 #[test]
 fn effect_map_lists_direct_and_transitive_effects() {
     let tree = repo_root().join("crates/lint/tests/fixtures/transitive-effect/bad");
-    let ws =
-        blameit_lint::analyze_workspace(&tree, &Default::default()).expect("fixture tree analyzes");
+    let ws = blameit_lint::analyze_workspace(&tree).expect("fixture tree analyzes");
     let map = ws.effect_map_json();
     assert!(map.contains("\"blameit-lint/effect-map/v1\""));
     assert!(map.contains("\"fn\": \"probe_stamp\""));
@@ -116,28 +118,35 @@ fn effect_map_lists_direct_and_transitive_effects() {
     assert!(map.contains("\"to\": \"scheduler_advance\""));
 }
 
+/// The 1-based lines `rule_id` flags in its own `bad.rs`.
+fn bad_fixture_lines(rule_id: &str) -> Vec<u32> {
+    let rule = RULES.iter().find(|r| r.id == rule_id).expect("rule");
+    let report = lint_fixture(rule, "bad");
+    let hits = report.diagnostics.iter().filter(|d| d.rule == rule_id);
+    hits.map(|d| d.line).collect()
+}
+
 #[test]
-fn warm_cache_reproduces_the_cold_report() {
-    // The cache contract: a cold run misses every file, an immediate
-    // second run hits every file, and the verdict does not depend on
-    // which of the two produced the per-file analyses.
-    let tree = repo_root().join("crates/lint/tests/fixtures/transitive-effect/bad");
-    let cache_file = std::env::temp_dir().join(format!(
-        "blameit-lint-cache-contract-{}.cache",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&cache_file);
-    let opts = blameit_lint::WsOptions {
-        cache_file: Some(cache_file.clone()),
-    };
-    let cold = blameit_lint::analyze_workspace(&tree, &opts).expect("cold analysis");
-    let warm = blameit_lint::analyze_workspace(&tree, &opts).expect("warm analysis");
-    let _ = std::fs::remove_file(&cache_file);
-    assert_eq!(cold.cache_stats, (0, cold.files.len()), "cold: all misses");
-    assert_eq!(warm.cache_stats, (warm.files.len(), 0), "warm: all hits");
-    assert!(!cold.files.is_empty());
-    assert_eq!(cold.report().render_json(), warm.report().render_json());
-    assert_eq!(cold.effect_map_json(), warm.effect_map_json());
+fn merged_rule_fixtures_pin_every_pattern() {
+    // `bad.rs` passes the self-check on one hit, so the two rules that
+    // absorbed a twin pin each folded pattern by line: `partial_cmp`
+    // (10), a float-typed key (15), both in one comparator (22, 22).
+    assert_eq!(bad_fixture_lines("float-order"), vec![10, 15, 22, 22]);
+    // A moved `for` over a map (6), a re-marked shadowed name (20), and
+    // the daemon-style drain that `hash-iteration` used to own (29).
+    assert_eq!(bad_fixture_lines("unordered-iteration"), vec![6, 20, 29]);
+}
+
+#[test]
+fn fixture_virtual_paths_lie_inside_their_rules_scope() {
+    for rule in RULES {
+        let vpath = fixture_virtual_path(rule);
+        assert!(
+            rule.scope.contains(&vpath),
+            "{}: fixture path {vpath} is outside the rule's own scope",
+            rule.id
+        );
+    }
 }
 
 #[test]

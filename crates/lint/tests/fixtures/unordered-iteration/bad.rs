@@ -21,3 +21,12 @@ pub fn emit_rebound(transcript: &mut Vec<String>) {
         transcript.push(format!("{path} {n}"));
     }
 }
+
+// The hazard is not core-only: a daemon-style drain of pending
+// verdicts into emitted output is the same finding.
+pub fn drain_verdicts(out: &mut Vec<String>) {
+    let pending: HashMap<u64, String> = HashMap::new();
+    for (id, verdict) in pending {
+        out.push(format!("{id} {verdict}"));
+    }
+}

@@ -45,6 +45,6 @@ pub use flight::{FlightDumpEvent, FlightFrame, FlightRecorder, FlightTrigger};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::{StageClock, StageTimings};
 pub use trace::{
-    add_subscriber, clear_subscribers, local_subscribers, render_tree, with_subscriber,
-    with_subscribers, JsonlWriter, RingCollector, Span, SpanEvent, Subscriber,
+    local_subscribers, render_tree, with_subscriber, with_subscribers, JsonlWriter, RingCollector,
+    Span, SpanEvent, Subscriber,
 };

@@ -7,23 +7,22 @@
 //! the span *tree* after the fact ([`render_tree`]) without any
 //! allocation while spans are open.
 //!
-//! Subscribers come in two scopes:
+//! Subscribers are **scoped** ([`with_subscriber`]): installed for one
+//! closure on one thread, which is how tests, the CLI and the perf
+//! ledger capture a single engine run without seeing unrelated
+//! threads; a coordinator hands its set to worker threads with
+//! [`local_subscribers`] / [`with_subscribers`].
 //!
-//! * **global** ([`add_subscriber`]) — e.g. a JSONL writer for a whole
-//!   process run;
-//! * **scoped** ([`with_subscriber`]) — installed for one closure on
-//!   one thread, which is what tests and the CLI use to capture a
-//!   single engine run without seeing unrelated threads.
-//!
-//! When no subscriber is installed, creating a span is one relaxed
-//! atomic load and no clock read — cheap enough to leave in hot paths.
+//! When no subscriber is installed, creating a span is one
+//! thread-local check and no clock read — cheap enough to leave in hot
+//! paths.
 
 use crate::json::{push_json_f64, push_json_str};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// A typed field value attached to a span.
@@ -146,9 +145,6 @@ pub trait Subscriber: Send + Sync {
     fn on_event(&self, ev: &SpanEvent);
 }
 
-static GLOBAL_SUBSCRIBERS: RwLock<Vec<Arc<dyn Subscriber>>> = RwLock::new(Vec::new());
-/// Count of global subscribers, for the disabled-fast-path check.
-static GLOBAL_COUNT: AtomicUsize = AtomicUsize::new(0);
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
@@ -159,26 +155,6 @@ thread_local! {
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
-}
-
-/// Installs a process-wide subscriber (all threads, until
-/// [`clear_subscribers`]).
-pub fn add_subscriber(s: Arc<dyn Subscriber>) {
-    epoch(); // pin the epoch no later than the first subscriber
-    GLOBAL_SUBSCRIBERS
-        .write()
-        .expect("subscriber list poisoned")
-        .push(s);
-    GLOBAL_COUNT.fetch_add(1, Ordering::Release);
-}
-
-/// Removes all process-wide subscribers.
-pub fn clear_subscribers() {
-    let mut subs = GLOBAL_SUBSCRIBERS
-        .write()
-        .expect("subscriber list poisoned");
-    GLOBAL_COUNT.fetch_sub(subs.len(), Ordering::Release);
-    subs.clear();
 }
 
 struct LocalGuard(usize);
@@ -223,10 +199,9 @@ pub fn with_subscribers<R>(subs: Vec<Arc<dyn Subscriber>>, f: impl FnOnce() -> R
     f()
 }
 
-/// True when any subscriber (global or this thread's scoped ones) would
-/// see an event.
+/// True when a subscriber scoped to this thread would see an event.
 pub fn enabled() -> bool {
-    GLOBAL_COUNT.load(Ordering::Acquire) > 0 || LOCAL_SUBSCRIBERS.with(|l| !l.borrow().is_empty())
+    LOCAL_SUBSCRIBERS.with(|l| !l.borrow().is_empty())
 }
 
 fn dispatch(ev: &SpanEvent) {
@@ -235,15 +210,6 @@ fn dispatch(ev: &SpanEvent) {
             s.on_event(ev);
         }
     });
-    if GLOBAL_COUNT.load(Ordering::Acquire) > 0 {
-        for s in GLOBAL_SUBSCRIBERS
-            .read()
-            .expect("subscriber list poisoned")
-            .iter()
-        {
-            s.on_event(ev);
-        }
-    }
 }
 
 /// An open span; emits its [`SpanEvent`] when dropped. Construct with
@@ -486,10 +452,10 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
-        // No scoped subscriber on this thread (global ones would make
-        // this test racy with neighbours, so only assert the span).
+        // No scoped subscriber on this thread: no clock read, no event.
+        assert!(!enabled());
         let s = Span::new("t", "no-subscriber-span");
-        assert!(s.inner.is_none() || enabled());
+        assert!(s.inner.is_none());
         drop(s);
     }
 

@@ -86,75 +86,7 @@ pub fn compile(file: &str, spec: ScenarioSpec) -> Result<CompiledScenario, Scena
         ));
     }
 
-    let surge = match &spec.overload {
-        None => None,
-        Some(o) => {
-            if spec.crash.is_some() {
-                return Err(ScenarioError::at(
-                    file,
-                    o.line,
-                    "[overload] does not combine with [crash] (the overload runner already \
-                     drives the durable path; crash coverage lives in the daemon test suite)",
-                ));
-            }
-            if spec.chaos.is_some() {
-                return Err(ScenarioError::at(
-                    file,
-                    o.line,
-                    "[overload] does not combine with [chaos] (the daemon feed replaces the \
-                     measurement-plane backend)",
-                ));
-            }
-            let start = hour_to_time(o.surge_start_hour);
-            let end = start + o.surge_duration_mins * 60;
-            if start < warmup_end || end > eval_end {
-                return Err(ScenarioError::at(
-                    file,
-                    o.line,
-                    format!(
-                        "surge window [{start}, {end}) must lie inside the fed range \
-                         [warmup end {warmup_end}, eval end {eval_end})"
-                    ),
-                ));
-            }
-            if end.bucket().0 <= start.bucket().0 {
-                return Err(ScenarioError::at(
-                    file,
-                    o.line,
-                    "surge_duration_mins is shorter than one 5-minute bucket",
-                ));
-            }
-            let burn_in_buckets = TimeRange::new(warmup_end, eval_start).num_buckets();
-            if !burn_in_buckets.is_multiple_of(tick_buckets) {
-                return Err(ScenarioError::at(
-                    file,
-                    o.line,
-                    format!(
-                        "[overload] needs the burn-in ({burn_in_buckets} bucket(s)) to be whole \
-                         {tick_buckets}-bucket ticks, so the daemon's continuous tick grid lands \
-                         on the eval boundary"
-                    ),
-                ));
-            }
-            if let (Some(w), Some(c)) = (o.shed_watermark_records, o.queue_cap_records) {
-                if w > c {
-                    return Err(ScenarioError::at(
-                        file,
-                        o.line,
-                        format!(
-                            "shed_watermark_records ({w}) must not exceed queue_cap_records ({c})"
-                        ),
-                    ));
-                }
-            }
-            Some(SurgePlan::single(
-                start.bucket(),
-                TimeBucket(end.bucket().0 - 1),
-                o.surge_mult,
-                o.surge_seed,
-            ))
-        }
-    };
+    let surge = compile_surge(file, &spec, warmup_end, eval, tick_buckets)?;
     for e in &spec.expect {
         let needs_overload = matches!(
             e,
@@ -193,39 +125,7 @@ pub fn compile(file: &str, spec: ScenarioSpec) -> Result<CompiledScenario, Scena
         }
     }
 
-    // ── build the world ─────────────────────────────────────────────
-    let mut cfg = world_config(w.scale, w.days, w.seed, !w.organic);
-    apply_world_overrides(&mut cfg, w);
-    if let Some(v) = spec.workload.conns_per_client_bucket {
-        cfg.activity.conns_per_client_bucket = v;
-    }
-    if let Some(v) = spec.workload.secondary_volume_frac {
-        cfg.activity.secondary_volume_frac = v;
-    }
-    let mut world = World::new(cfg);
-
-    // ── resolve and merge faults ────────────────────────────────────
-    let mut faults = Vec::with_capacity(spec.faults.len());
-    for f in &spec.faults {
-        let start = hour_to_time(f.start_hour);
-        if start >= sim_end {
-            return Err(ScenarioError::at(
-                file,
-                f.target_line,
-                format!("fault starts at {start}, after the sim ends ({sim_end})"),
-            ));
-        }
-        faults.push(Fault {
-            id: FaultId(0),
-            target: resolve_target(file, &world, &f.target, f.target_line)?,
-            start,
-            duration_secs: f.duration_mins * 60,
-            added_ms: f.added_ms,
-        });
-    }
-    if !faults.is_empty() {
-        world.add_faults(faults);
-    }
+    let world = build_world(file, &spec, sim_end)?;
 
     // ── chaos plan ──────────────────────────────────────────────────
     let plan = match &spec.chaos {
@@ -257,6 +157,122 @@ pub fn compile(file: &str, spec: ScenarioSpec) -> Result<CompiledScenario, Scena
         surge,
         spec,
     })
+}
+
+/// Validates `[overload]` against the windows and turns it into the
+/// feed's surge plan; `None` without the section.
+fn compile_surge(
+    file: &str,
+    spec: &ScenarioSpec,
+    warmup_end: SimTime,
+    eval: TimeRange,
+    tick_buckets: u32,
+) -> Result<Option<SurgePlan>, ScenarioError> {
+    let Some(o) = &spec.overload else {
+        return Ok(None);
+    };
+    let eval_end = eval.end;
+    if spec.crash.is_some() {
+        return Err(ScenarioError::at(
+            file,
+            o.line,
+            "[overload] does not combine with [crash] (the overload runner already \
+             drives the durable path; crash coverage lives in the daemon test suite)",
+        ));
+    }
+    if spec.chaos.is_some() {
+        return Err(ScenarioError::at(
+            file,
+            o.line,
+            "[overload] does not combine with [chaos] (the daemon feed replaces the \
+             measurement-plane backend)",
+        ));
+    }
+    let start = hour_to_time(o.surge_start_hour);
+    let end = start + o.surge_duration_mins * 60;
+    if start < warmup_end || end > eval_end {
+        return Err(ScenarioError::at(
+            file,
+            o.line,
+            format!(
+                "surge window [{start}, {end}) must lie inside the fed range \
+                 [warmup end {warmup_end}, eval end {eval_end})"
+            ),
+        ));
+    }
+    if end.bucket().0 <= start.bucket().0 {
+        return Err(ScenarioError::at(
+            file,
+            o.line,
+            "surge_duration_mins is shorter than one 5-minute bucket",
+        ));
+    }
+    let burn_in_buckets = TimeRange::new(warmup_end, eval.start).num_buckets();
+    if !burn_in_buckets.is_multiple_of(tick_buckets) {
+        return Err(ScenarioError::at(
+            file,
+            o.line,
+            format!(
+                "[overload] needs the burn-in ({burn_in_buckets} bucket(s)) to be whole \
+                 {tick_buckets}-bucket ticks, so the daemon's continuous tick grid lands \
+                 on the eval boundary"
+            ),
+        ));
+    }
+    if let (Some(w), Some(c)) = (o.shed_watermark_records, o.queue_cap_records) {
+        if w > c {
+            return Err(ScenarioError::at(
+                file,
+                o.line,
+                format!("shed_watermark_records ({w}) must not exceed queue_cap_records ({c})"),
+            ));
+        }
+    }
+    Ok(Some(SurgePlan::single(
+        start.bucket(),
+        TimeBucket(end.bucket().0 - 1),
+        o.surge_mult,
+        o.surge_seed,
+    )))
+}
+
+/// Builds the world `[world]`/`[workload]` describe and merges the
+/// scripted `[[fault]]`s into its schedule.
+fn build_world(file: &str, spec: &ScenarioSpec, sim_end: SimTime) -> Result<World, ScenarioError> {
+    let w = &spec.world;
+    let mut cfg = world_config(w.scale, w.days, w.seed, !w.organic);
+    apply_world_overrides(&mut cfg, w);
+    if let Some(v) = spec.workload.conns_per_client_bucket {
+        cfg.activity.conns_per_client_bucket = v;
+    }
+    if let Some(v) = spec.workload.secondary_volume_frac {
+        cfg.activity.secondary_volume_frac = v;
+    }
+    let mut world = World::new(cfg);
+
+    // Resolve and merge faults.
+    let mut faults = Vec::with_capacity(spec.faults.len());
+    for f in &spec.faults {
+        let start = hour_to_time(f.start_hour);
+        if start >= sim_end {
+            return Err(ScenarioError::at(
+                file,
+                f.target_line,
+                format!("fault starts at {start}, after the sim ends ({sim_end})"),
+            ));
+        }
+        faults.push(Fault {
+            id: FaultId(0),
+            target: resolve_target(file, &world, &f.target, f.target_line)?,
+            start,
+            duration_secs: f.duration_mins * 60,
+            added_ms: f.added_ms,
+        });
+    }
+    if !faults.is_empty() {
+        world.add_faults(faults);
+    }
+    Ok(world)
 }
 
 impl CompiledScenario {

@@ -7,7 +7,7 @@
 //! the transcript's `unlocalized(<reason>)` provenance text — so a
 //! regression on any surface fails the scenario.
 
-use crate::run::ScenarioRun;
+use crate::run::{OverloadReport, ScenarioRun};
 use crate::spec::{Expectation, ScenarioSpec};
 use blameit::UnlocalizedReason;
 
@@ -117,55 +117,61 @@ pub fn evaluate(spec: &ScenarioSpec, run: &ScenarioRun) -> Vec<String> {
                     fail(format!("{e:?} evaluated on a run with no overload report"));
                     continue;
                 };
-                match e {
-                    Expectation::ShedMin(_) => {
-                        if ovl.shed_low_impact < *n {
-                            fail(format!(
-                                "expected ≥ {n} impact-shed records, got {}",
-                                ovl.shed_low_impact
-                            ));
-                        }
-                    }
-                    Expectation::ShedMax(_) => {
-                        if ovl.shed_low_impact > *n {
-                            fail(format!(
-                                "expected ≤ {n} impact-shed records, got {}",
-                                ovl.shed_low_impact
-                            ));
-                        }
-                    }
-                    Expectation::BackpressureMin(_) => {
-                        if ovl.backpressure_replies < *n {
-                            fail(format!(
-                                "expected ≥ {n} SLOW_DOWN replies, got {}",
-                                ovl.backpressure_replies
-                            ));
-                        }
-                    }
-                    Expectation::QueuePeakMax(_) => {
-                        if ovl.queue_peak_records > *n {
-                            fail(format!(
-                                "expected queue peak ≤ {n} records, got {} (bounded-memory \
-                                 claim violated)",
-                                ovl.queue_peak_records
-                            ));
-                        }
-                    }
-                    Expectation::TopDecileShedMax(_) => {
-                        if ovl.top_decile_shed_records > *n {
-                            fail(format!(
-                                "expected ≤ {n} shed records from the top impact decile, got \
-                                 {} (shedding touched the groups it must protect)",
-                                ovl.top_decile_shed_records
-                            ));
-                        }
-                    }
-                    _ => unreachable!("outer match narrowed to overload expectations"),
-                }
+                overload_bound(e, *n, ovl, &mut fail);
             }
         }
     }
     failures
+}
+
+/// The `[overload]`-only bounds: `e` (one of the five shed/queue
+/// expectations, bound `n`) against the run's overload report.
+fn overload_bound(e: &Expectation, n: u64, ovl: &OverloadReport, fail: &mut impl FnMut(String)) {
+    match e {
+        Expectation::ShedMin(_) => {
+            if ovl.shed_low_impact < n {
+                fail(format!(
+                    "expected ≥ {n} impact-shed records, got {}",
+                    ovl.shed_low_impact
+                ));
+            }
+        }
+        Expectation::ShedMax(_) => {
+            if ovl.shed_low_impact > n {
+                fail(format!(
+                    "expected ≤ {n} impact-shed records, got {}",
+                    ovl.shed_low_impact
+                ));
+            }
+        }
+        Expectation::BackpressureMin(_) => {
+            if ovl.backpressure_replies < n {
+                fail(format!(
+                    "expected ≥ {n} SLOW_DOWN replies, got {}",
+                    ovl.backpressure_replies
+                ));
+            }
+        }
+        Expectation::QueuePeakMax(_) => {
+            if ovl.queue_peak_records > n {
+                fail(format!(
+                    "expected queue peak ≤ {n} records, got {} (bounded-memory \
+                     claim violated)",
+                    ovl.queue_peak_records
+                ));
+            }
+        }
+        Expectation::TopDecileShedMax(_) => {
+            if ovl.top_decile_shed_records > n {
+                fail(format!(
+                    "expected ≤ {n} shed records from the top impact decile, got \
+                     {} (shedding touched the groups it must protect)",
+                    ovl.top_decile_shed_records
+                ));
+            }
+        }
+        _ => unreachable!("`evaluate` passes only the overload expectations"),
+    }
 }
 
 fn degraded_count(counts: [u64; 6], reason: UnlocalizedReason) -> u64 {

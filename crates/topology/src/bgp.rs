@@ -204,16 +204,6 @@ pub struct BgpTable {
     by_prefix: HashMap<(CloudLocId, IpPrefix), RouteIdx>,
 }
 
-/// A single row of a location's BGP table: announced prefix plus its
-/// route options from that location.
-#[derive(Clone, Copy, Debug)]
-pub struct RouteEntry<'a> {
-    /// The announced prefix.
-    pub prefix: IpPrefix,
-    /// The route options (primary first).
-    pub routes: &'a RouteOptions,
-}
-
 impl BgpTable {
     /// Creates an empty table.
     pub fn new() -> Self {
@@ -250,17 +240,6 @@ impl BgpTable {
     /// Panics on an unknown index.
     pub fn routes(&self, idx: RouteIdx) -> &RouteOptions {
         &self.routes[idx.0 as usize]
-    }
-
-    /// Iterates over the full table for one location.
-    pub fn entries_at(&self, loc: CloudLocId) -> impl Iterator<Item = RouteEntry<'_>> {
-        self.by_prefix
-            .iter()
-            .filter(move |((l, _), _)| *l == loc)
-            .map(move |((_, prefix), idx)| RouteEntry {
-                prefix: *prefix,
-                routes: &self.routes[idx.0 as usize],
-            })
     }
 
     /// Number of (location, prefix) bindings.
@@ -361,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn entries_at_filters_location() {
+    fn bindings_are_per_location() {
         let mut table = BgpTable::new();
         let idx0 = table.push_routes(RouteOptions {
             loc: CloudLocId(0),
@@ -376,8 +355,11 @@ mod tests {
         table.bind_prefix(CloudLocId(0), "10.0.0.0/16".parse().unwrap(), idx0);
         table.bind_prefix(CloudLocId(1), "10.0.0.0/16".parse().unwrap(), idx1);
         table.bind_prefix(CloudLocId(0), "10.1.0.0/16".parse().unwrap(), idx0);
-        assert_eq!(table.entries_at(CloudLocId(0)).count(), 2);
-        assert_eq!(table.entries_at(CloudLocId(1)).count(), 1);
+        assert_eq!(table.num_bindings(), 3);
+        let at = |loc, prefix: &str| table.lookup(CloudLocId(loc), prefix.parse().unwrap());
+        assert_eq!(at(0, "10.0.0.0/16").map(|r| r.loc), Some(CloudLocId(0)));
+        assert_eq!(at(1, "10.0.0.0/16").map(|r| r.loc), Some(CloudLocId(1)));
+        assert!(at(1, "10.1.0.0/16").is_none());
     }
 
     #[test]

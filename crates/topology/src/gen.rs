@@ -221,129 +221,15 @@ impl Topology {
             .collect();
         let loc_pop: Vec<PopId> = pops_by_as[&cloud_asn].clone();
 
-        // Announce prefixes for every access ISP.
-        let mut prefixes = Vec::new();
-        let mut clients = Vec::new();
-        let mut alloc = PrefixAllocator::new();
-        for a in &access {
-            let mut r = DetRng::from_keys(config.seed, &[0x9F1C, a.asn.0 as u64]);
-            let n = r.range_u64(
-                config.prefixes_per_access.0 as u64,
-                config.prefixes_per_access.1 as u64,
-            ) as usize;
-            for _ in 0..n {
-                let len = r.range_u64(config.prefix_len.0 as u64, config.prefix_len.1 as u64) as u8;
-                let prefix = alloc.alloc(len);
-                let metro = *r.pick(&a.metros);
-                prefixes.push(AnnouncedPrefix {
-                    prefix,
-                    origin: a.asn,
-                    metro,
-                    mobile: a.mobile,
-                });
-            }
-        }
-
-        // Route computation: per (location, origin PoP).
-        let mut paths = PathTable::new();
-        let mut bgp = BgpTable::new();
-        let mut route_cache: HashMap<(CloudLocId, PopId), RouteIdx> = HashMap::new();
+        let prefixes = announce_prefixes(&config, &access);
         let as_index: HashMap<Asn, u32> = ases
             .iter()
             .enumerate()
             .map(|(i, a)| (a.asn, i as u32))
             .collect();
-
-        for p in &prefixes {
-            // The origin AS PoP at the prefix's home metro.
-            let origin_pop = graph
-                .pops_of(p.origin)
-                .find(|pop| pop.metro == p.metro)
-                .expect("origin AS must have a PoP at the prefix's home metro")
-                .id;
-            for (loc_i, src) in loc_pop.iter().enumerate() {
-                let loc = CloudLocId(loc_i as u16);
-                let idx =
-                    *route_cache.entry((loc, origin_pop)).or_insert_with(|| {
-                        let pop_paths =
-                            graph.diverse_paths(*src, origin_pop, config.route_alternates);
-                        if pop_paths.is_empty() {
-                            let dump = |pop: PopId| -> String {
-                                graph
-                                    .neighbors(pop)
-                                    .map(|(n, ms, k)| {
-                                        let np = graph.pop(n);
-                                        format!(
-                                            "{}@{}({:?},{:.1}ms,t={})",
-                                            np.asn, np.metro, k, ms, np.transit_ok
-                                        )
-                                    })
-                                    .collect::<Vec<_>>()
-                                    .join(", ")
-                            };
-                            panic!(
-                            "no route from {loc} to {} — generator must keep the graph connected
-src {} nbrs: [{}]
-dst {} nbrs: [{}]",
-                            p.origin, src, dump(*src), origin_pop, dump(origin_pop)
-                        );
-                        }
-                        let options: Vec<RouteOption> = pop_paths
-                            .iter()
-                            .map(|pp| build_route_option(pp, &graph, &ases, &as_index, &mut paths))
-                            .collect();
-                        bgp.push_routes(RouteOptions {
-                            loc,
-                            origin: p.origin,
-                            options,
-                        })
-                    });
-                bgp.bind_prefix(loc, p.prefix, idx);
-            }
-        }
-
-        // Client /24s: fan each prefix out, assign populations and
-        // anycast locations.
-        let mut p24_index = HashMap::new();
-        for (pi, p) in prefixes.iter().enumerate() {
-            let region = metros[p.metro.0 as usize].region;
-            // Rank locations by primary-route latency for this origin.
-            let mut latencies: Vec<(CloudLocId, f64)> = cloud_locations
-                .iter()
-                .map(|cl| {
-                    let ro = bgp.lookup(cl.id, p.prefix).expect("bound above");
-                    (cl.id, ro.options[0].total_oneway_ms)
-                })
-                .collect();
-            latencies.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            let primary_loc = latencies[0].0;
-            let second = latencies.get(1).map(|x| x.0);
-
-            for p24 in p.prefix.iter_24s() {
-                let mut r = DetRng::from_keys(config.seed, &[0xB10C, p24.block() as u64]);
-                // Heavy-tailed population: median ~40 active clients.
-                let population = r.lognormal(40f64.ln(), 1.1).clamp(2.0, 8000.0) as u32;
-                let enterprise = !p.mobile && r.chance(0.25);
-                let secondary_loc = match second {
-                    Some(s) if r.chance(config.secondary_loc_prob) => Some(s),
-                    _ => None,
-                };
-                let idx = clients.len() as u32;
-                p24_index.insert(p24, idx);
-                clients.push(ClientBlock {
-                    p24,
-                    prefix_idx: pi as u32,
-                    origin: p.origin,
-                    metro: p.metro,
-                    region,
-                    mobile: p.mobile,
-                    population,
-                    enterprise,
-                    primary_loc,
-                    secondary_loc,
-                });
-            }
-        }
+        let (paths, bgp) = compute_routes(&config, &graph, &ases, &as_index, &prefixes, &loc_pop);
+        let (clients, p24_index) =
+            fan_out_clients(&config, &metros, &prefixes, &cloud_locations, &bgp);
 
         Topology {
             config,
@@ -426,6 +312,149 @@ dst {} nbrs: [{}]",
 }
 
 /// Allocates non-overlapping announced prefixes from `1.0.0.0` upward.
+/// Announces prefixes for every access ISP.
+fn announce_prefixes(config: &TopologyConfig, access: &[AccessAs]) -> Vec<AnnouncedPrefix> {
+    let mut prefixes = Vec::new();
+    let mut alloc = PrefixAllocator::new();
+    for a in access {
+        let mut r = DetRng::from_keys(config.seed, &[0x9F1C, a.asn.0 as u64]);
+        let n = r.range_u64(
+            config.prefixes_per_access.0 as u64,
+            config.prefixes_per_access.1 as u64,
+        ) as usize;
+        for _ in 0..n {
+            let len = r.range_u64(config.prefix_len.0 as u64, config.prefix_len.1 as u64) as u8;
+            let prefix = alloc.alloc(len);
+            let metro = *r.pick(&a.metros);
+            prefixes.push(AnnouncedPrefix {
+                prefix,
+                origin: a.asn,
+                metro,
+                mobile: a.mobile,
+            });
+        }
+    }
+    prefixes
+}
+
+/// Route computation: per (location, origin PoP), bound to every
+/// prefix homed at that PoP. `loc_pop[i]` is location `i`'s PoP.
+fn compute_routes(
+    config: &TopologyConfig,
+    graph: &AsGraph,
+    ases: &[AsInfo],
+    as_index: &HashMap<Asn, u32>,
+    prefixes: &[AnnouncedPrefix],
+    loc_pop: &[PopId],
+) -> (PathTable, BgpTable) {
+    let mut paths = PathTable::new();
+    let mut bgp = BgpTable::new();
+    let mut route_cache: HashMap<(CloudLocId, PopId), RouteIdx> = HashMap::new();
+    for p in prefixes {
+        // The origin AS PoP at the prefix's home metro.
+        let origin_pop = graph
+            .pops_of(p.origin)
+            .find(|pop| pop.metro == p.metro)
+            .expect("origin AS must have a PoP at the prefix's home metro")
+            .id;
+        for (loc_i, src) in loc_pop.iter().enumerate() {
+            let loc = CloudLocId(loc_i as u16);
+            let idx = *route_cache.entry((loc, origin_pop)).or_insert_with(|| {
+                let pop_paths = graph.diverse_paths(*src, origin_pop, config.route_alternates);
+                if pop_paths.is_empty() {
+                    let dump = |pop: PopId| -> String {
+                        graph
+                            .neighbors(pop)
+                            .map(|(n, ms, k)| {
+                                let np = graph.pop(n);
+                                format!(
+                                    "{}@{}({:?},{:.1}ms,t={})",
+                                    np.asn, np.metro, k, ms, np.transit_ok
+                                )
+                            })
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    };
+                    panic!(
+                        "no route from {loc} to {} — generator must keep the graph connected
+src {} nbrs: [{}]
+dst {} nbrs: [{}]",
+                        p.origin,
+                        src,
+                        dump(*src),
+                        origin_pop,
+                        dump(origin_pop)
+                    );
+                }
+                let options: Vec<RouteOption> = pop_paths
+                    .iter()
+                    .map(|pp| build_route_option(pp, graph, ases, as_index, &mut paths))
+                    .collect();
+                bgp.push_routes(RouteOptions {
+                    loc,
+                    origin: p.origin,
+                    options,
+                })
+            });
+            bgp.bind_prefix(loc, p.prefix, idx);
+        }
+    }
+    (paths, bgp)
+}
+
+/// Client /24s: fans each prefix out, assigns populations and anycast
+/// locations. Returns the blocks and the /24 → block index.
+fn fan_out_clients(
+    config: &TopologyConfig,
+    metros: &[Metro],
+    prefixes: &[AnnouncedPrefix],
+    cloud_locations: &[CloudLocation],
+    bgp: &BgpTable,
+) -> (Vec<ClientBlock>, HashMap<Prefix24, u32>) {
+    let mut clients = Vec::new();
+    let mut p24_index = HashMap::new();
+    for (pi, p) in prefixes.iter().enumerate() {
+        let region = metros[p.metro.0 as usize].region;
+        // Rank locations by primary-route latency for this origin.
+        let mut latencies: Vec<(CloudLocId, f64)> = cloud_locations
+            .iter()
+            .map(|cl| {
+                let ro = bgp.lookup(cl.id, p.prefix).expect("bound above");
+                (cl.id, ro.options[0].total_oneway_ms)
+            })
+            .collect();
+        latencies.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let primary_loc = latencies[0].0;
+        let second = latencies.get(1).map(|x| x.0);
+
+        for p24 in p.prefix.iter_24s() {
+            let mut r = DetRng::from_keys(config.seed, &[0xB10C, p24.block() as u64]);
+            // Heavy-tailed population: median ~40 active clients.
+            let population = r.lognormal(40f64.ln(), 1.1).clamp(2.0, 8000.0) as u32;
+            let enterprise = !p.mobile && r.chance(0.25);
+            let secondary_loc = match second {
+                Some(s) if r.chance(config.secondary_loc_prob) => Some(s),
+                _ => None,
+            };
+            let idx = clients.len() as u32;
+            p24_index.insert(p24, idx);
+            clients.push(ClientBlock {
+                p24,
+                prefix_idx: pi as u32,
+                origin: p.origin,
+                metro: p.metro,
+                region,
+                mobile: p.mobile,
+                population,
+                enterprise,
+                primary_loc,
+                secondary_loc,
+            });
+        }
+    }
+    (clients, p24_index)
+}
+
 struct PrefixAllocator {
     next_block: u32, // next free /24 block number
 }

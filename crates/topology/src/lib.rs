@@ -35,7 +35,7 @@ pub mod rng;
 pub mod testkit;
 
 pub use asn::{AsInfo, AsRole, Asn};
-pub use bgp::{BgpAtom, BgpChurnEvent, BgpPath, BgpTable, PathId, RouteEntry};
+pub use bgp::{BgpAtom, BgpChurnEvent, BgpPath, BgpTable, PathId};
 pub use cloud::{CloudLocId, CloudLocation};
 pub use gen::{Topology, TopologyConfig};
 pub use geo::{GeoPoint, Metro, MetroId, Region};

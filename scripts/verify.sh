@@ -15,9 +15,9 @@ cargo run --release -p blameit-lint -- --only stale-suppression
 echo "==> blameit-lint exit-code contract (0 clean / 1 findings / 2 usage)"
 LINT=target/release/blameit-lint
 BAD_TREE=crates/lint/tests/fixtures/transitive-effect/bad
-rc=0; "$LINT" --root "$BAD_TREE" --no-cache >/dev/null 2>&1 || rc=$?
+rc=0; "$LINT" --root "$BAD_TREE" >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 1 ] || { echo "expected exit 1 on the bad fixture tree, got $rc"; exit 1; }
-rc=0; "$LINT" --root "$BAD_TREE" --no-cache --only as-cast-truncation >/dev/null 2>&1 || rc=$?
+rc=0; "$LINT" --root "$BAD_TREE" --only as-cast-truncation >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 0 ] || { echo "expected exit 0 with --only filtering the finding out, got $rc"; exit 1; }
 rc=0; "$LINT" --definitely-not-a-flag >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected exit 2 on an unknown flag, got $rc"; exit 1; }
