@@ -8,15 +8,39 @@
 //! matches the injected segment (and the actively-localized culprit AS
 //! matches for middle incidents).
 
-use crate::{fmt, scenarios, warmed_engine, Args, Scale};
+use crate::{fmt, scenarios, warmed_engine, Args, IncidentScenario, IncidentVerdict, Scale};
 use blameit::{Backend, WorldBackend};
 
-pub fn run(args: &Args) {
+/// What the validation measured; [`run`] prints it and
+/// `tests/paper_claims.rs` gates on it.
+pub struct IncidentsScore {
+    /// The evaluated days: warm-up end to the end of the suite.
+    pub days: std::ops::Range<u64>,
+    /// Passive blame verdicts the engine produced.
+    pub blames: usize,
+    /// Active localizations attempted.
+    pub localizations: usize,
+    /// Probes issued, background and on-demand.
+    pub probes: u64,
+    /// Each incident with its verdict, in suite order.
+    pub verdicts: Vec<(IncidentScenario, IncidentVerdict)>,
+}
+
+impl IncidentsScore {
+    /// Incidents whose dominant blame (and culprit AS, for middle
+    /// incidents) matched the injected ground truth.
+    pub fn correct(&self) -> usize {
+        self.verdicts.iter().filter(|(_, v)| v.correct).count()
+    }
+}
+
+/// Injects the 88-incident suite into a quiet world, runs the engine
+/// over it and scores every incident against ground truth.
+pub fn score(args: &Args) -> IncidentsScore {
     let seed = args.u64("seed", 2019);
     let warmup_days = args.u64("warmup", 2);
     let scale = args.scale(Scale::Small);
 
-    fmt::banner("§6.3", "88-incident validation against ground truth");
     // Build the suite over a quiet world, then inject all incidents.
     let prototype = scenarios::quiet_world(scale, 1, seed);
     let suite = scenarios::incident_suite(&prototype, warmup_days, seed);
@@ -24,13 +48,6 @@ pub fn run(args: &Args) {
     let days = end.secs() / 86_400 + 2;
     let mut world = scenarios::quiet_world(scale, days, seed);
     world.add_faults(suite.iter().map(|s| s.fault).collect());
-    println!(
-        "{} incidents over days {}..{} ({} case studies named)",
-        suite.len(),
-        warmup_days,
-        days,
-        5
-    );
 
     let mut backend = WorldBackend::new(&world);
     let (mut engine, eval) = warmed_engine(&world, &backend, |_| {}, warmup_days, 2, days);
@@ -41,26 +58,38 @@ pub fn run(args: &Args) {
         blames.extend(out.blames);
         localizations.extend(out.localizations);
     }
+    IncidentsScore {
+        days: warmup_days..days,
+        blames: blames.len(),
+        localizations: localizations.len(),
+        probes: backend.probes_issued(),
+        verdicts: suite
+            .into_iter()
+            .map(|s| {
+                let v = crate::score_incident(&world, &s, &blames, &localizations);
+                (s, v)
+            })
+            .collect(),
+    }
+}
+
+pub fn run(args: &Args) {
+    fmt::banner("§6.3", "88-incident validation against ground truth");
+    let score = score(args);
+    let total = score.verdicts.len();
+    println!(
+        "{total} incidents over days {}..{} ({} case studies named)",
+        score.days.start, score.days.end, 5
+    );
     println!(
         "engine: {} blame verdicts, {} active localizations, {} probes",
-        blames.len(),
-        localizations.len(),
-        backend.probes_issued()
+        score.blames, score.localizations, score.probes
     );
     println!();
 
-    let mut correct = 0usize;
-    let mut failures = Vec::new();
-    for s in &suite {
-        let v = crate::score_incident(&world, s, &blames, &localizations);
-        let ok = v.correct;
-        if ok {
-            correct += 1;
-        } else {
-            failures.push(v.clone());
-        }
+    for (s, v) in &score.verdicts {
         // Print the named case studies and any failures in detail.
-        if s.name.starts_with("case") || !ok {
+        if s.name.starts_with("case") || !v.correct {
             println!(
                 "{:<32} expected {:<7} {:<7} → dominant {:?} culprit {:?} confidence {} [{}]",
                 v.name,
@@ -69,20 +98,18 @@ pub fn run(args: &Args) {
                 v.dominant,
                 v.localized_culprit,
                 fmt::pct(v.confidence),
-                if ok { "OK" } else { "MISS" }
+                if v.correct { "OK" } else { "MISS" }
             );
         }
     }
+    let correct = score.correct();
     println!();
-    println!(
-        "correctly localized: {correct}/{}  [paper: 88/88]",
-        suite.len()
-    );
+    println!("correctly localized: {correct}/{total}  [paper: 88/88]");
     println!(
         "verdict: {}",
-        if correct == suite.len() {
+        if correct == total {
             "HOLDS (all incidents localized)"
-        } else if correct * 100 >= suite.len() * 90 {
+        } else if correct * 100 >= total * 90 {
             "MOSTLY HOLDS (≥90%)"
         } else {
             "check engine calibration"

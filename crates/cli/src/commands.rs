@@ -1,20 +1,24 @@
-//! CLI command implementations.
+//! CLI dispatch: usage text, the error type, and `run`, which routes a
+//! command line to its family module.
 //!
-//! Each command takes parsed [`Args`] and a writer, so tests can run
-//! commands in-process and inspect their output.
+//! Each command takes parsed [`Args`] and returns its rendered output,
+//! so tests can run commands in-process and inspect what they print.
+//!
+//! | module | verbs |
+//! |---|---|
+//! | [`inspect`] | `topo` `routes` `simulate` `probe` — read-only, no engine |
+//! | [`engine`] | `analyze` `inject` `explain` `flight dump` `metrics` `trace` — flags → scenario spec → the one driver → render |
+//! | [`scenario`] | `scenario list\|run\|check` — the `.scn` library |
+//! | [`state`] | `fsck`, `analyze --state-dir` — durable state directories |
+//!
+//! `daemon` / `feed` / `scrape` dispatch straight into `blameit_daemon`.
 
-use blameit::{
-    fsck, render_blame_explain, render_localization_explain, tally, Backend, BadnessThresholds,
-    BlameItConfig, BlameItEngine, ChaosBackend, DurableEngine, MiddleLocalization, StartMode,
-    StateStore, TickOutput, UnlocalizedReason, WorldBackend,
-};
-use blameit_bench::{organic_world, quiet_world, Args, Scale};
-use blameit_simnet::{
-    DatasetSummary, Fault, FaultId, FaultPlan, FaultTarget, Segment, SimTime, TimeRange, World,
-};
-use blameit_topology::{AsRole, Asn, CloudLocId, Prefix24, Region};
-use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+mod engine;
+mod inspect;
+mod scenario;
+mod state;
+
+use blameit_bench::Args;
 
 /// A user-facing CLI failure (bad arguments, unknown ids).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,9 +57,8 @@ COMMANDS:
              Exits non-zero (with a report) on corruption.
   explain    Render the provenance chain behind a verdict as a tree:
              blameit explain quartet:<loc>/<p24> | incident:<loc>
-             (--limit N caps matches shown; with --target and the
-             inject flags it explains that injected scenario, otherwise
-             an analyze-style organic run)
+             (--limit N caps matches shown; with --target it explains
+             that `inject` run, otherwise an `analyze` run)
   flight     Flight recorder: `blameit flight dump` runs the engine and
              prints the recorder ring as JSONL (--out FILE to write it;
              --fault-plan to watch chaos-burst triggers fire)
@@ -71,6 +74,10 @@ COMMANDS:
               --bless 1 or BLESS=1 re-pins goldens; failing transcripts
               land in --fail-dir, default `target/scenario-failures`)
   inject     Inject one incident and investigate it end to end
+             (--target cloud:<loc>|middle:<asn>|client:<asn> --ms X
+             --at-hour H --hours N: a quiet world, day 0 learns, day 1
+             up to hour H builds probe baselines, then the fault window
+             is analyzed; H must be ≥ 24)
   probe      Print one simulated traceroute
   metrics    Run the engine and dump its metrics registry
              (Prometheus text exposition; --json 1 for a JSON dump;
@@ -97,13 +104,15 @@ COMMANDS:
 COMMON FLAGS:
   --scale tiny|small|default   world size        (default: small)
   --seed N                     determinism seed  (default: 2019)
-  --days D                     simulated days    (command-specific default)
+  --days D  --warmup W         simulated days, of which W learn history
+                               (analyze/explain/flight/metrics: 2 and 1)
   --threads N                  engine tick worker threads; 0 = auto
                                (available cores, or BLAMEIT_THREADS).
                                Output is byte-identical at any N.
                                `trace` defaults to 1 for a readable tree.
-  --fault-plan NAME            (analyze/inject) run under a chaos plan
-                               degrading the measurement plane:
+  --fault-plan NAME            (analyze/inject/explain/flight/metrics)
+                               run under a chaos plan degrading the
+                               measurement plane:
                                none|mild|heavy|probe-storm. The engine
                                retries, degrades verdicts, and reports
                                every injected/absorbed fault.
@@ -125,34 +134,26 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Ok(USAGE.to_string());
     };
-    // `fsck <dir>`, `explain <selector>`, `flight <sub>`, and
-    // `scenario <sub> [name]` take positional arguments, so they are
-    // dispatched before `Args::parse_from` (which rejects positionals).
-    if cmd == "fsck" {
-        return cmd_fsck(rest);
-    }
-    if cmd == "explain" {
-        return cmd_explain(rest);
-    }
-    if cmd == "flight" {
-        return cmd_flight(rest);
-    }
-    if cmd == "scenario" {
-        return cmd_scenario(rest);
-    }
-    let args = Args::parse_from(rest.iter().cloned());
+    // `Args::parse_from` rejects positionals, so the verbs that take one
+    // (`fsck <dir>`, `explain <selector>`, `flight <sub>`, `scenario
+    // <sub> [name]`) get the raw rest and parse their own flags.
+    let args = || Args::parse_from(rest.iter().cloned());
     match cmd.as_str() {
-        "topo" => cmd_topo(&args),
-        "routes" => cmd_routes(&args),
-        "simulate" => cmd_simulate(&args),
-        "analyze" => cmd_analyze(&args),
-        "inject" => cmd_inject(&args),
-        "probe" => cmd_probe(&args),
-        "metrics" => cmd_metrics(&args),
-        "trace" => cmd_trace(&args),
-        "daemon" => blameit_daemon::run_daemon(&args).map_err(err),
-        "feed" => blameit_daemon::run_feed(&args).map_err(err),
-        "scrape" => blameit_daemon::run_scrape(&args).map_err(err),
+        "fsck" => state::cmd_fsck(rest),
+        "explain" => engine::cmd_explain(rest),
+        "flight" => engine::cmd_flight(rest),
+        "scenario" => scenario::cmd_scenario(rest),
+        "topo" => inspect::cmd_topo(&args()),
+        "routes" => inspect::cmd_routes(&args()),
+        "simulate" => inspect::cmd_simulate(&args()),
+        "analyze" => engine::cmd_analyze(&args()),
+        "inject" => engine::cmd_inject(&args()),
+        "probe" => inspect::cmd_probe(&args()),
+        "metrics" => engine::cmd_metrics(&args()),
+        "trace" => engine::cmd_trace(&args()),
+        "daemon" => blameit_daemon::run_daemon(&args()).map_err(err),
+        "feed" => blameit_daemon::run_feed(&args()).map_err(err),
+        "scrape" => blameit_daemon::run_scrape(&args()).map_err(err),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(err(format!(
             "unknown command {other:?}; try `blameit help`"
@@ -160,1124 +161,11 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn cmd_topo(args: &Args) -> Result<String, CliError> {
-    let world = organic_world(args.scale(Scale::Small), 1, args.u64("seed", 2019));
-    let topo = world.topology();
-    if args.get("dot").is_some() {
-        return Ok(render_dot(topo));
-    }
-    let mut out = String::new();
-    let count_role = |role: AsRole| topo.ases.iter().filter(|a| a.role == role).count();
-    writeln!(out, "topology (seed {}):", args.u64("seed", 2019)).unwrap();
-    writeln!(out, "  metros:           {}", topo.metros.len()).unwrap();
-    writeln!(out, "  cloud locations:  {}", topo.cloud_locations.len()).unwrap();
-    writeln!(out, "  tier-1 ASes:      {}", count_role(AsRole::Tier1)).unwrap();
-    writeln!(out, "  transit ASes:     {}", count_role(AsRole::Transit)).unwrap();
-    writeln!(
-        out,
-        "  access ISPs:      {} broadband + {} cellular",
-        count_role(AsRole::AccessBroadband),
-        count_role(AsRole::AccessMobile)
-    )
-    .unwrap();
-    writeln!(out, "  announced prefixes: {}", topo.prefixes.len()).unwrap();
-    writeln!(out, "  client /24s:      {}", topo.clients.len()).unwrap();
-    writeln!(out, "  middle BGP paths: {}", topo.paths.len()).unwrap();
-    writeln!(out, "\n  per-region clients:").unwrap();
-    for r in Region::ALL {
-        let n = topo.clients.iter().filter(|c| c.region == r).count();
-        writeln!(out, "    {:>12}: {n}", r.label()).unwrap();
-    }
-    Ok(out)
-}
-
-/// Renders the AS-level peering graph as Graphviz DOT: one node per
-/// AS (shaped by role), one edge per distinct AS adjacency in the PoP
-/// graph.
-fn render_dot(topo: &blameit_topology::Topology) -> String {
-    use std::collections::BTreeSet;
-    let mut out = String::new();
-    writeln!(out, "graph blameit_topology {{").unwrap();
-    writeln!(out, "  layout=sfdp; overlap=false; splines=true;").unwrap();
-    for a in &topo.ases {
-        let (shape, color) = match a.role {
-            AsRole::Cloud => ("doublecircle", "gold"),
-            AsRole::Tier1 => ("hexagon", "steelblue"),
-            AsRole::Transit => ("box", "seagreen"),
-            AsRole::AccessBroadband => ("ellipse", "gray70"),
-            AsRole::AccessMobile => ("ellipse", "plum"),
-        };
-        writeln!(
-            out,
-            "  \"{}\" [label=\"{}\\n{}\", shape={shape}, style=filled, fillcolor={color}];",
-            a.asn, a.asn, a.name
-        )
-        .unwrap();
-    }
-    // Distinct AS-level adjacencies from the PoP graph.
-    let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for pop in topo.graph.pops() {
-        for (nbr, _, _) in topo.graph.neighbors(pop.id) {
-            let other = topo.graph.pop(nbr).asn;
-            if other != pop.asn {
-                let (a, b) = if pop.asn.0 < other.0 {
-                    (pop.asn.0, other.0)
-                } else {
-                    (other.0, pop.asn.0)
-                };
-                edges.insert((a, b));
-            }
-        }
-    }
-    for (a, b) in edges {
-        writeln!(out, "  \"AS{a}\" -- \"AS{b}\";").unwrap();
-    }
-    writeln!(out, "}}").unwrap();
-    out
-}
-
-fn cmd_routes(args: &Args) -> Result<String, CliError> {
-    let world = organic_world(args.scale(Scale::Small), 1, args.u64("seed", 2019));
-    let topo = world.topology();
-    let c = match args.get("p24") {
-        Some(s) => {
-            let p24: Prefix24 = s.parse().map_err(|e| err(format!("bad --p24: {e}")))?;
-            topo.client(p24)
-                .ok_or_else(|| err(format!("{p24} is not a known client block")))?
-        }
-        None => &topo.clients[args.u64("client", 0) as usize % topo.clients.len()],
-    };
-    let mut out = String::new();
-    writeln!(
-        out,
-        "client {} — {} ({}, {}), population ~{}, {}",
-        c.p24,
-        c.origin,
-        topo.as_info(c.origin)
-            .map(|a| a.name.clone())
-            .unwrap_or_default(),
-        c.region.label(),
-        c.population,
-        if c.mobile {
-            "cellular"
-        } else if c.enterprise {
-            "enterprise"
-        } else {
-            "home broadband"
-        },
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "announced prefix {}, anycast primary {}, secondary {}",
-        topo.announced_prefix(c).prefix,
-        c.primary_loc,
-        c.secondary_loc
-            .map(|l| l.to_string())
-            .unwrap_or_else(|| "-".into()),
-    )
-    .unwrap();
-    for loc in [Some(c.primary_loc), c.secondary_loc].into_iter().flatten() {
-        let ro = topo.routes_for(loc, c);
-        let live = world.route_at(loc, c, SimTime(args.u64("at-secs", 43_200)));
-        writeln!(out, "\nroutes from {loc}:").unwrap();
-        for (i, opt) in ro.options.iter().enumerate() {
-            let middle = topo.paths.get(opt.path_id);
-            writeln!(
-                out,
-                "  option {} {} {:<28} one-way {:>6.2} ms  {}",
-                i,
-                if opt.path_id == live.path_id && opt.total_oneway_ms == live.total_oneway_ms {
-                    "*"
-                } else {
-                    " "
-                },
-                middle.to_string(),
-                opt.total_oneway_ms,
-                opt.path_id,
-            )
-            .unwrap();
-        }
-    }
-    writeln!(out, "\n(* = live at --at-secs, accounting for BGP churn)").unwrap();
-    Ok(out)
-}
-
-fn cmd_simulate(args: &Args) -> Result<String, CliError> {
-    let days = args.u64("days", 1);
-    let world = organic_world(args.scale(Scale::Small), days, args.u64("seed", 2019));
-    let s = DatasetSummary::collect(&world, TimeRange::days(days));
-    if args.get("json").is_some() {
-        let j = blameit_obs::json::Json::obj()
-            .field("days", days)
-            .field("seed", args.u64("seed", 2019))
-            .field("rtt_measurements", s.rtt_measurements)
-            .field("quartets", s.quartets)
-            .field("client_p24s", s.client_p24s)
-            .field("bgp_prefixes", s.bgp_prefixes)
-            .field("client_ases", s.client_ases)
-            .field("bgp_paths", s.bgp_paths)
-            .field("scheduled_faults", world.faults().len());
-        return Ok(format!("{j}\n"));
-    }
-    let mut out = String::new();
-    writeln!(out, "simulated {days} day(s):").unwrap();
-    writeln!(out, "  RTT measurements: {}", s.rtt_measurements).unwrap();
-    writeln!(out, "  quartets:         {}", s.quartets).unwrap();
-    writeln!(out, "  client /24s:      {}", s.client_p24s).unwrap();
-    writeln!(out, "  BGP prefixes:     {}", s.bgp_prefixes).unwrap();
-    writeln!(out, "  client ASes:      {}", s.client_ases).unwrap();
-    writeln!(out, "  middle BGP paths: {}", s.bgp_paths).unwrap();
-    writeln!(out, "  scheduled faults: {}", world.faults().len()).unwrap();
-    Ok(out)
-}
-
-/// Engine config for `world` with the `--threads` override applied
-/// (`0` keeps the default: available cores or `BLAMEIT_THREADS`).
-fn engine_config(world: &World, threads: usize) -> BlameItConfig {
-    let mut cfg = BlameItConfig::new(BadnessThresholds::default_for(world));
-    if threads > 0 {
-        cfg.parallelism = threads;
-    }
-    cfg
-}
-
-/// Parses `--fault-plan`/`--fault-seed` into a chaos plan, if any.
-fn parse_fault_plan(args: &Args) -> Result<Option<FaultPlan>, CliError> {
-    let Some(name) = args.get("fault-plan") else {
-        return Ok(None);
-    };
-    let seed = args.u64("fault-seed", 0xC4A05);
-    FaultPlan::parse(name, seed).map(Some).map_err(err)
-}
-
-fn run_engine(
-    world: &World,
-    warmup_days: u64,
-    eval: TimeRange,
-    tickets: u64,
-    threads: usize,
-    plan: Option<FaultPlan>,
-    out: &mut String,
-) {
-    let cfg = engine_config(world, threads);
-    let parallelism = cfg.parallelism;
-    let engine = BlameItEngine::new(cfg);
-    match plan {
-        None => {
-            let backend = WorldBackend::with_parallelism(world, parallelism);
-            drive(engine, backend, warmup_days, eval, tickets, out);
-        }
-        Some(plan) => {
-            // Share the engine's registry so injected faults and the
-            // engine's absorption counters land in one exposition.
-            let backend = ChaosBackend::with_registry(
-                WorldBackend::with_parallelism(world, parallelism),
-                plan,
-                engine.metrics().registry(),
-            );
-            let (engine, backend) = drive(engine, backend, warmup_days, eval, tickets, out);
-            let s = backend.stats();
-            let m = engine.metrics();
-            writeln!(
-                out,
-                "chaos: {} faults injected (probe timeouts {}, truncated {}, delayed {}, \
-                 quartet batches dropped {}, route lookups dropped {}, churn duplicated {}, \
-                 churn delayed {})",
-                s.total(),
-                s.probe_timeouts,
-                s.probes_truncated,
-                s.probes_delayed,
-                s.quartet_batches_dropped,
-                s.route_infos_dropped,
-                s.churn_duplicated,
-                s.churn_delayed,
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "chaos: absorbed with {} probe retries, {} lost attempts, {} degraded verdicts, \
-                 {} baseline quarantines, {} background retries",
-                m.probe_retries.get(),
-                m.probe_attempts_lost.get(),
-                m.degraded_total(),
-                m.baseline_quarantines.get(),
-                m.background_retries.get(),
-            )
-            .unwrap();
-        }
-    }
-}
-
-/// Renders per-tick alerts (operator tickets first, then plain lines
-/// capped at 40) and returns the collected blames for the window
-/// tally. Shared by the in-memory and durable analyze paths so a
-/// durable run prints byte-identical alert output.
-fn render_alerts(
-    ticks: impl IntoIterator<Item = TickOutput>,
-    tickets: u64,
-    out: &mut String,
-) -> Vec<blameit::BlameResult> {
-    let mut blames = Vec::new();
-    let mut alerts_shown = 0;
-    let mut tickets_shown = 0u64;
-    for tick in ticks {
-        for a in &tick.alerts {
-            if tickets_shown < tickets {
-                let localization = tick
-                    .localizations
-                    .iter()
-                    .find(|l| Some(l.issue.issue.path) == a.path && l.issue.issue.loc == a.loc);
-                out.push_str(&blameit::report::render_ticket(a, localization));
-                out.push('\n');
-                tickets_shown += 1;
-                continue;
-            }
-            if alerts_shown < 40 {
-                writeln!(
-                    out,
-                    "  [{}] {:>7}  loc={} path={} client_as={} culprit={} ({} conns, {} /24s, {:.0}%)",
-                    a.bucket,
-                    a.blame.to_string(),
-                    a.loc,
-                    a.path.map(|p| p.to_string()).unwrap_or_else(|| "-".into()),
-                    a.client_as.map(|x| x.to_string()).unwrap_or_else(|| "-".into()),
-                    a.culprit.map(|x| x.to_string()).unwrap_or_else(|| "-".into()),
-                    a.impacted_connections,
-                    a.impacted_p24s,
-                    100.0 * a.confidence,
-                )
-                .unwrap();
-                alerts_shown += 1;
-            }
-        }
-        blames.extend(tick.blames);
-    }
-    blames
-}
-
-/// The trailing summary lines shared by every analyze-style run.
-fn render_run_summary(blames: &[blameit::BlameResult], engine: &BlameItEngine, out: &mut String) {
-    let t = tally(blames);
-    writeln!(out, "\nblame fractions over the window: {t}").unwrap();
-    writeln!(
-        out,
-        "probes: {} background + {} on-demand",
-        engine.background_probes_total, engine.on_demand_probes_total
-    )
-    .unwrap();
-    // Degraded-verdict breakdown: why middle localizations fell back
-    // to `MiddleUnlocalized`, by reason (zero reasons elided).
-    let m = engine.metrics();
-    if m.degraded_total() > 0 {
-        let parts: Vec<String> = UnlocalizedReason::ALL
-            .iter()
-            .filter_map(|r| {
-                let n = m.degraded_counter(*r).get();
-                (n > 0).then(|| format!("{r} {n}"))
-            })
-            .collect();
-        writeln!(
-            out,
-            "degraded verdicts: {} ({})",
-            m.degraded_total(),
-            parts.join(", ")
-        )
-        .unwrap();
-    }
-}
-
-/// Warmup + evaluation loop shared by the plain and chaos paths.
-fn drive<B: Backend>(
-    mut engine: BlameItEngine,
-    mut backend: B,
-    warmup_days: u64,
-    eval: TimeRange,
-    tickets: u64,
-    out: &mut String,
-) -> (BlameItEngine, B) {
-    engine.warmup(&backend, TimeRange::days(warmup_days), 2);
-    let ticks = engine.run(&mut backend, eval);
-    let blames = render_alerts(ticks, tickets, out);
-    render_run_summary(&blames, &engine, out);
-    (engine, backend)
-}
-
-fn cmd_analyze(args: &Args) -> Result<String, CliError> {
-    if let Some(dir) = args.get("state-dir") {
-        let dir = dir.to_string();
-        return cmd_analyze_durable(args, &dir);
-    }
-    let days = args.u64("days", 2).max(2);
-    let warmup = args.u64("warmup", 1).min(days - 1);
-    let tickets = args.u64("tickets", 0);
-    let world = organic_world(args.scale(Scale::Small), days, args.u64("seed", 2019));
-    let plan = parse_fault_plan(args)?;
-    let mut out = String::new();
-    writeln!(out, "alerts (top per 15-min tick, first 40):").unwrap();
-    run_engine(
-        &world,
-        warmup,
-        TimeRange::new(SimTime::from_days(warmup), SimTime::from_days(days)),
-        tickets,
-        args.u64("threads", 0) as usize,
-        plan,
-        &mut out,
-    );
-    Ok(out)
-}
-
-/// `analyze --state-dir DIR [--resume 1]`: the durable engine path.
-///
-/// A fresh run wipes prior blameit state in `DIR`, warms up, writes
-/// the tick-0 checkpoint, then runs durable ticks (journal + periodic
-/// snapshots). `--resume 1` instead recovers — newest valid snapshot
-/// plus deterministic journal replay — and continues; everything after
-/// the first status line is byte-identical to an in-memory run.
-fn cmd_analyze_durable(args: &Args, dir: &str) -> Result<String, CliError> {
-    if args.get("fault-plan").is_some() {
-        return Err(err("--state-dir does not combine with --fault-plan"));
-    }
-    let days = args.u64("days", 2).max(2);
-    let warmup = args.u64("warmup", 1).min(days - 1);
-    let tickets = args.u64("tickets", 0);
-    let resume = args.get("resume").is_some_and(|v| v != "0");
-    let world = organic_world(args.scale(Scale::Small), days, args.u64("seed", 2019));
-    let state_err = |e: &dyn std::fmt::Display| err(format!("state dir {dir}: {e}"));
-
-    let mut cfg = engine_config(&world, args.u64("threads", 0) as usize);
-    cfg.state_dir = Some(PathBuf::from(dir));
-    cfg.snapshot_every_ticks = args.u64("snapshot-every", 4).max(1) as u32;
-    if !resume {
-        let store = StateStore::create(dir).map_err(|e| state_err(&e))?;
-        store.wipe().map_err(|e| state_err(&e))?;
-    }
-
-    let mut backend = WorldBackend::with_parallelism(&world, cfg.parallelism);
-    let registry = std::sync::Arc::new(blameit_obs::MetricsRegistry::new());
-    let (mut durable, recovery) =
-        DurableEngine::open(cfg, registry, &mut backend).map_err(|e| state_err(&e))?;
-
-    let mut out = String::new();
-    writeln!(out, "{}", recovery.describe()).unwrap();
-    if recovery.mode == StartMode::Cold {
-        durable
-            .warmup_and_checkpoint(&backend, TimeRange::days(warmup), 2)
-            .map_err(|e| state_err(&e))?;
-    }
-    writeln!(out, "alerts (top per 15-min tick, first 40):").unwrap();
-    let resumed = durable
-        .run(
-            &mut backend,
-            TimeRange::new(SimTime::from_days(warmup), SimTime::from_days(days)),
-        )
-        .map_err(|e| state_err(&e))?;
-    let mut ticks = recovery.replayed;
-    ticks.extend(resumed);
-    let blames = render_alerts(ticks, tickets, &mut out);
-    render_run_summary(&blames, durable.engine(), &mut out);
-    Ok(out)
-}
-
-/// `fsck <dir>` (or `fsck --dir DIR`): validate a state directory.
-fn cmd_fsck(rest: &[String]) -> Result<String, CliError> {
-    let dir = match rest.first() {
-        Some(s) if !s.starts_with("--") => s.clone(),
-        _ => Args::parse_from(rest.iter().cloned())
-            .get("dir")
-            .map(str::to_string)
-            .ok_or_else(|| err("fsck requires a state directory: blameit fsck <dir>"))?,
-    };
-    let report = fsck(Path::new(&dir));
-    let rendered = report.render();
-    if report.ok() {
-        Ok(rendered)
-    } else {
-        // Corruption must exit non-zero; the report itself is the
-        // error message.
-        Err(CliError(rendered.trim_end().to_string()))
-    }
-}
-
-/// What `blameit explain <selector>` should explain.
-enum ExplainSelector {
-    /// One quartet's Algorithm-1 verdict(s): `quartet:<loc>/<p24>`.
-    Quartet { loc: CloudLocId, p24: Prefix24 },
-    /// Middle localizations observed from one location: `incident:<loc>`.
-    Incident { loc: CloudLocId },
-}
-
-fn parse_selector(s: &str) -> Result<ExplainSelector, CliError> {
-    let usage = "selector must be quartet:<loc>/<p24> (e.g. quartet:0/10.80.0.0/24) \
-                 or incident:<loc> (e.g. incident:0)";
-    let (kind, rest) = s.split_once(':').ok_or_else(|| err(usage))?;
-    match kind {
-        "quartet" => {
-            let (loc_s, p24_s) = rest.split_once('/').ok_or_else(|| err(usage))?;
-            let loc = loc_s
-                .parse()
-                .map_err(|_| err(format!("bad cloud location {loc_s:?}")))?;
-            let p24 = p24_s
-                .parse()
-                .map_err(|e| err(format!("bad /24 {p24_s:?}: {e}")))?;
-            Ok(ExplainSelector::Quartet {
-                loc: CloudLocId(loc),
-                p24,
-            })
-        }
-        "incident" => {
-            let loc = rest
-                .parse()
-                .map_err(|_| err(format!("bad cloud location {rest:?}")))?;
-            Ok(ExplainSelector::Incident {
-                loc: CloudLocId(loc),
-            })
-        }
-        other => Err(err(format!("unknown selector kind {other:?}; {usage}"))),
-    }
-}
-
-/// Runs the scenario the explain/flight verbs operate on and returns
-/// every tick output. With `--target` this is the `inject` scenario
-/// (quiet world + one fault, evaluated over the fault window);
-/// otherwise the `analyze` scenario (organic world, post-warmup days).
-fn scenario_ticks(args: &Args) -> Result<Vec<TickOutput>, CliError> {
-    let threads = args.u64("threads", 0) as usize;
-    let seed = args.u64("seed", 2019);
-    if let Some(target_s) = args.get("target") {
-        let ms = args.f64("ms", 80.0);
-        let at_hour = args.u64("at-hour", 26).max(25);
-        let hours = args.u64("hours", 3);
-        let days = (at_hour + hours) / 24 + 2;
-        let mut world = quiet_world(args.scale(Scale::Small), days, seed);
-        let (target, _) = parse_target(&world, target_s)?;
-        let start = SimTime::from_hours(at_hour);
-        world.add_faults(vec![Fault {
-            id: FaultId(0),
-            target,
-            start,
-            duration_secs: hours * 3_600,
-            added_ms: ms,
-        }]);
-        // Learn on quiet day 0, then burn in from day 1 to the fault
-        // start so background probes build middle baselines — without
-        // them every localization degrades to `no_baseline` and the
-        // provenance tree has no per-AS delta to show.
-        let cfg = engine_config(&world, threads);
-        let mut backend = WorldBackend::with_parallelism(&world, cfg.parallelism);
-        let mut engine = BlameItEngine::new(cfg);
-        engine.warmup(&backend, TimeRange::days(1), 2);
-        engine.run(&mut backend, TimeRange::new(SimTime::from_days(1), start));
-        Ok(engine.run(&mut backend, TimeRange::new(start, start + hours * 3_600)))
-    } else {
-        let days = args.u64("days", 2).max(2);
-        let warmup = args.u64("warmup", 1).min(days - 1);
-        let world = organic_world(args.scale(Scale::Small), days, seed);
-        Ok(collect_ticks(
-            &world,
-            warmup,
-            TimeRange::new(SimTime::from_days(warmup), SimTime::from_days(days)),
-            threads,
-        ))
-    }
-}
-
-/// Warms up an engine over `world` and returns the evaluated ticks.
-fn collect_ticks(
-    world: &World,
-    warmup_days: u64,
-    eval: TimeRange,
-    threads: usize,
-) -> Vec<TickOutput> {
-    let cfg = engine_config(world, threads);
-    let mut backend = WorldBackend::with_parallelism(world, cfg.parallelism);
-    let mut engine = BlameItEngine::new(cfg);
-    engine.warmup(&backend, TimeRange::days(warmup_days), 2);
-    engine.run(&mut backend, eval)
-}
-
-/// `explain <selector>`: render the provenance chain behind verdicts
-/// matching the selector as a tree, newest-run scenario first match.
-fn cmd_explain(rest: &[String]) -> Result<String, CliError> {
-    let Some((selector, flags)) = rest.split_first() else {
-        return Err(err(
-            "explain requires a selector: blameit explain quartet:<loc>/<p24> | incident:<loc>",
-        ));
-    };
-    let sel = parse_selector(selector)?;
-    let args = Args::parse_from(flags.iter().cloned());
-    let limit = args.u64("limit", 3).max(1) as usize;
-    let ticks = scenario_ticks(&args)?;
-    let mut out = String::new();
-    match sel {
-        ExplainSelector::Quartet { loc, p24 } => {
-            let matches: Vec<&blameit::BlameResult> = ticks
-                .iter()
-                .flat_map(|t| t.blames.iter())
-                .filter(|b| b.obs.loc == loc && b.obs.p24 == p24)
-                .collect();
-            if matches.is_empty() {
-                return Err(err(format!(
-                    "no verdicts for quartet loc={loc} p24={p24} in this scenario \
-                     (try `blameit topo` / `blameit routes` for valid ids)"
-                )));
-            }
-            writeln!(
-                out,
-                "{} verdict(s) for quartet loc={loc} p24={p24}; showing {}:",
-                matches.len(),
-                matches.len().min(limit)
-            )
-            .unwrap();
-            for b in matches.iter().take(limit) {
-                out.push('\n');
-                out.push_str(&render_blame_explain(b));
-            }
-        }
-        ExplainSelector::Incident { loc } => {
-            let matches: Vec<&MiddleLocalization> = ticks
-                .iter()
-                .flat_map(|t| t.localizations.iter())
-                .filter(|l| l.issue.issue.loc == loc)
-                .collect();
-            if matches.is_empty() {
-                return Err(err(format!(
-                    "no middle localizations at loc={loc} in this scenario \
-                     (middle incidents need a middle-segment fault; try \
-                     `blameit explain incident:<loc> --target middle:<asn> ...`)"
-                )));
-            }
-            writeln!(
-                out,
-                "{} middle localization(s) at loc={loc}; showing {}:",
-                matches.len(),
-                matches.len().min(limit)
-            )
-            .unwrap();
-            for l in matches.iter().take(limit) {
-                out.push('\n');
-                out.push_str(&render_localization_explain(l));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// `flight dump [--out FILE]`: run the engine over the scenario and
-/// dump the flight-recorder ring (trigger log + recent tick frames)
-/// as JSONL.
-fn cmd_flight(rest: &[String]) -> Result<String, CliError> {
-    let Some((sub, flags)) = rest.split_first() else {
-        return Err(err("flight requires a subcommand: blameit flight dump"));
-    };
-    if sub != "dump" {
-        return Err(err(format!(
-            "unknown flight subcommand {sub:?}; try `blameit flight dump`"
-        )));
-    }
-    let args = Args::parse_from(flags.iter().cloned());
-    let days = args.u64("days", 2).max(2);
-    let warmup = args.u64("warmup", 1).min(days - 1);
-    let world = organic_world(args.scale(Scale::Small), days, args.u64("seed", 2019));
-    let plan = parse_fault_plan(&args)?;
-    let cfg = engine_config(&world, args.u64("threads", 0) as usize);
-    let parallelism = cfg.parallelism;
-    let mut engine = BlameItEngine::new(cfg);
-    let eval = TimeRange::new(SimTime::from_days(warmup), SimTime::from_days(days));
-    match plan {
-        None => {
-            let mut backend = WorldBackend::with_parallelism(&world, parallelism);
-            engine.warmup(&backend, TimeRange::days(warmup), 2);
-            engine.run(&mut backend, eval);
-        }
-        Some(plan) => {
-            let mut backend = ChaosBackend::with_registry(
-                WorldBackend::with_parallelism(&world, parallelism),
-                plan,
-                engine.metrics().registry(),
-            );
-            engine.warmup(&backend, TimeRange::days(warmup), 2);
-            engine.run(&mut backend, eval);
-        }
-    }
-    let dump = engine.flight_dump_manual(SimTime::from_days(days).secs(), "cli flight dump");
-    if let Some(path) = args.get("out") {
-        std::fs::write(path, &dump).map_err(|e| err(format!("write {path}: {e}")))?;
-        Ok(format!("wrote {} byte(s) to {path}\n", dump.len()))
-    } else {
-        Ok(dump)
-    }
-}
-
-/// `scenario list|run|check`: the declarative scenario library
-/// (crates/scenario, format reference in docs/SCENARIOS.md).
-fn cmd_scenario(rest: &[String]) -> Result<String, CliError> {
-    let Some((sub, rest)) = rest.split_first() else {
-        return Err(err(
-            "scenario requires a subcommand: blameit scenario list|run|check",
-        ));
-    };
-    let (positional, flags) = match rest.first() {
-        Some(s) if !s.starts_with("--") => (Some(s.clone()), &rest[1..]),
-        _ => (None, rest),
-    };
-    let args = Args::parse_from(flags.iter().cloned());
-    let dir = args.get("dir").unwrap_or("scenarios").to_string();
-    let threads = args.u64("threads", 0) as usize;
-    match sub.as_str() {
-        "list" => scenario_list(&dir),
-        "run" => {
-            let name = positional.ok_or_else(|| {
-                err("scenario run requires a name or path: blameit scenario run <name>")
-            })?;
-            scenario_run_one(&scenario_path(&dir, &name), threads)
-        }
-        "check" => {
-            let all = args.u64("all", 0) == 1;
-            let checker = ScenarioChecker {
-                golden_dir: PathBuf::from(
-                    args.get("golden-dir").unwrap_or("tests/golden/scenarios"),
-                ),
-                fail_dir: PathBuf::from(args.get("fail-dir").unwrap_or("target/scenario-failures")),
-                bless: args.u64("bless", 0) == 1
-                    || std::env::var("BLESS").ok().as_deref() == Some("1"),
-                threads,
-            };
-            let paths = match (all, positional) {
-                (true, _) => scenario_files(&dir)?,
-                (false, Some(name)) => vec![scenario_path(&dir, &name)],
-                (false, None) => return Err(err(
-                    "scenario check requires a name or `--all 1`: blameit scenario check <name>",
-                )),
-            };
-            scenario_check(&checker, &paths)
-        }
-        other => Err(err(format!(
-            "unknown scenario subcommand {other:?}; try list, run, or check"
-        ))),
-    }
-}
-
-/// A bare name resolves inside the library dir; anything with a path
-/// separator or a `.scn` suffix is used as-is.
-fn scenario_path(dir: &str, name_or_path: &str) -> PathBuf {
-    if name_or_path.ends_with(".scn") || name_or_path.contains('/') {
-        PathBuf::from(name_or_path)
-    } else {
-        Path::new(dir).join(format!("{name_or_path}.scn"))
-    }
-}
-
-/// Every `*.scn` in the library dir, sorted by file name.
-fn scenario_files(dir: &str) -> Result<Vec<PathBuf>, CliError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| err(format!("scenario dir {dir}: {e}")))?;
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "scn"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(err(format!("scenario dir {dir}: no .scn files")));
-    }
-    Ok(files)
-}
-
-/// Loads and compiles one scenario file, insisting the file stem match
-/// the declared `name` (so `scenario run <name>` round-trips).
-fn load_compiled(path: &Path) -> Result<blameit_scenario::CompiledScenario, CliError> {
-    let spec = blameit_scenario::load_scenario(path).map_err(|e| err(e.to_string()))?;
-    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-    if stem != spec.name {
-        return Err(err(format!(
-            "{}: file stem {stem:?} does not match declared name {:?}",
-            path.display(),
-            spec.name
-        )));
-    }
-    blameit_scenario::compile(&path.display().to_string(), spec).map_err(|e| err(e.to_string()))
-}
-
-fn scenario_list(dir: &str) -> Result<String, CliError> {
-    let mut out = String::new();
-    let files = scenario_files(dir)?;
-    writeln!(out, "{} scenario(s) in {dir}:", files.len()).unwrap();
-    for path in &files {
-        match load_compiled(path) {
-            Ok(scn) => {
-                let spec = &scn.spec;
-                let mut traits = Vec::new();
-                if !spec.faults.is_empty() {
-                    traits.push(format!("{} fault(s)", spec.faults.len()));
-                }
-                if spec.chaos.is_some() {
-                    traits.push("chaos".to_string());
-                }
-                if spec.crash.is_some() {
-                    traits.push("crash".to_string());
-                }
-                traits.push(format!("{} expectation(s)", spec.expect.len()));
-                writeln!(out, "  {:<28} {}", spec.name, spec.summary).unwrap();
-                writeln!(out, "  {:<28}   [{}]", "", traits.join(", ")).unwrap();
-            }
-            Err(e) => writeln!(out, "  {}: ERROR {e}", path.display()).unwrap(),
-        }
-    }
-    Ok(out)
-}
-
-fn scenario_run_one(path: &Path, threads: usize) -> Result<String, CliError> {
-    let scn = load_compiled(path)?;
-    let file = path.display().to_string();
-    let run =
-        blameit_scenario::run_scenario(&file, &scn, threads).map_err(|e| err(e.to_string()))?;
-    let failures = blameit_scenario::evaluate(&scn.spec, &run);
-    let mut out = blameit_scenario::render_report(&scn.spec, &run, &failures);
-    writeln!(out, "transcript:").unwrap();
-    for line in run.transcript.lines() {
-        writeln!(out, "  {line}").unwrap();
-    }
-    if failures.is_empty() {
-        Ok(out)
-    } else {
-        Err(CliError(out.trim_end().to_string()))
-    }
-}
-
-/// Shared settings for `scenario check`.
-struct ScenarioChecker {
-    golden_dir: PathBuf,
-    fail_dir: PathBuf,
-    bless: bool,
-    threads: usize,
-}
-
-fn scenario_check(c: &ScenarioChecker, paths: &[PathBuf]) -> Result<String, CliError> {
-    let mut out = String::new();
-    let mut failed = 0usize;
-    for path in paths {
-        match scenario_check_one(c, path) {
-            Ok(line) => out.push_str(&line),
-            Err(block) => {
-                failed += 1;
-                out.push_str(&block);
-            }
-        }
-    }
-    writeln!(
-        out,
-        "checked {} scenario(s): {} pass, {failed} fail (threads={})",
-        paths.len(),
-        paths.len() - failed,
-        c.threads
-    )
-    .unwrap();
-    if failed == 0 {
-        Ok(out)
-    } else {
-        Err(CliError(out.trim_end().to_string()))
-    }
-}
-
-/// One scenario: run, compare the golden transcript (or re-pin it when
-/// blessing), evaluate the `[expect]` block. On failure the transcript
-/// is written to the fail dir so CI can upload it as an artifact.
-fn scenario_check_one(c: &ScenarioChecker, path: &Path) -> Result<String, String> {
-    let fail = |name: &str, lines: Vec<String>| -> String {
-        let mut block = format!("FAIL {name}\n");
-        for l in lines {
-            block.push_str(&format!("  {l}\n"));
-        }
-        block
-    };
-    let name = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("?")
-        .to_string();
-    let scn = load_compiled(path).map_err(|e| fail(&name, vec![e.0]))?;
-    let file = path.display().to_string();
-    let run = blameit_scenario::run_scenario(&file, &scn, c.threads)
-        .map_err(|e| fail(&name, vec![e.to_string()]))?;
-
-    let mut failures = blameit_scenario::evaluate(&scn.spec, &run);
-    let golden = c.golden_dir.join(format!("{name}.txt"));
-    let mut blessed = false;
-    if c.bless {
-        if let Err(e) = std::fs::create_dir_all(&c.golden_dir)
-            .and_then(|()| std::fs::write(&golden, &run.transcript))
-        {
-            failures.push(format!("bless {}: {e}", golden.display()));
-        } else {
-            blessed = true;
-        }
-    } else {
-        match std::fs::read_to_string(&golden) {
-            Ok(want) => {
-                if want != run.transcript {
-                    failures.push(format!(
-                        "golden transcript mismatch vs {} ({})",
-                        golden.display(),
-                        first_transcript_diff(&run.transcript, &want)
-                    ));
-                }
-            }
-            Err(e) => failures.push(format!(
-                "golden {}: {e} (bless with `blameit scenario check {name} --bless 1`)",
-                golden.display()
-            )),
-        }
-    }
-    if failures.is_empty() {
-        Ok(format!(
-            "PASS {name} ({} expectation(s){})\n",
-            scn.spec.expect.len(),
-            if blessed {
-                ", golden blessed"
-            } else {
-                ", golden ok"
-            }
-        ))
-    } else {
-        let dump = c.fail_dir.join(format!("{name}.txt"));
-        match std::fs::create_dir_all(&c.fail_dir)
-            .and_then(|()| std::fs::write(&dump, &run.transcript))
-        {
-            Ok(()) => failures.push(format!("transcript written to {}", dump.display())),
-            Err(e) => failures.push(format!("could not write failing transcript: {e}")),
-        }
-        Err(fail(&name, failures))
-    }
-}
-
-/// Locates the first differing line between a run transcript and its
-/// golden, for a pointed mismatch message.
-fn first_transcript_diff(got: &str, want: &str) -> String {
-    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        if g != w {
-            return format!("first diff at line {}: got {g:?}, golden {w:?}", i + 1);
-        }
-    }
-    format!(
-        "line count differs: got {}, golden {}",
-        got.lines().count(),
-        want.lines().count()
-    )
-}
-
-/// Parses `cloud:<loc-id>`, `middle:<asn>`, or `client:<asn>`.
-fn parse_target(world: &World, s: &str) -> Result<(FaultTarget, Segment), CliError> {
-    let (kind, id) = s
-        .split_once(':')
-        .ok_or_else(|| err("--target expects kind:id, e.g. cloud:3 or middle:112"))?;
-    let id: u32 = id
-        .parse()
-        .map_err(|_| err(format!("bad target id {id:?}")))?;
-    match kind {
-        "cloud" => {
-            if id as usize >= world.topology().cloud_locations.len() {
-                return Err(err(format!(
-                    "no cloud location {id} (have {})",
-                    world.topology().cloud_locations.len()
-                )));
-            }
-            Ok((
-                FaultTarget::CloudLocation(CloudLocId(id as u16)),
-                Segment::Cloud,
-            ))
-        }
-        "middle" => {
-            let info = world
-                .topology()
-                .as_info(Asn(id))
-                .ok_or_else(|| err(format!("unknown AS{id}")))?;
-            if !info.role.is_middle() {
-                return Err(err(format!("AS{id} is {}, not a middle AS", info.role)));
-            }
-            Ok((
-                FaultTarget::MiddleAs {
-                    asn: Asn(id),
-                    via_path: None,
-                },
-                Segment::Middle,
-            ))
-        }
-        "client" => {
-            let info = world
-                .topology()
-                .as_info(Asn(id))
-                .ok_or_else(|| err(format!("unknown AS{id}")))?;
-            if !info.role.is_access() {
-                return Err(err(format!("AS{id} is {}, not an access ISP", info.role)));
-            }
-            Ok((FaultTarget::ClientAs(Asn(id)), Segment::Client))
-        }
-        other => Err(err(format!("unknown target kind {other:?}"))),
-    }
-}
-
-fn cmd_inject(args: &Args) -> Result<String, CliError> {
-    let target_s = args
-        .get("target")
-        .ok_or_else(|| err("inject requires --target cloud:<loc>|middle:<asn>|client:<asn>"))?;
-    let ms = args.f64("ms", 80.0);
-    let at_hour = args.u64("at-hour", 26);
-    let hours = args.u64("hours", 3);
-    let warmup = (at_hour / 24).max(1);
-    let days = warmup + (at_hour % 24 + hours) / 24 + 2;
-
-    let mut world = quiet_world(args.scale(Scale::Small), days, args.u64("seed", 2019));
-    let (target, segment) = parse_target(&world, target_s)?;
-    let plan = parse_fault_plan(args)?;
-    world.add_faults(vec![Fault {
-        id: FaultId(0),
-        target,
-        start: SimTime::from_hours(at_hour),
-        duration_secs: hours * 3_600,
-        added_ms: ms,
-    }]);
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "injected +{ms:.0} ms {segment} fault ({target_s}) at hour {at_hour} for {hours} h\n"
-    )
-    .unwrap();
-    writeln!(out, "alerts during the incident:").unwrap();
-    let start = SimTime::from_hours(at_hour);
-    run_engine(
-        &world,
-        warmup,
-        TimeRange::new(start, start + hours * 3_600),
-        args.u64("tickets", 1),
-        args.u64("threads", 0) as usize,
-        plan,
-        &mut out,
-    );
-    Ok(out)
-}
-
-fn cmd_probe(args: &Args) -> Result<String, CliError> {
-    let world = organic_world(args.scale(Scale::Small), 1, args.u64("seed", 2019));
-    let loc = CloudLocId(args.u64("loc", 0) as u16);
-    if loc.0 as usize >= world.topology().cloud_locations.len() {
-        return Err(err(format!("no cloud location {}", loc.0)));
-    }
-    let p24 = match args.get("p24") {
-        Some(s) => s
-            .parse::<Prefix24>()
-            .map_err(|e| err(format!("bad --p24: {e}")))?,
-        None => {
-            // Default: the first /24 served by this location.
-            world
-                .topology()
-                .clients_of(loc)
-                .next()
-                .ok_or_else(|| err(format!("{loc} serves no clients")))?
-                .p24
-        }
-    };
-    let at = SimTime(args.u64("at-secs", 43_200));
-    let tr = world
-        .traceroute(loc, p24, at)
-        .ok_or_else(|| err(format!("{p24} is not a known client block")))?;
-
-    let mut out = String::new();
-    writeln!(out, "traceroute {loc} → {p24} at {at}:").unwrap();
-    for (i, h) in tr.hops.iter().enumerate() {
-        if h.responded {
-            writeln!(
-                out,
-                "  {:>2}  {:<8} {:<10} {:>8.2} ms   [{}]",
-                i + 1,
-                h.asn.to_string(),
-                world
-                    .topology()
-                    .as_info(h.asn)
-                    .map(|a| a.name.clone())
-                    .unwrap_or_default(),
-                h.rtt_ms,
-                h.segment,
-            )
-            .unwrap();
-        } else {
-            writeln!(out, "  {:>2}  * * *  (no response)", i + 1).unwrap();
-        }
-    }
-    writeln!(out, "\nper-AS contributions:").unwrap();
-    for (asn, ms) in tr.as_contributions() {
-        writeln!(out, "  {:<8} {:>8.2} ms", asn.to_string(), ms).unwrap();
-    }
-    Ok(out)
-}
-
-/// Builds a warmed-up engine over `world` and evaluates
-/// `[warmup_days, days)`; returns the engine for metric inspection.
-fn warmed_engine_run(world: &World, warmup_days: u64, days: u64, threads: usize) -> BlameItEngine {
-    let cfg = engine_config(world, threads);
-    let mut backend = WorldBackend::with_parallelism(world, cfg.parallelism);
-    let mut engine = BlameItEngine::new(cfg);
-    engine.warmup(&backend, TimeRange::days(warmup_days), 2);
-    engine.run(
-        &mut backend,
-        TimeRange::new(SimTime::from_days(warmup_days), SimTime::from_days(days)),
-    );
-    engine
-}
-
-fn cmd_metrics(args: &Args) -> Result<String, CliError> {
-    let days = args.u64("days", 2).max(2);
-    let warmup = args.u64("warmup", 1).min(days - 1);
-    let world = organic_world(args.scale(Scale::Small), days, args.u64("seed", 2019));
-    let engine = warmed_engine_run(&world, warmup, days, args.u64("threads", 0) as usize);
-    let registry = engine.metrics().registry();
-    let filter = args.get("filter").unwrap_or("");
-    if args.get("json").is_some() {
-        Ok(format!("{}\n", registry.render_json_filtered(filter)))
-    } else {
-        Ok(registry.render_prometheus_filtered(filter))
-    }
-}
-
-fn cmd_trace(args: &Args) -> Result<String, CliError> {
-    let warmup = args.u64("warmup", 1).max(1);
-    let ticks = args.u64("ticks", 1).max(1) as u32;
-    let seed = args.u64("seed", 2019);
-    // Tiny by default: the tree prints one line per span, and a small
-    // world's first post-warmup tick issues hundreds of background
-    // traceroutes (one span each).
-    let world = organic_world(args.scale(Scale::Tiny), warmup + 1, seed);
-    // Default to one thread: worker spans open at thread-local depth 0,
-    // so a multi-threaded tick would flatten the rendered tree.
-    let cfg = engine_config(&world, args.u64("threads", 1).max(1) as usize);
-    let mut backend = WorldBackend::with_parallelism(&world, cfg.parallelism);
-    let mut engine = BlameItEngine::new(cfg);
-    engine.warmup(&backend, TimeRange::days(warmup), 2);
-
-    let per_tick = engine.config().tick_buckets;
-    let first = SimTime::from_days(warmup).bucket();
-    let ring = blameit_obs::RingCollector::new(args.u64("events", 65_536) as usize);
-    blameit_obs::with_subscriber(ring.clone(), || {
-        for k in 0..ticks {
-            engine.tick(&mut backend, first.plus(k * per_tick));
-        }
-    });
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "span tree: {ticks} tick(s) from {first} (seed {seed}, durations are wall time)\n"
-    )
-    .unwrap();
-    out.push_str(&blameit_obs::render_tree(&ring.events()));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run_s(argv: &[&str]) -> Result<String, CliError> {
+    pub(crate) fn run_s(argv: &[&str]) -> Result<String, CliError> {
         run(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
@@ -1286,570 +174,5 @@ mod tests {
         assert!(run_s(&[]).unwrap().contains("USAGE"));
         assert!(run_s(&["help"]).unwrap().contains("COMMANDS"));
         assert!(run_s(&["bogus"]).is_err());
-    }
-
-    #[test]
-    fn topo_lists_inventory() {
-        let out = run_s(&["topo", "--scale", "tiny", "--seed", "3"]).unwrap();
-        assert!(out.contains("cloud locations:"), "{out}");
-        assert!(out.contains("middle BGP paths:"));
-        for r in Region::ALL {
-            assert!(out.contains(r.label()));
-        }
-    }
-
-    #[test]
-    fn topo_dot_is_valid_graphviz() {
-        let out = run_s(&["topo", "--scale", "tiny", "--dot", "1"]).unwrap();
-        assert!(out.starts_with("graph blameit_topology {"), "{out}");
-        assert!(out.trim_end().ends_with('}'));
-        assert!(out.contains("doublecircle"), "cloud node styled");
-        assert!(out.contains(" -- "), "has edges");
-        // Every quoted node in an edge line was declared.
-        let declared: std::collections::HashSet<&str> = out
-            .lines()
-            .filter(|l| l.contains("[label="))
-            .filter_map(|l| l.trim().split('"').nth(1))
-            .collect();
-        for line in out.lines().filter(|l| l.contains(" -- ")) {
-            let mut parts = line.trim().trim_end_matches(';').split(" -- ");
-            let a = parts.next().unwrap().trim_matches('"');
-            let b = parts.next().unwrap().trim_matches('"');
-            assert!(declared.contains(a), "undeclared {a}");
-            assert!(declared.contains(b), "undeclared {b}");
-        }
-    }
-
-    #[test]
-    fn routes_shows_options() {
-        let out = run_s(&["routes", "--scale", "tiny", "--client", "0"]).unwrap();
-        assert!(out.contains("routes from"), "{out}");
-        assert!(out.contains("option 0"), "{out}");
-        assert!(out.contains("anycast primary"), "{out}");
-        assert!(run_s(&["routes", "--scale", "tiny", "--p24", "9.9.9.0/24"]).is_err());
-    }
-
-    #[test]
-    fn simulate_summarizes() {
-        let out = run_s(&["simulate", "--scale", "tiny", "--days", "1"]).unwrap();
-        assert!(out.contains("RTT measurements:"));
-        assert!(out.contains("scheduled faults:"));
-    }
-
-    #[test]
-    fn simulate_json_mode() {
-        let out = run_s(&["simulate", "--scale", "tiny", "--days", "1", "--json", "1"]).unwrap();
-        assert!(out.trim_start().starts_with('{'), "{out}");
-        assert!(out.contains("\"rtt_measurements\":"));
-        assert!(out.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn probe_prints_hops() {
-        let out = run_s(&["probe", "--scale", "tiny", "--loc", "0"]).unwrap();
-        assert!(out.contains("traceroute cloud0"), "{out}");
-        assert!(out.contains("per-AS contributions:"));
-        assert!(out.contains("[cloud]"));
-        assert!(out.contains("[client]"));
-    }
-
-    #[test]
-    fn probe_rejects_unknown() {
-        assert!(run_s(&["probe", "--scale", "tiny", "--loc", "9999"]).is_err());
-        assert!(run_s(&["probe", "--scale", "tiny", "--p24", "9.9.9.0/24"]).is_err());
-    }
-
-    #[test]
-    fn inject_requires_and_validates_target() {
-        assert!(run_s(&["inject", "--scale", "tiny"]).is_err());
-        assert!(run_s(&["inject", "--scale", "tiny", "--target", "weird:1"]).is_err());
-        assert!(run_s(&["inject", "--scale", "tiny", "--target", "cloud:50000"]).is_err());
-        // `middle:` with an access AS id must be rejected.
-        let world = quiet_world(Scale::Tiny, 1, 2019);
-        let access = world
-            .topology()
-            .ases
-            .iter()
-            .find(|a| a.role.is_access())
-            .unwrap()
-            .asn;
-        assert!(run_s(&[
-            "inject",
-            "--scale",
-            "tiny",
-            "--target",
-            &format!("middle:{}", access.0)
-        ])
-        .is_err());
-    }
-
-    #[test]
-    fn analyze_tickets_render() {
-        let out = run_s(&[
-            "analyze",
-            "--scale",
-            "tiny",
-            "--days",
-            "2",
-            "--tickets",
-            "2",
-        ])
-        .unwrap();
-        assert!(out.contains("## ["), "a ticket heading renders: {out}");
-        assert!(out.contains("routing:"), "{out}");
-    }
-
-    #[test]
-    fn inject_cloud_produces_cloud_alerts() {
-        let out = run_s(&[
-            "inject",
-            "--scale",
-            "tiny",
-            "--target",
-            "cloud:0",
-            "--ms",
-            "120",
-            "--at-hour",
-            "26",
-            "--hours",
-            "2",
-        ])
-        .unwrap();
-        assert!(out.contains("injected +120 ms cloud fault"), "{out}");
-        assert!(out.contains("cloud"), "{out}");
-        assert!(out.contains("blame fractions"), "{out}");
-    }
-
-    #[test]
-    fn fault_plan_output_is_thread_invariant() {
-        let argv = |threads: &'static str| {
-            [
-                "inject",
-                "--scale",
-                "tiny",
-                "--target",
-                "cloud:0",
-                "--ms",
-                "110",
-                "--at-hour",
-                "26",
-                "--hours",
-                "2",
-                "--fault-plan",
-                "heavy",
-                "--fault-seed",
-                "77",
-                "--threads",
-                threads,
-            ]
-        };
-        let one = run_s(&argv("1")).unwrap();
-        let four = run_s(&argv("4")).unwrap();
-        assert!(one.contains("faults injected"), "{one}");
-        assert_eq!(one, four, "chaos output must not depend on --threads");
-    }
-
-    #[test]
-    fn fault_plan_none_matches_plain_run() {
-        let base = [
-            "inject",
-            "--scale",
-            "tiny",
-            "--target",
-            "cloud:0",
-            "--ms",
-            "110",
-            "--at-hour",
-            "26",
-            "--hours",
-            "2",
-        ];
-        let plain = run_s(&base).unwrap();
-        let mut with_none: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        with_none.extend(["--fault-plan", "none"].iter().map(|s| s.to_string()));
-        let chaotic = run(&with_none).unwrap();
-        // Identical engine output; the chaos run only appends its summary.
-        let prefix: String = chaotic
-            .lines()
-            .take_while(|l| !l.starts_with("chaos:"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert_eq!(plain, prefix, "a no-op plan must not perturb the engine");
-        assert!(chaotic.contains("chaos: 0 faults injected"), "{chaotic}");
-    }
-
-    #[test]
-    fn fault_plan_rejects_unknown_name() {
-        let err = run_s(&[
-            "analyze",
-            "--scale",
-            "tiny",
-            "--days",
-            "2",
-            "--fault-plan",
-            "bogus",
-        ])
-        .unwrap_err();
-        assert!(err.0.contains("unknown fault plan"), "{}", err.0);
-    }
-
-    #[test]
-    fn metrics_prometheus_exposition() {
-        let out = run_s(&["metrics", "--scale", "tiny", "--days", "2"]).unwrap();
-        assert!(out.contains("# TYPE blameit_ticks_total counter"), "{out}");
-        assert!(out.contains("blameit_quartets_processed_total"), "{out}");
-        assert!(
-            out.contains("blameit_stage_duration_us_bucket{stage=\"passive_blame\""),
-            "{out}"
-        );
-        assert!(out.contains("blameit_blames_total{segment="), "{out}");
-        // Populated from a real run: at least one tick happened.
-        let ticks_line = out
-            .lines()
-            .find(|l| l.starts_with("blameit_ticks_total "))
-            .expect("ticks sample present");
-        let n: u64 = ticks_line
-            .split_whitespace()
-            .nth(1)
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert!(n > 0, "{ticks_line}");
-    }
-
-    #[test]
-    fn metrics_json_mode() {
-        let out = run_s(&["metrics", "--scale", "tiny", "--days", "2", "--json", "1"]).unwrap();
-        assert!(out.trim_start().starts_with('['), "{out}");
-        assert!(out.trim_end().ends_with(']'), "{out}");
-        assert!(
-            out.contains("\"name\":\"blameit_tick_duration_us\""),
-            "{out}"
-        );
-        assert!(out.contains("\"p99\":"), "{out}");
-    }
-
-    #[test]
-    fn explain_rejects_bad_selectors() {
-        assert!(run_s(&["explain"]).is_err());
-        assert!(run_s(&["explain", "nonsense"]).is_err());
-        assert!(run_s(&["explain", "bogus:1"]).is_err());
-        assert!(run_s(&["explain", "quartet:zz/1.0.0.0/24"]).is_err());
-        assert!(run_s(&["explain", "quartet:0"]).is_err());
-        assert!(run_s(&["explain", "incident:zz"]).is_err());
-    }
-
-    #[test]
-    fn explain_incident_renders_provenance_chain() {
-        let out = run_s(&[
-            "explain",
-            "incident:0",
-            "--scale",
-            "tiny",
-            "--target",
-            "middle:104",
-            "--ms",
-            "100",
-            "--at-hour",
-            "30",
-            "--hours",
-            "2",
-            "--limit",
-            "1",
-        ])
-        .unwrap();
-        assert!(
-            out.contains("middle localization(s) at loc=cloud0"),
-            "{out}"
-        );
-        assert!(out.contains("├─ incident: opened at bucket"), "{out}");
-        assert!(out.contains("├─ priority: client-time product"), "{out}");
-        assert!(out.contains("├─ probe: target"), "{out}");
-        assert!(out.contains("├─ baseline: "), "{out}");
-        assert!(out.contains("└─ verdict: culprit(AS104)"), "{out}");
-        assert!(out.contains("per-AS delta:"), "{out}");
-        assert!(out.contains("AS104 baseline="), "{out}");
-    }
-
-    #[test]
-    fn explain_quartet_renders_algorithm1_branch() {
-        // A /24 served by cloud0 in the quiet tiny world; the injected
-        // cloud fault guarantees it carries verdicts during the window.
-        let world = quiet_world(Scale::Tiny, 2, 2019);
-        let p24 = world
-            .topology()
-            .clients_of(CloudLocId(0))
-            .next()
-            .unwrap()
-            .p24;
-        let out = run_s(&[
-            "explain",
-            &format!("quartet:0/{p24}"),
-            "--scale",
-            "tiny",
-            "--target",
-            "cloud:0",
-            "--ms",
-            "120",
-            "--at-hour",
-            "30",
-            "--hours",
-            "2",
-            "--limit",
-            "2",
-        ])
-        .unwrap();
-        assert!(out.contains("verdict(s) for quartet loc=cloud0"), "{out}");
-        assert!(out.contains("├─ observed: n="), "{out}");
-        assert!(out.contains("└─ algorithm-1: "), "{out}");
-        assert!(out.contains("tau 0.8"), "{out}");
-        assert!(out.contains("└─ evidence: cloud="), "{out}");
-    }
-
-    #[test]
-    fn explain_reports_no_matches_as_error() {
-        let e = run_s(&[
-            "explain",
-            "quartet:0/9.9.9.0/24",
-            "--scale",
-            "tiny",
-            "--days",
-            "2",
-        ])
-        .unwrap_err();
-        assert!(e.0.contains("no verdicts"), "{}", e.0);
-    }
-
-    #[test]
-    fn flight_dump_emits_jsonl_ring() {
-        assert!(run_s(&["flight"]).is_err());
-        assert!(run_s(&["flight", "bogus"]).is_err());
-        let out = run_s(&["flight", "dump", "--scale", "tiny", "--days", "2"]).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert!(!lines.is_empty());
-        // Trigger log first (the manual dump itself always logs one),
-        // then the frame ring; every line is a JSON object.
-        assert!(
-            lines.iter().any(|l| l.contains("\"trigger\":\"manual\"")),
-            "{out}"
-        );
-        assert!(
-            lines.iter().any(|l| l.starts_with("{\"kind\":\"frame\"")),
-            "{out}"
-        );
-        for l in &lines {
-            assert!(l.starts_with('{') && l.ends_with('}'), "{l}");
-        }
-        // Byte-identical across thread counts.
-        let again = run_s(&[
-            "flight",
-            "dump",
-            "--scale",
-            "tiny",
-            "--days",
-            "2",
-            "--threads",
-            "4",
-        ])
-        .unwrap();
-        assert_eq!(out, again, "flight dump must not depend on --threads");
-    }
-
-    #[test]
-    fn metrics_filter_selects_prefix_in_sorted_order() {
-        let out = run_s(&[
-            "metrics",
-            "--scale",
-            "tiny",
-            "--days",
-            "2",
-            "--filter",
-            "blameit_blames",
-        ])
-        .unwrap();
-        assert!(out.contains("blameit_blames_total{segment="), "{out}");
-        assert!(!out.contains("blameit_ticks_total"), "{out}");
-        let names: Vec<&str> = out
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.is_empty())
-            .map(|l| l.split_whitespace().next().unwrap())
-            .collect();
-        assert!(!names.is_empty());
-        for n in &names {
-            assert!(n.starts_with("blameit_blames"), "{n}");
-        }
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted, "exposition must render in sorted order");
-        // JSON path honors the filter too.
-        let j = run_s(&[
-            "metrics",
-            "--scale",
-            "tiny",
-            "--days",
-            "2",
-            "--filter",
-            "zzz_nothing",
-            "--json",
-            "1",
-        ])
-        .unwrap();
-        assert_eq!(j.trim(), "[]", "{j}");
-    }
-
-    #[test]
-    fn analyze_summary_breaks_down_degraded_verdicts() {
-        let out = run_s(&["analyze", "--scale", "tiny", "--days", "2"]).unwrap();
-        assert!(out.contains("degraded verdicts: "), "{out}");
-        // Reason labels come straight from UnlocalizedReason.
-        let line = out
-            .lines()
-            .find(|l| l.starts_with("degraded verdicts: "))
-            .unwrap();
-        assert!(
-            UnlocalizedReason::ALL
-                .iter()
-                .any(|r| line.contains(r.label())),
-            "{line}"
-        );
-    }
-
-    #[test]
-    fn trace_renders_span_tree() {
-        let out = run_s(&["trace", "--ticks", "2"]).unwrap();
-        assert!(out.contains("span tree: 2 tick(s)"), "{out}");
-        assert!(out.contains("tick"), "{out}");
-        assert!(out.contains("passive_blame"), "{out}");
-        assert!(out.contains("ingest"), "{out}");
-    }
-
-    fn cli_tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("blameit-cli-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn fsck_requires_dir_and_rejects_missing() {
-        assert!(run_s(&["fsck"]).is_err());
-        let e = run_s(&["fsck", "/nonexistent/blameit-state"]).unwrap_err();
-        assert!(e.0.contains("does not exist"), "{}", e.0);
-        assert!(e.0.contains("CORRUPT"), "{}", e.0);
-    }
-
-    #[test]
-    fn analyze_durable_matches_in_memory_and_resumes() {
-        let dir = cli_tmp_dir("analyze");
-        let dir_s = dir.to_str().unwrap();
-        let base = ["analyze", "--scale", "tiny", "--days", "2"];
-        let plain = run_s(&base).unwrap();
-
-        let durable_argv: Vec<&str> = base
-            .iter()
-            .chain(["--state-dir", dir_s].iter())
-            .copied()
-            .collect();
-        let fresh = run_s(&durable_argv).unwrap();
-        let (first, rest) = fresh.split_once('\n').unwrap();
-        assert!(first.starts_with("engine start: cold"), "{first}");
-        assert_eq!(rest, plain, "durable run must not perturb the engine");
-
-        // fsck on the healthy directory is CLEAN (exit 0 path).
-        let clean = run_s(&["fsck", dir_s]).unwrap();
-        assert!(clean.contains("CLEAN"), "{clean}");
-
-        // Force a real replay: drop the newest snapshots so recovery
-        // falls back to an older one and re-derives the tail from the
-        // journal.
-        let store = StateStore::create(&dir).unwrap();
-        let snaps = store.list_snapshots().unwrap();
-        assert!(snaps.len() >= 2, "retention keeps several snapshots");
-        for (_, path) in &snaps[1..] {
-            std::fs::remove_file(path).unwrap();
-        }
-        let oldest = snaps[0].0;
-        let resume_argv: Vec<&str> = durable_argv
-            .iter()
-            .chain(["--resume", "1"].iter())
-            .copied()
-            .collect();
-        let resumed = run_s(&resume_argv).unwrap();
-        let (first, rest) = resumed.split_once('\n').unwrap();
-        assert!(
-            first.starts_with(&format!(
-                "engine start: recovered from snapshot @ tick {oldest}"
-            )),
-            "{first}"
-        );
-        // Replay restores the exact end-of-run state: the cumulative
-        // probe totals match the uninterrupted run. (Per-tick byte
-        // identity is enforced inside recovery — every replayed tick's
-        // digest is checked against the journal.)
-        let probes = |s: &str| {
-            s.lines()
-                .find(|l| l.starts_with("probes: "))
-                .map(str::to_string)
-        };
-        assert_eq!(probes(rest), probes(&plain), "{rest}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn fsck_flags_corruption_in_real_state() {
-        let dir = cli_tmp_dir("fsck-corrupt");
-        let dir_s = dir.to_str().unwrap();
-        run_s(&[
-            "analyze",
-            "--scale",
-            "tiny",
-            "--days",
-            "2",
-            "--state-dir",
-            dir_s,
-        ])
-        .unwrap();
-        // Flip one byte in the newest snapshot.
-        let store = StateStore::create(&dir).unwrap();
-        let (_, newest) = store.list_snapshots().unwrap().pop().unwrap();
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&newest, &bytes).unwrap();
-        let e = run_s(&["fsck", dir_s]).unwrap_err();
-        assert!(e.0.contains("corrupt"), "{}", e.0);
-        assert!(e.0.contains("CORRUPT"), "{}", e.0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn deterministic_output() {
-        let a = run_s(&["simulate", "--scale", "tiny", "--seed", "5"]).unwrap();
-        let b = run_s(&["simulate", "--scale", "tiny", "--seed", "5"]).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn threads_flag_does_not_change_output() {
-        let base = [
-            "inject",
-            "--scale",
-            "tiny",
-            "--target",
-            "cloud:0",
-            "--ms",
-            "120",
-            "--at-hour",
-            "26",
-            "--hours",
-            "1",
-        ];
-        let with_threads = |n: &str| {
-            let mut argv: Vec<&str> = base.to_vec();
-            argv.extend(["--threads", n]);
-            run_s(&argv).unwrap()
-        };
-        let one = with_threads("1");
-        assert!(one.contains("blame fractions"), "{one}");
-        assert_eq!(one, with_threads("4"), "sharded run must match legacy");
     }
 }

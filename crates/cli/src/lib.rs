@@ -1,23 +1,10 @@
 //! # blameit-cli — command-line front end
 //!
-//! The `blameit` binary exposes the reproduction to a terminal user:
-//!
-//! ```text
-//! blameit topo     [--scale S] [--seed N]                 # topology inventory
-//! blameit simulate [--scale S] [--seed N] [--days D]      # telemetry summary
-//! blameit analyze  [--scale S] [--seed N] [--days D] [--warmup W]
-//!                                                         # run the engine, print alerts
-//! blameit inject   --target cloud:<loc>|middle:<asn>|client:<asn>
-//!                  [--ms X] [--at-hour H] [--hours D] …   # incident investigation
-//! blameit probe    --loc <n> [--p24 A.B.C.0/24] [--at-secs T]
-//!                                                         # one simulated traceroute
-//! blameit analyze  --state-dir DIR [--resume 1]           # durable run / crash recovery
-//! blameit fsck     <dir>                                  # validate a state directory
-//! ```
-//!
-//! Every command is deterministic in `--seed`. The library half of the
-//! crate holds the command implementations so they are unit-testable;
-//! `main.rs` only dispatches.
+//! The `blameit` binary exposes the reproduction to a terminal user;
+//! `blameit help` prints [`commands::USAGE`], the one list of verbs and
+//! flags. Every command is deterministic in `--seed`. The library half
+//! of the crate holds the command implementations so they are
+//! unit-testable; `main.rs` only dispatches.
 
 pub mod commands;
 

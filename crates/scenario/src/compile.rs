@@ -242,12 +242,14 @@ fn build_world(file: &str, spec: &ScenarioSpec, sim_end: SimTime) -> Result<Worl
     let w = &spec.world;
     let mut cfg = world_config(w.scale, w.days, w.seed, !w.organic);
     apply_world_overrides(&mut cfg, w);
-    if let Some(v) = spec.workload.conns_per_client_bucket {
-        cfg.activity.conns_per_client_bucket = v;
-    }
-    if let Some(v) = spec.workload.secondary_volume_frac {
-        cfg.activity.secondary_volume_frac = v;
-    }
+    set(
+        &mut cfg.activity.conns_per_client_bucket,
+        spec.workload.conns_per_client_bucket,
+    );
+    set(
+        &mut cfg.activity.secondary_volume_frac,
+        spec.workload.secondary_volume_frac,
+    );
     let mut world = World::new(cfg);
 
     // Resolve and merge faults.
@@ -285,46 +287,33 @@ impl CompiledScenario {
             cfg.parallelism = threads;
         }
         let e = &self.spec.engine;
-        if let Some(v) = e.probe_budget_per_loc {
-            cfg.probe_budget_per_loc = v;
-        }
-        if let Some(v) = e.probe_max_attempts {
-            cfg.probe_max_attempts = v;
-        }
-        if let Some(v) = e.probe_timeout_secs {
-            cfg.probe_timeout_secs = v;
-        }
-        if let Some(v) = e.probe_backoff_base_secs {
-            cfg.probe_backoff_base_secs = v;
-        }
-        if let Some(v) = e.probe_deadline_budget_secs {
-            cfg.probe_deadline_budget_secs = v;
-        }
-        if let Some(v) = e.baseline_max_age_secs {
-            cfg.baseline_max_age_secs = v;
-        }
-        if let Some(v) = e.background_period_secs {
-            cfg.background_period_secs = v;
-        }
-        if let Some(v) = e.churn_triggered {
-            cfg.churn_triggered = v;
-        }
-        if let Some(v) = e.tick_buckets {
-            cfg.tick_buckets = v;
-        }
-        if let Some(v) = e.max_alerts {
-            cfg.max_alerts = v;
-        }
-        if let Some(v) = e.snapshot_every_ticks {
-            cfg.snapshot_every_ticks = v.max(1);
-        }
-        if let Some(v) = e.flight_degraded_spike {
-            cfg.flight_degraded_spike = v;
-        }
-        if let Some(v) = e.flight_chaos_burst {
-            cfg.flight_chaos_burst = v;
-        }
+        set(&mut cfg.probe_budget_per_loc, e.probe_budget_per_loc);
+        set(&mut cfg.probe_max_attempts, e.probe_max_attempts);
+        set(&mut cfg.probe_timeout_secs, e.probe_timeout_secs);
+        set(&mut cfg.probe_backoff_base_secs, e.probe_backoff_base_secs);
+        set(
+            &mut cfg.probe_deadline_budget_secs,
+            e.probe_deadline_budget_secs,
+        );
+        set(&mut cfg.baseline_max_age_secs, e.baseline_max_age_secs);
+        set(&mut cfg.background_period_secs, e.background_period_secs);
+        set(&mut cfg.churn_triggered, e.churn_triggered);
+        set(&mut cfg.tick_buckets, e.tick_buckets);
+        set(&mut cfg.max_alerts, e.max_alerts);
+        set(
+            &mut cfg.snapshot_every_ticks,
+            e.snapshot_every_ticks.map(|v| v.max(1)),
+        );
+        set(&mut cfg.flight_degraded_spike, e.flight_degraded_spike);
+        set(&mut cfg.flight_chaos_burst, e.flight_chaos_burst);
         cfg
+    }
+}
+
+/// Applies one optional override: `None` leaves the default alone.
+pub(crate) fn set<T>(field: &mut T, value: Option<T>) {
+    if let Some(v) = value {
+        *field = v;
     }
 }
 
@@ -336,66 +325,31 @@ fn hour_to_time(hours: f64) -> SimTime {
 }
 
 fn apply_world_overrides(cfg: &mut blameit_simnet::WorldConfig, w: &WorldSpec) {
-    if let Some(v) = w.churn_per_day {
-        cfg.churn_rate_per_day = v;
-    }
-    if let Some(v) = w.evening_congestion_ms {
-        cfg.latency.evening_congestion_ms = v;
-    }
-    if let Some(v) = w.noise_sigma {
-        cfg.latency.noise_sigma = v;
-    }
-    if let Some(v) = w.spike_prob {
-        cfg.latency.spike_prob = v;
-    }
-    if let Some(v) = w.path_drift_prob {
-        cfg.latency.path_drift_prob = v;
-    }
-    if let Some(v) = w.broadband_per_metro {
-        cfg.topology.broadband_per_metro = v;
-    }
-    if let Some(v) = w.mobile_per_metro {
-        cfg.topology.mobile_per_metro = v;
-    }
-    if let Some(v) = w.tier1_count {
-        cfg.topology.tier1_count = v;
-    }
-    if let Some(v) = w.transits_per_region {
-        cfg.topology.transits_per_region = v;
-    }
-    if let Some(v) = w.secondary_loc_prob {
-        cfg.topology.secondary_loc_prob = v;
-    }
+    set(&mut cfg.churn_rate_per_day, w.churn_per_day);
+    set(
+        &mut cfg.latency.evening_congestion_ms,
+        w.evening_congestion_ms,
+    );
+    set(&mut cfg.latency.noise_sigma, w.noise_sigma);
+    set(&mut cfg.latency.spike_prob, w.spike_prob);
+    set(&mut cfg.latency.path_drift_prob, w.path_drift_prob);
+    set(&mut cfg.topology.broadband_per_metro, w.broadband_per_metro);
+    set(&mut cfg.topology.mobile_per_metro, w.mobile_per_metro);
+    set(&mut cfg.topology.tier1_count, w.tier1_count);
+    set(&mut cfg.topology.transits_per_region, w.transits_per_region);
+    set(&mut cfg.topology.secondary_loc_prob, w.secondary_loc_prob);
 }
 
 fn apply_chaos_overrides(plan: &mut FaultPlan, c: &crate::spec::ChaosSpec) {
-    if let Some(v) = c.probe_timeout {
-        plan.probe_timeout = v;
-    }
-    if let Some(v) = c.probe_truncate {
-        plan.probe_truncate = v;
-    }
-    if let Some(v) = c.probe_slow {
-        plan.probe_slow = v;
-    }
-    if let Some(v) = c.slow_by_secs {
-        plan.slow_by_secs = v;
-    }
-    if let Some(v) = c.drop_quartet_batch {
-        plan.drop_quartet_batch = v;
-    }
-    if let Some(v) = c.drop_route_info {
-        plan.drop_route_info = v;
-    }
-    if let Some(v) = c.churn_duplicate {
-        plan.churn_duplicate = v;
-    }
-    if let Some(v) = c.churn_delay {
-        plan.churn_delay = v;
-    }
-    if let Some(v) = c.churn_delay_secs {
-        plan.churn_delay_secs = v;
-    }
+    set(&mut plan.probe_timeout, c.probe_timeout);
+    set(&mut plan.probe_truncate, c.probe_truncate);
+    set(&mut plan.probe_slow, c.probe_slow);
+    set(&mut plan.slow_by_secs, c.slow_by_secs);
+    set(&mut plan.drop_quartet_batch, c.drop_quartet_batch);
+    set(&mut plan.drop_route_info, c.drop_route_info);
+    set(&mut plan.churn_duplicate, c.churn_duplicate);
+    set(&mut plan.churn_delay, c.churn_delay);
+    set(&mut plan.churn_delay_secs, c.churn_delay_secs);
 }
 
 /// Parses and resolves `cloud:<loc>` / `middle:<asn>` /

@@ -14,162 +14,103 @@ use blameit::UnlocalizedReason;
 /// Checks every `[expect]` assertion; returns one message per failure
 /// (empty = pass).
 pub fn evaluate(spec: &ScenarioSpec, run: &ScenarioRun) -> Vec<String> {
+    use Expectation as E;
     let r = &run.report;
     let mut failures = Vec::new();
     let mut fail = |msg: String| failures.push(msg);
     for e in &spec.expect {
-        match e {
-            Expectation::BlamesMin(n) => {
-                let got = r.blames.total();
-                if got < *n {
-                    fail(format!("expected ≥ {n} blame verdicts, got {got}"));
-                }
+        // Most assertions are a floor or ceiling on one count:
+        // (≥ or ≤, bound, observed, what is counted, why it matters).
+        let (cmp, n, got, what, why) = match e {
+            E::BlamesMin(n) => ('≥', n, r.blames.total(), "blame verdicts".into(), ""),
+            E::BlamesMax(n) => ('≤', n, r.blames.total(), "blame verdicts".into(), ""),
+            E::BlameMin(b, n) => ('≥', n, r.blames.count(*b), format!("`{b}` verdicts"), ""),
+            E::BlameMax(b, n) => ('≤', n, r.blames.count(*b), format!("`{b}` verdicts"), ""),
+            E::LocalizationsMin(n) => ('≥', n, r.localizations, "localization attempts".into(), ""),
+            E::LocalizationsMax(n) => ('≤', n, r.localizations, "localization attempts".into(), ""),
+            E::DegradedMax(reason, n) => (
+                '≤',
+                n,
+                degraded_count(r.degraded_verdicts, *reason),
+                format!("degraded `{}` verdicts", reason.label()),
+                "",
+            ),
+            E::DegradedTotalMax(n) => (
+                '≤',
+                n,
+                r.degraded_verdicts.iter().sum(),
+                "degraded verdicts total".into(),
+                "",
+            ),
+            E::AlertsMin(n) => ('≥', n, r.alerts, "alerts".into(), ""),
+            E::AlertsMax(n) => ('≤', n, r.alerts, "alerts".into(), ""),
+            E::ShedMin(n)
+            | E::ShedMax(n)
+            | E::BackpressureMin(n)
+            | E::QueuePeakMax(n)
+            | E::TopDecileShedMax(n) => {
+                // Compile guarantees these only appear with [overload].
+                let Some(ovl) = &r.overload else {
+                    fail(format!("{e:?} evaluated on a run with no overload report"));
+                    continue;
+                };
+                let (cmp, got, what, why) = overload_bound(e, ovl);
+                (cmp, n, got, what.to_string(), why)
             }
-            Expectation::BlamesMax(n) => {
-                let got = r.blames.total();
-                if got > *n {
-                    fail(format!("expected ≤ {n} blame verdicts, got {got}"));
-                }
-            }
-            Expectation::BlameMin(blame, n) => {
-                let got = r.blames.count(*blame);
-                if got < *n {
-                    fail(format!("expected ≥ {n} `{blame}` verdicts, got {got}"));
-                }
-            }
-            Expectation::BlameMax(blame, n) => {
-                let got = r.blames.count(*blame);
-                if got > *n {
-                    fail(format!("expected ≤ {n} `{blame}` verdicts, got {got}"));
-                }
-            }
-            Expectation::LocalizationsMin(n) => {
-                if r.localizations < *n {
-                    fail(format!(
-                        "expected ≥ {n} localization attempts, got {}",
-                        r.localizations
-                    ));
-                }
-            }
-            Expectation::LocalizationsMax(n) => {
-                if r.localizations > *n {
-                    fail(format!(
-                        "expected ≤ {n} localization attempts, got {}",
-                        r.localizations
-                    ));
-                }
-            }
-            Expectation::CulpritAs(asn) => {
+            E::CulpritAs(asn) => {
                 if !r.culprits.contains(asn) {
+                    let named: Vec<String> = r.culprits.iter().map(|a| format!("AS{a}")).collect();
                     fail(format!(
                         "expected AS{asn} among named culprits, got [{}]",
-                        r.culprits
-                            .iter()
-                            .map(|a| format!("AS{a}"))
-                            .collect::<Vec<_>>()
-                            .join(", ")
+                        named.join(", ")
                     ));
                 }
+                continue;
             }
-            Expectation::DegradedMin(reason, n) => {
+            E::DegradedMin(reason, n) => {
                 degraded_min(*reason, *n, run, &mut fail);
+                continue;
             }
-            Expectation::DegradedMax(reason, n) => {
-                let got = degraded_count(r.degraded_verdicts, *reason);
-                if got > *n {
-                    fail(format!(
-                        "expected ≤ {n} degraded `{}` verdicts, got {got}",
-                        reason.label()
-                    ));
-                }
-            }
-            Expectation::DegradedTotalMax(n) => {
-                let got: u64 = r.degraded_verdicts.iter().sum();
-                if got > *n {
-                    fail(format!("expected ≤ {n} degraded verdicts total, got {got}"));
-                }
-            }
-            Expectation::AlertsMin(n) => {
-                if r.alerts < *n {
-                    fail(format!("expected ≥ {n} alerts, got {}", r.alerts));
-                }
-            }
-            Expectation::AlertsMax(n) => {
-                if r.alerts > *n {
-                    fail(format!("expected ≤ {n} alerts, got {}", r.alerts));
-                }
-            }
-            Expectation::FlightTrigger(label) => {
+            E::FlightTrigger(label) => {
                 if !r.flight_triggers.iter().any(|t| t == label) {
                     fail(format!(
                         "expected flight trigger `{label}` to fire, fired: [{}]",
                         r.flight_triggers.join(", ")
                     ));
                 }
+                continue;
             }
-            Expectation::ShedMin(n)
-            | Expectation::ShedMax(n)
-            | Expectation::BackpressureMin(n)
-            | Expectation::QueuePeakMax(n)
-            | Expectation::TopDecileShedMax(n) => {
-                // Compile guarantees these only appear with [overload].
-                let Some(ovl) = &r.overload else {
-                    fail(format!("{e:?} evaluated on a run with no overload report"));
-                    continue;
-                };
-                overload_bound(e, *n, ovl, &mut fail);
-            }
+        };
+        if !(if cmp == '≥' { got >= *n } else { got <= *n }) {
+            fail(format!("expected {cmp} {n} {what}, got {got}{why}"));
         }
     }
     failures
 }
 
-/// The `[overload]`-only bounds: `e` (one of the five shed/queue
-/// expectations, bound `n`) against the run's overload report.
-fn overload_bound(e: &Expectation, n: u64, ovl: &OverloadReport, fail: &mut impl FnMut(String)) {
+/// The `[overload]`-only bounds: whether `e` (one of the five
+/// shed/queue expectations) is a floor (≥) or ceiling (≤), the observed
+/// count, what it counts and the claim a violation breaks.
+fn overload_bound(
+    e: &Expectation,
+    ovl: &OverloadReport,
+) -> (char, u64, &'static str, &'static str) {
     match e {
-        Expectation::ShedMin(_) => {
-            if ovl.shed_low_impact < n {
-                fail(format!(
-                    "expected ≥ {n} impact-shed records, got {}",
-                    ovl.shed_low_impact
-                ));
-            }
-        }
-        Expectation::ShedMax(_) => {
-            if ovl.shed_low_impact > n {
-                fail(format!(
-                    "expected ≤ {n} impact-shed records, got {}",
-                    ovl.shed_low_impact
-                ));
-            }
-        }
-        Expectation::BackpressureMin(_) => {
-            if ovl.backpressure_replies < n {
-                fail(format!(
-                    "expected ≥ {n} SLOW_DOWN replies, got {}",
-                    ovl.backpressure_replies
-                ));
-            }
-        }
-        Expectation::QueuePeakMax(_) => {
-            if ovl.queue_peak_records > n {
-                fail(format!(
-                    "expected queue peak ≤ {n} records, got {} (bounded-memory \
-                     claim violated)",
-                    ovl.queue_peak_records
-                ));
-            }
-        }
-        Expectation::TopDecileShedMax(_) => {
-            if ovl.top_decile_shed_records > n {
-                fail(format!(
-                    "expected ≤ {n} shed records from the top impact decile, got \
-                     {} (shedding touched the groups it must protect)",
-                    ovl.top_decile_shed_records
-                ));
-            }
-        }
+        Expectation::ShedMin(_) => ('≥', ovl.shed_low_impact, "impact-shed records", ""),
+        Expectation::ShedMax(_) => ('≤', ovl.shed_low_impact, "impact-shed records", ""),
+        Expectation::BackpressureMin(_) => ('≥', ovl.backpressure_replies, "SLOW_DOWN replies", ""),
+        Expectation::QueuePeakMax(_) => (
+            '≤',
+            ovl.queue_peak_records,
+            "records at queue peak",
+            " (bounded-memory claim violated)",
+        ),
+        Expectation::TopDecileShedMax(_) => (
+            '≤',
+            ovl.top_decile_shed_records,
+            "shed records from the top impact decile",
+            " (shedding touched the groups it must protect)",
+        ),
         _ => unreachable!("`evaluate` passes only the overload expectations"),
     }
 }
@@ -303,18 +244,8 @@ mod tests {
         ScenarioSpec {
             name: "t".into(),
             summary: "test".into(),
-            world: WorldSpec::default(),
-            workload: WorkloadSpec::default(),
-            faults: Vec::new(),
-            chaos: None,
-            crash: None,
-            overload: None,
-            engine: EngineSpec::default(),
-            eval: EvalSpec {
-                start_hour: 24.0,
-                duration_mins: 45,
-            },
             expect,
+            ..ScenarioSpec::default()
         }
     }
 

@@ -39,11 +39,17 @@
 //! transcript (golden-pinnable, byte-identical at any thread count)
 //! plus a [`ScenarioReport`] the `[expect]` block is evaluated against
 //! ([`evaluate`]). The `blameit scenario run|list|check` CLI and the
-//! `tests/scenario_library.rs` regression suite both drive this crate;
-//! the shipped corpus lives under `scenarios/` with goldens under
+//! `tests/scenario_library.rs` regression suite both drive this crate
+//! (and share one golden checker, [`GoldenCheck`]); the shipped corpus
+//! lives under `scenarios/` with goldens under
 //! `tests/golden/scenarios/`. See `docs/SCENARIOS.md` for the full
 //! format reference.
+//!
+//! A spec need not come from a file: the CLI's engine verbs build one
+//! from their flags and call [`compile`] + [`run_windows`] — the same
+//! three-window driver a `.scn` run uses.
 
+pub mod check;
 pub mod compile;
 pub mod error;
 pub mod expect;
@@ -51,11 +57,12 @@ pub mod parse;
 pub mod run;
 pub mod spec;
 
+pub use check::{bless_requested, load_compiled, Checked, GoldenCheck};
 pub use compile::{compile, CompiledScenario};
 pub use error::ScenarioError;
 pub use expect::{evaluate, render_report};
 pub use parse::{load_scenario, parse_scenario};
-pub use run::{run_scenario, OverloadReport, ScenarioReport, ScenarioRun};
+pub use run::{run_scenario, run_windows, EngineRun, OverloadReport, ScenarioReport, ScenarioRun};
 pub use spec::{
     ChaosSpec, CrashSpec, EngineSpec, EvalSpec, Expectation, FaultSpec, OverloadSpec, ScenarioSpec,
     WorkloadSpec, WorldSpec,

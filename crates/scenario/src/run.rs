@@ -1,20 +1,27 @@
 //! Executes a [`CompiledScenario`] through the deterministic tick.
 //!
-//! The runner follows the CLI's three-window shape: warmup (history
-//! learning, no probes), burn-in (ticks run and discarded so background
-//! probes can build middle baselines), then the scored eval window.
-//! Scenarios with a `[chaos]` plan run through [`ChaosBackend`];
-//! scenarios with a `[crash]` section run the durable path — kill,
-//! fsck, recover, resume — and must still produce an eval transcript
-//! byte-identical to an uninterrupted run, which the runner verifies
-//! itself on every crash scenario.
+//! This is the workspace's one driver for a plain or chaos run:
+//! [`run_windows`] turns *(world, faults, chaos plan, windows)* into
+//! ticks — warmup (history learning, no probes), burn-in (ticks run and
+//! discarded so background probes build the pre-incident middle
+//! baselines the paper's §5.2/§5.4 diff needs), then the scored eval
+//! window — and hands back the warmed engine, the eval outputs and the
+//! chaos stats. `.scn` files ([`run_scenario`]) and the CLI's
+//! `analyze`/`inject`/`explain`/`flight dump`/`metrics` verbs both go
+//! through it; the CLI renders from the [`EngineRun`], a scenario folds
+//! it into a transcript + report. Scenarios with a `[chaos]` plan run
+//! through [`ChaosBackend`]; scenarios with a `[crash]` section run the
+//! durable path — kill, fsck, recover, resume — and must still produce
+//! an eval transcript byte-identical to an uninterrupted run, which the
+//! runner verifies itself on every crash scenario. The crash and
+//! overload runners keep their own loops: their tick grids differ.
 
-use crate::compile::CompiledScenario;
+use crate::compile::{set, CompiledScenario};
 use crate::error::ScenarioError;
 use blameit::{
-    fsck, render_tick_transcript, tally, Backend, BlameCounts, BlameItEngine, ChaosBackend,
-    DurableEngine, LocalizationVerdict, PersistError, RecordBatch, StartMode, StateStore,
-    TickOutput, UnlocalizedReason, WorldBackend,
+    fsck, render_tick_transcript, tally, Backend, BlameCounts, BlameItConfig, BlameItEngine,
+    ChaosBackend, ChaosStats, DurableEngine, LocalizationVerdict, PersistError, RecordBatch,
+    StartMode, StateStore, TickOutput, UnlocalizedReason, WorldBackend,
 };
 use blameit_daemon::{DaemonConfig, DaemonCore, OfferReply};
 use blameit_obs::MetricsRegistry;
@@ -106,32 +113,48 @@ pub fn run_scenario(
     }
 }
 
-/// The non-durable path: plain engine, optionally behind a
-/// [`ChaosBackend`].
-fn run_plain(scn: &CompiledScenario, threads: usize) -> ScenarioRun {
-    let cfg = scn.engine_config(threads);
-    let parallelism = cfg.parallelism;
-    let mut engine = BlameItEngine::new(cfg);
-    let outs = match &scn.plan {
-        Some(plan) => {
-            let mut backend = ChaosBackend::with_registry(
-                WorldBackend::with_parallelism(&scn.world, parallelism),
-                *plan,
-                engine.metrics().registry(),
-            );
-            drive(&mut engine, &mut backend, scn)
-        }
-        None => {
-            let mut backend = WorldBackend::with_parallelism(&scn.world, parallelism);
-            drive(&mut engine, &mut backend, scn)
-        }
-    };
-    finish(&engine, outs)
+/// What [`run_windows`] hands back: everything a caller renders from.
+pub struct EngineRun {
+    /// The engine after the eval window: metrics registry, flight
+    /// recorder, cumulative probe totals.
+    pub engine: BlameItEngine,
+    /// One output per eval-window tick (burn-in output is discarded).
+    pub ticks: Vec<TickOutput>,
+    /// Faults the [`ChaosBackend`] injected over all three windows;
+    /// `None` when the scenario compiled to no chaos plan.
+    pub chaos: Option<ChaosStats>,
+    /// Degraded-verdict metric counters, differenced over the eval
+    /// window ([`UnlocalizedReason::ALL`] order).
+    pub degraded_metrics: [u64; 6],
 }
 
-/// Warmup + burn-in (discarded) + eval, returning eval outputs plus
-/// the metric-counter baseline captured at the burn-in/eval boundary.
-fn drive<B: blameit::Backend>(
+/// The three-window run — warmup, burn-in (discarded), eval — of a
+/// plain engine, behind a [`ChaosBackend`] when `scn` has a chaos plan
+/// (it shares the engine's registry, so injected faults and the
+/// engine's absorption counters land in one exposition).
+pub fn run_windows(scn: &CompiledScenario, threads: usize) -> EngineRun {
+    let cfg = scn.engine_config(threads);
+    let mut world = WorldBackend::with_parallelism(&scn.world, cfg.parallelism);
+    let mut engine = BlameItEngine::new(cfg);
+    let ((ticks, degraded_metrics), chaos) = match &scn.plan {
+        Some(plan) => {
+            let mut chaos = ChaosBackend::with_registry(world, *plan, engine.metrics().registry());
+            let out = through_windows(&mut engine, &mut chaos, scn);
+            (out, Some(chaos.stats()))
+        }
+        None => (through_windows(&mut engine, &mut world, scn), None),
+    };
+    EngineRun {
+        engine,
+        ticks,
+        chaos,
+        degraded_metrics,
+    }
+}
+
+/// Warmup + burn-in (discarded) + eval, returning the eval outputs and
+/// the degraded-verdict counter deltas across the eval window.
+fn through_windows<B: Backend>(
     engine: &mut BlameItEngine,
     backend: &mut B,
     scn: &CompiledScenario,
@@ -141,7 +164,17 @@ fn drive<B: blameit::Backend>(
         let _ = engine.run(backend, scn.burn_in);
     }
     let before = degraded_counters(engine);
-    (engine.run(backend, scn.eval), before)
+    let ticks = engine.run(backend, scn.eval);
+    let after = degraded_counters(engine);
+    let delta = std::array::from_fn(|i| after[i].saturating_sub(before[i]));
+    (ticks, delta)
+}
+
+/// The non-durable scenario path: [`run_windows`] folded into a
+/// transcript + report.
+fn run_plain(scn: &CompiledScenario, threads: usize) -> ScenarioRun {
+    let run = run_windows(scn, threads);
+    build_run(&run.engine, run.ticks, Some(run.degraded_metrics))
 }
 
 /// The durable path: run to the kill point, fsck, reopen (recovering
@@ -154,12 +187,7 @@ fn run_crash(
 ) -> Result<ScenarioRun, ScenarioError> {
     let crash = scn.spec.crash.as_ref().expect("caller checked");
     let fail = |msg: String| ScenarioError::at(file, crash.line, msg);
-    let dir = scratch_dir(&scn.spec.name, threads);
-    let mut cfg = scn.engine_config(threads);
-    cfg.state_dir = Some(dir.clone());
-
-    let store = StateStore::create(&dir).map_err(|e| fail(format!("state dir: {e}")))?;
-    store.wipe().map_err(|e| fail(format!("state dir: {e}")))?;
+    let (cfg, dir) = durable_config(scn, threads).map_err(|e| fail(format!("state dir: {e}")))?;
 
     let mut backend = WorldBackend::with_parallelism(&scn.world, cfg.parallelism);
     let (mut durable, recovery) =
@@ -177,7 +205,10 @@ fn run_crash(
 
     // Eval ticks are driven bucket-by-bucket (durable `run` resumes a
     // single whole range; our burn-in already advanced `ticks_done`).
-    let starts = eval_tick_starts(scn);
+    let first = scn.eval.start.bucket();
+    let starts: Vec<TimeBucket> = (0..scn.eval_ticks as u32)
+        .map(|k| first.plus(k * cfg.tick_buckets))
+        .collect();
     durable.set_crash_plan(Some(CrashPlan::kill_at(
         scn.burn_in_ticks + crash.kill_tick,
         crash.kill_point,
@@ -244,7 +275,7 @@ fn run_crash(
             starts.len()
         )));
     }
-    let run = finish_crash(durable.engine(), outs);
+    let run = build_run(durable.engine(), outs, None);
     let _ = std::fs::remove_dir_all(&dir);
 
     // The determinism contract, enforced per scenario: crash + recover
@@ -270,27 +301,17 @@ fn run_overload(
     let o = scn.spec.overload.as_ref().expect("caller checked");
     let surge = scn.surge.clone().expect("compiled with [overload]");
     let fail = |msg: String| ScenarioError::at(file, o.line, msg);
-    let dir = scratch_dir(&scn.spec.name, threads);
-    let mut cfg = scn.engine_config(threads);
-    cfg.state_dir = Some(dir.clone());
+    let (cfg, dir) = durable_config(scn, threads).map_err(|e| fail(format!("state dir: {e}")))?;
     let tick_buckets = cfg.tick_buckets;
 
-    let store = StateStore::create(&dir).map_err(|e| fail(format!("state dir: {e}")))?;
-    store.wipe().map_err(|e| fail(format!("state dir: {e}")))?;
-
     let mut dcfg = DaemonConfig::default();
-    if let Some(v) = o.queue_cap_records {
-        dcfg.admission.queue_cap_records = v;
-    }
-    if let Some(v) = o.shed_watermark_records {
-        dcfg.admission.shed_watermark_records = v;
-    }
-    if let Some(v) = o.per_loc_shed_cap {
-        dcfg.admission.per_loc_shed_cap = v;
-    }
-    if let Some(v) = o.sustained_ticks {
-        dcfg.overload_sustained_ticks = v;
-    }
+    set(&mut dcfg.admission.queue_cap_records, o.queue_cap_records);
+    set(
+        &mut dcfg.admission.shed_watermark_records,
+        o.shed_watermark_records,
+    );
+    set(&mut dcfg.admission.per_loc_shed_cap, o.per_loc_shed_cap);
+    set(&mut dcfg.overload_sustained_ticks, o.sustained_ticks);
 
     let inner = WorldBackend::with_parallelism(&scn.world, cfg.parallelism);
     let feed = WorldBackend::with_parallelism(&scn.world, cfg.parallelism);
@@ -396,13 +417,9 @@ fn run_overload(
     };
     let eval_outs = outs.split_off(scn.burn_in_ticks as usize);
     let after = degraded_counters(core.engine());
-    let degraded_metrics = baseline.flatten().map(|before| {
-        let mut delta = [0u64; 6];
-        for i in 0..6 {
-            delta[i] = after[i].saturating_sub(before[i]);
-        }
-        delta
-    });
+    let degraded_metrics = baseline
+        .flatten()
+        .map(|before| std::array::from_fn(|i| after[i].saturating_sub(before[i])));
     let mut run = build_run(core.engine(), eval_outs, degraded_metrics);
     run.report.overload = Some(report);
     drop(core);
@@ -410,43 +427,28 @@ fn run_overload(
     Ok(run)
 }
 
-/// Eval-window tick start buckets, mirroring `BlameItEngine::run`'s
-/// whole-ticks-only coverage.
-fn eval_tick_starts(scn: &CompiledScenario) -> Vec<TimeBucket> {
-    let tick_buckets = scn.eval.num_buckets() / scn.eval_ticks.max(1) as u32;
-    let buckets: Vec<TimeBucket> = scn.eval.buckets().collect();
-    buckets
-        .chunks(tick_buckets.max(1) as usize)
-        .take(scn.eval_ticks as usize)
-        .map(|c| c[0])
-        .collect()
-}
-
-/// A per-(scenario, thread-count, process) scratch directory for crash
-/// runs, under the system temp dir.
-fn scratch_dir(name: &str, threads: usize) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "blameit-scn-{name}-t{threads}-p{}",
+/// The engine config pointed at a freshly wiped scratch state dir —
+/// one per (scenario, thread count, process), under the system temp dir.
+fn durable_config(
+    scn: &CompiledScenario,
+    threads: usize,
+) -> std::io::Result<(BlameItConfig, PathBuf)> {
+    let dir = std::env::temp_dir().join(format!(
+        "blameit-scn-{}-t{threads}-p{}",
+        scn.spec.name,
         std::process::id()
-    ))
+    ));
+    StateStore::create(&dir)?.wipe()?;
+    let mut cfg = scn.engine_config(threads);
+    cfg.state_dir = Some(dir.clone());
+    Ok((cfg, dir))
 }
 
-fn degraded_counters(engine: &BlameItEngine) -> [u64; 6] {
+/// The engine's cumulative degraded-verdict counters, in
+/// [`UnlocalizedReason::ALL`] order.
+pub fn degraded_counters(engine: &BlameItEngine) -> [u64; 6] {
     let m = engine.metrics();
     UnlocalizedReason::ALL.map(|r| m.degraded_counter(r).get())
-}
-
-fn finish(engine: &BlameItEngine, (outs, before): (Vec<TickOutput>, [u64; 6])) -> ScenarioRun {
-    let after = degraded_counters(engine);
-    let mut delta = [0u64; 6];
-    for i in 0..6 {
-        delta[i] = after[i].saturating_sub(before[i]);
-    }
-    build_run(engine, outs, Some(delta))
-}
-
-fn finish_crash(engine: &BlameItEngine, outs: Vec<TickOutput>) -> ScenarioRun {
-    build_run(engine, outs, None)
 }
 
 fn build_run(

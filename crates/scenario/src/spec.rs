@@ -10,8 +10,9 @@ use blameit::{Blame, UnlocalizedReason};
 use blameit_bench::Scale;
 use blameit_simnet::CrashPoint;
 
-/// A parsed, syntactically-valid scenario file.
-#[derive(Clone, Debug)]
+/// A parsed, syntactically-valid scenario file (or, built in code with
+/// `..Default::default()`, the equivalent of one).
+#[derive(Clone, Debug, Default)]
 pub struct ScenarioSpec {
     /// Scenario name (`[a-z0-9-]+`); the library file stem must match.
     pub name: String,
@@ -227,7 +228,7 @@ pub struct EngineSpec {
 }
 
 /// `[eval]`: the scored window.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EvalSpec {
     /// Window start, hours from sim start (decimals allowed).
     pub start_hour: f64,

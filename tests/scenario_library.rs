@@ -11,99 +11,49 @@
 //! ```
 //!
 //! (or `blameit scenario check --all 1 --bless 1`, which writes the
-//! same bytes).
+//! same bytes — both go through `blameit_scenario::GoldenCheck`; a
+//! failing run's transcript lands in `target/scenario-failures/`).
 //!
 //! The suite is parameterized by the `scenario_suite!` macro — one test
 //! per scenario, so the harness runs them in parallel and a failure
 //! names its scenario. `suite_covers_every_scenario_file` guards the
 //! registration: adding a `.scn` without listing it here fails.
 
-use blameit_scenario::{compile, evaluate, parse_scenario, run_scenario, ScenarioRun};
+use blameit_scenario::{bless_requested, compile, parse_scenario, GoldenCheck};
 use blameit_topology::rng::DetRng;
 use blameit_topology::testkit::check;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn scenarios_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios")
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("scenarios")
-        .join(format!("{name}.txt"))
-}
-
-fn run_at(name: &str, threads: usize) -> ScenarioRun {
-    let path = scenarios_dir().join(format!("{name}.scn"));
-    let file = path.display().to_string();
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("scenario {} must be readable: {e}", path.display()));
-    let spec = parse_scenario(&file, &text).unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(spec.name, name, "scenario name must match its file stem");
-    let scn = compile(&file, spec).unwrap_or_else(|e| panic!("{e}"));
-    run_scenario(&file, &scn, threads).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Replay at {1, 4} threads, demand byte-identical transcripts and
-/// flight dumps, check the `[expect]` block on both runs, and pin the
-/// transcript against the golden.
+/// Replay at {1, 4} threads through the same golden check `blameit
+/// scenario check` runs: the `[expect]` block and the pinned transcript
+/// must hold at both (so the two transcripts are byte-identical), and
+/// the flight dumps must agree. Under BLESS=1 the 1-thread run re-pins
+/// the golden and the 4-thread run is compared against it.
 fn check_scenario(name: &str) {
-    let one = run_at(name, 1);
-    let four = run_at(name, 4);
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let path = scenarios_dir().join(format!("{name}.scn"));
+    let run_at = |threads: usize, bless: bool| {
+        let checker = GoldenCheck {
+            golden_dir: root.join("tests/golden/scenarios"),
+            fail_dir: root.join("target/scenario-failures"),
+            bless,
+        };
+        checker.check(&path, threads).unwrap_or_else(|failures| {
+            panic!(
+                "{name} at {threads} thread(s):\n  {}",
+                failures.join("\n  ")
+            )
+        })
+    };
+    let one = run_at(1, bless_requested());
+    let four = run_at(4, false);
     assert_eq!(
-        one.transcript, four.transcript,
-        "{name}: transcript at 4 threads diverged from 1 thread"
-    );
-    assert_eq!(
-        one.flight_dump, four.flight_dump,
+        one.run.flight_dump, four.run.flight_dump,
         "{name}: flight dump at 4 threads diverged from 1 thread"
-    );
-    for (threads, run) in [(1, &one), (4, &four)] {
-        let path = scenarios_dir().join(format!("{name}.scn"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let spec = parse_scenario(&path.display().to_string(), &text).unwrap();
-        let failures = evaluate(&spec, run);
-        assert!(
-            failures.is_empty(),
-            "{name} at {threads} thread(s) missed expectations:\n  {}",
-            failures.join("\n  ")
-        );
-    }
-    bless_or_compare(&golden_path(name), &one.transcript, name);
-}
-
-/// Blesses `got` into `path` under BLESS=1, otherwise compares with a
-/// first-divergence report.
-fn bless_or_compare(path: &std::path::Path, got: &str, name: &str) {
-    if std::env::var("BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, got).unwrap();
-        eprintln!("blessed {} ({} bytes)", path.display(), got.len());
-        return;
-    }
-    let want = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); re-pin with BLESS=1 cargo test --test scenario_library",
-            path.display()
-        )
-    });
-    if want == got {
-        return;
-    }
-    for (i, (w, g)) in want.lines().zip(got.lines()).enumerate() {
-        assert_eq!(
-            w,
-            g,
-            "{name}: golden transcript diverges at line {} (re-bless with BLESS=1 if intended)",
-            i + 1
-        );
-    }
-    panic!(
-        "{name}: golden transcript length changed: {} vs {} lines (re-bless with BLESS=1 if intended)",
-        want.lines().count(),
-        got.lines().count()
     );
 }
 
