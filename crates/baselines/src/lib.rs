@@ -12,12 +12,6 @@
 //!   probe volume.
 //! * [`trinocular`] — Trinocular-style belief/back-off adaptive
 //!   probing (the 20× comparison).
-//! * [`odin`] — Odin-style randomized client sampling (§6.3 case 2's
-//!   "periodic traceroutes from a small fraction of clients … happened
-//!   not to be impacted" made quantitative).
-//! * [`netprofiler`] — NetProfiler-style peer attribute comparison
-//!   (§7: BlameIt's closest passive relative), exhibiting the
-//!   overlapping-implication ambiguity the hierarchy resolves.
 //! * [`ip_rank`] — prefix-count issue ranking vs impact ranking
 //!   (Fig. 4b / Fig. 5 / Fig. 12).
 //! * [`oracle`] — ground-truth middle issues with true client-time
@@ -25,8 +19,6 @@
 
 pub mod active_only;
 pub mod ip_rank;
-pub mod netprofiler;
-pub mod odin;
 pub mod oracle;
 pub mod tomography;
 pub mod trinocular;
@@ -36,8 +28,6 @@ pub use ip_rank::{
     cumulative_impact_curve, rank_by_impact, rank_by_prefix_count, tuples_needed_for_coverage,
     ImpactRecord,
 };
-pub use netprofiler::{implicate, Attribute, Implication};
-pub use odin::OdinMonitor;
 pub use oracle::{impact_records, middle_issues, OracleIssue};
 pub use tomography::{boolean_tomography, SegmentNode, TomographyResult};
 pub use trinocular::TrinocularMonitor;

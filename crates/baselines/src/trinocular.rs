@@ -118,12 +118,6 @@ impl TrinocularMonitor {
         }
         self.probes - before
     }
-
-    /// Expected steady-state probes per day for `targets` stable
-    /// targets (all backed off to the max interval).
-    pub fn steady_state_probes_per_day(&self, targets: usize) -> u64 {
-        (86_400 / self.max_interval_secs) * targets as u64
-    }
 }
 
 #[cfg(test)]
@@ -189,17 +183,6 @@ mod tests {
             m.anomalies_detected() >= 1,
             "the 300 ms jump must trip the detector"
         );
-    }
-
-    #[test]
-    fn probes_more_than_blameit_background() {
-        // The scheduling arithmetic behind the paper's 20× comparison:
-        // even fully backed off, Trinocular probes each target ~22×/day
-        // at a 1.1 h cap, vs BlameIt's 2/day background.
-        let m = TrinocularMonitor::paper_default();
-        let trinocular_daily = m.steady_state_probes_per_day(1000);
-        let blameit_background_daily = 2 * 1000;
-        assert!(trinocular_daily as f64 / blameit_background_daily as f64 > 5.0);
     }
 
     #[test]

@@ -12,16 +12,31 @@ use blameit::WorldBackend;
 use blameit_simnet::FaultId;
 use std::collections::{BTreeMap, HashMap};
 
-pub fn run(args: &Args) {
+/// What the ranking comparison measured; [`run`] prints it and
+/// `tests/paper_claims.rs` gates on the two coverages.
+pub struct Fig12Score {
+    /// Middle issues in the window, by the oracle.
+    pub oracle_issues: usize,
+    /// Middle faults BlameIt detected and ranked.
+    pub ranked_faults: usize,
+    /// Cumulative true impact vs issue rank, oracle order.
+    pub curve: Vec<(f64, f64)>,
+    /// Share of total client-time impact the oracle's top 5 % covers.
+    pub oracle_top5: f64,
+    /// True impact share of the top 5 % by BlameIt's *estimates*.
+    pub blameit_top5: f64,
+    /// The `--debug` rows (top-10 true faults); empty without the flag.
+    debug_rows: Vec<String>,
+}
+
+/// Ranks an organic run's middle issues by the oracle's true
+/// client-time product and by BlameIt's estimates.
+pub fn score(args: &Args) -> Fig12Score {
     let seed = args.u64("seed", 2019);
     let days = args.u64("days", 10);
     let warmup_days = args.u64("warmup", 3).min(days.saturating_sub(1));
     let scale = args.scale(Scale::Small);
 
-    fmt::banner(
-        "Figure 12",
-        "Client-time product of middle issues: oracle vs BlameIt ranking",
-    );
     let world = crate::organic_world(scale, days, seed);
     let mut backend = WorldBackend::new(&world);
     let (mut engine, eval) = warmed_engine(&world, &backend, |_| {}, warmup_days, 1, days);
@@ -32,7 +47,6 @@ pub fn run(args: &Args) {
         .iter()
         .map(|i| (i.fault, i.client_time_product()))
         .collect();
-    println!("middle issues in window (oracle): {}", oracle.len());
 
     // BlameIt: run the engine, capture every pre-budget ranked issue's
     // estimated product, attribute it to the ground-truth fault.
@@ -86,10 +100,6 @@ pub fn run(args: &Args) {
         .into_iter()
         .map(|(f, m)| (f, m.values().sum()))
         .collect();
-    println!(
-        "middle issues detected & ranked by BlameIt: {}",
-        estimates.len()
-    );
 
     // Oracle ordering CDF.
     let mut by_true: Vec<(FaultId, f64)> = true_product.clone().into_iter().collect();
@@ -104,8 +114,6 @@ pub fn run(args: &Args) {
             ((i + 1) as f64 / by_true.len() as f64, acc / total)
         })
         .collect();
-    fmt::cdf("cumulative impact vs issue rank (oracle order)", &curve, 20);
-
     let coverage_at = |curve: &[(f64, f64)], frac: f64| {
         curve
             .iter()
@@ -127,17 +135,15 @@ pub fn run(args: &Args) {
         .sum();
     let blameit_top5 = blameit_top5_impact / total;
 
+    let mut debug_rows = Vec::new();
     if args.get("debug").is_some() {
-        println!(
-            "top-10 true faults: (true_product, duration_buckets, est, max_elapsed, max_E[rem])"
-        );
         for (f, p) in by_true.iter().take(10) {
             let dur = oracle
                 .iter()
                 .find(|i| i.fault == *f)
                 .map(|i| i.duration_buckets)
                 .unwrap_or(0);
-            println!(
+            debug_rows.push(format!(
                 "  {:?} true={:.0} dur={} est={:.0} elapsed={} rem={:.1}",
                 f,
                 p,
@@ -145,18 +151,52 @@ pub fn run(args: &Args) {
                 estimates.get(f).copied().unwrap_or(0.0),
                 max_elapsed.get(f).copied().unwrap_or(0),
                 max_rem.get(f).copied().unwrap_or(0.0)
-            );
+            ));
+        }
+    }
+    Fig12Score {
+        oracle_issues: oracle.len(),
+        ranked_faults: estimates.len(),
+        curve,
+        oracle_top5,
+        blameit_top5,
+        debug_rows,
+    }
+}
+
+pub fn run(args: &Args) {
+    fmt::banner(
+        "Figure 12",
+        "Client-time product of middle issues: oracle vs BlameIt ranking",
+    );
+    let s = score(args);
+    println!("middle issues in window (oracle): {}", s.oracle_issues);
+    println!(
+        "middle issues detected & ranked by BlameIt: {}",
+        s.ranked_faults
+    );
+    fmt::cdf(
+        "cumulative impact vs issue rank (oracle order)",
+        &s.curve,
+        20,
+    );
+    if args.get("debug").is_some() {
+        println!(
+            "top-10 true faults: (true_product, duration_buckets, est, max_elapsed, max_E[rem])"
+        );
+        for row in &s.debug_rows {
+            println!("{row}");
         }
     }
     println!();
     println!(
         "top-5% coverage of total client-time impact: oracle {}  blameit {}  [paper: ~83%, near-oracle]",
-        fmt::pct(oracle_top5),
-        fmt::pct(blameit_top5)
+        fmt::pct(s.oracle_top5),
+        fmt::pct(s.blameit_top5)
     );
     println!(
         "skew + near-oracle prioritization: {}",
-        if oracle_top5 > 0.5 && blameit_top5 > 0.6 * oracle_top5 {
+        if s.oracle_top5 > 0.5 && s.blameit_top5 > 0.6 * s.oracle_top5 {
             "HOLDS"
         } else {
             "check estimators"

@@ -11,13 +11,37 @@ use crate::{fmt, warmed_engine, Args, Scale};
 use blameit::{Backend, BlameItConfig, WorldBackend};
 use blameit_simnet::{Segment, SimTime, TimeRange, World};
 
-struct Cell {
-    period_secs: u64,
-    churn: bool,
-    accuracy: f64,
-    localized: u64,
-    probes_per_day: f64,
-    background_per_day: f64,
+/// One cell of the frequency × churn grid.
+pub struct Cell {
+    /// Background probing period, seconds.
+    pub period_secs: u64,
+    /// Whether BGP-churn-triggered probes were on.
+    pub churn: bool,
+    /// Middle-fault localizations naming the true culprit AS.
+    pub accuracy: f64,
+    /// Localizations scored (ground truth a middle fault).
+    pub localized: u64,
+    /// All probes per evaluated day.
+    pub probes_per_day: f64,
+    /// Background probes per evaluated day.
+    pub background_per_day: f64,
+}
+
+/// The experiment's flags, resolved: the world and its day split.
+fn setup(args: &Args) -> (World, u64, u64) {
+    let seed = args.u64("seed", 2019);
+    let days = args.u64("days", 5);
+    let warmup_days = args.u64("warmup", 2).min(days.saturating_sub(1));
+    let scale = args.scale(Scale::Small);
+    (crate::organic_world(scale, days, seed), warmup_days, days)
+}
+
+/// Scores one cell — a fresh engine at the given background period,
+/// with or without churn triggers — which is all
+/// `tests/paper_claims.rs` needs for the 12 h + churn sweet spot.
+pub fn score(args: &Args, period_secs: u64, churn: bool) -> Cell {
+    let (world, warmup_days, days) = setup(args);
+    run_cell(&world, period_secs, churn, warmup_days, days)
 }
 
 fn run_cell(world: &World, period_secs: u64, churn: bool, warmup_days: u64, days: u64) -> Cell {
@@ -70,16 +94,11 @@ fn run_cell(world: &World, period_secs: u64, churn: bool, warmup_days: u64, days
 }
 
 pub fn run(args: &Args) {
-    let seed = args.u64("seed", 2019);
-    let days = args.u64("days", 5);
-    let warmup_days = args.u64("warmup", 2).min(days.saturating_sub(1));
-    let scale = args.scale(Scale::Small);
-
     fmt::banner(
         "Figure 13",
         "Localization accuracy vs background probing frequency (± churn triggers)",
     );
-    let world = crate::organic_world(scale, days, seed);
+    let (world, warmup_days, days) = setup(args);
 
     let periods: [(u64, &str); 5] = [
         (600, "10 min"),

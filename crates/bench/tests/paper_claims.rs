@@ -12,7 +12,7 @@
 //! `scripts/verify.sh test` (`cargo test --release -p blameit-bench
 //! --test paper_claims -- --ignored`).
 
-use blameit_bench::experiments::{confusion, incidents};
+use blameit_bench::experiments::{confusion, fig12, fig13, incidents};
 use blameit_bench::Args;
 
 fn args(flags: &[&str]) -> Args {
@@ -34,6 +34,30 @@ fn confusion_at_tiny_scale() {
     // Measured 0.675.
     let accuracy = confusion::score(&args(TINY)).accuracy();
     assert!(accuracy >= 0.62, "decisive accuracy {accuracy:.3}");
+}
+
+/// Fig. 13's sweet spot: background probes every 12 h, churn triggers on.
+const TWELVE_HOURS: u64 = 43_200;
+
+#[test]
+fn impact_coverage_at_tiny_scale() {
+    // Measured: oracle 0.466, BlameIt 0.237 (a tiny world has ~20
+    // middle faults, so "the top 5 %" is one or two of them).
+    let s = fig12::score(&args(TINY));
+    assert!(s.oracle_top5 >= 0.42, "oracle top-5% {:.3}", s.oracle_top5);
+    assert!(
+        s.blameit_top5 >= 0.20,
+        "blameit top-5% {:.3}",
+        s.blameit_top5
+    );
+}
+
+#[test]
+fn sweet_spot_accuracy_at_tiny_scale() {
+    // Measured 0.878 over 82 scored localizations.
+    let cell = fig13::score(&args(TINY), TWELVE_HOURS, true);
+    assert!(cell.localized >= 70, "{} scored", cell.localized);
+    assert!(cell.accuracy >= 0.82, "accuracy {:.3}", cell.accuracy);
 }
 
 #[test]
@@ -60,4 +84,26 @@ fn confusion_at_default_scale() {
     // Measured 0.848.
     let accuracy = confusion::score(&args(&[])).accuracy();
     assert!(accuracy >= 0.80, "decisive accuracy {accuracy:.3}");
+}
+
+#[test]
+#[ignore = "default scale: run by scripts/verify.sh test"]
+fn impact_coverage_at_default_scale() {
+    // Measured: oracle 0.695, BlameIt 0.686 — "as good as an oracle".
+    let s = fig12::score(&args(&[]));
+    assert!(s.oracle_top5 >= 0.65, "oracle top-5% {:.3}", s.oracle_top5);
+    assert!(
+        s.blameit_top5 >= 0.64,
+        "blameit top-5% {:.3}",
+        s.blameit_top5
+    );
+}
+
+#[test]
+#[ignore = "default scale: run by scripts/verify.sh test"]
+fn sweet_spot_accuracy_at_default_scale() {
+    // Measured 0.953 over 257 scored localizations.
+    let cell = fig13::score(&args(&[]), TWELVE_HOURS, true);
+    assert!(cell.localized >= 230, "{} scored", cell.localized);
+    assert!(cell.accuracy >= 0.92, "accuracy {:.3}", cell.accuracy);
 }

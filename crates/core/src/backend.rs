@@ -48,8 +48,9 @@ pub trait Backend: Sync {
 
     /// The raw RTT sample stream behind a bucket, for backends that can
     /// expose the collector feed *before* aggregation: records arrive
-    /// grouped per client (each quartet's samples contiguous), the
-    /// shape [`crate::columnar`]'s run-collapse fast path is built for.
+    /// grouped per client (each quartet's samples contiguous), not
+    /// key-sorted — [`crate::columnar::RecordBatch::sort_by_key`] is
+    /// the sender's or the admission controller's job.
     /// Returns `None` when the backend only carries pre-aggregated
     /// observations — callers must fall back to [`Backend::quartets_in`].
     ///
@@ -61,22 +62,6 @@ pub trait Backend: Sync {
     /// engine tick stays on the aggregated feed.
     fn rtt_records_in(&self, _bucket: TimeBucket) -> Option<Vec<RttRecord>> {
         None
-    }
-
-    /// The bucket's record stream in columnar (struct-of-arrays) form:
-    /// pre-packed subkeys plus the RTT column, sorted by key with each
-    /// key's samples in stream order — the shape the ingest kernel
-    /// consumes without touching per-record structs or its sort
-    /// fallbacks. The default columnarizes and key-sorts
-    /// [`Backend::rtt_records_in`] (the collector-side shuffle);
-    /// backends whose collector is natively columnar can override to
-    /// skip the row-form detour entirely.
-    fn record_batch_in(&self, bucket: TimeBucket) -> Option<crate::columnar::RecordBatch> {
-        self.rtt_records_in(bucket).map(|rs| {
-            let mut batch = crate::columnar::RecordBatch::from_records(bucket, &rs);
-            batch.sort_by_key();
-            batch
-        })
     }
 
     /// Routing metadata for a (location, /24) pair at `at`; `None` for
@@ -524,13 +509,14 @@ mod tests {
             assert_eq!(b.rtt_records_in(bucket).unwrap(), want, "par={par}");
         }
         // Collector shape: each quartet's samples form one contiguous
-        // run, so columnar ingest never needs its sort fallback, and
-        // the aggregate covers exactly the simulator's quartets.
+        // run (as many runs as quartets), and the aggregate covers
+        // exactly the simulator's quartets.
         let mut arena = crate::columnar::IngestArena::new();
         let mut store = crate::columnar::QuartetStore::new();
         let batch = crate::columnar::RecordBatch::from_records(bucket, &want);
         crate::columnar::aggregate_batch_reuse(&batch, &mut arena, &mut store);
-        assert_eq!(arena.sort_fallbacks, 0, "stream must be run-shaped");
+        let runs = 1 + batch.keys.windows(2).filter(|w| w[0] != w[1]).count();
+        assert_eq!(runs, store.len(), "stream must be run-shaped");
         let sim = w.quartets_in(bucket);
         assert_eq!(store.len(), sim.len());
         let agg = store.to_obs();

@@ -11,23 +11,27 @@
 //! output order, plus the RTT column) and:
 //!
 //! 1. collapses *consecutive equal-key runs* in a single sequential
-//!    pass — collector streams are concatenations of per-client record
-//!    vectors, so a key's samples arrive contiguously and the common
-//!    case never hashes or sorts individual records;
-//! 2. sorts only the collapsed run entries (thousands, not millions)
-//!    when the stream was not already key-ordered; and
-//! 3. falls back to a whole-batch `(key, index)` sort in the rare case
-//!    a key's samples were split across non-adjacent runs — merging
-//!    partial sums would re-associate `f64` additions, and the
+//!    pass — a key-sorted batch is one run per key, so the common case
+//!    never hashes or sorts individual records; and
+//! 2. checks the collapsed runs (thousands, not millions) came out
+//!    strictly key-ascending. They do whenever the sender sorted: the
+//!    daemon's admission controller sorts every offered batch
+//!    ([`RecordBatch::sort_by_key`], the workspace's one record sort)
+//!    before the WAL or the queue sees it. When they do not — a raw
+//!    collector stream, or one bucket's batches concatenated — the
+//!    kernel takes its one cold fallback: sort a copy with the same
+//!    `sort_by_key`, collapse again. Merging the out-of-order partial
+//!    sums instead would re-associate `f64` additions, and the
 //!    equivalence contract is *bit-identical* means, not approximately
 //!    equal ones.
 //!
-//! Every tier accumulates each key's RTT sum element-by-element in
-//! stream order, exactly like the per-record upsert did, so `sum / n`
-//! reproduces its mean to the last bit. That upsert survives as the
-//! oracle [`crate::quartet::aggregate_records_reference`]; the
-//! differential harness (`tests/columnar_equivalence.rs`) holds the
-//! kernel against it across seeds, thread counts, and chaos plans.
+//! Both paths accumulate each key's RTT sum element-by-element in
+//! stream order (the sort is stable), exactly like the per-record
+//! upsert did, so `sum / n` reproduces its mean to the last bit. That
+//! upsert survives as the oracle
+//! [`crate::quartet::aggregate_records_reference`]; the differential
+//! harness (`tests/columnar_equivalence.rs`) holds the kernel against
+//! it across seeds, thread counts, and chaos plans.
 //!
 //! Scratch lives in an [`IngestArena`] owned by the caller and reused
 //! across batches/ticks, so steady-state ingest performs no
@@ -121,7 +125,7 @@ impl RecordBatch {
     /// the unsorted stream). This is the collector-side shuffle of the
     /// sort-by-key ingest design: batches arrive at the aggregation
     /// kernel already key-ordered, and the kernel's run collapse never
-    /// needs its sort tiers. No-op on already-sorted batches.
+    /// needs its fallback. No-op on already-sorted batches.
     pub fn sort_by_key(&mut self) {
         if self.keys.windows(2).all(|w| w[0] <= w[1]) {
             return;
@@ -143,9 +147,6 @@ impl RecordBatch {
 }
 
 /// One collapsed run of equal-subkey records in a single-bucket batch.
-/// Runs leave tier 1 in stream order, so a run's first record index is
-/// the prefix sum of the `n`s before it — reconstructed only on the
-/// rare unsorted path rather than stored.
 #[derive(Clone, Copy, Debug)]
 struct Run {
     key: u64,
@@ -160,11 +161,9 @@ struct Run {
 pub struct IngestArena {
     /// Collapsed-run scratch.
     runs: Vec<Run>,
-    /// `(key, index)` pairs for the duplicate-key fallback sort.
-    pairs: Vec<(u64, u32)>,
     /// Batches aggregated through this arena (fast + fallback).
     pub batches: u64,
-    /// Batches that needed the whole-batch pair-sort fallback.
+    /// Batches that arrived unsorted and took the sort-a-copy fallback.
     pub sort_fallbacks: u64,
 }
 
@@ -242,29 +241,16 @@ impl QuartetStore {
     }
 }
 
-/// Aggregates one columnar [`RecordBatch`] into `store` (cleared
-/// first), using `arena` for scratch. See the module docs for the
-/// three-tier strategy; on every tier each key's sum accumulates
-/// element-by-element in stream order — bit-identical to the reference
-/// upsert. The hot loop streams 16 bytes per record: pre-packed `u64`
-/// subkeys and the RTT column, no key packing and no bucket division.
-#[inline]
-pub fn aggregate_batch_reuse(
-    batch: &RecordBatch,
-    arena: &mut IngestArena,
-    store: &mut QuartetStore,
-) {
-    store.clear();
-    arena.runs.clear();
-    arena.batches += 1;
-
-    // Tier 1: collapse consecutive equal-key runs. The open run lives
-    // in locals (registers); the run length is derived from indices at
-    // the boundary instead of counted per record, so the steady-state
-    // iteration is two streaming loads, one compare, and the one f64
-    // add the bit-identity contract requires. Sortedness is *not*
-    // tracked here — a post-scan over the collapsed runs (thousands,
-    // not millions) recovers it below.
+/// Collapses `batch`'s consecutive equal-key runs into `runs` (cleared
+/// first). The open run lives in locals (registers); the run length is
+/// derived from indices at the boundary instead of counted per record,
+/// so the steady-state iteration is two streaming loads, one compare,
+/// and the one f64 add the bit-identity contract requires. Sortedness
+/// is *not* tracked here — the caller's scan over the collapsed runs
+/// recovers it.
+#[inline(always)]
+fn collapse_runs(batch: &RecordBatch, runs: &mut Vec<Run>) {
+    runs.clear();
     let n = batch.keys.len();
     if n > 0 {
         let keys = &batch.keys[..n];
@@ -278,7 +264,7 @@ pub fn aggregate_batch_reuse(
             if key == cur_key {
                 cur_sum += v;
             } else {
-                arena.runs.push(Run {
+                runs.push(Run {
                     key: cur_key,
                     n: (i - first) as u32,
                     sum: cur_sum,
@@ -288,64 +274,44 @@ pub fn aggregate_batch_reuse(
                 first = i;
             }
         }
-        arena.runs.push(Run {
+        runs.push(Run {
             key: cur_key,
             n: (n - first) as u32,
             sum: cur_sum,
         });
     }
+}
 
-    // One scan recovers what tier 1 didn't track: whether the runs
-    // left the stream key-sorted, and whether any key repeats.
-    let mut key_sorted = true;
-    let mut has_dup = false;
-    for w in arena.runs.windows(2) {
-        key_sorted &= w[0].key < w[1].key;
-        has_dup |= w[0].key == w[1].key;
-    }
+/// The unsorted-batch fallback: a key out of order, or split across
+/// non-adjacent runs, cannot be fixed up from the collapsed runs
+/// without re-associating its f64 additions, so redo the batch from a
+/// stably sorted copy.
+#[cold]
+fn collapse_sorted_copy(batch: &RecordBatch, arena: &mut IngestArena) {
+    arena.sort_fallbacks += 1;
+    let mut sorted = batch.clone();
+    sorted.sort_by_key();
+    collapse_runs(&sorted, &mut arena.runs);
+}
 
-    // Tier 2: order the collapsed runs. Ties between same-key runs
-    // resolve by stream position, reconstructed as the prefix sum of
-    // run lengths.
-    if !key_sorted {
-        let mut keyed: Vec<(u64, u32, Run)> = Vec::with_capacity(arena.runs.len());
-        let mut first = 0u32;
-        for &run in &arena.runs {
-            keyed.push((run.key, first, run));
-            first += run.n;
-        }
-        keyed.sort_unstable_by_key(|&(key, first, _)| (key, first));
-        arena.runs.clear();
-        arena.runs.extend(keyed.iter().map(|&(_, _, run)| run));
-        has_dup = arena.runs.windows(2).any(|w| w[0].key == w[1].key);
-    }
-
-    // Tier 3: a key split across non-adjacent runs means merging
-    // partial sums would re-associate the f64 additions; redo the
-    // batch as a (key, index) sort that restores stream order within
-    // every key.
-    if has_dup {
-        arena.sort_fallbacks += 1;
-        arena.pairs.clear();
-        arena
-            .pairs
-            .extend(batch.keys.iter().enumerate().map(|(i, &k)| (k, i as u32)));
-        arena.pairs.sort_unstable();
-        arena.runs.clear();
-        for &(key, idx) in &arena.pairs {
-            let rtt = batch.rtt[idx as usize];
-            match arena.runs.last_mut() {
-                Some(run) if run.key == key => {
-                    run.n += 1;
-                    run.sum += rtt;
-                }
-                _ => arena.runs.push(Run {
-                    key,
-                    n: 1,
-                    sum: rtt,
-                }),
-            }
-        }
+/// Aggregates one columnar [`RecordBatch`] into `store` (cleared
+/// first), using `arena` for scratch. See the module docs for the
+/// collapse-then-check strategy; on either path each key's sum
+/// accumulates element-by-element in stream order — bit-identical to
+/// the reference upsert. The hot loop streams 16 bytes per record:
+/// pre-packed `u64` subkeys and the RTT column, no key packing and no
+/// bucket division.
+#[inline]
+pub fn aggregate_batch_reuse(
+    batch: &RecordBatch,
+    arena: &mut IngestArena,
+    store: &mut QuartetStore,
+) {
+    store.clear();
+    arena.batches += 1;
+    collapse_runs(batch, &mut arena.runs);
+    if !arena.runs.windows(2).all(|w| w[0].key < w[1].key) {
+        collapse_sorted_copy(batch, arena);
     }
 
     let base = (batch.bucket.0 as u128) << 41;
@@ -400,9 +366,9 @@ mod tests {
             }
         }
         let mut by_packed = keys.clone();
-        by_packed.sort_unstable_by_key(|(k, _)| *k);
+        by_packed.sort_by_key(|(k, _)| *k);
         let mut by_tuple = keys.clone();
-        by_tuple.sort_unstable_by_key(|(_, t)| *t);
+        by_tuple.sort_by_key(|(_, t)| *t);
         assert_eq!(by_packed, by_tuple);
     }
 
@@ -423,8 +389,8 @@ mod tests {
 
     #[test]
     fn run_collapse_handles_client_grouped_streams() {
-        // Per-client runs, keys not globally sorted: tier 2, no
-        // fallback.
+        // Per-client runs, keys not globally sorted: the fallback
+        // sorts them into key order.
         let records = vec![
             rec(1, 9, false, 10, 30.0),
             rec(1, 9, false, 20, 40.0),
@@ -434,7 +400,7 @@ mod tests {
         ];
         let mut arena = IngestArena::new();
         let store = aggregate(&records, &mut arena);
-        assert_eq!(arena.sort_fallbacks, 0);
+        assert_eq!(arena.sort_fallbacks, 1);
         assert_eq!(store.len(), 3);
         let obs = store.to_obs();
         assert_eq!(obs[0].loc, CloudLocId(0));

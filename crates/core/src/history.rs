@@ -142,11 +142,6 @@ impl ExpectedRttLearner {
         all.sort_by(|a, b| a.total_cmp(b));
         Some(crate::stats::median_sorted(&all))
     }
-
-    /// Number of keys being tracked.
-    pub fn num_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// Empirical incident durations per BGP path, with a global fallback.
@@ -338,7 +333,6 @@ mod tests {
         l.observe(RttKey::Cloud(CloudLocId(0), true), 0, 60.0);
         assert_eq!(l.expected(RttKey::Cloud(CloudLocId(0), false)), Some(20.0));
         assert_eq!(l.expected(RttKey::Cloud(CloudLocId(0), true)), Some(60.0));
-        assert_eq!(l.num_keys(), 2);
     }
 
     #[test]

@@ -185,11 +185,6 @@ impl<K: Ord + Clone> IncidentTracker<K> {
     pub fn open_incident(&self, key: &K) -> Option<&OpenIncident> {
         self.open.get(key)
     }
-
-    /// Number of currently open incidents.
-    pub fn num_open(&self) -> usize {
-        self.open.len()
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +208,7 @@ mod tests {
             }
         );
         assert_eq!(closed[0].end(), TimeBucket(2));
-        assert_eq!(t.num_open(), 0);
+        assert!(t.open.is_empty());
     }
 
     #[test]
@@ -251,7 +246,7 @@ mod tests {
         assert!(closed
             .iter()
             .all(|i| i.buckets == 2 && i.start == TimeBucket(5)));
-        assert_eq!(t.num_open(), 0);
+        assert!(t.open.is_empty());
     }
 
     #[test]
@@ -266,7 +261,7 @@ mod tests {
     fn duplicate_keys_in_one_bucket_are_one_incident() {
         let mut t: IncidentTracker<u32> = IncidentTracker::new();
         t.observe(TimeBucket(0), [1, 1, 1]);
-        assert_eq!(t.num_open(), 1);
+        assert_eq!(t.open.len(), 1);
         let closed = t.observe(TimeBucket(1), []);
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].buckets, 1);

@@ -205,11 +205,6 @@ impl EngineMetrics {
         &self.shed[idx]
     }
 
-    /// Total records shed across all reasons.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.iter().map(|c| c.get()).sum()
-    }
-
     /// The registry behind the handles.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
@@ -443,7 +438,6 @@ mod tests {
         m.backpressure_replies.inc();
         m.ingest_queue_depth.set(41.0);
         m.ingest_coverage.set(0.9);
-        assert_eq!(m.shed_total(), 9);
         let text = reg.render_prometheus();
         assert!(
             text.contains("blameit_shed_quartets_total{reason=\"low_impact\"} 7"),

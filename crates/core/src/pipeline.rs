@@ -307,24 +307,9 @@ impl BlameItEngine {
         self.flight.dump_jsonl()
     }
 
-    /// The learned expected-RTT store (read access for reporting).
-    pub fn expected_rtts(&self) -> &ExpectedRttLearner {
-        &self.expected
-    }
-
-    /// The duration history (read access).
-    pub fn duration_history(&self) -> &DurationHistory {
-        &self.durations
-    }
-
     /// The baseline store (read access).
     pub fn baselines(&self) -> &BaselineStore {
         &self.baselines
-    }
-
-    /// The client-count history (read access).
-    pub fn client_history(&self) -> &ClientCountHistory {
-        &self.client_hist
     }
 
     /// Feeds history (expected RTTs, client counts) from telemetry

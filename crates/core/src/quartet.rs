@@ -216,7 +216,7 @@ mod tests {
     fn columnar_matches_reference_bit_for_bit() {
         use blameit_topology::testkit;
         // Random record streams, including duplicate keys scattered
-        // across the batch (forcing the pair-sort fallback): the
+        // across the batch (forcing the sort fallback): the
         // columnar kernel must reproduce the reference upsert's output
         // exactly, means compared by bits.
         testkit::check("quartet::columnar_vs_reference", 64, |rng| {

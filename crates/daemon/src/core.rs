@@ -82,7 +82,8 @@ impl From<io::Error> for DaemonError {
 }
 
 /// What the daemon tells the sender about one offered batch (maps 1:1
-/// onto the wire's `ACK`/`SLOW_DOWN`).
+/// onto the wire's `ACK`/`SLOW_DOWN`; [`crate::wire`] holds the
+/// conversion, both ways).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OfferReply {
     /// Admitted (possibly reduced by shedding).

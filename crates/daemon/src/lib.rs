@@ -20,8 +20,9 @@
 //!   that trips the flight recorder, and graceful drain/snapshot.
 //! * [`server`] — the single-threaded socket/HTTP shell: ingest loop,
 //!   `GET /metrics` (Prometheus text), `/alerts`, `/healthz`.
-//! * [`client`] — the reference `feed` sender: world replay with
-//!   optional surge amplification, honoring backpressure.
+//! * [`client`] — the one feeder: a world-replay batch source (with
+//!   optional surge amplification) and a bounded-retry delivery step
+//!   over the wire sink or the in-process sink.
 //! * [`clock`] — the injected pacing clock; decisions never read time.
 //!
 //! The split is the repo's standing architecture rule: *IO at the
@@ -38,7 +39,10 @@ pub mod server;
 pub mod wal;
 pub mod wire;
 
-pub use client::{feed_world, http_get, FeedConfig, FeedSummary};
+pub use client::{
+    deliver, feed, feed_world, http_get, world_batches, CoreSink, FeedConfig, FeedSummary, Sink,
+    WireSink,
+};
 pub use clock::{Clock, NoopClock, WallClock};
 pub use core::{DaemonConfig, DaemonCore, DaemonError, IngestStats, OfferReply, ShedEntry};
 pub use entry::{run_daemon, run_feed, run_scrape};

@@ -18,7 +18,7 @@
 //! a restart recovers with zero journal replay.
 
 use crate::clock::Clock;
-use crate::core::{DaemonCore, DaemonError, IngestStats, OfferReply};
+use crate::core::{DaemonCore, DaemonError, IngestStats};
 use crate::wire::{write_frame, Frame, FrameReader, WIRE_VERSION};
 use blameit::{Backend, TickOutput};
 use std::io::{self, Read, Write};
@@ -212,24 +212,7 @@ impl Server {
                     if !hello_seen {
                         return refuse(stream, "batch before hello".into());
                     }
-                    let reply = match core.offer(batch)? {
-                        OfferReply::Ack {
-                            admitted,
-                            shed,
-                            queue_depth,
-                        } => Frame::Ack {
-                            admitted,
-                            shed,
-                            queue_depth,
-                        },
-                        OfferReply::SlowDown {
-                            retry_after_secs,
-                            queue_depth,
-                        } => Frame::SlowDown {
-                            retry_after_secs,
-                            queue_depth,
-                        },
-                    };
+                    let reply = Frame::from(core.offer(batch)?);
                     // The batch is admitted and durable whether or not
                     // the feeder is still there to hear so: pump first,
                     // then drop the connection if the reply bounced.

@@ -24,6 +24,7 @@
 //! and fuzzable without IO; [`read_frame`]/[`write_frame`] only add
 //! the framing.
 
+use crate::core::OfferReply;
 use blameit::persist::codec::{crc32, ByteReader, ByteWriter};
 use blameit::RecordBatch;
 use std::io::{self, Read, Write};
@@ -83,6 +84,56 @@ pub enum Frame {
         /// Human-readable reason.
         msg: String,
     },
+}
+
+/// The daemon's answer to an offer, as the frame that carries it.
+impl From<OfferReply> for Frame {
+    fn from(reply: OfferReply) -> Frame {
+        match reply {
+            OfferReply::Ack {
+                admitted,
+                shed,
+                queue_depth,
+            } => Frame::Ack {
+                admitted,
+                shed,
+                queue_depth,
+            },
+            OfferReply::SlowDown {
+                retry_after_secs,
+                queue_depth,
+            } => Frame::SlowDown {
+                retry_after_secs,
+                queue_depth,
+            },
+        }
+    }
+}
+
+impl Frame {
+    /// The inverse of `Frame::from(OfferReply)`: `Err` hands back any
+    /// frame that is not an answer to an offer.
+    pub fn into_offer_reply(self) -> Result<OfferReply, Frame> {
+        match self {
+            Frame::Ack {
+                admitted,
+                shed,
+                queue_depth,
+            } => Ok(OfferReply::Ack {
+                admitted,
+                shed,
+                queue_depth,
+            }),
+            Frame::SlowDown {
+                retry_after_secs,
+                queue_depth,
+            } => Ok(OfferReply::SlowDown {
+                retry_after_secs,
+                queue_depth,
+            }),
+            other => Err(other),
+        }
+    }
 }
 
 /// A wire decode failure (the IO side maps these to `Frame::Err`).
@@ -315,6 +366,19 @@ mod tests {
         for f in all_frames() {
             let bytes = encode_frame(&f);
             assert_eq!(decode_frame(&bytes).unwrap(), f, "{f:?}");
+        }
+    }
+
+    #[test]
+    fn offer_replies_map_onto_their_frames_and_back() {
+        for f in all_frames() {
+            match f.clone().into_offer_reply() {
+                Ok(reply) => assert_eq!(Frame::from(reply), f),
+                Err(other) => {
+                    assert_eq!(other, f);
+                    assert!(!matches!(f, Frame::Ack { .. } | Frame::SlowDown { .. }));
+                }
+            }
         }
     }
 

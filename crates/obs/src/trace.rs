@@ -252,12 +252,6 @@ impl Span {
         }
     }
 
-    /// Attaches a field (builder style, for the macro).
-    pub fn with_field(mut self, key: &'static str, value: impl Into<FieldValue>) -> Span {
-        self.record(key, value);
-        self
-    }
-
     /// Records a field on an open span (e.g. a count only known at the
     /// end of the stage).
     pub fn record(&mut self, key: &'static str, value: impl Into<FieldValue>) {

@@ -20,12 +20,12 @@ use crate::compile::{set, CompiledScenario};
 use crate::error::ScenarioError;
 use blameit::{
     fsck, render_tick_transcript, tally, Backend, BlameCounts, BlameItConfig, BlameItEngine,
-    ChaosBackend, ChaosStats, DurableEngine, LocalizationVerdict, PersistError, RecordBatch,
-    StartMode, StateStore, TickOutput, UnlocalizedReason, WorldBackend,
+    ChaosBackend, ChaosStats, DurableEngine, LocalizationVerdict, PersistError, StartMode,
+    StateStore, TickOutput, UnlocalizedReason, WorldBackend,
 };
-use blameit_daemon::{DaemonConfig, DaemonCore, OfferReply};
+use blameit_daemon::{deliver, world_batches, CoreSink, DaemonConfig, DaemonCore, FeedSummary};
 use blameit_obs::MetricsRegistry;
-use blameit_simnet::{CrashPlan, TimeBucket};
+use blameit_simnet::{CrashPlan, TimeBucket, TimeRange};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -289,10 +289,11 @@ fn run_crash(
     Ok(run)
 }
 
-/// The overload path: replay the feed through the daemon's decision
-/// core ([`DaemonCore`]) with the compiled surge plan, bucket by bucket
-/// like the reference `feed` client — admission, shedding, WAL, and
-/// data-driven ticks all engaged, no sockets, no clocks.
+/// The overload path: the feeder's batch source and delivery step
+/// (`blameit_daemon::client`) over its in-process sink — the compiled
+/// surge plan replayed into the daemon's decision core ([`DaemonCore`])
+/// with admission, shedding, WAL, and data-driven ticks all engaged,
+/// no sockets, no clocks.
 fn run_overload(
     file: &str,
     scn: &CompiledScenario,
@@ -314,7 +315,7 @@ fn run_overload(
     set(&mut dcfg.overload_sustained_ticks, o.sustained_ticks);
 
     let inner = WorldBackend::with_parallelism(&scn.world, cfg.parallelism);
-    let feed = WorldBackend::with_parallelism(&scn.world, cfg.parallelism);
+    let source = WorldBackend::with_parallelism(&scn.world, cfg.parallelism);
     let (mut core, recovery) = DaemonCore::open(
         cfg,
         dcfg,
@@ -328,10 +329,12 @@ fn run_overload(
     // Feed exactly the whole-tick coverage: burn-in plus the eval
     // ticks. Compile guarantees the burn-in is whole ticks too, so the
     // daemon's continuous tick grid lands on the eval boundary.
-    let feed_start = scn.burn_in.start.bucket().0;
-    let feed_end = scn.eval.start.bucket().0 + scn.eval_ticks as u32 * tick_buckets;
-    let mut outs: Vec<TickOutput> = Vec::new();
-    let mut abandoned = 0u64;
+    let feed_end = scn
+        .eval
+        .start
+        .bucket()
+        .plus(scn.eval_ticks as u32 * tick_buckets);
+    let feed_range = TimeRange::new(scn.burn_in.start.bucket().start(), feed_end.start());
     let mut top_decile_shed = 0u64;
     let mut baseline: Option<Option<[u64; 6]>> = None;
     let capture_baseline = |core: &DaemonCore<WorldBackend>, b: &mut Option<Option<[u64; 6]>>| {
@@ -343,56 +346,31 @@ fn run_overload(
         }
     };
     capture_baseline(&core, &mut baseline);
-    for b in feed_start..feed_end {
-        let bucket = TimeBucket(b);
-        let records = feed
-            .rtt_records_in(bucket)
-            .expect("the world backend exposes raw records");
-        let records = surge.amplify(bucket, &records);
-        if records.is_empty() {
-            continue;
-        }
-        let batch = RecordBatch::from_records(bucket, &records);
+    let mut sink = CoreSink::new(&mut core);
+    let mut fed = FeedSummary::default();
+    for batch in world_batches(&source, feed_range, surge) {
         // Score the offer with the same history `offer` will use, to
         // mark its top impact decile before any of it can be shed.
         let top_decile: BTreeSet<u64> = {
             let mut sorted = batch.clone();
             sorted.sort_by_key();
-            let scored = core.admission().score_batch(&sorted);
+            let scored = sink.core.admission().score_batch(&sorted);
             let keep = scored.len() - scored.len().div_ceil(10);
             scored[keep..].iter().map(|g| g.subkey).collect()
         };
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let shed_before = core.shed_log().len();
-            match core
-                .offer(batch.clone())
-                .map_err(|e| fail(format!("offer: {e}")))?
-            {
-                OfferReply::Ack { .. } => {
-                    for entry in &core.shed_log()[shed_before..] {
-                        if top_decile.contains(&entry.subkey) {
-                            top_decile_shed += u64::from(entry.records);
-                        }
-                    }
-                    break;
-                }
-                OfferReply::SlowDown { .. } => {
-                    if attempts >= o.max_attempts {
-                        abandoned += 1;
-                        break;
-                    }
-                    // No clock to wait on: draining is the only thing
-                    // that can change the next attempt's answer.
-                }
+        // Only an admit sheds, so whatever the log gained over this
+        // delivery came from the batch's one `Ack`.
+        let shed_before = sink.core.shed_log().len();
+        deliver(&mut sink, &batch, o.max_attempts, &mut fed)
+            .map_err(|e| fail(format!("offer: {e}")))?;
+        for entry in &sink.core.shed_log()[shed_before..] {
+            if top_decile.contains(&entry.subkey) {
+                top_decile_shed += u64::from(entry.records);
             }
-            outs.extend(core.pump().map_err(|e| fail(format!("pump: {e}")))?);
-            capture_baseline(&core, &mut baseline);
         }
-        outs.extend(core.pump().map_err(|e| fail(format!("pump: {e}")))?);
-        capture_baseline(&core, &mut baseline);
+        capture_baseline(sink.core, &mut baseline);
     }
+    let mut outs = sink.outs;
     outs.extend(core.term().map_err(|e| fail(format!("term: {e}")))?);
     capture_baseline(&core, &mut baseline);
 
@@ -411,7 +389,7 @@ fn run_overload(
         shed_low_impact: stats.shed_low_impact,
         shed_backpressure: stats.shed_backpressure,
         backpressure_replies: stats.backpressure_replies,
-        batches_abandoned: abandoned,
+        batches_abandoned: fed.batches_abandoned,
         queue_peak_records: stats.queue_peak,
         top_decile_shed_records: top_decile_shed,
     };

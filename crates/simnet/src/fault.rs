@@ -162,8 +162,6 @@ pub fn sample_duration_secs(rng: &mut DetRng) -> u64 {
 pub struct FaultSchedule {
     /// All faults, sorted by start time.
     faults: Vec<Fault>,
-    /// Longest duration in the schedule (bounds the active-scan window).
-    max_duration: u64,
     /// Per-hour index: `hour_index[h]` lists (by position in `faults`)
     /// every fault overlapping hour `h`. Telemetry generation queries
     /// active faults billions of times across a month; scanning a
@@ -184,7 +182,6 @@ impl FaultSchedule {
         for (i, f) in faults.iter_mut().enumerate() {
             f.id = FaultId(i as u32);
         }
-        let max_duration = faults.iter().map(|f| f.duration_secs).max().unwrap_or(0);
         let max_end_hour = faults
             .iter()
             .map(|f| f.end().secs() / 3_600 + 1)
@@ -199,11 +196,7 @@ impl FaultSchedule {
                 slot.push(i as u32);
             }
         }
-        FaultSchedule {
-            faults,
-            max_duration,
-            hour_index,
-        }
+        FaultSchedule { faults, hour_index }
     }
 
     /// Generates a schedule for `range` over `topo` with the given
@@ -337,11 +330,6 @@ impl FaultSchedule {
         slot.iter()
             .map(|i| &self.faults[*i as usize])
             .filter(move |f| f.active_at(t))
-    }
-
-    /// The longest fault duration in the schedule (seconds).
-    pub fn max_duration_secs(&self) -> u64 {
-        self.max_duration
     }
 
     /// Number of faults.

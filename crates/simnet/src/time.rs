@@ -150,11 +150,6 @@ impl TimeBucket {
     pub fn minus(self, n: u32) -> TimeBucket {
         TimeBucket(self.0.saturating_sub(n))
     }
-
-    /// The same slot on the previous day, if any.
-    pub fn same_slot_prev_day(self) -> Option<TimeBucket> {
-        self.0.checked_sub(BUCKETS_PER_DAY).map(TimeBucket)
-    }
 }
 
 impl fmt::Debug for TimeBucket {
@@ -266,8 +261,6 @@ mod tests {
         assert_eq!(b.day(), 1);
         assert_eq!(b.hour_utc(), 1);
         assert_eq!(b.slot_in_day(), 13);
-        assert_eq!(b.same_slot_prev_day(), Some(TimeBucket(13)));
-        assert_eq!(TimeBucket(10).same_slot_prev_day(), None);
     }
 
     #[test]

@@ -156,22 +156,6 @@ impl World {
         }
     }
 
-    /// Builds a world with an explicit fault schedule (scenario runs).
-    pub fn with_faults(cfg: WorldConfig, faults: FaultSchedule) -> World {
-        let topo = Topology::generate(cfg.topology.clone());
-        let churn = if cfg.churn_rate_per_day > 0.0 {
-            ChurnModel::generate(&topo, cfg.range, cfg.churn_rate_per_day, cfg.seed ^ 0xC4)
-        } else {
-            ChurnModel::none()
-        };
-        World {
-            topo,
-            cfg,
-            faults,
-            churn,
-        }
-    }
-
     /// Adds extra hand-placed faults to an existing world.
     pub fn add_faults(&mut self, extra: Vec<Fault>) {
         self.faults = self.faults.merged_with(extra);

@@ -241,16 +241,6 @@ impl BgpTable {
     pub fn routes(&self, idx: RouteIdx) -> &RouteOptions {
         &self.routes[idx.0 as usize]
     }
-
-    /// Number of (location, prefix) bindings.
-    pub fn num_bindings(&self) -> usize {
-        self.by_prefix.len()
-    }
-
-    /// Number of arena entries.
-    pub fn num_route_options(&self) -> usize {
-        self.routes.len()
-    }
 }
 
 #[cfg(test)]
@@ -322,7 +312,6 @@ mod tests {
         assert!(table.lookup(CloudLocId(2), p).is_none());
         let q: IpPrefix = "10.1.0.0/16".parse().unwrap();
         assert!(table.lookup(CloudLocId(1), q).is_none());
-        assert_eq!(table.num_bindings(), 1);
     }
 
     #[test]
@@ -355,7 +344,6 @@ mod tests {
         table.bind_prefix(CloudLocId(0), "10.0.0.0/16".parse().unwrap(), idx0);
         table.bind_prefix(CloudLocId(1), "10.0.0.0/16".parse().unwrap(), idx1);
         table.bind_prefix(CloudLocId(0), "10.1.0.0/16".parse().unwrap(), idx0);
-        assert_eq!(table.num_bindings(), 3);
         let at = |loc, prefix: &str| table.lookup(CloudLocId(loc), prefix.parse().unwrap());
         assert_eq!(at(0, "10.0.0.0/16").map(|r| r.loc), Some(CloudLocId(0)));
         assert_eq!(at(1, "10.0.0.0/16").map(|r| r.loc), Some(CloudLocId(1)));

@@ -70,11 +70,6 @@ pub struct PopPath {
 }
 
 impl PopPath {
-    /// Total one-way latency of the path in milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        *self.cum_ms.last().unwrap_or(&0.0)
-    }
-
     /// Collapses the PoP path to the AS-level path (consecutive
     /// duplicates removed), with the cumulative latency at the *last*
     /// PoP of each AS — i.e. the latency a traceroute would see at the
@@ -148,11 +143,6 @@ impl AsGraph {
             latency_ms,
             kind,
         });
-    }
-
-    /// Number of PoPs.
-    pub fn num_pops(&self) -> usize {
-        self.pops.len()
     }
 
     /// Looks up a PoP.
@@ -366,7 +356,6 @@ mod tests {
         let path = g.shortest_path(p[0], p[3]).unwrap();
         assert_eq!(path.pops, p);
         assert_eq!(path.cum_ms, vec![0.0, 1.0, 11.0, 13.0]);
-        assert!((path.total_ms() - 13.0).abs() < 1e-9);
     }
 
     #[test]
@@ -402,7 +391,7 @@ mod tests {
         g.add_link(c, d, 10.0, LinkKind::Peering);
         let path = g.shortest_path(a, d).unwrap();
         assert_eq!(path.pops, vec![a, b, d]);
-        assert!((path.total_ms() - 2.0).abs() < 1e-9);
+        assert_eq!(path.cum_ms.last(), Some(&2.0));
     }
 
     #[test]
@@ -421,7 +410,7 @@ mod tests {
         assert_eq!(paths[0].pops, vec![a, b, d]);
         assert_eq!(paths[1].pops, vec![a, c, d]);
         // Alternate's latency is the true (unpenalized) latency.
-        assert!((paths[1].total_ms() - 3.0).abs() < 1e-9);
+        assert_eq!(paths[1].cum_ms.last(), Some(&3.0));
     }
 
     #[test]
@@ -521,7 +510,7 @@ mod tests {
             vec![c0, c1, acc],
             "the 0.2 ms detour re-enters the cloud and must be rejected"
         );
-        assert!((p2.total_ms() - 21.0).abs() < 1e-9);
+        assert_eq!(p2.cum_ms.last(), Some(&21.0));
     }
 
     #[test]

@@ -191,11 +191,6 @@ impl DetRng {
         }
     }
 
-    /// Normal with the given mean and standard deviation.
-    pub fn normal_ms(&mut self, mean: f64, std: f64) -> f64 {
-        mean + std * self.normal()
-    }
-
     /// Log-normal: `exp(N(mu, sigma))`. Note `mu`/`sigma` are the
     /// parameters of the underlying normal, not the resulting mean.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
@@ -262,23 +257,6 @@ impl DetRng {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "pick from empty slice");
         &items[self.index(items.len())]
-    }
-
-    /// Samples an index proportional to the given non-negative weights.
-    ///
-    /// # Panics
-    /// Panics if weights are empty or sum to zero.
-    pub fn pick_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights must sum to a positive value");
-        let mut target = self.f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            target -= w;
-            if target < 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1
     }
 }
 
@@ -401,19 +379,6 @@ mod tests {
         sorted.sort();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "astronomically unlikely");
-    }
-
-    #[test]
-    fn pick_weighted_respects_weights() {
-        let mut r = DetRng::new(9);
-        let weights = [1.0, 0.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[r.pick_weighted(&weights)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((2.6..3.4).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]

@@ -31,6 +31,9 @@ stage_lint() {
   [ "$rc" -eq 0 ] || { echo "expected exit 0 with --only filtering the finding out, got $rc"; exit 1; }
   rc=0; "$lint" --definitely-not-a-flag >/dev/null 2>&1 || rc=$?
   [ "$rc" -eq 2 ] || { echo "expected exit 2 on an unknown flag, got $rc"; exit 1; }
+
+  # Not a gate: the size figure PR descriptions quote before/after.
+  step scripts/loc.sh
 }
 
 stage_test() {

@@ -122,9 +122,8 @@ fn columnar_matches_reference_on_organic_streams() {
             assert_bit_identical(&got, &want, "raw batch kernel vs reference");
             // The collector-sorted columnar batch (the engine's hot
             // ingest shape) must agree too, with zero sort fallbacks.
-            let batch = backend
-                .record_batch_in(bucket)
-                .expect("WorldBackend serves columnar batches");
+            let mut batch = RecordBatch::from_records(bucket, &records);
+            batch.sort_by_key();
             let before = arena.sort_fallbacks;
             let mut batch_store = QuartetStore::new();
             aggregate_batch_reuse(&batch, &mut arena, &mut batch_store);

@@ -8,11 +8,11 @@
 
 use blameit::persist::log::WAL_FILE;
 use blameit::{
-    fsck, render_tick_transcript, Backend, BadnessThresholds, BlameItConfig, PersistError,
-    RecordBatch, StartMode, StateStore, TickOutput, WorldBackend,
+    fsck, render_tick_transcript, BadnessThresholds, BlameItConfig, PersistError, RecordBatch,
+    StartMode, StateStore, TickOutput, WorldBackend,
 };
 use blameit_bench::{quiet_world, Scale};
-use blameit_daemon::{DaemonConfig, DaemonCore, DaemonError, OfferReply};
+use blameit_daemon::{feed, world_batches, CoreSink, DaemonConfig, DaemonCore, DaemonError};
 use blameit_obs::MetricsRegistry;
 use blameit_simnet::{CrashPlan, CrashPoint, SurgePlan, TimeBucket, TimeRange, World};
 use std::path::{Path, PathBuf};
@@ -62,39 +62,43 @@ fn open_core<'a>(
     .unwrap()
 }
 
-/// Offers world buckets `from..to` one by one, pumping after each.
-/// Returns the delivered outputs, or (on a simulated kill) the outputs
-/// plus the first bucket that had been offered but whose windows were
-/// interrupted.
-fn feed(
+/// Buckets `from..to` as the feeder's range.
+fn buckets(from: u32, to: u32) -> TimeRange {
+    TimeRange::new(TimeBucket(from).start(), TimeBucket(to).start())
+}
+
+/// Delivers `batches` through the in-process sink, one attempt each.
+/// Returns the ticks that fired and whether a simulated kill cut the
+/// feed short — `batches` then stands at the first batch the killed
+/// daemon never saw, which is where the resumed feed picks up.
+fn feed_core(
+    core: &mut DaemonCore<WorldBackend<'_>>,
+    batches: &mut impl Iterator<Item = RecordBatch>,
+) -> (Vec<TickOutput>, bool) {
+    let mut sink = CoreSink::new(core);
+    let crashed = match feed(&mut sink, batches, 1) {
+        Ok(fed) => {
+            assert_eq!(fed.slow_downs, 0, "unsurged feed refused: {fed:?}");
+            false
+        }
+        Err(DaemonError::Persist(PersistError::Crashed(_))) => true,
+        Err(e) => panic!("feed failed: {e}"),
+    };
+    (sink.outs, crashed)
+}
+
+/// Feeds the unsurged world's buckets `from..to`, with no kill armed.
+fn feed_quiet(
     core: &mut DaemonCore<WorldBackend<'_>>,
     world: &World,
-    surge: &SurgePlan,
     from: u32,
     to: u32,
-) -> Result<Vec<TickOutput>, (Vec<TickOutput>, u32)> {
+) -> Vec<TickOutput> {
     let backend = WorldBackend::new(world);
-    let mut outs = Vec::new();
-    for b in from..to {
-        let bucket = TimeBucket(b);
-        let records = backend.rtt_records_in(bucket).unwrap();
-        let records = surge.amplify(bucket, &records);
-        if records.is_empty() {
-            continue;
-        }
-        let batch = RecordBatch::from_records(bucket, &records);
-        match core.offer(batch) {
-            Ok(OfferReply::Ack { .. }) => {}
-            Ok(OfferReply::SlowDown { .. }) => panic!("unsurged feed refused at bucket {b}"),
-            Err(e) => panic!("offer failed: {e}"),
-        }
-        match core.pump() {
-            Ok(ticked) => outs.extend(ticked),
-            Err(DaemonError::Persist(PersistError::Crashed(_))) => return Err((outs, b + 1)),
-            Err(e) => panic!("pump failed: {e}"),
-        }
-    }
-    Ok(outs)
+    let mut batches = world_batches(&backend, buckets(from, to), SurgePlan::default());
+    let (outs, crashed) = feed_core(core, &mut batches);
+    assert!(!crashed, "no crash armed");
+    outs
 }
 
 /// The uninterrupted reference: feed all buckets, terminate, render.
@@ -103,14 +107,7 @@ fn reference_run(world: &World, tag: &str, threads: usize, feed_range: (u32, u32
     let dir = state_dir(&format!("ref-{tag}-t{threads}"));
     let (mut core, recovery) = open_core(world, &dir, threads);
     assert_eq!(recovery.mode, StartMode::Cold);
-    let mut outs = feed(
-        &mut core,
-        world,
-        &SurgePlan::default(),
-        feed_range.0,
-        feed_range.1,
-    )
-    .expect("no crash armed");
+    let mut outs = feed_quiet(&mut core, world, feed_range.0, feed_range.1);
     outs.extend(core.term().unwrap());
     assert_eq!(outs.len(), N_TICKS as usize);
     let t = render_tick_transcript(&outs);
@@ -124,6 +121,7 @@ fn kill_points_recover_to_byte_identical_transcripts() {
     let world = quiet_world(Scale::Tiny, 2, 0xC4A5);
     let start = TimeRange::days(1).end.bucket().0;
     let end = start + N_TICKS * 3;
+    let backend = WorldBackend::new(&world);
 
     for threads in [1usize, 4] {
         let reference = reference_run(&world, "kill", threads, (start, end));
@@ -139,9 +137,9 @@ fn kill_points_recover_to_byte_identical_transcripts() {
             let (mut core, recovery) = open_core(&world, &dir, threads);
             assert_eq!(recovery.mode, StartMode::Cold, "{point}");
             core.set_crash_plan(Some(CrashPlan::kill_at(kill_tick, point, 0x5EED)));
-            let (delivered, resume_from) =
-                feed(&mut core, &world, &SurgePlan::default(), start, end)
-                    .expect_err("the crash plan must fire");
+            let mut batches = world_batches(&backend, buckets(start, end), SurgePlan::default());
+            let (delivered, crashed) = feed_core(&mut core, &mut batches);
+            assert!(crashed, "the crash plan must fire ({point})");
             assert_eq!(delivered.len() as u64, kill_tick, "{point}");
             drop(core); // hard kill: no term, no snapshot, WAL as-is
 
@@ -153,8 +151,8 @@ fn kill_points_recover_to_byte_identical_transcripts() {
             assert!(recovery.replayed.len() >= skip, "{point}");
             let mut full = delivered;
             full.extend(recovery.replayed.into_iter().skip(skip));
-            let resumed = feed(&mut core, &world, &SurgePlan::default(), resume_from, end)
-                .expect("no second crash");
+            let (resumed, crashed) = feed_core(&mut core, &mut batches);
+            assert!(!crashed, "no second crash ({point})");
             full.extend(resumed);
             full.extend(core.term().unwrap());
 
@@ -180,17 +178,13 @@ fn term_during_surge_leaves_a_clean_resumable_state() {
     let (mut core, recovery) = open_core(&world, &dir, 1);
     assert_eq!(recovery.mode, StartMode::Cold);
     // Feed half the range, then TERM with the surge still in flight.
-    let mut outs = Vec::new();
+    // Under surge an offer may shed or refuse; both are fine — one
+    // attempt each, and TERM must cope with whatever state that leaves.
     let backend = WorldBackend::new(&world);
-    for b in start..start + N_TICKS * 3 / 2 {
-        let bucket = TimeBucket(b);
-        let records = surge.amplify(bucket, &backend.rtt_records_in(bucket).unwrap());
-        let batch = RecordBatch::from_records(bucket, &records);
-        // Under surge the offer may shed or refuse; both are fine —
-        // TERM must cope with whatever state that leaves.
-        let _ = core.offer(batch).unwrap();
-        outs.extend(core.pump().unwrap());
-    }
+    let half = buckets(start, start + N_TICKS * 3 / 2);
+    let mut sink = CoreSink::new(&mut core);
+    feed(&mut sink, world_batches(&backend, half, surge), 1).unwrap();
+    let mut outs = sink.outs;
     assert!(core.stats().shed_low_impact > 0, "TERM landed mid-overload");
     outs.extend(core.term().unwrap());
     let ticks_before = core.ticks_done();
@@ -217,13 +211,11 @@ fn a_fresh_start_does_not_replay_the_last_runs_wal() {
     let world = quiet_world(Scale::Tiny, 2, 0xC4A5);
     let start = TimeRange::days(1).end.bucket().0;
     let end = start + N_TICKS * 3;
-    let quiet = SurgePlan::default();
-
     // A previous run fed most of the range and was killed: its WAL
     // still holds the batches no snapshot covers.
     let dir = state_dir("fresh");
     let (mut core, _) = open_core(&world, &dir, 1);
-    feed(&mut core, &world, &quiet, start, end - 1).expect("no crash armed");
+    feed_quiet(&mut core, &world, start, end - 1);
     assert!(core.queue_depth() > 0, "the killed run left batches queued");
     drop(core);
 
@@ -234,7 +226,7 @@ fn a_fresh_start_does_not_replay_the_last_runs_wal() {
     let (mut core, recovery) = open_core(&world, &dir, 1);
     assert_eq!(recovery.mode, StartMode::Cold);
     assert_eq!(core.queue_depth(), 0, "a fresh start has an empty queue");
-    let mut outs = feed(&mut core, &world, &quiet, start, end).expect("no crash armed");
+    let mut outs = feed_quiet(&mut core, &world, start, end);
     outs.extend(core.term().unwrap());
     let clean = reference_run(&world, "fresh", 1, (start, end));
     assert_eq!(render_tick_transcript(&outs), clean);
@@ -248,7 +240,7 @@ fn fsck_audits_the_ingest_wal() {
     let start = TimeRange::days(1).end.bucket().0;
     let dir = state_dir("fsck-wal");
     let (mut core, _) = open_core(&world, &dir, 1);
-    feed(&mut core, &world, &SurgePlan::default(), start, start + 4).expect("no crash armed");
+    feed_quiet(&mut core, &world, start, start + 4);
     drop(core);
     let wal = dir.join(WAL_FILE);
     let intact = std::fs::read(&wal).unwrap();

@@ -7,13 +7,15 @@
 //! `tests/daemon_smoke.rs`, the scenario-library golden in
 //! `scenarios/ingest-surge-overload.scn`).
 
-use blameit::Backend;
 use blameit::{
     render_tick_transcript, BadnessThresholds, BlameItConfig, RecordBatch, StartMode, TickOutput,
     WorldBackend,
 };
 use blameit_bench::{quiet_world, Scale};
-use blameit_daemon::{DaemonConfig, DaemonCore, IngestStats, OfferReply, ShedEntry};
+use blameit_daemon::{
+    feed, world_batches, CoreSink, DaemonConfig, DaemonCore, DaemonError, IngestStats, OfferReply,
+    ShedEntry, Sink,
+};
 use blameit_obs::{FlightTrigger, MetricsRegistry};
 use blameit_simnet::{SurgePlan, TimeBucket, TimeRange, World};
 use std::path::{Path, PathBuf};
@@ -53,15 +55,41 @@ struct OverloadRun {
     overload_fired: bool,
 }
 
+/// The in-process sink with the queue bounds checked at every reply:
+/// a refusal quotes a depth within the cap, and after each offer (and
+/// the pump behind it) the queue itself is within the cap.
+struct CapChecked<'c, 'w>(CoreSink<'c, WorldBackend<'w>>);
+
+impl Sink for CapChecked<'_, '_> {
+    type Error = DaemonError;
+
+    fn offer(&mut self, batch: &RecordBatch) -> Result<OfferReply, DaemonError> {
+        let cap = self.0.core.admission().config().queue_cap_records;
+        let reply = self.0.offer(batch)?;
+        if let OfferReply::SlowDown { queue_depth, .. } = reply {
+            assert!(
+                queue_depth as usize <= cap,
+                "refusal quotes a bounded depth"
+            );
+        }
+        assert!(
+            self.0.core.queue_depth() <= cap,
+            "queue depth {} exceeded the hard cap {cap}",
+            self.0.core.queue_depth()
+        );
+        Ok(reply)
+    }
+}
+
 /// Feeds `n_ticks` windows of (surged) world telemetry through a fresh
-/// `DaemonCore`, abandoning a bucket after three refusals like the
-/// reference feeder, and terminates gracefully.
+/// `DaemonCore` with the workspace's one feeder, abandoning a bucket
+/// after three refusals, and terminates gracefully.
 fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> OverloadRun {
     let dir = state_dir(&format!("{tag}-t{threads}"));
     let cfg = config(world, &dir, threads);
     let tick_buckets = cfg.tick_buckets;
     let inner = WorldBackend::with_parallelism(world, threads);
-    let feed = WorldBackend::with_parallelism(world, threads);
+    let source = WorldBackend::with_parallelism(world, threads);
     let warmup = TimeRange::days(1);
     let (mut core, recovery) = DaemonCore::open(
         cfg,
@@ -74,42 +102,27 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
     assert_eq!(recovery.mode, StartMode::Cold);
 
     let n_ticks = 8u32;
-    let feed_start = warmup.end.bucket().0;
-    let mut outs: Vec<TickOutput> = Vec::new();
-    let mut abandoned = 0u64;
-    for b in feed_start..feed_start + n_ticks * tick_buckets {
-        let bucket = TimeBucket(b);
-        let records = feed.rtt_records_in(bucket).unwrap();
-        let records = surge.amplify(bucket, &records);
-        if records.is_empty() {
-            continue;
-        }
-        let batch = RecordBatch::from_records(bucket, &records);
-        let cap = core.admission().config().queue_cap_records;
-        for attempt in 1..=3u32 {
-            match core.offer(batch.clone()).unwrap() {
-                OfferReply::Ack { .. } => break,
-                OfferReply::SlowDown { queue_depth, .. } => {
-                    assert!(
-                        queue_depth as usize <= cap,
-                        "refusal quotes a bounded depth"
-                    );
-                    if attempt == 3 {
-                        abandoned += 1;
-                    }
-                }
-            }
-            outs.extend(core.pump().unwrap());
-        }
-        outs.extend(core.pump().unwrap());
-        assert!(
-            core.queue_depth() <= cap,
-            "queue depth {} exceeded the hard cap {cap}",
-            core.queue_depth()
-        );
-    }
+    let feed_end = warmup.end.bucket().plus(n_ticks * tick_buckets);
+    let feed_range = TimeRange::new(warmup.end, feed_end.start());
+    let mut sink = CapChecked(CoreSink::new(&mut core));
+    let fed = feed(
+        &mut sink,
+        world_batches(&source, feed_range, surge.clone()),
+        3,
+    )
+    .unwrap();
+    let mut outs: Vec<TickOutput> = sink.0.outs;
     outs.extend(core.term().unwrap());
     assert_eq!(outs.len(), n_ticks as usize, "every tick window fired");
+    assert_eq!(
+        (fed.records_admitted, fed.records_shed, fed.slow_downs),
+        (
+            core.stats().admitted,
+            core.stats().shed_low_impact,
+            core.stats().backpressure_replies
+        ),
+        "the feeder's summary and the daemon's stats count the same replies"
+    );
 
     let overload_fired = core
         .engine()
@@ -121,7 +134,7 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
         transcript: render_tick_transcript(&outs),
         shed_log: core.shed_log().to_vec(),
         stats: core.stats(),
-        abandoned,
+        abandoned: fed.batches_abandoned,
         overload_fired,
     };
     drop(core);

@@ -1,6 +1,6 @@
 //! End-to-end smoke over real sockets: bind `blameitd`'s IO shell on
 //! ephemeral localhost ports, replay a surged world feed through the
-//! framed wire protocol with the reference `feed` client, scrape
+//! framed wire protocol with the `feed` client, scrape
 //! `/metrics`, `/alerts`, and `/healthz` over plain HTTP mid-run, then
 //! TERM — and verify the state dir reopens warm with zero replay.
 //!
@@ -9,12 +9,12 @@
 //! daemon decides is covered socket-free in `tests/daemon_overload.rs`
 //! and `tests/daemon_crash.rs`.
 
-use blameit::{BadnessThresholds, BlameItConfig, StartMode, WorldBackend};
+use blameit::{tick_digest, BadnessThresholds, BlameItConfig, StartMode, WorldBackend};
 use blameit_bench::{quiet_world, Scale};
 use blameit_daemon::wire::{read_frame, write_frame};
 use blameit_daemon::{
-    feed_world, http_get, DaemonConfig, DaemonCore, FeedConfig, Frame, Server, ServerConfig,
-    WallClock, WIRE_VERSION,
+    feed, feed_world, http_get, world_batches, CoreSink, DaemonConfig, DaemonCore, FeedConfig,
+    FeedSummary, Frame, NoopClock, Server, ServerConfig, WallClock, WIRE_VERSION,
 };
 use blameit_obs::MetricsRegistry;
 use blameit_simnet::{SurgePlan, TimeBucket, TimeRange, World};
@@ -176,6 +176,64 @@ fn cold_core<'w>(world: &'w World, dir: &Path) -> DaemonCore<WorldBackend<'w>> {
     )
     .unwrap();
     core
+}
+
+#[test]
+fn the_wire_sink_and_the_in_process_sink_deliver_the_same_feed() {
+    let world = quiet_world(Scale::Tiny, 2, 0x50C7);
+    let start = TimeRange::days(1).end.bucket();
+    // Four tick windows, the middle two surged 10×: sheds, refusals
+    // and abandoned batches all occur.
+    let range = TimeRange::new(start.start(), start.plus(12).start());
+    let surge = SurgePlan::single(start.plus(3), start.plus(9), 10, 0x51);
+    let max_attempts = 3;
+
+    // In process: the core sink, ticks straight from the pumps.
+    let dir = state_dir("sinks-core");
+    let mut core = cold_core(&world, &dir);
+    let source = WorldBackend::new(&world);
+    let mut sink = CoreSink::new(&mut core);
+    let batches = world_batches(&source, range, surge.clone());
+    let in_process = feed(&mut sink, batches, max_attempts).unwrap();
+    let mut outs = sink.outs;
+    outs.extend(core.term().unwrap());
+    let digests: Vec<u64> = outs.iter().map(tick_digest).collect();
+    assert!(in_process.records_shed > 0 && in_process.batches_abandoned > 0);
+    drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Over the socket: `feed_world` is the same feeder on the wire
+    // sink; the ticks' digests come back from the journal.
+    let dir = state_dir("sinks-wire");
+    let mut core = cold_core(&world, &dir);
+    let server = Server::bind(&ServerConfig::default()).unwrap();
+    let shutdown = AtomicBool::new(false);
+    let cfg = FeedConfig {
+        addr: server.ingest_addr.to_string(),
+        surge,
+        max_attempts,
+        max_backoff_ms: 0,
+        term: true,
+    };
+    let on_the_wire = std::thread::scope(|s| {
+        let handle = s.spawn(|| server.run(&mut core, &WallClock, &shutdown).unwrap());
+        let _stop = StopOnDrop(&shutdown);
+        let fed = feed_world(&world, range, &cfg, &NoopClock::default()).unwrap();
+        assert_eq!(handle.join().unwrap().ticks, digests.len() as u64);
+        fed
+    });
+    drop(core);
+    let journal = blameit::persist::journal::scan(&dir).unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(on_the_wire.terminated);
+    let in_process = FeedSummary {
+        terminated: true,
+        ..in_process
+    };
+    assert_eq!(on_the_wire, in_process, "the feeder's accounting");
+    let journaled: Vec<u64> = journal.records.iter().map(|r| r.digest).collect();
+    assert_eq!(journaled, digests, "the ticks the feed produced");
 }
 
 /// One BATCH frame of 64 records for the first bucket after warm-up.
