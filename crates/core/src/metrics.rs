@@ -141,6 +141,9 @@ pub struct EngineMetrics {
     /// 1.0 means no coverage lost; shedding under overload drags it
     /// below 1 (the degraded-coverage signal).
     pub ingest_coverage: Arc<Gauge>,
+    /// Ingest-WAL rotations (seal + retire at a snapshot tick) that
+    /// failed; the WAL stays larger than needed until one succeeds.
+    pub wal_retire_failures: Arc<Counter>,
 }
 
 impl EngineMetrics {
@@ -192,6 +195,7 @@ impl EngineMetrics {
             backpressure_replies: registry.counter("blameit_backpressure_replies_total"),
             ingest_queue_depth: registry.gauge("blameit_ingest_queue_depth_records"),
             ingest_coverage: registry.gauge("blameit_ingest_coverage"),
+            wal_retire_failures: registry.counter("blameit_wal_retire_failures_total"),
             registry,
         }
     }
@@ -438,6 +442,7 @@ mod tests {
         m.backpressure_replies.inc();
         m.ingest_queue_depth.set(41.0);
         m.ingest_coverage.set(0.9);
+        m.wal_retire_failures.inc();
         let text = reg.render_prometheus();
         assert!(
             text.contains("blameit_shed_quartets_total{reason=\"low_impact\"} 7"),
@@ -456,6 +461,10 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("blameit_ingest_coverage 0.9"), "{text}");
+        assert!(
+            text.contains("blameit_wal_retire_failures_total 1"),
+            "{text}"
+        );
     }
 
     #[test]

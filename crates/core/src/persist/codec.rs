@@ -83,9 +83,14 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// CRC32 (IEEE, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE, reflected) slicing-by-8 lookup tables, built at compile
+/// time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, which is what lets eight input bytes fold in one step. A
+/// `static`, so the 8 KiB sit at one address however often `crc32` is
+/// inlined.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0u32;
     while i < 256 {
         let mut c = i;
@@ -99,19 +104,56 @@ const CRC_TABLE: [u32; 256] = {
             k += 1;
         }
         // lint:allow(panic-in-decode): const-eval table build, i ranges over 0..256 by construction — cannot see runtime input
-        table[i as usize] = c;
+        tables[0][i as usize] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            // lint:allow(panic-in-decode): const-eval table build, t in 1..8 and i in 0..256 by construction — cannot see runtime input
+            let prev = tables[t - 1][i];
+            // lint:allow(panic-in-decode): const-eval table build, the byte index is masked to 0..=255 — cannot see runtime input
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// CRC32 (IEEE) of `bytes`.
+/// `CRC_TABLES[table]` at the low byte of `x`.
+#[inline(always)]
+fn crc_lookup(table: usize, x: u32) -> u32 {
+    // lint:allow(panic-in-decode): `table` is a literal below 8 at every call site and the index is masked to 0..=255 — infallible for any input byte
+    CRC_TABLES[table][(x & 0xFF) as usize]
+}
+
+/// One byte-at-a-time CRC step: the tail of [`crc32`], and the whole of
+/// the test oracle it is checked against.
+#[inline]
+fn crc32_step(c: u32, b: u8) -> u32 {
+    crc_lookup(0, c ^ u32::from(b)) ^ (c >> 8)
+}
+
+/// CRC32 (IEEE) of `bytes`, eight bytes per step (slicing-by-8).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // lint:allow(panic-in-decode): index is masked to 0..=255 and CRC_TABLE has 256 entries — infallible for any input byte
-        // lint:allow(as-cast-truncation): b is a u8; u8 → u32 widens, nothing to truncate
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (chunks, tail) = bytes.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
+        let lo = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+        c = crc_lookup(7, lo)
+            ^ crc_lookup(6, lo >> 8)
+            ^ crc_lookup(5, lo >> 16)
+            ^ crc_lookup(4, lo >> 24)
+            ^ crc_lookup(3, hi)
+            ^ crc_lookup(2, hi >> 8)
+            ^ crc_lookup(1, hi >> 16)
+            ^ crc_lookup(0, hi >> 24);
+    }
+    for &b in tail {
+        c = crc32_step(c, b);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -432,12 +474,27 @@ impl RecordBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blameit_topology::rng::DetRng;
 
     #[test]
     fn crc32_known_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_loop_at_every_length_and_alignment() {
+        let bytewise = |bytes: &[u8]| bytes.iter().fold(!0u32, |c, &b| crc32_step(c, b)) ^ !0;
+        let mut rng = DetRng::new(0xC8C);
+        let pool: Vec<u8> = (0..4096 + 8).map(|_| rng.below(256) as u8).collect();
+        for start in 0..8 {
+            let lens = (0..=64).chain((0..200).map(|_| rng.below(4097) as usize));
+            for len in lens.chain([4095, 4096]) {
+                let bytes = &pool[start..start + len];
+                assert_eq!(crc32(bytes), bytewise(bytes), "start {start} len {len}");
+            }
+        }
     }
 
     #[test]

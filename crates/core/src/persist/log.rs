@@ -1,11 +1,17 @@
 //! The one durable log: an append-only file of [`codec`] sections
-//! behind the standard preamble. The tick journal and the daemon's
-//! ingest WAL are both this type, so the workspace has one valid-prefix
-//! scan ([`scan`]), one torn-tail truncation ([`Log::open`]) and one
-//! temp-file + fsync + rename + dir-fsync rewrite ([`write_atomic`],
-//! shared with snapshots). A typed user brings a file kind, its section
-//! payloads, and an `accept` callback saying whether a CRC-valid
-//! section is one it trusts.
+//! behind the standard preamble. The tick journal and every segment of
+//! the daemon's ingest WAL are this type, so the workspace has one
+//! valid-prefix scan ([`scan`]), one torn-tail truncation
+//! ([`Log::open`]) and one temp-file + fsync + rename + dir-fsync
+//! create ([`write_atomic`], shared with snapshots). A typed user
+//! brings a file kind, its section payloads, and an `accept` callback
+//! saying whether a CRC-valid section is one it trusts.
+//!
+//! A log that outgrows its data is not rewritten: [`Log::seal_to`]
+//! renames the file aside as a *sealed segment* and starts an empty log
+//! under the old name; the owner unlinks sealed segments it no longer
+//! needs. [`segment_path`] and [`list_segments`] are the one naming
+//! rule for those files.
 //!
 //! [`Log::append`] is `write_all` then `sync_data`, so acknowledging
 //! after it never acknowledges bytes a crash can lose; a crash
@@ -25,6 +31,38 @@ pub const JOURNAL_FILE: &str = "journal.blj";
 pub const WAL_FILE: &str = "ingest.wal";
 /// Section id of one admitted batch in the ingest WAL.
 pub const WAL_SEC_BATCH: u8 = 1;
+
+/// The sealed segment `seq` of the log whose active file is `active`:
+/// a sibling named `<active>.<seq, zero-padded>` (`ingest.wal.0000000003`),
+/// so segments of one log sort by name in the order they were sealed.
+pub fn segment_path(active: &Path, seq: u64) -> PathBuf {
+    let name = active.file_name().unwrap_or_default().to_string_lossy();
+    active.with_file_name(format!("{name}.{seq:010}"))
+}
+
+/// Every sealed segment of `active` on disk as `(seq, path)`, oldest
+/// first. The active file itself is not listed.
+pub fn list_segments(active: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+    let prefix = format!(
+        "{}.",
+        active.file_name().unwrap_or_default().to_string_lossy()
+    );
+    let dir = match active.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let seq = name.to_str().and_then(|n| n.strip_prefix(&prefix));
+        if let Some(Ok(seq)) = seq.map(str::parse::<u64>) {
+            out.push((seq, entry.path()));
+        }
+    }
+    out.sort_unstable();
+    Ok(out)
+}
 
 /// The ingest WAL's trust rule, shared by the daemon's replay and
 /// `fsck`: a section is one batch's columns and nothing else.
@@ -171,9 +209,16 @@ impl Log {
         Ok((log, scan))
     }
 
+    /// The file this log appends to.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
     /// Atomically replaces the log's contents with exactly the sections
     /// `fill` writes; appends continue after them. A crash mid-rewrite
-    /// leaves the old log intact.
+    /// leaves the old log intact. This is the create/reset primitive
+    /// (a new log's header sections, the journal's reset) — it is never
+    /// handed a log's existing records to copy.
     pub fn rewrite(&mut self, fill: impl FnOnce(&mut ByteWriter)) -> std::io::Result<()> {
         // Not the append scratch: a compaction's worth of bytes should
         // not stay allocated for the life of the log.
@@ -183,6 +228,20 @@ impl Log {
         write_atomic(&self.path, w.as_bytes())?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         Ok(())
+    }
+
+    /// Seals the log: renames its file to `sealed` and starts an empty
+    /// log under the old name (atomic create, directory fsync'd — which
+    /// makes the rename durable too). Nothing is copied or re-encoded. A
+    /// crash after the rename leaves no file under the old name, which
+    /// the next [`Log::open`] creates; a failure after it puts the name
+    /// back, so the log keeps appending to the file it had.
+    pub fn seal_to(&mut self, sealed: &Path) -> std::io::Result<()> {
+        fs::rename(&self.path, sealed)?;
+        self.rewrite(|_| {}).inspect_err(|_| {
+            // The open handle followed the file; make the name agree.
+            let _ = fs::rename(sealed, &self.path);
+        })
     }
 
     fn encode(&mut self, id: u8, body: impl FnOnce(&mut ByteWriter)) {

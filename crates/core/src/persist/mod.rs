@@ -16,8 +16,8 @@
 //!   and deliberately excluded.
 //! * [`log`] — the one append-only file type: codec sections behind
 //!   the preamble, with the only valid-prefix scan, torn-tail
-//!   truncation and atomic rewrite. The journal and the daemon's
-//!   ingest WAL are thin typed users of it.
+//!   truncation, atomic create and seal-aside. The journal and each
+//!   segment of the daemon's ingest WAL are thin typed users of it.
 //! * [`journal`] — an fsync'd log record per completed tick (tick
 //!   index, start bucket, output digest). Recovery = newest valid
 //!   snapshot + deterministic replay of the journaled ticks through

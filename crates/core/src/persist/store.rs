@@ -110,10 +110,10 @@ impl StateStore {
     }
 
     /// Removes every blameit-owned file in the directory — snapshots,
-    /// leftover temp files, the journal and the ingest WAL — so a fresh
-    /// (non-resume) run neither trips over another run's identity nor
-    /// replays its queued batches. Foreign files are left alone.
-    /// Returns the number removed.
+    /// leftover temp files, the journal and the ingest WAL, sealed
+    /// segments included — so a fresh (non-resume) run neither trips
+    /// over another run's identity nor replays its queued batches.
+    /// Foreign files are left alone. Returns the number removed.
     pub fn wipe(&self) -> std::io::Result<usize> {
         let mut removed = 0usize;
         for (_, path) in self.list_snapshots()? {
@@ -121,6 +121,10 @@ impl StateStore {
             removed += 1;
         }
         for path in self.list_tmp_files()? {
+            fs::remove_file(path)?;
+            removed += 1;
+        }
+        for (_, path) in log::list_segments(&self.dir.join(WAL_FILE))? {
             fs::remove_file(path)?;
             removed += 1;
         }
@@ -143,6 +147,13 @@ impl StateStore {
         }
         Ok(())
     }
+}
+
+/// `path`'s last component, for report lines.
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
 }
 
 fn parse_snapshot_name(name: &str) -> Option<u64> {
@@ -174,8 +185,10 @@ pub struct FsckReport {
     pub snapshots_checked: usize,
     /// Valid journal records found.
     pub journal_records: u64,
-    /// Valid ingest-WAL batches found.
+    /// Valid ingest-WAL batches found, summed over its segments.
     pub wal_batches: u64,
+    /// Ingest-WAL files examined (sealed segments plus the active one).
+    pub wal_segments: usize,
 }
 
 impl FsckReport {
@@ -234,10 +247,11 @@ impl FsckReport {
         }
         let errors = self.errors();
         out.push_str(&format!(
-            "{} snapshot(s), {} journal record(s), {} wal batch(es), {} error(s): {}\n",
+            "{} snapshot(s), {} journal record(s), {} wal batch(es) in {} segment(s), {} error(s): {}\n",
             self.snapshots_checked,
             self.journal_records,
             self.wal_batches,
+            self.wal_segments,
             errors,
             if errors == 0 { "CLEAN" } else { "CORRUPT" }
         ));
@@ -256,8 +270,9 @@ impl FsckReport {
 ///   warning), not a deeper unparseable region (error);
 /// * the journal reaches at least as far as every snapshot, so replay
 ///   has the records it needs;
-/// * the ingest WAL, when present, is a run of decodable batches under
-///   the same torn-tail rule;
+/// * every segment of the ingest WAL, when present, is a run of
+///   decodable batches; only the active segment may end in a torn
+///   record, and the sealed segments' sequence numbers have no gap;
 /// * leftover `.tmp` files are reported (warning).
 pub fn fsck(dir: &Path) -> FsckReport {
     let mut report = FsckReport {
@@ -266,6 +281,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
         snapshots_checked: 0,
         journal_records: 0,
         wal_batches: 0,
+        wal_segments: 0,
     };
     if !dir.is_dir() {
         report.push(FsckSeverity::Error, "state directory does not exist");
@@ -284,10 +300,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
     let snaps = store.list_snapshots().unwrap_or_default();
     for (tick, path) in &snaps {
         report.snapshots_checked += 1;
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
+        let name = file_name(path);
         let bytes = match fs::read(path) {
             Ok(b) => b,
             Err(e) => {
@@ -356,24 +369,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
         ),
     }
 
-    // The ingest WAL exists only under the daemon; absent is normal.
-    let is_batch = |id: u8, payload: &[u8]| log::wal_batch(id, payload).is_some();
-    match log::scan_file(&dir.join(WAL_FILE), KIND_INGEST_WAL, is_batch) {
-        Ok(None) => {}
-        Ok(Some(scan)) => {
-            report.wal_batches = scan.sections;
-            report.push_log_tail(
-                WAL_FILE,
-                scan.sections as usize,
-                scan.trailing_bytes,
-                scan.tail,
-            );
-        }
-        Err(e) => report.push(
-            FsckSeverity::Error,
-            format!("{WAL_FILE}: invalid header: {e}"),
-        ),
-    }
+    fsck_wal(dir, &mut report);
 
     if seeds.len() > 1 {
         let first = seeds[0].1;
@@ -395,13 +391,58 @@ pub fn fsck(dir: &Path) -> FsckReport {
             FsckSeverity::Warning,
             format!(
                 "leftover temp file {} (crash residue; never loaded)",
-                tmp.file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default()
+                file_name(&tmp)
             ),
         );
     }
     report
+}
+
+/// The ingest-WAL part of [`fsck`]: every sealed segment in sequence
+/// order, then the active one. The WAL exists only under the daemon;
+/// absent is normal.
+fn fsck_wal(dir: &Path, report: &mut FsckReport) {
+    let active = dir.join(WAL_FILE);
+    let sealed = log::list_segments(&active).unwrap_or_default();
+    for pair in sealed.windows(2) {
+        if pair[0].0 + 1 != pair[1].0 {
+            report.push(
+                FsckSeverity::Error,
+                format!(
+                    "{WAL_FILE}: sealed segment(s) missing between {} and {}",
+                    pair[0].0, pair[1].0
+                ),
+            );
+        }
+    }
+    let is_batch = |id: u8, payload: &[u8]| log::wal_batch(id, payload).is_some();
+    for (path, is_sealed) in sealed
+        .iter()
+        .map(|(_, path)| (path, true))
+        .chain([(&active, false)])
+    {
+        let name = file_name(path);
+        match log::scan_file(path, KIND_INGEST_WAL, is_batch) {
+            Ok(None) => {}
+            Ok(Some(scan)) => {
+                report.wal_segments += 1;
+                report.wal_batches += scan.sections;
+                report.push_log_tail(
+                    &name,
+                    scan.sections as usize,
+                    scan.trailing_bytes,
+                    scan.tail,
+                );
+                if is_sealed && scan.tail == Tail::Torn {
+                    report.push(
+                        FsckSeverity::Error,
+                        format!("{name}: a sealed segment is never appended to — its torn tail is damage, and recovery refuses it"),
+                    );
+                }
+            }
+            Err(e) => report.push(FsckSeverity::Error, format!("{name}: unreadable: {e}")),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -457,10 +498,14 @@ mod tests {
         store.write_snapshot(4, b"x").unwrap();
         store.write_snapshot_torn(8, &[0u8; 16], 0.5).unwrap();
         std::fs::write(journal::journal_path(&dir), b"j").unwrap();
+        let wal = dir.join(WAL_FILE);
+        std::fs::write(&wal, b"w").unwrap();
+        std::fs::write(log::segment_path(&wal, 3), b"s").unwrap();
         std::fs::write(dir.join("keep.txt"), b"mine").unwrap();
-        assert_eq!(store.wipe().unwrap(), 3);
+        assert_eq!(store.wipe().unwrap(), 5);
         assert!(store.list_snapshots().unwrap().is_empty());
         assert!(!journal::journal_path(&dir).exists());
+        assert!(!wal.exists() && log::list_segments(&wal).unwrap().is_empty());
         assert!(dir.join("keep.txt").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -383,6 +383,21 @@ fn a_damaged_log_errors_or_yields_a_valid_prefix_and_appends_continue() {
         assert_eq!(scan.tail, Tail::Clean);
         assert_eq!(got, [(id, payload), (4, 7u64.to_le_bytes().to_vec())]);
         assert!(!log::tmp_path(&path).exists());
+
+        // A seal moves the file aside byte for byte under the segment
+        // name rule and leaves an empty log that appends go to.
+        let before = std::fs::read(&path).unwrap();
+        let sealed = log::segment_path(&path, 7);
+        log.seal_to(&sealed).unwrap();
+        assert_eq!(std::fs::read(&sealed).unwrap(), before);
+        assert_eq!(log::list_segments(&path).unwrap(), [(7, sealed.clone())]);
+        log.append(5, |w| w.put_u64(9)).unwrap();
+        let (scan, got) = scan_all(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(scan.tail, Tail::Clean);
+        assert_eq!(got, [(5, 9u64.to_le_bytes().to_vec())]);
+        assert_eq!(std::fs::read(&sealed).unwrap(), before);
+        assert!(!log::tmp_path(&path).exists());
+        std::fs::remove_file(&sealed).unwrap();
         std::fs::remove_file(&path).unwrap();
     });
 }

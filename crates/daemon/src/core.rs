@@ -154,6 +154,7 @@ pub struct DaemonCore<B: Backend> {
     m_backpressure: Arc<Counter>,
     m_queue_depth: Arc<Gauge>,
     m_coverage: Arc<Gauge>,
+    m_wal_retire_failures: Arc<Counter>,
 }
 
 impl<B: Backend> DaemonCore<B> {
@@ -191,6 +192,7 @@ impl<B: Backend> DaemonCore<B> {
             m_backpressure: Arc::clone(&m.backpressure_replies),
             m_queue_depth: Arc::clone(&m.ingest_queue_depth),
             m_coverage: Arc::clone(&m.ingest_coverage),
+            m_wal_retire_failures: Arc::clone(&m.wal_retire_failures),
             durable,
             backend,
             admission: AdmissionController::new(dcfg.admission.clone()),
@@ -328,13 +330,15 @@ impl<B: Backend> DaemonCore<B> {
 
     /// Graceful shutdown: drains every window with *any* fed data
     /// (the feed has ended, so trailing windows can no longer grow),
-    /// snapshots, and compacts the WAL. The daemon can be killed and
-    /// reopened after this with zero replay.
+    /// snapshots, and retires the whole WAL. The daemon can be killed
+    /// and reopened after this with zero replay.
     pub fn term(&mut self) -> Result<Vec<TickOutput>, DaemonError> {
         let outs = self.run_ready(true)?;
         self.durable.checkpoint_now()?;
-        self.backend.prune_below(self.next_tick_start());
-        self.wal.compact(&self.backend.retained())?;
+        // Every fed bucket lies below the next tick's start now.
+        let cutoff = self.next_tick_start();
+        self.backend.prune_below(cutoff);
+        self.wal.rotate(cutoff)?;
         self.m_queue_depth.set(self.queue_depth() as f64);
         Ok(outs)
     }
@@ -406,8 +410,10 @@ impl<B: Backend> DaemonCore<B> {
         }
         self.last_prune_cutoff = cutoff;
         self.backend.prune_below(TimeBucket(cutoff));
-        // Compaction failure is not fatal: the WAL is merely larger
-        // than needed, and the next prune retries.
-        let _ = self.wal.compact(&self.backend.retained());
+        // A failed rotation is not fatal: the WAL is merely larger
+        // than needed, and the next prune retires what this one left.
+        if self.wal.rotate(TimeBucket(cutoff)).is_err() {
+            self.m_wal_retire_failures.inc();
+        }
     }
 }

@@ -93,8 +93,12 @@ impl<B: Backend> QueueBackend<B> {
         *q = q.split_off(&cutoff.0);
     }
 
-    /// The retained batches in (bucket, arrival) order, for WAL
-    /// compaction.
+    /// The retained batches in (bucket, arrival) order. The daemon
+    /// never clones its queue; this survives for the frozen
+    /// `benchmark/` harness's shadow ([`IngestWal::compact`]) and goes
+    /// with it under ROADMAP item 5.
+    ///
+    /// [`IngestWal::compact`]: crate::IngestWal::compact
     pub fn retained(&self) -> Vec<RecordBatch> {
         let q = self.queued.lock().expect("queue lock");
         q.values().flat_map(|v| v.iter().cloned()).collect()

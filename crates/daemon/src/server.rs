@@ -14,7 +14,7 @@
 //! bytes and paces itself with an injected [`Clock`]. Graceful
 //! shutdown is protocol-level: a `TERM` frame (or the external
 //! shutdown flag) drains pending tick windows, writes a final
-//! snapshot, compacts the ingest WAL, and replies `BYE` — after which
+//! snapshot, retires the ingest WAL, and replies `BYE` — after which
 //! a restart recovers with zero journal replay.
 
 use crate::clock::Clock;
@@ -104,7 +104,7 @@ impl Server {
     }
 
     /// Runs the serve loop until a `TERM` frame arrives or `shutdown`
-    /// is set. Both paths drain, snapshot, and compact before
+    /// is set. Both paths drain, snapshot, and retire the WAL before
     /// returning.
     pub fn run<B: Backend>(
         &self,

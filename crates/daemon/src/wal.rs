@@ -9,73 +9,150 @@
 //! journaled ticks *through* the refilled queue — which is what makes
 //! the resumed run byte-identical to one that never crashed.
 //!
-//! The file is a [`blameit::persist::log`] like the tick journal: one
-//! section per admitted batch, whose payload is the batch's columns
-//! ([`RecordBatch::encode_columns`], the wire `BATCH` body) under the
-//! section's one CRC. Scan, torn-tail truncation and the atomic
-//! compaction rewrite are the log's; this module only says what a
-//! section holds.
+//! On disk the WAL is a short sequence of [`blameit::persist::log`]
+//! files: `ingest.wal`, the *active* segment every append goes to, and
+//! zero or more *sealed* segments beside it
+//! ([`segment_path`]). Each holds one section per admitted batch, whose
+//! payload is the batch's columns ([`RecordBatch::encode_columns`], the
+//! wire `BATCH` body) under the section's one CRC. At a snapshot tick
+//! [`IngestWal::rotate`] seals the active segment (a rename, no bytes
+//! copied) and unlinks the sealed segments a durable snapshot has made
+//! redundant. So the WAL recovers a **superset** of what the queue
+//! retains, in append order — the surplus is whole old buckets no tick
+//! reads again, and the queue's next prune drops them.
+//!
+//! Scan, torn-tail truncation, the atomic create and the seal are the
+//! log's; this module says what a section holds and which segments are
+//! still needed. Only the active segment is ever appended to, so only
+//! it may end in a torn record; a damaged sealed segment fails the open.
 
-use blameit::persist::codec::{write_section_with, KIND_INGEST_WAL};
-use blameit::persist::log::{wal_batch, Log, WAL_SEC_BATCH};
+use blameit::persist::codec::KIND_INGEST_WAL;
+use blameit::persist::log::{
+    list_segments, scan_file, segment_path, wal_batch, Log, Tail, WAL_SEC_BATCH,
+};
 use blameit::RecordBatch;
+use blameit_simnet::TimeBucket;
+use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 
 /// What [`IngestWal::open`] found on disk.
 #[derive(Debug, Default)]
 pub struct WalRecovery {
-    /// Batches recovered, in append order.
+    /// Batches recovered, in append order (sealed segments oldest
+    /// first, then the active one).
     pub batches: Vec<RecordBatch>,
     /// A torn trailing record was found and discarded.
     pub torn_tail: bool,
 }
 
-/// An append-only, fsync'd log of admitted ingest batches.
+/// An append-only, fsync'd, segmented log of admitted ingest batches.
 pub struct IngestWal {
+    /// The active segment; sealed segments are siblings of its path.
     log: Log,
+    /// Highest bucket in the active segment; `None` while it is empty.
+    active_max: Option<u32>,
+    /// Sealed segments on disk, oldest first, as `(seq, highest
+    /// bucket)` — `None` for a segment with no batches.
+    sealed: VecDeque<(u64, Option<u32>)>,
+}
+
+/// The replay half of the WAL's trust rule: a trusted section is a
+/// batch, and it is pushed onto `batches`.
+fn replay_into(batches: &mut Vec<RecordBatch>) -> impl FnMut(u8, &[u8]) -> bool + '_ {
+    move |id, payload| wal_batch(id, payload).map(|b| batches.push(b)).is_some()
+}
+
+/// Highest bucket among `batches[from..]`.
+fn max_bucket(batches: &[RecordBatch], from: usize) -> Option<u32> {
+    batches.iter().skip(from).map(|b| b.bucket.0).max()
 }
 
 impl IngestWal {
-    /// Opens (creating if absent) the WAL at `path` and replays any
-    /// existing contents. Anything past the last decodable batch is the
-    /// append that was racing the kill — the WAL's only writer appends
-    /// whole sections — and is truncated away so subsequent appends
-    /// start at a valid boundary.
+    /// Opens (creating if absent) the WAL whose active segment is
+    /// `path` and replays what is on disk: every sealed segment in
+    /// sequence order, then the active one. Anything past the active
+    /// segment's last decodable batch is the append that was racing the
+    /// kill — the WAL's only writer appends whole sections — and is
+    /// truncated away so subsequent appends start at a valid boundary.
+    /// A kill between a seal's rename and its fresh active segment
+    /// leaves no `path`; it is created here, empty.
     pub fn open(path: &Path) -> io::Result<(IngestWal, WalRecovery)> {
         let mut batches = Vec::new();
-        let (log, scan) = Log::open(
-            path,
-            KIND_INGEST_WAL,
-            |_| {},
-            |id, payload| wal_batch(id, payload).map(|b| batches.push(b)).is_some(),
-        )?;
+        let mut sealed = VecDeque::new();
+        for (seq, segment) in list_segments(path)? {
+            let from = batches.len();
+            let scan = scan_file(&segment, KIND_INGEST_WAL, replay_into(&mut batches))?;
+            if scan.is_some_and(|s| s.tail != Tail::Clean) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{}: sealed segment is damaged", segment.display()),
+                ));
+            }
+            sealed.push_back((seq, max_bucket(&batches, from)));
+        }
+        let from = batches.len();
+        let (log, scan) = Log::open(path, KIND_INGEST_WAL, |_| {}, replay_into(&mut batches))?;
+        let wal = IngestWal {
+            log,
+            active_max: max_bucket(&batches, from),
+            sealed,
+        };
         let torn_tail = scan.trailing_bytes > 0;
-        Ok((IngestWal { log }, WalRecovery { batches, torn_tail }))
+        Ok((wal, WalRecovery { batches, torn_tail }))
     }
 
     /// Appends one admitted batch and fsyncs. Only after this returns
     /// may the batch become engine-visible.
     pub fn append(&mut self, batch: &RecordBatch) -> io::Result<()> {
-        self.log.append(WAL_SEC_BATCH, |w| batch.encode_columns(w))
+        self.log
+            .append(WAL_SEC_BATCH, |w| batch.encode_columns(w))?;
+        self.active_max = self.active_max.max(Some(batch.bucket.0));
+        Ok(())
     }
 
-    /// Rewrites the WAL to hold exactly `retained` (batches whose
-    /// buckets a durable snapshot does not yet cover). A kill
-    /// mid-compaction leaves the old WAL intact.
-    pub fn compact(&mut self, retained: &[RecordBatch]) -> io::Result<()> {
-        self.log.rewrite(|w| {
-            for batch in retained {
-                write_section_with(w, WAL_SEC_BATCH, |w| batch.encode_columns(w));
+    /// Seals the active segment, then retires — unlinks — the sealed
+    /// segments that hold only buckets below `cutoff` (covered by a
+    /// durable snapshot). No batch is read, re-encoded or rewritten. A
+    /// kill between any two steps reopens to a superset of what an
+    /// uninterrupted rotation keeps; an error leaves the segments it
+    /// did not reach for the next rotation.
+    pub fn rotate(&mut self, cutoff: TimeBucket) -> io::Result<()> {
+        if self.active_max.is_some() {
+            let seq = self.sealed.back().map_or(1, |&(seq, _)| seq + 1);
+            self.log.seal_to(&segment_path(self.log.path(), seq))?;
+            self.sealed.push_back((seq, self.active_max.take()));
+        }
+        // Oldest first and stopping at the first segment still needed,
+        // so what stays on disk is always a gap-free run of sequence
+        // numbers. The unlinks are not fsync'd: a segment that comes
+        // back after a power cut is surplus again, and the next seal's
+        // directory fsync carries them.
+        while let Some(&(seq, max)) = self.sealed.front() {
+            if max >= Some(cutoff.0) {
+                break;
             }
-        })
+            match std::fs::remove_file(segment_path(self.log.path(), seq)) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => self.sealed.pop_front(),
+            };
+        }
+        Ok(())
+    }
+
+    /// [`rotate`](Self::rotate) for a caller that holds the batches to
+    /// keep rather than the cutoff. It survives only for the frozen
+    /// `benchmark/` harness's shadow WAL and goes with ROADMAP item 5;
+    /// the daemon calls `rotate`.
+    pub fn compact(&mut self, retained: &[RecordBatch]) -> io::Result<()> {
+        let lowest = retained.iter().map(|b| b.bucket.0).min();
+        self.rotate(TimeBucket(lowest.unwrap_or(u32::MAX)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blameit_simnet::TimeBucket;
     use std::path::PathBuf;
 
     fn batch(bucket: u32, n: u64) -> RecordBatch {
@@ -86,28 +163,103 @@ mod tests {
         }
     }
 
+    fn batches(buckets: std::ops::Range<u32>) -> Vec<RecordBatch> {
+        buckets.map(|b| batch(b, 4)).collect()
+    }
+
+    /// A scratch directory holding the WAL at `ingest.wal`.
     fn tmp(name: &str) -> PathBuf {
-        let path = std::env::temp_dir().join(format!("blameitd-wal-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        path
+        let dir = std::env::temp_dir().join(format!("blameitd-wal-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("ingest.wal")
+    }
+
+    fn reopen(path: &Path) -> (IngestWal, Vec<RecordBatch>) {
+        let (wal, rec) = IngestWal::open(path).unwrap();
+        assert!(!rec.torn_tail);
+        (wal, rec.batches)
     }
 
     #[test]
-    fn reopen_recovers_in_order_and_compaction_keeps_exactly_retained() {
-        let path = tmp("roundtrip");
-        let (mut wal, rec) = IngestWal::open(&path).unwrap();
-        assert!(rec.batches.is_empty());
-        for b in 0..6 {
-            wal.append(&batch(b, 4)).unwrap();
+    fn reopen_recovers_a_superset_in_append_order_and_retired_ranges_stay_gone() {
+        let path = tmp("segments");
+        let (mut wal, recovered) = reopen(&path);
+        assert!(recovered.is_empty());
+        // Three rotations, each one trigger batch past its period, as
+        // the daemon's snapshot tick leaves them.
+        for b in batches(0..7) {
+            wal.append(&b).unwrap();
         }
-        let (mut wal, rec) = IngestWal::open(&path).unwrap();
-        assert_eq!(rec.batches, (0..6).map(|b| batch(b, 4)).collect::<Vec<_>>());
-        assert!(!rec.torn_tail);
-        wal.compact(&[batch(4, 4), batch(5, 4)]).unwrap();
-        wal.append(&batch(6, 1)).unwrap();
-        let (_, rec) = IngestWal::open(&path).unwrap();
-        assert_eq!(rec.batches, vec![batch(4, 4), batch(5, 4), batch(6, 1)]);
-        assert!(!rec.torn_tail);
-        let _ = std::fs::remove_file(&path);
+        wal.rotate(TimeBucket(0)).unwrap();
+        for b in batches(7..13) {
+            wal.append(&b).unwrap();
+        }
+        wal.rotate(TimeBucket(6)).unwrap();
+        // Nothing retired yet: segment 1 ends at bucket 6, which the
+        // cutoff does not cover. Order holds across segments.
+        assert_eq!(list_segments(&path).unwrap().len(), 2);
+        let (mut wal, recovered) = reopen(&path);
+        assert_eq!(recovered, batches(0..13));
+
+        wal.append(&batch(13, 4)).unwrap();
+        wal.rotate(TimeBucket(7)).unwrap();
+        // Segment 1 (buckets 0..=6) is gone, whole; what the queue
+        // retains (7..) is a suffix of what comes back.
+        let seqs: Vec<u64> = list_segments(&path)
+            .unwrap()
+            .into_iter()
+            .map(|s| s.0)
+            .collect();
+        assert_eq!(seqs, vec![2, 3]);
+        wal.append(&batch(14, 1)).unwrap();
+        let (mut wal, recovered) = reopen(&path);
+        let mut expect = batches(7..14);
+        expect.push(batch(14, 1));
+        assert_eq!(recovered, expect);
+
+        // The harness's entry point: the cutoff is the lowest retained
+        // bucket, so segment 2 (7..=12) goes and segment 3 (13) stays.
+        wal.compact(&[batch(13, 4), batch(14, 1)]).unwrap();
+        let (mut wal, recovered) = reopen(&path);
+        assert_eq!(recovered, vec![batch(13, 4), batch(14, 1)]);
+        // After TERM nothing is retained: zero batches to replay, and
+        // an empty active segment is not sealed again.
+        wal.compact(&[]).unwrap();
+        wal.compact(&[]).unwrap();
+        assert!(list_segments(&path).unwrap().is_empty());
+        let (_, recovered) = reopen(&path);
+        assert!(recovered.is_empty());
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_sealed_segment_fails_the_open_and_a_torn_active_one_does_not() {
+        let path = tmp("damage");
+        let (mut wal, _) = reopen(&path);
+        for b in batches(0..3) {
+            wal.append(&b).unwrap();
+        }
+        wal.rotate(TimeBucket(0)).unwrap();
+        wal.append(&batch(3, 4)).unwrap();
+        wal.append(&batch(4, 4)).unwrap();
+        drop(wal);
+
+        let chop = |file: &Path| {
+            let bytes = std::fs::read(file).unwrap();
+            std::fs::write(file, &bytes[..bytes.len() - 5]).unwrap();
+        };
+        chop(&path);
+        let (wal, rec) = IngestWal::open(&path).unwrap();
+        assert!(rec.torn_tail);
+        assert_eq!(rec.batches, batches(0..4));
+        drop(wal);
+
+        chop(&segment_path(&path, 1));
+        let err = IngestWal::open(&path)
+            .err()
+            .expect("damaged sealed segment");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }

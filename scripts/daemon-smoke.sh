@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Process-level blameitd smoke: boot on ephemeral ports, flood with a
 # 10x surge through the reference feeder, scrape the live endpoints,
-# TERM, then resume from the state the surge left behind.
+# kill -9, fsck the multi-segment WAL the kill left, resume across it,
+# TERM, then reopen the drained state.
 #
 #   scripts/daemon-smoke.sh <state-dir>
 #
 # Needs target/release/{blameitd,blameit}. Leaves daemon.{out,err},
-# resume.{out,err}, metrics.prom and alerts.txt in <state-dir> for the
-# caller to archive or delete. The one copy: CI and verify.sh call it.
+# resume.{out,err}, reopen.{out,err}, fsck-{killed,drained}.txt,
+# metrics.prom and alerts.txt in <state-dir> for the caller to archive
+# or delete. The one copy: CI and verify.sh call it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 DSTATE=${1:?usage: daemon-smoke.sh <state-dir>}
@@ -41,14 +43,30 @@ grep -q blameit_ingest_queue_depth_records "$DSTATE/metrics.prom"
 grep -q blameit_shed_quartets_total "$DSTATE/metrics.prom"
 target/release/blameit scrape --addr "$HTTP" --path /healthz | grep -q ok
 target/release/blameit scrape --addr "$HTTP" --path /alerts >"$DSTATE/alerts.txt"
-target/release/blameit feed --addr "$INGEST" "${WORLD_ARGS[@]}" --term-only 1
-wait "$DPID"; DPID=
-grep -q 'clean_shutdown=true' "$DSTATE/daemon.out"
-grep -Eq 'shed_low_impact=[1-9]' "$DSTATE/daemon.out"
+grep -Eq 'blameit_shed_quartets_total\{reason="low_impact"\} [1-9]' "$DSTATE/metrics.prom"
 
-# A restart with --resume recovers the surged run's state and TERMs clean.
+# A hard kill with the day fed and its last window still queued. Every
+# fourth of the 95 ticks snapshotted and sealed a WAL segment (23 so
+# far); all but the last two are retired by now.
+kill -9 "$DPID"; wait "$DPID" 2>/dev/null || true; DPID=
+ls "$DSTATE"/ingest.wal.* >/dev/null
+target/release/blameit fsck "$DSTATE" >"$DSTATE/fsck-killed.txt"
+grep -Eq ' in 3 segment\(s\), 0 error\(s\): CLEAN' "$DSTATE/fsck-killed.txt"
+
+# A restart with --resume replays the sealed segments and the active
+# one, then TERM drains the queued window and retires every segment.
 boot resume --resume 1
+grep -q 'recovered from snapshot' "$DSTATE/resume.err"
 target/release/blameit feed --addr "$INGEST" "${WORLD_ARGS[@]}" --term-only 1
 wait "$DPID"; DPID=
 grep -q 'clean_shutdown=true' "$DSTATE/resume.out"
-grep -q 'recovered from snapshot' "$DSTATE/resume.err"
+grep -Eq 'exit: ticks=[1-9]' "$DSTATE/resume.out"
+target/release/blameit fsck "$DSTATE" >"$DSTATE/fsck-drained.txt"
+grep -Eq ' 0 wal batch\(es\) in 1 segment\(s\), 0 error\(s\): CLEAN' "$DSTATE/fsck-drained.txt"
+
+# The drained state reopens with nothing to replay and TERMs clean.
+boot reopen --resume 1
+target/release/blameit feed --addr "$INGEST" "${WORLD_ARGS[@]}" --term-only 1
+wait "$DPID"; DPID=
+grep -q 'clean_shutdown=true' "$DSTATE/reopen.out"
+grep -Eq 'exit: ticks=0 ' "$DSTATE/reopen.out"

@@ -73,7 +73,7 @@ stage_daemon() {
   step cargo build --release -p blameit-daemon -p blameit-cli
   BLAMEIT_THREADS=8 step cargo test --release -q \
     --test daemon_overload --test daemon_crash --test daemon_smoke
-  echo "==> blameitd smoke: 10x surge feed, live scrapes, clean TERM, resume"
+  echo "==> blameitd smoke: 10x surge feed, live scrapes, kill -9, fsck of the WAL segments, resume across them, TERM"
   # Left behind (gitignored) so CI can upload the scrapes and, on
   # failure, the whole state dir.
   rm -rf daemon-smoke-state

@@ -2,11 +2,13 @@
 //! durable-tick protocol — with batches arriving over the ingest path,
 //! through the WAL and the bounded queue — recovers to a state from
 //! which the resumed feed produces a transcript **byte-identical** to
-//! a run that never crashed. Also: a graceful TERM mid-surge leaves a
-//! state dir that reopens with zero journal replay and zero WAL
-//! refill.
+//! a run that never crashed. The same holds for a kill between any two
+//! steps of a WAL rotation (seal-rename, fresh active segment, unlinks).
+//! Also: a graceful TERM mid-surge leaves a state dir that reopens with
+//! zero journal replay and zero WAL refill.
 
-use blameit::persist::log::WAL_FILE;
+use blameit::persist::codec::{read_preamble, KIND_INGEST_WAL};
+use blameit::persist::log::{list_segments, segment_path, WAL_FILE};
 use blameit::{
     fsck, render_tick_transcript, BadnessThresholds, BlameItConfig, PersistError, RecordBatch,
     StartMode, StateStore, TickOutput, WorldBackend,
@@ -15,6 +17,7 @@ use blameit_bench::{quiet_world, Scale};
 use blameit_daemon::{feed, world_batches, CoreSink, DaemonConfig, DaemonCore, DaemonError};
 use blameit_obs::MetricsRegistry;
 use blameit_simnet::{CrashPlan, CrashPoint, SurgePlan, TimeBucket, TimeRange, World};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -109,11 +112,37 @@ fn reference_run(world: &World, tag: &str, threads: usize, feed_range: (u32, u32
     assert_eq!(recovery.mode, StartMode::Cold);
     let mut outs = feed_quiet(&mut core, world, feed_range.0, feed_range.1);
     outs.extend(core.term().unwrap());
-    assert_eq!(outs.len(), N_TICKS as usize);
+    assert_eq!(outs.len() as u32, (feed_range.1 - feed_range.0) / 3);
     let t = render_tick_transcript(&outs);
     drop(core);
     let _ = std::fs::remove_dir_all(&dir);
     t
+}
+
+/// Reopens the killed daemon's `dir`, resumes the feed with `batches`,
+/// terminates, and renders the composed history: the ticks `delivered`
+/// before the kill, the replayed ones not among them, the resumed ones.
+fn recover_and_finish(
+    world: &World,
+    dir: &Path,
+    threads: usize,
+    delivered: Vec<TickOutput>,
+    batches: &mut impl Iterator<Item = RecordBatch>,
+    what: &str,
+) -> String {
+    let (mut core, recovery) = open_core(world, dir, threads);
+    assert_eq!(recovery.mode, StartMode::Recovered, "{what}");
+    assert_eq!(recovery.snapshots_rejected, 0, "{what}");
+    // Everything before the crash tick was already delivered.
+    let skip = (delivered.len() as u64 - recovery.snapshot_ticks_done) as usize;
+    assert!(recovery.replayed.len() >= skip, "{what}");
+    let mut full = delivered;
+    full.extend(recovery.replayed.into_iter().skip(skip));
+    let (resumed, crashed) = feed_core(&mut core, batches);
+    assert!(!crashed, "no second crash ({what})");
+    full.extend(resumed);
+    full.extend(core.term().unwrap());
+    render_tick_transcript(&full)
 }
 
 #[test]
@@ -143,28 +172,195 @@ fn kill_points_recover_to_byte_identical_transcripts() {
             assert_eq!(delivered.len() as u64, kill_tick, "{point}");
             drop(core); // hard kill: no term, no snapshot, WAL as-is
 
-            let (mut core, recovery) = open_core(&world, &dir, threads);
-            assert_eq!(recovery.mode, StartMode::Recovered, "{point}");
-            assert_eq!(recovery.snapshots_rejected, 0, "{point}");
-            // Everything before the crash tick was already delivered.
-            let skip = (delivered.len() as u64 - recovery.snapshot_ticks_done) as usize;
-            assert!(recovery.replayed.len() >= skip, "{point}");
-            let mut full = delivered;
-            full.extend(recovery.replayed.into_iter().skip(skip));
-            let (resumed, crashed) = feed_core(&mut core, &mut batches);
-            assert!(!crashed, "no second crash ({point})");
-            full.extend(resumed);
-            full.extend(core.term().unwrap());
-
+            let what = format!("{point}, {threads} threads");
             assert_eq!(
-                render_tick_transcript(&full),
+                recover_and_finish(&world, &dir, threads, delivered, &mut batches, &what),
                 reference,
-                "composed crash/recover/resume transcript differs ({point}, {threads} threads)"
+                "composed crash/recover/resume transcript differs ({what})"
             );
-            drop(core);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+}
+
+/// Flat copy of a state dir (it holds files only).
+fn copy_dir(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// Sequence numbers of the sealed WAL segments in `dir`.
+fn sealed(dir: &Path) -> Vec<u64> {
+    let segments = list_segments(&dir.join(WAL_FILE)).unwrap();
+    segments.into_iter().map(|(seq, _)| seq).collect()
+}
+
+#[test]
+fn a_kill_between_any_two_rotation_steps_resumes_byte_identically() {
+    let world = quiet_world(Scale::Tiny, 2, 0xC4A5);
+    let start = TimeRange::days(1).end.bucket().0;
+    // Ten ticks, a snapshot — hence a WAL rotation — after every second
+    // one. The rotation after tick 8 seals segment 4 and retires
+    // segment 2 (segment 1 went at tick 6); it fires on the arrival of
+    // bucket start+24, the 25th batch.
+    let end = start + 10 * 3;
+    let rotating = 25u32;
+    let backend = WorldBackend::new(&world);
+    let feed_from =
+        |bucket: u32| world_batches(&backend, buckets(bucket, end), SurgePlan::default());
+
+    for threads in [1usize, 4] {
+        let reference = reference_run(&world, "rot", threads, (start, end));
+        let dir = state_dir(&format!("rot-{threads}"));
+        let wal = dir.join(WAL_FILE);
+        let (mut core, _) = open_core(&world, &dir, threads);
+        // Batch by batch, keeping the bytes of every sealed segment, so
+        // the ones a rotation unlinks can be put back.
+        let mut batches = feed_from(start);
+        let mut graveyard: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut delivered = Vec::new();
+        for _ in 0..rotating {
+            for (seq, path) in list_segments(&wal).unwrap() {
+                graveyard
+                    .entry(seq)
+                    .or_insert_with(|| std::fs::read(path).unwrap());
+            }
+            let (outs, crashed) = feed_core(&mut core, &mut batches.by_ref().take(1));
+            assert!(!crashed);
+            delivered.extend(outs);
+        }
+        drop(core); // killed right after the rotation
+        assert_eq!(delivered.len(), 8);
+        assert_eq!(sealed(&dir), vec![3, 4]);
+
+        // Each directory state a kill inside that rotation can leave:
+        // (what, retired segments still on disk, active segment there).
+        let states: [(&str, &[u64], bool); 4] = [
+            ("killed after the seal-rename", &[2], false),
+            ("killed before the first unlink", &[2], true),
+            ("an earlier rotation's unlink was lost too", &[1, 2], true),
+            ("killed after the last unlink", &[], true),
+        ];
+        let copy = state_dir(&format!("rot-{threads}-copy"));
+        for (what, restored, active) in states {
+            copy_dir(&dir, &copy);
+            for seq in restored {
+                std::fs::write(segment_path(&copy.join(WAL_FILE), *seq), &graveyard[seq]).unwrap();
+            }
+            if !active {
+                std::fs::remove_file(copy.join(WAL_FILE)).unwrap();
+            }
+            let what = format!("{what}, {threads} threads");
+            let mut rest = feed_from(start + rotating);
+            assert_eq!(
+                recover_and_finish(&world, &copy, threads, delivered.clone(), &mut rest, &what),
+                reference,
+                "resumed transcript differs ({what})"
+            );
+        }
+
+        // The layout the single-file WAL left (and an upgraded daemon
+        // may find): every section above, in order, in `ingest.wal`
+        // alone.
+        copy_dir(&dir, &copy);
+        let active = copy.join(WAL_FILE);
+        let mut one_file = Vec::new();
+        for (_, path) in list_segments(&active).unwrap() {
+            let bytes = std::fs::read(&path).unwrap();
+            let preamble = read_preamble(&bytes, KIND_INGEST_WAL).unwrap().pos();
+            one_file.extend_from_slice(&bytes[if one_file.is_empty() { 0 } else { preamble }..]);
+            std::fs::remove_file(path).unwrap();
+        }
+        std::fs::write(&active, one_file).unwrap();
+        let what = format!("single-file WAL, {threads} threads");
+        let mut rest = feed_from(start + rotating);
+        assert_eq!(
+            recover_and_finish(&world, &copy, threads, delivered.clone(), &mut rest, &what),
+            reference,
+            "resumed transcript differs ({what})"
+        );
+
+        // A kill that tears an append, with sealed segments beside the
+        // active one: two more batches (no tick), the second cut short.
+        copy_dir(&dir, &copy);
+        let (mut core, _) = open_core(&world, &copy, threads);
+        let (outs, _) = feed_core(&mut core, &mut feed_from(start + rotating).take(2));
+        assert!(outs.is_empty());
+        drop(core);
+        let active = copy.join(WAL_FILE);
+        let bytes = std::fs::read(&active).unwrap();
+        std::fs::write(&active, &bytes[..bytes.len() - 7]).unwrap();
+        let report = fsck(&copy);
+        assert_eq!(
+            (report.errors(), report.wal_segments),
+            (0, 3),
+            "{}",
+            report.render()
+        );
+        assert!(
+            report
+                .render()
+                .contains(&format!("warn  {WAL_FILE}: torn tail")),
+            "{}",
+            report.render()
+        );
+        // The torn batch was never ACKed: the feeder sends it again.
+        let what = format!("torn active segment, {threads} threads");
+        let mut rest = feed_from(start + rotating + 1);
+        assert_eq!(
+            recover_and_finish(&world, &copy, threads, delivered, &mut rest, &what),
+            reference,
+            "resumed transcript differs ({what})"
+        );
+        let _ = std::fs::remove_dir_all(&copy);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_failed_wal_retirement_is_counted_and_the_next_prune_retries() {
+    let world = quiet_world(Scale::Tiny, 2, 0xC4A5);
+    let start = TimeRange::days(1).end.bucket().0;
+    let dir = state_dir("retire-fails");
+    let (mut core, _) = open_core(&world, &dir, 1);
+    let failures =
+        |core: &DaemonCore<WorldBackend<'_>>| core.engine().metrics().wal_retire_failures.get();
+    // Through tick 4: two rotations, nothing retired yet.
+    assert_eq!(feed_quiet(&mut core, &world, start, start + 13).len(), 4);
+    assert_eq!(sealed(&dir), vec![1, 2]);
+
+    // Segment 1 becomes something `unlink` refuses: a non-empty
+    // directory under its name.
+    let segment = segment_path(&dir.join(WAL_FILE), 1);
+    let bytes = std::fs::read(&segment).unwrap();
+    std::fs::remove_file(&segment).unwrap();
+    std::fs::create_dir(&segment).unwrap();
+    std::fs::write(segment.join("pin"), b"").unwrap();
+    // Tick 6's rotation seals segment 3 and fails to retire segment 1;
+    // the daemon ticks on and says so.
+    assert_eq!(
+        feed_quiet(&mut core, &world, start + 13, start + 19).len(),
+        2
+    );
+    assert_eq!(failures(&core), 1);
+    assert_eq!(sealed(&dir), vec![1, 2, 3]);
+
+    // With the obstacle gone, tick 8's rotation retires what tick 6's
+    // could not, along with its own.
+    std::fs::remove_dir_all(&segment).unwrap();
+    std::fs::write(&segment, bytes).unwrap();
+    assert_eq!(
+        feed_quiet(&mut core, &world, start + 19, start + 25).len(),
+        2
+    );
+    assert_eq!(failures(&core), 1);
+    assert_eq!(sealed(&dir), vec![3, 4]);
+    drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -218,11 +414,20 @@ fn a_fresh_start_does_not_replay_the_last_runs_wal() {
     feed_quiet(&mut core, &world, start, end - 1);
     assert!(core.queue_depth() > 0, "the killed run left batches queued");
     drop(core);
+    assert!(
+        !list_segments(&dir.join(WAL_FILE)).unwrap().is_empty(),
+        "some of them in sealed segments"
+    );
 
     // Starting fresh (what `blameitd` without --resume does) wipes the
     // WAL with the rest: nothing of the old feed comes back.
     StateStore::create(&dir).unwrap().wipe().unwrap();
     assert!(!dir.join(WAL_FILE).exists(), "wipe owns the WAL too");
+    assert_eq!(
+        list_segments(&dir.join(WAL_FILE)).unwrap(),
+        vec![],
+        "and its sealed segments"
+    );
     let (mut core, recovery) = open_core(&world, &dir, 1);
     assert_eq!(recovery.mode, StartMode::Cold);
     assert_eq!(core.queue_depth(), 0, "a fresh start has an empty queue");
@@ -264,5 +469,41 @@ fn fsck_audits_the_ingest_wal() {
     flipped[intact.len() * 3 / 8] ^= 0x40;
     let (errors, batches, text) = audit(&flipped);
     assert_eq!((errors, batches), (1, 1), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fsck_audits_every_wal_segment() {
+    let world = quiet_world(Scale::Tiny, 2, 0xC4A5);
+    let start = TimeRange::days(1).end.bucket().0;
+    let dir = state_dir("fsck-segments");
+    let (mut core, _) = open_core(&world, &dir, 1);
+    // Through tick 6: segments 2 and 3 sealed, 1 retired, and one more
+    // batch in the active segment.
+    feed_quiet(&mut core, &world, start, start + 20);
+    drop(core);
+    assert_eq!(sealed(&dir), vec![2, 3]);
+    let wal = dir.join(WAL_FILE);
+    let audit = || {
+        let report = fsck(&dir);
+        (report.errors(), report.wal_batches, report.render())
+    };
+
+    // Buckets start+7 ..= start+19, summed over the three files.
+    let (errors, batches, text) = audit();
+    assert_eq!((errors, batches), (0, 13), "{text}");
+    assert!(text.contains("13 wal batch(es) in 3 segment(s)"), "{text}");
+    // A sealed segment is never appended to: its torn tail is damage.
+    let second = segment_path(&wal, 2);
+    let intact = std::fs::read(&second).unwrap();
+    std::fs::write(&second, &intact[..intact.len() - 7]).unwrap();
+    let (errors, batches, text) = audit();
+    assert_eq!((errors, batches), (1, 12), "{text}");
+    std::fs::write(&second, &intact).unwrap();
+    // A hole in the sequence means batches are missing mid-feed.
+    std::fs::rename(segment_path(&wal, 3), segment_path(&wal, 4)).unwrap();
+    let (errors, batches, text) = audit();
+    assert_eq!((errors, batches), (1, 13), "{text}");
+    assert!(text.contains("missing between 2 and 4"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
