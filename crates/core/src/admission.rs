@@ -26,6 +26,18 @@
 //! arrives), so a full-shed under sustained overload would stall the
 //! feed cursor and the queue could never drain.
 //!
+//! **Cost model.** An offer costs what it decides. Below the watermark
+//! (pass-through) it is one sortedness scan of the batch — or, for a
+//! raw collector stream, a sort of its key *runs*
+//! ([`RecordBatch::sort_by_key`]) — plus one streak-table probe per
+//! group. Past the watermark it adds one score per group (a lookup
+//! whose cost is independent of how much history has accumulated,
+//! [`DurationHistory::expected_remaining`]), one sort of the groups,
+//! and one in-place compaction of the columns per surviving run.
+//! Nothing is per record except the scan and the copies, and
+//! [`AdmissionController::groups_scored`] counts the scoring so a
+//! regression shows as a number, not a timing.
+//!
 //! Everything here is pure and deterministic: decisions depend only on
 //! the controller's own history and the offered batch, never on wall
 //! clocks, thread identity, or map iteration order. The caller is
@@ -113,6 +125,8 @@ pub struct AdmissionController {
     durations: DurationHistory,
     /// Per-subkey badness streak: (last bucket seen, streak length).
     streaks: DetHashMap<u64, (u32, u32)>,
+    /// Groups scored by [`offer`](Self::offer) since construction.
+    groups_scored: u64,
 }
 
 impl AdmissionController {
@@ -122,6 +136,7 @@ impl AdmissionController {
             cfg,
             durations: DurationHistory::new(),
             streaks: DetHashMap::default(),
+            groups_scored: 0,
         }
     }
 
@@ -130,32 +145,42 @@ impl AdmissionController {
         &self.cfg
     }
 
+    /// Groups [`offer`](Self::offer) has scored so far: the sum of the
+    /// group counts of exactly the offers that arrived past the shed
+    /// watermark. A deterministic work counter — zero on a feed that
+    /// never sheds.
+    pub fn groups_scored(&self) -> u64 {
+        self.groups_scored
+    }
+
+    /// Groups with a tracked streak. The table only grows (an entry is
+    /// what turns a gap into a completed duration), so this is the
+    /// number a long soak has to bound.
+    pub fn streak_groups(&self) -> usize {
+        self.streaks.len()
+    }
+
     /// Scores every quartet group in `batch` (assumed key-sorted),
     /// returned ascending by `(client_time_product, subkey)` — shed
     /// order.
     pub fn score_batch(&self, batch: &RecordBatch) -> Vec<GroupScore> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < batch.keys.len() {
-            let subkey = batch.keys[i];
-            let mut j = i + 1;
-            while j < batch.keys.len() && batch.keys[j] == subkey {
-                j += 1;
-            }
-            let records = (j - i) as u32;
-            let elapsed = self.streaks.get(&subkey).map(|&(_, len)| len).unwrap_or(0);
-            let remaining = self
-                .durations
-                .expected_remaining(path_proxy(subkey), elapsed);
-            out.push(GroupScore {
-                subkey,
-                loc: CloudLocId(((subkey >> 25) & 0xFFFF) as u16),
-                records,
-                expected_remaining_buckets: remaining,
-                client_time_product: remaining * records as f64,
-            });
-            i = j;
-        }
+        let mut out: Vec<GroupScore> = batch
+            .key_runs()
+            .map(|(subkey, run)| {
+                let records = run.len() as u32;
+                let elapsed = self.streaks.get(&subkey).map(|&(_, len)| len).unwrap_or(0);
+                let remaining = self
+                    .durations
+                    .expected_remaining(path_proxy(subkey), elapsed);
+                GroupScore {
+                    subkey,
+                    loc: CloudLocId(((subkey >> 25) & 0xFFFF) as u16),
+                    records,
+                    expected_remaining_buckets: remaining,
+                    client_time_product: remaining * records as f64,
+                }
+            })
+            .collect();
         out.sort_by(|a, b| {
             a.client_time_product
                 .total_cmp(&b.client_time_product)
@@ -183,10 +208,11 @@ impl AdmissionController {
             };
         }
         batch.sort_by_key();
-        let scored = self.score_batch(&batch);
         let need = (queue_depth + offered).saturating_sub(self.cfg.shed_watermark_records);
         let mut shed: Vec<GroupScore> = Vec::new();
         if need > 0 {
+            let scored = self.score_batch(&batch);
+            self.groups_scored += scored.len() as u64;
             // The top impact decile (≥ 1 group) is off limits to both
             // passes: `scored` is ascending, so the protected set is
             // exactly its tail and shedding only walks the prefix.
@@ -225,11 +251,7 @@ impl AdmissionController {
                 }
             }
             if !taken.is_empty() {
-                let keep: Vec<usize> = (0..batch.keys.len())
-                    .filter(|&i| !taken.contains(&batch.keys[i]))
-                    .collect();
-                batch.keys = keep.iter().map(|&i| batch.keys[i]).collect();
-                batch.rtt = keep.iter().map(|&i| batch.rtt[i]).collect();
+                batch.retain_runs(|subkey| !taken.contains(&subkey));
             }
         }
         self.update_streaks(&batch);
@@ -240,12 +262,7 @@ impl AdmissionController {
     /// and folds completed streaks into the duration history.
     fn update_streaks(&mut self, batch: &RecordBatch) {
         let b = batch.bucket.0;
-        let mut i = 0;
-        while i < batch.keys.len() {
-            let subkey = batch.keys[i];
-            while i < batch.keys.len() && batch.keys[i] == subkey {
-                i += 1;
-            }
+        for (subkey, _) in batch.key_runs() {
             match self.streaks.get_mut(&subkey) {
                 Some((last, len)) if *last + 1 == b => {
                     *last = b;
@@ -460,8 +477,19 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_across_input_order() {
-        let make = || AdmissionController::new(cfg(1000, 12, 8));
-        let groups = [(3, 9, 6), (0, 1, 7), (1, 4, 5), (2, 2, 9)];
+        // 40 records over a 34-record watermark: need = 6, met by the
+        // 1-, 2- and 3-record groups — locations 4, 1 and 3, all in
+        // the middle of the key-sorted offer.
+        let make = || AdmissionController::new(cfg(1000, 34, 100));
+        let groups = [
+            (3, 4, 3),
+            (0, 1, 9),
+            (6, 7, 10),
+            (1, 2, 2),
+            (5, 6, 7),
+            (2, 3, 8),
+            (4, 5, 1),
+        ];
         let mut rev = groups;
         rev.reverse();
         let d1 = make().offer(batch(5, &groups), 0);
@@ -478,5 +506,34 @@ mod tests {
         let k1: Vec<u64> = s1.iter().map(|g| g.subkey).collect();
         let k2: Vec<u64> = s2.iter().map(|g| g.subkey).collect();
         assert_eq!(k1, k2, "shed order independent of stream order");
+        let shed_locs: Vec<u16> = s1.iter().map(|g| g.loc.0).collect();
+        assert_eq!(shed_locs, [4, 1, 3], "three groups out of the middle");
+
+        // The in-place run compaction admits what the per-record
+        // filter-and-collect it replaced admitted.
+        let mut sorted = batch(5, &groups);
+        sorted.sort_by_key();
+        let keep: Vec<usize> = (0..sorted.keys.len())
+            .filter(|&i| !k1.contains(&sorted.keys[i]))
+            .collect();
+        let want = RecordBatch {
+            bucket: sorted.bucket,
+            keys: keep.iter().map(|&i| sorted.keys[i]).collect(),
+            rtt: keep.iter().map(|&i| sorted.rtt[i]).collect(),
+        };
+        assert_eq!(b1, want);
+    }
+
+    #[test]
+    fn scoring_is_paid_only_past_the_watermark() {
+        let mut c = AdmissionController::new(cfg(1000, 20, 100));
+        c.offer(batch(0, &[(0, 1, 5), (1, 2, 5), (2, 3, 5)]), 0);
+        assert_eq!(c.groups_scored(), 0, "pass-through scores nothing");
+        assert_eq!(c.streak_groups(), 3);
+        // 15 queued + 10 offered > 20: both groups of this offer are
+        // scored, whether or not they end up shed.
+        c.offer(batch(1, &[(0, 1, 5), (3, 4, 5)]), 15);
+        assert_eq!(c.groups_scored(), 2);
+        assert_eq!(c.streak_groups(), 4);
     }
 }

@@ -39,6 +39,7 @@
 
 use blameit_simnet::{QuartetObs, RttRecord, TimeBucket};
 use blameit_topology::{CloudLocId, Prefix24};
+use std::ops::Range;
 
 /// Packs a quartet key into a `u128` whose integer order equals the
 /// canonical quartet sort order `(bucket, loc, p24, mobile)`:
@@ -120,30 +121,73 @@ impl RecordBatch {
         self.keys.is_empty()
     }
 
+    /// The batch's consecutive equal-key runs as `(key, start..end)`,
+    /// in stream order. A key-sorted batch yields one run per quartet
+    /// group.
+    pub(crate) fn key_runs(&self) -> impl Iterator<Item = (u64, Range<usize>)> + '_ {
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let key = *self.keys.get(start)?;
+            let run = start..run_end(&self.keys, start);
+            start = run.end;
+            Some((key, run))
+        })
+    }
+
     /// Stable-sorts the batch by subkey, keeping each key's samples in
     /// stream order (so downstream accumulation stays bit-identical to
     /// the unsorted stream). This is the collector-side shuffle of the
     /// sort-by-key ingest design: batches arrive at the aggregation
     /// kernel already key-ordered, and the kernel's run collapse never
-    /// needs its fallback. No-op on already-sorted batches.
+    /// needs its fallback. No-op on already-sorted batches; otherwise
+    /// the sort moves *runs*, not records — a collector stream is a few
+    /// thousand key runs, a handful out of place, so it sorts thousands
+    /// of `(key, start, end)` triples and gathers each run with one
+    /// slice copy per column.
     pub fn sort_by_key(&mut self) {
         if self.keys.windows(2).all(|w| w[0] <= w[1]) {
             return;
         }
-        let mut perm: Vec<(u64, u32)> = self
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, i as u32))
+        let mut runs: Vec<(u64, usize, usize)> = self
+            .key_runs()
+            .map(|(key, run)| (key, run.start, run.end))
             .collect();
-        // Unstable sort on (key, stream index) pairs is stable in
-        // effect: indices are distinct, so equal keys keep stream
-        // order.
-        perm.sort_unstable();
-        self.keys = perm.iter().map(|&(k, _)| k).collect();
-        let rtt = &self.rtt;
-        self.rtt = perm.iter().map(|&(_, i)| rtt[i as usize]).collect();
+        // Unstable sort is stable in effect: starts are distinct, so
+        // equal keys keep stream order.
+        runs.sort_unstable();
+        let mut keys = Vec::with_capacity(self.keys.len());
+        let mut rtt = Vec::with_capacity(self.rtt.len());
+        for &(_, start, end) in &runs {
+            keys.extend_from_slice(&self.keys[start..end]);
+            rtt.extend_from_slice(&self.rtt[start..end]);
+        }
+        self.keys = keys;
+        self.rtt = rtt;
     }
+
+    /// Drops every run whose key `keep` rejects, compacting both
+    /// columns in place: one `keep` call and one `copy_within` per run,
+    /// survivors stay in stream order.
+    pub(crate) fn retain_runs(&mut self, mut keep: impl FnMut(u64) -> bool) {
+        let (mut read, mut write) = (0, 0);
+        while let Some(&key) = self.keys.get(read) {
+            let end = run_end(&self.keys, read);
+            if keep(key) {
+                self.keys.copy_within(read..end, write);
+                self.rtt.copy_within(read..end, write);
+                write += end - read;
+            }
+            read = end;
+        }
+        self.keys.truncate(write);
+        self.rtt.truncate(write);
+    }
+}
+
+/// End (exclusive) of the equal-key run that starts at `start`.
+fn run_end(keys: &[u64], start: usize) -> usize {
+    let key = keys[start];
+    start + keys[start..].iter().take_while(|&&k| k == key).count()
 }
 
 /// One collapsed run of equal-subkey records in a single-bucket batch.
@@ -325,6 +369,7 @@ pub fn aggregate_batch_reuse(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fxhash::DetHashSet;
     use blameit_simnet::SimTime;
 
     fn rec(loc: u16, block: u32, mobile: bool, secs: u64, rtt: f64) -> RttRecord {
@@ -467,6 +512,83 @@ mod tests {
             seq.to_bits(),
             "stream order within key survived the sort"
         );
+    }
+
+    /// The batch as `(key, rtt)` rows.
+    fn rows(batch: &RecordBatch) -> Vec<(u64, f64)> {
+        batch
+            .keys
+            .iter()
+            .copied()
+            .zip(batch.rtt.iter().copied())
+            .collect()
+    }
+
+    #[test]
+    fn run_sort_matches_the_stable_pair_sort_on_every_shape() {
+        // (key, run length) streams; RTTs number the records in stream
+        // order, so any reordering inside a key shows.
+        let mut shuffled: Vec<(u64, usize)> = (0..40u64)
+            .map(|k| (k * 3 % 17, 1 + (k % 4) as usize))
+            .collect();
+        let mut rng = blameit_topology::rng::DetRng::from_keys(7, &[0x50_27]);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let shapes: Vec<(&str, Vec<(u64, usize)>)> = vec![
+            ("empty", vec![]),
+            ("single", vec![(9, 1)]),
+            ("sorted", vec![(1, 3), (2, 1), (5, 4)]),
+            ("reversed", vec![(5, 4), (2, 1), (1, 3)]),
+            ("all-equal", vec![(4, 6)]),
+            ("interleaved A B A", vec![(7, 2), (3, 1), (7, 3)]),
+            ("shuffled runs", shuffled),
+        ];
+        for (name, runs) in shapes {
+            let keys: Vec<u64> = runs
+                .iter()
+                .flat_map(|&(k, n)| std::iter::repeat_n(k, n))
+                .collect();
+            let rtt: Vec<f64> = (0..keys.len()).map(|i| i as f64).collect();
+            let mut batch = RecordBatch {
+                bucket: TimeBucket(3),
+                keys,
+                rtt,
+            };
+            let mut want = rows(&batch);
+            want.sort_by_key(|&(k, _)| k);
+            batch.sort_by_key();
+            assert_eq!(rows(&batch), want, "{name}");
+            let mut arena = IngestArena::new();
+            let mut store = QuartetStore::new();
+            aggregate_batch_reuse(&batch, &mut arena, &mut store);
+            assert_eq!(
+                arena.sort_fallbacks, 0,
+                "{name}: the kernel sees a sorted batch"
+            );
+            let distinct: DetHashSet<u64> = batch.keys.iter().copied().collect();
+            assert_eq!(store.len(), distinct.len(), "{name}");
+        }
+    }
+
+    #[test]
+    fn retain_runs_matches_filter_and_collect() {
+        let mut batch = RecordBatch {
+            bucket: TimeBucket(0),
+            keys: vec![1, 1, 2, 3, 3, 3, 4, 5, 5],
+            rtt: (0..9).map(f64::from).collect(),
+        };
+        for drop in [vec![], vec![1], vec![5], vec![2, 3, 4], vec![1, 2, 3, 4, 5]] {
+            let mut want = rows(&batch);
+            want.retain(|(k, _)| !drop.contains(k));
+            let mut got = batch.clone();
+            got.retain_runs(|k| !drop.contains(&k));
+            assert_eq!(rows(&got), want, "dropping {drop:?}");
+        }
+        batch.keys.clear();
+        batch.rtt.clear();
+        batch.retain_runs(|_| true);
+        assert!(batch.is_empty());
     }
 
     #[test]

@@ -20,7 +20,8 @@ use crate::grouping::MiddleKey;
 use blameit_simnet::TimeBucket;
 use blameit_topology::rng::DetRng;
 use blameit_topology::{CloudLocId, PathId};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
 
 /// Key of an expected-RTT series.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -144,11 +145,70 @@ impl ExpectedRttLearner {
     }
 }
 
+/// A bounded FIFO of completed durations beside a derived
+/// duration → count index over exactly the samples the FIFO holds.
+/// The FIFO is the durable state (snapshots persist it, eviction
+/// order depends on it); the index is what lookups read, so a lookup
+/// never walks samples.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DurationSamples {
+    fifo: VecDeque<u32>,
+    counts: BTreeMap<u32, u32>,
+}
+
+impl DurationSamples {
+    /// Rebuilds the index over decoded samples (it is never persisted).
+    pub(crate) fn from_fifo(fifo: VecDeque<u32>) -> Self {
+        let mut counts = BTreeMap::new();
+        for &d in &fifo {
+            *counts.entry(d).or_insert(0) += 1;
+        }
+        DurationSamples { fifo, counts }
+    }
+
+    /// The retained samples, oldest first.
+    pub(crate) fn fifo(&self) -> &VecDeque<u32> {
+        &self.fifo
+    }
+
+    /// Appends `d`, evicting the oldest sample first when `cap` are held.
+    fn push(&mut self, d: u32, cap: usize) {
+        if self.fifo.len() == cap {
+            if let Some(old) = self.fifo.pop_front() {
+                match self.counts.get_mut(&old) {
+                    Some(c) if *c > 1 => *c -= 1,
+                    _ => {
+                        self.counts.remove(&old);
+                    }
+                }
+            }
+        }
+        self.fifo.push_back(d);
+        *self.counts.entry(d).or_insert(0) += 1;
+    }
+
+    /// Mean residual life past `elapsed`, `None` when nothing survives.
+    /// Every term is a whole number and the sum stays far below 2⁵³
+    /// (≤ 8 192 samples × 2³²), so the integer sum converts to the same
+    /// `f64` a left-to-right float sum over the samples produces.
+    fn residual(&self, elapsed: u32) -> Option<f64> {
+        let (mut n, mut sum) = (0u64, 0u64);
+        for (&d, &c) in self
+            .counts
+            .range((Bound::Excluded(elapsed), Bound::Unbounded))
+        {
+            n += u64::from(c);
+            sum += u64::from(d - elapsed) * u64::from(c);
+        }
+        (n > 0).then(|| sum as f64 / n as f64)
+    }
+}
+
 /// Empirical incident durations per BGP path, with a global fallback.
 #[derive(Clone, Debug, Default)]
 pub struct DurationHistory {
-    pub(crate) per_path: DetHashMap<PathId, VecDeque<u32>>,
-    pub(crate) global: VecDeque<u32>,
+    pub(crate) per_path: DetHashMap<PathId, DurationSamples>,
+    pub(crate) global: DurationSamples,
     pub(crate) cap: usize,
 }
 
@@ -158,22 +218,18 @@ impl DurationHistory {
     pub fn new() -> Self {
         DurationHistory {
             per_path: DetHashMap::default(),
-            global: VecDeque::new(),
+            global: DurationSamples::default(),
             cap: 512,
         }
     }
 
     /// Records a *completed* incident's duration in 5-minute buckets.
     pub fn record(&mut self, path: PathId, duration_buckets: u32) {
-        let q = self.per_path.entry(path).or_default();
-        if q.len() == self.cap {
-            q.pop_front();
-        }
-        q.push_back(duration_buckets);
-        if self.global.len() == self.cap * 16 {
-            self.global.pop_front();
-        }
-        self.global.push_back(duration_buckets);
+        self.per_path
+            .entry(path)
+            .or_default()
+            .push(duration_buckets, self.cap);
+        self.global.push(duration_buckets, self.cap * 16);
     }
 
     /// Expected *additional* buckets given the issue has already lasted
@@ -182,29 +238,23 @@ impl DurationHistory {
     /// nothing in its history survives past `elapsed`). Returns 1.0
     /// when no history is informative — the conservative "it might end
     /// next bucket" guess.
+    ///
+    /// Allocates nothing and reads no samples: the cost is one step per
+    /// *distinct* duration above `elapsed` in the history consulted
+    /// (incident durations are a handful of small integers), whatever
+    /// the number of samples retained.
     pub fn expected_remaining(&self, path: PathId, elapsed: u32) -> f64 {
-        let residual = |ds: &VecDeque<u32>| -> Option<f64> {
-            let survivors: Vec<u32> = ds.iter().copied().filter(|d| *d > elapsed).collect();
-            if survivors.is_empty() {
-                None
-            } else {
-                Some(
-                    survivors.iter().map(|d| (d - elapsed) as f64).sum::<f64>()
-                        / survivors.len() as f64,
-                )
-            }
-        };
-        let per_path = self
-            .per_path
+        self.per_path
             .get(&path)
-            .filter(|ds| ds.len() >= 10)
-            .and_then(residual);
-        per_path.or_else(|| residual(&self.global)).unwrap_or(1.0)
+            .filter(|ds| ds.fifo.len() >= 10)
+            .and_then(|ds| ds.residual(elapsed))
+            .or_else(|| self.global.residual(elapsed))
+            .unwrap_or(1.0)
     }
 
     /// Total incidents recorded (globally).
     pub fn total_recorded(&self) -> usize {
-        self.global.len()
+        self.global.fifo.len()
     }
 }
 
@@ -373,6 +423,71 @@ mod tests {
         assert_eq!(h.expected_remaining(PathId(1), 100), 1.0);
         // Empty history entirely.
         assert_eq!(DurationHistory::new().expected_remaining(PathId(9), 3), 1.0);
+    }
+
+    /// The sample-scanning `expected_remaining` this file shipped
+    /// before the duration → count index: filter the survivors, sum
+    /// their residuals left to right in `f64`.
+    fn expected_remaining_reference(h: &DurationHistory, path: PathId, elapsed: u32) -> f64 {
+        let residual = |ds: &VecDeque<u32>| -> Option<f64> {
+            let survivors: Vec<u32> = ds.iter().copied().filter(|d| *d > elapsed).collect();
+            if survivors.is_empty() {
+                None
+            } else {
+                Some(
+                    survivors.iter().map(|d| (d - elapsed) as f64).sum::<f64>()
+                        / survivors.len() as f64,
+                )
+            }
+        };
+        let per_path = h
+            .per_path
+            .get(&path)
+            .map(DurationSamples::fifo)
+            .filter(|ds| ds.len() >= 10)
+            .and_then(residual);
+        per_path
+            .or_else(|| residual(h.global.fifo()))
+            .unwrap_or(1.0)
+    }
+
+    #[test]
+    fn indexed_residual_life_matches_the_sample_scan_bit_for_bit() {
+        for seed in 0..6u64 {
+            let mut rng = DetRng::from_keys(seed, &[0xD0_5A]);
+            let mut h = DurationHistory::new();
+            // Small enough that both evictions fire: a path holds 12
+            // samples (≥ the 10 that make it authoritative), the
+            // global FIFO 192.
+            h.cap = 12;
+            let paths = 1 + rng.below(5) as u32;
+            let mut max = 0u32;
+            for step in 0..1_500u32 {
+                // Long-tailed: mostly short streaks, a few long ones.
+                let d = if rng.chance(0.1) {
+                    rng.range_u64(20, 90) as u32
+                } else {
+                    rng.range_u64(1, 6) as u32
+                };
+                max = max.max(d);
+                h.record(PathId(rng.below(paths as u64) as u32), d);
+                if step % 13 != 0 && step < 1_450 {
+                    continue;
+                }
+                // One path beyond those recorded: the global fallback.
+                for p in 0..=paths {
+                    for elapsed in 0..=max + 1 {
+                        assert_eq!(
+                            h.expected_remaining(PathId(p), elapsed).to_bits(),
+                            expected_remaining_reference(&h, PathId(p), elapsed).to_bits(),
+                            "seed {seed} step {step} path {p} elapsed {elapsed}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(h.total_recorded(), 192, "the global FIFO evicted");
+            assert!(h.per_path.values().all(|ds| ds.fifo().len() <= 12));
+        }
     }
 
     #[test]

@@ -144,6 +144,13 @@ pub struct EngineMetrics {
     /// Ingest-WAL rotations (seal + retire at a snapshot tick) that
     /// failed; the WAL stays larger than needed until one succeeds.
     pub wal_retire_failures: Arc<Counter>,
+    /// Quartet groups the admission controller scored — work it only
+    /// does for offers past the shed watermark, so 0 on a feed that
+    /// never sheds. Deterministic in the feed.
+    pub admission_groups_scored: Arc<Counter>,
+    /// Groups in the admission controller's streak table (it only
+    /// grows: the number a long soak has to bound).
+    pub admission_streak_groups: Arc<Gauge>,
 }
 
 impl EngineMetrics {
@@ -196,6 +203,8 @@ impl EngineMetrics {
             ingest_queue_depth: registry.gauge("blameit_ingest_queue_depth_records"),
             ingest_coverage: registry.gauge("blameit_ingest_coverage"),
             wal_retire_failures: registry.counter("blameit_wal_retire_failures_total"),
+            admission_groups_scored: registry.counter("blameit_admission_groups_scored_total"),
+            admission_streak_groups: registry.gauge("blameit_admission_streak_groups"),
             registry,
         }
     }
@@ -406,6 +415,8 @@ mod tests {
         m.middle_localization_coverage.set(0.75);
         m.probe_budget_utilization.set(0.2);
         m.baseline_staleness_burn_secs.add(3_600);
+        m.admission_groups_scored.add(3_620);
+        m.admission_streak_groups.set(3_700.0);
         let text = reg.render_prometheus();
         for name in [
             "blameit_middle_localizations_total 4",
@@ -413,6 +424,8 @@ mod tests {
             "blameit_middle_localization_coverage 0.75",
             "blameit_probe_budget_utilization 0.2",
             "blameit_baseline_staleness_burn_secs_total 3600",
+            "blameit_admission_groups_scored_total 3620",
+            "blameit_admission_streak_groups 3700",
         ] {
             assert!(text.contains(name), "{name} missing from:\n{text}");
         }

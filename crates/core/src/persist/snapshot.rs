@@ -27,7 +27,9 @@ use crate::active::UnlocalizedReason;
 use crate::background::{BackgroundScheduler, BaselineEntry, BaselineStore};
 use crate::fxhash::{det_set_with_capacity, DetHashMap, DetHashSet};
 use crate::grouping::MiddleKey;
-use crate::history::{ClientCountHistory, DurationHistory, ExpectedRttLearner, RttKey};
+use crate::history::{
+    ClientCountHistory, DurationHistory, DurationSamples, ExpectedRttLearner, RttKey,
+};
 use crate::incident::{IncidentTracker, OpenIncident};
 use crate::pipeline::BlameItEngine;
 use blameit_obs::{FlightDumpEvent, FlightFrame, FlightTrigger};
@@ -627,48 +629,38 @@ fn decode_expected(payload: &[u8]) -> Result<ExpectedRttLearner, CodecError> {
     })
 }
 
+/// A duration FIFO as `len` + samples, oldest first — the derived
+/// count index is not on disk; [`DurationSamples::from_fifo`] rebuilds
+/// it on decode.
+fn put_samples(w: &mut ByteWriter, q: &DurationSamples) {
+    w.put_len(q.fifo().len());
+    for v in q.fifo() {
+        w.put_u32(*v);
+    }
+}
+
+fn get_samples(r: &mut ByteReader<'_>) -> Result<DurationSamples, CodecError> {
+    let n = r.len(4)?;
+    let mut q = VecDeque::with_capacity(n);
+    for _ in 0..n {
+        q.push_back(r.u32()?);
+    }
+    Ok(DurationSamples::from_fifo(q))
+}
+
 fn encode_durations(d: &DurationHistory) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(d.cap as u64);
-    put_map(
-        &mut w,
-        &d.per_path,
-        |w, p| w.put_u32(p.0),
-        |w, q| {
-            w.put_len(q.len());
-            for v in q {
-                w.put_u32(*v);
-            }
-        },
-    );
-    w.put_len(d.global.len());
-    for v in &d.global {
-        w.put_u32(*v);
-    }
+    put_map(&mut w, &d.per_path, |w, p| w.put_u32(p.0), put_samples);
+    put_samples(&mut w, &d.global);
     w.into_bytes()
 }
 
 fn decode_durations(payload: &[u8]) -> Result<DurationHistory, CodecError> {
     let mut r = ByteReader::new(payload);
     let cap = r.u64()? as usize;
-    let per_path = get_map(
-        &mut r,
-        12,
-        |r| Ok(PathId(r.u32()?)),
-        |r| {
-            let n = r.len(4)?;
-            let mut q = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                q.push_back(r.u32()?);
-            }
-            Ok(q)
-        },
-    )?;
-    let n = r.len(4)?;
-    let mut global = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        global.push_back(r.u32()?);
-    }
+    let per_path = get_map(&mut r, 12, |r| Ok(PathId(r.u32()?)), get_samples)?;
+    let global = get_samples(&mut r)?;
     if r.remaining() != 0 {
         return Err(CodecError::Invalid("trailing bytes in durations section"));
     }

@@ -239,11 +239,21 @@ fn snapshot_roundtrip_is_canonical_and_lossless() {
             state.durations.total_recorded(),
             round.durations.total_recorded()
         );
+        // The duration → count index is not on disk: decode rebuilds
+        // it, and every lookup (durations are drawn below 300) must
+        // answer with the same bits as the index `record` maintained.
         for p in 0..20 {
-            for elapsed in [0u32, 3, 50] {
+            for elapsed in 0..=301u32 {
                 assert_eq!(
-                    state.durations.expected_remaining(PathId(p), elapsed),
-                    round.durations.expected_remaining(PathId(p), elapsed),
+                    state
+                        .durations
+                        .expected_remaining(PathId(p), elapsed)
+                        .to_bits(),
+                    round
+                        .durations
+                        .expected_remaining(PathId(p), elapsed)
+                        .to_bits(),
+                    "path {p} elapsed {elapsed}"
                 );
             }
         }

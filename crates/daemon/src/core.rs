@@ -155,6 +155,8 @@ pub struct DaemonCore<B: Backend> {
     m_queue_depth: Arc<Gauge>,
     m_coverage: Arc<Gauge>,
     m_wal_retire_failures: Arc<Counter>,
+    m_groups_scored: Arc<Counter>,
+    m_streak_groups: Arc<Gauge>,
 }
 
 impl<B: Backend> DaemonCore<B> {
@@ -193,6 +195,8 @@ impl<B: Backend> DaemonCore<B> {
             m_queue_depth: Arc::clone(&m.ingest_queue_depth),
             m_coverage: Arc::clone(&m.ingest_coverage),
             m_wal_retire_failures: Arc::clone(&m.wal_retire_failures),
+            m_groups_scored: Arc::clone(&m.admission_groups_scored),
+            m_streak_groups: Arc::clone(&m.admission_streak_groups),
             durable,
             backend,
             admission: AdmissionController::new(dcfg.admission.clone()),
@@ -259,7 +263,13 @@ impl<B: Backend> DaemonCore<B> {
         let offered = batch.keys.len() as u64;
         self.stats.offered += offered;
         let depth = self.queue_depth();
-        match self.admission.offer(batch, depth) {
+        let scored_before = self.admission.groups_scored();
+        let decision = self.admission.offer(batch, depth);
+        self.m_groups_scored
+            .add(self.admission.groups_scored() - scored_before);
+        self.m_streak_groups
+            .set(self.admission.streak_groups() as f64);
+        match decision {
             AdmissionDecision::Reject {
                 retry_after_secs,
                 records,

@@ -80,6 +80,7 @@ const UBIQUITOUS_NAMES: &[&str] = &[
     "count",
     "default",
     "drain",
+    "entry",
     "eq",
     "extend",
     "filter",

@@ -6,6 +6,14 @@
 //! the `blameitd` overload contract (the socket half lives in
 //! `tests/daemon_smoke.rs`, the scenario-library golden in
 //! `scenarios/ingest-surge-overload.scn`).
+//!
+//! It is also the repo's first **counter-based perf gate**: admission
+//! scores groups only for offers past the shed watermark, and the
+//! deterministic work counter `blameit_admission_groups_scored_total`
+//! is asserted here — 0 on the quiet feed, an exact pinned count on the
+//! surged one, equal at 1 and 4 engine threads. A later deterministic
+//! work counter (ROADMAP item 1(c)) should extend `OverloadRun` and
+//! these two tests rather than invent a second shape.
 
 use blameit::{
     render_tick_transcript, BadnessThresholds, BlameItConfig, RecordBatch, StartMode, TickOutput,
@@ -53,19 +61,36 @@ struct OverloadRun {
     stats: IngestStats,
     abandoned: u64,
     overload_fired: bool,
+    /// `blameit_admission_groups_scored_total` after the feed.
+    groups_scored: u64,
 }
 
 /// The in-process sink with the queue bounds checked at every reply:
 /// a refusal quotes a depth within the cap, and after each offer (and
 /// the pump behind it) the queue itself is within the cap.
-struct CapChecked<'c, 'w>(CoreSink<'c, WorldBackend<'w>>);
+///
+/// It also sums, independently of the controller, the group counts of
+/// exactly the offers that arrive past the shed watermark without
+/// being refused — what the scoring work counter must read.
+struct CapChecked<'c, 'w> {
+    inner: CoreSink<'c, WorldBackend<'w>>,
+    groups_past_watermark: u64,
+}
 
 impl Sink for CapChecked<'_, '_> {
     type Error = DaemonError;
 
     fn offer(&mut self, batch: &RecordBatch) -> Result<OfferReply, DaemonError> {
-        let cap = self.0.core.admission().config().queue_cap_records;
-        let reply = self.0.offer(batch)?;
+        let cfg = self.inner.core.admission().config();
+        let (cap, watermark) = (cfg.queue_cap_records, cfg.shed_watermark_records);
+        let arriving = self.inner.core.queue_depth() + batch.keys.len();
+        if arriving > watermark && arriving <= cap {
+            let mut keys = batch.keys.clone();
+            keys.sort_unstable();
+            keys.dedup();
+            self.groups_past_watermark += keys.len() as u64;
+        }
+        let reply = self.inner.offer(batch)?;
         if let OfferReply::SlowDown { queue_depth, .. } = reply {
             assert!(
                 queue_depth as usize <= cap,
@@ -73,9 +98,9 @@ impl Sink for CapChecked<'_, '_> {
             );
         }
         assert!(
-            self.0.core.queue_depth() <= cap,
+            self.inner.core.queue_depth() <= cap,
             "queue depth {} exceeded the hard cap {cap}",
-            self.0.core.queue_depth()
+            self.inner.core.queue_depth()
         );
         Ok(reply)
     }
@@ -104,14 +129,18 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
     let n_ticks = 8u32;
     let feed_end = warmup.end.bucket().plus(n_ticks * tick_buckets);
     let feed_range = TimeRange::new(warmup.end, feed_end.start());
-    let mut sink = CapChecked(CoreSink::new(&mut core));
+    let mut sink = CapChecked {
+        inner: CoreSink::new(&mut core),
+        groups_past_watermark: 0,
+    };
     let fed = feed(
         &mut sink,
         world_batches(&source, feed_range, surge.clone()),
         3,
     )
     .unwrap();
-    let mut outs: Vec<TickOutput> = sink.0.outs;
+    let groups_past_watermark = sink.groups_past_watermark;
+    let mut outs: Vec<TickOutput> = sink.inner.outs;
     outs.extend(core.term().unwrap());
     assert_eq!(outs.len(), n_ticks as usize, "every tick window fired");
     assert_eq!(
@@ -123,6 +152,13 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
         ),
         "the feeder's summary and the daemon's stats count the same replies"
     );
+
+    let groups_scored = core.engine().metrics().admission_groups_scored.get();
+    assert_eq!(
+        groups_scored, groups_past_watermark,
+        "scored exactly the groups of the offers that arrived past the watermark"
+    );
+    assert_eq!(groups_scored, core.admission().groups_scored());
 
     let overload_fired = core
         .engine()
@@ -136,6 +172,7 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
         stats: core.stats(),
         abandoned: fed.batches_abandoned,
         overload_fired,
+        groups_scored,
     };
     drop(core);
     let _ = std::fs::remove_dir_all(&dir);
@@ -189,6 +226,10 @@ fn surged_feed_sheds_identically_at_any_thread_count() {
         "tick transcripts byte-identical across thread counts"
     );
     assert_eq!(one.overload_fired, four.overload_fired);
+
+    // The work counter: pinned, and thread-invariant like the rest.
+    assert_eq!(one.groups_scored, 1_482, "groups scored on the surged feed");
+    assert_eq!(one.groups_scored, four.groups_scored);
 }
 
 #[test]
@@ -201,4 +242,8 @@ fn quiet_feed_sheds_nothing() {
     assert!(run.shed_log.is_empty());
     assert_eq!(run.stats.offered, run.stats.admitted);
     assert!(!run.overload_fired, "no overload episode on a quiet feed");
+    assert_eq!(
+        run.groups_scored, 0,
+        "an ACK that sheds nothing scores nothing"
+    );
 }
