@@ -142,7 +142,6 @@ mod tests {
             },
             info: RouteInfo {
                 path: PathId(path),
-                middle: vec![Asn(1000 + path)],
                 origin: Asn(origin),
                 metro: MetroId(0),
                 region: Region::Europe,

@@ -20,13 +20,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Routing metadata for one (location, client /24) pair at an instant —
-/// what the paper's "IP-AS Table" and "BGP Table" joins provide.
-#[derive(Clone, Debug, PartialEq)]
+/// what the paper's "IP-AS Table" and "BGP Table" joins provide. Ids
+/// only, so the per-quartet join allocates nothing; the middle ASes
+/// behind `path` are `Topology::paths.get(path)`.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RouteInfo {
     /// Interned middle path (the BlameIt middle-segment key).
     pub path: PathId,
-    /// The middle ASes, cloud→client order (copy of the interned path).
-    pub middle: Vec<Asn>,
     /// Client (origin) AS.
     pub origin: Asn,
     /// Client home metro.
@@ -172,7 +172,6 @@ impl Backend for WorldBackend<'_> {
         let route = self.world.route_at(loc, c, at);
         Some(RouteInfo {
             path: route.path_id,
-            middle: topo.paths.get(route.path_id).middle.clone(),
             origin: c.origin,
             metro: c.metro,
             region: c.region,
@@ -471,8 +470,10 @@ mod tests {
         assert_eq!(info.origin, c.origin);
         assert_eq!(info.region, c.region);
         assert!(info.prefix.covers_24(c.p24));
-        // Middle matches the interned path.
-        assert_eq!(info.middle, w.topology().paths.get(info.path).middle);
+        assert_eq!(
+            info.path,
+            w.route_at(c.primary_loc, c, SimTime(600)).path_id
+        );
         assert_eq!(b.probes_issued(), 0);
         assert!(b.traceroute(c.primary_loc, c.p24, SimTime(600)).is_some());
         assert!(b

@@ -90,7 +90,6 @@ mod tests {
     fn info(path: u32, origin: u32, metro: u16, prefix: &str) -> RouteInfo {
         RouteInfo {
             path: PathId(path),
-            middle: vec![],
             origin: Asn(origin),
             metro: MetroId(metro),
             region: Region::Europe,

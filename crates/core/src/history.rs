@@ -32,14 +32,22 @@ pub enum RttKey {
     Middle(MiddleKey, bool),
 }
 
+/// One key's retained history.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RttSeries {
+    /// Per-day reservoirs `(day, values)`, oldest first.
+    pub(crate) days: VecDeque<(u32, Vec<f64>)>,
+    /// Observations offered to the newest day so far, for reservoir
+    /// replacement.
+    pub(crate) seen: u64,
+}
+
 /// Rolling per-day reservoirs with a windowed median, one per key.
 #[derive(Clone, Debug)]
 pub struct ExpectedRttLearner {
     pub(crate) window_days: u32,
     pub(crate) day_cap: usize,
-    pub(crate) map: DetHashMap<RttKey, VecDeque<(u32, Vec<f64>)>>,
-    /// Per-(key, day) observation counts, for reservoir replacement.
-    pub(crate) counts: DetHashMap<RttKey, u64>,
+    pub(crate) map: DetHashMap<RttKey, RttSeries>,
     /// Median cache, refreshed once per key per day: recomputing the
     /// window median on every lookup is an O(window · log) sort per
     /// quartet and dominates month-long runs; the paper's expected
@@ -66,7 +74,6 @@ impl ExpectedRttLearner {
             window_days,
             day_cap: 64,
             map: DetHashMap::default(),
-            counts: DetHashMap::default(),
             cache: std::cell::RefCell::new(DetHashMap::default()),
             rng: DetRng::from_keys(seed, &[0xE59E]),
             latest_day: 0,
@@ -77,10 +84,9 @@ impl ExpectedRttLearner {
     /// fed in non-decreasing order (the pipeline runs forward in time).
     pub fn observe(&mut self, key: RttKey, day: u32, rtt_ms: f64) {
         self.latest_day = self.latest_day.max(day);
-        let series = self.map.entry(key).or_default();
-        match series.back_mut() {
+        let RttSeries { days, seen } = self.map.entry(key).or_default();
+        match days.back_mut() {
             Some((d, values)) if *d == day => {
-                let seen = self.counts.entry(key).or_insert(0);
                 *seen += 1;
                 if values.len() < self.day_cap {
                     values.push(rtt_ms);
@@ -94,15 +100,15 @@ impl ExpectedRttLearner {
                 }
             }
             _ => {
-                debug_assert!(series.back().is_none_or(|(d, _)| *d < day));
-                series.push_back((day, vec![rtt_ms]));
-                self.counts.insert(key, 1);
+                debug_assert!(days.back().is_none_or(|(d, _)| *d < day));
+                days.push_back((day, vec![rtt_ms]));
+                *seen = 1;
                 // Evict days that fell out of the window.
-                while series
+                while days
                     .front()
                     .is_some_and(|(d, _)| *d + self.window_days <= day)
                 {
-                    series.pop_front();
+                    days.pop_front();
                 }
             }
         }
@@ -133,6 +139,7 @@ impl ExpectedRttLearner {
         let series = self.map.get(&key)?;
         let cutoff = self.latest_day.saturating_sub(self.window_days - 1);
         let mut all: Vec<f64> = series
+            .days
             .iter()
             .filter(|(d, _)| *d >= cutoff)
             .flat_map(|(_, v)| v.iter().copied())
@@ -321,6 +328,89 @@ impl Default for ClientCountHistory {
     }
 }
 
+/// The learner's reservoirs as this file kept them before [`RttSeries`]
+/// — `map` and `counts`, two maps over one key set, `observe` probing
+/// both — for the differential tests here and in `persist::snapshot`.
+#[cfg(test)]
+pub(crate) mod two_map_reference {
+    use super::*;
+
+    pub(crate) struct TwoMapLearner {
+        pub(crate) window_days: u32,
+        pub(crate) day_cap: usize,
+        pub(crate) map: DetHashMap<RttKey, VecDeque<(u32, Vec<f64>)>>,
+        pub(crate) counts: DetHashMap<RttKey, u64>,
+        pub(crate) rng: DetRng,
+        pub(crate) latest_day: u32,
+    }
+
+    impl TwoMapLearner {
+        fn observe(&mut self, key: RttKey, day: u32, rtt_ms: f64) {
+            self.latest_day = self.latest_day.max(day);
+            let series = self.map.entry(key).or_default();
+            match series.back_mut() {
+                Some((d, values)) if *d == day => {
+                    let seen = self.counts.entry(key).or_insert(0);
+                    *seen += 1;
+                    if values.len() < self.day_cap {
+                        values.push(rtt_ms);
+                    } else {
+                        let j = self.rng.below(*seen);
+                        if (j as usize) < self.day_cap {
+                            values[j as usize] = rtt_ms;
+                        }
+                    }
+                }
+                _ => {
+                    series.push_back((day, vec![rtt_ms]));
+                    self.counts.insert(key, 1);
+                    while series
+                        .front()
+                        .is_some_and(|(d, _)| *d + self.window_days <= day)
+                    {
+                        series.pop_front();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Feeds one seeded observation stream to both learners: 6 keys of
+    /// both kinds over 5 days with a 3-day window, ≈ 100 observations
+    /// per key per day (past `day_cap`, so the shared reservoir RNG is
+    /// drawn), with `expected` lookups in between so the median cache
+    /// holds entries frozen mid-day.
+    pub(crate) fn drive(seed: u64) -> (ExpectedRttLearner, TwoMapLearner) {
+        let mut learner = ExpectedRttLearner::with_window(3, seed);
+        let mut reference = TwoMapLearner {
+            window_days: learner.window_days,
+            day_cap: learner.day_cap,
+            map: DetHashMap::default(),
+            counts: DetHashMap::default(),
+            rng: learner.rng.clone(),
+            latest_day: 0,
+        };
+        let mut rng = DetRng::from_keys(seed, &[0x2_3A95]);
+        let keys: Vec<RttKey> = (0..6u32)
+            .map(|i| match i % 2 {
+                0 => RttKey::Cloud(CloudLocId(i as u16), i % 4 == 0),
+                _ => RttKey::Middle(MiddleKey::Path(PathId(i)), i % 3 == 0),
+            })
+            .collect();
+        for day in 0..5 {
+            for _ in 0..600 {
+                let (key, rtt) = (*rng.pick(&keys), rng.range_f64(5.0, 300.0));
+                learner.observe(key, day, rtt);
+                reference.observe(key, day, rtt);
+                if rng.chance(0.05) {
+                    let _ = learner.expected(*rng.pick(&keys));
+                }
+            }
+        }
+        (learner, reference)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +464,26 @@ mod tests {
         }
         let e = l.expected(cloud_key()).unwrap();
         assert!((30.0..70.0).contains(&e), "median of uniform ≈50, got {e}");
+    }
+
+    #[test]
+    fn one_map_learner_matches_the_two_map_reference() {
+        for seed in 0..4u64 {
+            let (learner, reference) = two_map_reference::drive(seed);
+            assert_eq!(learner.map.len(), reference.map.len());
+            assert_eq!(learner.map.len(), reference.counts.len());
+            let mut drew = false;
+            for (key, days) in &reference.map {
+                let series = &learner.map[key];
+                assert_eq!(series.days, *days, "seed {seed} {key:?}");
+                assert_eq!(series.seen, reference.counts[key], "seed {seed} {key:?}");
+                assert_eq!(days.len(), 3, "days rolled out of the window");
+                drew |= series.seen > learner.day_cap as u64;
+            }
+            assert!(drew, "a reservoir filled, so the RNG was drawn");
+            assert_eq!(learner.rng.state(), reference.rng.state(), "same draws");
+            assert_eq!(learner.latest_day, reference.latest_day);
+        }
     }
 
     #[test]

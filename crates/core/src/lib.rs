@@ -30,8 +30,9 @@
 //!   ([`aggregate_records_reference`]) by construction and by
 //!   differential test.
 //! * [`fxhash`] — the deterministic non-sip hasher
-//!   ([`fxhash::DetHashMap`]/[`fxhash::DetHashSet`]) mandatory for
-//!   core map construction (enforced by the `sip-hasher` lint rule).
+//!   ([`fxhash::DetHashMap`]/[`fxhash::DetHashSet`]), re-exported from
+//!   `blameit_topology` where it lives; mandatory for map construction
+//!   here and in the simulator (enforced by the `sip-hasher` lint rule).
 //! * [`thresholds`] — region/device badness targets (§2.1).
 //! * [`history`] — learned expected RTTs (14-day medians, §4.3),
 //!   per-path incident-duration history, client-count history (§5.3).
@@ -69,7 +70,6 @@ pub mod admission;
 pub mod backend;
 pub mod background;
 pub mod columnar;
-pub mod fxhash;
 pub mod grouping;
 pub mod history;
 pub mod incident;
@@ -93,6 +93,7 @@ pub use active::{
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, GroupScore};
 pub use backend::{Backend, ChaosBackend, ChaosStats, RouteInfo, WorldBackend};
 pub use background::{BackgroundScheduler, BaselineEntry, BaselineStore, ProbeTarget};
+pub use blameit_topology::fxhash;
 pub use columnar::{
     aggregate_batch_reuse, pack_key, pack_subkey, unpack_key, IngestArena, QuartetStore,
     RecordBatch,

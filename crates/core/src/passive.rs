@@ -21,16 +21,17 @@
 //! a handful of chatty good /24s must not mask many quiet bad ones
 //! (§4.2).
 
-use crate::fxhash::{DetHashMap, DetHashSet};
+use crate::fxhash::{det_map_with_capacity, DetHashMap};
 use crate::grouping::{MiddleGrouping, MiddleKey};
 use crate::history::{ExpectedRttLearner, RttKey};
 use crate::metrics::ShardMetrics;
 use crate::provenance::PassiveEvidence;
 use crate::quartet::EnrichedQuartet;
-use crate::shard::run_chunked;
+use crate::shard::{concat_chunks, run_chunked};
 use blameit_simnet::QuartetObs;
 use blameit_topology::{Asn, CloudLocId, PathId, Region};
 use std::fmt;
+use std::hash::Hash;
 
 /// Coarse blame verdict for a bad quartet.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -154,8 +155,36 @@ impl AggregateStats {
 struct PassiveAggregates {
     /// Per-location / per-middle-key counts for reporting.
     stats: AggregateStats,
-    /// (p24 block, mobile, loc) triples that saw good RTT this bucket.
-    good_elsewhere: DetHashSet<(u32, bool, CloudLocId)>,
+    /// Per (p24 block, mobile): the first cloud location that saw good
+    /// RTT from it this bucket, and whether a second, distinct one did.
+    good_elsewhere: DetHashMap<(u32, bool), (CloudLocId, bool)>,
+}
+
+/// One bucket's (aggregate key, device class) groups: per group the
+/// comparison value — learned expectation × margin, resolved once, when
+/// the group is first seen — and its `(quartets, quartets above it)`.
+struct Groups<K>(DetHashMap<(K, bool), (Option<f64>, usize, usize)>);
+
+impl<K: Copy + Eq + Hash> Groups<K> {
+    fn count(&mut self, key: K, obs: &QuartetObs, above: impl FnOnce() -> Option<f64>) {
+        let (above, n, bad) = self
+            .0
+            .entry((key, obs.mobile))
+            .or_insert_with(|| (above(), 0, 0));
+        *n += 1;
+        *bad += usize::from(above.is_some_and(|a| obs.mean_rtt_ms > a));
+    }
+
+    /// Per-key `(quartets, above expected)` over both device classes.
+    fn fold(self) -> DetHashMap<K, (usize, usize)> {
+        let mut out: DetHashMap<K, (usize, usize)> = DetHashMap::default();
+        // Integer sums per key: every visit order yields the same map.
+        for ((key, _), (_, n, bad)) in self.0 {
+            let sums = out.entry(key).or_default();
+            *sums = (sums.0 + n, sums.1 + bad);
+        }
+        out
+    }
 }
 
 /// The sequential aggregate pass over one bucket's enriched quartets:
@@ -170,89 +199,40 @@ struct PassiveAggregates {
 /// enables are pure against the result, so any partition of the
 /// quartets yields the same verdicts.
 ///
-/// Columnar since the quartet-path rebuild: instead of two map upserts
-/// and two learner lookups per quartet, the pass sorts a compact index
-/// list per grouping and walks equal-key runs — one
-/// [`ExpectedRttLearner::expected`] lookup per distinct (key, device)
-/// run and one map insert per aggregate. The counts are integer sums,
-/// so the run order cannot change any value, and the learner's lookup
-/// cache ends the pass with exactly the same entries (same distinct
-/// key set), keeping snapshots byte-identical with the legacy pass.
+/// One pass, no sort: a quartet upserts its (location, device) and
+/// (middle key, device) group, and [`ExpectedRttLearner::expected`] is
+/// looked up when a group is created — once per distinct (key, device),
+/// so the learner's lookup cache ends the pass with exactly those
+/// entries (snapshots sort the cache; lookup order is not on disk). The
+/// counts are integer sums: no quartet or group order changes a value.
 fn aggregate_pass(
     quartets: &[EnrichedQuartet],
     expected: &ExpectedRttLearner,
     cfg: &BlameConfig,
 ) -> PassiveAggregates {
-    let mut stats = AggregateStats::default();
-
-    // Cloud aggregates: runs of (loc, mobile), folded per loc.
-    let mut idx: Vec<u32> = (0..quartets.len() as u32).collect();
-    idx.sort_unstable_by_key(|&i| {
-        let q = &quartets[i as usize];
-        (q.obs.loc, q.obs.mobile)
-    });
-    let mut i = 0;
-    while i < idx.len() {
-        let loc = quartets[idx[i] as usize].obs.loc;
-        let (mut n, mut bad) = (0usize, 0usize);
-        while i < idx.len() {
-            let q = &quartets[idx[i] as usize];
-            if q.obs.loc != loc {
-                break;
-            }
-            let mobile = q.obs.mobile;
-            let exp = expected.expected(RttKey::Cloud(loc, mobile));
-            while i < idx.len() {
-                let q = &quartets[idx[i] as usize];
-                if q.obs.loc != loc || q.obs.mobile != mobile {
-                    break;
-                }
-                n += 1;
-                bad +=
-                    usize::from(exp.is_some_and(|e| q.obs.mean_rtt_ms > e * cfg.expected_margin));
-                i += 1;
-            }
+    let above = |key| expected.expected(key).map(|e| e * cfg.expected_margin);
+    let mut cloud = Groups(DetHashMap::default());
+    let mut middle = Groups(DetHashMap::default());
+    // Most quartets are good and few /24s reach two locations: size for them all.
+    let mut good_elsewhere: DetHashMap<(u32, bool), (CloudLocId, bool)> =
+        det_map_with_capacity(quartets.len());
+    for q in quartets {
+        let (loc, mobile) = (q.obs.loc, q.obs.mobile);
+        cloud.count(loc, &q.obs, || above(RttKey::Cloud(loc, mobile)));
+        let key = cfg.grouping.key(&q.info);
+        middle.count(key, &q.obs, || above(RttKey::Middle(key, mobile)));
+        if !q.bad {
+            let (first, many) = good_elsewhere
+                .entry((q.obs.p24.block(), mobile))
+                .or_insert((loc, false));
+            *many |= *first != loc;
         }
-        stats.cloud.insert(loc, (n, bad));
     }
-
-    // Middle aggregates: runs of (middle key, mobile), folded per key.
-    idx.sort_unstable_by_key(|&i| {
-        let q = &quartets[i as usize];
-        (cfg.grouping.key(&q.info), q.obs.mobile)
-    });
-    let mut i = 0;
-    while i < idx.len() {
-        let key = cfg.grouping.key(&quartets[idx[i] as usize].info);
-        let (mut n, mut bad) = (0usize, 0usize);
-        while i < idx.len() {
-            let q = &quartets[idx[i] as usize];
-            if cfg.grouping.key(&q.info) != key {
-                break;
-            }
-            let mobile = q.obs.mobile;
-            let exp = expected.expected(RttKey::Middle(key, mobile));
-            while i < idx.len() {
-                let q = &quartets[idx[i] as usize];
-                if cfg.grouping.key(&q.info) != key || q.obs.mobile != mobile {
-                    break;
-                }
-                n += 1;
-                bad +=
-                    usize::from(exp.is_some_and(|e| q.obs.mean_rtt_ms > e * cfg.expected_margin));
-                i += 1;
-            }
-        }
-        stats.middle.insert(key, (n, bad));
-    }
-
-    let good_elsewhere: DetHashSet<(u32, bool, CloudLocId)> = quartets
-        .iter()
-        .filter(|q| !q.bad)
-        .map(|q| (q.obs.p24.block(), q.obs.mobile, q.obs.loc))
-        .collect();
     PassiveAggregates {
-        stats,
+        stats: AggregateStats {
+            cloud: cloud.fold(),
+            middle: middle.fold(),
+        },
         good_elsewhere,
     }
 }
@@ -265,48 +245,71 @@ impl PassiveAggregates {
         if !q.bad {
             return None;
         }
-        let min_q = cfg.min_aggregate_quartets;
         let key = cfg.grouping.key(&q.info);
-        let (cloud_n, cloud_bad) = self.stats.cloud[&q.obs.loc];
-        let (mid_n, mid_bad) = self.stats.middle[&key];
-        let good_elsewhere = self.has_good_to_other_loc(q);
-        let blame = if cloud_n <= min_q {
-            Blame::Insufficient
-        } else if cloud_bad as f64 / cloud_n as f64 >= cfg.tau {
-            Blame::Cloud
-        } else if mid_n <= min_q {
-            Blame::Insufficient
-        } else if mid_bad as f64 / mid_n as f64 >= cfg.tau {
-            Blame::Middle
-        } else if good_elsewhere {
-            Blame::Ambiguous
-        } else {
-            Blame::Client
-        };
-        Some(BlameResult {
-            obs: q.obs,
-            path: q.info.path,
-            middle_key: key,
-            origin: q.info.origin,
-            region: q.info.region,
-            blame,
-            passive: PassiveEvidence {
-                branch: blame,
-                tau: cfg.tau,
-                min_aggregate: min_q,
-                cloud_n,
-                cloud_bad,
-                middle_n: mid_n,
-                middle_bad: mid_bad,
-                good_elsewhere,
-            },
-        })
+        Some(eliminate(
+            q,
+            key,
+            cfg,
+            self.stats.cloud[&q.obs.loc],
+            self.stats.middle[&key],
+            self.has_good_to_other_loc(q),
+        ))
     }
 
+    /// Did the quartet's (/24, device) see good RTT at a location other
+    /// than its own this bucket? One map probe, whatever the number of
+    /// good quartets in the bucket: the entry holds the first good
+    /// location and whether a second distinct one exists, which is all
+    /// "some good location ≠ mine" needs.
     fn has_good_to_other_loc(&self, q: &EnrichedQuartet) -> bool {
-        self.good_elsewhere.iter().any(|(blk, mob, loc)| {
-            *blk == q.obs.p24.block() && *mob == q.obs.mobile && *loc != q.obs.loc
-        })
+        self.good_elsewhere
+            .get(&(q.obs.p24.block(), q.obs.mobile))
+            .is_some_and(|&(first, many)| many || first != q.obs.loc)
+    }
+}
+
+/// The elimination ladder for one bad quartet, given its location's and
+/// its middle key's (quartets, above-expected) counts and whether its
+/// /24 was good elsewhere.
+fn eliminate(
+    q: &EnrichedQuartet,
+    key: MiddleKey,
+    cfg: &BlameConfig,
+    (cloud_n, cloud_bad): (usize, usize),
+    (mid_n, mid_bad): (usize, usize),
+    good_elsewhere: bool,
+) -> BlameResult {
+    let min_q = cfg.min_aggregate_quartets;
+    let blame = if cloud_n <= min_q {
+        Blame::Insufficient
+    } else if cloud_bad as f64 / cloud_n as f64 >= cfg.tau {
+        Blame::Cloud
+    } else if mid_n <= min_q {
+        Blame::Insufficient
+    } else if mid_bad as f64 / mid_n as f64 >= cfg.tau {
+        Blame::Middle
+    } else if good_elsewhere {
+        Blame::Ambiguous
+    } else {
+        Blame::Client
+    };
+    BlameResult {
+        obs: q.obs,
+        path: q.info.path,
+        middle_key: key,
+        origin: q.info.origin,
+        region: q.info.region,
+        blame,
+        passive: PassiveEvidence {
+            branch: blame,
+            tau: cfg.tau,
+            min_aggregate: min_q,
+            cloud_n,
+            cloud_bad,
+            middle_n: mid_n,
+            middle_bad: mid_bad,
+            good_elsewhere,
+        },
     }
 }
 
@@ -328,7 +331,11 @@ pub fn blame_bucket(
     cfg: &BlameConfig,
     parallelism: usize,
 ) -> (Vec<BlameResult>, AggregateStats, Vec<ShardMetrics>) {
-    let agg = aggregate_pass(quartets, expected, cfg);
+    let agg = {
+        let _s = blameit_obs::span!("blameit::passive", "aggregate_pass");
+        aggregate_pass(quartets, expected, cfg)
+    };
+    let _s = blameit_obs::span!("blameit::passive", "verdicts");
     let (verdicts, scratch): (Vec<_>, Vec<_>) = run_chunked(parallelism, quartets, |chunk| {
         let mut scratch = ShardMetrics::new();
         let mut verdicts = Vec::new();
@@ -343,7 +350,7 @@ pub fn blame_bucket(
     })
     .into_iter()
     .unzip();
-    (verdicts.into_iter().flatten().collect(), agg.stats, scratch)
+    (concat_chunks(verdicts), agg.stats, scratch)
 }
 
 /// [`blame_bucket`] on the calling thread, without the metric scratch.
@@ -366,7 +373,9 @@ pub fn assign_blames(
 mod tests {
     use super::*;
     use crate::backend::RouteInfo;
+    use crate::fxhash::DetHashSet;
     use blameit_simnet::TimeBucket;
+    use blameit_topology::rng::DetRng;
     use blameit_topology::{IpPrefix, MetroId, Prefix24};
 
     /// Builds an enriched quartet by hand.
@@ -382,7 +391,6 @@ mod tests {
             },
             info: RouteInfo {
                 path: PathId(path),
-                middle: vec![Asn(1000 + path)],
                 origin: Asn(origin),
                 metro: MetroId(0),
                 region: Region::Europe,
@@ -618,5 +626,223 @@ mod tests {
         let (res, stats) = assign_blames(&quartets, &l, &cfg);
         assert!((stats.cloud_bad_fraction(CloudLocId(0)) - 0.8).abs() < 1e-9);
         assert_eq!(res[0].blame, Blame::Cloud);
+    }
+
+    /// The aggregate pass this file shipped before the one-pass group
+    /// upsert, kept verbatim as the differential reference: sort an
+    /// index list per grouping, walk equal-key runs with one learner
+    /// lookup per (key, device) run, and collect every good
+    /// (/24, device, location) triple into a set.
+    fn aggregate_pass_reference(
+        quartets: &[EnrichedQuartet],
+        expected: &ExpectedRttLearner,
+        cfg: &BlameConfig,
+    ) -> (AggregateStats, DetHashSet<(u32, bool, CloudLocId)>) {
+        let mut stats = AggregateStats::default();
+
+        let mut idx: Vec<u32> = (0..quartets.len() as u32).collect();
+        idx.sort_unstable_by_key(|&i| {
+            let q = &quartets[i as usize];
+            (q.obs.loc, q.obs.mobile)
+        });
+        let mut i = 0;
+        while i < idx.len() {
+            let loc = quartets[idx[i] as usize].obs.loc;
+            let (mut n, mut bad) = (0usize, 0usize);
+            while i < idx.len() {
+                let q = &quartets[idx[i] as usize];
+                if q.obs.loc != loc {
+                    break;
+                }
+                let mobile = q.obs.mobile;
+                let exp = expected.expected(RttKey::Cloud(loc, mobile));
+                while i < idx.len() {
+                    let q = &quartets[idx[i] as usize];
+                    if q.obs.loc != loc || q.obs.mobile != mobile {
+                        break;
+                    }
+                    n += 1;
+                    bad += usize::from(
+                        exp.is_some_and(|e| q.obs.mean_rtt_ms > e * cfg.expected_margin),
+                    );
+                    i += 1;
+                }
+            }
+            stats.cloud.insert(loc, (n, bad));
+        }
+
+        idx.sort_unstable_by_key(|&i| {
+            let q = &quartets[i as usize];
+            (cfg.grouping.key(&q.info), q.obs.mobile)
+        });
+        let mut i = 0;
+        while i < idx.len() {
+            let key = cfg.grouping.key(&quartets[idx[i] as usize].info);
+            let (mut n, mut bad) = (0usize, 0usize);
+            while i < idx.len() {
+                let q = &quartets[idx[i] as usize];
+                if cfg.grouping.key(&q.info) != key {
+                    break;
+                }
+                let mobile = q.obs.mobile;
+                let exp = expected.expected(RttKey::Middle(key, mobile));
+                while i < idx.len() {
+                    let q = &quartets[idx[i] as usize];
+                    if cfg.grouping.key(&q.info) != key || q.obs.mobile != mobile {
+                        break;
+                    }
+                    n += 1;
+                    bad += usize::from(
+                        exp.is_some_and(|e| q.obs.mean_rtt_ms > e * cfg.expected_margin),
+                    );
+                    i += 1;
+                }
+            }
+            stats.middle.insert(key, (n, bad));
+        }
+
+        let good_elsewhere = quartets
+            .iter()
+            .filter(|q| !q.bad)
+            .map(|q| (q.obs.p24.block(), q.obs.mobile, q.obs.loc))
+            .collect();
+        (stats, good_elsewhere)
+    }
+
+    /// [`blame_bucket`] over the reference aggregates, with the old
+    /// good-elsewhere check: a scan of the whole good set per bad
+    /// quartet.
+    fn blame_bucket_reference(
+        quartets: &[EnrichedQuartet],
+        expected: &ExpectedRttLearner,
+        cfg: &BlameConfig,
+    ) -> (Vec<BlameResult>, AggregateStats) {
+        let (stats, good) = aggregate_pass_reference(quartets, expected, cfg);
+        let verdicts = quartets
+            .iter()
+            .filter(|q| q.bad)
+            .map(|q| {
+                let key = cfg.grouping.key(&q.info);
+                let good_elsewhere = good.iter().any(|(blk, mob, loc)| {
+                    *blk == q.obs.p24.block() && *mob == q.obs.mobile && *loc != q.obs.loc
+                });
+                let (cloud, middle) = (stats.cloud[&q.obs.loc], stats.middle[&key]);
+                eliminate(q, key, cfg, cloud, middle, good_elsewhere)
+            })
+            .collect();
+        (verdicts, stats)
+    }
+
+    /// A seeded bucket over 4 locations, both device classes and a few
+    /// paths/origins/metros, with duplicate quartet keys allowed, plus
+    /// one bad quartet at location 0 per good-elsewhere case (blocks
+    /// 1000–1005), all shuffled so the cases meet both arrival orders.
+    fn random_bucket(rng: &mut DetRng) -> Vec<EnrichedQuartet> {
+        let mut quartets: Vec<EnrichedQuartet> = (0..rng.range_u64(0, 400))
+            .map(|_| {
+                let block = rng.below(60) as u32;
+                let mut e = q(
+                    rng.below(4) as u16,
+                    block,
+                    rng.below(8) as u32,
+                    100 + block % 7,
+                    rng.range_f64(20.0, 90.0),
+                    rng.chance(0.3),
+                );
+                e.obs.mobile = rng.chance(0.4);
+                e.info.metro = MetroId((block % 3) as u16);
+                e
+            })
+            .collect();
+        let mobile = |mut e: EnrichedQuartet| {
+            e.obs.mobile = true;
+            e
+        };
+        quartets.extend([
+            // Good at its own location only.
+            q(0, 1000, 1, 100, 90.0, true),
+            q(0, 1000, 1, 100, 30.0, false),
+            // Good at its own location and at one other.
+            q(0, 1001, 1, 100, 30.0, false),
+            q(1, 1001, 2, 100, 30.0, false),
+            q(0, 1001, 1, 100, 90.0, true),
+            // Good at one other location and at its own, from another path.
+            q(0, 1002, 1, 100, 90.0, true),
+            q(2, 1002, 3, 100, 30.0, false),
+            q(0, 1002, 1, 100, 30.0, false),
+            // Good at two others, never at its own.
+            q(1, 1003, 2, 100, 30.0, false),
+            q(0, 1003, 1, 100, 90.0, true),
+            q(3, 1003, 4, 100, 30.0, false),
+            // Good elsewhere, but only for the other device class.
+            q(0, 1004, 1, 100, 90.0, true),
+            mobile(q(1, 1004, 2, 100, 30.0, false)),
+            // Bad everywhere it appears.
+            q(0, 1005, 1, 100, 90.0, true),
+            q(1, 1005, 2, 100, 90.0, true),
+        ]);
+        rng.shuffle(&mut quartets);
+        quartets
+    }
+
+    #[test]
+    fn one_pass_aggregates_match_the_sort_and_scan_reference() {
+        let groupings = [
+            MiddleGrouping::BgpPath,
+            MiddleGrouping::BgpAtom,
+            MiddleGrouping::BgpPrefix,
+            MiddleGrouping::AsMetro,
+        ];
+        for seed in 0..12u64 {
+            let mut rng = DetRng::from_keys(seed, &[0xA661]);
+            let cfg = BlameConfig {
+                grouping: groupings[seed as usize % 4],
+                ..BlameConfig::default()
+            };
+            let quartets = random_bucket(&mut rng);
+            // Most keys learned (some just above, some just below the
+            // bucket's RTTs), a few left without an expectation.
+            let mut learner = ExpectedRttLearner::new(seed);
+            for qq in &quartets {
+                let keys = [
+                    RttKey::Cloud(qq.obs.loc, qq.obs.mobile),
+                    RttKey::Middle(cfg.grouping.key(&qq.info), qq.obs.mobile),
+                ];
+                for key in keys {
+                    if rng.chance(0.8) {
+                        learner.observe(key, 0, rng.range_f64(15.0, 60.0));
+                    }
+                }
+            }
+
+            let reference = learner.clone();
+            let (want, want_stats) = blame_bucket_reference(&quartets, &reference, &cfg);
+            for par in [1, 4] {
+                let l = learner.clone();
+                let (got, got_stats, scratch) = blame_bucket(&quartets, &l, &cfg, par);
+                assert_eq!(got, want, "seed {seed} par {par}");
+                assert_eq!(got_stats, want_stats, "seed {seed} par {par}");
+                assert_eq!(
+                    *l.cache.borrow(),
+                    *reference.cache.borrow(),
+                    "seed {seed} par {par}: median cache entries"
+                );
+                assert!(scratch.len() <= par);
+            }
+
+            let elsewhere = |block: u32| {
+                want.iter()
+                    .find(|r| r.obs.p24.block() == block && r.obs.loc == CloudLocId(0))
+                    .expect("the case's bad quartet gets a verdict")
+                    .passive
+                    .good_elsewhere
+            };
+            let cases = [1000, 1001, 1002, 1003, 1004, 1005].map(elsewhere);
+            assert_eq!(
+                cases,
+                [false, true, true, true, false, false],
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -28,7 +28,7 @@ use crate::background::{BackgroundScheduler, BaselineEntry, BaselineStore};
 use crate::fxhash::{det_set_with_capacity, DetHashMap, DetHashSet};
 use crate::grouping::MiddleKey;
 use crate::history::{
-    ClientCountHistory, DurationHistory, DurationSamples, ExpectedRttLearner, RttKey,
+    ClientCountHistory, DurationHistory, DurationSamples, ExpectedRttLearner, RttKey, RttSeries,
 };
 use crate::incident::{IncidentTracker, OpenIncident};
 use crate::pipeline::BlameItEngine;
@@ -559,9 +559,10 @@ fn encode_expected(l: &ExpectedRttLearner) -> Vec<u8> {
         w.put_u64(word);
     }
     w.put_opt_f64(spare);
+    // Two sections over one key set: reservoirs, then newest-day counts.
     put_map(&mut w, &l.map, put_rtt_key, |w, series| {
-        w.put_len(series.len());
-        for (day, values) in series {
+        w.put_len(series.days.len());
+        for (day, values) in &series.days {
             w.put_u32(*day);
             w.put_len(values.len());
             for v in values {
@@ -569,7 +570,7 @@ fn encode_expected(l: &ExpectedRttLearner) -> Vec<u8> {
             }
         }
     });
-    put_map(&mut w, &l.counts, put_rtt_key, |w, c| w.put_u64(*c));
+    put_map(&mut w, &l.map, put_rtt_key, |w, s| w.put_u64(s.seen));
     // The median cache MUST be persisted: a cached entry freezes the
     // median at whatever observations existed at first lookup that
     // day, while `observe` keeps growing the underlying reservoirs. A
@@ -596,9 +597,9 @@ fn decode_expected(payload: &[u8]) -> Result<ExpectedRttLearner, CodecError> {
         *word = r.u64()?;
     }
     let spare = r.opt_f64()?;
-    let map = get_map(&mut r, 12, get_rtt_key, |r| {
+    let reservoirs: Vec<(RttKey, _)> = get_map(&mut r, 12, get_rtt_key, |r| {
         let n = r.len(12)?;
-        let mut series: VecDeque<(u32, Vec<f64>)> = VecDeque::with_capacity(n);
+        let mut days: VecDeque<(u32, Vec<f64>)> = VecDeque::with_capacity(n);
         for _ in 0..n {
             let day = r.u32()?;
             let m = r.len(8)?;
@@ -606,11 +607,24 @@ fn decode_expected(payload: &[u8]) -> Result<ExpectedRttLearner, CodecError> {
             for _ in 0..m {
                 values.push(r.f64()?);
             }
-            series.push_back((day, values));
+            days.push_back((day, values));
         }
-        Ok(series)
+        Ok(days)
     })?;
-    let counts = get_map(&mut r, 12, get_rtt_key, |r| r.u64())?;
+    let counts: Vec<(RttKey, u64)> = get_map(&mut r, 12, get_rtt_key, |r| r.u64())?;
+    // Both sections are written from one map, in one canonical order.
+    let same_keys = reservoirs
+        .iter()
+        .map(|e| e.0)
+        .eq(counts.iter().map(|e| e.0));
+    if !same_keys {
+        return Err(CodecError::Invalid("expected-RTT sections differ in keys"));
+    }
+    let map = reservoirs
+        .into_iter()
+        .zip(counts)
+        .map(|((key, days), (_, seen))| (key, RttSeries { days, seen }))
+        .collect();
     let cache = get_map(&mut r, 12, get_rtt_key, |r| {
         let day = r.u32()?;
         Ok((day, r.opt_f64()?))
@@ -622,7 +636,6 @@ fn decode_expected(payload: &[u8]) -> Result<ExpectedRttLearner, CodecError> {
         window_days,
         day_cap,
         map,
-        counts,
         cache: std::cell::RefCell::new(cache),
         rng: DetRng::from_state(s, spare),
         latest_day,
@@ -986,6 +999,89 @@ mod tests {
             4,
         );
         (engine, w)
+    }
+
+    /// `encode_expected` as it was when the learner kept `map` and
+    /// `counts` apart (the cache is the one-map learner's own: that
+    /// part of the state did not change).
+    fn encode_expected_reference(
+        l: &crate::history::two_map_reference::TwoMapLearner,
+        cache: &DetHashMap<RttKey, (u32, Option<f64>)>,
+    ) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(l.window_days);
+        w.put_u64(l.day_cap as u64);
+        w.put_u32(l.latest_day);
+        let (s, spare) = l.rng.state();
+        for word in s {
+            w.put_u64(word);
+        }
+        w.put_opt_f64(spare);
+        put_map(&mut w, &l.map, put_rtt_key, |w, series| {
+            w.put_len(series.len());
+            for (day, values) in series {
+                w.put_u32(*day);
+                w.put_len(values.len());
+                for v in values {
+                    w.put_f64(*v);
+                }
+            }
+        });
+        put_map(&mut w, &l.counts, put_rtt_key, |w, c| w.put_u64(*c));
+        put_map(&mut w, cache, put_rtt_key, |w, (day, value)| {
+            w.put_u32(*day);
+            w.put_opt_f64(*value);
+        });
+        w.into_bytes()
+    }
+
+    #[test]
+    fn expected_section_bytes_match_the_two_map_learner() {
+        for seed in 0..4u64 {
+            let (learner, reference) = crate::history::two_map_reference::drive(seed);
+            let bytes = encode_expected(&learner);
+            assert!(!learner.cache.borrow().is_empty());
+            assert_eq!(
+                bytes,
+                encode_expected_reference(&reference, &learner.cache.borrow()),
+                "seed {seed}"
+            );
+            let decoded = decode_expected(&bytes).expect("own bytes decode");
+            assert_eq!(encode_expected(&decoded), bytes, "seed {seed}: fixed point");
+        }
+    }
+
+    #[test]
+    fn expected_sections_that_disagree_are_rejected() {
+        // One reservoir entry for `key`, one count entry for `count_key`.
+        let key = RttKey::Cloud(CloudLocId(1), false);
+        let section = |count_key: RttKey| {
+            let mut w = ByteWriter::new();
+            w.put_u32(14);
+            w.put_u64(64);
+            w.put_u32(0);
+            for word in [1u64, 2, 3, 4] {
+                w.put_u64(word);
+            }
+            w.put_opt_f64(None);
+            w.put_len(1);
+            put_rtt_key(&mut w, &key);
+            w.put_len(1);
+            w.put_u32(0);
+            w.put_len(1);
+            w.put_f64(10.0);
+            w.put_len(1);
+            put_rtt_key(&mut w, &count_key);
+            w.put_u64(1);
+            w.put_len(0);
+            w.into_bytes()
+        };
+        let ok = decode_expected(&section(key)).expect("matching sections decode");
+        assert_eq!(ok.map[&key].seen, 1);
+        assert!(matches!(
+            decode_expected(&section(RttKey::Cloud(CloudLocId(2), false))),
+            Err(CodecError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -510,7 +510,11 @@ impl BlameItEngine {
             self.metrics.absorb_shard(s);
         }
         passive_span.record("verdicts", blames.len());
-        self.track_incidents(bucket, &blames, &stats, acc);
+        {
+            let _s = span!("blameit::pipeline", "track_incidents");
+            self.track_incidents(bucket, &blames, &stats, acc);
+        }
+        let _s = span!("blameit::pipeline", "learn_from");
         self.learn_from(enriched, bucket);
         blames
     }

@@ -9,6 +9,7 @@
 
 use crate::backend::{Backend, RouteInfo};
 use crate::ks::{ks_two_sample, KsResult};
+use crate::shard::{concat_chunks, run_chunked};
 use crate::thresholds::BadnessThresholds;
 use blameit_simnet::{QuartetObs, RttRecord, TimeBucket};
 use blameit_topology::rng::DetRng;
@@ -20,7 +21,7 @@ pub const MIN_SAMPLES: u32 = 10;
 
 /// A quartet observation joined with routing metadata and classified
 /// against its badness threshold.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct EnrichedQuartet {
     /// The underlying observation.
     pub obs: QuartetObs,
@@ -70,7 +71,9 @@ pub fn enrich_bucket_min_samples<B: Backend>(
 /// stages (ingest vs. quartet aggregation); the routing join is a pure
 /// per-quartet lookup, so the observation list splits into contiguous
 /// chunks and the enriched output keeps the input order exactly
-/// (`parallelism <= 1` is a plain sequential map).
+/// (`parallelism <= 1` is one sequential pass). Each chunk applies the
+/// sample floor and the join in the same pass; no intermediate list of
+/// kept observations or of per-observation `Option`s is built.
 pub fn enrich_obs_sharded<B: Backend>(
     backend: &B,
     obs: Vec<QuartetObs>,
@@ -79,19 +82,22 @@ pub fn enrich_obs_sharded<B: Backend>(
     min_samples: u32,
     parallelism: usize,
 ) -> Vec<EnrichedQuartet> {
-    let kept: Vec<QuartetObs> = obs.into_iter().filter(|q| q.n >= min_samples).collect();
-    crate::shard::parallel_map(parallelism, &kept, |obs| {
-        let info = backend.route_info(obs.loc, obs.p24, bucket.mid())?;
-        let bad = obs.mean_rtt_ms > thresholds.get(info.region, obs.mobile);
-        Some(EnrichedQuartet {
-            obs: *obs,
-            info,
-            bad,
-        })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let at = bucket.mid();
+    concat_chunks(run_chunked(parallelism, &obs, |chunk| {
+        chunk
+            .iter()
+            .filter(|obs| obs.n >= min_samples)
+            .filter_map(|obs| {
+                let info = backend.route_info(obs.loc, obs.p24, at)?;
+                let bad = obs.mean_rtt_ms > thresholds.get(info.region, obs.mobile);
+                Some(EnrichedQuartet {
+                    obs: *obs,
+                    info,
+                    bad,
+                })
+            })
+            .collect::<Vec<_>>()
+    }))
 }
 
 /// Groups raw RTT records into quartet observations (the aggregation

@@ -86,10 +86,15 @@ pub fn parallel_map<T: Sync, R: Send>(
     items: &[T],
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let mut chunks = run_chunked(parallelism, items, |chunk| {
+    concat_chunks(run_chunked(parallelism, items, |chunk| {
         chunk.iter().map(&f).collect::<Vec<R>>()
-    })
-    .into_iter();
+    }))
+}
+
+/// Concatenates per-chunk outputs in chunk order. The first chunk's
+/// buffer is the result's, so the single-chunk case moves nothing.
+pub(crate) fn concat_chunks<R>(chunks: Vec<Vec<R>>) -> Vec<R> {
+    let mut chunks = chunks.into_iter();
     let mut out = chunks.next().unwrap_or_default();
     for chunk in chunks {
         out.extend(chunk);

@@ -275,7 +275,6 @@ fn algorithm1_conservative_without_history() {
                 },
                 info: RouteInfo {
                     path: PathId(path),
-                    middle: vec![Asn(10 + path)],
                     origin: Asn(100 + (i % 5) as u32),
                     metro: MetroId(0),
                     region: Region::Europe,

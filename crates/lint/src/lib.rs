@@ -348,16 +348,22 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// The virtual workspace path a rule's fixtures are linted under,
-/// derived from the rule's own `scope` so a scoped rule fires on them.
-pub fn fixture_virtual_path(rule: &Rule) -> String {
+/// The virtual workspace paths a rule's fixtures are linted under,
+/// derived from the rule's own `scope` so a scoped rule fires on them:
+/// one per scope prefix (never empty), so a prefix dropped from — or
+/// mistyped in — a rule's scope fails the self-check.
+pub fn fixture_virtual_paths(rule: &Rule) -> Vec<String> {
     let file = format!("fixture_{}.rs", rule.id.replace('-', "_"));
-    match rule.scope {
-        // A full path in the scope names the file itself.
-        Scope::Under([first, ..]) if first.ends_with(".rs") => first.to_string(),
-        Scope::Under([first, ..]) => format!("{first}{file}"),
-        _ => format!("crates/core/src/{file}"),
-    }
+    let prefixes = match rule.scope {
+        Scope::Under(prefixes) if !prefixes.is_empty() => prefixes,
+        _ => &["crates/core/src/"],
+    };
+    // A full path in the scope names the file itself.
+    let under = |p: &&str| match p.ends_with(".rs") {
+        true => p.to_string(),
+        false => format!("{p}{file}"),
+    };
+    prefixes.iter().map(under).collect()
 }
 
 /// Outcome of checking one fixture file (or pass fixture tree).
@@ -397,7 +403,8 @@ fn fixture_result(id: &str, file: String, kind: &str, report: &Report) -> Fixtur
 /// Runs every rule's bad/good/allow fixtures under
 /// `crates/lint/tests/fixtures/<rule>/` and checks the contract:
 /// `bad.rs` trips the rule, `good.rs` is clean, `allow.rs` is clean
-/// *because* of annotations (suppressions present, reasons recorded).
+/// *because* of annotations (suppressions present, reasons recorded),
+/// each under every path prefix of the rule's scope.
 /// The two interprocedural passes check the same contract over
 /// bad/good/allow *mini-workspace trees* (each a root with its own
 /// `crates/` and optional `lint.toml`), since they need call graphs
@@ -408,14 +415,16 @@ pub fn self_check(root: &Path) -> Result<Vec<FixtureResult>, String> {
     let mut results = Vec::new();
     for rule in rules::RULES {
         let id = rule.id;
-        let vpath = fixture_virtual_path(rule);
         for kind in ["bad", "good", "allow"] {
             let fpath = fixtures.join(id).join(format!("{kind}.rs"));
             let src = std::fs::read_to_string(&fpath)
                 .map_err(|e| format!("{}: read failed: {e}", fpath.display()))?;
-            let mut report = Report::default();
-            lint_source(&vpath, &src, &cfg, &mut report);
-            results.push(fixture_result(id, format!("{id}/{kind}.rs"), kind, &report));
+            for vpath in fixture_virtual_paths(rule) {
+                let mut report = Report::default();
+                lint_source(&vpath, &src, &cfg, &mut report);
+                let file = format!("{id}/{kind}.rs as {vpath}");
+                results.push(fixture_result(id, file, kind, &report));
+            }
         }
     }
     for id in [TRANSITIVE_EFFECT, STALE_SUPPRESSION] {

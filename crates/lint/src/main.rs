@@ -95,7 +95,7 @@ fn main() -> ExitCode {
                 let mut failed = 0usize;
                 for r in &results {
                     let status = if r.pass { "PASS" } else { "FAIL" };
-                    println!("{status} {:<32} {}", r.file, r.detail);
+                    println!("{status} {:<72} {}", r.file, r.detail);
                     failed += usize::from(!r.pass);
                 }
                 println!(

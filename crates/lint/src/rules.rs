@@ -116,8 +116,12 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "sip-hasher",
-        summary: "bare HashMap/HashSet in crates/core: use fxhash::DetHashMap/DetHashSet (deterministic, non-sip)",
-        scope: Scope::Under(&["crates/core/src/"]),
+        summary: "bare HashMap/HashSet in crates/{core,topology,simnet}: use fxhash::DetHashMap/DetHashSet (deterministic, non-sip)",
+        scope: Scope::Under(&[
+            "crates/core/src/",
+            "crates/topology/src/",
+            "crates/simnet/src/",
+        ]),
         check: sip_hasher,
     },
     Rule {
@@ -206,16 +210,18 @@ fn wall_clock(f: &FileCtx, out: &mut Vec<Diagnostic>) {
 
 // ---------------------------------------------------------------- sip-hasher
 
-/// Bare `HashMap`/`HashSet` in `crates/core`: engine maps must use the
-/// deterministic Fx-hashed aliases.
+/// Bare `HashMap`/`HashSet` in `crates/core`, `crates/topology` or
+/// `crates/simnet`: engine maps and the simulator's lookup tables must
+/// use the deterministic Fx-hashed aliases.
 ///
 /// `std`'s default `RandomState` seeds SipHash from process entropy —
 /// slow for the short fixed-width keys the engine hashes, and a fresh
 /// iteration order every run (one more variance source while chasing a
-/// transcript diff). `crate::fxhash::{DetHashMap, DetHashSet}` are
-/// drop-in replacements constructed via `::default()` or the
+/// transcript diff). `blameit_topology::fxhash::{DetHashMap,
+/// DetHashSet}` (re-exported as `blameit::fxhash`) are drop-in
+/// replacements constructed via `::default()` or the
 /// `det_*_with_capacity` helpers. The rule is lexical: any non-test
-/// mention of the bare std names inside `crates/core/src/` fires —
+/// mention of the bare std names inside those crates' `src/` fires —
 /// type position, turbofish, or import — so the hazard is caught at
 /// the `use` line, before the first map is even built. Annotate the
 /// rare legitimate reference (the alias definitions themselves; the
@@ -229,7 +235,7 @@ fn sip_hasher(f: &FileCtx, out: &mut Vec<Diagnostic>) {
             "sip-hasher",
             t,
             format!(
-                "bare `{name}` hashes with randomly-seeded SipHash; use `crate::fxhash::Det{name}` \
+                "bare `{name}` hashes with randomly-seeded SipHash; use `fxhash::Det{name}` \
                  (construct via `::default()` or `det_*_with_capacity`) or annotate why std hashing is required",
                 name = t.text
             ),

@@ -5,7 +5,7 @@
 
 use blameit_lint::diag::Report;
 use blameit_lint::rules::{Rule, RULES};
-use blameit_lint::{fixture_virtual_path, lint_source, run_workspace, self_check};
+use blameit_lint::{fixture_virtual_paths, lint_source, run_workspace, self_check};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -20,16 +20,18 @@ fn lint_fixture(rule: &Rule, kind: &str) -> Report {
         .join(format!("{kind}.rs"));
     let src = std::fs::read_to_string(&path).expect("fixture readable");
     let mut report = Report::default();
-    let vpath = fixture_virtual_path(rule);
-    lint_source(&vpath, &src, &Default::default(), &mut report);
+    let vpath = &fixture_virtual_paths(rule)[0];
+    lint_source(vpath, &src, &Default::default(), &mut report);
     report
 }
 
 #[test]
 fn every_fixture_expectation_holds() {
     let results = self_check(&repo_root()).expect("fixtures readable");
-    // 9 lexical rules plus 2 workspace passes, × {bad, good, allow}.
-    assert_eq!(results.len(), 33, "one fixture triple per rule and pass");
+    // {bad, good, allow} × (6 single-path lexical rules, the 3 + 5 + 3
+    // scope prefixes of as-cast-truncation, panic-in-decode and
+    // sip-hasher, and the 2 workspace passes).
+    assert_eq!(results.len(), 3 * (6 + 11 + 2), "a fixture triple per path");
     let failures: Vec<String> = results
         .iter()
         .filter(|r| !r.pass)
@@ -140,12 +142,13 @@ fn merged_rule_fixtures_pin_every_pattern() {
 #[test]
 fn fixture_virtual_paths_lie_inside_their_rules_scope() {
     for rule in RULES {
-        let vpath = fixture_virtual_path(rule);
-        assert!(
-            rule.scope.contains(&vpath),
-            "{}: fixture path {vpath} is outside the rule's own scope",
-            rule.id
-        );
+        for vpath in fixture_virtual_paths(rule) {
+            assert!(
+                rule.scope.contains(&vpath),
+                "{}: fixture path {vpath} is outside the rule's own scope",
+                rule.id
+            );
+        }
     }
 }
 

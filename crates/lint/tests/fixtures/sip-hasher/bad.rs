@@ -1,4 +1,5 @@
-// Fixture: bare std hash containers on the engine's hot path. Both
+// Fixture: bare std hash containers on the engine's hot path or in a
+// simulator lookup table (the rule covers both crates' trees). Both
 // the `use` line and the constructions must trip — the rule is
 // lexical, so the hazard surfaces at the import before any map is
 // built.

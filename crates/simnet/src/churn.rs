@@ -13,16 +13,16 @@
 
 use crate::time::{SimTime, TimeRange};
 use blameit_topology::bgp::{BgpChurnEvent, RouteOption};
+use blameit_topology::fxhash::DetHashMap;
 use blameit_topology::rng::DetRng;
 use blameit_topology::{CloudLocId, Topology};
-use std::collections::HashMap;
 
 /// Churn state for a whole simulation run.
 #[derive(Clone, Debug)]
 pub struct ChurnModel {
     /// Change instants per (location, prefix index), sorted ascending.
     /// Routes with a single option or no events are absent.
-    events: HashMap<(CloudLocId, u32), Vec<SimTime>>,
+    events: DetHashMap<(CloudLocId, u32), Vec<SimTime>>,
     /// All events flattened and time-sorted: `(at, loc, prefix_idx,
     /// flip ordinal)`. The analysis engine asks for "events since the
     /// last tick" thousands of times per run; slicing this index is
@@ -37,7 +37,7 @@ impl ChurnModel {
     /// `rate_per_day = 0.4` reproduces the paper's two-thirds-stable
     /// observation (`P[Poisson(0.4) = 0] ≈ 0.67`).
     pub fn generate(topo: &Topology, range: TimeRange, rate_per_day: f64, seed: u64) -> Self {
-        let mut events = HashMap::new();
+        let mut events = DetHashMap::default();
         let days = range.secs() as f64 / 86_400.0;
         for (pi, p) in topo.prefixes.iter().enumerate() {
             for loc in &topo.cloud_locations {
@@ -78,7 +78,7 @@ impl ChurnModel {
     /// A churn-free model (for controlled experiments).
     pub fn none() -> Self {
         ChurnModel {
-            events: HashMap::new(),
+            events: DetHashMap::default(),
             timeline: Vec::new(),
             rate_per_day: 0.0,
         }

@@ -8,7 +8,7 @@
 
 use crate::time::TimeRange;
 use crate::world::World;
-use std::collections::HashSet;
+use blameit_topology::fxhash::DetHashSet;
 
 /// Corpus statistics in the shape of the paper's Table 2.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -43,12 +43,12 @@ impl DatasetSummary {
             buckets = range.num_buckets(),
         );
         let mut s = DatasetSummary::default();
-        let mut p24s = HashSet::new();
-        let mut prefixes = HashSet::new();
-        let mut ases = HashSet::new();
-        let mut metros = HashSet::new();
-        let mut paths = HashSet::new();
-        let mut locs = HashSet::new();
+        let mut p24s = DetHashSet::default();
+        let mut prefixes = DetHashSet::default();
+        let mut ases = DetHashSet::default();
+        let mut metros = DetHashSet::default();
+        let mut paths = DetHashSet::default();
+        let mut locs = DetHashSet::default();
         for bucket in range.buckets() {
             s.buckets += 1;
             for q in world.quartets_in(bucket) {

@@ -18,9 +18,9 @@
 
 use crate::asn::Asn;
 use crate::cloud::CloudLocId;
+use crate::fxhash::DetHashMap;
 use crate::geo::MetroId;
 use crate::ip::IpPrefix;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Interned identifier of a [`BgpPath`] (a middle-AS sequence).
@@ -61,7 +61,7 @@ impl fmt::Display for BgpPath {
 #[derive(Clone, Debug, Default)]
 pub struct PathTable {
     paths: Vec<BgpPath>,
-    index: HashMap<Vec<Asn>, PathId>,
+    index: DetHashMap<Vec<Asn>, PathId>,
 }
 
 impl PathTable {
@@ -201,7 +201,7 @@ pub struct BgpChurnEvent {
 pub struct BgpTable {
     routes: Vec<RouteOptions>,
     /// (loc, prefix) → arena index. Built once by the generator.
-    by_prefix: HashMap<(CloudLocId, IpPrefix), RouteIdx>,
+    by_prefix: DetHashMap<(CloudLocId, IpPrefix), RouteIdx>,
 }
 
 impl BgpTable {

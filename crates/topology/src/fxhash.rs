@@ -1,5 +1,8 @@
 //! Deterministic hashing for the hot path.
 //!
+//! In the bottom crate so the simulator's lookup tables and the engine's
+//! maps share one hasher (`blameit::fxhash` re-exports this module).
+//!
 //! `std`'s default `RandomState` seeds SipHash from OS entropy, which
 //! is both slow for the small fixed-width keys the engine hashes
 //! (quartet keys, location ids, path ids) and a latent determinism
@@ -17,8 +20,8 @@
 //! buys is (a) SipHash off the per-record profile and (b) one fewer
 //! source of run-to-run variance while debugging. The companion
 //! `sip-hasher` lint rule makes these aliases mandatory in
-//! `crates/core`: bare `HashMap`/`HashSet` construction does not pass
-//! review without an annotated reason.
+//! `crates/{topology,simnet,core}`: bare `HashMap`/`HashSet`
+//! construction does not pass review without an annotated reason.
 
 // lint:allow(sip-hasher): this module defines the deterministic aliases; the underlying std containers appear only here
 use std::collections::{HashMap, HashSet};
@@ -28,8 +31,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// `u64` words so results do not depend on pointer width.
 ///
 /// Not cryptographic and not DoS-resistant — fine here, because every
-/// key the engine hashes is derived from simulator state, not from
-/// untrusted network input.
+/// key the simulator and the engine hash is derived from simulator
+/// state, not from untrusted network input.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -107,12 +110,12 @@ pub type DetState = BuildHasherDefault<FxHasher>;
 /// Drop-in `HashMap` with the deterministic Fx hasher. Construct with
 /// `DetHashMap::default()` (the alias has no `new()`; that constructor
 /// is specific to `RandomState`) or [`det_map_with_capacity`].
-// lint:allow(sip-hasher): alias definition — every other core module builds maps through this
+// lint:allow(sip-hasher): alias definition — every other module builds maps through this
 pub type DetHashMap<K, V> = HashMap<K, V, DetState>;
 
 /// Drop-in `HashSet` with the deterministic Fx hasher. Construct with
 /// `DetHashSet::default()` or [`det_set_with_capacity`].
-// lint:allow(sip-hasher): alias definition — every other core module builds sets through this
+// lint:allow(sip-hasher): alias definition — every other module builds sets through this
 pub type DetHashSet<T> = HashSet<T, DetState>;
 
 /// `DetHashMap` pre-sized for `n` entries (`with_capacity` lives on the

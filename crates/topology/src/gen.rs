@@ -19,11 +19,11 @@
 use crate::asn::{AsInfo, AsRole, Asn};
 use crate::bgp::{AsHop, BgpTable, PathTable, RouteIdx, RouteOption, RouteOptions};
 use crate::cloud::{CloudLocId, CloudLocation};
+use crate::fxhash::DetHashMap;
 use crate::geo::{builtin_metros, Metro, MetroId, Region};
 use crate::graph::{AsGraph, LinkKind, PopId, PopPath};
 use crate::ip::{IpPrefix, Prefix24};
 use crate::rng::DetRng;
-use std::collections::HashMap;
 
 /// Tuning knobs for topology generation.
 #[derive(Clone, Debug)]
@@ -153,8 +153,8 @@ pub struct Topology {
     pub prefixes: Vec<AnnouncedPrefix>,
     /// Client /24 catalogue.
     pub clients: Vec<ClientBlock>,
-    p24_index: HashMap<Prefix24, u32>,
-    as_index: HashMap<Asn, u32>,
+    p24_index: DetHashMap<Prefix24, u32>,
+    as_index: DetHashMap<Asn, u32>,
 }
 
 impl Topology {
@@ -185,7 +185,7 @@ impl Topology {
             rng: &mut rng,
             ases: Vec::new(),
             graph: AsGraph::new(),
-            pops_by_as: HashMap::new(),
+            pops_by_as: DetHashMap::default(),
             next_asn: 100,
         };
 
@@ -222,7 +222,7 @@ impl Topology {
         let loc_pop: Vec<PopId> = pops_by_as[&cloud_asn].clone();
 
         let prefixes = announce_prefixes(&config, &access);
-        let as_index: HashMap<Asn, u32> = ases
+        let as_index: DetHashMap<Asn, u32> = ases
             .iter()
             .enumerate()
             .map(|(i, a)| (a.asn, i as u32))
@@ -343,13 +343,13 @@ fn compute_routes(
     config: &TopologyConfig,
     graph: &AsGraph,
     ases: &[AsInfo],
-    as_index: &HashMap<Asn, u32>,
+    as_index: &DetHashMap<Asn, u32>,
     prefixes: &[AnnouncedPrefix],
     loc_pop: &[PopId],
 ) -> (PathTable, BgpTable) {
     let mut paths = PathTable::new();
     let mut bgp = BgpTable::new();
-    let mut route_cache: HashMap<(CloudLocId, PopId), RouteIdx> = HashMap::new();
+    let mut route_cache: DetHashMap<(CloudLocId, PopId), RouteIdx> = DetHashMap::default();
     for p in prefixes {
         // The origin AS PoP at the prefix's home metro.
         let origin_pop = graph
@@ -410,9 +410,9 @@ fn fan_out_clients(
     prefixes: &[AnnouncedPrefix],
     cloud_locations: &[CloudLocation],
     bgp: &BgpTable,
-) -> (Vec<ClientBlock>, HashMap<Prefix24, u32>) {
+) -> (Vec<ClientBlock>, DetHashMap<Prefix24, u32>) {
     let mut clients = Vec::new();
-    let mut p24_index = HashMap::new();
+    let mut p24_index = DetHashMap::default();
     for (pi, p) in prefixes.iter().enumerate() {
         let region = metros[p.metro.0 as usize].region;
         // Rank locations by primary-route latency for this origin.
@@ -482,7 +482,7 @@ fn build_route_option(
     pp: &PopPath,
     graph: &AsGraph,
     ases: &[AsInfo],
-    as_index: &HashMap<Asn, u32>,
+    as_index: &DetHashMap<Asn, u32>,
     paths: &mut PathTable,
 ) -> RouteOption {
     // Collapse to per-AS last hops, carrying the metro of the last PoP.
@@ -535,7 +535,7 @@ struct Builder<'a> {
     rng: &'a mut DetRng,
     ases: Vec<AsInfo>,
     graph: AsGraph,
-    pops_by_as: HashMap<Asn, Vec<PopId>>,
+    pops_by_as: DetHashMap<Asn, Vec<PopId>>,
     next_asn: u32,
 }
 

@@ -20,6 +20,8 @@
 //!   and an IBGP-listener event feed.
 //! * [`gen`] — a seeded generator assembling all of the above into a
 //!   [`Topology`].
+//! * [`fxhash`] — the workspace's fixed-seed hasher and the
+//!   `DetHashMap`/`DetHashSet` aliases every lookup table is built on.
 //!
 //! Everything is deterministic given a seed: the same seed produces the
 //! same Internet, byte for byte, regardless of platform or thread count.
@@ -27,6 +29,7 @@
 pub mod asn;
 pub mod bgp;
 pub mod cloud;
+pub mod fxhash;
 pub mod gen;
 pub mod geo;
 pub mod graph;
