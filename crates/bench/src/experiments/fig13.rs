@@ -56,8 +56,7 @@ fn run_cell(world: &World, period_secs: u64, churn: bool, warmup_days: u64, days
     let burn_in = TimeRange::new(rest.start, SimTime::from_days(warmup_days));
     for _ in engine.run(&mut backend, burn_in) {}
     backend.reset_probes();
-    engine.background_probes_total = 0;
-    engine.on_demand_probes_total = 0;
+    let background_before = engine.state().background_probes_total;
     let eval = TimeRange::new(burn_in.end, rest.end);
 
     let mut attempted = 0u64;
@@ -89,7 +88,8 @@ fn run_cell(world: &World, period_secs: u64, churn: bool, warmup_days: u64, days
         },
         localized: attempted,
         probes_per_day: backend.probes_issued() as f64 / eval_days,
-        background_per_day: engine.background_probes_total as f64 / eval_days,
+        background_per_day: (engine.state().background_probes_total - background_before) as f64
+            / eval_days,
     }
 }
 

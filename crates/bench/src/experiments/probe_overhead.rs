@@ -77,11 +77,17 @@ pub fn run(args: &Args) {
         ),
         (
             "  of which background",
-            format!("{:.0}", engine.background_probes_total as f64 / eval_days),
+            format!(
+                "{:.0}",
+                engine.state().background_probes_total as f64 / eval_days
+            ),
         ),
         (
             "  of which on-demand",
-            format!("{:.0}", engine.on_demand_probes_total as f64 / eval_days),
+            format!(
+                "{:.0}",
+                engine.state().on_demand_probes_total as f64 / eval_days
+            ),
         ),
         (
             "active-only probes/day (10 min)",
@@ -93,7 +99,7 @@ pub fn run(args: &Args) {
         ),
     ]);
     println!();
-    let bg_per_day = engine.background_probes_total as f64 / eval_days;
+    let bg_per_day = engine.state().background_probes_total as f64 / eval_days;
     let vs_active_bg = active_only_per_day / bg_per_day.max(1.0);
     let vs_active = active_only_per_day / blameit_per_day.max(1.0);
     let vs_tri = tri_per_day / blameit_per_day.max(1.0);

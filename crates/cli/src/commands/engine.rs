@@ -88,13 +88,11 @@ pub(super) fn spec_for(verb: &str, args: &Args) -> Result<ScenarioSpec, CliError
             days,
             warmup_days,
             organic: incident.is_none(),
-            ..WorldSpec::default()
         },
         faults,
         chaos: args.get("fault-plan").map(|name| ChaosSpec {
-            plan: Some(name.to_string()),
-            seed: Some(args.u64("fault-seed", 0xC4A05)),
-            ..ChaosSpec::default()
+            plan: name.to_string(),
+            seed: args.u64("fault-seed", 0xC4A05),
         }),
         eval: EvalSpec {
             start_hour: eval.0 as f64,
@@ -181,7 +179,8 @@ pub(super) fn render_run_summary(
     writeln!(
         out,
         "probes: {} background + {} on-demand",
-        engine.background_probes_total, engine.on_demand_probes_total
+        engine.state().background_probes_total,
+        engine.state().on_demand_probes_total
     )
     .unwrap();
     // Degraded-verdict breakdown: why middle localizations fell back

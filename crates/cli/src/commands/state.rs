@@ -117,6 +117,9 @@ mod tests {
         // fsck on the healthy directory is CLEAN (exit 0 path).
         let clean = run_s(&["fsck", dir_s]).unwrap();
         assert!(clean.contains("CLEAN"), "{clean}");
+        // ... and says where the newest snapshot's bytes are, once.
+        assert_eq!(clean.matches(": section bytes identity=20 ").count(), 1);
+        assert!(clean.contains(" flight=") && clean.contains(" counters=128\n"));
 
         // Force a real replay: drop the newest snapshots so recovery
         // falls back to an older one and re-derives the tail from the

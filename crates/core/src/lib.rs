@@ -111,7 +111,9 @@ pub use persist::{
     fsck, tick_digest, CodecError, DurableEngine, FsckReport, PersistError, PersistMetrics,
     RecoveryReport, StartMode, StateStore,
 };
-pub use pipeline::{Alert, BlameItConfig, BlameItEngine, MiddleLocalization, TickOutput};
+pub use pipeline::{
+    Alert, BlameItConfig, BlameItEngine, EngineState, MiddleLocalization, TickOutput,
+};
 pub use priority::{
     prioritize, select_within_budget, select_within_budgets, MiddleIssue, PrioritizedIssue,
 };

@@ -412,11 +412,6 @@ pub fn write_section_with(w: &mut ByteWriter, id: u8, body: impl FnOnce(&mut Byt
     w.put_u32(crc);
 }
 
-/// Appends one framed section holding `payload`.
-pub fn write_section(w: &mut ByteWriter, id: u8, payload: &[u8]) {
-    write_section_with(w, id, |w| w.put_bytes(payload));
-}
-
 /// Reads one framed section, validating its CRC. Returns `(id, payload)`.
 pub fn read_section<'a>(r: &mut ByteReader<'a>) -> Result<(u8, &'a [u8]), CodecError> {
     let start = r.pos;
@@ -526,7 +521,7 @@ mod tests {
     fn section_roundtrip_and_crc() {
         let mut w = ByteWriter::new();
         write_preamble(&mut w, KIND_SNAPSHOT);
-        write_section(&mut w, 3, b"hello");
+        write_section_with(&mut w, 3, |w| w.put_bytes(b"hello"));
         let mut bytes = w.into_bytes();
         let mut r = read_preamble(&bytes, KIND_SNAPSHOT).unwrap();
         let (id, payload) = read_section(&mut r).unwrap();

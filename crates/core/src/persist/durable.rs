@@ -239,7 +239,7 @@ impl DurableEngine {
                 // corrupt — exactly the anomaly the flight recorder
                 // exists to capture, so log (and possibly dump) it.
                 engine.fire_flight_trigger(
-                    engine.churn_cursor.secs(),
+                    engine.state.churn_cursor.secs(),
                     blameit_obs::FlightTrigger::RecoveryFallback,
                     format!("recovered after rejecting {rejected} snapshot(s)"),
                 );
@@ -315,23 +315,32 @@ impl DurableEngine {
     /// Writes a snapshot immediately (no kill points — this is the
     /// deliberate checkpoint path, not the in-tick protocol).
     pub fn checkpoint_now(&mut self) -> Result<(), PersistError> {
+        self.write_snapshot(None)
+    }
+
+    /// The one snapshot-write sequence: encode the engine's state after
+    /// `ticks_done` ticks, write it, account for it. With `tear` (the
+    /// `mid-snapshot-write` kill point) only that fraction of the temp
+    /// file reaches the disk and the call reports the crash.
+    fn write_snapshot(&mut self, tear: Option<f64>) -> Result<(), PersistError> {
         // lint:allow(wall-clock): times the snapshot write for the snapshot_write_us metric only; never reaches engine state
         let t0 = std::time::Instant::now();
         let bytes = snapshot::encode(&self.engine, self.ticks_done);
+        if let Some(tear) = tear {
+            self.store
+                .write_snapshot_torn(self.ticks_done, &bytes, tear)?;
+            return Err(PersistError::Crashed(CrashPoint::MidSnapshotWrite));
+        }
         self.store.write_snapshot(self.ticks_done, &bytes)?;
-        self.note_snapshot(bytes.len(), t0);
-        Ok(())
-    }
-
-    fn note_snapshot(&mut self, bytes: usize, t0: std::time::Instant) {
         self.metrics.snapshots_written.inc();
-        self.metrics.snapshot_bytes.observe(bytes as f64);
+        self.metrics.snapshot_bytes.observe(bytes.len() as f64);
         self.metrics
             .snapshot_write_us
             // lint:allow(wall-clock): metrics-only duration of the snapshot write; write-only observability
             .observe(t0.elapsed().as_micros() as f64);
         self.last_snapshot_tick = self.ticks_done;
         self.metrics.journal_lag_ticks.set(0.0);
+        Ok(())
     }
 
     fn crash_fires(&self, tick: u64, point: CrashPoint) -> Option<f64> {
@@ -376,16 +385,7 @@ impl DurableEngine {
             if self.crash_fires(idx, CrashPoint::PreSnapshot).is_some() {
                 return Err(PersistError::Crashed(CrashPoint::PreSnapshot));
             }
-            // lint:allow(wall-clock): times the snapshot write for the snapshot_write_us metric only; never reaches engine state
-            let t0 = std::time::Instant::now();
-            let bytes = snapshot::encode(&self.engine, self.ticks_done);
-            if let Some(tear) = self.crash_fires(idx, CrashPoint::MidSnapshotWrite) {
-                self.store
-                    .write_snapshot_torn(self.ticks_done, &bytes, tear)?;
-                return Err(PersistError::Crashed(CrashPoint::MidSnapshotWrite));
-            }
-            self.store.write_snapshot(self.ticks_done, &bytes)?;
-            self.note_snapshot(bytes.len(), t0);
+            self.write_snapshot(self.crash_fires(idx, CrashPoint::MidSnapshotWrite))?;
         }
         Ok(out)
     }

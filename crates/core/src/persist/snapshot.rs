@@ -19,24 +19,25 @@
 //! stored as IEEE-754 bit patterns (exact round-trip).
 
 use super::codec::{
-    read_preamble, read_section, write_preamble, write_section, ByteReader, ByteWriter, CodecError,
-    KIND_SNAPSHOT,
+    read_preamble, read_section, write_preamble, write_section_with, ByteReader, ByteWriter,
+    CodecError, KIND_SNAPSHOT,
 };
 use super::PersistError;
 use crate::active::UnlocalizedReason;
 use crate::background::{BackgroundScheduler, BaselineEntry, BaselineStore};
-use crate::fxhash::{det_set_with_capacity, DetHashMap, DetHashSet};
+use crate::fxhash::{det_set_with_capacity, DetHashSet};
 use crate::grouping::MiddleKey;
 use crate::history::{
     ClientCountHistory, DurationHistory, DurationSamples, ExpectedRttLearner, RttKey, RttSeries,
 };
 use crate::incident::{IncidentTracker, OpenIncident};
-use crate::pipeline::BlameItEngine;
+use crate::pipeline::{BlameItEngine, EngineState};
 use blameit_obs::{FlightDumpEvent, FlightFrame, FlightTrigger};
 use blameit_simnet::{SimTime, TimeBucket};
 use blameit_topology::rng::DetRng;
 use blameit_topology::{Asn, CloudLocId, IpPrefix, MetroId, PathId, Prefix24};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::hash::Hash;
 
 // Section ids, in file order.
 const SEC_IDENTITY: u8 = 1;
@@ -50,11 +51,26 @@ const SEC_ENGINE: u8 = 8;
 const SEC_FLIGHT: u8 = 9;
 const SEC_COUNTERS: u8 = 10;
 
-/// A fully decoded snapshot, not yet bound to an engine.
+/// Every section, in file order, with the name `fsck` prints for it.
+pub const SECTIONS: [(u8, &str); 10] = [
+    (SEC_IDENTITY, "identity"),
+    (SEC_EXPECTED, "expected"),
+    (SEC_DURATIONS, "durations"),
+    (SEC_CLIENT_HIST, "client_hist"),
+    (SEC_INCIDENTS, "incidents"),
+    (SEC_BASELINES, "baselines"),
+    (SEC_SCHEDULER, "scheduler"),
+    (SEC_ENGINE, "engine"),
+    (SEC_FLIGHT, "flight"),
+    (SEC_COUNTERS, "counters"),
+];
+
+/// A fully decoded snapshot, not yet bound to an engine: identity, the
+/// engine's [`EngineState`], the flight ring and the counters.
 ///
-/// Holding plain structs (rather than writing straight into an engine)
-/// lets `fsck` and the property tests validate a snapshot end-to-end
-/// without constructing a pipeline.
+/// Holding the decoded form (rather than writing straight into an
+/// engine) lets `fsck` and the property tests validate a snapshot
+/// end-to-end without constructing a pipeline.
 pub struct SnapshotState {
     /// Seed the engine ran under (identity — must match on load).
     pub seed: u64,
@@ -63,40 +79,8 @@ pub struct SnapshotState {
     /// Completed ticks at the moment the snapshot was taken; journal
     /// records at or beyond this index replay on top of it.
     pub ticks_done: u64,
-    /// The expected-RTT learner, RNG position included.
-    pub expected: ExpectedRttLearner,
-    /// Per-path incident-duration history.
-    pub durations: DurationHistory,
-    /// Per-(path, time-of-day) client volumes.
-    pub client_hist: ClientCountHistory,
-    /// Open incidents at snapshot time.
-    pub incidents_open: BTreeMap<(CloudLocId, PathId), OpenIncident>,
-    /// Last bucket the incident tracker saw.
-    pub incidents_last_bucket: Option<TimeBucket>,
-    /// The background-traceroute baseline store.
-    pub baselines: BaselineStore,
-    /// Background scheduler period.
-    pub scheduler_period_secs: u64,
-    /// Background scheduler churn triggering.
-    pub scheduler_churn_triggered: bool,
-    /// Background scheduler last-probed clocks.
-    pub scheduler_last: DetHashMap<(CloudLocId, PathId), SimTime>,
-    /// Representative probe /24 per (loc, path).
-    pub rep_p24: DetHashMap<(CloudLocId, PathId), Prefix24>,
-    /// The /24 each stored baseline was measured toward.
-    pub baseline_p24: DetHashMap<(CloudLocId, PathId), Prefix24>,
-    /// (location, prefix) pairs observed carrying traffic.
-    pub monitored_prefixes: DetHashSet<(CloudLocId, IpPrefix)>,
-    /// Badness episodes per (loc, path).
-    pub episodes: DetHashMap<(CloudLocId, PathId), (TimeBucket, TimeBucket)>,
-    /// Background targets already granted their one fast retry.
-    pub bg_failed_once: DetHashSet<(CloudLocId, PathId)>,
-    /// Where the churn feed was consumed up to.
-    pub churn_cursor: SimTime,
-    /// Lifetime on-demand probe count.
-    pub on_demand_probes_total: u64,
-    /// Lifetime background probe count.
-    pub background_probes_total: u64,
+    /// Everything a future tick reads.
+    pub state: EngineState,
     /// Flight-recorder frames at snapshot time, oldest first. Persisted
     /// so a post-recovery dump shows the same history an uninterrupted
     /// run would.
@@ -188,116 +172,111 @@ impl SnapshotState {
                 self.tick_buckets, engine.cfg.tick_buckets
             )));
         }
-        engine.expected = self.expected;
-        engine.durations = self.durations;
-        engine.client_hist = self.client_hist;
-        engine.incidents = IncidentTracker {
-            open: self.incidents_open,
-            last_bucket: self.incidents_last_bucket,
-        };
-        engine.baselines = self.baselines;
-        engine.scheduler = BackgroundScheduler {
-            period_secs: self.scheduler_period_secs,
-            churn_triggered: self.scheduler_churn_triggered,
-            last: self.scheduler_last,
-        };
-        engine.rep_p24 = self.rep_p24;
-        engine.baseline_p24 = self.baseline_p24;
-        engine.monitored_prefixes = self.monitored_prefixes;
-        engine.episodes = self.episodes;
-        engine.bg_failed_once = self.bg_failed_once;
-        engine.churn_cursor = self.churn_cursor;
-        engine.on_demand_probes_total = self.on_demand_probes_total;
-        engine.background_probes_total = self.background_probes_total;
+        engine.state = self.state;
         engine.flight.restore(self.flight_frames, self.flight_dumps);
         self.counters.install(engine);
         Ok(self.ticks_done)
     }
-}
 
-impl SnapshotState {
-    /// Captures (clones) the engine's durable state after `ticks_done`
-    /// completed ticks.
-    // lint:allow(transitive-effect): flight-recorder lock().expect only propagates a *prior* panic (poisoned mutex); it cannot originate one
-    pub(crate) fn capture(engine: &BlameItEngine, ticks_done: u64) -> SnapshotState {
-        SnapshotState {
-            seed: engine.cfg.seed,
-            tick_buckets: engine.cfg.tick_buckets,
-            ticks_done,
-            expected: engine.expected.clone(),
-            durations: engine.durations.clone(),
-            client_hist: engine.client_hist.clone(),
-            incidents_open: engine.incidents.open.clone(),
-            incidents_last_bucket: engine.incidents.last_bucket,
-            baselines: engine.baselines.clone(),
-            scheduler_period_secs: engine.scheduler.period_secs,
-            scheduler_churn_triggered: engine.scheduler.churn_triggered,
-            scheduler_last: engine.scheduler.last.clone(),
-            rep_p24: engine.rep_p24.clone(),
-            baseline_p24: engine.baseline_p24.clone(),
-            monitored_prefixes: engine.monitored_prefixes.clone(),
-            episodes: engine.episodes.clone(),
-            bg_failed_once: engine.bg_failed_once.clone(),
-            churn_cursor: engine.churn_cursor,
-            on_demand_probes_total: engine.on_demand_probes_total,
-            background_probes_total: engine.background_probes_total,
-            flight_frames: engine.flight.frames(),
-            flight_dumps: engine.flight.dump_events(),
-            counters: SnapshotCounters::capture(engine),
-        }
-    }
-
-    /// Serializes to the canonical snapshot byte format. This is the
-    /// *only* writer of the format ([`encode`] routes through it), so
-    /// the property tests exercising it from outside the crate cover
-    /// the exact bytes the engine persists.
+    /// Serializes to the canonical snapshot byte format — through
+    /// [`write_snapshot`], the writer [`encode`] also uses, so the
+    /// property tests exercising it from outside the crate cover the
+    /// exact bytes the engine persists.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        write_preamble(&mut w, KIND_SNAPSHOT);
-
-        let mut s = ByteWriter::new();
-        s.put_u64(self.seed);
-        s.put_u32(self.tick_buckets);
-        s.put_u64(self.ticks_done);
-        write_section(&mut w, SEC_IDENTITY, &s.into_bytes());
-
-        write_section(&mut w, SEC_EXPECTED, &encode_expected(&self.expected));
-        write_section(&mut w, SEC_DURATIONS, &encode_durations(&self.durations));
-        write_section(
-            &mut w,
-            SEC_CLIENT_HIST,
-            &encode_client_hist(&self.client_hist),
-        );
-        write_section(
-            &mut w,
-            SEC_INCIDENTS,
-            &encode_incidents(&self.incidents_open, self.incidents_last_bucket),
-        );
-        write_section(&mut w, SEC_BASELINES, &encode_baselines(&self.baselines));
-        write_section(
-            &mut w,
-            SEC_SCHEDULER,
-            &encode_scheduler(
-                self.scheduler_period_secs,
-                self.scheduler_churn_triggered,
-                &self.scheduler_last,
-            ),
-        );
-        write_section(&mut w, SEC_ENGINE, &encode_engine_misc(self));
-        write_section(
-            &mut w,
-            SEC_FLIGHT,
-            &encode_flight(&self.flight_frames, &self.flight_dumps),
-        );
-        write_section(&mut w, SEC_COUNTERS, &encode_counters(&self.counters));
-        w.into_bytes()
+        write_snapshot(
+            (self.seed, self.tick_buckets, self.ticks_done),
+            &self.state,
+            (&self.flight_frames, &[]),
+            &self.flight_dumps,
+            &self.counters,
+        )
     }
 }
 
 /// Encodes the engine's full durable state after `ticks_done`
-/// completed ticks.
+/// completed ticks, from borrows of the engine's own state and flight
+/// ring: nothing is cloned on the way to the bytes.
+// lint:allow(transitive-effect): flight-recorder lock().expect only propagates a *prior* panic (poisoned mutex); it cannot originate one
 pub fn encode(engine: &BlameItEngine, ticks_done: u64) -> Vec<u8> {
-    SnapshotState::capture(engine, ticks_done).to_bytes()
+    let counters = SnapshotCounters::capture(engine);
+    engine.flight.with_ring(|frames, dumps| {
+        write_snapshot(
+            (engine.cfg.seed, engine.cfg.tick_buckets, ticks_done),
+            &engine.state,
+            frames.as_slices(),
+            dumps,
+            &counters,
+        )
+    })
+}
+
+/// The one writer of the snapshot format: preamble, then every section
+/// of [`SECTIONS`] in order, each framed and CRC'd in place. The flight
+/// frames arrive as the two halves of a ring, oldest first.
+fn write_snapshot(
+    (seed, tick_buckets, ticks_done): (u64, u32, u64),
+    state: &EngineState,
+    frames: (&[FlightFrame], &[FlightFrame]),
+    dumps: &[FlightDumpEvent],
+    counters: &SnapshotCounters,
+) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    write_preamble(&mut w, KIND_SNAPSHOT);
+    write_section_with(&mut w, SEC_IDENTITY, |w| {
+        w.put_u64(seed);
+        w.put_u32(tick_buckets);
+        w.put_u64(ticks_done);
+    });
+    write_section_with(&mut w, SEC_EXPECTED, |w| put_expected(w, &state.expected));
+    write_section_with(&mut w, SEC_DURATIONS, |w| {
+        put_durations(w, &state.durations)
+    });
+    write_section_with(&mut w, SEC_CLIENT_HIST, |w| {
+        put_client_hist(w, &state.client_hist)
+    });
+    write_section_with(&mut w, SEC_INCIDENTS, |w| {
+        put_incidents(w, &state.incidents)
+    });
+    write_section_with(&mut w, SEC_BASELINES, |w| {
+        put_baselines(w, &state.baselines)
+    });
+    write_section_with(&mut w, SEC_SCHEDULER, |w| {
+        put_scheduler(w, &state.scheduler)
+    });
+    write_section_with(&mut w, SEC_ENGINE, |w| put_engine_misc(w, state));
+    write_section_with(&mut w, SEC_FLIGHT, |w| put_flight(w, frames, dumps));
+    write_section_with(&mut w, SEC_COUNTERS, |w| put_counters(w, counters));
+    w.into_bytes()
+}
+
+/// Splits a snapshot into its CRC-checked section payloads, in
+/// [`SECTIONS`] order; anything else — a missing, extra, reordered or
+/// damaged section, trailing bytes — is an error.
+fn read_sections(bytes: &[u8]) -> Result<[&[u8]; SECTIONS.len()], CodecError> {
+    let mut r = read_preamble(bytes, KIND_SNAPSHOT)?;
+    let mut payloads: [&[u8]; SECTIONS.len()] = [&[]; SECTIONS.len()];
+    for ((want, _), slot) in SECTIONS.into_iter().zip(&mut payloads) {
+        let (id, payload) = read_section(&mut r)?;
+        if id != want {
+            return Err(CodecError::Invalid("sections out of order"));
+        }
+        *slot = payload;
+    }
+    if r.remaining() != 0 {
+        return Err(CodecError::Invalid("trailing bytes after last section"));
+    }
+    Ok(payloads)
+}
+
+/// `(section name, payload bytes)` for every section of a snapshot, in
+/// file order — what `fsck` prints so a growing section is visible.
+pub fn section_sizes(bytes: &[u8]) -> Result<Vec<(&'static str, usize)>, CodecError> {
+    let payloads = read_sections(bytes)?;
+    Ok(SECTIONS
+        .iter()
+        .zip(payloads)
+        .map(|((_, name), p)| (*name, p.len()))
+        .collect())
 }
 
 /// Decodes a snapshot. Errors (never panics) on any corruption:
@@ -305,109 +284,49 @@ pub fn encode(engine: &BlameItEngine, ticks_done: u64) -> Vec<u8> {
 /// CRC before its payload is even parsed.
 // lint:allow(transitive-effect): Prefix24::from_block is fed by get_block, which range-checks to 24 bits first — its assert cannot fire
 pub fn decode(bytes: &[u8]) -> Result<SnapshotState, CodecError> {
-    let mut r = read_preamble(bytes, KIND_SNAPSHOT)?;
-    let expect = [
-        SEC_IDENTITY,
-        SEC_EXPECTED,
-        SEC_DURATIONS,
-        SEC_CLIENT_HIST,
-        SEC_INCIDENTS,
-        SEC_BASELINES,
-        SEC_SCHEDULER,
-        SEC_ENGINE,
-        SEC_FLIGHT,
-        SEC_COUNTERS,
-    ];
-    let mut payloads: Vec<&[u8]> = Vec::with_capacity(expect.len());
-    for want in expect {
-        let (id, payload) = read_section(&mut r)?;
-        if id != want {
-            return Err(CodecError::Invalid("sections out of order"));
-        }
-        payloads.push(payload);
-    }
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes after last section"));
-    }
     let [p_ident, p_expected, p_durations, p_client, p_incidents, p_baselines, p_scheduler, p_engine, p_flight, p_counters] =
-        payloads.as_slice()
-    else {
-        return Err(CodecError::Invalid("wrong section count"));
-    };
+        read_sections(bytes)?;
 
     let mut ident = ByteReader::new(p_ident);
     let seed = ident.u64()?;
     let tick_buckets = ident.u32()?;
     let ticks_done = ident.u64()?;
 
-    let expected = decode_expected(p_expected)?;
-    let durations = decode_durations(p_durations)?;
-    let client_hist = decode_client_hist(p_client)?;
-    let (incidents_open, incidents_last_bucket) = decode_incidents(p_incidents)?;
-    let baselines = decode_baselines(p_baselines)?;
-    let (scheduler_period_secs, scheduler_churn_triggered, scheduler_last) =
-        decode_scheduler(p_scheduler)?;
-
     let mut e = ByteReader::new(p_engine);
-    let rep_p24 = get_map(&mut e, 10, get_loc_path, |r| {
-        Ok(Prefix24::from_block(get_block(r)?))
-    })?;
-    let baseline_p24 = get_map(&mut e, 10, get_loc_path, |r| {
-        Ok(Prefix24::from_block(get_block(r)?))
-    })?;
-    let n = e.len(7)?;
-    let mut monitored_prefixes = det_set_with_capacity(n);
-    for _ in 0..n {
-        let loc = CloudLocId(e.u16()?);
-        let base = e.u32()?;
-        let len = e.u8()?;
-        if len > 32 {
-            return Err(CodecError::Invalid("prefix length > 32"));
-        }
-        monitored_prefixes.insert((loc, IpPrefix::new(base, len)));
-    }
-    let episodes = get_map(&mut e, 14, get_loc_path, |r| {
-        Ok((TimeBucket(r.u32()?), TimeBucket(r.u32()?)))
-    })?;
-    let n = e.len(6)?;
-    let mut bg_failed_once = det_set_with_capacity(n);
-    for _ in 0..n {
-        bg_failed_once.insert(get_loc_path(&mut e)?);
-    }
-    let churn_cursor = SimTime(e.u64()?);
-    let on_demand_probes_total = e.u64()?;
-    let background_probes_total = e.u64()?;
+    let get_p24 = |r: &mut ByteReader<'_>| Ok(Prefix24::from_block(get_block(r)?));
+    // Field order is read order: the learner and history sections, then
+    // the engine section front to back.
+    let state = EngineState {
+        expected: decode_expected(p_expected)?,
+        durations: decode_durations(p_durations)?,
+        client_hist: decode_client_hist(p_client)?,
+        incidents: decode_incidents(p_incidents)?,
+        baselines: decode_baselines(p_baselines)?,
+        scheduler: decode_scheduler(p_scheduler)?,
+        rep_p24: get_map(&mut e, 10, get_loc_path, get_p24)?,
+        baseline_p24: get_map(&mut e, 10, get_loc_path, get_p24)?,
+        monitored_prefixes: get_set(&mut e, 7, |r| Ok((CloudLocId(r.u16()?), get_prefix(r)?)))?,
+        episodes: get_map(&mut e, 14, get_loc_path, |r| {
+            Ok((TimeBucket(r.u32()?), TimeBucket(r.u32()?)))
+        })?,
+        bg_failed_once: get_set(&mut e, 6, get_loc_path)?,
+        churn_cursor: SimTime(e.u64()?),
+        on_demand_probes_total: e.u64()?,
+        background_probes_total: e.u64()?,
+    };
     if e.remaining() != 0 {
         return Err(CodecError::Invalid("trailing bytes in engine section"));
     }
 
     let (flight_frames, flight_dumps) = decode_flight(p_flight)?;
-    let counters = decode_counters(p_counters)?;
-
     Ok(SnapshotState {
         seed,
         tick_buckets,
         ticks_done,
-        expected,
-        durations,
-        client_hist,
-        incidents_open,
-        incidents_last_bucket,
-        baselines,
-        scheduler_period_secs,
-        scheduler_churn_triggered,
-        scheduler_last,
-        rep_p24,
-        baseline_p24,
-        monitored_prefixes,
-        episodes,
-        bg_failed_once,
-        churn_cursor,
-        on_demand_probes_total,
-        background_probes_total,
+        state,
         flight_frames,
         flight_dumps,
-        counters,
+        counters: decode_counters(p_counters)?,
     })
 }
 
@@ -416,27 +335,30 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotState, CodecError> {
 /// Writes a map as `count · (key · value)…`, sorted by encoded key
 /// bytes — canonical regardless of the source container's iteration
 /// order (accepts `&HashMap`, `&BTreeMap`, or any `(&K, &V)` iterator).
+/// Keys are encoded once into one scratch buffer and a span index over
+/// it is sorted; each value is then written straight into `w`.
 fn put_map<'a, K: 'a, V: 'a>(
     w: &mut ByteWriter,
     map: impl IntoIterator<Item = (&'a K, &'a V)>,
     mut put_key: impl FnMut(&mut ByteWriter, &K),
     mut put_val: impl FnMut(&mut ByteWriter, &V),
 ) {
-    let mut entries: Vec<(Vec<u8>, Vec<u8>)> = map
-        .into_iter()
-        .map(|(k, v)| {
-            let mut kw = ByteWriter::new();
-            put_key(&mut kw, k);
-            let mut vw = ByteWriter::new();
-            put_val(&mut vw, v);
-            (kw.into_bytes(), vw.into_bytes())
-        })
-        .collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    w.put_len(entries.len());
-    for (k, v) in entries {
-        w.put_bytes(&k);
-        w.put_bytes(&v);
+    let map = map.into_iter();
+    let mut keys = ByteWriter::new();
+    let mut index: Vec<(usize, usize, &V)> = Vec::with_capacity(map.size_hint().0);
+    for (k, v) in map {
+        let start = keys.len();
+        put_key(&mut keys, k);
+        index.push((start, keys.len(), v));
+    }
+    let keys = keys.as_bytes();
+    // lint:allow(panic-in-decode): encode path — every span was measured on `keys` as it was written
+    let key = |&(start, end, _): &(usize, usize, &V)| &keys[start..end];
+    index.sort_unstable_by(|a, b| key(a).cmp(key(b)));
+    w.put_len(index.len());
+    for entry in &index {
+        w.put_bytes(key(entry));
+        put_val(w, entry.2);
     }
 }
 
@@ -456,6 +378,20 @@ fn get_map<M: FromIterator<(K, V)>, K, V>(
         entries.push((k, v));
     }
     Ok(entries.into_iter().collect())
+}
+
+/// Reads a `count · item…` set.
+fn get_set<T: Eq + Hash>(
+    r: &mut ByteReader<'_>,
+    min_item_bytes: usize,
+    mut get_item: impl FnMut(&mut ByteReader<'_>) -> Result<T, CodecError>,
+) -> Result<DetHashSet<T>, CodecError> {
+    let n = r.len(min_item_bytes)?;
+    let mut set = det_set_with_capacity(n);
+    for _ in 0..n {
+        set.insert(get_item(r)?);
+    }
+    Ok(set)
 }
 
 // ---- key/leaf encoders -----------------------------------------------------
@@ -502,20 +438,22 @@ fn put_middle_key(w: &mut ByteWriter, k: &MiddleKey) {
     }
 }
 
+/// An announced prefix as `base · len`.
 // lint:allow(transitive-effect): IpPrefix::new is guarded by the explicit `len > 32` check above the call — its assert cannot fire
+fn get_prefix(r: &mut ByteReader<'_>) -> Result<IpPrefix, CodecError> {
+    let base = r.u32()?;
+    let len = r.u8()?;
+    if len > 32 {
+        return Err(CodecError::Invalid("prefix length > 32"));
+    }
+    Ok(IpPrefix::new(base, len))
+}
+
 fn get_middle_key(r: &mut ByteReader<'_>) -> Result<MiddleKey, CodecError> {
     match r.u8()? {
         0 => Ok(MiddleKey::Path(PathId(r.u32()?))),
         1 => Ok(MiddleKey::Atom(PathId(r.u32()?), Asn(r.u32()?))),
-        2 => {
-            let p = PathId(r.u32()?);
-            let base = r.u32()?;
-            let len = r.u8()?;
-            if len > 32 {
-                return Err(CodecError::Invalid("prefix length > 32"));
-            }
-            Ok(MiddleKey::Prefix(p, IpPrefix::new(base, len)))
-        }
+        2 => Ok(MiddleKey::Prefix(PathId(r.u32()?), get_prefix(r)?)),
         3 => Ok(MiddleKey::AsMetro(Asn(r.u32()?), MetroId(r.u16()?))),
         _ => Err(CodecError::Invalid("unknown MiddleKey tag")),
     }
@@ -549,8 +487,7 @@ fn get_rtt_key(r: &mut ByteReader<'_>) -> Result<RttKey, CodecError> {
 
 // ---- sections --------------------------------------------------------------
 
-fn encode_expected(l: &ExpectedRttLearner) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn put_expected(w: &mut ByteWriter, l: &ExpectedRttLearner) {
     w.put_u32(l.window_days);
     w.put_u64(l.day_cap as u64);
     w.put_u32(l.latest_day);
@@ -560,7 +497,7 @@ fn encode_expected(l: &ExpectedRttLearner) -> Vec<u8> {
     }
     w.put_opt_f64(spare);
     // Two sections over one key set: reservoirs, then newest-day counts.
-    put_map(&mut w, &l.map, put_rtt_key, |w, series| {
+    put_map(w, &l.map, put_rtt_key, |w, series| {
         w.put_len(series.days.len());
         for (day, values) in &series.days {
             w.put_u32(*day);
@@ -570,18 +507,17 @@ fn encode_expected(l: &ExpectedRttLearner) -> Vec<u8> {
             }
         }
     });
-    put_map(&mut w, &l.map, put_rtt_key, |w, s| w.put_u64(s.seen));
+    put_map(w, &l.map, put_rtt_key, |w, s| w.put_u64(s.seen));
     // The median cache MUST be persisted: a cached entry freezes the
     // median at whatever observations existed at first lookup that
     // day, while `observe` keeps growing the underlying reservoirs. A
     // recovered engine recomputing the entry from the full map would
     // see a different (later) view of the same day and diverge.
     let cache = l.cache.borrow();
-    put_map(&mut w, &*cache, put_rtt_key, |w, (day, value)| {
+    put_map(w, &*cache, put_rtt_key, |w, (day, value)| {
         w.put_u32(*day);
         w.put_opt_f64(*value);
     });
-    w.into_bytes()
 }
 
 fn decode_expected(payload: &[u8]) -> Result<ExpectedRttLearner, CodecError> {
@@ -661,12 +597,10 @@ fn get_samples(r: &mut ByteReader<'_>) -> Result<DurationSamples, CodecError> {
     Ok(DurationSamples::from_fifo(q))
 }
 
-fn encode_durations(d: &DurationHistory) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn put_durations(w: &mut ByteWriter, d: &DurationHistory) {
     w.put_u64(d.cap as u64);
-    put_map(&mut w, &d.per_path, |w, p| w.put_u32(p.0), put_samples);
-    put_samples(&mut w, &d.global);
-    w.into_bytes()
+    put_map(w, &d.per_path, |w, p| w.put_u32(p.0), put_samples);
+    put_samples(w, &d.global);
 }
 
 fn decode_durations(payload: &[u8]) -> Result<DurationHistory, CodecError> {
@@ -684,11 +618,10 @@ fn decode_durations(payload: &[u8]) -> Result<DurationHistory, CodecError> {
     })
 }
 
-fn encode_client_hist(h: &ClientCountHistory) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn put_client_hist(w: &mut ByteWriter, h: &ClientCountHistory) {
     w.put_u32(h.window_days);
     put_map(
-        &mut w,
+        w,
         &h.map,
         |w, (p, slot)| {
             w.put_u32(p.0);
@@ -702,7 +635,6 @@ fn encode_client_hist(h: &ClientCountHistory) -> Vec<u8> {
             }
         },
     );
-    w.into_bytes()
 }
 
 fn decode_client_hist(payload: &[u8]) -> Result<ClientCountHistory, CodecError> {
@@ -732,26 +664,22 @@ fn decode_client_hist(payload: &[u8]) -> Result<ClientCountHistory, CodecError> 
     Ok(ClientCountHistory { window_days, map })
 }
 
-fn encode_incidents(open: &OpenIncidents, last_bucket: Option<TimeBucket>) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    match last_bucket {
+fn put_incidents(w: &mut ByteWriter, t: &IncidentTracker<(CloudLocId, PathId)>) {
+    match t.last_bucket {
         None => w.put_u8(0),
         Some(b) => {
             w.put_u8(1);
             w.put_u32(b.0);
         }
     }
-    put_map(&mut w, open, put_loc_path, |w, inc| {
+    put_map(w, &t.open, put_loc_path, |w, inc| {
         w.put_u32(inc.start.0);
         w.put_u32(inc.buckets);
         w.put_u64(inc.observations);
     });
-    w.into_bytes()
 }
 
-type OpenIncidents = BTreeMap<(CloudLocId, PathId), OpenIncident>;
-
-fn decode_incidents(payload: &[u8]) -> Result<(OpenIncidents, Option<TimeBucket>), CodecError> {
+fn decode_incidents(payload: &[u8]) -> Result<IncidentTracker<(CloudLocId, PathId)>, CodecError> {
     let mut r = ByteReader::new(payload);
     let last_bucket = match r.u8()? {
         0 => None,
@@ -768,13 +696,16 @@ fn decode_incidents(payload: &[u8]) -> Result<(OpenIncidents, Option<TimeBucket>
     if r.remaining() != 0 {
         return Err(CodecError::Invalid("trailing bytes in incident section"));
     }
-    Ok((open, last_bucket))
+    Ok(IncidentTracker { open, last_bucket })
 }
 
-fn encode_flight(frames: &[FlightFrame], dumps: &[FlightDumpEvent]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_len(frames.len());
-    for f in frames {
+fn put_flight(
+    w: &mut ByteWriter,
+    (older, newer): (&[FlightFrame], &[FlightFrame]),
+    dumps: &[FlightDumpEvent],
+) {
+    w.put_len(older.len() + newer.len());
+    for f in older.iter().chain(newer) {
         w.put_u64(f.sim_secs);
         w.put_u32(f.bucket);
         w.put_str(&f.transcript);
@@ -794,7 +725,6 @@ fn encode_flight(frames: &[FlightFrame], dumps: &[FlightDumpEvent]) -> Vec<u8> {
         w.put_str(d.trigger.label());
         w.put_str(&d.detail);
     }
-    w.into_bytes()
 }
 
 fn decode_flight(payload: &[u8]) -> Result<(Vec<FlightFrame>, Vec<FlightDumpEvent>), CodecError> {
@@ -845,8 +775,7 @@ fn decode_flight(payload: &[u8]) -> Result<(Vec<FlightFrame>, Vec<FlightDumpEven
     Ok((frames, dumps))
 }
 
-fn encode_counters(c: &SnapshotCounters) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn put_counters(w: &mut ByteWriter, c: &SnapshotCounters) {
     for v in c.degraded {
         w.put_u64(v);
     }
@@ -857,7 +786,6 @@ fn encode_counters(c: &SnapshotCounters) -> Vec<u8> {
         w.put_u64(v);
     }
     w.put_u64(c.backpressure_replies);
-    w.into_bytes()
 }
 
 fn decode_counters(payload: &[u8]) -> Result<SnapshotCounters, CodecError> {
@@ -879,9 +807,8 @@ fn decode_counters(payload: &[u8]) -> Result<SnapshotCounters, CodecError> {
     Ok(c)
 }
 
-fn encode_baselines(b: &BaselineStore) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    put_map(&mut w, &b.map, put_loc_path, |w, q| {
+fn put_baselines(w: &mut ByteWriter, b: &BaselineStore) {
+    put_map(w, &b.map, put_loc_path, |w, q| {
         w.put_len(q.len());
         for e in q {
             w.put_u64(e.at.secs());
@@ -892,7 +819,6 @@ fn encode_baselines(b: &BaselineStore) -> Vec<u8> {
             }
         }
     });
-    w.into_bytes()
 }
 
 fn decode_baselines(payload: &[u8]) -> Result<BaselineStore, CodecError> {
@@ -918,21 +844,13 @@ fn decode_baselines(payload: &[u8]) -> Result<BaselineStore, CodecError> {
     Ok(BaselineStore { map })
 }
 
-fn encode_scheduler(
-    period_secs: u64,
-    churn_triggered: bool,
-    last: &DetHashMap<(CloudLocId, PathId), SimTime>,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(period_secs);
-    w.put_bool(churn_triggered);
-    put_map(&mut w, last, put_loc_path, |w, t| w.put_u64(t.secs()));
-    w.into_bytes()
+fn put_scheduler(w: &mut ByteWriter, s: &BackgroundScheduler) {
+    w.put_u64(s.period_secs);
+    w.put_bool(s.churn_triggered);
+    put_map(w, &s.last, put_loc_path, |w, t| w.put_u64(t.secs()));
 }
 
-type SchedulerParts = (u64, bool, DetHashMap<(CloudLocId, PathId), SimTime>);
-
-fn decode_scheduler(payload: &[u8]) -> Result<SchedulerParts, CodecError> {
+fn decode_scheduler(payload: &[u8]) -> Result<BackgroundScheduler, CodecError> {
     let mut r = ByteReader::new(payload);
     let period_secs = r.u64()?;
     if period_secs == 0 {
@@ -943,15 +861,16 @@ fn decode_scheduler(payload: &[u8]) -> Result<SchedulerParts, CodecError> {
     if r.remaining() != 0 {
         return Err(CodecError::Invalid("trailing bytes in scheduler section"));
     }
-    Ok((period_secs, churn_triggered, last))
+    Ok(BackgroundScheduler {
+        period_secs,
+        churn_triggered,
+        last,
+    })
 }
 
-fn encode_engine_misc(s: &SnapshotState) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    put_map(&mut w, &s.rep_p24, put_loc_path, |w, p| {
-        w.put_u32(p.block())
-    });
-    put_map(&mut w, &s.baseline_p24, put_loc_path, |w, p| {
+fn put_engine_misc(w: &mut ByteWriter, s: &EngineState) {
+    put_map(w, &s.rep_p24, put_loc_path, |w, p| w.put_u32(p.block()));
+    put_map(w, &s.baseline_p24, put_loc_path, |w, p| {
         w.put_u32(p.block())
     });
     let mut prefixes: Vec<(CloudLocId, IpPrefix)> = s.monitored_prefixes.iter().copied().collect();
@@ -962,7 +881,7 @@ fn encode_engine_misc(s: &SnapshotState) -> Vec<u8> {
         w.put_u32(p.base());
         w.put_u8(p.len());
     }
-    put_map(&mut w, &s.episodes, put_loc_path, |w, (start, last)| {
+    put_map(w, &s.episodes, put_loc_path, |w, (start, last)| {
         w.put_u32(start.0);
         w.put_u32(last.0);
     });
@@ -970,18 +889,18 @@ fn encode_engine_misc(s: &SnapshotState) -> Vec<u8> {
     failed.sort_unstable();
     w.put_len(failed.len());
     for k in failed {
-        put_loc_path(&mut w, &k);
+        put_loc_path(w, &k);
     }
     w.put_u64(s.churn_cursor.secs());
     w.put_u64(s.on_demand_probes_total);
     w.put_u64(s.background_probes_total);
-    w.into_bytes()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::WorldBackend;
+    use crate::fxhash::DetHashMap;
     use crate::pipeline::BlameItConfig;
     use crate::thresholds::BadnessThresholds;
     use blameit_simnet::{TimeRange, World, WorldConfig};
@@ -999,6 +918,13 @@ mod tests {
             4,
         );
         (engine, w)
+    }
+
+    /// What `put` writes into a fresh buffer.
+    fn bytes_of(put: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put(&mut w);
+        w.into_bytes()
     }
 
     /// `encode_expected` as it was when the learner kept `map` and
@@ -1039,7 +965,7 @@ mod tests {
     fn expected_section_bytes_match_the_two_map_learner() {
         for seed in 0..4u64 {
             let (learner, reference) = crate::history::two_map_reference::drive(seed);
-            let bytes = encode_expected(&learner);
+            let bytes = bytes_of(|w| put_expected(w, &learner));
             assert!(!learner.cache.borrow().is_empty());
             assert_eq!(
                 bytes,
@@ -1047,7 +973,11 @@ mod tests {
                 "seed {seed}"
             );
             let decoded = decode_expected(&bytes).expect("own bytes decode");
-            assert_eq!(encode_expected(&decoded), bytes, "seed {seed}: fixed point");
+            assert_eq!(
+                bytes_of(|w| put_expected(w, &decoded)),
+                bytes,
+                "seed {seed}: fixed point"
+            );
         }
     }
 

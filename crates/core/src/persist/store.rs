@@ -297,6 +297,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
 
     let mut seeds: Vec<(String, u64)> = Vec::new();
     let mut max_snapshot_ticks = 0u64;
+    let mut newest_valid: Option<(String, Vec<u8>)> = None;
     let snaps = store.list_snapshots().unwrap_or_default();
     for (tick, path) in &snaps {
         report.snapshots_checked += 1;
@@ -330,7 +331,8 @@ pub fn fsck(dir: &Path) -> FsckReport {
                     );
                 }
                 max_snapshot_ticks = max_snapshot_ticks.max(state.ticks_done);
-                seeds.push((name, state.seed));
+                seeds.push((name.clone(), state.seed));
+                newest_valid = Some((name, bytes));
             }
             Err(e) => {
                 report.push(FsckSeverity::Error, format!("{name}: corrupt: {e}"));
@@ -339,6 +341,19 @@ pub fn fsck(dir: &Path) -> FsckReport {
     }
     if snaps.is_empty() {
         report.push(FsckSeverity::Warning, "no snapshots found");
+    }
+    // Where the newest snapshot's bytes are: the sections that grow
+    // (the flight ring, the client history) show up here first.
+    if let Some((name, bytes)) = newest_valid {
+        let sizes: Vec<String> = snapshot::section_sizes(&bytes)
+            .unwrap_or_default()
+            .iter()
+            .map(|(section, n)| format!("{section}={n}"))
+            .collect();
+        report.push(
+            FsckSeverity::Ok,
+            format!("{name}: section bytes {}", sizes.join(" ")),
+        );
     }
 
     match journal::scan(dir) {

@@ -209,46 +209,63 @@ pub struct TickOutput {
 /// count as the same episode (8 hours: spans an overnight lull).
 const EPISODE_GAP_BUCKETS: u32 = 96;
 
-/// The BlameIt engine: all state for continuous operation.
+/// Everything the engine has learned that a future tick reads — the
+/// durable state. [`BlameItEngine`] owns exactly one, a snapshot
+/// ([`crate::persist::snapshot`]) is written from a borrow of it and
+/// decodes into one, so there is no second list of these fields to keep
+/// in step.
 #[derive(Clone, Debug)]
-pub struct BlameItEngine {
-    pub(crate) cfg: BlameItConfig,
-    pub(crate) expected: ExpectedRttLearner,
-    pub(crate) durations: DurationHistory,
-    pub(crate) client_hist: ClientCountHistory,
-    pub(crate) incidents: IncidentTracker<(CloudLocId, PathId)>,
-    pub(crate) baselines: BaselineStore,
-    pub(crate) scheduler: BackgroundScheduler,
+pub struct EngineState {
+    /// The expected-RTT learner, RNG position and median cache included.
+    pub expected: ExpectedRttLearner,
+    /// Per-path incident-duration history.
+    pub durations: DurationHistory,
+    /// Per-(path, time-of-day) client volumes.
+    pub client_hist: ClientCountHistory,
+    /// Open middle-segment incidents and the last bucket fed.
+    pub incidents: IncidentTracker<(CloudLocId, PathId)>,
+    /// The background-traceroute baseline store.
+    pub baselines: BaselineStore,
+    /// Background scheduler: period, churn triggering, last-probed clocks.
+    pub scheduler: BackgroundScheduler,
     /// Representative probe target per (loc, path), refreshed from
     /// observed traffic.
-    pub(crate) rep_p24: DetHashMap<(CloudLocId, PathId), Prefix24>,
+    pub rep_p24: DetHashMap<(CloudLocId, PathId), Prefix24>,
     /// The /24 each stored baseline was measured toward — on-demand
     /// probes must target the same /24 for a comparable diff.
-    pub(crate) baseline_p24: DetHashMap<(CloudLocId, PathId), Prefix24>,
+    pub baseline_p24: DetHashMap<(CloudLocId, PathId), Prefix24>,
     /// (location, announced prefix) pairs observed carrying traffic;
     /// churn events for anything else are not ours to probe.
-    pub(crate) monitored_prefixes: DetHashSet<(CloudLocId, blameit_topology::IpPrefix)>,
+    pub monitored_prefixes: DetHashSet<(CloudLocId, blameit_topology::IpPrefix)>,
     /// Badness *episodes* per (loc, path): (first bad bucket, last bad
     /// bucket), where runs separated by less than [`EPISODE_GAP_BUCKETS`]
     /// merge. Incidents fragment overnight when traffic (and thus
     /// quartets) thins out; the diff must still compare against a
     /// baseline predating the whole episode, and background probing
     /// must not re-baseline inside one.
-    pub(crate) episodes: DetHashMap<(CloudLocId, PathId), (TimeBucket, TimeBucket)>,
+    pub episodes: DetHashMap<(CloudLocId, PathId), (TimeBucket, TimeBucket)>,
     /// (loc, path) pairs whose last background refresh failed and has
     /// already been rescheduled once — bounds the retry to one, so a
     /// permanently-unanswerable target degrades to its normal period
     /// instead of probing every tick.
-    pub(crate) bg_failed_once: DetHashSet<(CloudLocId, PathId)>,
-    pub(crate) churn_cursor: SimTime,
+    pub bg_failed_once: DetHashSet<(CloudLocId, PathId)>,
+    /// Where the churn feed was consumed up to.
+    pub churn_cursor: SimTime,
+    /// Lifetime on-demand probe count.
+    pub on_demand_probes_total: u64,
+    /// Lifetime background probe count.
+    pub background_probes_total: u64,
+}
+
+/// The BlameIt engine: all state for continuous operation.
+#[derive(Clone, Debug)]
+pub struct BlameItEngine {
+    pub(crate) cfg: BlameItConfig,
+    pub(crate) state: EngineState,
     pub(crate) metrics: EngineMetrics,
     /// The deterministic flight ring: recent tick frames + trigger log.
     /// Part of the snapshot, so dumps survive crash→recover→resume.
     pub(crate) flight: FlightRecorder,
-    /// Lifetime probe counters.
-    pub on_demand_probes_total: u64,
-    /// Lifetime background probe count.
-    pub background_probes_total: u64,
 }
 
 impl BlameItEngine {
@@ -261,24 +278,28 @@ impl BlameItEngine {
     /// several engines — or an engine plus its harness — publish one
     /// exposition).
     pub fn with_metrics(cfg: BlameItConfig, registry: Arc<MetricsRegistry>) -> Self {
-        let scheduler = BackgroundScheduler::new(cfg.background_period_secs, cfg.churn_triggered);
         BlameItEngine {
             metrics: EngineMetrics::new(registry),
-            expected: ExpectedRttLearner::new(cfg.seed),
-            durations: DurationHistory::new(),
-            client_hist: ClientCountHistory::new(),
-            incidents: IncidentTracker::new(),
-            baselines: BaselineStore::new(),
-            scheduler,
-            rep_p24: DetHashMap::default(),
-            baseline_p24: DetHashMap::default(),
-            monitored_prefixes: DetHashSet::default(),
-            episodes: DetHashMap::default(),
-            bg_failed_once: DetHashSet::default(),
-            churn_cursor: SimTime::ZERO,
+            state: EngineState {
+                expected: ExpectedRttLearner::new(cfg.seed),
+                durations: DurationHistory::new(),
+                client_hist: ClientCountHistory::new(),
+                incidents: IncidentTracker::new(),
+                baselines: BaselineStore::new(),
+                scheduler: BackgroundScheduler::new(
+                    cfg.background_period_secs,
+                    cfg.churn_triggered,
+                ),
+                rep_p24: DetHashMap::default(),
+                baseline_p24: DetHashMap::default(),
+                monitored_prefixes: DetHashSet::default(),
+                episodes: DetHashMap::default(),
+                bg_failed_once: DetHashSet::default(),
+                churn_cursor: SimTime::ZERO,
+                on_demand_probes_total: 0,
+                background_probes_total: 0,
+            },
             flight: FlightRecorder::new(cfg.flight_capacity),
-            on_demand_probes_total: 0,
-            background_probes_total: 0,
             cfg,
         }
     }
@@ -307,9 +328,10 @@ impl BlameItEngine {
         self.flight.dump_jsonl()
     }
 
-    /// The baseline store (read access).
-    pub fn baselines(&self) -> &BaselineStore {
-        &self.baselines
+    /// The durable state (read access): learners, histories, baselines,
+    /// lifetime probe totals.
+    pub fn state(&self) -> &EngineState {
+        &self.state
     }
 
     /// Feeds history (expected RTTs, client counts) from telemetry
@@ -319,7 +341,7 @@ impl BlameItEngine {
     /// trades fidelity for time and is fine for the medians).
     pub fn warmup<B: Backend>(&mut self, backend: &B, range: TimeRange, sample_every: u32) {
         assert!(sample_every >= 1);
-        self.churn_cursor = range.end;
+        self.state.churn_cursor = range.end;
         // Incident-duration prior: track runs of path-level badness
         // (≥ half of a path's quartets above threshold) so the
         // client-time-product estimator has history from day one
@@ -350,13 +372,13 @@ impl BlameItEngine {
                     .collect();
                 bad_keys.sort_unstable();
                 for inc in tracker.observe(bucket, bad_keys) {
-                    self.durations.record(inc.key.1, inc.buckets);
+                    self.state.durations.record(inc.key.1, inc.buckets);
                 }
             }
             self.learn_from(&enriched, bucket);
         }
         for inc in tracker.finish() {
-            self.durations.record(inc.key.1, inc.buckets);
+            self.state.durations.record(inc.key.1, inc.buckets);
         }
     }
 
@@ -365,24 +387,28 @@ impl BlameItEngine {
         let day = bucket.day();
         let mut per_path_clients: DetHashMap<PathId, u64> = DetHashMap::default();
         for q in enriched {
-            self.expected.observe(
+            self.state.expected.observe(
                 RttKey::Cloud(q.obs.loc, q.obs.mobile),
                 day,
                 q.obs.mean_rtt_ms,
             );
             let key = self.cfg.blame.grouping.key(&q.info);
-            self.expected
+            self.state
+                .expected
                 .observe(RttKey::Middle(key, q.obs.mobile), day, q.obs.mean_rtt_ms);
             *per_path_clients.entry(q.info.path).or_default() += q.obs.n as u64;
-            self.rep_p24
+            self.state
+                .rep_p24
                 .entry((q.obs.loc, q.info.path))
                 .or_insert(q.obs.p24);
-            self.monitored_prefixes.insert((q.obs.loc, q.info.prefix));
+            self.state
+                .monitored_prefixes
+                .insert((q.obs.loc, q.info.prefix));
         }
         let mut per_path_sorted: Vec<(PathId, u64)> = per_path_clients.into_iter().collect();
         per_path_sorted.sort_unstable();
         for (path, clients) in per_path_sorted {
-            self.client_hist.record(path, bucket, clients);
+            self.state.client_hist.record(path, bucket, clients);
         }
     }
 
@@ -502,7 +528,7 @@ impl BlameItEngine {
         );
         let (blames, stats, scratch) = blame_bucket(
             enriched,
-            &self.expected,
+            &self.state.expected,
             &self.cfg.blame,
             self.cfg.parallelism,
         );
@@ -537,7 +563,8 @@ impl BlameItEngine {
             .map(|b| (b.obs.loc, b.path))
             .collect();
         for key in &bad_middle {
-            self.episodes
+            self.state
+                .episodes
                 .entry(*key)
                 .and_modify(|(start, last)| {
                     if bucket.0 - last.0 > EPISODE_GAP_BUCKETS {
@@ -547,8 +574,8 @@ impl BlameItEngine {
                 })
                 .or_insert((bucket, bucket));
         }
-        for inc in self.incidents.observe(bucket, bad_middle) {
-            self.durations.record(inc.key.1, inc.buckets);
+        for inc in self.state.incidents.observe(bucket, bad_middle) {
+            self.state.durations.record(inc.key.1, inc.buckets);
         }
 
         for b in blames {
@@ -600,6 +627,7 @@ impl BlameItEngine {
             .into_iter()
             .map(|((loc, path), m)| {
                 let elapsed = self
+                    .state
                     .incidents
                     .open_incident(&(loc, path))
                     .map_or(1, |o| o.elapsed());
@@ -615,7 +643,7 @@ impl BlameItEngine {
             })
             .collect();
         issues.sort_unstable_by_key(|i| (i.loc, i.path));
-        let ranked = prioritize(issues, &self.durations, &self.client_hist);
+        let ranked = prioritize(issues, &self.state.durations, &self.state.client_hist);
         // The global cap is a coarse safety valve (one issue per budget
         // second would already be pathological); the real limit is the
         // probe deadline budget applied during the active phase.
@@ -663,7 +691,7 @@ impl BlameItEngine {
             .map(|(rank, p)| self.probe_issue(backend, p, rank, &mut deadline_left))
             .collect();
         out.on_demand_probes = probed.iter().map(|p| p.probe.attempts as u64).sum();
-        self.on_demand_probes_total += out.on_demand_probes;
+        self.state.on_demand_probes_total += out.on_demand_probes;
         self.metrics.on_demand_probes.add(out.on_demand_probes);
         out.localizations = self.localize(probed, out.ranked_issues.len());
 
@@ -710,7 +738,7 @@ impl BlameItEngine {
         // Incident evidence for the provenance chain: the open
         // incident this probe serves (closed-mid-tick incidents
         // fall back to the issue's own bucket, observation-free).
-        let open = self.incidents.open_incident(&(loc, path));
+        let open = self.state.incidents.open_incident(&(loc, path));
         let incident_ev = IncidentEvidence {
             start_bucket: open.map_or(p.issue.bucket, |o| o.start),
             elapsed_buckets: p.issue.elapsed_buckets,
@@ -730,6 +758,7 @@ impl BlameItEngine {
         // pre-fault picture), and overnight detection gaps must not
         // fool the lookup into using one.
         let incident_start = self
+            .state
             .episodes
             .get(&(loc, path))
             .map(|(start, _)| start.start())
@@ -842,7 +871,7 @@ impl BlameItEngine {
     /// for the budget this tick.
     fn localize(&self, probed: Vec<ProbedIssue>, candidates: usize) -> Vec<MiddleLocalization> {
         let selected_n = probed.len();
-        let baselines = &self.baselines;
+        let baselines = &self.state.baselines;
         let max_age = self.cfg.baseline_max_age_secs;
         let diffs = parallel_map(self.cfg.parallelism, &probed, |p| {
             diff_against_baseline(baselines, max_age, p)
@@ -892,6 +921,7 @@ impl BlameItEngine {
         // order never depends on hash-seed iteration order (the
         // scheduler re-sorts, but the invariant belongs at the source).
         let mut periodic: Vec<ProbeTarget> = self
+            .state
             .rep_p24
             .iter()
             .map(|((loc, path), p24)| ProbeTarget {
@@ -906,21 +936,22 @@ impl BlameItEngine {
             // caller's business, but never a panic).
             backend
                 .churn_events(TimeRange::new(
-                    self.churn_cursor,
-                    now.max(self.churn_cursor),
+                    self.state.churn_cursor,
+                    now.max(self.state.churn_cursor),
                 ))
                 .iter()
                 .filter_map(|e| {
                     // Only prefixes that actually send traffic to this
                     // location are monitored; churn on a (location,
                     // prefix) pair nobody uses does not merit a probe.
-                    if !self.monitored_prefixes.contains(&(e.loc, e.prefix)) {
+                    if !self.state.monitored_prefixes.contains(&(e.loc, e.prefix)) {
                         return None;
                     }
                     // Reuse the /24 the path's baselines were measured
                     // toward when there is one, so they stay
                     // comparable; otherwise adopt the prefix's first.
                     let p24 = self
+                        .state
                         .baseline_p24
                         .get(&(e.loc, e.new_path))
                         .copied()
@@ -935,9 +966,10 @@ impl BlameItEngine {
         } else {
             Vec::new()
         };
-        self.churn_cursor = now;
+        self.state.churn_cursor = now;
         let now_bucket = now.bucket();
-        self.scheduler
+        self.state
+            .scheduler
             .due(now, &periodic, &churn_targets)
             .into_iter()
             .filter(|t| {
@@ -945,12 +977,13 @@ impl BlameItEngine {
                 // badness episode: the measurement would carry the
                 // inflation and evict the healthy pre-incident picture
                 // the diff needs (§5.2).
-                let in_episode = self
-                    .episodes
-                    .get(&(t.loc, t.path))
-                    .is_some_and(|(_, last)| {
-                        now_bucket.0.saturating_sub(last.0) <= EPISODE_GAP_BUCKETS
-                    });
+                let in_episode =
+                    self.state
+                        .episodes
+                        .get(&(t.loc, t.path))
+                        .is_some_and(|(_, last)| {
+                            now_bucket.0.saturating_sub(last.0) <= EPISODE_GAP_BUCKETS
+                        });
                 if in_episode {
                     self.metrics.probes_suppressed_episode.inc();
                 }
@@ -985,9 +1018,9 @@ impl BlameItEngine {
         for (t, probe) in targets.iter().zip(refreshed) {
             match probe {
                 Some((live_path, tr)) => {
-                    self.baselines.update(t.loc, live_path, &tr);
-                    self.baseline_p24.insert((t.loc, live_path), t.p24);
-                    self.bg_failed_once.remove(&(t.loc, t.path));
+                    self.state.baselines.update(t.loc, live_path, &tr);
+                    self.state.baseline_p24.insert((t.loc, live_path), t.p24);
+                    self.state.bg_failed_once.remove(&(t.loc, t.path));
                 }
                 None => {
                     // A lost refresh must not leave the baseline stale
@@ -997,22 +1030,22 @@ impl BlameItEngine {
                     // a churned prefix with no known /24) settles back
                     // to its normal cadence.
                     self.metrics.background_probe_failures.inc();
-                    if self.bg_failed_once.insert((t.loc, t.path)) {
-                        self.scheduler.retry_soon(t.loc, t.path);
+                    if self.state.bg_failed_once.insert((t.loc, t.path)) {
+                        self.state.scheduler.retry_soon(t.loc, t.path);
                         self.metrics.background_retries.inc();
                     }
                 }
             }
         }
         out.background_probes = targets.len() as u64;
-        self.background_probes_total += out.background_probes;
+        self.state.background_probes_total += out.background_probes;
         self.metrics.background_probes.add(out.background_probes);
         // Staleness of the newest baseline per (location, path): how
         // out-of-date the active phase's comparison pictures are.
         let mut stale_max = 0u64;
         let mut stale_sum = 0u64;
         let mut stale_n = 0u64;
-        for (_, e) in self.baselines.iter_newest() {
+        for (_, e) in self.state.baselines.iter_newest() {
             let age = now.secs().saturating_sub(e.at.secs());
             stale_max = stale_max.max(age);
             stale_sum += age;
@@ -1020,7 +1053,7 @@ impl BlameItEngine {
         }
         self.metrics
             .baselines_stored
-            .set(self.baselines.len() as f64);
+            .set(self.state.baselines.len() as f64);
         self.metrics
             .baseline_staleness_max_secs
             .set(stale_max as f64);
@@ -1436,13 +1469,13 @@ mod tests {
             TimeRange::new(SimTime::ZERO, SimTime::from_days(1)),
             4,
         );
-        assert!(engine.baselines().is_empty());
+        assert!(engine.state().baselines.is_empty());
         let out = engine.tick(&mut backend, SimTime::from_days(1).bucket());
         assert!(
             out.background_probes > 0,
             "first tick baselines every known path"
         );
-        assert!(!engine.baselines().is_empty());
+        assert!(!engine.state().baselines.is_empty());
         // Immediately after, periodic probes are not due again.
         let out2 = engine.tick(&mut backend, SimTime::from_days(1).bucket().plus(3));
         assert!(

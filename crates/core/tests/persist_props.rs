@@ -24,15 +24,14 @@ use blameit::persist::log::{self, Log, LogScan, Tail};
 use blameit::persist::snapshot::{decode, SnapshotState};
 use blameit::persist::SnapshotCounters;
 use blameit::{
-    BaselineStore, ClientCountHistory, DurationHistory, ExpectedRttLearner, MiddleKey,
-    OpenIncident, RttKey,
+    BackgroundScheduler, BaselineStore, ClientCountHistory, DurationHistory, EngineState,
+    ExpectedRttLearner, IncidentTracker, MiddleKey, ProbeTarget, RttKey,
 };
 use blameit::{DetHashMap, DetHashSet};
 use blameit_simnet::{SimTime, TimeBucket};
 use blameit_topology::rng::DetRng;
 use blameit_topology::testkit::check;
 use blameit_topology::{Asn, CloudLocId, IpPrefix, MetroId, PathId, Prefix24};
-use std::collections::BTreeMap;
 
 /// A random expected-RTT series key, covering every variant.
 fn arbitrary_rtt_key(rng: &mut DetRng) -> RttKey {
@@ -110,25 +109,51 @@ fn loc_path(rng: &mut DetRng) -> (CloudLocId, PathId) {
     )
 }
 
+/// An incident tracker reached through its public API: a few buckets
+/// in increasing order (gaps included, so runs close and reopen), each
+/// with a random multiset of bad keys (repeats count as observations).
+/// Left untouched three times in ten — `last_bucket: None` is a state.
+fn arbitrary_incidents(rng: &mut DetRng) -> IncidentTracker<(CloudLocId, PathId)> {
+    let mut tracker = IncidentTracker::new();
+    if rng.chance(0.3) {
+        return tracker;
+    }
+    let keys: Vec<_> = (0..rng.range_u64(1, 12)).map(|_| loc_path(rng)).collect();
+    let mut bucket = rng.below(96 * 20) as u32;
+    for _ in 0..rng.range_u64(1, 8) {
+        let bad: Vec<_> = (0..rng.below(30)).map(|_| *rng.pick(&keys)).collect();
+        tracker.observe(TimeBucket(bucket), bad);
+        bucket += 1 + rng.below(3) as u32;
+    }
+    tracker
+}
+
+/// A scheduler with random period and triggering whose last-probed
+/// clocks were set by `due` at a few random times.
+fn arbitrary_scheduler(rng: &mut DetRng) -> BackgroundScheduler {
+    let mut scheduler = BackgroundScheduler::new(rng.range_u64(1, 86_400), rng.chance(0.5));
+    for _ in 0..rng.below(4) {
+        let targets: Vec<ProbeTarget> = (0..rng.below(10))
+            .map(|_| {
+                let (loc, path) = loc_path(rng);
+                let p24 = Prefix24::from_block(rng.below(1 << 24) as u32);
+                ProbeTarget { loc, path, p24 }
+            })
+            .collect();
+        scheduler.due(SimTime(rng.next_u64() >> 20), &targets, &[]);
+    }
+    scheduler
+}
+
 /// A full snapshot state with arbitrary learner/history contents and
 /// randomized scalars and maps everywhere else the public API reaches.
 fn arbitrary_state(rng: &mut DetRng) -> (SnapshotState, Vec<RttKey>) {
     let (expected, keys) = arbitrary_learner(rng);
-    let mut incidents_open = BTreeMap::new();
     let mut rep_p24 = DetHashMap::default();
     let mut episodes = DetHashMap::default();
     let mut monitored_prefixes = DetHashSet::default();
     let mut bg_failed_once = DetHashSet::default();
-    let mut scheduler_last = DetHashMap::default();
     for _ in 0..rng.below(20) {
-        incidents_open.insert(
-            loc_path(rng),
-            OpenIncident {
-                start: TimeBucket(rng.below(96 * 20) as u32),
-                buckets: rng.below(200) as u32,
-                observations: rng.below(10_000),
-            },
-        );
         rep_p24.insert(
             loc_path(rng),
             Prefix24::from_block(rng.below(1 << 24) as u32),
@@ -143,31 +168,27 @@ fn arbitrary_state(rng: &mut DetRng) -> (SnapshotState, Vec<RttKey>) {
             IpPrefix::new(rng.next_u64() as u32, rng.below(33) as u8),
         ));
         bg_failed_once.insert(loc_path(rng));
-        scheduler_last.insert(loc_path(rng), SimTime(rng.next_u64() >> 20));
     }
     let state = SnapshotState {
         seed: rng.next_u64(),
         tick_buckets: rng.range_u64(1, 12) as u32,
         ticks_done: rng.below(100_000),
-        expected,
-        durations: arbitrary_durations(rng),
-        client_hist: arbitrary_client_hist(rng),
-        incidents_open,
-        incidents_last_bucket: rng
-            .chance(0.7)
-            .then(|| TimeBucket(rng.below(96 * 20) as u32)),
-        baselines: BaselineStore::new(),
-        scheduler_period_secs: rng.range_u64(1, 86_400),
-        scheduler_churn_triggered: rng.chance(0.5),
-        scheduler_last,
-        rep_p24: rep_p24.clone(),
-        baseline_p24: rep_p24,
-        monitored_prefixes,
-        episodes,
-        bg_failed_once,
-        churn_cursor: SimTime(rng.next_u64() >> 20),
-        on_demand_probes_total: rng.below(1 << 40),
-        background_probes_total: rng.below(1 << 40),
+        state: EngineState {
+            expected,
+            durations: arbitrary_durations(rng),
+            client_hist: arbitrary_client_hist(rng),
+            incidents: arbitrary_incidents(rng),
+            baselines: BaselineStore::new(),
+            scheduler: arbitrary_scheduler(rng),
+            rep_p24: rep_p24.clone(),
+            baseline_p24: rep_p24,
+            monitored_prefixes,
+            episodes,
+            bg_failed_once,
+            churn_cursor: SimTime(rng.next_u64() >> 20),
+            on_demand_probes_total: rng.below(1 << 40),
+            background_probes_total: rng.below(1 << 40),
+        },
         flight_frames: arbitrary_flight_frames(rng),
         flight_dumps: arbitrary_flight_dumps(rng),
         counters: arbitrary_counters(rng),
@@ -233,11 +254,14 @@ fn snapshot_roundtrip_is_canonical_and_lossless() {
         // including cache entries frozen mid-day.
         let round = decode(&bytes).unwrap();
         for key in keys {
-            assert_eq!(state.expected.expected(key), round.expected.expected(key));
+            assert_eq!(
+                state.state.expected.expected(key),
+                round.state.expected.expected(key)
+            );
         }
         assert_eq!(
-            state.durations.total_recorded(),
-            round.durations.total_recorded()
+            state.state.durations.total_recorded(),
+            round.state.durations.total_recorded()
         );
         // The duration → count index is not on disk: decode rebuilds
         // it, and every lookup (durations are drawn below 300) must
@@ -246,10 +270,12 @@ fn snapshot_roundtrip_is_canonical_and_lossless() {
             for elapsed in 0..=301u32 {
                 assert_eq!(
                     state
+                        .state
                         .durations
                         .expected_remaining(PathId(p), elapsed)
                         .to_bits(),
                     round
+                        .state
                         .durations
                         .expected_remaining(PathId(p), elapsed)
                         .to_bits(),

@@ -94,11 +94,12 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "as-cast-truncation",
-        summary: "narrowing `as` casts in persist/ and daemon wire codec: use try_from or annotate the range proof",
+        summary: "narrowing `as` casts in persist/, the daemon wire codec and the .scn parser: use try_from or annotate the range proof",
         scope: Scope::Under(&[
             "crates/core/src/persist/",
             "crates/daemon/src/wire.rs",
             "crates/daemon/src/wal.rs",
+            "crates/scenario/src/",
         ]),
         check: as_cast_truncation,
     },
@@ -456,9 +457,12 @@ fn is_float_literal(text: &str) -> bool {
 /// `len() as u32` silently wraps past 4 GiB and `v as u8` drops high
 /// bits; in `persist/` and the daemon wire codec a wrapped length
 /// field is indistinguishable from corruption *two layers later*, when
-/// the decoder walks off the frame. Width changes on these paths must
-/// go through `try_from` (reject) or be annotated with the proof of
-/// range (`lint:allow(as-cast-truncation): …`).
+/// the decoder walks off the frame. In `crates/scenario` the value is
+/// an integer somebody typed into a `.scn` file: `tick_buckets =
+/// 4294967296` narrowed to 0 and the engine's run loop never advanced.
+/// Width changes on these paths must go through `try_from` (reject) or
+/// be annotated with the proof of range
+/// (`lint:allow(as-cast-truncation): …`).
 fn as_cast_truncation(f: &FileCtx, out: &mut Vec<Diagnostic>) {
     let toks = f.toks;
     for i in 1..toks.len() {
@@ -1108,6 +1112,10 @@ mod tests {
                 bad
             )
             .len(),
+            2
+        );
+        assert_eq!(
+            check_one("as-cast-truncation", "crates/scenario/src/parse.rs", bad).len(),
             2
         );
         // Outside the codec scopes the rule is silent.

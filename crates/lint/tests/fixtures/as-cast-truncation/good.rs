@@ -9,6 +9,10 @@ pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) -> Result<(), String> {
     Ok(())
 }
 
+pub fn tick_width(parsed: u64) -> Result<u32, String> {
+    u32::try_from(parsed).map_err(|_| format!("tick width {parsed} does not fit in 32 bits"))
+}
+
 pub fn widen_tick(tick: u32) -> u64 {
     tick as u64
 }

@@ -175,19 +175,15 @@ impl FlightRecorder {
         });
     }
 
-    /// Snapshot of the frames, oldest first.
-    pub fn frames(&self) -> Vec<FlightFrame> {
+    /// Lends the ring to `read` under the lock, copying nothing: the
+    /// frames oldest first, then the trigger log in firing order. The
+    /// snapshot writer serializes straight from this borrow.
+    pub fn with_ring<R>(
+        &self,
+        read: impl FnOnce(&VecDeque<FlightFrame>, &[FlightDumpEvent]) -> R,
+    ) -> R {
         let inner = self.inner.lock().expect("flight recorder poisoned");
-        inner.frames.iter().cloned().collect()
-    }
-
-    /// Snapshot of the trigger log, in firing order.
-    pub fn dump_events(&self) -> Vec<FlightDumpEvent> {
-        self.inner
-            .lock()
-            .expect("flight recorder poisoned")
-            .dumps
-            .clone()
+        read(&inner.frames, &inner.dumps)
     }
 
     /// Frames currently held.
@@ -284,7 +280,7 @@ mod tests {
         for t in 0..5 {
             r.record(frame(t * 900));
         }
-        let frames = r.frames();
+        let frames = r.with_ring(|frames, _| frames.clone());
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0].sim_secs, 1800, "oldest two evicted");
         assert_eq!(frames[2].sim_secs, 3600);
@@ -297,7 +293,7 @@ mod tests {
         let r = FlightRecorder::new(4);
         r.trigger(900, FlightTrigger::DegradedSpike, "3 degraded");
         r.trigger(1800, FlightTrigger::Manual, "operator");
-        let events = r.dump_events();
+        let events = r.with_ring(|_, events| events.to_vec());
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].trigger, FlightTrigger::DegradedSpike);
         assert_eq!(events[1].sim_secs, 1800);
@@ -346,10 +342,10 @@ mod tests {
                 detail: "fallback".into(),
             }],
         );
-        let frames = r.frames();
+        let frames = r.with_ring(|frames, _| frames.clone());
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].sim_secs, 900);
-        assert_eq!(r.dump_events().len(), 1);
+        assert_eq!(r.with_ring(|_, events| events.len()), 1);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! Errors keep `file:line` positions where the spec recorded them.
 
 use crate::error::ScenarioError;
-use crate::spec::{ScenarioSpec, WorldSpec};
+use crate::keys::Target;
+use crate::spec::{Expectation, Quantity as Q, ScenarioSpec};
 use blameit::{BadnessThresholds, BlameItConfig};
 use blameit_bench::world_config;
+use blameit_daemon::DaemonConfig;
 use blameit_simnet::{
     Fault, FaultId, FaultPlan, FaultTarget, SimTime, SurgePlan, TimeBucket, TimeRange, World,
     BUCKET_SECS,
@@ -39,7 +41,7 @@ pub struct CompiledScenario {
     /// The scored window.
     pub eval: TimeRange,
     /// Whole engine ticks inside the eval window.
-    pub eval_ticks: u64,
+    pub eval_ticks: u32,
     /// Whole engine ticks inside the burn-in window.
     pub burn_in_ticks: u64,
 }
@@ -73,8 +75,12 @@ pub fn compile(file: &str, spec: ScenarioSpec) -> Result<CompiledScenario, Scena
     }
     let eval = TimeRange::new(eval_start, eval_end);
 
-    let tick_buckets = spec.engine.tick_buckets.unwrap_or(3).max(1);
-    let eval_ticks = (eval.num_buckets() / tick_buckets) as u64;
+    // The tick width the engine will run with: the default or the
+    // file's override (thresholds play no part in it).
+    let mut engine = BlameItConfig::new(BadnessThresholds::uniform(0.0));
+    spec.apply(Target::Engine(&mut engine));
+    let tick_buckets = engine.tick_buckets;
+    let eval_ticks = eval.num_buckets() / tick_buckets;
     if eval_ticks == 0 {
         return Err(ScenarioError::whole(
             file,
@@ -88,13 +94,13 @@ pub fn compile(file: &str, spec: ScenarioSpec) -> Result<CompiledScenario, Scena
 
     let surge = compile_surge(file, &spec, warmup_end, eval, tick_buckets)?;
     for e in &spec.expect {
+        // The ingest counts exist only on a run through the daemon.
         let needs_overload = matches!(
             e,
-            crate::spec::Expectation::ShedMin(_)
-                | crate::spec::Expectation::ShedMax(_)
-                | crate::spec::Expectation::BackpressureMin(_)
-                | crate::spec::Expectation::QueuePeakMax(_)
-                | crate::spec::Expectation::TopDecileShedMax(_)
+            Expectation::Bound(
+                Q::Shed | Q::Backpressure | Q::QueuePeak | Q::TopDecileShed,
+                ..
+            )
         );
         if needs_overload && spec.overload.is_none() {
             return Err(ScenarioError::whole(
@@ -113,7 +119,7 @@ pub fn compile(file: &str, spec: ScenarioSpec) -> Result<CompiledScenario, Scena
                  don't take a fault plan)",
             ));
         }
-        if crash.kill_tick >= eval_ticks {
+        if crash.kill_tick >= u64::from(eval_ticks) {
             return Err(ScenarioError::at(
                 file,
                 crash.line,
@@ -131,15 +137,11 @@ pub fn compile(file: &str, spec: ScenarioSpec) -> Result<CompiledScenario, Scena
     let plan = match &spec.chaos {
         None => None,
         Some(c) => {
-            let seed = c.seed.unwrap_or(0xC4A05);
-            let mut plan = match c.plan.as_deref() {
-                None => FaultPlan::none(seed),
-                // Names were validated by the parser.
-                Some(name) => {
-                    FaultPlan::parse(name, seed).map_err(|e| ScenarioError::whole(file, e))?
-                }
-            };
-            apply_chaos_overrides(&mut plan, c);
+            // A file's plan name was validated by the parser; a CLI
+            // flag's is not.
+            let mut plan =
+                FaultPlan::parse(&c.plan, c.seed).map_err(|e| ScenarioError::whole(file, e))?;
+            spec.apply(Target::Chaos(&mut plan));
             (!plan.is_noop()).then_some(plan)
         }
     };
@@ -219,14 +221,18 @@ fn compile_surge(
             ),
         ));
     }
-    if let (Some(w), Some(c)) = (o.shed_watermark_records, o.queue_cap_records) {
-        if w > c {
-            return Err(ScenarioError::at(
-                file,
-                o.line,
-                format!("shed_watermark_records ({w}) must not exceed queue_cap_records ({c})"),
-            ));
-        }
+    let mut daemon = DaemonConfig::default();
+    spec.apply(Target::Daemon(&mut daemon));
+    let (w, c) = (
+        daemon.admission.shed_watermark_records,
+        daemon.admission.queue_cap_records,
+    );
+    if w > c {
+        return Err(ScenarioError::at(
+            file,
+            o.line,
+            format!("the shedding watermark ({w} records) must not exceed the queue cap ({c})"),
+        ));
     }
     Ok(Some(SurgePlan::single(
         start.bucket(),
@@ -241,15 +247,7 @@ fn compile_surge(
 fn build_world(file: &str, spec: &ScenarioSpec, sim_end: SimTime) -> Result<World, ScenarioError> {
     let w = &spec.world;
     let mut cfg = world_config(w.scale, w.days, w.seed, !w.organic);
-    apply_world_overrides(&mut cfg, w);
-    set(
-        &mut cfg.activity.conns_per_client_bucket,
-        spec.workload.conns_per_client_bucket,
-    );
-    set(
-        &mut cfg.activity.secondary_volume_frac,
-        spec.workload.secondary_volume_frac,
-    );
+    spec.apply(Target::World(&mut cfg));
     let mut world = World::new(cfg);
 
     // Resolve and merge faults.
@@ -286,34 +284,8 @@ impl CompiledScenario {
         if threads > 0 {
             cfg.parallelism = threads;
         }
-        let e = &self.spec.engine;
-        set(&mut cfg.probe_budget_per_loc, e.probe_budget_per_loc);
-        set(&mut cfg.probe_max_attempts, e.probe_max_attempts);
-        set(&mut cfg.probe_timeout_secs, e.probe_timeout_secs);
-        set(&mut cfg.probe_backoff_base_secs, e.probe_backoff_base_secs);
-        set(
-            &mut cfg.probe_deadline_budget_secs,
-            e.probe_deadline_budget_secs,
-        );
-        set(&mut cfg.baseline_max_age_secs, e.baseline_max_age_secs);
-        set(&mut cfg.background_period_secs, e.background_period_secs);
-        set(&mut cfg.churn_triggered, e.churn_triggered);
-        set(&mut cfg.tick_buckets, e.tick_buckets);
-        set(&mut cfg.max_alerts, e.max_alerts);
-        set(
-            &mut cfg.snapshot_every_ticks,
-            e.snapshot_every_ticks.map(|v| v.max(1)),
-        );
-        set(&mut cfg.flight_degraded_spike, e.flight_degraded_spike);
-        set(&mut cfg.flight_chaos_burst, e.flight_chaos_burst);
+        self.spec.apply(Target::Engine(&mut cfg));
         cfg
-    }
-}
-
-/// Applies one optional override: `None` leaves the default alone.
-pub(crate) fn set<T>(field: &mut T, value: Option<T>) {
-    if let Some(v) = value {
-        *field = v;
     }
 }
 
@@ -322,34 +294,6 @@ pub(crate) fn set<T>(field: &mut T, value: Option<T>) {
 fn hour_to_time(hours: f64) -> SimTime {
     let secs = (hours * 3_600.0).round() as u64;
     SimTime(secs / BUCKET_SECS * BUCKET_SECS)
-}
-
-fn apply_world_overrides(cfg: &mut blameit_simnet::WorldConfig, w: &WorldSpec) {
-    set(&mut cfg.churn_rate_per_day, w.churn_per_day);
-    set(
-        &mut cfg.latency.evening_congestion_ms,
-        w.evening_congestion_ms,
-    );
-    set(&mut cfg.latency.noise_sigma, w.noise_sigma);
-    set(&mut cfg.latency.spike_prob, w.spike_prob);
-    set(&mut cfg.latency.path_drift_prob, w.path_drift_prob);
-    set(&mut cfg.topology.broadband_per_metro, w.broadband_per_metro);
-    set(&mut cfg.topology.mobile_per_metro, w.mobile_per_metro);
-    set(&mut cfg.topology.tier1_count, w.tier1_count);
-    set(&mut cfg.topology.transits_per_region, w.transits_per_region);
-    set(&mut cfg.topology.secondary_loc_prob, w.secondary_loc_prob);
-}
-
-fn apply_chaos_overrides(plan: &mut FaultPlan, c: &crate::spec::ChaosSpec) {
-    set(&mut plan.probe_timeout, c.probe_timeout);
-    set(&mut plan.probe_truncate, c.probe_truncate);
-    set(&mut plan.probe_slow, c.probe_slow);
-    set(&mut plan.slow_by_secs, c.slow_by_secs);
-    set(&mut plan.drop_quartet_batch, c.drop_quartet_batch);
-    set(&mut plan.drop_route_info, c.drop_route_info);
-    set(&mut plan.churn_duplicate, c.churn_duplicate);
-    set(&mut plan.churn_delay, c.churn_delay);
-    set(&mut plan.churn_delay_secs, c.churn_delay_secs);
 }
 
 /// Parses and resolves `cloud:<loc>` / `middle:<asn>` /
@@ -372,15 +316,15 @@ fn resolve_target(
         .map_err(|_| bad(format!("bad target id {id_s:?}")))?;
     let topo = world.topology();
     match kind {
-        "cloud" => {
-            if id as usize >= topo.cloud_locations.len() {
-                return Err(bad(format!(
-                    "no cloud location {id} (this world has {})",
-                    topo.cloud_locations.len()
-                )));
+        "cloud" => match u16::try_from(id) {
+            Ok(loc) if usize::from(loc) < topo.cloud_locations.len() => {
+                Ok(FaultTarget::CloudLocation(CloudLocId(loc)))
             }
-            Ok(FaultTarget::CloudLocation(CloudLocId(id as u16)))
-        }
+            _ => Err(bad(format!(
+                "no cloud location {id} (this world has {})",
+                topo.cloud_locations.len()
+            ))),
+        },
         "middle" | "middle-reverse" => {
             let ok = topo
                 .as_info(Asn(id))

@@ -7,57 +7,37 @@
 //! the transcript's `unlocalized(<reason>)` provenance text — so a
 //! regression on any surface fails the scenario.
 
-use crate::run::{OverloadReport, ScenarioRun};
-use crate::spec::{Expectation, ScenarioSpec};
+use crate::run::ScenarioRun;
+use crate::spec::{Expectation, Limit, Quantity, ScenarioSpec};
 use blameit::UnlocalizedReason;
 
 /// Checks every `[expect]` assertion; returns one message per failure
 /// (empty = pass).
 pub fn evaluate(spec: &ScenarioSpec, run: &ScenarioRun) -> Vec<String> {
-    use Expectation as E;
     let r = &run.report;
     let mut failures = Vec::new();
     let mut fail = |msg: String| failures.push(msg);
     for e in &spec.expect {
-        // Most assertions are a floor or ceiling on one count:
-        // (≥ or ≤, bound, observed, what is counted, why it matters).
-        let (cmp, n, got, what, why) = match e {
-            E::BlamesMin(n) => ('≥', n, r.blames.total(), "blame verdicts".into(), ""),
-            E::BlamesMax(n) => ('≤', n, r.blames.total(), "blame verdicts".into(), ""),
-            E::BlameMin(b, n) => ('≥', n, r.blames.count(*b), format!("`{b}` verdicts"), ""),
-            E::BlameMax(b, n) => ('≤', n, r.blames.count(*b), format!("`{b}` verdicts"), ""),
-            E::LocalizationsMin(n) => ('≥', n, r.localizations, "localization attempts".into(), ""),
-            E::LocalizationsMax(n) => ('≤', n, r.localizations, "localization attempts".into(), ""),
-            E::DegradedMax(reason, n) => (
-                '≤',
-                n,
-                degraded_count(r.degraded_verdicts, *reason),
-                format!("degraded `{}` verdicts", reason.label()),
-                "",
-            ),
-            E::DegradedTotalMax(n) => (
-                '≤',
-                n,
-                r.degraded_verdicts.iter().sum(),
-                "degraded verdicts total".into(),
-                "",
-            ),
-            E::AlertsMin(n) => ('≥', n, r.alerts, "alerts".into(), ""),
-            E::AlertsMax(n) => ('≤', n, r.alerts, "alerts".into(), ""),
-            E::ShedMin(n)
-            | E::ShedMax(n)
-            | E::BackpressureMin(n)
-            | E::QueuePeakMax(n)
-            | E::TopDecileShedMax(n) => {
-                // Compile guarantees these only appear with [overload].
-                let Some(ovl) = &r.overload else {
+        match e {
+            Expectation::Bound(Quantity::Degraded(reason), Limit::Floor, n) => {
+                degraded_min(*reason, *n, run, &mut fail)
+            }
+            Expectation::Bound(quantity, limit, n) => {
+                // Compile guarantees the ingest counts only appear with
+                // [overload].
+                let Some((got, what, why)) = observed(*quantity, run) else {
                     fail(format!("{e:?} evaluated on a run with no overload report"));
                     continue;
                 };
-                let (cmp, got, what, why) = overload_bound(e, ovl);
-                (cmp, n, got, what.to_string(), why)
+                let (cmp, holds) = match limit {
+                    Limit::Floor => ('≥', got >= *n),
+                    Limit::Ceiling => ('≤', got <= *n),
+                };
+                if !holds {
+                    fail(format!("expected {cmp} {n} {what}, got {got}{why}"));
+                }
             }
-            E::CulpritAs(asn) => {
+            Expectation::CulpritAs(asn) => {
                 if !r.culprits.contains(asn) {
                     let named: Vec<String> = r.culprits.iter().map(|a| format!("AS{a}")).collect();
                     fail(format!(
@@ -65,54 +45,55 @@ pub fn evaluate(spec: &ScenarioSpec, run: &ScenarioRun) -> Vec<String> {
                         named.join(", ")
                     ));
                 }
-                continue;
             }
-            E::DegradedMin(reason, n) => {
-                degraded_min(*reason, *n, run, &mut fail);
-                continue;
-            }
-            E::FlightTrigger(label) => {
+            Expectation::FlightTrigger(label) => {
                 if !r.flight_triggers.iter().any(|t| t == label) {
                     fail(format!(
                         "expected flight trigger `{label}` to fire, fired: [{}]",
                         r.flight_triggers.join(", ")
                     ));
                 }
-                continue;
             }
-        };
-        if !(if cmp == '≥' { got >= *n } else { got <= *n }) {
-            fail(format!("expected {cmp} {n} {what}, got {got}{why}"));
         }
     }
     failures
 }
 
-/// The `[overload]`-only bounds: whether `e` (one of the five
-/// shed/queue expectations) is a floor (≥) or ceiling (≤), the observed
-/// count, what it counts and the claim a violation breaks.
-fn overload_bound(
-    e: &Expectation,
-    ovl: &OverloadReport,
-) -> (char, u64, &'static str, &'static str) {
-    match e {
-        Expectation::ShedMin(_) => ('≥', ovl.shed_low_impact, "impact-shed records", ""),
-        Expectation::ShedMax(_) => ('≤', ovl.shed_low_impact, "impact-shed records", ""),
-        Expectation::BackpressureMin(_) => ('≥', ovl.backpressure_replies, "SLOW_DOWN replies", ""),
-        Expectation::QueuePeakMax(_) => (
-            '≤',
-            ovl.queue_peak_records,
-            "records at queue peak",
+/// What the run counted for `quantity`: the count, what it counts, and
+/// the claim a violated bound breaks. `None`: an ingest count on a run
+/// with no overload report.
+fn observed(quantity: Quantity, run: &ScenarioRun) -> Option<(u64, String, &'static str)> {
+    use Quantity as Q;
+    let r = &run.report;
+    let ovl = r.overload.as_ref();
+    Some(match quantity {
+        Q::Blames => (r.blames.total(), "blame verdicts".into(), ""),
+        Q::Blame(b) => (r.blames.count(b), format!("`{b}` verdicts"), ""),
+        Q::Localizations => (r.localizations, "localization attempts".into(), ""),
+        Q::Degraded(reason) => (
+            degraded_count(r.degraded_verdicts, reason),
+            format!("degraded `{}` verdicts", reason.label()),
+            "",
+        ),
+        Q::DegradedTotal => (
+            r.degraded_verdicts.iter().sum(),
+            "degraded verdicts total".into(),
+            "",
+        ),
+        Q::Alerts => (r.alerts, "alerts".into(), ""),
+        Q::Shed => (ovl?.shed_low_impact, "impact-shed records".into(), ""),
+        Q::Backpressure => (ovl?.backpressure_replies, "SLOW_DOWN replies".into(), ""),
+        Q::QueuePeak => (
+            ovl?.queue_peak_records,
+            "records at queue peak".into(),
             " (bounded-memory claim violated)",
         ),
-        Expectation::TopDecileShedMax(_) => (
-            '≤',
-            ovl.top_decile_shed_records,
-            "shed records from the top impact decile",
+        Q::TopDecileShed => (
+            ovl?.top_decile_shed_records,
+            "shed records from the top impact decile".into(),
             " (shedding touched the groups it must protect)",
         ),
-        _ => unreachable!("`evaluate` passes only the overload expectations"),
-    }
+    })
 }
 
 fn degraded_count(counts: [u64; 6], reason: UnlocalizedReason) -> u64 {
@@ -273,11 +254,15 @@ mod tests {
     #[test]
     fn passing_expectations_produce_no_failures() {
         let spec = spec_with(vec![
-            Expectation::BlamesMin(2),
-            Expectation::BlameMin(Blame::Middle, 1),
+            Expectation::Bound(Quantity::Blames, Limit::Floor, 2),
+            Expectation::Bound(Quantity::Blame(Blame::Middle), Limit::Floor, 1),
             Expectation::CulpritAs(104),
-            Expectation::DegradedMin(UnlocalizedReason::ProbeTimeout, 1),
-            Expectation::AlertsMax(5),
+            Expectation::Bound(
+                Quantity::Degraded(UnlocalizedReason::ProbeTimeout),
+                Limit::Floor,
+                1,
+            ),
+            Expectation::Bound(Quantity::Alerts, Limit::Ceiling, 5),
             Expectation::FlightTrigger("degraded-spike".into()),
         ]);
         let run = run_with("tick 0\n  localization ... unlocalized(probe_timeout)\n");
@@ -287,8 +272,9 @@ mod tests {
 
     #[test]
     fn each_surface_of_degraded_min_is_checked() {
-        let spec = spec_with(vec![Expectation::DegradedMin(
-            UnlocalizedReason::ProbeTimeout,
+        let spec = spec_with(vec![Expectation::Bound(
+            Quantity::Degraded(UnlocalizedReason::ProbeTimeout),
+            Limit::Floor,
             1,
         )]);
         // Verdict records say 1 but the transcript lacks the marker.
@@ -311,10 +297,10 @@ mod tests {
     fn overload_expectations_read_the_overload_report() {
         use crate::run::OverloadReport;
         let spec = spec_with(vec![
-            Expectation::ShedMin(100),
-            Expectation::BackpressureMin(2),
-            Expectation::QueuePeakMax(9_000),
-            Expectation::TopDecileShedMax(0),
+            Expectation::Bound(Quantity::Shed, Limit::Floor, 100),
+            Expectation::Bound(Quantity::Backpressure, Limit::Floor, 2),
+            Expectation::Bound(Quantity::QueuePeak, Limit::Ceiling, 9_000),
+            Expectation::Bound(Quantity::TopDecileShed, Limit::Ceiling, 0),
         ]);
         let mut run = run_with("x");
         run.report.overload = Some(OverloadReport {
@@ -346,10 +332,10 @@ mod tests {
     #[test]
     fn failures_name_the_observed_value() {
         let spec = spec_with(vec![
-            Expectation::BlamesMin(100),
+            Expectation::Bound(Quantity::Blames, Limit::Floor, 100),
             Expectation::CulpritAs(9),
             Expectation::FlightTrigger("chaos-burst".into()),
-            Expectation::DegradedTotalMax(0),
+            Expectation::Bound(Quantity::DegradedTotal, Limit::Ceiling, 0),
         ]);
         let run = run_with("x");
         let fails = evaluate(&spec, &run);

@@ -53,6 +53,7 @@ pub mod check;
 pub mod compile;
 pub mod error;
 pub mod expect;
+pub mod keys;
 pub mod parse;
 pub mod run;
 pub mod spec;
@@ -61,9 +62,10 @@ pub use check::{bless_requested, load_compiled, Checked, GoldenCheck};
 pub use compile::{compile, CompiledScenario};
 pub use error::ScenarioError;
 pub use expect::{evaluate, render_report};
+pub use keys::{Key, Override, Target, Value, KEYS};
 pub use parse::{load_scenario, parse_scenario};
 pub use run::{run_scenario, run_windows, EngineRun, OverloadReport, ScenarioReport, ScenarioRun};
 pub use spec::{
-    ChaosSpec, CrashSpec, EngineSpec, EvalSpec, Expectation, FaultSpec, OverloadSpec, ScenarioSpec,
-    WorkloadSpec, WorldSpec,
+    ChaosSpec, CrashSpec, EvalSpec, Expectation, FaultSpec, Limit, OverloadSpec, Quantity,
+    ScenarioSpec, WorldSpec,
 };

@@ -6,22 +6,24 @@
 //! # comment (blank lines ignored)
 //! key = value          # top level: name, summary
 //! [section]            # world, workload, fault, chaos, crash,
-//!                      # engine, eval, expect
+//!                      # overload, engine, eval, expect
 //! key = value          # keys belong to the open section
 //! ```
 //!
-//! Only `[fault]` may repeat. Unknown sections, unknown keys, bad
-//! values, and duplicate keys are rejected with a `file:line` error —
-//! the parser never panics on any input (see the mutation property
-//! test in `tests/scenario_props.rs`).
+//! Only `[fault]` may repeat. Which keys a section has, what each
+//! value must be and where it lands is one table, [`crate::keys`];
+//! `[expect]` keys are the `<quantity>_<min|max>` grammar below.
+//! Unknown sections, unknown keys, bad or out-of-range values, missing
+//! required keys and duplicate sections are rejected with a
+//! `file:line` error — the parser never panics on any input (see the
+//! mutation property test in `tests/scenario_library.rs`).
 
 use crate::error::ScenarioError;
+use crate::keys::{self, Land, Override, KEYS};
 use crate::spec::{
-    ChaosSpec, CrashSpec, EngineSpec, EvalSpec, Expectation, FaultSpec, OverloadSpec, ScenarioSpec,
-    WorkloadSpec, WorldSpec,
+    ChaosSpec, CrashSpec, Expectation, FaultSpec, Limit, OverloadSpec, Quantity, ScenarioSpec,
 };
 use blameit::{Blame, UnlocalizedReason};
-use blameit_bench::Scale;
 use blameit_simnet::CrashPoint;
 use std::path::Path;
 
@@ -35,111 +37,39 @@ pub fn load_scenario(path: &Path) -> Result<ScenarioSpec, ScenarioError> {
 
 /// Parses scenario text. `file` is only used to position errors.
 pub fn parse_scenario(file: &str, text: &str) -> Result<ScenarioSpec, ScenarioError> {
-    let mut p = Parser::new(file);
-    for (i, raw_line) in text.lines().enumerate() {
-        p.line(i as u32 + 1, raw_line)?;
+    let mut p = Parser {
+        file,
+        section: "",
+        header_line: 0,
+        seen_keys: Vec::new(),
+        seen_sections: Vec::new(),
+        spec: ScenarioSpec::default(),
+    };
+    for (n, raw_line) in (1u32..).zip(text.lines()) {
+        p.line(n, raw_line)?;
     }
     p.finish()
 }
 
-/// Section the cursor is in.
-#[derive(Clone, Copy, PartialEq)]
-enum Section {
-    Top,
-    World,
-    Workload,
-    Fault,
-    Chaos,
-    Crash,
-    Overload,
-    Engine,
-    Eval,
-    Expect,
-}
+/// Every section, in the order the unknown-section error lists them.
+const SECTIONS: [&str; 9] = [
+    "world", "workload", "fault", "chaos", "crash", "overload", "engine", "eval", "expect",
+];
 
-/// A half-built `[crash]` section (fields arrive line by line).
-#[derive(Default)]
-struct CrashDraft {
-    kill_tick: Option<u64>,
-    kill_point: Option<CrashPoint>,
-    seed: Option<u64>,
-    line: u32,
-}
-
-/// A half-built `[fault]` section.
-#[derive(Default)]
-struct FaultDraft {
-    target: Option<(String, u32)>,
-    start_hour: Option<f64>,
-    duration_mins: Option<u64>,
-    added_ms: Option<f64>,
-    line: u32,
-}
-
-/// A half-built `[overload]` section.
-#[derive(Default)]
-struct OverloadDraft {
-    surge_mult: Option<u32>,
-    surge_start_hour: Option<f64>,
-    surge_duration_mins: Option<u64>,
-    surge_seed: Option<u64>,
-    queue_cap_records: Option<usize>,
-    shed_watermark_records: Option<usize>,
-    per_loc_shed_cap: Option<usize>,
-    sustained_ticks: Option<u32>,
-    max_attempts: Option<u32>,
-    line: u32,
-}
-
-/// A half-built `[eval]` section.
-#[derive(Default)]
-struct EvalDraft {
-    start_hour: Option<f64>,
-    duration_mins: Option<u64>,
-    line: u32,
-}
-
-struct Parser {
-    file: String,
-    section: Section,
-    name: Option<String>,
-    summary: String,
-    world: WorldSpec,
-    workload: WorkloadSpec,
-    faults: Vec<FaultSpec>,
-    fault: Option<FaultDraft>,
-    chaos: Option<ChaosSpec>,
-    crash: Option<CrashDraft>,
-    overload: Option<OverloadDraft>,
-    engine: EngineSpec,
-    eval: Option<EvalDraft>,
-    expect: Vec<Expectation>,
+struct Parser<'a> {
+    file: &'a str,
+    /// The open section; empty at the top level.
+    section: &'static str,
+    /// Its header's line and the keys seen under it so far.
+    header_line: u32,
+    seen_keys: Vec<&'static str>,
     seen_sections: Vec<&'static str>,
+    spec: ScenarioSpec,
 }
 
-impl Parser {
-    fn new(file: &str) -> Self {
-        Parser {
-            file: file.to_string(),
-            section: Section::Top,
-            name: None,
-            summary: String::new(),
-            world: WorldSpec::default(),
-            workload: WorkloadSpec::default(),
-            faults: Vec::new(),
-            fault: None,
-            chaos: None,
-            crash: None,
-            overload: None,
-            engine: EngineSpec::default(),
-            eval: None,
-            expect: Vec::new(),
-            seen_sections: Vec::new(),
-        }
-    }
-
+impl Parser<'_> {
     fn err(&self, line: u32, msg: impl Into<String>) -> ScenarioError {
-        ScenarioError::at(&self.file, line, msg)
+        ScenarioError::at(self.file, line, msg)
     }
 
     fn line(&mut self, n: u32, raw: &str) -> Result<(), ScenarioError> {
@@ -165,184 +95,117 @@ impl Parser {
             return Err(self.err(n, "empty key before `=`"));
         }
         match self.section {
-            Section::Top => self.top_key(n, key, value),
-            Section::World => self.world_key(n, key, value),
-            Section::Workload => self.workload_key(n, key, value),
-            Section::Fault => self.fault_key(n, key, value),
-            Section::Chaos => self.chaos_key(n, key, value),
-            Section::Crash => self.crash_key(n, key, value),
-            Section::Overload => self.overload_key(n, key, value),
-            Section::Engine => self.engine_key(n, key, value),
-            Section::Eval => self.eval_key(n, key, value),
-            Section::Expect => self.expect_key(n, key, value),
+            "" => self.top_key(n, key, value),
+            "expect" => {
+                let e = expectation(key, value).map_err(|msg| self.err(n, msg))?;
+                self.spec.expect.push(e);
+                Ok(())
+            }
+            section => self.table_key(n, section, key, value),
         }
     }
 
-    fn open_section(&mut self, n: u32, name: &str) -> Result<(), ScenarioError> {
-        self.close_fault()?;
-        let (section, tag): (Section, &'static str) = match name {
-            "world" => (Section::World, "world"),
-            "workload" => (Section::Workload, "workload"),
-            "fault" => (Section::Fault, "fault"),
-            "chaos" => (Section::Chaos, "chaos"),
-            "crash" => (Section::Crash, "crash"),
-            "overload" => (Section::Overload, "overload"),
-            "engine" => (Section::Engine, "engine"),
-            "eval" => (Section::Eval, "eval"),
-            "expect" => (Section::Expect, "expect"),
-            other => {
-                return Err(self.err(
-                    n,
-                    format!(
-                        "unknown section [{other}]; expected one of [world] [workload] [fault] \
-                         [chaos] [crash] [overload] [engine] [eval] [expect]"
-                    ),
-                ))
-            }
+    /// A key of any section [`KEYS`] describes: checked against its
+    /// row, then written to the spec or kept as an override.
+    fn table_key(
+        &mut self,
+        n: u32,
+        section: &str,
+        name: &str,
+        raw: &str,
+    ) -> Result<(), ScenarioError> {
+        let Some(key) = keys::lookup(section, name) else {
+            return Err(self.err(n, format!("unknown [{section}] key {name:?}")));
         };
-        if section != Section::Fault && self.seen_sections.contains(&tag) {
+        let value = key.parse(raw).map_err(|msg| self.err(n, msg))?;
+        self.seen_keys.push(key.name);
+        match key.land {
+            Land::Spec(write) => write(&mut self.spec, &value, n),
+            _ => self.spec.overrides.push(Override { key, value }),
+        }
+        Ok(())
+    }
+
+    fn open_section(&mut self, n: u32, name: &str) -> Result<(), ScenarioError> {
+        self.close_section()?;
+        let Some(&tag) = SECTIONS.iter().find(|s| **s == name) else {
+            let all: Vec<String> = SECTIONS.iter().map(|s| format!("[{s}]")).collect();
+            return Err(self.err(
+                n,
+                format!(
+                    "unknown section [{name}]; expected one of {}",
+                    all.join(" ")
+                ),
+            ));
+        };
+        if tag != "fault" && self.seen_sections.contains(&tag) {
             return Err(self.err(n, format!("duplicate section [{tag}]")));
         }
         self.seen_sections.push(tag);
-        match section {
-            Section::Fault => {
-                self.fault = Some(FaultDraft {
+        // The sections a spec holds as a list or an option exist from
+        // their header on, with the defaults of their optional keys.
+        match tag {
+            "fault" => self.spec.faults.push(FaultSpec::default()),
+            "chaos" => self.spec.chaos = Some(ChaosSpec::default()),
+            "crash" => {
+                self.spec.crash = Some(CrashSpec {
+                    kill_tick: 0,
+                    kill_point: CrashPoint::MidJournal,
+                    seed: 0xC4A5,
                     line: n,
-                    ..FaultDraft::default()
                 })
             }
-            Section::Chaos => self.chaos = Some(ChaosSpec::default()),
-            Section::Crash => {
-                self.crash = Some(CrashDraft {
+            "overload" => {
+                self.spec.overload = Some(OverloadSpec {
+                    surge_mult: 0,
+                    surge_start_hour: 0.0,
+                    surge_duration_mins: 0,
+                    surge_seed: 0xC4A0,
+                    max_attempts: 3,
                     line: n,
-                    ..CrashDraft::default()
-                })
-            }
-            Section::Overload => {
-                self.overload = Some(OverloadDraft {
-                    line: n,
-                    ..OverloadDraft::default()
-                })
-            }
-            Section::Eval => {
-                self.eval = Some(EvalDraft {
-                    line: n,
-                    ..EvalDraft::default()
                 })
             }
             _ => {}
         }
-        self.section = section;
+        self.section = tag;
+        self.header_line = n;
         Ok(())
     }
 
-    /// Completes the open `[fault]` section, checking required keys.
-    fn close_fault(&mut self) -> Result<(), ScenarioError> {
-        let Some(draft) = self.fault.take() else {
-            return Ok(());
-        };
-        let line = draft.line;
-        let (target, target_line) = draft
-            .target
-            .ok_or_else(|| self.err(line, "[fault] is missing `target`"))?;
-        self.faults.push(FaultSpec {
-            target,
-            target_line,
-            start_hour: draft
-                .start_hour
-                .ok_or_else(|| self.err(line, "[fault] is missing `start_hour`"))?,
-            duration_mins: draft
-                .duration_mins
-                .ok_or_else(|| self.err(line, "[fault] is missing `duration_mins`"))?,
-            added_ms: draft
-                .added_ms
-                .ok_or_else(|| self.err(line, "[fault] is missing `added_ms`"))?,
-        });
+    /// Checks the open section has every key it requires.
+    fn close_section(&mut self) -> Result<(), ScenarioError> {
+        let section = self.section;
+        let missing = KEYS
+            .iter()
+            .find(|k| k.section == section && k.required && !self.seen_keys.contains(&k.name));
+        if let Some(key) = missing {
+            return Err(self.err(
+                self.header_line,
+                format!("[{section}] is missing `{}`", key.name),
+            ));
+        }
+        self.seen_keys.clear();
         Ok(())
     }
 
     fn finish(mut self) -> Result<ScenarioSpec, ScenarioError> {
-        self.close_fault()?;
-        let name = self
-            .name
-            .take()
-            .ok_or_else(|| ScenarioError::whole(&self.file, "missing required `name = ...`"))?;
-        let Some(eval) = self.eval.take() else {
-            return Err(ScenarioError::whole(&self.file, "missing [eval] section"));
-        };
-        let eval = EvalSpec {
-            start_hour: eval
-                .start_hour
-                .ok_or_else(|| self.err(eval.line, "[eval] is missing `start_hour`"))?,
-            duration_mins: eval
-                .duration_mins
-                .ok_or_else(|| self.err(eval.line, "[eval] is missing `duration_mins`"))?,
-        };
-        let crash = match self.crash.take() {
-            None => None,
-            Some(draft) => {
-                let line = draft.line;
-                Some(CrashSpec {
-                    kill_tick: draft
-                        .kill_tick
-                        .ok_or_else(|| self.err(line, "[crash] is missing `kill_tick`"))?,
-                    kill_point: draft
-                        .kill_point
-                        .ok_or_else(|| self.err(line, "[crash] is missing `kill_point`"))?,
-                    seed: draft.seed.unwrap_or(0xC4A5),
-                    line,
-                })
-            }
-        };
-        let overload = match self.overload.take() {
-            None => None,
-            Some(draft) => {
-                let line = draft.line;
-                let mult = draft
-                    .surge_mult
-                    .ok_or_else(|| self.err(line, "[overload] is missing `surge_mult`"))?;
-                if mult < 2 {
-                    return Err(self.err(line, "surge_mult must be ≥ 2 (1 is no surge)"));
-                }
-                Some(OverloadSpec {
-                    surge_mult: mult,
-                    surge_start_hour: draft.surge_start_hour.ok_or_else(|| {
-                        self.err(line, "[overload] is missing `surge_start_hour`")
-                    })?,
-                    surge_duration_mins: draft.surge_duration_mins.ok_or_else(|| {
-                        self.err(line, "[overload] is missing `surge_duration_mins`")
-                    })?,
-                    surge_seed: draft.surge_seed.unwrap_or(0xC4A0),
-                    queue_cap_records: draft.queue_cap_records,
-                    shed_watermark_records: draft.shed_watermark_records,
-                    per_loc_shed_cap: draft.per_loc_shed_cap,
-                    sustained_ticks: draft.sustained_ticks,
-                    max_attempts: draft.max_attempts.unwrap_or(3).max(1),
-                    line,
-                })
-            }
-        };
-        Ok(ScenarioSpec {
-            name,
-            summary: self.summary,
-            world: self.world,
-            workload: self.workload,
-            faults: self.faults,
-            chaos: self.chaos,
-            crash,
-            overload,
-            engine: self.engine,
-            eval,
-            expect: self.expect,
-        })
+        self.close_section()?;
+        if self.spec.name.is_empty() {
+            return Err(ScenarioError::whole(
+                self.file,
+                "missing required `name = ...`",
+            ));
+        }
+        if !self.seen_sections.contains(&"eval") {
+            return Err(ScenarioError::whole(self.file, "missing [eval] section"));
+        }
+        Ok(self.spec)
     }
-
-    // ── per-section key handlers ────────────────────────────────────
 
     fn top_key(&mut self, n: u32, key: &str, value: &str) -> Result<(), ScenarioError> {
         match key {
             "name" => {
-                if self.name.is_some() {
+                if !self.spec.name.is_empty() {
                     return Err(self.err(n, "duplicate `name`"));
                 }
                 if value.is_empty()
@@ -355,11 +218,11 @@ impl Parser {
                         format!("scenario name {value:?} must be non-empty [a-z0-9-]"),
                     ));
                 }
-                self.name = Some(value.to_string());
+                self.spec.name = value.to_string();
                 Ok(())
             }
             "summary" => {
-                self.summary = value.to_string();
+                self.spec.summary = value.to_string();
                 Ok(())
             }
             other => Err(self.err(
@@ -368,371 +231,63 @@ impl Parser {
             )),
         }
     }
+}
 
-    fn world_key(&mut self, n: u32, key: &str, value: &str) -> Result<(), ScenarioError> {
-        match key {
-            "scale" => {
-                self.world.scale = match value {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "default" => Scale::Default,
-                    other => {
-                        return Err(self.err(
-                            n,
-                            format!("unknown scale {other:?}; expected tiny|small|default"),
-                        ))
-                    }
-                }
-            }
-            "seed" => self.world.seed = self.u64v(n, key, value)?,
-            "days" => self.world.days = self.u64v(n, key, value)?,
-            "warmup_days" => self.world.warmup_days = self.u64v(n, key, value)?,
-            "organic" => self.world.organic = self.boolv(n, key, value)?,
-            "churn_per_day" => self.world.churn_per_day = Some(self.f64v(n, key, value)?),
-            "evening_congestion_ms" => {
-                self.world.evening_congestion_ms = Some(self.f64v(n, key, value)?)
-            }
-            "noise_sigma" => self.world.noise_sigma = Some(self.f64v(n, key, value)?),
-            "spike_prob" => self.world.spike_prob = Some(self.ratev(n, key, value)?),
-            "path_drift_prob" => self.world.path_drift_prob = Some(self.ratev(n, key, value)?),
-            "broadband_per_metro" => {
-                self.world.broadband_per_metro = Some(self.u64v(n, key, value)? as usize)
-            }
-            "mobile_per_metro" => {
-                self.world.mobile_per_metro = Some(self.u64v(n, key, value)? as usize)
-            }
-            "tier1_count" => self.world.tier1_count = Some(self.u64v(n, key, value)? as usize),
-            "transits_per_region" => {
-                self.world.transits_per_region = Some(self.u64v(n, key, value)? as usize)
-            }
-            "secondary_loc_prob" => {
-                self.world.secondary_loc_prob = Some(self.ratev(n, key, value)?)
-            }
-            other => return Err(self.err(n, format!("unknown [world] key {other:?}"))),
+/// The quantities an `[expect]` bound can name, by key stem, with the
+/// sides each may be bounded on (floor, ceiling).
+const QUANTITIES: [(&str, Quantity, bool, bool); 8] = [
+    ("blames", Quantity::Blames, true, true),
+    ("localizations", Quantity::Localizations, true, true),
+    ("degraded_total", Quantity::DegradedTotal, false, true),
+    ("alerts", Quantity::Alerts, true, true),
+    ("shed", Quantity::Shed, true, true),
+    ("backpressure", Quantity::Backpressure, true, false),
+    ("queue_peak", Quantity::QueuePeak, false, true),
+    ("top_decile_shed", Quantity::TopDecileShed, false, true),
+];
+
+/// One `[expect]` line: `flight_trigger = <label>`, `culprit_as =
+/// <asn>`, or `<quantity>_<min|max> = <count>` where the quantity is a
+/// [`QUANTITIES`] stem, `blame_<category>` or `degraded_<reason>`.
+fn expectation(key: &str, value: &str) -> Result<Expectation, String> {
+    if key == "flight_trigger" {
+        if blameit_obs::FlightTrigger::from_label(value).is_none() {
+            return Err(format!("unknown flight trigger label {value:?}"));
         }
-        Ok(())
+        return Ok(Expectation::FlightTrigger(value.into()));
     }
-
-    fn workload_key(&mut self, n: u32, key: &str, value: &str) -> Result<(), ScenarioError> {
-        match key {
-            "conns_per_client_bucket" => {
-                self.workload.conns_per_client_bucket = Some(self.f64v(n, key, value)?)
-            }
-            "secondary_volume_frac" => {
-                self.workload.secondary_volume_frac = Some(self.ratev(n, key, value)?)
-            }
-            other => return Err(self.err(n, format!("unknown [workload] key {other:?}"))),
-        }
-        Ok(())
+    if key == "culprit_as" {
+        return Ok(Expectation::CulpritAs(keys::int(key, value, 0)?));
     }
-
-    fn fault_key(&mut self, n: u32, key: &str, value: &str) -> Result<(), ScenarioError> {
-        // Validate before borrowing the draft mutably.
-        let parsed_f64 = match key {
-            "start_hour" | "added_ms" => Some(self.f64v(n, key, value)?),
-            _ => None,
+    let count = keys::parse_u64(key, value)?;
+    let bound = key.rsplit_once('_').and_then(|(stem, side)| {
+        let limit = match side {
+            "min" => Limit::Floor,
+            "max" => Limit::Ceiling,
+            _ => return None,
         };
-        let parsed_u64 = match key {
-            "duration_mins" => Some(self.u64v(n, key, value)?),
-            _ => None,
-        };
-        let unknown = self.err(n, format!("unknown [fault] key {key:?}"));
-        let draft = self.fault.as_mut().expect("in [fault] section");
-        match key {
-            "target" => draft.target = Some((value.to_string(), n)),
-            "start_hour" => draft.start_hour = parsed_f64,
-            "duration_mins" => draft.duration_mins = parsed_u64,
-            "added_ms" => draft.added_ms = parsed_f64,
-            _ => return Err(unknown),
-        }
-        Ok(())
-    }
-
-    fn chaos_key(&mut self, n: u32, key: &str, value: &str) -> Result<(), ScenarioError> {
-        let rate = matches!(
-            key,
-            "probe_timeout"
-                | "probe_truncate"
-                | "probe_slow"
-                | "drop_quartet_batch"
-                | "drop_route_info"
-                | "churn_duplicate"
-                | "churn_delay"
-        )
-        .then(|| self.ratev(n, key, value))
-        .transpose()?;
-        let secs = matches!(key, "seed" | "slow_by_secs" | "churn_delay_secs")
-            .then(|| self.u64v(n, key, value))
-            .transpose()?;
-        let unknown = self.err(n, format!("unknown [chaos] key {key:?}"));
-        let bad_plan = self.err(
-            n,
-            format!("unknown chaos plan {value:?}; expected none|mild|heavy|probe-storm"),
-        );
-        let chaos = self.chaos.as_mut().expect("in [chaos] section");
-        match key {
-            "plan" => {
-                if !matches!(value, "none" | "mild" | "heavy" | "probe-storm") {
-                    return Err(bad_plan);
-                }
-                chaos.plan = Some(value.to_string());
-            }
-            "seed" => chaos.seed = secs,
-            "probe_timeout" => chaos.probe_timeout = rate,
-            "probe_truncate" => chaos.probe_truncate = rate,
-            "probe_slow" => chaos.probe_slow = rate,
-            "slow_by_secs" => chaos.slow_by_secs = secs,
-            "drop_quartet_batch" => chaos.drop_quartet_batch = rate,
-            "drop_route_info" => chaos.drop_route_info = rate,
-            "churn_duplicate" => chaos.churn_duplicate = rate,
-            "churn_delay" => chaos.churn_delay = rate,
-            "churn_delay_secs" => chaos.churn_delay_secs = secs,
-            _ => return Err(unknown),
-        }
-        Ok(())
-    }
-
-    fn crash_key(&mut self, n: u32, key: &str, value: &str) -> Result<(), ScenarioError> {
-        let num = matches!(key, "kill_tick" | "seed")
-            .then(|| self.u64v(n, key, value))
-            .transpose()?;
-        let point = (key == "kill_point")
-            .then(|| {
-                CrashPoint::ALL
-                    .into_iter()
-                    .find(|p| p.label() == value)
-                    .ok_or_else(|| {
-                        let all: Vec<&str> = CrashPoint::ALL.iter().map(|p| p.label()).collect();
-                        self.err(
-                            n,
-                            format!(
-                                "unknown kill_point {value:?}; expected one of {}",
-                                all.join("|")
-                            ),
-                        )
-                    })
+        let listed = QUANTITIES
+            .iter()
+            .find(|(s, ..)| *s == stem)
+            .filter(|(_, _, floor, ceiling)| match limit {
+                Limit::Floor => *floor,
+                Limit::Ceiling => *ceiling,
             })
-            .transpose()?;
-        let unknown = self.err(n, format!("unknown [crash] key {key:?}"));
-        let crash = self.crash.as_mut().expect("in [crash] section");
-        match key {
-            "kill_tick" => crash.kill_tick = num,
-            "kill_point" => crash.kill_point = point,
-            "seed" => crash.seed = num,
-            _ => return Err(unknown),
-        }
-        Ok(())
-    }
-
-    fn overload_key(&mut self, n: u32, key: &str, value: &str) -> Result<(), ScenarioError> {
-        let hour = (key == "surge_start_hour")
-            .then(|| self.f64v(n, key, value))
-            .transpose()?;
-        let num = matches!(
-            key,
-            "surge_mult"
-                | "surge_duration_mins"
-                | "surge_seed"
-                | "queue_cap_records"
-                | "shed_watermark_records"
-                | "per_loc_shed_cap"
-                | "sustained_ticks"
-                | "max_attempts"
-        )
-        .then(|| self.u64v(n, key, value))
-        .transpose()?;
-        let unknown = self.err(n, format!("unknown [overload] key {key:?}"));
-        let o = self.overload.as_mut().expect("in [overload] section");
-        match key {
-            "surge_mult" => o.surge_mult = num.map(|v| v as u32),
-            "surge_start_hour" => o.surge_start_hour = hour,
-            "surge_duration_mins" => o.surge_duration_mins = num,
-            "surge_seed" => o.surge_seed = num,
-            "queue_cap_records" => o.queue_cap_records = num.map(|v| v as usize),
-            "shed_watermark_records" => o.shed_watermark_records = num.map(|v| v as usize),
-            "per_loc_shed_cap" => o.per_loc_shed_cap = num.map(|v| v as usize),
-            "sustained_ticks" => o.sustained_ticks = num.map(|v| v as u32),
-            "max_attempts" => o.max_attempts = num.map(|v| v as u32),
-            _ => return Err(unknown),
-        }
-        Ok(())
-    }
-
-    fn engine_key(&mut self, n: u32, key: &str, value: &str) -> Result<(), ScenarioError> {
-        match key {
-            "probe_budget_per_loc" => {
-                self.engine.probe_budget_per_loc = Some(self.u64v(n, key, value)? as usize)
+            .map(|(_, q, ..)| *q);
+        let quantity = listed.or_else(|| {
+            if let Some(cat) = stem.strip_prefix("blame_") {
+                let blame = Blame::ALL.into_iter().find(|b| b.to_string() == cat)?;
+                return Some(Quantity::Blame(blame));
             }
-            "probe_max_attempts" => {
-                self.engine.probe_max_attempts = Some(self.u64v(n, key, value)? as u32)
-            }
-            "probe_timeout_secs" => {
-                self.engine.probe_timeout_secs = Some(self.u64v(n, key, value)?)
-            }
-            "probe_backoff_base_secs" => {
-                self.engine.probe_backoff_base_secs = Some(self.u64v(n, key, value)?)
-            }
-            "probe_deadline_budget_secs" => {
-                self.engine.probe_deadline_budget_secs = Some(self.u64v(n, key, value)?)
-            }
-            "baseline_max_age_secs" => {
-                self.engine.baseline_max_age_secs = Some(self.u64v(n, key, value)?)
-            }
-            "background_period_secs" => {
-                self.engine.background_period_secs = Some(self.u64v(n, key, value)?)
-            }
-            "churn_triggered" => self.engine.churn_triggered = Some(self.boolv(n, key, value)?),
-            "tick_buckets" => {
-                let v = self.u64v(n, key, value)?;
-                if v == 0 {
-                    return Err(self.err(n, "tick_buckets must be ≥ 1"));
-                }
-                self.engine.tick_buckets = Some(v as u32);
-            }
-            "max_alerts" => self.engine.max_alerts = Some(self.u64v(n, key, value)? as usize),
-            "snapshot_every_ticks" => {
-                self.engine.snapshot_every_ticks = Some(self.u64v(n, key, value)? as u32)
-            }
-            "flight_degraded_spike" => {
-                self.engine.flight_degraded_spike = Some(self.u64v(n, key, value)?)
-            }
-            "flight_chaos_burst" => {
-                self.engine.flight_chaos_burst = Some(self.u64v(n, key, value)?)
-            }
-            other => return Err(self.err(n, format!("unknown [engine] key {other:?}"))),
-        }
-        Ok(())
-    }
-
-    fn eval_key(&mut self, n: u32, key: &str, value: &str) -> Result<(), ScenarioError> {
-        let hour = (key == "start_hour")
-            .then(|| self.f64v(n, key, value))
-            .transpose()?;
-        let mins = (key == "duration_mins")
-            .then(|| self.u64v(n, key, value))
-            .transpose()?;
-        let unknown = self.err(n, format!("unknown [eval] key {key:?}"));
-        let eval = self.eval.as_mut().expect("in [eval] section");
-        match key {
-            "start_hour" => eval.start_hour = hour,
-            "duration_mins" => eval.duration_mins = mins,
-            _ => return Err(unknown),
-        }
-        Ok(())
-    }
-
-    fn expect_key(&mut self, n: u32, key: &str, value: &str) -> Result<(), ScenarioError> {
-        // `flight_trigger` and `culprit_as` take non-count values.
-        if key == "flight_trigger" {
-            if blameit_obs::FlightTrigger::from_label(value).is_none() {
-                return Err(self.err(n, format!("unknown flight trigger label {value:?}")));
-            }
-            self.expect.push(Expectation::FlightTrigger(value.into()));
-            return Ok(());
-        }
-        if key == "culprit_as" {
-            let asn = self.u64v(n, key, value)?;
-            self.expect.push(Expectation::CulpritAs(asn as u32));
-            return Ok(());
-        }
-        let count = self.u64v(n, key, value)?;
-        let e = match key {
-            "blames_min" => Expectation::BlamesMin(count),
-            "blames_max" => Expectation::BlamesMax(count),
-            "localizations_min" => Expectation::LocalizationsMin(count),
-            "localizations_max" => Expectation::LocalizationsMax(count),
-            "degraded_total_max" => Expectation::DegradedTotalMax(count),
-            "alerts_min" => Expectation::AlertsMin(count),
-            "alerts_max" => Expectation::AlertsMax(count),
-            "shed_min" => Expectation::ShedMin(count),
-            "shed_max" => Expectation::ShedMax(count),
-            "backpressure_min" => Expectation::BackpressureMin(count),
-            "queue_peak_max" => Expectation::QueuePeakMax(count),
-            "top_decile_shed_max" => Expectation::TopDecileShedMax(count),
-            other => {
-                if let Some(e) = blame_expect(other, count) {
-                    e
-                } else if let Some(e) = degraded_expect(other, count) {
-                    e
-                } else {
-                    return Err(self.err(n, format!("unknown [expect] key {other:?}")));
-                }
-            }
-        };
-        self.expect.push(e);
-        Ok(())
-    }
-
-    // ── value parsers ───────────────────────────────────────────────
-
-    fn u64v(&self, n: u32, key: &str, value: &str) -> Result<u64, ScenarioError> {
-        let parsed = match value
-            .strip_prefix("0x")
-            .or_else(|| value.strip_prefix("0X"))
-        {
-            Some(hex) => u64::from_str_radix(&hex.replace('_', ""), 16),
-            None => value.replace('_', "").parse(),
-        };
-        parsed.map_err(|_| {
-            self.err(
-                n,
-                format!("{key} expects an unsigned integer, got {value:?}"),
-            )
-        })
-    }
-
-    fn f64v(&self, n: u32, key: &str, value: &str) -> Result<f64, ScenarioError> {
-        let v: f64 = value
-            .parse()
-            .map_err(|_| self.err(n, format!("{key} expects a number, got {value:?}")))?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(self.err(n, format!("{key} must be finite and ≥ 0, got {value}")));
-        }
-        Ok(v)
-    }
-
-    /// A probability in `[0, 1]`.
-    fn ratev(&self, n: u32, key: &str, value: &str) -> Result<f64, ScenarioError> {
-        let v = self.f64v(n, key, value)?;
-        if v > 1.0 {
-            return Err(self.err(n, format!("{key} is a probability in [0, 1], got {value}")));
-        }
-        Ok(v)
-    }
-
-    fn boolv(&self, n: u32, key: &str, value: &str) -> Result<bool, ScenarioError> {
-        match value {
-            "1" | "true" => Ok(true),
-            "0" | "false" => Ok(false),
-            other => Err(self.err(n, format!("{key} expects 0|1|true|false, got {other:?}"))),
-        }
-    }
-}
-
-/// `blame_<category>_<min|max>` keys.
-fn blame_expect(key: &str, count: u64) -> Option<Expectation> {
-    let rest = key.strip_prefix("blame_")?;
-    let (cat, bound) = rest.rsplit_once('_')?;
-    let blame = Blame::ALL.into_iter().find(|b| b.to_string() == cat)?;
-    match bound {
-        "min" => Some(Expectation::BlameMin(blame, count)),
-        "max" => Some(Expectation::BlameMax(blame, count)),
-        _ => None,
-    }
-}
-
-/// `degraded_<reason>_<min|max>` keys (snake_case reason labels).
-fn degraded_expect(key: &str, count: u64) -> Option<Expectation> {
-    let rest = key.strip_prefix("degraded_")?;
-    let (reason_s, bound) = rest.rsplit_once('_')?;
-    let reason = UnlocalizedReason::ALL
-        .into_iter()
-        .find(|r| r.label() == reason_s)?;
-    match bound {
-        "min" => Some(Expectation::DegradedMin(reason, count)),
-        "max" => Some(Expectation::DegradedMax(reason, count)),
-        _ => None,
-    }
+            let label = stem.strip_prefix("degraded_")?;
+            let reason = UnlocalizedReason::ALL
+                .into_iter()
+                .find(|r| r.label() == label)?;
+            Some(Quantity::Degraded(reason))
+        })?;
+        Some(Expectation::Bound(quantity, limit, count))
+    });
+    bound.ok_or_else(|| format!("unknown [expect] key {key:?}"))
 }
 
 #[cfg(test)]
@@ -789,12 +344,16 @@ duration_mins = 45
         );
         let spec = parse_scenario("m.scn", &text).unwrap();
         assert_eq!(spec.expect.len(), 4);
-        assert!(spec
-            .expect
-            .contains(&Expectation::BlameMin(Blame::Middle, 2)));
-        assert!(spec
-            .expect
-            .contains(&Expectation::DegradedMax(UnlocalizedReason::NoBaseline, 0)));
+        assert!(spec.expect.contains(&Expectation::Bound(
+            Quantity::Blame(Blame::Middle),
+            Limit::Floor,
+            2
+        )));
+        assert!(spec.expect.contains(&Expectation::Bound(
+            Quantity::Degraded(UnlocalizedReason::NoBaseline),
+            Limit::Ceiling,
+            0
+        )));
     }
 
     #[test]
@@ -808,10 +367,22 @@ duration_mins = 45
         let spec = parse_scenario("m.scn", &text).unwrap();
         let o = spec.overload.expect("overload parsed");
         assert_eq!(o.surge_mult, 10);
-        assert_eq!(o.queue_cap_records, Some(9000));
+        assert_eq!(
+            format!("{:?}", spec.overrides),
+            "[[overload] queue_cap_records = Usize(9000), \
+             [overload] shed_watermark_records = Usize(6000)]"
+        );
         assert_eq!(o.max_attempts, 3, "default attempts");
-        assert!(spec.expect.contains(&Expectation::QueuePeakMax(9000)));
-        assert!(spec.expect.contains(&Expectation::TopDecileShedMax(0)));
+        assert!(spec.expect.contains(&Expectation::Bound(
+            Quantity::QueuePeak,
+            Limit::Ceiling,
+            9000
+        )));
+        assert!(spec.expect.contains(&Expectation::Bound(
+            Quantity::TopDecileShed,
+            Limit::Ceiling,
+            0
+        )));
 
         let missing = format!("{MINIMAL}\n[overload]\nsurge_mult = 10\n");
         let err = parse_scenario("m.scn", &missing).unwrap_err();
@@ -828,12 +399,58 @@ duration_mins = 45
     fn hex_seeds_and_duplicate_sections() {
         let text = format!("{MINIMAL}\n[chaos]\nseed = 0xC4A05\n");
         let spec = parse_scenario("m.scn", &text).unwrap();
-        assert_eq!(spec.chaos.unwrap().seed, Some(0xC4A05));
+        assert_eq!(spec.chaos.unwrap().seed, 0xC4A05);
         let dup = format!("{MINIMAL}\n[eval]\nstart_hour = 25\nduration_mins = 15\n");
         let err = parse_scenario("m.scn", &dup).unwrap_err();
         assert!(
             err.to_string().contains("duplicate section [eval]"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn an_integer_that_does_not_fit_its_field_is_rejected_where_it_is_written() {
+        // 2^32 used to be narrowed with `as u32`: `tick_buckets` became
+        // 0 and the engine's run loop never advanced; the others
+        // wrapped silently.
+        for (section, key) in [
+            ("engine", "tick_buckets"),
+            ("engine", "probe_max_attempts"),
+            ("engine", "snapshot_every_ticks"),
+            ("overload", "surge_mult"),
+            ("overload", "sustained_ticks"),
+            ("overload", "max_attempts"),
+            ("expect", "culprit_as"),
+        ] {
+            let text = format!("{MINIMAL}\n[{section}]\n{key} = 4294967296\n");
+            let err = parse_scenario("m.scn", &text).unwrap_err();
+            assert_eq!(err.line, 9, "{err}");
+            let want = format!("m.scn:9: {key} must fit in 32 bits, got 4294967296");
+            assert_eq!(err.to_string(), want);
+            // The largest value that fits is still a value.
+            let fits = text.replace("4294967296", "0xFFFF_FFFF");
+            let err = parse_scenario("m.scn", &fits).err();
+            assert!(err.as_ref().is_none_or(|e| e.line != 9), "{key}: {err:?}");
+        }
+        let zero = format!("{MINIMAL}\n[engine]\ntick_buckets = 0\n");
+        let err = parse_scenario("m.scn", &zero).unwrap_err();
+        assert_eq!(err.to_string(), "m.scn:9: tick_buckets must be ≥ 1, got 0");
+    }
+
+    #[test]
+    fn expect_bounds_exist_only_on_the_sides_they_had() {
+        for key in [
+            "degraded_total_min",
+            "backpressure_max",
+            "queue_peak_min",
+            "top_decile_shed_min",
+            "blame_nobody_min",
+            "alerts_mid",
+        ] {
+            let text = format!("{MINIMAL}\n[expect]\n{key} = 1\n");
+            let err = parse_scenario("m.scn", &text).unwrap_err();
+            let want = format!("m.scn:9: unknown [expect] key {key:?}");
+            assert_eq!(err.to_string(), want);
+        }
     }
 }

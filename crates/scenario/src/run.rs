@@ -16,7 +16,7 @@
 //! runner verifies itself on every crash scenario. The crash and
 //! overload runners keep their own loops: their tick grids differ.
 
-use crate::compile::{set, CompiledScenario};
+use crate::compile::CompiledScenario;
 use crate::error::ScenarioError;
 use blameit::{
     fsck, render_tick_transcript, tally, Backend, BlameCounts, BlameItConfig, BlameItEngine,
@@ -206,7 +206,7 @@ fn run_crash(
     // Eval ticks are driven bucket-by-bucket (durable `run` resumes a
     // single whole range; our burn-in already advanced `ticks_done`).
     let first = scn.eval.start.bucket();
-    let starts: Vec<TimeBucket> = (0..scn.eval_ticks as u32)
+    let starts: Vec<TimeBucket> = (0..scn.eval_ticks)
         .map(|k| first.plus(k * cfg.tick_buckets))
         .collect();
     durable.set_crash_plan(Some(CrashPlan::kill_at(
@@ -306,13 +306,7 @@ fn run_overload(
     let tick_buckets = cfg.tick_buckets;
 
     let mut dcfg = DaemonConfig::default();
-    set(&mut dcfg.admission.queue_cap_records, o.queue_cap_records);
-    set(
-        &mut dcfg.admission.shed_watermark_records,
-        o.shed_watermark_records,
-    );
-    set(&mut dcfg.admission.per_loc_shed_cap, o.per_loc_shed_cap);
-    set(&mut dcfg.overload_sustained_ticks, o.sustained_ticks);
+    scn.spec.apply(crate::keys::Target::Daemon(&mut dcfg));
 
     let inner = WorldBackend::with_parallelism(&scn.world, cfg.parallelism);
     let source = WorldBackend::with_parallelism(&scn.world, cfg.parallelism);
@@ -329,11 +323,7 @@ fn run_overload(
     // Feed exactly the whole-tick coverage: burn-in plus the eval
     // ticks. Compile guarantees the burn-in is whole ticks too, so the
     // daemon's continuous tick grid lands on the eval boundary.
-    let feed_end = scn
-        .eval
-        .start
-        .bucket()
-        .plus(scn.eval_ticks as u32 * tick_buckets);
+    let feed_end = scn.eval.start.bucket().plus(scn.eval_ticks * tick_buckets);
     let feed_range = TimeRange::new(scn.burn_in.start.bucket().start(), feed_end.start());
     let mut top_decile_shed = 0u64;
     let mut baseline: Option<Option<[u64; 6]>> = None;
@@ -374,7 +364,7 @@ fn run_overload(
     outs.extend(core.term().map_err(|e| fail(format!("term: {e}")))?);
     capture_baseline(&core, &mut baseline);
 
-    let want = scn.burn_in_ticks + scn.eval_ticks;
+    let want = scn.burn_in_ticks + u64::from(scn.eval_ticks);
     if outs.len() as u64 != want {
         return Err(fail(format!(
             "overload run produced {} tick(s), expected {want} — the surge abandoned every \
@@ -459,16 +449,16 @@ fn build_run(
     }
     culprits.sort_unstable();
     culprits.dedup();
-    let flight_triggers = {
+    let flight_triggers = engine.flight().with_ring(|_, events| {
         let mut seen = Vec::new();
-        for ev in engine.flight().dump_events() {
+        for ev in events {
             let label = ev.trigger.label().to_string();
             if !seen.contains(&label) {
                 seen.push(label);
             }
         }
         seen
-    };
+    });
     ScenarioRun {
         transcript,
         flight_dump: engine.flight().dump_jsonl(),

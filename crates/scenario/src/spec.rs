@@ -1,11 +1,15 @@
 //! The typed scenario AST produced by [`crate::parse`].
 //!
-//! Every override is an `Option`: `None` means "leave the engine /
-//! world default alone", so a scenario file only states what it
-//! changes. Specs keep the source line of anything that can still fail
-//! semantic validation (fault targets, crash ticks), so
-//! [`crate::compile`] errors carry `file:line` positions too.
+//! The spec keeps typed what a run is shaped by — scale, seed, spans,
+//! faults, the crash and surge plans, the scored window; the heads the
+//! CLI's verbs fill from their flags — and carries every other key of
+//! the file as an [`Override`] of the configuration it lands in
+//! ([`crate::keys`]), so a scenario only states what it changes. Specs
+//! keep the source line of anything that can still fail semantic
+//! validation (fault targets, crash ticks), so [`crate::compile`]
+//! errors carry `file:line` positions too.
 
+use crate::keys::{Land, Override, Target};
 use blameit::{Blame, UnlocalizedReason};
 use blameit_bench::Scale;
 use blameit_simnet::CrashPoint;
@@ -18,10 +22,8 @@ pub struct ScenarioSpec {
     pub name: String,
     /// One-line human description.
     pub summary: String,
-    /// `[world]` — scale, seed, span, and model overrides.
+    /// `[world]` — scale, seed and span.
     pub world: WorldSpec,
-    /// `[workload]` — activity-model overrides.
-    pub workload: WorkloadSpec,
     /// `[fault]` sections, in file order.
     pub faults: Vec<FaultSpec>,
     /// `[chaos]` — measurement-plane fault plan, if any.
@@ -31,15 +33,33 @@ pub struct ScenarioSpec {
     /// `[overload]` — ingest surge through the daemon's bounded-queue
     /// admission path, if any.
     pub overload: Option<OverloadSpec>,
-    /// `[engine]` — `BlameItConfig` overrides.
-    pub engine: EngineSpec,
     /// `[eval]` — the scored window.
     pub eval: EvalSpec,
+    /// Every `[world]`/`[workload]`/`[chaos]`/`[overload]`/`[engine]`
+    /// key that lands in a configuration field, in file order.
+    pub overrides: Vec<Override>,
     /// `[expect]` — verdict assertions, in file order.
     pub expect: Vec<Expectation>,
 }
 
-/// `[world]`: which world to build and how to bend its models.
+impl ScenarioSpec {
+    /// Applies the file's overrides for `target`'s configuration, in
+    /// file order (a repeated key: the last one stands).
+    pub fn apply(&self, mut target: Target<'_>) {
+        for o in &self.overrides {
+            match (o.key.land, &mut target) {
+                (Land::World(set), Target::World(cfg)) => set(cfg, &o.value),
+                (Land::Engine(set), Target::Engine(cfg)) => set(cfg, &o.value),
+                (Land::Chaos(set), Target::Chaos(plan)) => set(plan, &o.value),
+                (Land::Daemon(set), Target::Daemon(cfg)) => set(cfg, &o.value),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// `[world]`: which world to build. (The section's model overrides are
+/// [`ScenarioSpec::overrides`].)
 #[derive(Clone, Debug)]
 pub struct WorldSpec {
     /// Topology scale (default: tiny).
@@ -52,26 +72,6 @@ pub struct WorldSpec {
     pub warmup_days: u64,
     /// Generate organic faults + churn (default: false = quiet world).
     pub organic: bool,
-    /// BGP churn events per route per day.
-    pub churn_per_day: Option<f64>,
-    /// Evening-congestion scale, ms (`LatencyModel`).
-    pub evening_congestion_ms: Option<f64>,
-    /// Multiplicative per-sample noise σ (`LatencyModel`).
-    pub noise_sigma: Option<f64>,
-    /// Heavy-outlier probability (`LatencyModel`).
-    pub spike_prob: Option<f64>,
-    /// Day-long path-drift probability (`LatencyModel`).
-    pub path_drift_prob: Option<f64>,
-    /// Broadband access ISPs per metro (`TopologyConfig`).
-    pub broadband_per_metro: Option<usize>,
-    /// Cellular carriers per metro (`TopologyConfig`).
-    pub mobile_per_metro: Option<usize>,
-    /// Global tier-1 backbones (`TopologyConfig`).
-    pub tier1_count: Option<usize>,
-    /// Regional transit providers per region (`TopologyConfig`).
-    pub transits_per_region: Option<usize>,
-    /// Probability a /24 also talks to its second-nearest location.
-    pub secondary_loc_prob: Option<f64>,
 }
 
 impl Default for WorldSpec {
@@ -82,31 +82,12 @@ impl Default for WorldSpec {
             days: 2,
             warmup_days: 1,
             organic: false,
-            churn_per_day: None,
-            evening_congestion_ms: None,
-            noise_sigma: None,
-            spike_prob: None,
-            path_drift_prob: None,
-            broadband_per_metro: None,
-            mobile_per_metro: None,
-            tier1_count: None,
-            transits_per_region: None,
-            secondary_loc_prob: None,
         }
     }
 }
 
-/// `[workload]`: activity-model overrides (the flash-crowd knobs).
-#[derive(Clone, Debug, Default)]
-pub struct WorkloadSpec {
-    /// Expected connections per active client per 5-min bucket at peak.
-    pub conns_per_client_bucket: Option<f64>,
-    /// Fraction of primary volume mirrored to the secondary location.
-    pub secondary_volume_frac: Option<f64>,
-}
-
 /// One `[fault]` section: a scheduled ground-truth network fault.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FaultSpec {
     /// Raw target string: `cloud:<loc>`, `middle:<asn>`,
     /// `middle-reverse:<asn>`, or `client:<asn>`; resolved against the
@@ -122,33 +103,25 @@ pub struct FaultSpec {
     pub added_ms: f64,
 }
 
-/// `[chaos]`: a measurement-plane [`blameit_simnet::FaultPlan`], built
-/// from an optional named base plan plus individual rate overrides.
-#[derive(Clone, Debug, Default)]
+/// `[chaos]`: a measurement-plane [`blameit_simnet::FaultPlan`] — a
+/// named base plan; the section's individual rates are
+/// [`ScenarioSpec::overrides`] on top of it.
+#[derive(Clone, Debug)]
 pub struct ChaosSpec {
     /// Base plan name: `none`, `mild`, `heavy`, `probe-storm`
     /// (default: none).
-    pub plan: Option<String>,
+    pub plan: String,
     /// Chaos seed (default: 0xC4A05, the CLI's).
-    pub seed: Option<u64>,
-    /// Probability a traceroute times out entirely.
-    pub probe_timeout: Option<f64>,
-    /// Probability a traceroute comes back truncated.
-    pub probe_truncate: Option<f64>,
-    /// Probability a traceroute result is delayed.
-    pub probe_slow: Option<f64>,
-    /// Delay applied to slow probes, seconds.
-    pub slow_by_secs: Option<u64>,
-    /// Probability a whole quartet bucket is dropped.
-    pub drop_quartet_batch: Option<f64>,
-    /// Probability a route-table lookup misses.
-    pub drop_route_info: Option<f64>,
-    /// Probability a churn event is delivered twice.
-    pub churn_duplicate: Option<f64>,
-    /// Probability a churn event is delivered late.
-    pub churn_delay: Option<f64>,
-    /// Lateness applied to delayed churn events, seconds.
-    pub churn_delay_secs: Option<u64>,
+    pub seed: u64,
+}
+
+impl Default for ChaosSpec {
+    fn default() -> Self {
+        ChaosSpec {
+            plan: "none".to_string(),
+            seed: 0xC4A05,
+        }
+    }
 }
 
 /// `[crash]`: kill the process at a persistence kill point, then
@@ -160,16 +133,18 @@ pub struct CrashSpec {
     pub kill_tick: u64,
     /// Which kill point fires (see [`CrashPoint`] labels).
     pub kill_point: CrashPoint,
-    /// Crash-plan seed.
+    /// Crash-plan seed (default 0xC4A5).
     pub seed: u64,
-    /// Source line of the `kill_tick` key (for compile errors).
+    /// Source line of the `[crash]` header (for compile errors).
     pub line: u32,
 }
 
 /// `[overload]`: replay the feed through `blameitd`'s decision core
 /// ([`blameit_daemon::DaemonCore`]) with a seeded ingest surge, so the
 /// bounded queue, backpressure, and impact-ordered shedding are
-/// exercised and golden-pinned like any other scenario.
+/// exercised and golden-pinned like any other scenario. (The queue and
+/// shedding knobs are [`ScenarioSpec::overrides`] of the daemon's
+/// configuration.)
 #[derive(Clone, Debug)]
 pub struct OverloadSpec {
     /// Ingest multiplier inside the surge window (≥ 2).
@@ -180,51 +155,11 @@ pub struct OverloadSpec {
     pub surge_duration_mins: u64,
     /// Surge jitter seed (default 0xC4A0).
     pub surge_seed: u64,
-    /// Hard queue bound, records (default: the daemon's).
-    pub queue_cap_records: Option<usize>,
-    /// Shedding watermark, records (default: the daemon's).
-    pub shed_watermark_records: Option<usize>,
-    /// Per-location fairness cap, records (default: the daemon's).
-    pub per_loc_shed_cap: Option<usize>,
-    /// Consecutive overloaded ticks before `overload-sustained` fires
-    /// (default: the daemon's).
-    pub sustained_ticks: Option<u32>,
     /// Offer attempts per bucket before the feeder abandons it
     /// (default 3).
     pub max_attempts: u32,
     /// Source line of the `[overload]` header (for compile errors).
     pub line: u32,
-}
-
-/// `[engine]`: `BlameItConfig` overrides.
-#[derive(Clone, Debug, Default)]
-pub struct EngineSpec {
-    /// On-demand traceroutes per cloud location per tick.
-    pub probe_budget_per_loc: Option<usize>,
-    /// On-demand attempts per issue (first try + retries).
-    pub probe_max_attempts: Option<u32>,
-    /// Per-probe deadline, seconds.
-    pub probe_timeout_secs: Option<u64>,
-    /// Backoff base between on-demand attempts, seconds.
-    pub probe_backoff_base_secs: Option<u64>,
-    /// Per-tick probing time budget, seconds.
-    pub probe_deadline_budget_secs: Option<u64>,
-    /// Baseline quarantine age, seconds.
-    pub baseline_max_age_secs: Option<u64>,
-    /// Background probe period per (location, path), seconds.
-    pub background_period_secs: Option<u64>,
-    /// Issue background probes on IBGP churn events.
-    pub churn_triggered: Option<bool>,
-    /// Buckets per analysis tick.
-    pub tick_buckets: Option<u32>,
-    /// Maximum operator alerts per tick.
-    pub max_alerts: Option<usize>,
-    /// Ticks between snapshots (durable/crash runs).
-    pub snapshot_every_ticks: Option<u32>,
-    /// Degraded-verdict flight trigger threshold (0 disables).
-    pub flight_degraded_spike: Option<u64>,
-    /// Lost-probe-attempt flight trigger threshold (0 disables).
-    pub flight_chaos_burst: Option<u64>,
 }
 
 /// `[eval]`: the scored window.
@@ -236,49 +171,53 @@ pub struct EvalSpec {
     pub duration_mins: u64,
 }
 
-/// One `[expect]` assertion, with its source line for failure
-/// messages.
+/// What a [`Expectation::Bound`] counts over the eval window.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Quantity {
+    /// Passive blame verdicts, all categories.
+    Blames,
+    /// Verdicts in one blame category.
+    Blame(Blame),
+    /// Active-phase localizations attempted.
+    Localizations,
+    /// Degraded verdicts with this reason. A floor on it is checked on
+    /// three surfaces: the localization records, the engine's metrics,
+    /// and the reason label in the transcript (provenance).
+    Degraded(UnlocalizedReason),
+    /// Degraded verdicts, all reasons (ceiling only).
+    DegradedTotal,
+    /// Operator alerts.
+    Alerts,
+    /// Records shed by the impact-ordered controller (`[overload]`
+    /// runs only, like the three below).
+    Shed,
+    /// `SLOW_DOWN` backpressure replies (floor only).
+    Backpressure,
+    /// Peak queue depth after any admit (ceiling only: the
+    /// bounded-memory claim).
+    QueuePeak,
+    /// Of the records shed, those that ranked in the top impact decile
+    /// of their own offer (ceiling only; 0 = the top decile was never
+    /// touched).
+    TopDecileShed,
+}
+
+/// Which side of a [`Expectation::Bound`] the count must stay on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Limit {
+    /// `…_min = n`: the count must be ≥ n.
+    Floor,
+    /// `…_max = n`: the count must be ≤ n.
+    Ceiling,
+}
+
+/// One `[expect]` assertion.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Expectation {
-    /// Total passive blame verdicts over the window ≥ n.
-    BlamesMin(u64),
-    /// Total passive blame verdicts over the window ≤ n.
-    BlamesMax(u64),
-    /// Verdicts in one blame category ≥ n.
-    BlameMin(Blame, u64),
-    /// Verdicts in one blame category ≤ n.
-    BlameMax(Blame, u64),
-    /// Active-phase localizations attempted ≥ n.
-    LocalizationsMin(u64),
-    /// Active-phase localizations attempted ≤ n.
-    LocalizationsMax(u64),
+    /// A floor or ceiling on one count.
+    Bound(Quantity, Limit, u64),
     /// This AS must appear among the named culprit ASes.
     CulpritAs(u32),
-    /// Degraded verdicts with this reason ≥ n, in both the
-    /// localization records and the engine's metrics, and the reason
-    /// label must appear in the transcript (provenance surface).
-    DegradedMin(UnlocalizedReason, u64),
-    /// Degraded verdicts with this reason over the window ≤ n.
-    DegradedMax(UnlocalizedReason, u64),
-    /// Total degraded verdicts over the window ≤ n.
-    DegradedTotalMax(u64),
-    /// Operator alerts over the window ≥ n.
-    AlertsMin(u64),
-    /// Operator alerts over the window ≤ n.
-    AlertsMax(u64),
     /// A flight-recorder trigger with this label must have fired.
     FlightTrigger(String),
-    /// Records shed by the impact-ordered controller ≥ n
-    /// (`[overload]` runs only).
-    ShedMin(u64),
-    /// Records shed by the impact-ordered controller ≤ n.
-    ShedMax(u64),
-    /// `SLOW_DOWN` backpressure replies ≥ n.
-    BackpressureMin(u64),
-    /// Peak queue depth after any admit ≤ n (the bounded-memory
-    /// claim; compile rejects values above the queue cap).
-    QueuePeakMax(u64),
-    /// Of the records shed, at most n ranked in the top impact decile
-    /// of their own offer (0 = the top decile was never touched).
-    TopDecileShedMax(u64),
 }

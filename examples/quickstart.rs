@@ -49,6 +49,7 @@ fn main() {
     }
     println!(
         "probes issued: {} background + {} on-demand",
-        engine.background_probes_total, engine.on_demand_probes_total
+        engine.state().background_probes_total,
+        engine.state().on_demand_probes_total
     );
 }

@@ -160,12 +160,11 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
     );
     assert_eq!(groups_scored, core.admission().groups_scored());
 
-    let overload_fired = core
-        .engine()
-        .flight()
-        .dump_events()
-        .iter()
-        .any(|e| e.trigger == FlightTrigger::OverloadSustained);
+    let overload_fired = core.engine().flight().with_ring(|_, events| {
+        events
+            .iter()
+            .any(|e| e.trigger == FlightTrigger::OverloadSustained)
+    });
     let run = OverloadRun {
         transcript: render_tick_transcript(&outs),
         shed_log: core.shed_log().to_vec(),

@@ -153,7 +153,7 @@ fn probe_accounting_is_exact() {
     assert_eq!(backend.probes_issued(), from_ticks);
     assert_eq!(
         from_ticks,
-        engine.on_demand_probes_total + engine.background_probes_total
+        engine.state().on_demand_probes_total + engine.state().background_probes_total
     );
 }
 

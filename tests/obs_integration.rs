@@ -9,6 +9,7 @@ use blameit::{
 };
 use blameit_obs::MetricsRegistry;
 use blameit_simnet::{SimTime, TimeRange, World, WorldConfig};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn run_day(world: &World) -> (BlameItEngine, Vec<blameit::TickOutput>) {
@@ -115,4 +116,110 @@ fn registry_renders_after_real_run() {
         json.contains("\"blameit_quartets_processed_total\""),
         "{json}"
     );
+}
+
+// ── the metric catalogue is bound to the registry ───────────────────
+
+/// `name → (kind, label keys)` for every row of the tables under
+/// `## Metrics` in `docs/OBSERVABILITY.md` whose first cell is a
+/// backticked `blameit_…` instrument, optionally `{label,…}`.
+fn documented_instruments(doc: &str) -> BTreeMap<String, (String, Vec<String>)> {
+    let metrics = doc
+        .split_once("\n## Metrics\n")
+        .and_then(|(_, rest)| rest.split_once("\n## "))
+        .map(|(section, _)| section)
+        .expect("OBSERVABILITY.md has a `## Metrics` section followed by another");
+    let mut out = BTreeMap::new();
+    for row in metrics.lines().filter(|l| l.starts_with("| `blameit_")) {
+        let cells: Vec<&str> = row.split(" | ").collect();
+        let instrument = cells[0].trim_start_matches("| `").trim_end_matches('`');
+        let (name, labels) = match instrument.split_once('{') {
+            Some((name, labels)) => (name, labels.trim_end_matches('}')),
+            None => (instrument, ""),
+        };
+        let labels = labels.split(',').filter(|l| !l.is_empty());
+        let entry = (cells[1].to_string(), labels.map(String::from).collect());
+        assert!(
+            out.insert(name.to_string(), entry).is_none(),
+            "{name} is catalogued twice"
+        );
+    }
+    out
+}
+
+/// The same shape read off a Prometheus rendering, plus how many series
+/// each family has (`le` is the histogram's own label, not the
+/// instrument's).
+fn rendered_instruments(text: &str) -> BTreeMap<String, (String, Vec<String>, usize)> {
+    let mut out: BTreeMap<String, (String, Vec<String>, usize)> = BTreeMap::new();
+    for line in text.lines() {
+        if let Some(family) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = family.split_once(' ').expect("# TYPE name kind");
+            out.insert(name.to_string(), (kind.to_string(), Vec::new(), 0));
+            continue;
+        }
+        let (series, _value) = line.rsplit_once(' ').expect("series value");
+        let (sample, labels) = series.split_once('{').unwrap_or((series, ""));
+        let keys = labels.trim_end_matches('}').split(',');
+        let keys = keys.filter_map(|kv| kv.split_once('=').map(|(k, _)| k.to_string()));
+        let keys: Vec<String> = keys.filter(|k| k != "le").collect();
+        let histogram_part = ["_bucket", "_sum"].iter().any(|s| sample.ends_with(s));
+        let name = sample.strip_suffix("_count").unwrap_or(sample);
+        match out.get_mut(name).or(None) {
+            Some(family) if !histogram_part => {
+                family.1 = keys;
+                family.2 += 1;
+            }
+            _ => assert!(histogram_part, "series {series} has no # TYPE line"),
+        }
+    }
+    out
+}
+
+#[test]
+fn the_metric_catalogue_and_a_daemon_registry_name_the_same_instruments() {
+    // A daemon-shaped registry: engine, persistence and ingest
+    // instruments, and (registered by the warm-up checkpoint's counter
+    // capture) the chaos layer's.
+    let world = World::new(WorldConfig::tiny(2, 7));
+    let dir = std::env::temp_dir().join(format!("blameit-catalogue-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = BlameItConfig::new(BadnessThresholds::default_for(&world));
+    cfg.state_dir = Some(dir.clone());
+    let registry = Arc::new(MetricsRegistry::new());
+    let opened = blameit_daemon::DaemonCore::open(
+        cfg,
+        blameit_daemon::DaemonConfig::default(),
+        registry.clone(),
+        WorldBackend::new(&world),
+        TimeRange::days(1),
+    );
+    drop(opened.expect("a cold daemon core opens"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let rendered = rendered_instruments(&registry.render_prometheus());
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/OBSERVABILITY.md");
+    let documented = documented_instruments(&std::fs::read_to_string(path).unwrap());
+
+    let undocumented: Vec<_> = rendered
+        .keys()
+        .filter(|n| !documented.contains_key(*n))
+        .collect();
+    let unregistered: Vec<_> = documented
+        .keys()
+        .filter(|n| !rendered.contains_key(*n))
+        .collect();
+    assert!(
+        undocumented.is_empty() && unregistered.is_empty(),
+        "docs/OBSERVABILITY.md and the registry disagree — rendered but not catalogued: \
+         {undocumented:?}; catalogued but never registered: {unregistered:?}"
+    );
+    for (name, (kind, labels, series)) in &rendered {
+        let (doc_kind, doc_labels) = &documented[name];
+        assert_eq!(kind, doc_kind, "{name}: kind");
+        assert_eq!(labels, doc_labels, "{name}: label keys");
+        // Labels are closed enums (stage, reason, kind, …), never ids:
+        // a family that outgrows this is keyed on data.
+        assert!(*series <= 12, "{name} renders {series} series");
+    }
 }

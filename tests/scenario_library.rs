@@ -113,15 +113,35 @@ scenario_suite! {
 /// sections, truncation mid-file — the loader must return `Err` or a
 /// still-valid spec, never panic. Compilation of surviving specs must
 /// hold the same bar.
+/// A tick width of 2³²: narrowed with `as u32` it was 0, the windows
+/// were sized with `.max(1)`, the engine got 0 and its run loop never
+/// advanced. Now a load error on the line that says it.
+const TICK_WIDTH_PAST_U32: &str = "\
+name = zero-width-tick
+[world]
+scale = tiny
+[engine]
+tick_buckets = 4294967296
+[eval]
+start_hour = 24
+duration_mins = 45
+";
+
 #[test]
 fn mutated_scenario_files_error_never_panic() {
-    let sources: Vec<String> = std::fs::read_dir(scenarios_dir())
+    let err = parse_scenario("wide.scn", TICK_WIDTH_PAST_U32).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "wide.scn:5: tick_buckets must fit in 32 bits, got 4294967296"
+    );
+    let mut sources: Vec<String> = std::fs::read_dir(scenarios_dir())
         .expect("scenarios/ must exist")
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "scn"))
         .map(|p| std::fs::read_to_string(p).unwrap())
         .collect();
     assert!(sources.len() >= 7, "the shipped corpus feeds the fuzzer");
+    sources.push(TICK_WIDTH_PAST_U32.to_string());
     check("scenario_fuzz", 300, |rng| {
         let base = &sources[rng.index(sources.len())];
         let text = mutate(base, rng);
