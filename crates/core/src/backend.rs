@@ -252,9 +252,8 @@ const KIND_ROUTE_DROPPED: usize = 4;
 const KIND_CHURN_DUPLICATED: usize = 5;
 const KIND_CHURN_DELAYED: usize = 6;
 /// The `kind` labels on `blameit_chaos_faults_injected_total`, in
-/// counter-array order. Shared with the snapshot codec so chaos
-/// injection counters survive snapshot round-trips.
-pub(crate) const KIND_LABELS: [&str; 7] = [
+/// counter-array order.
+const KIND_LABELS: [&str; 7] = [
     "probe_timeout",
     "probe_truncated",
     "probe_delayed",
@@ -263,6 +262,14 @@ pub(crate) const KIND_LABELS: [&str; 7] = [
     "churn_duplicated",
     "churn_delayed",
 ];
+
+/// `registry`'s `blameit_chaos_faults_injected_total{kind=…}` counters,
+/// [`KIND_LABELS`] order: a [`ChaosBackend`] counts into and reads them,
+/// the snapshot codec saves and re-seeds them.
+pub(crate) fn chaos_counters(registry: &MetricsRegistry) -> [Arc<Counter>; 7] {
+    KIND_LABELS
+        .map(|kind| registry.counter_with("blameit_chaos_faults_injected_total", &[("kind", kind)]))
+}
 
 /// [`Backend`] decorator that injects the measurement-plane faults of a
 /// [`FaultPlan`] between the engine and any inner backend.
@@ -275,34 +282,25 @@ pub(crate) const KIND_LABELS: [&str; 7] = [
 pub struct ChaosBackend<B> {
     inner: B,
     plan: FaultPlan,
-    injected: [AtomicU64; 7],
-    counters: Option<[Arc<Counter>; 7]>,
+    counters: [Arc<Counter>; 7],
 }
 
 impl<B: Backend> ChaosBackend<B> {
-    /// Wraps `inner` with a fault plan.
+    /// Wraps `inner` with a fault plan, counting injections in a
+    /// registry of its own.
     pub fn new(inner: B, plan: FaultPlan) -> Self {
-        ChaosBackend {
-            inner,
-            plan,
-            injected: Default::default(),
-            counters: None,
-        }
+        Self::with_registry(inner, plan, &MetricsRegistry::new())
     }
 
-    /// Wraps `inner` and additionally mirrors every injection into
-    /// `blameit_chaos_faults_injected_total{kind=…}` counters on
-    /// `registry` (share the registry with the engine to get one
-    /// exposition covering both sides).
+    /// Wraps `inner`, counting every injection in `registry`'s
+    /// `blameit_chaos_faults_injected_total{kind=…}` counters (share
+    /// the registry with the engine to get one exposition covering both
+    /// sides). Backends on one registry share those counts.
     pub fn with_registry(inner: B, plan: FaultPlan, registry: &MetricsRegistry) -> Self {
-        let counters = KIND_LABELS.map(|kind| {
-            registry.counter_with("blameit_chaos_faults_injected_total", &[("kind", kind)])
-        });
         ChaosBackend {
             inner,
             plan,
-            injected: Default::default(),
-            counters: Some(counters),
+            counters: chaos_counters(registry),
         }
     }
 
@@ -311,14 +309,9 @@ impl<B: Backend> ChaosBackend<B> {
         &self.inner
     }
 
-    /// The active fault plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Snapshot of per-kind injection counts.
+    /// Per-kind injection counts, read off the registry counters.
     pub fn stats(&self) -> ChaosStats {
-        let n = |i: usize| self.injected[i].load(Ordering::Relaxed);
+        let n = |i: usize| self.counters[i].get();
         ChaosStats {
             probe_timeouts: n(KIND_PROBE_TIMEOUT),
             probes_truncated: n(KIND_PROBE_TRUNCATED),
@@ -336,10 +329,7 @@ impl<B: Backend> ChaosBackend<B> {
     }
 
     fn inject(&self, kind: usize) {
-        self.injected[kind].fetch_add(1, Ordering::Relaxed);
-        if let Some(counters) = &self.counters {
-            counters[kind].inc();
-        }
+        self.counters[kind].inc();
         let _span = blameit_obs::span!("blameit::chaos", "inject", kind = KIND_LABELS[kind]);
     }
 }
@@ -686,21 +676,25 @@ mod tests {
     }
 
     #[test]
-    fn registry_mirror_counts_injections() {
+    fn backends_share_counts_exactly_when_they_share_a_registry() {
         let w = World::new(WorldConfig::tiny(1, 8));
-        let registry = MetricsRegistry::new();
         let plan = FaultPlan {
             probe_timeout: 1.0,
             ..FaultPlan::none(8)
         };
-        let chaos = ChaosBackend::with_registry(WorldBackend::new(&w), plan, &registry);
+        let shared = MetricsRegistry::new();
+        let a = ChaosBackend::with_registry(WorldBackend::new(&w), plan, &shared);
+        let b = ChaosBackend::with_registry(WorldBackend::new(&w), plan, &shared);
+        let apart =
+            ChaosBackend::with_registry(WorldBackend::new(&w), plan, &MetricsRegistry::new());
+        let own = ChaosBackend::new(WorldBackend::new(&w), plan);
         let c = &w.topology().clients[0];
-        chaos.traceroute(c.primary_loc, c.p24, SimTime(600));
-        chaos.traceroute(c.primary_loc, c.p24, SimTime(900));
-        let counter = registry.counter_with(
-            "blameit_chaos_faults_injected_total",
-            &[("kind", "probe_timeout")],
-        );
-        assert_eq!(counter.get(), 2);
+        a.traceroute(c.primary_loc, c.p24, SimTime(600));
+        b.traceroute(c.primary_loc, c.p24, SimTime(900));
+        assert_eq!(a.stats().probe_timeouts, 2, "one registry, one count");
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(chaos_counters(&shared)[KIND_PROBE_TIMEOUT].get(), 2);
+        assert_eq!(apart.stats(), ChaosStats::default());
+        assert_eq!(own.stats(), ChaosStats::default());
     }
 }

@@ -51,6 +51,34 @@ pub mod shed_reason {
     pub const ALL: [&str; 2] = [LOW_IMPACT, BACKPRESSURE];
 }
 
+/// The names a flight frame's `deltas` are keyed by — the constants
+/// [`EngineMetrics::new`] registers under, so a delta key is always a
+/// series `/metrics` renders. Only the names `deltas` uses live here;
+/// an instrument named in one place stays a literal in `new`.
+pub(crate) mod series {
+    pub const ALERTS: &str = "blameit_alerts_total";
+    pub const DEGRADED_VERDICTS: &str = "blameit_degraded_verdicts_total";
+    pub const MIDDLE_LOCALIZATIONS: &str = "blameit_middle_localizations_total";
+    pub const MIDDLE_CULPRITS_FOUND: &str = "blameit_middle_culprits_found_total";
+    pub const PROBES_ON_DEMAND: &str = "blameit_probes_on_demand_total";
+    pub const PROBES_BACKGROUND: &str = "blameit_probes_background_total";
+    pub const PROBE_ATTEMPTS_LOST: &str = "blameit_probe_attempts_lost_total";
+    pub const BLAMES: &str = "blameit_blames_total";
+    /// The label key on [`BLAMES`].
+    pub const BLAMES_LABEL: &str = "segment";
+
+    /// The blame series for one segment, as the exposition prints it.
+    pub fn blames(blame: crate::passive::Blame) -> String {
+        format!("{BLAMES}{{{BLAMES_LABEL}=\"{blame}\"}}")
+    }
+}
+
+/// `x`'s position in its canonical `ALL` array.
+fn index_in<T: PartialEq, const N: usize>(all: [T; N], x: T) -> usize {
+    let at = all.iter().position(|y| *y == x);
+    at.expect("ALL covers every variant")
+}
+
 /// Cached handles for every metric the engine emits.
 ///
 /// Cloning shares the underlying registry and instruments (handles are
@@ -156,8 +184,9 @@ pub struct EngineMetrics {
 impl EngineMetrics {
     /// Registers (or re-attaches to) the engine metrics in `registry`.
     pub fn new(registry: Arc<MetricsRegistry>) -> EngineMetrics {
-        let blames = Blame::ALL
-            .map(|b| registry.counter_with("blameit_blames_total", &[("segment", &b.to_string())]));
+        let blames = Blame::ALL.map(|b| {
+            registry.counter_with(series::BLAMES, &[(series::BLAMES_LABEL, &b.to_string())])
+        });
         let stage_us = stage::ALL
             .map(|s| registry.histogram_with("blameit_stage_duration_us", &[("stage", s)]));
         EngineMetrics {
@@ -166,8 +195,8 @@ impl EngineMetrics {
             ingest_quartets_per_sec: registry.gauge("blameit_ingest_quartets_per_sec"),
             quartets_processed: registry.counter("blameit_quartets_processed_total"),
             blames,
-            on_demand_probes: registry.counter("blameit_probes_on_demand_total"),
-            background_probes: registry.counter("blameit_probes_background_total"),
+            on_demand_probes: registry.counter(series::PROBES_ON_DEMAND),
+            background_probes: registry.counter(series::PROBES_BACKGROUND),
             probes_suppressed_budget: registry
                 .counter_with("blameit_probes_suppressed_total", &[("reason", "budget")]),
             probes_suppressed_episode: registry
@@ -175,23 +204,23 @@ impl EngineMetrics {
             probes_suppressed_deadline: registry
                 .counter_with("blameit_probes_suppressed_total", &[("reason", "deadline")]),
             probe_retries: registry.counter("blameit_probe_retries_total"),
-            probe_attempts_lost: registry.counter("blameit_probe_attempts_lost_total"),
+            probe_attempts_lost: registry.counter(series::PROBE_ATTEMPTS_LOST),
             probe_attempts_truncated: registry.counter("blameit_probe_attempts_truncated_total"),
             baseline_quarantines: registry.counter("blameit_baseline_quarantines_total"),
             background_probe_failures: registry.counter("blameit_background_probe_failures_total"),
             background_retries: registry.counter("blameit_background_retries_total"),
             degraded: UnlocalizedReason::ALL.map(|r| {
-                registry.counter_with("blameit_degraded_verdicts_total", &[("reason", r.label())])
+                registry.counter_with(series::DEGRADED_VERDICTS, &[("reason", r.label())])
             }),
-            alerts: registry.counter("blameit_alerts_total"),
+            alerts: registry.counter(series::ALERTS),
             tick_duration_us: registry.histogram("blameit_tick_duration_us"),
             stage_us,
             quartet_rtt_ms: registry.histogram("blameit_quartet_rtt_ms"),
             baselines_stored: registry.gauge("blameit_baselines_stored"),
             baseline_staleness_max_secs: registry.gauge("blameit_baseline_staleness_max_secs"),
             baseline_staleness_mean_secs: registry.gauge("blameit_baseline_staleness_mean_secs"),
-            middle_localizations: registry.counter("blameit_middle_localizations_total"),
-            middle_culprits_found: registry.counter("blameit_middle_culprits_found_total"),
+            middle_localizations: registry.counter(series::MIDDLE_LOCALIZATIONS),
+            middle_culprits_found: registry.counter(series::MIDDLE_CULPRITS_FOUND),
             middle_localization_coverage: registry.gauge("blameit_middle_localization_coverage"),
             probe_budget_utilization: registry.gauge("blameit_probe_budget_utilization"),
             baseline_staleness_burn_secs: registry
@@ -211,11 +240,7 @@ impl EngineMetrics {
 
     /// The shed counter for one reason label.
     pub fn shed_counter(&self, reason: &str) -> &Arc<Counter> {
-        let idx = shed_reason::ALL
-            .iter()
-            .position(|r| *r == reason)
-            .expect("shed_reason::ALL covers every label");
-        &self.shed[idx]
+        &self.shed[index_in(shed_reason::ALL, reason)]
     }
 
     /// The registry behind the handles.
@@ -225,11 +250,7 @@ impl EngineMetrics {
 
     /// The degraded-verdict counter for one reason.
     pub fn degraded_counter(&self, reason: UnlocalizedReason) -> &Arc<Counter> {
-        let idx = UnlocalizedReason::ALL
-            .iter()
-            .position(|r| *r == reason)
-            .expect("UnlocalizedReason::ALL covers every variant");
-        &self.degraded[idx]
+        &self.degraded[index_in(UnlocalizedReason::ALL, reason)]
     }
 
     /// Total degraded verdicts across all reasons.
@@ -239,11 +260,7 @@ impl EngineMetrics {
 
     /// The blame counter for one segment.
     pub fn blame_counter(&self, blame: Blame) -> &Arc<Counter> {
-        let idx = Blame::ALL
-            .iter()
-            .position(|b| *b == blame)
-            .expect("Blame::ALL covers every variant");
-        &self.blames[idx]
+        &self.blames[index_in(Blame::ALL, blame)]
     }
 
     /// Records a finished tick's stage profile into the duration
@@ -313,11 +330,7 @@ impl ShardMetrics {
 
     /// Records one blame verdict.
     pub fn record_blame(&mut self, blame: Blame) {
-        let idx = Blame::ALL
-            .iter()
-            .position(|b| *b == blame)
-            .expect("Blame::ALL covers every variant");
-        self.blames[idx] += 1;
+        self.blames[index_in(Blame::ALL, blame)] += 1;
     }
 }
 
@@ -407,6 +420,27 @@ mod tests {
     }
 
     #[test]
+    fn ingest_instruments_track_volume_and_rate() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let m = EngineMetrics::new(reg.clone());
+        m.observe_ingest(500, Duration::from_millis(10));
+        assert_eq!(m.ingest_quartets.get(), 500);
+        assert!((m.ingest_quartets_per_sec.get() - 50_000.0).abs() < 1.0);
+        // Zero-duration ingest keeps the last rate instead of inf.
+        m.observe_ingest(7, Duration::ZERO);
+        assert_eq!(m.ingest_quartets.get(), 507);
+        assert!((m.ingest_quartets_per_sec.get() - 50_000.0).abs() < 1.0);
+        let text = reg.render_prometheus();
+        assert!(text.contains("blameit_ingest_quartets_total 507"), "{text}");
+    }
+
+    // The two `…_render_under_stable_names` tests pin which
+    // `EngineMetrics` field writes which series (and, for shed, which
+    // label value). The catalogue test (`tests/obs_integration.rs`)
+    // compares names, kinds and label keys only, so two same-kind
+    // registrations swapped in `new` would pass it; every value below is
+    // distinct so that such a swap fails here.
+    #[test]
     fn slo_instruments_render_under_stable_names() {
         let reg = Arc::new(MetricsRegistry::new());
         let m = EngineMetrics::new(reg.clone());
@@ -432,52 +466,26 @@ mod tests {
     }
 
     #[test]
-    fn ingest_instruments_track_volume_and_rate() {
-        let reg = Arc::new(MetricsRegistry::new());
-        let m = EngineMetrics::new(reg.clone());
-        m.observe_ingest(500, Duration::from_millis(10));
-        assert_eq!(m.ingest_quartets.get(), 500);
-        assert!((m.ingest_quartets_per_sec.get() - 50_000.0).abs() < 1.0);
-        // Zero-duration ingest keeps the last rate instead of inf.
-        m.observe_ingest(7, Duration::ZERO);
-        assert_eq!(m.ingest_quartets.get(), 507);
-        assert!((m.ingest_quartets_per_sec.get() - 50_000.0).abs() < 1.0);
-        let text = reg.render_prometheus();
-        assert!(text.contains("blameit_ingest_quartets_total 507"), "{text}");
-    }
-
-    #[test]
     fn shed_instruments_render_under_stable_names() {
         let reg = Arc::new(MetricsRegistry::new());
         let m = EngineMetrics::new(reg.clone());
         m.shed_counter(shed_reason::LOW_IMPACT).add(7);
         m.shed_counter(shed_reason::BACKPRESSURE).add(2);
-        m.backpressure_replies.inc();
+        m.backpressure_replies.add(5);
         m.ingest_queue_depth.set(41.0);
         m.ingest_coverage.set(0.9);
-        m.wal_retire_failures.inc();
+        m.wal_retire_failures.add(6);
         let text = reg.render_prometheus();
-        assert!(
-            text.contains("blameit_shed_quartets_total{reason=\"low_impact\"} 7"),
-            "{text}"
-        );
-        assert!(
-            text.contains("blameit_shed_quartets_total{reason=\"backpressure\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("blameit_backpressure_replies_total 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("blameit_ingest_queue_depth_records 41"),
-            "{text}"
-        );
-        assert!(text.contains("blameit_ingest_coverage 0.9"), "{text}");
-        assert!(
-            text.contains("blameit_wal_retire_failures_total 1"),
-            "{text}"
-        );
+        for series in [
+            "blameit_shed_quartets_total{reason=\"low_impact\"} 7",
+            "blameit_shed_quartets_total{reason=\"backpressure\"} 2",
+            "blameit_backpressure_replies_total 5",
+            "blameit_ingest_queue_depth_records 41",
+            "blameit_ingest_coverage 0.9",
+            "blameit_wal_retire_failures_total 6",
+        ] {
+            assert!(text.contains(series), "{series} missing from:\n{text}");
+        }
     }
 
     #[test]

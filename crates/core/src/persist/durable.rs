@@ -19,7 +19,7 @@
 //! replays the journaled ticks — verifying each tick's digest — so
 //! the resumed run is byte-identical to one that never crashed.
 
-use super::journal::{tick_digest, Journal, JournalRecord};
+use super::journal::{fnv1a64, Journal, JournalRecord};
 use super::snapshot;
 use super::store::StateStore;
 use super::PersistError;
@@ -144,6 +144,16 @@ impl RecoveryReport {
     }
 }
 
+/// The journal digest of the tick `engine` just ran: the hash of the
+/// transcript its newest flight frame already holds (every tick records
+/// one; the ring's capacity is a positive constant).
+fn last_tick_digest(engine: &BlameItEngine) -> u64 {
+    engine.flight.with_ring(|frames, _| {
+        let frame = frames.back().expect("a tick records a flight frame");
+        fnv1a64(frame.transcript.as_bytes())
+    })
+}
+
 /// A [`BlameItEngine`] wrapped in the durable-tick protocol.
 pub struct DurableEngine {
     engine: BlameItEngine,
@@ -208,7 +218,7 @@ impl DurableEngine {
         if let Some(snap_ticks) = loaded {
             for rec in scan.records.iter().filter(|r| r.tick >= snap_ticks) {
                 let out = engine.tick(backend, rec.bucket);
-                let got = tick_digest(&out);
+                let got = last_tick_digest(&engine);
                 if got != rec.digest {
                     return Err(PersistError::ReplayDivergence {
                         tick: rec.tick,
@@ -366,7 +376,7 @@ impl DurableEngine {
         let rec = JournalRecord {
             tick: idx,
             bucket: start,
-            digest: tick_digest(&out),
+            digest: last_tick_digest(&self.engine),
         };
         if let Some(tear) = self.crash_fires(idx, CrashPoint::MidJournal) {
             self.journal.append_torn(&rec, tear)?;

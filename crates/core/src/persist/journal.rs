@@ -59,7 +59,7 @@ impl JournalRecord {
 }
 
 /// FNV-1a 64-bit hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(super) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -70,7 +70,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The digest journaled for a tick: a hash of its canonical transcript
 /// rendering, so replay verification checks the *entire* observable
-/// output, not a summary of it.
+/// output, not a summary of it. Renders afresh — the durable tick
+/// hashes the copy its flight frame holds; tests compare the two.
 // lint:allow(transitive-effect): transcript rendering unwraps fmt::Write into a String, which is infallible
 pub fn tick_digest(out: &TickOutput) -> u64 {
     fnv1a64(render_tick_transcript(std::slice::from_ref(out)).as_bytes())

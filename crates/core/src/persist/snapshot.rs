@@ -102,7 +102,7 @@ pub struct SnapshotCounters {
     /// (`UnlocalizedReason::ALL` order).
     pub degraded: [u64; 6],
     /// `blameit_chaos_faults_injected_total{kind}`
-    /// (`backend::KIND_LABELS` order).
+    /// ([`crate::backend::chaos_counters`] order).
     pub chaos: [u64; 7],
     /// `blameit_shed_quartets_total{reason}`
     /// (`metrics::shed_reason::ALL` order).
@@ -121,34 +121,38 @@ impl SnapshotCounters {
         let m = &engine.metrics;
         SnapshotCounters {
             degraded: UnlocalizedReason::ALL.map(|r| m.degraded_counter(r).get()),
-            chaos: crate::backend::KIND_LABELS.map(|k| {
-                m.registry()
-                    .counter_with("blameit_chaos_faults_injected_total", &[("kind", k)])
-                    .get()
-            }),
+            chaos: crate::backend::chaos_counters(m.registry()).map(|c| c.get()),
             shed: crate::metrics::shed_reason::ALL.map(|r| m.shed_counter(r).get()),
             backpressure_replies: m.backpressure_replies.get(),
         }
     }
 
-    /// Seeds the engine's registry counters with the persisted values.
+    /// Seeds the engine's registry counters with the persisted values
+    /// (call after the engine state is in place).
     /// A `ChaosBackend::with_registry` sharing this registry picks the
-    /// same `Arc`s up, so its mirrored counters continue from here.
+    /// same `Arc`s up, so its counts continue from here.
     // lint:allow(transitive-effect): shed labels are drawn from shed_reason::ALL itself; the lookup expect cannot fire
     fn install(&self, engine: &BlameItEngine) {
         let m = &engine.metrics;
         for (r, v) in UnlocalizedReason::ALL.into_iter().zip(self.degraded) {
             m.degraded_counter(r).store(v);
         }
-        for (k, v) in crate::backend::KIND_LABELS.into_iter().zip(self.chaos) {
-            m.registry()
-                .counter_with("blameit_chaos_faults_injected_total", &[("kind", k)])
-                .store(v);
+        for (c, v) in crate::backend::chaos_counters(m.registry())
+            .iter()
+            .zip(self.chaos)
+        {
+            c.store(v);
         }
         for (r, v) in crate::metrics::shed_reason::ALL.into_iter().zip(self.shed) {
             m.shed_counter(r).store(v);
         }
         m.backpressure_replies.store(self.backpressure_replies);
+        // The two probe counters continue from the totals the engine
+        // state (already installed) persists, not from this section.
+        m.on_demand_probes
+            .store(engine.state.on_demand_probes_total);
+        m.background_probes
+            .store(engine.state.background_probes_total);
     }
 }
 

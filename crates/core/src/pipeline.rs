@@ -26,7 +26,7 @@ use crate::fxhash::{DetHashMap, DetHashSet};
 use crate::grouping::MiddleKey;
 use crate::history::{ClientCountHistory, DurationHistory, ExpectedRttLearner, RttKey};
 use crate::incident::IncidentTracker;
-use crate::metrics::{stage, EngineMetrics};
+use crate::metrics::{series, stage, EngineMetrics};
 use crate::passive::{blame_bucket, AggregateStats, Blame, BlameConfig, BlameResult};
 use crate::priority::{prioritize, select_within_budgets, MiddleIssue, PrioritizedIssue};
 use crate::provenance::{BaselineEvidence, IncidentEvidence, ProbeEvidence, Provenance};
@@ -91,8 +91,6 @@ pub struct BlameItConfig {
     /// chunks of an ordered worklist and concatenates them in order).
     /// Defaults to `BLAMEIT_THREADS` or the machine's available cores.
     pub parallelism: usize,
-    /// Flight-recorder ring capacity (recent tick frames kept).
-    pub flight_capacity: usize,
     /// Flight trigger: a tick with at least this many degraded
     /// (`MiddleUnlocalized`) verdicts requests a dump. `0` disables.
     pub flight_degraded_spike: u64,
@@ -125,7 +123,6 @@ impl BlameItConfig {
             state_dir: None,
             snapshot_every_ticks: 4,
             parallelism: crate::shard::default_parallelism(),
-            flight_capacity: blameit_obs::flight::DEFAULT_FLIGHT_CAPACITY,
             flight_degraded_spike: 3,
             flight_chaos_burst: 4,
             flight_dump_dir: None,
@@ -299,7 +296,7 @@ impl BlameItEngine {
                 on_demand_probes_total: 0,
                 background_probes_total: 0,
             },
-            flight: FlightRecorder::new(cfg.flight_capacity),
+            flight: FlightRecorder::new(blameit_obs::flight::DEFAULT_FLIGHT_CAPACITY),
             cfg,
         }
     }
@@ -1085,36 +1082,19 @@ impl BlameItEngine {
             .iter()
             .map(|l| l.provenance.probe.lost_attempts as u64)
             .sum();
-        let mut deltas: Vec<(String, f64)> = vec![
-            ("blameit_alerts_total".into(), out.alerts.len() as f64),
-            ("blameit_degraded_verdicts_total".into(), degraded as f64),
-            (
-                "blameit_middle_localizations_total".into(),
-                out.localizations.len() as f64,
-            ),
-            (
-                "blameit_middle_culprits_found_total".into(),
-                out.localizations
-                    .iter()
-                    .filter(|l| l.culprit.is_some())
-                    .count() as f64,
-            ),
-            (
-                "blameit_on_demand_probes_total".into(),
-                out.on_demand_probes as f64,
-            ),
-            (
-                "blameit_background_probes_total".into(),
-                out.background_probes as f64,
-            ),
-            ("blameit_probe_attempts_lost_total".into(), absorbed as f64),
-        ];
-        for b in Blame::ALL {
-            deltas.push((
-                format!("blameit_blames_total{{verdict={b}}}"),
-                tally.count(b) as f64,
-            ));
-        }
+        let culprits = out.localizations.iter().filter(|l| l.culprit.is_some());
+        let mut deltas: Vec<(String, f64)> = [
+            (series::ALERTS, out.alerts.len() as u64),
+            (series::DEGRADED_VERDICTS, degraded),
+            (series::MIDDLE_LOCALIZATIONS, out.localizations.len() as u64),
+            (series::MIDDLE_CULPRITS_FOUND, culprits.count() as u64),
+            (series::PROBES_ON_DEMAND, out.on_demand_probes),
+            (series::PROBES_BACKGROUND, out.background_probes),
+            (series::PROBE_ATTEMPTS_LOST, absorbed),
+        ]
+        .map(|(name, n)| (name.to_string(), n as f64))
+        .into();
+        deltas.extend(Blame::ALL.map(|b| (series::blames(b), tally.count(b) as f64)));
         deltas.sort_by(|a, b| a.0.cmp(&b.0));
         self.flight.record(FlightFrame {
             sim_secs,

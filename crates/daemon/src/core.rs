@@ -22,7 +22,7 @@ use blameit::{
     metrics::shed_reason, AdmissionController, AdmissionDecision, Backend, BlameItConfig,
     BlameItEngine, DurableEngine, PersistError, RecordBatch, RecoveryReport, TickOutput,
 };
-use blameit_obs::{Counter, FlightTrigger, Gauge, MetricsRegistry};
+use blameit_obs::{FlightTrigger, MetricsRegistry};
 use blameit_simnet::{CrashPlan, TimeBucket, TimeRange};
 use std::io;
 use std::sync::Arc;
@@ -148,15 +148,6 @@ pub struct DaemonCore<B: Backend> {
     overload_streak: u32,
     overload_fired: bool,
     last_prune_cutoff: u32,
-    // Cached metric handles (the engine owns the registry).
-    m_shed_low: Arc<Counter>,
-    m_shed_back: Arc<Counter>,
-    m_backpressure: Arc<Counter>,
-    m_queue_depth: Arc<Gauge>,
-    m_coverage: Arc<Gauge>,
-    m_wal_retire_failures: Arc<Counter>,
-    m_groups_scored: Arc<Counter>,
-    m_streak_groups: Arc<Gauge>,
 }
 
 impl<B: Backend> DaemonCore<B> {
@@ -187,16 +178,7 @@ impl<B: Backend> DaemonCore<B> {
         if recovery.mode == blameit::StartMode::Cold {
             durable.warmup_and_checkpoint(&backend, warmup, 2)?;
         }
-        let m = durable.engine().metrics();
         let core = DaemonCore {
-            m_shed_low: Arc::clone(m.shed_counter(shed_reason::LOW_IMPACT)),
-            m_shed_back: Arc::clone(m.shed_counter(shed_reason::BACKPRESSURE)),
-            m_backpressure: Arc::clone(&m.backpressure_replies),
-            m_queue_depth: Arc::clone(&m.ingest_queue_depth),
-            m_coverage: Arc::clone(&m.ingest_coverage),
-            m_wal_retire_failures: Arc::clone(&m.wal_retire_failures),
-            m_groups_scored: Arc::clone(&m.admission_groups_scored),
-            m_streak_groups: Arc::clone(&m.admission_streak_groups),
             durable,
             backend,
             admission: AdmissionController::new(dcfg.admission.clone()),
@@ -258,16 +240,17 @@ impl<B: Backend> DaemonCore<B> {
 
     /// Offers one batch: admission decision, WAL append (fsync'd
     /// *before* the batch becomes engine-visible), queue insert,
-    /// metric updates.
+    /// metric updates (through the engine's own handles).
     pub fn offer(&mut self, batch: RecordBatch) -> Result<OfferReply, DaemonError> {
+        let m = self.durable.engine().metrics();
         let offered = batch.keys.len() as u64;
         self.stats.offered += offered;
         let depth = self.queue_depth();
         let scored_before = self.admission.groups_scored();
         let decision = self.admission.offer(batch, depth);
-        self.m_groups_scored
+        m.admission_groups_scored
             .add(self.admission.groups_scored() - scored_before);
-        self.m_streak_groups
+        m.admission_streak_groups
             .set(self.admission.streak_groups() as f64);
         match decision {
             AdmissionDecision::Reject {
@@ -276,8 +259,8 @@ impl<B: Backend> DaemonCore<B> {
             } => {
                 self.stats.shed_backpressure += records;
                 self.stats.backpressure_replies += 1;
-                self.m_shed_back.add(records);
-                self.m_backpressure.inc();
+                m.shed_counter(shed_reason::BACKPRESSURE).add(records);
+                m.backpressure_replies.inc();
                 self.overload_since_tick = true;
                 self.update_coverage();
                 Ok(OfferReply::SlowDown {
@@ -297,7 +280,7 @@ impl<B: Backend> DaemonCore<B> {
                     });
                 }
                 if shed_records > 0 {
-                    self.m_shed_low.add(shed_records);
+                    m.shed_counter(shed_reason::LOW_IMPACT).add(shed_records);
                     self.stats.shed_low_impact += shed_records;
                     self.overload_since_tick = true;
                 }
@@ -309,7 +292,7 @@ impl<B: Backend> DaemonCore<B> {
                 self.stats.admitted += admitted;
                 let depth_after = self.queue_depth() as u64;
                 self.stats.queue_peak = self.stats.queue_peak.max(depth_after);
-                self.m_queue_depth.set(depth_after as f64);
+                m.ingest_queue_depth.set(depth_after as f64);
                 self.update_coverage();
                 Ok(OfferReply::Ack {
                     admitted,
@@ -328,7 +311,7 @@ impl<B: Backend> DaemonCore<B> {
         } else {
             self.stats.admitted as f64 / self.stats.offered as f64
         };
-        self.m_coverage.set(cov);
+        self.engine().metrics().ingest_coverage.set(cov);
     }
 
     /// Runs every tick whose window is complete (a bucket at or past
@@ -349,7 +332,8 @@ impl<B: Backend> DaemonCore<B> {
         let cutoff = self.next_tick_start();
         self.backend.prune_below(cutoff);
         self.wal.rotate(cutoff)?;
-        self.m_queue_depth.set(self.queue_depth() as f64);
+        let m = self.engine().metrics();
+        m.ingest_queue_depth.set(self.queue_depth() as f64);
         Ok(outs)
     }
 
@@ -376,7 +360,8 @@ impl<B: Backend> DaemonCore<B> {
             // catch-up pump then releases several ticks at once — all
             // of whose windows overlapped the overloaded stretch.
             self.overload_since_tick = false;
-            self.m_queue_depth.set(self.queue_depth() as f64);
+            let m = self.engine().metrics();
+            m.ingest_queue_depth.set(self.queue_depth() as f64);
         }
         Ok(outs)
     }
@@ -423,7 +408,7 @@ impl<B: Backend> DaemonCore<B> {
         // A failed rotation is not fatal: the WAL is merely larger
         // than needed, and the next prune retires what this one left.
         if self.wal.rotate(TimeBucket(cutoff)).is_err() {
-            self.m_wal_retire_failures.inc();
+            self.engine().metrics().wal_retire_failures.inc();
         }
     }
 }

@@ -21,6 +21,7 @@ use crate::clock::Clock;
 use crate::core::{DaemonCore, DaemonError, IngestStats};
 use crate::wire::{write_frame, Frame, FrameReader, WIRE_VERSION};
 use blameit::{Backend, TickOutput};
+use blameit_obs::json::Json;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -259,15 +260,15 @@ fn note_ticks(outs: &[TickOutput], summary: &mut ServeSummary, alert_ring: &mut 
         summary.ticks += 1;
         summary.alerts += out.alerts.len() as u64;
         for a in &out.alerts {
-            alert_ring.push(format!(
-                "{{\"bucket\":{},\"blame\":{:?},\"loc\":{},\"culprit\":{},\"impacted_connections\":{},\"confidence\":{:.3}}}",
-                a.bucket.0,
-                format!("{:?}", a.blame),
-                a.loc.0,
-                a.culprit.map_or("null".to_string(), |asn| asn.0.to_string()),
-                a.impacted_connections,
-                a.confidence,
-            ));
+            let culprit = a.culprit.map_or(Json::Null, |asn| u64::from(asn.0).into());
+            let line = Json::obj()
+                .field("bucket", u64::from(a.bucket.0))
+                .field("blame", format!("{:?}", a.blame))
+                .field("loc", u64::from(a.loc.0))
+                .field("culprit", culprit)
+                .field("impacted_connections", a.impacted_connections)
+                .field("confidence", (a.confidence * 1e3).round() / 1e3);
+            alert_ring.push(line.to_string());
         }
     }
     // Ring cap: the alert stream is an operator tail, not an archive.

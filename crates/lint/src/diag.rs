@@ -22,9 +22,10 @@ pub struct Suppressed {
     pub rule: &'static str,
     pub path: String,
     pub line: u32,
-    /// `annotation` (inline `lint:allow`) or `config` (lint.toml).
+    /// `annotation` (inline `lint:allow`) or `exemption` (the rule
+    /// row's `exempt` prefixes).
     pub how: &'static str,
-    /// The reason given in the annotation (empty for config allows).
+    /// The reason given in the annotation (empty for exemptions).
     pub reason: String,
 }
 

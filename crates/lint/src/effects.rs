@@ -4,8 +4,8 @@
 //! layers can never disagree about what counts as a wall-clock read or
 //! a panic site) and then propagated *backwards* over the call graph:
 //! a caller inherits every effect its callees carry. A function inside
-//! a protected scope (`[effects] protected` in `lint.toml`, default
-//! `crates/core/src/`; the persist decode files for panics) that
+//! a protected scope ([`PROTECTED`]; the persist decode files for
+//! panics) that
 //! reaches an effect through any call chain is flagged with the full
 //! witness path.
 //!
@@ -13,19 +13,22 @@
 //! suppression auditor's usage tracking:
 //!
 //! - a *justified site* (the base rule's finding at the effect site is
-//!   suppressed by annotation or `lint.toml`) is a boundary: it seeds
+//!   suppressed by annotation or exemption) is a boundary: it seeds
 //!   nothing, because a human already vouched for that exact usage;
 //! - a *justified function* (`lint:allow(transitive-effect)` at the
-//!   `fn`, or a config prefix) absorbs taint: its own finding is
+//!   `fn`) absorbs taint: its own finding is
 //!   suppressed and nothing propagates past it, so one annotation on a
 //!   wrapper covers every caller above it.
 
 use crate::callgraph::CallGraph;
-use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::rules::{FileCtx, DECODE_FILES, RULES};
 use crate::{resolve_site, FileAnalysis, Resolution, TRANSITIVE_EFFECT};
 use std::collections::{BTreeMap, VecDeque};
+
+/// The path prefix whose functions must not *reach* a non-panic effect
+/// through any call chain.
+pub const PROTECTED: &str = "crates/core/src/";
 
 /// The effect classes the analysis propagates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -141,14 +144,14 @@ pub struct Taint {
     /// `(file idx, allow idx)` annotations consumed as boundaries or
     /// absorbers — live suppressions for the audit.
     pub used_annotations: Vec<(usize, usize)>,
-    /// `(rule, prefix)` config entries consumed the same way.
-    pub used_config: Vec<(String, String)>,
+    /// `(rule, prefix)` exemptions consumed the same way.
+    pub used_exemptions: Vec<(&'static str, &'static str)>,
 }
 
 /// Seeds direct effects (minus justified boundaries) and propagates
 /// them caller-ward to a fixpoint. Deterministic: nodes, edges, and
 /// the BFS queue all follow the canonical sorted order.
-pub fn propagate(files: &[FileAnalysis], graph: &CallGraph, cfg: &Config) -> Taint {
+pub fn propagate(files: &[FileAnalysis], graph: &CallGraph) -> Taint {
     let mut taint = Taint {
         state: vec![BTreeMap::new(); graph.nodes.len()],
         ..Taint::default()
@@ -176,11 +179,9 @@ pub fn propagate(files: &[FileAnalysis], graph: &CallGraph, cfg: &Config) -> Tai
     // Seed: every unjustified direct site taints its enclosing fn.
     for (fi, fa) in files.iter().enumerate() {
         for site in &fa.sites {
-            match resolve_site(fa, cfg, site.kind.base_rule(), site.line) {
+            match resolve_site(fa, site.kind.base_rule(), site.line) {
                 Resolution::Annotation(ai) => taint.used_annotations.push((fi, ai)),
-                Resolution::Config(prefix) => taint
-                    .used_config
-                    .push((site.kind.base_rule().to_string(), prefix)),
+                Resolution::Exempt(exemption) => taint.used_exemptions.push(exemption),
                 Resolution::Open => {
                     let Some(k) = enclosing_fn(fa, site.line) else {
                         continue;
@@ -224,11 +225,9 @@ pub fn propagate(files: &[FileAnalysis], graph: &CallGraph, cfg: &Config) -> Tai
                 let fa = &files[fi];
                 let def_line = graph.nodes[caller].item.line;
                 taint.state[caller].insert(kind, Arrival::Via { edge: ei });
-                match resolve_site(fa, cfg, TRANSITIVE_EFFECT, def_line) {
+                match resolve_site(fa, TRANSITIVE_EFFECT, def_line) {
                     Resolution::Annotation(ai) => taint.used_annotations.push((fi, ai)),
-                    Resolution::Config(prefix) => taint
-                        .used_config
-                        .push((TRANSITIVE_EFFECT.to_string(), prefix)),
+                    Resolution::Exempt(exemption) => taint.used_exemptions.push(exemption),
                     Resolution::Open => queue.push_back(caller),
                 }
             }
@@ -236,8 +235,8 @@ pub fn propagate(files: &[FileAnalysis], graph: &CallGraph, cfg: &Config) -> Tai
     }
     taint.used_annotations.sort_unstable();
     taint.used_annotations.dedup();
-    taint.used_config.sort_unstable();
-    taint.used_config.dedup();
+    taint.used_exemptions.sort_unstable();
+    taint.used_exemptions.dedup();
     taint
 }
 
@@ -253,10 +252,10 @@ fn enclosing_fn(fa: &FileAnalysis, line: u32) -> Option<usize> {
 
 /// Whether `kind`'s protected scope covers `path`: functions there
 /// must not reach the effect.
-fn protected(cfg: &Config, kind: EffectKind, path: &str) -> bool {
+fn protected(kind: EffectKind, path: &str) -> bool {
     match kind {
         EffectKind::PanicLike => DECODE_FILES.contains(&path),
-        _ => cfg.protected.iter().any(|p| path.starts_with(p.as_str())),
+        _ => path.starts_with(PROTECTED),
     }
 }
 
@@ -266,7 +265,6 @@ fn protected(cfg: &Config, kind: EffectKind, path: &str) -> bool {
 pub fn findings(
     files: &[FileAnalysis],
     graph: &CallGraph,
-    cfg: &Config,
     taint: &Taint,
 ) -> Vec<(usize, Diagnostic)> {
     let mut out = Vec::new();
@@ -281,7 +279,7 @@ pub fn findings(
             let Arrival::Via { edge } = arrival else {
                 continue; // direct sites are the base rules' domain
             };
-            if !protected(cfg, kind, &fa.path) {
+            if !protected(kind, &fa.path) {
                 continue;
             }
             let (chain, witness, seat) = walk_chain(graph, taint, n, kind, *edge);
@@ -378,66 +376,4 @@ fn enclosing_fn_by_def(fa: &FileAnalysis, line: u32, col: u32) -> Option<usize> 
         .fns
         .iter()
         .position(|f| f.line == line && f.col == col)
-}
-
-/// Renders the machine-readable effect map: every non-test function
-/// with its direct and transitive effect sets plus resolved call
-/// edges. Schema is versioned so CI consumers can detect drift.
-pub fn effect_map_json(graph: &CallGraph, taint: &Taint) -> String {
-    use crate::diag::push_json_str;
-    let mut out =
-        String::from("{\n  \"schema\": \"blameit-lint/effect-map/v1\",\n  \"functions\": [");
-    let mut first = true;
-    for (n, node) in graph.nodes.iter().enumerate() {
-        if node.item.in_test {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    {\"fn\": ");
-        push_json_str(&mut out, &node.qual());
-        out.push_str(", \"file\": ");
-        push_json_str(&mut out, &node.file);
-        out.push_str(&format!(", \"line\": {}, \"direct\": [", node.item.line));
-        let mut wrote = false;
-        for (kind, arrival) in &taint.state[n] {
-            if matches!(arrival, Arrival::Direct { .. }) {
-                if wrote {
-                    out.push_str(", ");
-                }
-                push_json_str(&mut out, kind.as_str());
-                wrote = true;
-            }
-        }
-        out.push_str("], \"transitive\": [");
-        let mut wrote = false;
-        for (kind, arrival) in &taint.state[n] {
-            if matches!(arrival, Arrival::Via { .. }) {
-                if wrote {
-                    out.push_str(", ");
-                }
-                push_json_str(&mut out, kind.as_str());
-                wrote = true;
-            }
-        }
-        out.push_str("], \"calls\": [");
-        for (k, &ei) in graph.out[n].iter().enumerate() {
-            let e = graph.edges[ei as usize];
-            if k > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"to\": ");
-            push_json_str(&mut out, &graph.nodes[e.callee as usize].qual());
-            out.push_str(&format!(", \"line\": {}}}", e.line));
-        }
-        out.push_str("]}");
-    }
-    out.push_str(&format!(
-        "\n  ],\n  \"nodes\": {},\n  \"edges\": {}\n}}\n",
-        graph.nodes.len(),
-        graph.edges.len()
-    ));
-    out
 }

@@ -18,9 +18,9 @@
 //!    a pure function of (path, content), recomputed every run — the
 //!    whole tree analyzes in well under a second.
 //! 2. **resolve** (whole workspace): apply suppression (annotations
-//!    first, then `lint.toml`), build the call graph (`callgraph`),
-//!    propagate effects caller-ward with witness paths (`effects`),
-//!    and audit every suppression for staleness (`audit`).
+//!    first, then the rule row's exemptions), build the call graph
+//!    (`callgraph`), propagate effects caller-ward with witness paths
+//!    (`effects`), and audit every suppression for staleness (`audit`).
 //!
 //! The crate is dependency-free by design: it carries its own small
 //! Rust lexer (`lexer`) instead of `syn`, so linting the workspace
@@ -28,14 +28,12 @@
 
 pub mod audit;
 pub mod callgraph;
-pub mod config;
 pub mod diag;
 pub mod effects;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
 
-use config::Config;
 use diag::{Diagnostic, Report, Suppressed};
 use lexer::AllowComment;
 use parse::FileItems;
@@ -145,15 +143,15 @@ pub fn analyze_source(path: &str, src: &str) -> FileAnalysis {
 }
 
 /// How one raw finding at `(rule, line)` resolves against a file's
-/// annotations and the workspace config. Annotations are consulted
+/// annotations and the rule's exemptions. Annotations are consulted
 /// first so the suppression audit attributes liveness to the most
 /// specific escape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Resolution {
     /// Suppressed by `fa.allows[idx]`.
     Annotation(usize),
-    /// Suppressed by this `lint.toml` prefix.
-    Config(String),
+    /// Suppressed by this `(rule id, prefix)` exemption of the rule's row.
+    Exempt((&'static str, &'static str)),
     /// Not suppressed: a real violation.
     Open,
 }
@@ -161,26 +159,23 @@ pub enum Resolution {
 /// Resolves one site. An annotation covers every line from its own
 /// down to the next token-bearing line (so a stack of comment-line
 /// annotations covers the statement below all of them).
-pub fn resolve_site(fa: &FileAnalysis, cfg: &Config, rule: &str, line: u32) -> Resolution {
+pub fn resolve_site(fa: &FileAnalysis, rule: &str, line: u32) -> Resolution {
     for (ai, a) in fa.allows.iter().enumerate() {
         if a.rule == rule && a.line <= line && line <= fa.allow_targets[ai].max(a.line) {
             return Resolution::Annotation(ai);
         }
     }
-    if let Some(prefix) = cfg.allowing_prefix(rule, &fa.path) {
-        return Resolution::Config(prefix.to_string());
-    }
-    Resolution::Open
+    rules::exemption(rule, &fa.path).map_or(Resolution::Open, Resolution::Exempt)
 }
 
 /// Liveness ledger for the suppression audit: every annotation and
-/// config entry that suppressed (or absorbed) something this run.
+/// exemption that suppressed (or absorbed) something this run.
 #[derive(Debug, Default)]
 pub struct Uses {
     /// `(file index, allow index)` pairs.
     pub annotations: BTreeSet<(usize, usize)>,
     /// `(rule, prefix)` pairs.
-    pub config: BTreeSet<(String, String)>,
+    pub exemptions: BTreeSet<(&'static str, &'static str)>,
 }
 
 /// Resolves one raw diagnostic from `fa` (file index `fi`) into
@@ -189,19 +184,18 @@ pub struct Uses {
 pub fn resolve_diag(
     fa: &FileAnalysis,
     fi: usize,
-    cfg: &Config,
     d: Diagnostic,
     uses: &mut Uses,
     report: &mut Report,
 ) {
-    let (how, reason) = match resolve_site(fa, cfg, d.rule, d.line) {
+    let (how, reason) = match resolve_site(fa, d.rule, d.line) {
         Resolution::Annotation(ai) => {
             uses.annotations.insert((fi, ai));
             ("annotation", fa.allows[ai].reason.clone())
         }
-        Resolution::Config(prefix) => {
-            uses.config.insert((d.rule.to_string(), prefix));
-            ("config", String::new())
+        Resolution::Exempt(exemption) => {
+            uses.exemptions.insert(exemption);
+            ("exemption", String::new())
         }
         Resolution::Open => {
             report.diagnostics.push(d);
@@ -220,11 +214,11 @@ pub fn resolve_diag(
 /// Lints one file's source text, appending into `report`. Lexical
 /// rules plus suppression only — the interprocedural passes need the
 /// whole workspace and run in [`run_workspace`].
-pub fn lint_source(path: &str, src: &str, cfg: &Config, report: &mut Report) {
+pub fn lint_source(path: &str, src: &str, report: &mut Report) {
     let fa = analyze_source(path, src);
     let mut uses = Uses::default();
     for d in fa.diags.iter().cloned() {
-        resolve_diag(&fa, 0, cfg, d, &mut uses, report);
+        resolve_diag(&fa, 0, d, &mut uses, report);
     }
 }
 
@@ -261,20 +255,11 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// A fully analyzed workspace: per-file analyses, config, call graph,
-/// and propagated effects. [`Workspace::report`] renders the verdict;
-/// [`Workspace::effect_map_json`] the CI artifact.
-pub struct Workspace {
-    pub files: Vec<FileAnalysis>,
-    pub cfg: Config,
-    pub graph: callgraph::CallGraph,
-    pub taint: effects::Taint,
-}
-
-/// Analyzes the whole workspace rooted at `root`, reading `lint.toml`
-/// from the root if present.
-pub fn analyze_workspace(root: &Path) -> Result<Workspace, String> {
-    let cfg = load_config(root)?;
+/// Lints the whole workspace rooted at `root`: analyzes every file,
+/// builds the call graph and propagates effects, then resolves the
+/// lexical rules, the transitive-effect pass and the suppression audit
+/// into one report.
+pub fn run_workspace(root: &Path) -> Result<Report, String> {
     let mut files = Vec::new();
     for path in walk_workspace(root) {
         let src = std::fs::read_to_string(&path)
@@ -285,60 +270,28 @@ pub fn analyze_workspace(root: &Path) -> Result<Workspace, String> {
     let parsed: Vec<(&str, &FileItems)> =
         files.iter().map(|f| (f.path.as_str(), &f.items)).collect();
     let graph = callgraph::CallGraph::build(&parsed);
-    let taint = effects::propagate(&files, &graph, &cfg);
-    Ok(Workspace {
-        files,
-        cfg,
-        graph,
-        taint,
-    })
-}
+    let taint = effects::propagate(&files, &graph);
 
-impl Workspace {
-    /// Resolves everything into the final report: lexical rules, the
-    /// transitive-effect pass, and the suppression audit.
-    pub fn report(&self) -> Report {
-        let mut report = Report {
-            files_scanned: self.files.len(),
-            ..Report::default()
-        };
-        let mut uses = Uses::default();
-        uses.annotations
-            .extend(self.taint.used_annotations.iter().copied());
-        uses.config.extend(self.taint.used_config.iter().cloned());
-
-        for (fi, fa) in self.files.iter().enumerate() {
-            for d in fa.diags.iter().cloned() {
-                resolve_diag(fa, fi, &self.cfg, d, &mut uses, &mut report);
-            }
+    let mut report = Report {
+        files_scanned: files.len(),
+        ..Report::default()
+    };
+    let mut uses = Uses::default();
+    uses.annotations
+        .extend(taint.used_annotations.iter().copied());
+    uses.exemptions
+        .extend(taint.used_exemptions.iter().copied());
+    for (fi, fa) in files.iter().enumerate() {
+        for d in fa.diags.iter().cloned() {
+            resolve_diag(fa, fi, d, &mut uses, &mut report);
         }
-        for (fi, d) in effects::findings(&self.files, &self.graph, &self.cfg, &self.taint) {
-            resolve_diag(&self.files[fi], fi, &self.cfg, d, &mut uses, &mut report);
-        }
-        audit::run(&self.files, &self.cfg, &mut uses, &mut report);
-        report.sort();
-        report
     }
-
-    /// The machine-readable per-function effect map (CI artifact).
-    pub fn effect_map_json(&self) -> String {
-        effects::effect_map_json(&self.graph, &self.taint)
+    for (fi, d) in effects::findings(&files, &graph, &taint) {
+        resolve_diag(&files[fi], fi, d, &mut uses, &mut report);
     }
-}
-
-/// Lints the whole workspace rooted at `root`, reading `lint.toml`
-/// from the root if present.
-pub fn run_workspace(root: &Path) -> Result<Report, String> {
-    analyze_workspace(root).map(|ws| ws.report())
-}
-
-/// Loads `lint.toml` from `root`; a missing file means an empty config.
-pub fn load_config(root: &Path) -> Result<Config, String> {
-    match std::fs::read_to_string(root.join("lint.toml")) {
-        Ok(text) => Config::parse(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Config::default()),
-        Err(e) => Err(format!("lint.toml: read failed: {e}")),
-    }
+    audit::run(&files, &mut uses, &mut report);
+    report.sort();
+    Ok(report)
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {
@@ -407,10 +360,8 @@ fn fixture_result(id: &str, file: String, kind: &str, report: &Report) -> Fixtur
 /// each under every path prefix of the rule's scope.
 /// The two interprocedural passes check the same contract over
 /// bad/good/allow *mini-workspace trees* (each a root with its own
-/// `crates/` and optional `lint.toml`), since they need call graphs
-/// and configs, not single files.
+/// `crates/`), since they need call graphs, not single files.
 pub fn self_check(root: &Path) -> Result<Vec<FixtureResult>, String> {
-    let cfg = Config::default(); // fixtures never consult lint.toml
     let fixtures = root.join("crates/lint/tests/fixtures");
     let mut results = Vec::new();
     for rule in rules::RULES {
@@ -421,7 +372,7 @@ pub fn self_check(root: &Path) -> Result<Vec<FixtureResult>, String> {
                 .map_err(|e| format!("{}: read failed: {e}", fpath.display()))?;
             for vpath in fixture_virtual_paths(rule) {
                 let mut report = Report::default();
-                lint_source(&vpath, &src, &cfg, &mut report);
+                lint_source(&vpath, &src, &mut report);
                 let file = format!("{id}/{kind}.rs as {vpath}");
                 results.push(fixture_result(id, file, kind, &report));
             }

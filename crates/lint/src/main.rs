@@ -11,7 +11,7 @@ blameit-lint — static analysis for the determinism contract
 
 USAGE:
     blameit-lint [--root DIR] [--json] [--self-check] [--rules]
-                 [--only IDS] [--effect-map PATH]
+                 [--only IDS]
 
 OPTIONS:
     --root DIR        workspace root to lint (default: .)
@@ -21,12 +21,11 @@ OPTIONS:
     --rules           list rule and pass IDs and what they catch
     --only IDS        comma-separated rule/pass IDs: report only these
                       (suppression audit still sees the full run)
-    --effect-map PATH write the per-function effect map JSON artifact
     -h, --help        this text
 
 Suppression: `// lint:allow(<rule>): <reason>` on or above the line,
-or a path-prefix allowlist in <root>/lint.toml under `[allow]`.
-Unused escapes are themselves findings (`stale-suppression`).
+or a path prefix in the rule's own `exempt` column (`--rules` lists
+them). Unused escapes are themselves findings (`stale-suppression`).
 ";
 
 fn main() -> ExitCode {
@@ -35,7 +34,6 @@ fn main() -> ExitCode {
     let mut self_check = false;
     let mut list_rules = false;
     let mut only: Option<Vec<String>> = None;
-    let mut effect_map: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -56,13 +54,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--effect-map" => match args.next() {
-                Some(p) => effect_map = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--effect-map needs a file path\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -77,13 +68,16 @@ fn main() -> ExitCode {
     if list_rules {
         for rule in blameit_lint::rules::RULES {
             println!("{:<20} {}", rule.id, rule.summary);
+            if !rule.exempt.is_empty() {
+                println!("{:<20} exempt: {}", "", rule.exempt.join(", "));
+            }
         }
         println!(
             "{:<20} fn in a protected scope reaches a nondeterministic effect through calls",
             blameit_lint::TRANSITIVE_EFFECT
         );
         println!(
-            "{:<20} lint:allow annotation or lint.toml prefix that suppresses nothing",
+            "{:<20} lint:allow annotation or rule-row exemption that suppresses nothing",
             blameit_lint::STALE_SUPPRESSION
         );
         return ExitCode::SUCCESS;
@@ -118,9 +112,8 @@ fn main() -> ExitCode {
 
     // lint:allow(wall-clock): timing the linter itself for the perf baseline, never feeds sim state
     let started = std::time::Instant::now();
-    match blameit_lint::analyze_workspace(&root) {
-        Ok(ws) => {
-            let mut report = ws.report();
+    match blameit_lint::run_workspace(&root) {
+        Ok(mut report) => {
             if let Some(ids) = &only {
                 report
                     .diagnostics
@@ -128,15 +121,6 @@ fn main() -> ExitCode {
                 report
                     .suppressed
                     .retain(|s| ids.iter().any(|id| id == s.rule));
-            }
-            if let Some(path) = &effect_map {
-                if let Some(dir) = path.parent() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-                if let Err(e) = std::fs::write(path, ws.effect_map_json()) {
-                    eprintln!("blameit-lint: {}: write failed: {e}", path.display());
-                    return ExitCode::from(2);
-                }
             }
             // lint:allow(wall-clock): metrics-only timing of the lint pass
             let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;

@@ -2,10 +2,10 @@
 //!
 //! Each rule is a lexical pattern over the token stream of one file,
 //! deny-by-default, with two escape hatches handled by the driver: an
-//! inline `// lint:allow(<rule>): <reason>` annotation, and a per-module
-//! path allowlist in `lint.toml`. Rules skip `#[cfg(test)]` / `#[test]`
-//! regions — the contract binds product code; tests are free to use
-//! wall clocks and `unwrap`.
+//! inline `// lint:allow(<rule>): <reason>` annotation, and the path
+//! prefixes in the rule's own `exempt` column. Rules skip
+//! `#[cfg(test)]` / `#[test]` regions — the contract binds product
+//! code; tests are free to use wall clocks and `unwrap`.
 //!
 //! Rules are heuristics, deliberately: a lexer cannot prove dataflow.
 //! Each one is tuned so that every firing is either a real hazard or a
@@ -74,11 +74,17 @@ impl Scope {
 
 /// A determinism rule.
 pub struct Rule {
-    /// Stable rule ID, used in diagnostics, annotations, and lint.toml.
+    /// Stable rule ID, used in diagnostics and annotations.
     pub id: &'static str,
     /// One-line description for `--rules` and the docs table.
     pub summary: &'static str,
     pub scope: Scope,
+    /// Path prefixes inside `scope` that are exempt as module-level
+    /// policy ("this whole subsystem legitimately does X"). Exempted
+    /// sites still show up as suppressions in `--json`, and the auditor
+    /// flags a prefix that exempts nothing. One-off exceptions belong
+    /// in the code as `// lint:allow(<rule>): <reason>` instead.
+    pub exempt: &'static [&'static str],
     /// Detection body: appends raw (pre-suppression) findings. Runs
     /// only on files inside `scope`.
     pub check: fn(&FileCtx, &mut Vec<Diagnostic>),
@@ -90,6 +96,7 @@ pub const RULES: &[Rule] = &[
         id: "ambient-entropy",
         summary: "rand/RandomState/OS entropy outside DetRng: all randomness must be seed-keyed",
         scope: Scope::All,
+        exempt: &[],
         check: ambient_entropy,
     },
     Rule {
@@ -101,18 +108,21 @@ pub const RULES: &[Rule] = &[
             "crates/daemon/src/wal.rs",
             "crates/scenario/src/",
         ]),
+        exempt: &[],
         check: as_cast_truncation,
     },
     Rule {
         id: "float-order",
         summary: "partial_cmp or f32/f64 keys in sort/min/max comparators: use total_cmp/to_bits or integer keys",
         scope: Scope::All,
+        exempt: &[],
         check: float_order,
     },
     Rule {
         id: "panic-in-decode",
         summary: "unwrap/expect/panic!/indexing in persist decode paths: corrupt input must return Err",
         scope: Scope::Under(DECODE_FILES),
+        exempt: &[],
         check: panic_in_decode,
     },
     Rule {
@@ -123,33 +133,61 @@ pub const RULES: &[Rule] = &[
             "crates/topology/src/",
             "crates/simnet/src/",
         ]),
+        exempt: &[],
         check: sip_hasher,
     },
     Rule {
         id: "socket-io",
-        summary: "TcpListener/TcpStream/UdpSocket outside the daemon IO shell: keep sockets at the edges",
+        summary: "TcpListener/TcpStream/UdpSocket: keep sockets at the edges",
         scope: Scope::All,
+        // Sockets are IO-shell-only: the server loop, the reference
+        // feeder, and the smoke test that plays misbehaving feeders
+        // against the shell. The decision core (core.rs, queue.rs,
+        // wal.rs, wire.rs) stays socket-free so overload runs replay
+        // byte-identically without a network.
+        exempt: &[
+            "crates/daemon/src/server.rs",
+            "crates/daemon/src/client.rs",
+            "tests/daemon_smoke.rs",
+        ],
         check: socket_io,
     },
     Rule {
         id: "thread-identity",
         summary: "thread::current()/ThreadId near RNG or emission: key on (seed, bucket, shard) instead",
         scope: Scope::All,
+        exempt: &[],
         check: thread_identity,
     },
     Rule {
         id: "unordered-iteration",
         summary: "HashMap/HashSet iteration in any crate's src/ without sort/BTree/order-insensitive sink",
         scope: Scope::CrateSrc,
+        exempt: &[],
         check: check_hash_iteration,
     },
     Rule {
         id: "wall-clock",
-        summary: "Instant::now/SystemTime::now/.elapsed() outside obs & bench: sim code must use sim time",
+        summary: "Instant::now/SystemTime::now/.elapsed(): sim code must use sim time",
         scope: Scope::All,
+        // The observability layer measures real elapsed time by design:
+        // span durations, stage profiles, and metric timestamps are
+        // operator-facing and never feed sim state or transcripts. The
+        // experiment runner prints each experiment's elapsed wall time
+        // to stderr; the experiments themselves stay clock-free.
+        exempt: &["crates/obs/", "crates/bench/src/main.rs"],
         check: wall_clock,
     },
 ];
+
+/// The exemption of `rule`'s row that covers `path`, as `(rule id,
+/// prefix)` — the pair marks the exemption live for the suppression
+/// audit. The two workspace passes have no row, hence no exemptions.
+pub fn exemption(rule: &str, path: &str) -> Option<(&'static str, &'static str)> {
+    let row = RULES.iter().find(|r| r.id == rule)?;
+    let prefix = row.exempt.iter().find(|p| path.starts_with(**p))?;
+    Some((row.id, prefix))
+}
 
 /// Runs every rule whose scope covers `f.path`.
 pub fn check_file(f: &FileCtx, out: &mut Vec<Diagnostic>) {
@@ -252,8 +290,8 @@ fn sip_hasher(f: &FileCtx, out: &mut Vec<Diagnostic>) {
 /// The standing architecture rule is *IO at the edges, determinism in
 /// the middle*: every decision `blameitd` makes lives in
 /// [`DaemonCore`], a pure function of the offered batches, and only
-/// the server/feeder shell may touch sockets (allowlisted in
-/// `lint.toml`). A socket type appearing anywhere else — the engine,
+/// the server/feeder shell may touch sockets (the row's `exempt`
+/// prefixes). A socket type appearing anywhere else — the engine,
 /// the daemon's decision core, the WAL — means IO is leaking into code
 /// that must replay byte-identically without a network.
 fn socket_io(f: &FileCtx, out: &mut Vec<Diagnostic>) {

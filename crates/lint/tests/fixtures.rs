@@ -21,7 +21,7 @@ fn lint_fixture(rule: &Rule, kind: &str) -> Report {
     let src = std::fs::read_to_string(&path).expect("fixture readable");
     let mut report = Report::default();
     let vpath = &fixture_virtual_paths(rule)[0];
-    lint_source(vpath, &src, &Default::default(), &mut report);
+    lint_source(vpath, &src, &mut report);
     report
 }
 
@@ -107,19 +107,6 @@ fn transitive_witness_renders_in_text_and_json() {
     );
 }
 
-#[test]
-fn effect_map_lists_direct_and_transitive_effects() {
-    let tree = repo_root().join("crates/lint/tests/fixtures/transitive-effect/bad");
-    let ws = blameit_lint::analyze_workspace(&tree).expect("fixture tree analyzes");
-    let map = ws.effect_map_json();
-    assert!(map.contains("\"blameit-lint/effect-map/v1\""));
-    assert!(map.contains("\"fn\": \"probe_stamp\""));
-    assert!(map.contains("\"direct\": [\"wall-clock\"]"));
-    // tick_all has no direct effects but inherits wall-clock.
-    assert!(map.contains("\"transitive\": [\"wall-clock\"]"));
-    assert!(map.contains("\"to\": \"scheduler_advance\""));
-}
-
 /// The 1-based lines `rule_id` flags in its own `bad.rs`.
 fn bad_fixture_lines(rule_id: &str) -> Vec<u32> {
     let rule = RULES.iter().find(|r| r.id == rule_id).expect("rule");
@@ -153,9 +140,43 @@ fn fixture_virtual_paths_lie_inside_their_rules_scope() {
 }
 
 #[test]
+fn a_tree_holding_the_rule_table_but_no_exempted_site_reports_every_exemption_stale() {
+    // The other direction of `workspace_is_clean`: the auditor runs the
+    // exemption check on a tree that contains the rule table's file, and
+    // `run_workspace` hands it the exemptions resolution consumed — here
+    // none, so every row's every prefix is a finding.
+    let tree = std::env::temp_dir().join(format!("blameit-lint-stale-{}", std::process::id()));
+    let src = tree.join("crates/lint/src");
+    std::fs::create_dir_all(&src).expect("temp tree");
+    std::fs::write(src.join("rules.rs"), "pub fn stub() {}\n").expect("stub rule table");
+    let report = run_workspace(&tree);
+    std::fs::remove_dir_all(&tree).expect("temp tree removed");
+
+    let mut want: Vec<String> = RULES
+        .iter()
+        .flat_map(|r| r.exempt.iter().map(|p| format!("`{p}` of `{}`", r.id)))
+        .collect();
+    assert_eq!(want.len(), 5, "the five prefixes that came from lint.toml");
+    let report = report.expect("temp tree lints");
+    assert_eq!(
+        report.diagnostics.len(),
+        want.len(),
+        "{:?}",
+        report.diagnostics
+    );
+    for d in &report.diagnostics {
+        assert_eq!(
+            (d.rule, d.path.as_str()),
+            ("stale-suppression", "crates/lint/src/rules.rs")
+        );
+        let at = want.iter().position(|w| d.message.contains(w.as_str()));
+        want.remove(at.unwrap_or_else(|| panic!("unexpected finding: {}", d.message)));
+    }
+}
+
+#[test]
 fn workspace_is_clean() {
-    // The tree must lint clean with the checked-in lint.toml — the
-    // same gate scripts/verify.sh and the CI lint job enforce.
+    // The tree must lint clean — the same gate scripts/verify.sh and the CI lint job enforce.
     let report = run_workspace(&repo_root()).expect("workspace lint runs");
     assert!(
         report.ok(),

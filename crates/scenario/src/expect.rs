@@ -81,10 +81,18 @@ fn observed(quantity: Quantity, run: &ScenarioRun) -> Option<(u64, String, &'sta
             "",
         ),
         Q::Alerts => (r.alerts, "alerts".into(), ""),
-        Q::Shed => (ovl?.shed_low_impact, "impact-shed records".into(), ""),
-        Q::Backpressure => (ovl?.backpressure_replies, "SLOW_DOWN replies".into(), ""),
+        Q::Shed => (
+            ovl?.ingest.shed_low_impact,
+            "impact-shed records".into(),
+            "",
+        ),
+        Q::Backpressure => (
+            ovl?.ingest.backpressure_replies,
+            "SLOW_DOWN replies".into(),
+            "",
+        ),
         Q::QueuePeak => (
-            ovl?.queue_peak_records,
+            ovl?.ingest.queue_peak,
             "records at queue peak".into(),
             " (bounded-memory claim violated)",
         ),
@@ -197,13 +205,13 @@ pub fn render_report(spec: &ScenarioSpec, run: &ScenarioRun, failures: &[String]
             out,
             "  overload: offered={} admitted={} shed={} refused={} slow_downs={} \
              abandoned={} queue_peak={} top_decile_shed={}",
-            o.offered,
-            o.admitted,
-            o.shed_low_impact,
-            o.shed_backpressure,
-            o.backpressure_replies,
+            o.ingest.offered,
+            o.ingest.admitted,
+            o.ingest.shed_low_impact,
+            o.ingest.shed_backpressure,
+            o.ingest.backpressure_replies,
             o.batches_abandoned,
-            o.queue_peak_records,
+            o.ingest.queue_peak,
             o.top_decile_shed_records
         )
         .unwrap();
@@ -304,25 +312,24 @@ mod tests {
         ]);
         let mut run = run_with("x");
         run.report.overload = Some(OverloadReport {
-            offered: 50_000,
-            admitted: 40_000,
-            shed_low_impact: 2_000,
-            shed_backpressure: 8_000,
-            backpressure_replies: 4,
+            ingest: blameit_daemon::IngestStats {
+                offered: 50_000,
+                admitted: 40_000,
+                shed_low_impact: 2_000,
+                shed_backpressure: 8_000,
+                backpressure_replies: 4,
+                queue_peak: 8_500,
+            },
             batches_abandoned: 1,
-            queue_peak_records: 8_500,
             top_decile_shed_records: 0,
         });
         assert_eq!(evaluate(&spec, &run), Vec::<String>::new());
         let report = render_report(&spec, &run, &[]);
         assert!(report.contains("overload: offered=50000"), "{report}");
 
-        run.report.overload.as_mut().unwrap().queue_peak_records = 9_500;
-        run.report
-            .overload
-            .as_mut()
-            .unwrap()
-            .top_decile_shed_records = 3;
+        let ovl = run.report.overload.as_mut().unwrap();
+        ovl.ingest.queue_peak = 9_500;
+        ovl.top_decile_shed_records = 3;
         let fails = evaluate(&spec, &run);
         assert_eq!(fails.len(), 2, "{fails:?}");
         assert!(fails[0].contains("bounded-memory"), "{fails:?}");

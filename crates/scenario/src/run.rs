@@ -23,7 +23,9 @@ use blameit::{
     ChaosBackend, ChaosStats, DurableEngine, LocalizationVerdict, PersistError, StartMode,
     StateStore, TickOutput, UnlocalizedReason, WorldBackend,
 };
-use blameit_daemon::{deliver, world_batches, CoreSink, DaemonConfig, DaemonCore, FeedSummary};
+use blameit_daemon::{
+    deliver, world_batches, CoreSink, DaemonConfig, DaemonCore, FeedSummary, IngestStats,
+};
 use blameit_obs::MetricsRegistry;
 use blameit_simnet::{CrashPlan, TimeBucket, TimeRange};
 use std::collections::BTreeSet;
@@ -75,23 +77,14 @@ pub struct ScenarioReport {
 
 /// Eval-side ingest accounting from an `[overload]` run (cumulative
 /// over the whole feed, burn-in included — overload scenarios place
-/// their surge inside the eval window, so burn-in contributes zeros).
+/// their surge inside the eval window, so burn-in contributes zeros):
+/// the daemon's own stats plus the two numbers only the runner knows.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OverloadReport {
-    /// Records offered (retries re-count, like the daemon's own stats).
-    pub offered: u64,
-    /// Records admitted to the queue.
-    pub admitted: u64,
-    /// Records shed by the impact-ordered controller.
-    pub shed_low_impact: u64,
-    /// Records refused wholesale at the queue cap.
-    pub shed_backpressure: u64,
-    /// `SLOW_DOWN` replies issued.
-    pub backpressure_replies: u64,
+    /// The daemon core's ingest accounting (retries re-count).
+    pub ingest: IngestStats,
     /// Buckets the feeder abandoned after exhausting its attempts.
     pub batches_abandoned: u64,
-    /// Highest queue depth observed after an admit.
-    pub queue_peak_records: u64,
     /// Shed records that ranked in the top impact decile of their own
     /// offer (the coverage-protection claim: should stay 0).
     pub top_decile_shed_records: u64,
@@ -372,15 +365,9 @@ fn run_overload(
             outs.len()
         )));
     }
-    let stats = core.stats();
     let report = OverloadReport {
-        offered: stats.offered,
-        admitted: stats.admitted,
-        shed_low_impact: stats.shed_low_impact,
-        shed_backpressure: stats.shed_backpressure,
-        backpressure_replies: stats.backpressure_replies,
+        ingest: core.stats(),
         batches_abandoned: fed.batches_abandoned,
-        queue_peak_records: stats.queue_peak,
         top_decile_shed_records: top_decile_shed,
     };
     let eval_outs = outs.split_off(scn.burn_in_ticks as usize);

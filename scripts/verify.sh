@@ -18,7 +18,7 @@ step() { echo "==> $*"; "$@"; }
 
 stage_lint() {
   step cargo run --release -p blameit-lint -- --self-check
-  step cargo run --release -p blameit-lint -- --effect-map effect-map.json
+  step cargo run --release -p blameit-lint
   step cargo run --release -p blameit-lint -- --only stale-suppression
 
   echo "==> blameit-lint exit-code contract (0 clean / 1 findings / 2 usage)"

@@ -268,6 +268,88 @@ fn flight_recorder_survives_crash_recovery() {
     }
 }
 
+#[test]
+fn probe_counters_continue_across_crash_recovery() {
+    // The probe count is the paper's cost claim (§6.5), so it has to be
+    // one number wherever it is read: after kill → open (snapshot +
+    // journal replay) the registry's two probe counters equal the
+    // totals the engine state persists, and after the resume both
+    // equal the counters of a run that never crashed.
+    let mut rng = DetRng::from_keys(21, &[0xF1]);
+    let (world, fault_start) = faulty_world(&mut rng);
+    let eval = TimeRange::new(fault_start, fault_start + 3_600);
+    let probes = |engine: &BlameItEngine| {
+        let (m, state) = (engine.metrics(), engine.state());
+        let registry = (m.on_demand_probes.get(), m.background_probes.get());
+        let persisted = (state.on_demand_probes_total, state.background_probes_total);
+        (registry, persisted)
+    };
+
+    for threads in [1, 4] {
+        let mut cfg = BlameItConfig::new(BadnessThresholds::default_for(&world));
+        cfg.parallelism = threads;
+        let mut reference = BlameItEngine::new(cfg);
+        let mut backend = WorldBackend::with_parallelism(&world, threads);
+        reference.warmup(&backend, TimeRange::days(1), 2);
+        reference.run(&mut backend, eval);
+        let (want, _) = probes(&reference);
+        assert!(want.0 > 0 && want.1 > 0, "the run must probe: {want:?}");
+
+        for (point, kill_tick) in [(CrashPoint::PostJournal, 2), (CrashPoint::PreSnapshot, 1)] {
+            let dir = state_dir(&format!("probes-{point}-t{threads}"));
+            let plan = CrashPlan::kill_at(kill_tick, point, 0x5EED);
+            run_until_crash(&world, &dir, threads, eval, plan, point);
+
+            let cfg = config(&world, &dir, threads);
+            let mut backend = WorldBackend::with_parallelism(&world, threads);
+            let registry = Arc::new(MetricsRegistry::new());
+            let (mut durable, report) = DurableEngine::open(cfg, registry, &mut backend).unwrap();
+            assert_eq!(report.mode, StartMode::Recovered, "{point}");
+            let (registry, persisted) = probes(durable.engine());
+            assert!(persisted.1 > 0, "the snapshot carried probe totals");
+            assert_eq!(
+                registry, persisted,
+                "after {point} recovery, {threads} threads"
+            );
+            durable.run(&mut backend, eval).unwrap();
+            let (registry, persisted) = probes(durable.engine());
+            assert_eq!(registry, persisted, "after the resume ({point})");
+            assert_eq!(registry, want, "vs an uninterrupted run ({point})");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
+#[test]
+fn the_journal_holds_the_digest_of_every_returned_tick() {
+    // The durable tick hashes the transcript its flight frame already
+    // holds; `tick_digest` renders afresh. The journal must hold
+    // exactly the latter for every output the caller was handed.
+    let mut rng = DetRng::from_keys(33, &[0xD9]);
+    let (world, fault_start) = faulty_world(&mut rng);
+    let eval = TimeRange::new(fault_start, fault_start + 2 * 3_600);
+    for threads in [1, 4] {
+        let dir = state_dir(&format!("digest-t{threads}"));
+        let mut backend = WorldBackend::with_parallelism(&world, threads);
+        let (mut durable, _) = DurableEngine::open(
+            config(&world, &dir, threads),
+            Arc::new(MetricsRegistry::new()),
+            &mut backend,
+        )
+        .unwrap();
+        durable
+            .warmup_and_checkpoint(&backend, TimeRange::days(1), 2)
+            .unwrap();
+        let outs = durable.run(&mut backend, eval).unwrap();
+        assert_eq!(outs.len(), 8);
+        let journal = blameit::persist::journal::scan(&dir).unwrap().unwrap();
+        let journaled: Vec<u64> = journal.records.iter().map(|r| r.digest).collect();
+        let rendered: Vec<u64> = outs.iter().map(blameit::tick_digest).collect();
+        assert_eq!(journaled, rendered, "{threads} threads");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// Runs a full durable window to completion and returns the state dir
 /// plus the reference transcript.
 fn completed_run(tag: &str, seed: u64) -> (World, PathBuf, TimeRange) {

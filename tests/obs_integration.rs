@@ -187,16 +187,30 @@ fn the_metric_catalogue_and_a_daemon_registry_name_the_same_instruments() {
     let mut cfg = BlameItConfig::new(BadnessThresholds::default_for(&world));
     cfg.state_dir = Some(dir.clone());
     let registry = Arc::new(MetricsRegistry::new());
+    let warmup = TimeRange::days(1);
     let opened = blameit_daemon::DaemonCore::open(
         cfg,
         blameit_daemon::DaemonConfig::default(),
         registry.clone(),
         WorldBackend::new(&world),
-        TimeRange::days(1),
+        warmup,
     );
-    drop(opened.expect("a cold daemon core opens"));
+    let (mut core, _) = opened.expect("a cold daemon core opens");
+    // One tick, so the flight ring holds a frame whose deltas can be
+    // checked against the same rendering.
+    let source = WorldBackend::new(&world);
+    let one_tick = TimeRange::new(warmup.end, warmup.end + 900);
+    let batches = blameit_daemon::world_batches(&source, one_tick, Default::default());
+    blameit_daemon::feed(&mut blameit_daemon::CoreSink::new(&mut core), batches, 1).unwrap();
+    assert_eq!(core.term().unwrap().len(), 1, "the fed window ticked");
+    let deltas = core
+        .engine()
+        .flight()
+        .with_ring(|frames, _| frames.back().expect("one frame").deltas.clone());
+    drop(core);
     let _ = std::fs::remove_dir_all(&dir);
-    let rendered = rendered_instruments(&registry.render_prometheus());
+    let text = registry.render_prometheus();
+    let rendered = rendered_instruments(&text);
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/OBSERVABILITY.md");
     let documented = documented_instruments(&std::fs::read_to_string(path).unwrap());
@@ -221,5 +235,21 @@ fn the_metric_catalogue_and_a_daemon_registry_name_the_same_instruments() {
         // Labels are closed enums (stage, reason, kind, …), never ids:
         // a family that outgrows this is keyed on data.
         assert!(*series <= 12, "{name} renders {series} series");
+    }
+
+    // A delta is a metric: its key is a catalogued family, and when it
+    // carries a label, a series that family renders.
+    assert!(deltas.iter().any(|(key, _)| key.contains('{')));
+    for (key, _) in &deltas {
+        let family = key.split_once('{').map_or(key.as_str(), |(name, _)| name);
+        assert!(rendered.contains_key(family), "delta {key}: no such family");
+        let is_series = |l: &str| {
+            l.strip_prefix(key.as_str())
+                .is_some_and(|v| v.starts_with(' '))
+        };
+        assert!(
+            family == key || text.lines().any(is_series),
+            "delta {key} is not a series /metrics renders"
+        );
     }
 }
