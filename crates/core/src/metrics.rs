@@ -172,6 +172,15 @@ pub struct EngineMetrics {
     /// Ingest-WAL rotations (seal + retire at a snapshot tick) that
     /// failed; the WAL stays larger than needed until one succeeds.
     pub wal_retire_failures: Arc<Counter>,
+    /// Bytes appended to the ingest WAL (whole sections: 21 + 16 per
+    /// record). Deterministic in the admitted feed.
+    pub wal_bytes_appended: Arc<Counter>,
+    /// Active WAL segments sealed by a rotation.
+    pub wal_segments_sealed: Arc<Counter>,
+    /// Sealed WAL segments retired (unlinked) by a rotation.
+    pub wal_segments_retired: Arc<Counter>,
+    /// Bytes the last open read back from the WAL, every segment.
+    pub wal_replayed_bytes: Arc<Gauge>,
     /// Quartet groups the admission controller scored — work it only
     /// does for offers past the shed watermark, so 0 on a feed that
     /// never sheds. Deterministic in the feed.
@@ -232,6 +241,10 @@ impl EngineMetrics {
             ingest_queue_depth: registry.gauge("blameit_ingest_queue_depth_records"),
             ingest_coverage: registry.gauge("blameit_ingest_coverage"),
             wal_retire_failures: registry.counter("blameit_wal_retire_failures_total"),
+            wal_bytes_appended: registry.counter("blameit_wal_bytes_appended_total"),
+            wal_segments_sealed: registry.counter("blameit_wal_segments_sealed_total"),
+            wal_segments_retired: registry.counter("blameit_wal_segments_retired_total"),
+            wal_replayed_bytes: registry.gauge("blameit_wal_replayed_bytes"),
             admission_groups_scored: registry.counter("blameit_admission_groups_scored_total"),
             admission_streak_groups: registry.gauge("blameit_admission_streak_groups"),
             registry,
@@ -475,6 +488,10 @@ mod tests {
         m.ingest_queue_depth.set(41.0);
         m.ingest_coverage.set(0.9);
         m.wal_retire_failures.add(6);
+        m.wal_bytes_appended.add(8);
+        m.wal_segments_sealed.add(9);
+        m.wal_segments_retired.add(10);
+        m.wal_replayed_bytes.set(11.0);
         let text = reg.render_prometheus();
         for series in [
             "blameit_shed_quartets_total{reason=\"low_impact\"} 7",
@@ -483,6 +500,10 @@ mod tests {
             "blameit_ingest_queue_depth_records 41",
             "blameit_ingest_coverage 0.9",
             "blameit_wal_retire_failures_total 6",
+            "blameit_wal_bytes_appended_total 8",
+            "blameit_wal_segments_sealed_total 9",
+            "blameit_wal_segments_retired_total 10",
+            "blameit_wal_replayed_bytes 11",
         ] {
             assert!(text.contains(series), "{series} missing from:\n{text}");
         }

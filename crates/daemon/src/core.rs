@@ -175,6 +175,8 @@ impl<B: Backend> DaemonCore<B> {
         let tick_buckets = cfg.tick_buckets;
         let mut backend = backend;
         let (mut durable, recovery) = DurableEngine::open(cfg, registry, &mut backend)?;
+        let replayed = &durable.engine().metrics().wal_replayed_bytes;
+        replayed.set(wal_recovery.bytes as f64);
         if recovery.mode == blameit::StartMode::Cold {
             durable.warmup_and_checkpoint(&backend, warmup, 2)?;
         }
@@ -286,7 +288,7 @@ impl<B: Backend> DaemonCore<B> {
                 }
                 let admitted = batch.keys.len() as u64;
                 if admitted > 0 {
-                    self.wal.append(&batch)?;
+                    m.wal_bytes_appended.add(self.wal.append(&batch)?);
                     self.backend.push(batch);
                 }
                 self.stats.admitted += admitted;
@@ -331,10 +333,17 @@ impl<B: Backend> DaemonCore<B> {
         // Every fed bucket lies below the next tick's start now.
         let cutoff = self.next_tick_start();
         self.backend.prune_below(cutoff);
-        self.wal.rotate(cutoff)?;
+        self.rotate_wal(cutoff)?;
         let m = self.engine().metrics();
         m.ingest_queue_depth.set(self.queue_depth() as f64);
         Ok(outs)
+    }
+
+    /// [`IngestWal::rotate`], counted on the engine's WAL instruments.
+    fn rotate_wal(&mut self, cutoff: TimeBucket) -> io::Result<()> {
+        let m = self.durable.engine().metrics();
+        self.wal
+            .rotate(cutoff, &m.wal_segments_sealed, &m.wal_segments_retired)
     }
 
     fn run_ready(&mut self, draining: bool) -> Result<Vec<TickOutput>, DaemonError> {
@@ -407,7 +416,7 @@ impl<B: Backend> DaemonCore<B> {
         self.backend.prune_below(TimeBucket(cutoff));
         // A failed rotation is not fatal: the WAL is merely larger
         // than needed, and the next prune retires what this one left.
-        if self.wal.rotate(TimeBucket(cutoff)).is_err() {
+        if self.rotate_wal(TimeBucket(cutoff)).is_err() {
             self.engine().metrics().wal_retire_failures.inc();
         }
     }

@@ -31,6 +31,7 @@ use blameit::persist::log::{
     list_segments, scan_file, segment_path, wal_batch, Log, Tail, WAL_SEC_BATCH,
 };
 use blameit::RecordBatch;
+use blameit_obs::Counter;
 use blameit_simnet::TimeBucket;
 use std::collections::VecDeque;
 use std::io;
@@ -44,6 +45,8 @@ pub struct WalRecovery {
     pub batches: Vec<RecordBatch>,
     /// A torn trailing record was found and discarded.
     pub torn_tail: bool,
+    /// Bytes read: every segment's whole file, the active one included.
+    pub bytes: u64,
 }
 
 /// An append-only, fsync'd, segmented log of admitted ingest batches.
@@ -80,6 +83,7 @@ impl IngestWal {
     pub fn open(path: &Path) -> io::Result<(IngestWal, WalRecovery)> {
         let mut batches = Vec::new();
         let mut sealed = VecDeque::new();
+        let mut bytes = 0;
         for (seq, segment) in list_segments(path)? {
             let from = batches.len();
             let scan = scan_file(&segment, KIND_INGEST_WAL, replay_into(&mut batches))?;
@@ -89,6 +93,7 @@ impl IngestWal {
                     format!("{}: sealed segment is damaged", segment.display()),
                 ));
             }
+            bytes += scan.map_or(0, |s| s.valid_len);
             sealed.push_back((seq, max_bucket(&batches, from)));
         }
         let from = batches.len();
@@ -98,17 +103,22 @@ impl IngestWal {
             active_max: max_bucket(&batches, from),
             sealed,
         };
-        let torn_tail = scan.trailing_bytes > 0;
-        Ok((wal, WalRecovery { batches, torn_tail }))
+        let recovery = WalRecovery {
+            batches,
+            torn_tail: scan.trailing_bytes > 0,
+            bytes: bytes + scan.valid_len + scan.trailing_bytes,
+        };
+        Ok((wal, recovery))
     }
 
     /// Appends one admitted batch and fsyncs. Only after this returns
-    /// may the batch become engine-visible.
-    pub fn append(&mut self, batch: &RecordBatch) -> io::Result<()> {
-        self.log
+    /// may the batch become engine-visible. Returns the bytes appended.
+    pub fn append(&mut self, batch: &RecordBatch) -> io::Result<u64> {
+        let bytes = self
+            .log
             .append(WAL_SEC_BATCH, |w| batch.encode_columns(w))?;
         self.active_max = self.active_max.max(Some(batch.bucket.0));
-        Ok(())
+        Ok(bytes)
     }
 
     /// Seals the active segment, then retires — unlinks — the sealed
@@ -116,12 +126,20 @@ impl IngestWal {
     /// durable snapshot). No batch is read, re-encoded or rewritten. A
     /// kill between any two steps reopens to a superset of what an
     /// uninterrupted rotation keeps; an error leaves the segments it
-    /// did not reach for the next rotation.
-    pub fn rotate(&mut self, cutoff: TimeBucket) -> io::Result<()> {
+    /// did not reach for the next rotation. Each seal and each retired
+    /// segment counts on `sealed` and `retired` as it happens, so a
+    /// rotation that fails part-way has counted what it did.
+    pub fn rotate(
+        &mut self,
+        cutoff: TimeBucket,
+        sealed: &Counter,
+        retired: &Counter,
+    ) -> io::Result<()> {
         if self.active_max.is_some() {
             let seq = self.sealed.back().map_or(1, |&(seq, _)| seq + 1);
             self.log.seal_to(&segment_path(self.log.path(), seq))?;
             self.sealed.push_back((seq, self.active_max.take()));
+            sealed.inc();
         }
         // Oldest first and stopping at the first segment still needed,
         // so what stays on disk is always a gap-free run of sequence
@@ -136,17 +154,23 @@ impl IngestWal {
                 Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
                 _ => self.sealed.pop_front(),
             };
+            retired.inc();
         }
         Ok(())
     }
 
     /// [`rotate`](Self::rotate) for a caller that holds the batches to
-    /// keep rather than the cutoff. It survives only for the frozen
-    /// `benchmark/` harness's shadow WAL and goes with ROADMAP item 5;
-    /// the daemon calls `rotate`.
+    /// keep rather than the cutoff, and counts nothing. It survives only
+    /// for the frozen `benchmark/` harness's shadow WAL and goes with
+    /// ROADMAP item 5; the daemon calls `rotate`.
     pub fn compact(&mut self, retained: &[RecordBatch]) -> io::Result<()> {
         let lowest = retained.iter().map(|b| b.bucket.0).min();
-        self.rotate(TimeBucket(lowest.unwrap_or(u32::MAX)))
+        let uncounted = Counter::new();
+        self.rotate(
+            TimeBucket(lowest.unwrap_or(u32::MAX)),
+            &uncounted,
+            &uncounted,
+        )
     }
 }
 
@@ -175,10 +199,38 @@ mod tests {
         dir.join("ingest.wal")
     }
 
+    /// Reopens the WAL at `path`, which must count every byte of every
+    /// segment (the active one as open leaves it) as read.
     fn reopen(path: &Path) -> (IngestWal, Vec<RecordBatch>) {
         let (wal, rec) = IngestWal::open(path).unwrap();
         assert!(!rec.torn_tail);
+        let segments = list_segments(path).unwrap();
+        let files = segments.iter().map(|(_, p)| p.as_path()).chain([path]);
+        let on_disk: u64 = files.map(|p| std::fs::metadata(p).unwrap().len()).sum();
+        assert_eq!(rec.bytes, on_disk);
         (wal, rec.batches)
+    }
+
+    /// Rotates at `cutoff`; returns the (seals, retirements) it counted.
+    fn rotate(wal: &mut IngestWal, cutoff: u32) -> (u64, u64) {
+        let (sealed, retired) = (Counter::new(), Counter::new());
+        wal.rotate(TimeBucket(cutoff), &sealed, &retired).unwrap();
+        (sealed.get(), retired.get())
+    }
+
+    #[test]
+    fn an_append_counts_its_section_and_a_reopen_every_segment_byte() {
+        let path = tmp("bytes");
+        let (mut wal, _) = reopen(&path);
+        // id + length + bucket + count + 16 per record + CRC.
+        assert_eq!(wal.append(&batch(0, 4)).unwrap(), 1 + 8 + 8 + 16 * 4 + 4);
+        assert_eq!(wal.append(&batch(1, 1)).unwrap(), 21 + 16);
+        assert_eq!(rotate(&mut wal, 0), (1, 0));
+        wal.append(&batch(2, 2)).unwrap();
+        let (_, rec) = IngestWal::open(&path).unwrap();
+        // Two preambles, three sections.
+        assert_eq!(rec.bytes, 2 * 7 + 3 * 21 + 16 * 7);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -191,11 +243,11 @@ mod tests {
         for b in batches(0..7) {
             wal.append(&b).unwrap();
         }
-        wal.rotate(TimeBucket(0)).unwrap();
+        assert_eq!(rotate(&mut wal, 0), (1, 0));
         for b in batches(7..13) {
             wal.append(&b).unwrap();
         }
-        wal.rotate(TimeBucket(6)).unwrap();
+        assert_eq!(rotate(&mut wal, 6), (1, 0));
         // Nothing retired yet: segment 1 ends at bucket 6, which the
         // cutoff does not cover. Order holds across segments.
         assert_eq!(list_segments(&path).unwrap().len(), 2);
@@ -203,7 +255,7 @@ mod tests {
         assert_eq!(recovered, batches(0..13));
 
         wal.append(&batch(13, 4)).unwrap();
-        wal.rotate(TimeBucket(7)).unwrap();
+        assert_eq!(rotate(&mut wal, 7), (1, 1));
         // Segment 1 (buckets 0..=6) is gone, whole; what the queue
         // retains (7..) is a suffix of what comes back.
         let seqs: Vec<u64> = list_segments(&path)
@@ -240,7 +292,7 @@ mod tests {
         for b in batches(0..3) {
             wal.append(&b).unwrap();
         }
-        wal.rotate(TimeBucket(0)).unwrap();
+        rotate(&mut wal, 0);
         wal.append(&batch(3, 4)).unwrap();
         wal.append(&batch(4, 4)).unwrap();
         drop(wal);

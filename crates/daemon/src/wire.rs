@@ -152,6 +152,20 @@ fn werr(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
 }
 
+/// The `BATCH` body: kind, then the columns.
+fn put_batch(w: &mut ByteWriter, batch: &RecordBatch) {
+    w.put_u8(KIND_BATCH);
+    batch.encode_columns(w);
+}
+
+/// Appends the CRC over everything `w` holds.
+fn sealed(w: ByteWriter) -> Vec<u8> {
+    let mut bytes = w.into_bytes();
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
 /// Encodes one frame payload (kind + body + CRC), without the length
 /// prefix.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
@@ -161,10 +175,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.put_u8(KIND_HELLO);
             w.put_u16(*version);
         }
-        Frame::Batch { batch } => {
-            w.put_u8(KIND_BATCH);
-            batch.encode_columns(&mut w);
-        }
+        Frame::Batch { batch } => put_batch(&mut w, batch),
         Frame::Term => w.put_u8(KIND_TERM),
         Frame::Ack {
             admitted,
@@ -193,10 +204,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.put_bytes(b);
         }
     }
-    let mut bytes = w.into_bytes();
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
+    sealed(w)
 }
 
 /// Decodes one frame payload (as produced by [`encode_frame`]).
@@ -249,7 +257,19 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
 
 /// Writes one length-prefixed frame.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    let payload = encode_frame(frame);
+    write_payload(w, &encode_frame(frame))
+}
+
+/// [`write_frame`] of a `BATCH` frame, from a borrowed batch: the
+/// feeder sends the batch it holds without copying it into a [`Frame`].
+pub(crate) fn write_batch<W: Write>(w: &mut W, batch: &RecordBatch) -> io::Result<()> {
+    let mut payload = ByteWriter::new();
+    put_batch(&mut payload, batch);
+    write_payload(w, &sealed(payload))
+}
+
+/// Writes one encoded frame payload behind its length prefix.
+fn write_payload<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|&n| n <= MAX_FRAME_BYTES)
@@ -263,7 +283,7 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
             )
         })?;
     w.write_all(&len.to_le_bytes())?;
-    w.write_all(&payload)?;
+    w.write_all(payload)?;
     w.flush()
 }
 
@@ -367,6 +387,23 @@ mod tests {
             let bytes = encode_frame(&f);
             assert_eq!(decode_frame(&bytes).unwrap(), f, "{f:?}");
         }
+    }
+
+    #[test]
+    fn a_borrowed_batch_writes_the_bytes_of_its_frame() {
+        let Frame::Batch { batch } = &all_frames()[1] else {
+            unreachable!("frame 1 is the batch")
+        };
+        let (mut borrowed, mut framed) = (Vec::new(), Vec::new());
+        write_batch(&mut borrowed, batch).unwrap();
+        write_frame(
+            &mut framed,
+            &Frame::Batch {
+                batch: batch.clone(),
+            },
+        )
+        .unwrap();
+        assert_eq!(borrowed, framed);
     }
 
     #[test]

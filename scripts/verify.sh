@@ -41,6 +41,9 @@ stage_test() {
   # Includes tests/scenario_library.rs: all 15 scenarios through the
   # golden checker at 1 and 4 engine threads, in-process.
   step cargo test --workspace -q
+  # The byte kernels (lane CRC-32, whole-column decode) against their
+  # references under the optimised codegen that ships.
+  step cargo test --release -q -p blameit --lib persist::codec
   step cargo test --release -q --test parallel_determinism --test golden_output
   BLAMEIT_THREADS=8 step cargo test --release -q --test chaos_determinism
   BLAMEIT_THREADS=8 step cargo test --release -q --test crash_recovery

@@ -11,9 +11,12 @@
 //! scores groups only for offers past the shed watermark, and the
 //! deterministic work counter `blameit_admission_groups_scored_total`
 //! is asserted here — 0 on the quiet feed, an exact pinned count on the
-//! surged one, equal at 1 and 4 engine threads. A later deterministic
-//! work counter (ROADMAP item 1(c)) should extend `OverloadRun` and
-//! these two tests rather than invent a second shape.
+//! surged one, equal at 1 and 4 engine threads. The WAL's work
+//! counters ride along: `blameit_wal_bytes_appended_total` must equal
+//! an independent sum over the admitted offers, and the segments sealed
+//! and retired are pinned. A later deterministic work counter (ROADMAP
+//! item 1(c)) should extend `OverloadRun` and these two tests rather
+//! than invent a second shape.
 
 use blameit::{
     render_tick_transcript, BadnessThresholds, BlameItConfig, RecordBatch, StartMode, TickOutput,
@@ -63,6 +66,10 @@ struct OverloadRun {
     overload_fired: bool,
     /// `blameit_admission_groups_scored_total` after the feed.
     groups_scored: u64,
+    /// `blameit_wal_bytes_appended_total` after the feed.
+    wal_bytes_appended: u64,
+    /// `blameit_wal_segments_{sealed,retired}_total` after `TERM`.
+    wal_segments: (u64, u64),
 }
 
 /// The in-process sink with the queue bounds checked at every reply:
@@ -71,10 +78,13 @@ struct OverloadRun {
 ///
 /// It also sums, independently of the controller, the group counts of
 /// exactly the offers that arrive past the shed watermark without
-/// being refused — what the scoring work counter must read.
+/// being refused — what the scoring work counter must read — and the
+/// WAL section bytes of every offer that admitted records: a 21-byte
+/// frame (id, length, bucket, count, CRC) plus 16 bytes a record.
 struct CapChecked<'c, 'w> {
     inner: CoreSink<'c, WorldBackend<'w>>,
     groups_past_watermark: u64,
+    wal_bytes: u64,
 }
 
 impl Sink for CapChecked<'_, '_> {
@@ -91,11 +101,15 @@ impl Sink for CapChecked<'_, '_> {
             self.groups_past_watermark += keys.len() as u64;
         }
         let reply = self.inner.offer(batch)?;
-        if let OfferReply::SlowDown { queue_depth, .. } = reply {
-            assert!(
+        match reply {
+            OfferReply::SlowDown { queue_depth, .. } => assert!(
                 queue_depth as usize <= cap,
                 "refusal quotes a bounded depth"
-            );
+            ),
+            OfferReply::Ack { admitted, .. } if admitted > 0 => {
+                self.wal_bytes += 21 + 16 * admitted
+            }
+            OfferReply::Ack { .. } => {}
         }
         assert!(
             self.inner.core.queue_depth() <= cap,
@@ -132,6 +146,7 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
     let mut sink = CapChecked {
         inner: CoreSink::new(&mut core),
         groups_past_watermark: 0,
+        wal_bytes: 0,
     };
     let fed = feed(
         &mut sink,
@@ -139,7 +154,7 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
         3,
     )
     .unwrap();
-    let groups_past_watermark = sink.groups_past_watermark;
+    let (groups_past_watermark, wal_bytes) = (sink.groups_past_watermark, sink.wal_bytes);
     let mut outs: Vec<TickOutput> = sink.inner.outs;
     outs.extend(core.term().unwrap());
     assert_eq!(outs.len(), n_ticks as usize, "every tick window fired");
@@ -159,6 +174,17 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
         "scored exactly the groups of the offers that arrived past the watermark"
     );
     assert_eq!(groups_scored, core.admission().groups_scored());
+    let m = core.engine().metrics();
+    assert_eq!(
+        m.wal_bytes_appended.get(),
+        wal_bytes,
+        "appended exactly the sections of the admitted offers"
+    );
+    let wal_segments = (m.wal_segments_sealed.get(), m.wal_segments_retired.get());
+    assert_eq!(
+        wal_segments.0, wal_segments.1,
+        "TERM retires every segment a rotation sealed"
+    );
 
     let overload_fired = core.engine().flight().with_ring(|_, events| {
         events
@@ -172,6 +198,8 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
         abandoned: fed.batches_abandoned,
         overload_fired,
         groups_scored,
+        wal_bytes_appended: wal_bytes,
+        wal_segments,
     };
     drop(core);
     let _ = std::fs::remove_dir_all(&dir);
@@ -229,6 +257,13 @@ fn surged_feed_sheds_identically_at_any_thread_count() {
     // The work counter: pinned, and thread-invariant like the rest.
     assert_eq!(one.groups_scored, 1_482, "groups scored on the surged feed");
     assert_eq!(one.groups_scored, four.groups_scored);
+    assert_eq!(
+        (one.wal_bytes_appended, one.wal_segments),
+        (3_137_782, (3, 3)),
+        "WAL work on the surged feed"
+    );
+    assert_eq!(one.wal_bytes_appended, four.wal_bytes_appended);
+    assert_eq!(one.wal_segments, four.wal_segments);
 }
 
 #[test]
@@ -244,5 +279,10 @@ fn quiet_feed_sheds_nothing() {
     assert_eq!(
         run.groups_scored, 0,
         "an ACK that sheds nothing scores nothing"
+    );
+    assert_eq!(
+        (run.wal_bytes_appended, run.wal_segments),
+        (3_102_216, (4, 4)),
+        "WAL work on the quiet feed"
     );
 }
