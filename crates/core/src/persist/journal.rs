@@ -15,7 +15,9 @@
 //! the post-warmup snapshot), and trust ends at the first record that
 //! breaks the sequence.
 
-use super::codec::{write_section_with, ByteReader, ByteWriter, CodecError, KIND_JOURNAL};
+use super::codec::{
+    codec_struct, decode_exact, write_section_with, Codec, CodecError, KIND_JOURNAL,
+};
 use super::log::{self, Log, LogScan, Tail, JOURNAL_FILE};
 use super::PersistError;
 use crate::pipeline::TickOutput;
@@ -37,26 +39,11 @@ pub struct JournalRecord {
     pub digest: u64,
 }
 
-impl JournalRecord {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_u64(self.tick);
-        w.put_u32(self.bucket.0);
-        w.put_u64(self.digest);
-    }
-
-    fn decode(payload: &[u8]) -> Result<JournalRecord, CodecError> {
-        let mut r = ByteReader::new(payload);
-        let rec = JournalRecord {
-            tick: r.u64()?,
-            bucket: TimeBucket(r.u32()?),
-            digest: r.u64()?,
-        };
-        match r.remaining() {
-            0 => Ok(rec),
-            _ => Err(CodecError::Invalid("trailing bytes in journal record")),
-        }
-    }
-}
+codec_struct!(JournalRecord {
+    tick: u64,
+    bucket: TimeBucket,
+    digest: u64,
+});
 
 /// FNV-1a 64-bit hash.
 pub(super) fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -109,10 +96,10 @@ impl Reader {
     fn accept(&mut self, id: u8, payload: &[u8]) -> bool {
         match (id, self.seed) {
             (SEC_SEED, None) => {
-                self.seed = payload.try_into().ok().map(u64::from_le_bytes);
+                self.seed = decode_exact(payload).ok();
                 self.seed.is_some()
             }
-            (SEC_TICK, Some(_)) => match JournalRecord::decode(payload) {
+            (SEC_TICK, Some(_)) => match decode_exact::<JournalRecord>(payload) {
                 Ok(rec) if rec.tick == self.records.len() as u64 => {
                     self.records.push(rec);
                     true
@@ -168,7 +155,7 @@ impl Journal {
         let (log, scan) = Log::open(
             &journal_path(dir),
             KIND_JOURNAL,
-            |w| write_section_with(w, SEC_SEED, |w| w.put_u64(seed)),
+            |w| write_section_with(w, SEC_SEED, |w| seed.put(w)),
             |id, p| reader.accept(id, p),
         )?;
         let scan = reader.finish(scan)?;
@@ -186,18 +173,18 @@ impl Journal {
     pub fn reset(&mut self) -> std::io::Result<()> {
         let seed = self.seed;
         self.log
-            .rewrite(|w| write_section_with(w, SEC_SEED, |w| w.put_u64(seed)))
+            .rewrite(|w| write_section_with(w, SEC_SEED, |w| seed.put(w)))
     }
 
     /// Appends one record and fsyncs — on return the tick is durable.
     pub fn append(&mut self, rec: &JournalRecord) -> std::io::Result<()> {
-        self.log.append(SEC_TICK, |w| rec.encode(w)).map(drop)
+        self.log.append(SEC_TICK, |w| rec.put(w)).map(drop)
     }
 
     /// Appends only a prefix of the record — the kill-point harness's
     /// torn write (see [`Log::append_torn`]).
     pub fn append_torn(&mut self, rec: &JournalRecord, fraction: f64) -> std::io::Result<()> {
-        self.log.append_torn(SEC_TICK, |w| rec.encode(w), fraction)
+        self.log.append_torn(SEC_TICK, |w| rec.put(w), fraction)
     }
 }
 

@@ -18,7 +18,7 @@
 //! mid-append leaves a strict prefix of one section, which the next
 //! open finds past the valid prefix and truncates.
 
-use super::codec::{self, ByteReader, ByteWriter, CodecError};
+use super::codec::{self, ByteWriter, CodecError};
 use super::PersistError;
 use crate::columnar::RecordBatch;
 use std::fs::{self, File, OpenOptions};
@@ -67,9 +67,8 @@ pub fn list_segments(active: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 /// The ingest WAL's trust rule, shared by the daemon's replay and
 /// `fsck`: a section is one batch's columns and nothing else.
 pub fn wal_batch(id: u8, payload: &[u8]) -> Option<RecordBatch> {
-    let mut r = ByteReader::new(payload);
-    let batch = RecordBatch::decode_columns(&mut r).ok()?;
-    (id == WAL_SEC_BATCH && r.remaining() == 0).then_some(batch)
+    let batch = codec::decode_exact(payload).ok()?;
+    (id == WAL_SEC_BATCH).then_some(batch)
 }
 
 /// What lies past a log's valid prefix.

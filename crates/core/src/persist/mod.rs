@@ -9,7 +9,9 @@
 //!
 //! * [`codec`] — hand-rolled, versioned, CRC-per-section byte framing.
 //!   Any bit flip past the 7-byte preamble fails a CRC; preamble flips
-//!   fail a value check. Decoding never panics on garbage.
+//!   fail a value check. Decoding never panics on garbage. Every
+//!   persisted type states its layout once, as a [`codec::Codec`] impl
+//!   whose `MIN_BYTES` budgets every count read for it.
 //! * [`snapshot`] — serializes every field of [`BlameItEngine`] that
 //!   influences future ticks (learners, baselines, scheduler clocks,
 //!   incident/episode state, RNG positions). Metrics are write-only

@@ -13,19 +13,21 @@
 //! monotonic across crash→recover→resume. Histograms and gauges remain
 //! excluded (recomputed or refreshed every tick).
 //!
-//! Encoding is canonical: every hash map is emitted sorted by its
-//! encoded key bytes, so two state-equal engines produce identical
-//! snapshots regardless of hash-seed iteration order. All floats are
-//! stored as IEEE-754 bit patterns (exact round-trip).
+//! Each section is one value, written and read through the
+//! [`Codec`] impl of its type, declared once below. Encoding is
+//! canonical: every map is emitted sorted by its encoded key bytes and
+//! every set in `Ord` order, so two state-equal engines produce
+//! identical snapshots regardless of hash-seed iteration order. All
+//! floats are stored as IEEE-754 bit patterns (exact round-trip).
 
 use super::codec::{
-    read_preamble, read_section, write_preamble, write_section_with, ByteReader, ByteWriter,
-    CodecError, KIND_SNAPSHOT,
+    codec_struct, decode_exact, put_entries, put_seq, read_preamble, read_section, write_preamble,
+    write_section_with, ByteReader, ByteWriter, Codec, CodecError, KIND_SNAPSHOT,
 };
 use super::PersistError;
 use crate::active::UnlocalizedReason;
 use crate::background::{BackgroundScheduler, BaselineEntry, BaselineStore};
-use crate::fxhash::{det_set_with_capacity, DetHashSet};
+use crate::fxhash::DetHashMap;
 use crate::grouping::MiddleKey;
 use crate::history::{
     ClientCountHistory, DurationHistory, DurationSamples, ExpectedRttLearner, RttKey, RttSeries,
@@ -35,9 +37,8 @@ use crate::pipeline::{BlameItEngine, EngineState};
 use blameit_obs::{FlightDumpEvent, FlightFrame, FlightTrigger};
 use blameit_simnet::{SimTime, TimeBucket};
 use blameit_topology::rng::DetRng;
-use blameit_topology::{Asn, CloudLocId, IpPrefix, MetroId, PathId, Prefix24};
-use std::collections::VecDeque;
-use std::hash::Hash;
+use blameit_topology::{Asn, CloudLocId, PathId};
+use std::collections::{BTreeMap, VecDeque};
 
 // Section ids, in file order.
 const SEC_IDENTITY: u8 = 1;
@@ -216,40 +217,39 @@ pub fn encode(engine: &BlameItEngine, ticks_done: u64) -> Vec<u8> {
 
 /// The one writer of the snapshot format: preamble, then every section
 /// of [`SECTIONS`] in order, each framed and CRC'd in place. The flight
-/// frames arrive as the two halves of a ring, oldest first.
+/// frames arrive as the two halves of a ring, oldest first; [`decode`]
+/// reads each section back as the value written here.
 fn write_snapshot(
-    (seed, tick_buckets, ticks_done): (u64, u32, u64),
+    identity: (u64, u32, u64),
     state: &EngineState,
-    frames: (&[FlightFrame], &[FlightFrame]),
+    (older, newer): (&[FlightFrame], &[FlightFrame]),
     dumps: &[FlightDumpEvent],
     counters: &SnapshotCounters,
 ) -> Vec<u8> {
     let mut w = ByteWriter::new();
     write_preamble(&mut w, KIND_SNAPSHOT);
-    write_section_with(&mut w, SEC_IDENTITY, |w| {
-        w.put_u64(seed);
-        w.put_u32(tick_buckets);
-        w.put_u64(ticks_done);
+    write_section_with(&mut w, SEC_IDENTITY, |w| identity.put(w));
+    write_section_with(&mut w, SEC_EXPECTED, |w| state.expected.put(w));
+    write_section_with(&mut w, SEC_DURATIONS, |w| state.durations.put(w));
+    write_section_with(&mut w, SEC_CLIENT_HIST, |w| state.client_hist.put(w));
+    write_section_with(&mut w, SEC_INCIDENTS, |w| state.incidents.put(w));
+    write_section_with(&mut w, SEC_BASELINES, |w| state.baselines.put(w));
+    write_section_with(&mut w, SEC_SCHEDULER, |w| state.scheduler.put(w));
+    write_section_with(&mut w, SEC_ENGINE, |w| {
+        state.rep_p24.put(w);
+        state.baseline_p24.put(w);
+        state.monitored_prefixes.put(w);
+        state.episodes.put(w);
+        state.bg_failed_once.put(w);
+        state.churn_cursor.put(w);
+        state.on_demand_probes_total.put(w);
+        state.background_probes_total.put(w);
     });
-    write_section_with(&mut w, SEC_EXPECTED, |w| put_expected(w, &state.expected));
-    write_section_with(&mut w, SEC_DURATIONS, |w| {
-        put_durations(w, &state.durations)
+    write_section_with(&mut w, SEC_FLIGHT, |w| {
+        put_seq(w, older.len() + newer.len(), older.iter().chain(newer));
+        put_seq(w, dumps.len(), dumps);
     });
-    write_section_with(&mut w, SEC_CLIENT_HIST, |w| {
-        put_client_hist(w, &state.client_hist)
-    });
-    write_section_with(&mut w, SEC_INCIDENTS, |w| {
-        put_incidents(w, &state.incidents)
-    });
-    write_section_with(&mut w, SEC_BASELINES, |w| {
-        put_baselines(w, &state.baselines)
-    });
-    write_section_with(&mut w, SEC_SCHEDULER, |w| {
-        put_scheduler(w, &state.scheduler)
-    });
-    write_section_with(&mut w, SEC_ENGINE, |w| put_engine_misc(w, state));
-    write_section_with(&mut w, SEC_FLIGHT, |w| put_flight(w, frames, dumps));
-    write_section_with(&mut w, SEC_COUNTERS, |w| put_counters(w, counters));
+    write_section_with(&mut w, SEC_COUNTERS, |w| counters.put(w));
     w.into_bytes()
 }
 
@@ -285,44 +285,39 @@ pub fn section_sizes(bytes: &[u8]) -> Result<Vec<(&'static str, usize)>, CodecEr
 
 /// Decodes a snapshot. Errors (never panics) on any corruption:
 /// preamble flips hit value checks, everything after hits a section
-/// CRC before its payload is even parsed.
-// lint:allow(transitive-effect): Prefix24::from_block is fed by get_block, which range-checks to 24 bits first — its assert cannot fire
+/// CRC before its payload is even parsed, and each section must hold
+/// exactly the one value [`write_snapshot`] put there.
 pub fn decode(bytes: &[u8]) -> Result<SnapshotState, CodecError> {
     let [p_ident, p_expected, p_durations, p_client, p_incidents, p_baselines, p_scheduler, p_engine, p_flight, p_counters] =
         read_sections(bytes)?;
-
-    let mut ident = ByteReader::new(p_ident);
-    let seed = ident.u64()?;
-    let tick_buckets = ident.u32()?;
-    let ticks_done = ident.u64()?;
-
-    let mut e = ByteReader::new(p_engine);
-    let get_p24 = |r: &mut ByteReader<'_>| Ok(Prefix24::from_block(get_block(r)?));
-    // Field order is read order: the learner and history sections, then
-    // the engine section front to back.
+    let (seed, tick_buckets, ticks_done) = decode_exact(p_ident)?;
+    let (
+        rep_p24,
+        baseline_p24,
+        monitored_prefixes,
+        episodes,
+        bg_failed_once,
+        churn_cursor,
+        on_demand_probes_total,
+        background_probes_total,
+    ) = decode_exact(p_engine)?;
+    let (flight_frames, flight_dumps) = decode_exact(p_flight)?;
     let state = EngineState {
-        expected: decode_expected(p_expected)?,
-        durations: decode_durations(p_durations)?,
-        client_hist: decode_client_hist(p_client)?,
-        incidents: decode_incidents(p_incidents)?,
-        baselines: decode_baselines(p_baselines)?,
-        scheduler: decode_scheduler(p_scheduler)?,
-        rep_p24: get_map(&mut e, 10, get_loc_path, get_p24)?,
-        baseline_p24: get_map(&mut e, 10, get_loc_path, get_p24)?,
-        monitored_prefixes: get_set(&mut e, 7, |r| Ok((CloudLocId(r.u16()?), get_prefix(r)?)))?,
-        episodes: get_map(&mut e, 14, get_loc_path, |r| {
-            Ok((TimeBucket(r.u32()?), TimeBucket(r.u32()?)))
-        })?,
-        bg_failed_once: get_set(&mut e, 6, get_loc_path)?,
-        churn_cursor: SimTime(e.u64()?),
-        on_demand_probes_total: e.u64()?,
-        background_probes_total: e.u64()?,
+        expected: decode_exact(p_expected)?,
+        durations: decode_exact(p_durations)?,
+        client_hist: decode_exact(p_client)?,
+        incidents: decode_exact(p_incidents)?,
+        baselines: decode_exact(p_baselines)?,
+        scheduler: decode_exact(p_scheduler)?,
+        rep_p24,
+        baseline_p24,
+        monitored_prefixes,
+        episodes,
+        bg_failed_once,
+        churn_cursor,
+        on_demand_probes_total,
+        background_probes_total,
     };
-    if e.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes in engine section"));
-    }
-
-    let (flight_frames, flight_dumps) = decode_flight(p_flight)?;
     Ok(SnapshotState {
         seed,
         tick_buckets,
@@ -330,584 +325,239 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotState, CodecError> {
         state,
         flight_frames,
         flight_dumps,
-        counters: decode_counters(p_counters)?,
+        counters: decode_exact(p_counters)?,
     })
 }
 
-// ---- canonical map framing -------------------------------------------------
+// ---- layouts ---------------------------------------------------------------
 
-/// Writes a map as `count · (key · value)…`, sorted by encoded key
-/// bytes — canonical regardless of the source container's iteration
-/// order (accepts `&HashMap`, `&BTreeMap`, or any `(&K, &V)` iterator).
-/// Keys are encoded once into one scratch buffer and a span index over
-/// it is sorted; each value is then written straight into `w`.
-fn put_map<'a, K: 'a, V: 'a>(
-    w: &mut ByteWriter,
-    map: impl IntoIterator<Item = (&'a K, &'a V)>,
-    mut put_key: impl FnMut(&mut ByteWriter, &K),
-    mut put_val: impl FnMut(&mut ByteWriter, &V),
-) {
-    let map = map.into_iter();
-    let mut keys = ByteWriter::new();
-    let mut index: Vec<(usize, usize, &V)> = Vec::with_capacity(map.size_hint().0);
-    for (k, v) in map {
-        let start = keys.len();
-        put_key(&mut keys, k);
-        index.push((start, keys.len(), v));
-    }
-    let keys = keys.as_bytes();
-    // lint:allow(panic-in-decode): encode path — every span was measured on `keys` as it was written
-    let key = |&(start, end, _): &(usize, usize, &V)| &keys[start..end];
-    index.sort_unstable_by(|a, b| key(a).cmp(key(b)));
-    w.put_len(index.len());
-    for entry in &index {
-        w.put_bytes(key(entry));
-        put_val(w, entry.2);
-    }
-}
-
-/// Reads a map written by [`put_map`] into whatever map type the call
-/// site needs (`HashMap`, `BTreeMap`, …).
-fn get_map<M: FromIterator<(K, V)>, K, V>(
-    r: &mut ByteReader<'_>,
-    min_entry_bytes: usize,
-    mut get_key: impl FnMut(&mut ByteReader<'_>) -> Result<K, CodecError>,
-    mut get_val: impl FnMut(&mut ByteReader<'_>) -> Result<V, CodecError>,
-) -> Result<M, CodecError> {
-    let n = r.len(min_entry_bytes)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = get_key(r)?;
-        let v = get_val(r)?;
-        entries.push((k, v));
-    }
-    Ok(entries.into_iter().collect())
-}
-
-/// Reads a `count · item…` set.
-fn get_set<T: Eq + Hash>(
-    r: &mut ByteReader<'_>,
-    min_item_bytes: usize,
-    mut get_item: impl FnMut(&mut ByteReader<'_>) -> Result<T, CodecError>,
-) -> Result<DetHashSet<T>, CodecError> {
-    let n = r.len(min_item_bytes)?;
-    let mut set = det_set_with_capacity(n);
-    for _ in 0..n {
-        set.insert(get_item(r)?);
-    }
-    Ok(set)
-}
-
-// ---- key/leaf encoders -----------------------------------------------------
-
-fn put_loc_path(w: &mut ByteWriter, k: &(CloudLocId, PathId)) {
-    w.put_u16(k.0 .0);
-    w.put_u32(k.1 .0);
-}
-
-fn get_loc_path(r: &mut ByteReader<'_>) -> Result<(CloudLocId, PathId), CodecError> {
-    Ok((CloudLocId(r.u16()?), PathId(r.u32()?)))
-}
-
-fn get_block(r: &mut ByteReader<'_>) -> Result<u32, CodecError> {
-    let block = r.u32()?;
-    if block >= 1 << 24 {
-        return Err(CodecError::Invalid("/24 block number out of range"));
-    }
-    Ok(block)
-}
-
-fn put_middle_key(w: &mut ByteWriter, k: &MiddleKey) {
-    match k {
-        MiddleKey::Path(p) => {
-            w.put_u8(0);
-            w.put_u32(p.0);
+/// A tag byte, then the variant's ids.
+impl Codec for MiddleKey {
+    /// `Path`, the shortest variant.
+    const MIN_BYTES: usize = <(u8, PathId)>::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            MiddleKey::Path(p) => (0u8, p).put(w),
+            MiddleKey::Atom(p, a) => (1u8, p, a).put(w),
+            MiddleKey::Prefix(p, pre) => (2u8, p, pre).put(w),
+            MiddleKey::AsMetro(a, m) => (3u8, a, m).put(w),
         }
-        MiddleKey::Atom(p, a) => {
-            w.put_u8(1);
-            w.put_u32(p.0);
-            w.put_u32(a.0);
-        }
-        MiddleKey::Prefix(p, pre) => {
-            w.put_u8(2);
-            w.put_u32(p.0);
-            w.put_u32(pre.base());
-            w.put_u8(pre.len());
-        }
-        MiddleKey::AsMetro(a, m) => {
-            w.put_u8(3);
-            w.put_u32(a.0);
-            w.put_u16(m.0);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.u8()? {
+            0 => Ok(MiddleKey::Path(Codec::get(r)?)),
+            1 => Ok(MiddleKey::Atom(Codec::get(r)?, Codec::get(r)?)),
+            2 => Ok(MiddleKey::Prefix(Codec::get(r)?, Codec::get(r)?)),
+            3 => Ok(MiddleKey::AsMetro(Codec::get(r)?, Codec::get(r)?)),
+            _ => Err(CodecError::Invalid("unknown MiddleKey tag")),
         }
     }
 }
 
-/// An announced prefix as `base · len`.
-// lint:allow(transitive-effect): IpPrefix::new is guarded by the explicit `len > 32` check above the call — its assert cannot fire
-fn get_prefix(r: &mut ByteReader<'_>) -> Result<IpPrefix, CodecError> {
-    let base = r.u32()?;
-    let len = r.u8()?;
-    if len > 32 {
-        return Err(CodecError::Invalid("prefix length > 32"));
-    }
-    Ok(IpPrefix::new(base, len))
-}
-
-fn get_middle_key(r: &mut ByteReader<'_>) -> Result<MiddleKey, CodecError> {
-    match r.u8()? {
-        0 => Ok(MiddleKey::Path(PathId(r.u32()?))),
-        1 => Ok(MiddleKey::Atom(PathId(r.u32()?), Asn(r.u32()?))),
-        2 => Ok(MiddleKey::Prefix(PathId(r.u32()?), get_prefix(r)?)),
-        3 => Ok(MiddleKey::AsMetro(Asn(r.u32()?), MetroId(r.u16()?))),
-        _ => Err(CodecError::Invalid("unknown MiddleKey tag")),
-    }
-}
-
-fn put_rtt_key(w: &mut ByteWriter, k: &RttKey) {
-    match k {
-        RttKey::Cloud(loc, mobile) => {
-            w.put_u8(0);
-            w.put_u16(loc.0);
-            w.put_bool(*mobile);
+/// A tag byte, the location or middle key, then the device class.
+impl Codec for RttKey {
+    /// `Cloud`, the shorter variant.
+    const MIN_BYTES: usize = <(u8, CloudLocId, bool)>::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            RttKey::Cloud(loc, mobile) => (0u8, loc, mobile).put(w),
+            RttKey::Middle(key, mobile) => (1u8, key, mobile).put(w),
         }
-        RttKey::Middle(mk, mobile) => {
-            w.put_u8(1);
-            put_middle_key(w, mk);
-            w.put_bool(*mobile);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.u8()? {
+            0 => Ok(RttKey::Cloud(Codec::get(r)?, Codec::get(r)?)),
+            1 => Ok(RttKey::Middle(Codec::get(r)?, Codec::get(r)?)),
+            _ => Err(CodecError::Invalid("unknown RttKey tag")),
         }
     }
 }
 
-fn get_rtt_key(r: &mut ByteReader<'_>) -> Result<RttKey, CodecError> {
-    match r.u8()? {
-        0 => Ok(RttKey::Cloud(CloudLocId(r.u16()?), r.bool()?)),
-        1 => {
-            let mk = get_middle_key(r)?;
-            Ok(RttKey::Middle(mk, r.bool()?))
+/// The learner as read: window, day cap, latest day, RNG position; the
+/// reservoirs and the newest-day counts as two entry lists over one key
+/// set; then the median cache.
+type LearnerLayout = (
+    u32,
+    usize,
+    u32,
+    ([u64; 4], Option<f64>),
+    Vec<(RttKey, VecDeque<(u32, Vec<f64>)>)>,
+    Vec<(RttKey, u64)>,
+    DetHashMap<RttKey, (u32, Option<f64>)>,
+);
+
+/// Written as [`LearnerLayout`]. The median cache MUST be persisted: a
+/// cached entry freezes the median at whatever observations existed at
+/// first lookup that day, while `observe` keeps growing the underlying
+/// reservoirs. A recovered engine recomputing the entry from the full
+/// map would see a different (later) view of the same day and diverge.
+impl Codec for ExpectedRttLearner {
+    const MIN_BYTES: usize = LearnerLayout::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        (self.window_days, self.day_cap, self.latest_day).put(w);
+        self.rng.state().put(w);
+        put_entries(w, &self.map, |s| &s.days);
+        put_entries(w, &self.map, |s| &s.seen);
+        self.cache.borrow().put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let (window_days, day_cap, latest_day, (s, spare), reservoirs, counts, cache) =
+            LearnerLayout::get(r)?;
+        if window_days < 1 {
+            return Err(CodecError::Invalid("expected-RTT window must be >= 1 day"));
         }
-        _ => Err(CodecError::Invalid("unknown RttKey tag")),
-    }
-}
-
-// ---- sections --------------------------------------------------------------
-
-fn put_expected(w: &mut ByteWriter, l: &ExpectedRttLearner) {
-    w.put_u32(l.window_days);
-    w.put_u64(l.day_cap as u64);
-    w.put_u32(l.latest_day);
-    let (s, spare) = l.rng.state();
-    for word in s {
-        w.put_u64(word);
-    }
-    w.put_opt_f64(spare);
-    // Two sections over one key set: reservoirs, then newest-day counts.
-    put_map(w, &l.map, put_rtt_key, |w, series| {
-        w.put_len(series.days.len());
-        for (day, values) in &series.days {
-            w.put_u32(*day);
-            w.put_len(values.len());
-            for v in values {
-                w.put_f64(*v);
-            }
+        // Both lists are written from one map, in one canonical order.
+        let same_keys = reservoirs
+            .iter()
+            .map(|e| e.0)
+            .eq(counts.iter().map(|e| e.0));
+        if !same_keys {
+            return Err(CodecError::Invalid("expected-RTT sections differ in keys"));
         }
-    });
-    put_map(w, &l.map, put_rtt_key, |w, s| w.put_u64(s.seen));
-    // The median cache MUST be persisted: a cached entry freezes the
-    // median at whatever observations existed at first lookup that
-    // day, while `observe` keeps growing the underlying reservoirs. A
-    // recovered engine recomputing the entry from the full map would
-    // see a different (later) view of the same day and diverge.
-    let cache = l.cache.borrow();
-    put_map(w, &*cache, put_rtt_key, |w, (day, value)| {
-        w.put_u32(*day);
-        w.put_opt_f64(*value);
-    });
-}
-
-fn decode_expected(payload: &[u8]) -> Result<ExpectedRttLearner, CodecError> {
-    let mut r = ByteReader::new(payload);
-    let window_days = r.u32()?;
-    if window_days < 1 {
-        return Err(CodecError::Invalid("expected-RTT window must be >= 1 day"));
-    }
-    let day_cap = r.u64()? as usize;
-    let latest_day = r.u32()?;
-    let mut s = [0u64; 4];
-    for word in &mut s {
-        *word = r.u64()?;
-    }
-    let spare = r.opt_f64()?;
-    let reservoirs: Vec<(RttKey, _)> = get_map(&mut r, 12, get_rtt_key, |r| {
-        let n = r.len(12)?;
-        let mut days: VecDeque<(u32, Vec<f64>)> = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let day = r.u32()?;
-            let m = r.len(8)?;
-            let mut values = Vec::with_capacity(m);
-            for _ in 0..m {
-                values.push(r.f64()?);
-            }
-            days.push_back((day, values));
-        }
-        Ok(days)
-    })?;
-    let counts: Vec<(RttKey, u64)> = get_map(&mut r, 12, get_rtt_key, |r| r.u64())?;
-    // Both sections are written from one map, in one canonical order.
-    let same_keys = reservoirs
-        .iter()
-        .map(|e| e.0)
-        .eq(counts.iter().map(|e| e.0));
-    if !same_keys {
-        return Err(CodecError::Invalid("expected-RTT sections differ in keys"));
-    }
-    let map = reservoirs
-        .into_iter()
-        .zip(counts)
-        .map(|((key, days), (_, seen))| (key, RttSeries { days, seen }))
-        .collect();
-    let cache = get_map(&mut r, 12, get_rtt_key, |r| {
-        let day = r.u32()?;
-        Ok((day, r.opt_f64()?))
-    })?;
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes in expected section"));
-    }
-    Ok(ExpectedRttLearner {
-        window_days,
-        day_cap,
-        map,
-        cache: std::cell::RefCell::new(cache),
-        rng: DetRng::from_state(s, spare),
-        latest_day,
-    })
-}
-
-/// A duration FIFO as `len` + samples, oldest first — the derived
-/// count index is not on disk; [`DurationSamples::from_fifo`] rebuilds
-/// it on decode.
-fn put_samples(w: &mut ByteWriter, q: &DurationSamples) {
-    w.put_len(q.fifo().len());
-    for v in q.fifo() {
-        w.put_u32(*v);
-    }
-}
-
-fn get_samples(r: &mut ByteReader<'_>) -> Result<DurationSamples, CodecError> {
-    let n = r.len(4)?;
-    let mut q = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        q.push_back(r.u32()?);
-    }
-    Ok(DurationSamples::from_fifo(q))
-}
-
-fn put_durations(w: &mut ByteWriter, d: &DurationHistory) {
-    w.put_u64(d.cap as u64);
-    put_map(w, &d.per_path, |w, p| w.put_u32(p.0), put_samples);
-    put_samples(w, &d.global);
-}
-
-fn decode_durations(payload: &[u8]) -> Result<DurationHistory, CodecError> {
-    let mut r = ByteReader::new(payload);
-    let cap = r.u64()? as usize;
-    let per_path = get_map(&mut r, 12, |r| Ok(PathId(r.u32()?)), get_samples)?;
-    let global = get_samples(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes in durations section"));
-    }
-    Ok(DurationHistory {
-        per_path,
-        global,
-        cap,
-    })
-}
-
-fn put_client_hist(w: &mut ByteWriter, h: &ClientCountHistory) {
-    w.put_u32(h.window_days);
-    put_map(
-        w,
-        &h.map,
-        |w, (p, slot)| {
-            w.put_u32(p.0);
-            w.put_u16(*slot);
-        },
-        |w, q| {
-            w.put_len(q.len());
-            for (day, count) in q {
-                w.put_u32(*day);
-                w.put_u64(*count);
-            }
-        },
-    );
-}
-
-fn decode_client_hist(payload: &[u8]) -> Result<ClientCountHistory, CodecError> {
-    let mut r = ByteReader::new(payload);
-    let window_days = r.u32()?;
-    if window_days < 1 {
-        return Err(CodecError::Invalid("client-count window must be >= 1 day"));
-    }
-    let map = get_map(
-        &mut r,
-        14,
-        |r| Ok((PathId(r.u32()?), r.u16()?)),
-        |r| {
-            let n = r.len(12)?;
-            let mut q = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                let day = r.u32()?;
-                let count = r.u64()?;
-                q.push_back((day, count));
-            }
-            Ok(q)
-        },
-    )?;
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes in client section"));
-    }
-    Ok(ClientCountHistory { window_days, map })
-}
-
-fn put_incidents(w: &mut ByteWriter, t: &IncidentTracker<(CloudLocId, PathId)>) {
-    match t.last_bucket {
-        None => w.put_u8(0),
-        Some(b) => {
-            w.put_u8(1);
-            w.put_u32(b.0);
-        }
-    }
-    put_map(w, &t.open, put_loc_path, |w, inc| {
-        w.put_u32(inc.start.0);
-        w.put_u32(inc.buckets);
-        w.put_u64(inc.observations);
-    });
-}
-
-fn decode_incidents(payload: &[u8]) -> Result<IncidentTracker<(CloudLocId, PathId)>, CodecError> {
-    let mut r = ByteReader::new(payload);
-    let last_bucket = match r.u8()? {
-        0 => None,
-        1 => Some(TimeBucket(r.u32()?)),
-        _ => return Err(CodecError::Invalid("option byte not 0/1")),
-    };
-    let open = get_map(&mut r, 14, get_loc_path, |r| {
-        Ok(OpenIncident {
-            start: TimeBucket(r.u32()?),
-            buckets: r.u32()?,
-            observations: r.u64()?,
+        let map = reservoirs
+            .into_iter()
+            .zip(counts)
+            .map(|((key, days), (_, seen))| (key, RttSeries { days, seen }))
+            .collect();
+        Ok(ExpectedRttLearner {
+            window_days,
+            day_cap,
+            map,
+            cache: std::cell::RefCell::new(cache),
+            rng: DetRng::from_state(s, spare),
+            latest_day,
         })
-    })?;
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes in incident section"));
     }
-    Ok(IncidentTracker { open, last_bucket })
 }
 
-fn put_flight(
-    w: &mut ByteWriter,
-    (older, newer): (&[FlightFrame], &[FlightFrame]),
-    dumps: &[FlightDumpEvent],
-) {
-    w.put_len(older.len() + newer.len());
-    for f in older.iter().chain(newer) {
-        w.put_u64(f.sim_secs);
-        w.put_u32(f.bucket);
-        w.put_str(&f.transcript);
-        w.put_len(f.stages.len());
-        for s in &f.stages {
-            w.put_str(s);
+/// A duration FIFO is its samples, oldest first: the derived count
+/// index is not on disk, and [`DurationSamples::from_fifo`] rebuilds it.
+impl Codec for DurationSamples {
+    const MIN_BYTES: usize = VecDeque::<u32>::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        self.fifo().put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(DurationSamples::from_fifo(Codec::get(r)?))
+    }
+}
+
+codec_struct!(DurationHistory {
+    cap: usize,
+    per_path: DetHashMap<PathId, DurationSamples>,
+    global: DurationSamples,
+});
+
+/// The window, at least one day, then the per-(path, slot) volumes.
+impl Codec for ClientCountHistory {
+    const MIN_BYTES: usize = <(u32, DetHashMap<(PathId, u16), VecDeque<(u32, u64)>>)>::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        self.window_days.put(w);
+        self.map.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let window_days = u32::get(r)?;
+        if window_days < 1 {
+            return Err(CodecError::Invalid("client-count window must be >= 1 day"));
         }
-        w.put_len(f.deltas.len());
-        for (name, v) in &f.deltas {
-            w.put_str(name);
-            w.put_f64(*v);
+        let map = Codec::get(r)?;
+        Ok(ClientCountHistory { window_days, map })
+    }
+}
+
+codec_struct!(OpenIncident {
+    start: TimeBucket,
+    buckets: u32,
+    observations: u64,
+});
+
+/// The last bucket fed, then the open incidents.
+impl<K: Codec + Ord + Clone> Codec for IncidentTracker<K> {
+    const MIN_BYTES: usize = <(Option<TimeBucket>, BTreeMap<K, OpenIncident>)>::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        self.last_bucket.put(w);
+        self.open.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let last_bucket = Codec::get(r)?;
+        let open = Codec::get(r)?;
+        Ok(IncidentTracker { open, last_bucket })
+    }
+}
+
+codec_struct!(BaselineEntry {
+    at: SimTime,
+    contributions: Vec<(Asn, f64)>,
+});
+
+codec_struct!(BaselineStore {
+    map: DetHashMap<(CloudLocId, PathId), VecDeque<BaselineEntry>>,
+});
+
+/// The period, which must be positive, the churn switch, then the
+/// last-probed clocks.
+impl Codec for BackgroundScheduler {
+    const MIN_BYTES: usize = <(u64, bool, DetHashMap<(CloudLocId, PathId), SimTime>)>::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        (self.period_secs, self.churn_triggered).put(w);
+        self.last.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let period_secs = u64::get(r)?;
+        if period_secs == 0 {
+            return Err(CodecError::Invalid("scheduler period must be positive"));
         }
-    }
-    w.put_len(dumps.len());
-    for d in dumps {
-        w.put_u64(d.sim_secs);
-        w.put_str(d.trigger.label());
-        w.put_str(&d.detail);
+        Ok(BackgroundScheduler {
+            period_secs,
+            churn_triggered: Codec::get(r)?,
+            last: Codec::get(r)?,
+        })
     }
 }
 
-fn decode_flight(payload: &[u8]) -> Result<(Vec<FlightFrame>, Vec<FlightDumpEvent>), CodecError> {
-    let mut r = ByteReader::new(payload);
-    let n = r.len(20)?;
-    let mut frames = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sim_secs = r.u64()?;
-        let bucket = r.u32()?;
-        let transcript = r.str()?;
-        let n_stages = r.len(8)?;
-        let mut stages = Vec::with_capacity(n_stages);
-        for _ in 0..n_stages {
-            stages.push(r.str()?);
-        }
-        let n_deltas = r.len(16)?;
-        let mut deltas = Vec::with_capacity(n_deltas);
-        for _ in 0..n_deltas {
-            let name = r.str()?;
-            let v = r.f64()?;
-            deltas.push((name, v));
-        }
-        frames.push(FlightFrame {
-            sim_secs,
-            bucket,
-            transcript,
-            stages,
-            deltas,
-        });
+/// A trigger is its label; `manual` is the shortest.
+impl Codec for FlightTrigger {
+    const MIN_BYTES: usize = String::MIN_BYTES + FlightTrigger::Manual.label().len();
+    fn put(&self, w: &mut ByteWriter) {
+        let label = self.label();
+        w.put_len(label.len());
+        w.put_bytes(label.as_bytes());
     }
-    let n = r.len(24)?;
-    let mut dumps = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sim_secs = r.u64()?;
-        let label = r.str()?;
-        let trigger = FlightTrigger::from_label(&label)
-            .ok_or(CodecError::Invalid("unknown flight trigger label"))?;
-        let detail = r.str()?;
-        dumps.push(FlightDumpEvent {
-            sim_secs,
-            trigger,
-            detail,
-        });
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        FlightTrigger::from_label(&String::get(r)?)
+            .ok_or(CodecError::Invalid("unknown flight trigger label"))
     }
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes in flight section"));
-    }
-    Ok((frames, dumps))
 }
 
-fn put_counters(w: &mut ByteWriter, c: &SnapshotCounters) {
-    for v in c.degraded {
-        w.put_u64(v);
-    }
-    for v in c.chaos {
-        w.put_u64(v);
-    }
-    for v in c.shed {
-        w.put_u64(v);
-    }
-    w.put_u64(c.backpressure_replies);
-}
+codec_struct!(FlightFrame {
+    sim_secs: u64,
+    bucket: u32,
+    transcript: String,
+    stages: Vec<String>,
+    deltas: Vec<(String, f64)>,
+});
 
-fn decode_counters(payload: &[u8]) -> Result<SnapshotCounters, CodecError> {
-    let mut r = ByteReader::new(payload);
-    let mut c = SnapshotCounters::default();
-    for v in &mut c.degraded {
-        *v = r.u64()?;
-    }
-    for v in &mut c.chaos {
-        *v = r.u64()?;
-    }
-    for v in &mut c.shed {
-        *v = r.u64()?;
-    }
-    c.backpressure_replies = r.u64()?;
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes in counter section"));
-    }
-    Ok(c)
-}
+codec_struct!(FlightDumpEvent {
+    sim_secs: u64,
+    trigger: FlightTrigger,
+    detail: String,
+});
 
-fn put_baselines(w: &mut ByteWriter, b: &BaselineStore) {
-    put_map(w, &b.map, put_loc_path, |w, q| {
-        w.put_len(q.len());
-        for e in q {
-            w.put_u64(e.at.secs());
-            w.put_len(e.contributions.len());
-            for (asn, ms) in &e.contributions {
-                w.put_u32(asn.0);
-                w.put_f64(*ms);
-            }
-        }
-    });
-}
-
-fn decode_baselines(payload: &[u8]) -> Result<BaselineStore, CodecError> {
-    let mut r = ByteReader::new(payload);
-    let map = get_map(&mut r, 14, get_loc_path, |r| {
-        let n = r.len(16)?;
-        let mut q = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let at = SimTime(r.u64()?);
-            let m = r.len(12)?;
-            let mut contributions = Vec::with_capacity(m);
-            for _ in 0..m {
-                let asn = Asn(r.u32()?);
-                contributions.push((asn, r.f64()?));
-            }
-            q.push_back(BaselineEntry { contributions, at });
-        }
-        Ok(q)
-    })?;
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes in baseline section"));
-    }
-    Ok(BaselineStore { map })
-}
-
-fn put_scheduler(w: &mut ByteWriter, s: &BackgroundScheduler) {
-    w.put_u64(s.period_secs);
-    w.put_bool(s.churn_triggered);
-    put_map(w, &s.last, put_loc_path, |w, t| w.put_u64(t.secs()));
-}
-
-fn decode_scheduler(payload: &[u8]) -> Result<BackgroundScheduler, CodecError> {
-    let mut r = ByteReader::new(payload);
-    let period_secs = r.u64()?;
-    if period_secs == 0 {
-        return Err(CodecError::Invalid("scheduler period must be positive"));
-    }
-    let churn_triggered = r.bool()?;
-    let last = get_map(&mut r, 14, get_loc_path, |r| Ok(SimTime(r.u64()?)))?;
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid("trailing bytes in scheduler section"));
-    }
-    Ok(BackgroundScheduler {
-        period_secs,
-        churn_triggered,
-        last,
-    })
-}
-
-fn put_engine_misc(w: &mut ByteWriter, s: &EngineState) {
-    put_map(w, &s.rep_p24, put_loc_path, |w, p| w.put_u32(p.block()));
-    put_map(w, &s.baseline_p24, put_loc_path, |w, p| {
-        w.put_u32(p.block())
-    });
-    let mut prefixes: Vec<(CloudLocId, IpPrefix)> = s.monitored_prefixes.iter().copied().collect();
-    prefixes.sort_unstable_by_key(|(loc, p)| (loc.0, p.base(), p.len()));
-    w.put_len(prefixes.len());
-    for (loc, p) in prefixes {
-        w.put_u16(loc.0);
-        w.put_u32(p.base());
-        w.put_u8(p.len());
-    }
-    put_map(w, &s.episodes, put_loc_path, |w, (start, last)| {
-        w.put_u32(start.0);
-        w.put_u32(last.0);
-    });
-    let mut failed: Vec<(CloudLocId, PathId)> = s.bg_failed_once.iter().copied().collect();
-    failed.sort_unstable();
-    w.put_len(failed.len());
-    for k in failed {
-        put_loc_path(w, &k);
-    }
-    w.put_u64(s.churn_cursor.secs());
-    w.put_u64(s.on_demand_probes_total);
-    w.put_u64(s.background_probes_total);
-}
+codec_struct!(SnapshotCounters {
+    degraded: [u64; 6],
+    chaos: [u64; 7],
+    shed: [u64; 2],
+    backpressure_replies: u64,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::WorldBackend;
-    use crate::fxhash::DetHashMap;
     use crate::pipeline::BlameItConfig;
     use crate::thresholds::BadnessThresholds;
     use blameit_simnet::{TimeRange, World, WorldConfig};
+    use blameit_topology::IpPrefix;
 
     fn small_engine() -> (BlameItEngine, World) {
         let w = World::new(WorldConfig::tiny(2, 42));
@@ -924,14 +574,14 @@ mod tests {
         (engine, w)
     }
 
-    /// What `put` writes into a fresh buffer.
-    fn bytes_of(put: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    /// What `v.put` writes into a fresh buffer.
+    fn bytes_of<T: Codec>(v: &T) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        put(&mut w);
+        v.put(&mut w);
         w.into_bytes()
     }
 
-    /// `encode_expected` as it was when the learner kept `map` and
+    /// The expected section as it was when the learner kept `map` and
     /// `counts` apart (the cache is the one-map learner's own: that
     /// part of the state did not change).
     fn encode_expected_reference(
@@ -939,29 +589,10 @@ mod tests {
         cache: &DetHashMap<RttKey, (u32, Option<f64>)>,
     ) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u32(l.window_days);
-        w.put_u64(l.day_cap as u64);
-        w.put_u32(l.latest_day);
-        let (s, spare) = l.rng.state();
-        for word in s {
-            w.put_u64(word);
-        }
-        w.put_opt_f64(spare);
-        put_map(&mut w, &l.map, put_rtt_key, |w, series| {
-            w.put_len(series.len());
-            for (day, values) in series {
-                w.put_u32(*day);
-                w.put_len(values.len());
-                for v in values {
-                    w.put_f64(*v);
-                }
-            }
-        });
-        put_map(&mut w, &l.counts, put_rtt_key, |w, c| w.put_u64(*c));
-        put_map(&mut w, cache, put_rtt_key, |w, (day, value)| {
-            w.put_u32(*day);
-            w.put_opt_f64(*value);
-        });
+        (l.window_days, l.day_cap, l.latest_day, l.rng.state()).put(&mut w);
+        l.map.put(&mut w);
+        l.counts.put(&mut w);
+        cache.put(&mut w);
         w.into_bytes()
     }
 
@@ -969,19 +600,15 @@ mod tests {
     fn expected_section_bytes_match_the_two_map_learner() {
         for seed in 0..4u64 {
             let (learner, reference) = crate::history::two_map_reference::drive(seed);
-            let bytes = bytes_of(|w| put_expected(w, &learner));
+            let bytes = bytes_of(&learner);
             assert!(!learner.cache.borrow().is_empty());
             assert_eq!(
                 bytes,
                 encode_expected_reference(&reference, &learner.cache.borrow()),
                 "seed {seed}"
             );
-            let decoded = decode_expected(&bytes).expect("own bytes decode");
-            assert_eq!(
-                bytes_of(|w| put_expected(w, &decoded)),
-                bytes,
-                "seed {seed}: fixed point"
-            );
+            let decoded: ExpectedRttLearner = decode_exact(&bytes).expect("own bytes decode");
+            assert_eq!(bytes_of(&decoded), bytes, "seed {seed}: fixed point");
         }
     }
 
@@ -991,31 +618,103 @@ mod tests {
         let key = RttKey::Cloud(CloudLocId(1), false);
         let section = |count_key: RttKey| {
             let mut w = ByteWriter::new();
-            w.put_u32(14);
-            w.put_u64(64);
-            w.put_u32(0);
-            for word in [1u64, 2, 3, 4] {
-                w.put_u64(word);
-            }
-            w.put_opt_f64(None);
-            w.put_len(1);
-            put_rtt_key(&mut w, &key);
-            w.put_len(1);
-            w.put_u32(0);
-            w.put_len(1);
-            w.put_f64(10.0);
-            w.put_len(1);
-            put_rtt_key(&mut w, &count_key);
-            w.put_u64(1);
-            w.put_len(0);
+            (14u32, 64usize, 0u32, ([1u64, 2, 3, 4], None::<f64>)).put(&mut w);
+            vec![(key, VecDeque::from([(0u32, vec![10.0f64])]))].put(&mut w);
+            vec![(count_key, 1u64)].put(&mut w);
+            DetHashMap::<RttKey, (u32, Option<f64>)>::default().put(&mut w);
             w.into_bytes()
         };
-        let ok = decode_expected(&section(key)).expect("matching sections decode");
+        let ok: ExpectedRttLearner = decode_exact(&section(key)).expect("matching sections decode");
         assert_eq!(ok.map[&key].seen, 1);
         assert!(matches!(
-            decode_expected(&section(RttKey::Cloud(CloudLocId(2), false))),
+            decode_exact::<ExpectedRttLearner>(&section(RttKey::Cloud(CloudLocId(2), false))),
             Err(CodecError::Invalid(_))
         ));
+    }
+
+    /// `v` encodes to exactly `T::MIN_BYTES`.
+    fn assert_tight<T: Codec>(v: T, what: &str) {
+        assert_eq!(bytes_of(&v).len(), T::MIN_BYTES, "{what}");
+        let back: T = decode_exact(&bytes_of(&v)).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(bytes_of(&back), bytes_of(&v), "{what}");
+    }
+
+    /// `MIN_BYTES` is a tight bound: the smallest value of every layout
+    /// declared here encodes to exactly it.
+    #[test]
+    fn the_smallest_value_of_every_layout_takes_exactly_min_bytes() {
+        assert_tight(MiddleKey::Path(PathId(0)), "MiddleKey");
+        assert_tight(RttKey::Cloud(CloudLocId(0), false), "RttKey");
+        assert_tight(ExpectedRttLearner::with_window(1, 0), "ExpectedRttLearner");
+        assert_tight(DurationSamples::default(), "DurationSamples");
+        assert_tight(DurationHistory::new(), "DurationHistory");
+        assert_tight(ClientCountHistory::with_window(1), "ClientCountHistory");
+        let incident = OpenIncident {
+            start: TimeBucket(0),
+            buckets: 0,
+            observations: 0,
+        };
+        assert_tight(incident, "OpenIncident");
+        assert_tight(
+            IncidentTracker::<(CloudLocId, PathId)>::new(),
+            "IncidentTracker",
+        );
+        let entry = BaselineEntry {
+            contributions: vec![],
+            at: SimTime(0),
+        };
+        assert_tight(entry, "BaselineEntry");
+        assert_tight(BaselineStore::new(), "BaselineStore");
+        assert_tight(BackgroundScheduler::new(1, false), "BackgroundScheduler");
+        assert_tight(FlightTrigger::Manual, "FlightTrigger");
+        let frame = FlightFrame {
+            sim_secs: 0,
+            bucket: 0,
+            transcript: String::new(),
+            stages: vec![],
+            deltas: vec![],
+        };
+        assert_tight(frame, "FlightFrame");
+        let dump = FlightDumpEvent {
+            sim_secs: 0,
+            trigger: FlightTrigger::Manual,
+            detail: String::new(),
+        };
+        assert_tight(dump, "FlightDumpEvent");
+        assert_tight(SnapshotCounters::default(), "SnapshotCounters");
+        for t in FlightTrigger::ALL {
+            assert!(bytes_of(&t).len() >= FlightTrigger::MIN_BYTES, "{t}");
+        }
+        let longest = [
+            MiddleKey::Atom(PathId(0), Asn(0)),
+            MiddleKey::Prefix(PathId(0), IpPrefix::new(0, 0)),
+            MiddleKey::AsMetro(Asn(0), blameit_topology::MetroId(0)),
+        ];
+        for key in longest {
+            assert!(bytes_of(&key).len() > MiddleKey::MIN_BYTES, "{key:?}");
+        }
+    }
+
+    /// A never-observed cloud key's cache entry, `(day, None)`, is the
+    /// smallest map entry a snapshot holds (9 bytes). An engine's first
+    /// tick without warm-up looks every key up before its first
+    /// observation and caches only `None`s, frozen for the day; its
+    /// snapshot must decode.
+    #[test]
+    fn an_unwarmed_engine_s_snapshot_decodes() {
+        let w = World::new(WorldConfig::tiny(2, 42));
+        let mut cfg = BlameItConfig::new(BadnessThresholds::default_for(&w));
+        cfg.parallelism = 1;
+        let mut engine = BlameItEngine::new(cfg);
+        let mut backend = WorldBackend::new(&w);
+        engine.tick(&mut backend, TimeBucket(0));
+        let cache = engine.state.expected.cache.borrow().clone();
+        assert!(cache.values().all(|&(day, v)| (day, v) == (0, None)));
+        let cloud = |k: &RttKey| matches!(k, RttKey::Cloud(..));
+        assert!(cache.keys().any(cloud), "cloud keys were looked up");
+        let bytes = encode(&engine, 1);
+        let state = decode(&bytes).expect("an unwarmed engine's snapshot decodes");
+        assert_eq!(state.to_bytes(), bytes);
     }
 
     #[test]

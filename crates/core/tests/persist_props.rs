@@ -19,7 +19,7 @@
 //! of what was appended — never a panic, never an invented section —
 //! and appends after the truncation continue the sequence.
 
-use blameit::persist::codec::{write_section_with, KIND_JOURNAL};
+use blameit::persist::codec::{write_section_with, ByteWriter, Codec, KIND_JOURNAL};
 use blameit::persist::log::{self, Log, LogScan, Tail};
 use blameit::persist::snapshot::{decode, SnapshotState};
 use blameit::persist::SnapshotCounters;
@@ -61,12 +61,25 @@ fn arbitrary_rtt_key(rng: &mut DetRng) -> RttKey {
 /// non-decreasing day order, with `expected()` lookups interleaved so
 /// the median cache holds entries frozen at *different* fill times —
 /// the part of the state that cannot be recomputed from the
-/// reservoirs.
+/// reservoirs. Keys are also looked up before their first observation,
+/// and cloud keys the stream never observes are looked up too: their
+/// `(day, None)` entries (9 bytes) are the smallest a snapshot holds. A
+/// quarter of the learners cache nothing else.
 fn arbitrary_learner(rng: &mut DetRng) -> (ExpectedRttLearner, Vec<RttKey>) {
     let mut learner = ExpectedRttLearner::with_window(rng.range_u64(1, 20) as u32, rng.next_u64());
     let keys: Vec<RttKey> = (0..rng.range_u64(1, 12))
         .map(|_| arbitrary_rtt_key(rng))
         .collect();
+    // `arbitrary_rtt_key` draws cloud ids below 30.
+    let unobserved: Vec<RttKey> = (0..rng.range_u64(1, 6))
+        .map(|i| RttKey::Cloud(CloudLocId(30 + i as u16), rng.chance(0.5)))
+        .collect();
+    let only_unobserved = rng.chance(0.25);
+    for key in keys.iter().filter(|_| !only_unobserved) {
+        if rng.chance(0.3) {
+            let _ = learner.expected(*key);
+        }
+    }
     let mut day = 0u32;
     for _ in 0..rng.range_u64(1, 400) {
         if rng.chance(0.02) {
@@ -74,12 +87,17 @@ fn arbitrary_learner(rng: &mut DetRng) -> (ExpectedRttLearner, Vec<RttKey>) {
         }
         let key = *rng.pick(&keys);
         learner.observe(key, day, rng.range_f64(1.0, 500.0));
-        if rng.chance(0.1) {
+        if !only_unobserved && rng.chance(0.1) {
             // Freeze this key's median at the current mid-day view.
             let _ = learner.expected(*rng.pick(&keys));
         }
     }
-    (learner, keys)
+    for key in &unobserved {
+        if only_unobserved || rng.chance(0.5) {
+            let _ = learner.expected(*key);
+        }
+    }
+    (learner, keys.into_iter().chain(unobserved).collect())
 }
 
 fn arbitrary_durations(rng: &mut DetRng) -> DurationHistory {
@@ -239,6 +257,52 @@ fn arbitrary_flight_dumps(rng: &mut DetRng) -> Vec<blameit_obs::FlightDumpEvent>
         .collect()
 }
 
+/// `MIN_BYTES` is a bound: `v` encodes to at least its type's.
+fn assert_at_least_min<T: Codec>(v: &T, what: &str) {
+    let mut w = ByteWriter::new();
+    v.put(&mut w);
+    assert!(w.len() >= T::MIN_BYTES, "{what}: {} bytes", w.len());
+}
+
+/// Every value of an arbitrary state, section by section and element
+/// by element, encodes to at least its type's `MIN_BYTES`.
+fn assert_min_bytes_bound(s: &SnapshotState, keys: &[RttKey]) {
+    let e = &s.state;
+    assert_at_least_min(&e.expected, "learner");
+    assert_at_least_min(&e.durations, "durations");
+    assert_at_least_min(&e.client_hist, "client counts");
+    assert_at_least_min(&e.incidents, "incidents");
+    assert_at_least_min(&e.baselines, "baselines");
+    assert_at_least_min(&e.scheduler, "scheduler");
+    assert_at_least_min(&e.rep_p24, "rep_p24");
+    assert_at_least_min(&e.monitored_prefixes, "monitored prefixes");
+    assert_at_least_min(&e.episodes, "episodes");
+    assert_at_least_min(&e.bg_failed_once, "bg_failed_once");
+    assert_at_least_min(&s.counters, "counters");
+    for key in keys {
+        assert_at_least_min(key, "RttKey");
+        if let RttKey::Middle(middle, _) = key {
+            assert_at_least_min(middle, "MiddleKey");
+        }
+        // A lookup fills the cache; every entry it holds is bounded too.
+        let entry = (*key, (0u32, e.expected.expected(*key)));
+        assert_at_least_min(&entry, "cache entry");
+    }
+    for entry in &e.monitored_prefixes {
+        assert_at_least_min(entry, "monitored prefix");
+    }
+    for entry in e.rep_p24.iter().chain(&e.baseline_p24) {
+        assert_at_least_min(&(*entry.0, *entry.1), "rep_p24 entry");
+    }
+    for frame in &s.flight_frames {
+        assert_at_least_min(frame, "flight frame");
+    }
+    for dump in &s.flight_dumps {
+        assert_at_least_min(dump, "flight dump");
+        assert_at_least_min(&dump.trigger, "flight trigger");
+    }
+}
+
 #[test]
 fn snapshot_roundtrip_is_canonical_and_lossless() {
     check("persist_roundtrip", 48, |rng| {
@@ -250,6 +314,7 @@ fn snapshot_roundtrip_is_canonical_and_lossless() {
             decoded.to_bytes(),
             "decode ∘ encode must be the identity on bytes"
         );
+        assert_min_bytes_bound(&state, &keys);
         // The decoded learner answers exactly like the original —
         // including cache entries frozen mid-day.
         let round = decode(&bytes).unwrap();

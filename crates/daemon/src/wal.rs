@@ -13,8 +13,8 @@
 //! files: `ingest.wal`, the *active* segment every append goes to, and
 //! zero or more *sealed* segments beside it
 //! ([`segment_path`]). Each holds one section per admitted batch, whose
-//! payload is the batch's columns ([`RecordBatch::encode_columns`], the
-//! wire `BATCH` body) under the section's one CRC. At a snapshot tick
+//! payload is the batch's columns (its `Codec` layout, the wire `BATCH`
+//! body) under the section's one CRC. At a snapshot tick
 //! [`IngestWal::rotate`] seals the active segment (a rename, no bytes
 //! copied) and unlinks the sealed segments a durable snapshot has made
 //! redundant. So the WAL recovers a **superset** of what the queue
@@ -26,7 +26,7 @@
 //! still needed. Only the active segment is ever appended to, so only
 //! it may end in a torn record; a damaged sealed segment fails the open.
 
-use blameit::persist::codec::KIND_INGEST_WAL;
+use blameit::persist::codec::{Codec, KIND_INGEST_WAL};
 use blameit::persist::log::{
     list_segments, scan_file, segment_path, wal_batch, Log, Tail, WAL_SEC_BATCH,
 };
@@ -114,9 +114,7 @@ impl IngestWal {
     /// Appends one admitted batch and fsyncs. Only after this returns
     /// may the batch become engine-visible. Returns the bytes appended.
     pub fn append(&mut self, batch: &RecordBatch) -> io::Result<u64> {
-        let bytes = self
-            .log
-            .append(WAL_SEC_BATCH, |w| batch.encode_columns(w))?;
+        let bytes = self.log.append(WAL_SEC_BATCH, |w| batch.put(w))?;
         self.active_max = self.active_max.max(Some(batch.bucket.0));
         Ok(bytes)
     }

@@ -593,20 +593,23 @@ fn panic_in_decode(f: &FileCtx, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Every file disk bytes are decoded in: `panic-in-decode`'s scope and
-/// the protected scope of the transitive panic effect.
+/// Every file disk or socket bytes are decoded in: `panic-in-decode`'s
+/// scope and the protected scope of the transitive panic effect.
 pub const DECODE_FILES: &[&str] = &[
     "crates/core/src/persist/codec.rs",
     "crates/core/src/persist/journal.rs",
     "crates/core/src/persist/log.rs",
     "crates/core/src/persist/snapshot.rs",
     "crates/daemon/src/wal.rs",
+    "crates/daemon/src/wire.rs",
 ];
 
+/// Keywords a `[` can follow without being postfix: `impl … for [T; N]`
+/// names an array type.
 fn is_keyword(s: &str) -> bool {
     matches!(
         s,
-        "let" | "in" | "if" | "else" | "match" | "return" | "mut" | "ref" | "move" | "box"
+        "let" | "in" | "if" | "else" | "match" | "return" | "mut" | "ref" | "move" | "box" | "for"
     )
 }
 
@@ -1100,7 +1103,7 @@ mod tests {
             1
         );
         assert!(check_one("panic-in-decode", "crates/core/src/pipeline.rs", src).is_empty());
-        let arr_ty = "fn f() -> [u8; 2] { let a: [u8; 2] = [0, 1]; a }";
+        let arr_ty = "impl C for [u8; 2] { fn f() -> [u8; 2] { let a: [u8; 2] = [0, 1]; a } }";
         assert!(check_one(
             "panic-in-decode",
             "crates/core/src/persist/codec.rs",

@@ -55,7 +55,7 @@ impl FlightTrigger {
     ];
 
     /// Stable label (used in dump files, snapshots, and file names).
-    pub fn label(self) -> &'static str {
+    pub const fn label(self) -> &'static str {
         match self {
             FlightTrigger::DegradedSpike => "degraded-spike",
             FlightTrigger::ChaosBurst => "chaos-burst",

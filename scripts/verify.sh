@@ -42,8 +42,10 @@ stage_test() {
   # golden checker at 1 and 4 engine threads, in-process.
   step cargo test --workspace -q
   # The byte kernels (lane CRC-32, whole-column decode) against their
-  # references under the optimised codegen that ships.
-  step cargo test --release -q -p blameit --lib persist::codec
+  # references, the codec's budget tests and the snapshot round-trip and
+  # fuzz properties, under the optimised codegen that ships.
+  step cargo test --release -q -p blameit --lib persist::
+  step cargo test --release -q -p blameit --test persist_props
   step cargo test --release -q --test parallel_determinism --test golden_output
   BLAMEIT_THREADS=8 step cargo test --release -q --test chaos_determinism
   BLAMEIT_THREADS=8 step cargo test --release -q --test crash_recovery

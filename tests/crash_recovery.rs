@@ -426,6 +426,42 @@ fn truncated_snapshot_falls_back() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// With an empty warm-up, the first ticks look every expected RTT up
+/// before its first observation, and the median cache holds only
+/// `(day, None)` entries — 9 bytes for a cloud key, the smallest entry
+/// a snapshot can hold. The engine must reopen from its own snapshots.
+#[test]
+fn an_unwarmed_engine_reopens_from_its_own_snapshots() {
+    let world = quiet_world(Scale::Tiny, 2, 7);
+    let dir = state_dir("unwarmed");
+    let mut cfg = config(&world, &dir, 1);
+    cfg.snapshot_every_ticks = 1;
+    let tick_buckets = cfg.tick_buckets;
+    let mut backend = WorldBackend::with_parallelism(&world, 1);
+    let registry = Arc::new(MetricsRegistry::new());
+    let (mut durable, _) = DurableEngine::open(cfg.clone(), registry, &mut backend).unwrap();
+    let nothing = TimeRange::new(SimTime::ZERO, SimTime::ZERO);
+    durable.warmup_and_checkpoint(&backend, nothing, 2).unwrap();
+    for tick in 0..2 {
+        durable
+            .tick(&mut backend, TimeBucket(tick * tick_buckets))
+            .unwrap();
+    }
+    drop(durable);
+
+    let registry = Arc::new(MetricsRegistry::new());
+    let (_, report) = DurableEngine::open(cfg, registry, &mut backend).unwrap();
+    assert_eq!(
+        (
+            report.mode,
+            report.snapshots_rejected,
+            report.snapshot_ticks_done
+        ),
+        (StartMode::Recovered, 0, 2)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn foreign_state_dir_is_refused_not_overwritten() {
     let (world, dir, _eval) = completed_run("foreign", 13);

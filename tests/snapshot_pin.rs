@@ -89,7 +89,14 @@ fn section_len(description: &str, id: u8) -> usize {
 
 #[test]
 fn snapshot_bytes_match_the_pin_at_one_and_four_threads() {
-    let got = describe(&pinned_snapshot(1));
+    let bytes = pinned_snapshot(1);
+    let got = describe(&bytes);
+    // The pinned bytes read back, and write out again byte for byte.
+    let decoded = snapshot::decode(&bytes).expect("the pinned snapshot decodes");
+    assert!(
+        decoded.to_bytes() == bytes,
+        "decode then encode moved a byte"
+    );
     // Empty, the incidents section (option byte, bucket, count) is 13
     // bytes, baselines (a count) 8, flight (two counts) 16.
     for (id, empty, what) in [
