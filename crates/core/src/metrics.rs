@@ -172,9 +172,15 @@ pub struct EngineMetrics {
     /// Ingest-WAL rotations (seal + retire at a snapshot tick) that
     /// failed; the WAL stays larger than needed until one succeeds.
     pub wal_retire_failures: Arc<Counter>,
-    /// Bytes appended to the ingest WAL (whole sections: 21 + 16 per
-    /// record). Deterministic in the admitted feed.
+    /// Bytes appended to the ingest WAL (whole sections: 25 + 12 per
+    /// key run + 8 per record). Deterministic in the admitted feed.
     pub wal_bytes_appended: Arc<Counter>,
+    /// Wall time of one WAL append (encode, `write_all`, `sync_data`),
+    /// microseconds (not transcripted).
+    pub wal_append_us: Arc<Histogram>,
+    /// Wall time of one WAL rotation (seal, then retire), microseconds
+    /// (not transcripted).
+    pub wal_rotate_us: Arc<Histogram>,
     /// Active WAL segments sealed by a rotation.
     pub wal_segments_sealed: Arc<Counter>,
     /// Sealed WAL segments retired (unlinked) by a rotation.
@@ -242,6 +248,8 @@ impl EngineMetrics {
             ingest_coverage: registry.gauge("blameit_ingest_coverage"),
             wal_retire_failures: registry.counter("blameit_wal_retire_failures_total"),
             wal_bytes_appended: registry.counter("blameit_wal_bytes_appended_total"),
+            wal_append_us: registry.histogram("blameit_wal_append_us"),
+            wal_rotate_us: registry.histogram("blameit_wal_rotate_us"),
             wal_segments_sealed: registry.counter("blameit_wal_segments_sealed_total"),
             wal_segments_retired: registry.counter("blameit_wal_segments_retired_total"),
             wal_replayed_bytes: registry.gauge("blameit_wal_replayed_bytes"),
@@ -492,6 +500,8 @@ mod tests {
         m.wal_segments_sealed.add(9);
         m.wal_segments_retired.add(10);
         m.wal_replayed_bytes.set(11.0);
+        m.wal_append_us.observe(12.0);
+        m.wal_rotate_us.observe(13.0);
         let text = reg.render_prometheus();
         for series in [
             "blameit_shed_quartets_total{reason=\"low_impact\"} 7",
@@ -504,6 +514,8 @@ mod tests {
             "blameit_wal_segments_sealed_total 9",
             "blameit_wal_segments_retired_total 10",
             "blameit_wal_replayed_bytes 11",
+            "blameit_wal_append_us_sum 12",
+            "blameit_wal_rotate_us_sum 13",
         ] {
             assert!(text.contains(series), "{series} missing from:\n{text}");
         }

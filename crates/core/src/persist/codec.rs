@@ -14,8 +14,10 @@
 //! [`Codec`]: `put` beside `get`, and `MIN_BYTES`, the fewest bytes any
 //! value of the type encodes to. The impls here cover the primitives,
 //! `bool`, `Option`, `String`, tuples, arrays, sequences, maps, sets,
-//! the id newtypes, the two prefix types and the [`RecordBatch`]
-//! columns (the wire `BATCH` body and the WAL section payload); the
+//! the id newtypes, the two prefix types and the two layouts of a
+//! [`RecordBatch`]: its columns (the wire `BATCH` body, and WAL section
+//! id 1, which the WAL still reads) and [`KeyRuns`] (each run of equal
+//! adjacent keys once — WAL section id 2, what the WAL writes). The
 //! snapshot sections, the journal record and the wire bodies build on
 //! them. Three rules hold for all of them:
 //!
@@ -34,12 +36,14 @@
 //! throughput: [`crc32`] runs four interleaved slicing-by-8 lanes and
 //! folds them with one compile-time constant (≈ 5 GB/s, 3× one lane; no
 //! SIMD, which would need the `unsafe` the workspace denies), and a
-//! batch decode reads each column as one slice.
+//! batch reads each column as one slice and writes it through one
+//! resize ([`ByteWriter::put_column`]), in both layouts.
 
 use crate::columnar::RecordBatch;
 use crate::fxhash::{det_set_with_capacity, DetHashMap, DetHashSet};
 use blameit_simnet::{SimTime, TimeBucket};
 use blameit_topology::{Asn, CloudLocId, IpPrefix, MetroId, PathId, Prefix24};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::Hash;
 
@@ -305,6 +309,23 @@ impl ByteWriter {
     /// Appends a collection length as u64.
     pub fn put_len(&mut self, n: usize) {
         self.put_u64(n as u64);
+    }
+
+    /// Appends a column of fixed-width items, each as the `N` bytes
+    /// `bytes` makes of it, through one resize of the buffer — the
+    /// writer of every batch column, in both layouts.
+    pub fn put_column<T: Copy, const N: usize>(
+        &mut self,
+        column: &[T],
+        bytes: impl Fn(T) -> [u8; N],
+    ) {
+        let start = self.buf.len();
+        self.buf.resize(start + N * column.len(), 0);
+        // lint:allow(panic-in-decode): encode path — `start` is the length the buffer had before it grew
+        let (chunks, _) = self.buf[start..].as_chunks_mut::<N>();
+        for (chunk, &v) in chunks.iter_mut().zip(column) {
+            *chunk = bytes(v);
+        }
     }
 }
 
@@ -820,12 +841,23 @@ pub fn read_section<'a>(r: &mut ByteReader<'a>) -> Result<(u8, &'a [u8]), CodecE
     Ok((id, payload))
 }
 
+/// Reads an eight-byte column of `n` items, which the caller has
+/// checked the input holds, into a vector of exactly its size.
+fn get_column<T>(
+    r: &mut ByteReader<'_>,
+    n: usize,
+    from: impl Fn([u8; 8]) -> T,
+) -> Result<Vec<T>, CodecError> {
+    let column = r.take(8 * n)?.as_chunks::<8>().0;
+    Ok(column.iter().map(|&b| from(b)).collect())
+}
+
 /// A batch's columns: `bucket:u32 · n:u32 · keys[n]:u64 · rtt[n]:f64`.
-/// This is the wire `BATCH` body and the WAL section payload, byte for
-/// byte. On read the record count is checked against the bytes
-/// remaining before either column is allocated; each column is then
-/// one `take` read eight bytes at a time into a vector of exactly its
-/// size.
+/// This is the wire `BATCH` body and WAL section id 1 (the WAL's
+/// layout before [`KeyRuns`]), byte for byte. On read the record count
+/// is checked against the bytes remaining before either column is
+/// allocated; each column is then one `take` read eight bytes at a
+/// time into a vector of exactly its size.
 impl Codec for RecordBatch {
     const MIN_BYTES: usize = <(TimeBucket, u32)>::MIN_BYTES;
     fn put(&self, w: &mut ByteWriter) {
@@ -833,12 +865,8 @@ impl Codec for RecordBatch {
         w.put_u32(self.bucket.0);
         // lint:allow(as-cast-truncation): a batch near u32::MAX keys is undecodable anyway — write_frame rejects past the 64 MiB frame cap (~4M records)
         w.put_u32(self.keys.len() as u32);
-        for &k in &self.keys {
-            w.put_u64(k);
-        }
-        for &r in &self.rtt {
-            w.put_f64(r);
-        }
+        w.put_column(&self.keys, u64::to_le_bytes);
+        w.put_column(&self.rtt, f64::to_le_bytes);
     }
     #[inline]
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
@@ -849,11 +877,87 @@ impl Codec for RecordBatch {
                 "batch record count exceeds remaining input",
             ));
         }
-        let keys = r.take(8 * n)?.as_chunks::<8>().0;
-        let keys = keys.iter().map(|&b| u64::from_le_bytes(b)).collect();
-        let rtt = r.take(8 * n)?.as_chunks::<8>().0;
-        let rtt = rtt.iter().map(|&b| f64::from_le_bytes(b)).collect();
+        let keys = get_column(r, n, u64::from_le_bytes)?;
+        let rtt = get_column(r, n, f64::from_le_bytes)?;
         Ok(RecordBatch { bucket, keys, rtt })
+    }
+}
+
+/// A batch in the ingest WAL's key-run layout: `bucket:u32 · n:u32 ·
+/// runs:u32 · (key:u64 · len:u32)[runs] · rtt[n]:f64` — each maximal
+/// run of equal adjacent keys once, then the RTT column as it stands.
+/// Any batch round-trips, but an admitted batch is key-sorted, so a
+/// run is a whole quartet group and a record costs 8 bytes plus its
+/// share of its group's 12. Encoding is canonical: the decoder refuses
+/// a zero-length run, two adjacent runs of one key and run lengths
+/// that do not sum to `n` (checked over the table before the key
+/// column is allocated), and counts the input cannot hold.
+#[derive(Debug)]
+pub struct KeyRuns<'a>(pub Cow<'a, RecordBatch>);
+
+/// The `(key, len)` entries of a key-run table, read in order.
+fn run_entries(table: &[u8]) -> impl Iterator<Item = Result<(u64, u32), CodecError>> + '_ {
+    let mut r = ByteReader::new(table);
+    std::iter::from_fn(move || (r.remaining() > 0).then(|| <(u64, u32)>::get(&mut r)))
+}
+
+impl Codec for KeyRuns<'_> {
+    const MIN_BYTES: usize = <(TimeBucket, u32, u32)>::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        let batch = &*self.0;
+        let mut runs: Vec<(u64, u32)> = Vec::new();
+        for &key in &batch.keys {
+            match runs.last_mut() {
+                Some((last, len)) if *last == key => *len += 1,
+                _ => runs.push((key, 1)),
+            }
+        }
+        w.buf.reserve(12 + 12 * runs.len() + 8 * batch.len());
+        w.put_u32(batch.bucket.0);
+        // lint:allow(as-cast-truncation): the same bound as RecordBatch::put's count
+        w.put_u32(batch.len() as u32);
+        // lint:allow(as-cast-truncation): there are no more runs than records
+        w.put_u32(runs.len() as u32);
+        w.put_column(&runs, |(key, len)| {
+            let ([k0, k1, k2, k3, k4, k5, k6, k7], [l0, l1, l2, l3]) =
+                (key.to_le_bytes(), len.to_le_bytes());
+            [k0, k1, k2, k3, k4, k5, k6, k7, l0, l1, l2, l3]
+        });
+        w.put_column(&batch.rtt, f64::to_le_bytes);
+    }
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let (bucket, n, runs) = <(TimeBucket, u32, u32)>::get(r)?;
+        let (n, runs) = (n as usize, runs as usize);
+        if r.remaining() / 12 < runs || (r.remaining() - 12 * runs) / 8 < n {
+            return Err(CodecError::Invalid(
+                "key-run or record count exceeds remaining input",
+            ));
+        }
+        let table = r.take(12 * runs)?;
+        let (mut total, mut last) = (0usize, None);
+        for entry in run_entries(table) {
+            let (key, len) = entry?;
+            if len == 0 {
+                return Err(CodecError::Invalid("zero-length key run"));
+            }
+            if last == Some(key) {
+                return Err(CodecError::Invalid("adjacent key runs share a key"));
+            }
+            (total, last) = (total + len as usize, Some(key));
+        }
+        if total != n {
+            return Err(CodecError::Invalid(
+                "key-run lengths do not sum to the record count",
+            ));
+        }
+        let mut keys = Vec::with_capacity(n);
+        for entry in run_entries(table) {
+            let (key, len) = entry?;
+            keys.resize(keys.len() + len as usize, key);
+        }
+        let rtt = get_column(r, n, f64::from_le_bytes)?;
+        Ok(KeyRuns(Cow::Owned(RecordBatch { bucket, keys, rtt })))
     }
 }
 
@@ -996,7 +1100,8 @@ mod tests {
             keys: vec![],
             rtt: vec![],
         };
-        assert_tight(empty, "RecordBatch");
+        assert_tight(empty.clone(), "RecordBatch");
+        assert_tight(KeyRuns(Cow::Owned(empty)), "KeyRuns");
     }
 
     /// A count one past what the input can hold at the element's
@@ -1183,6 +1288,126 @@ mod tests {
             assert_eq!(bits(&got), bits(&want), "input of {} bytes", input.len());
             assert_eq!(a.pos(), b.pos(), "input of {} bytes", input.len());
         }
+    }
+
+    /// The per-element column writer [`ByteWriter::put_column`]
+    /// replaced — the reference its bytes are held to.
+    fn put_columns_per_element(batch: &RecordBatch, w: &mut ByteWriter) {
+        w.put_u32(batch.bucket.0);
+        w.put_u32(batch.keys.len() as u32);
+        for &k in &batch.keys {
+            w.put_u64(k);
+        }
+        for &r in &batch.rtt {
+            w.put_f64(r);
+        }
+    }
+
+    #[test]
+    fn the_bulk_column_writer_matches_the_per_element_loop_at_every_length() {
+        let mut rng = DetRng::new(0xC01);
+        let lens = (0..=64).chain((0..32).map(|_| rng.below(5000) as usize));
+        for n in lens.collect::<Vec<_>>() {
+            let batch = RecordBatch {
+                bucket: TimeBucket(rng.below(1 << 32) as u32),
+                keys: (0..n).map(|_| rng.next_u64()).collect(),
+                rtt: (0..n).map(|_| f64::from_bits(rng.next_u64())).collect(),
+            };
+            // Behind a byte already in the buffer, so the column starts
+            // unaligned, as it does after a section header.
+            let (mut bulk, mut reference) = (ByteWriter::new(), ByteWriter::new());
+            bulk.put_u8(0xA5);
+            reference.put_u8(0xA5);
+            batch.put(&mut bulk);
+            put_columns_per_element(&batch, &mut reference);
+            assert_eq!(bulk.as_bytes(), reference.as_bytes(), "{n} records");
+        }
+    }
+
+    /// A key-run payload from its parts, exactly as given — so a test
+    /// can write what the encoder never would.
+    fn runs_payload(n: u32, runs: &[(u64, u32)], rtt: &[f64]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        (TimeBucket(3), n, runs.len() as u32).put(&mut w);
+        for run in runs {
+            run.put(&mut w);
+        }
+        for r in rtt {
+            r.put(&mut w);
+        }
+        w.into_bytes()
+    }
+
+    fn runs_of(bytes: &[u8]) -> Result<RecordBatch, CodecError> {
+        decode_exact::<KeyRuns>(bytes).map(|runs| runs.0.into_owned())
+    }
+
+    #[test]
+    fn key_runs_write_each_run_of_equal_adjacent_keys_once() {
+        let batch = RecordBatch {
+            bucket: TimeBucket(3),
+            keys: vec![5, 5, 5, 2, 9, 9, 5],
+            rtt: vec![1.0, 2.0, 3.0, 4.0, -0.0, f64::MAX, 7.0],
+        };
+        let bytes = bytes_of(&KeyRuns(Cow::Borrowed(&batch)));
+        let runs = [(5, 3), (2, 1), (9, 2), (5, 1)];
+        assert_eq!(bytes, runs_payload(7, &runs, &batch.rtt));
+        assert_eq!(bytes.len(), 12 + 12 * 4 + 8 * 7);
+        assert_eq!(runs_of(&bytes), Ok(batch));
+        // Every proper prefix is refused, never a panic.
+        for cut in 0..bytes.len() {
+            assert!(KeyRuns::get(&mut ByteReader::new(&bytes[..cut])).is_err());
+        }
+    }
+
+    #[test]
+    fn key_runs_refuse_a_zero_length_run() {
+        let bytes = runs_payload(1, &[(5, 1), (6, 0)], &[1.0]);
+        assert_eq!(
+            runs_of(&bytes),
+            Err(CodecError::Invalid("zero-length key run"))
+        );
+    }
+
+    #[test]
+    fn key_runs_refuse_two_adjacent_runs_of_one_key() {
+        let bytes = runs_payload(3, &[(5, 1), (5, 2)], &[1.0, 2.0, 3.0]);
+        assert_eq!(
+            runs_of(&bytes),
+            Err(CodecError::Invalid("adjacent key runs share a key"))
+        );
+    }
+
+    #[test]
+    fn key_runs_refuse_lengths_that_do_not_sum_to_the_record_count() {
+        let want = Err(CodecError::Invalid(
+            "key-run lengths do not sum to the record count",
+        ));
+        // Runs short of the count, and past it.
+        assert_eq!(runs_of(&runs_payload(3, &[(5, 2)], &[1.0; 3])), want);
+        assert_eq!(runs_of(&runs_payload(2, &[(5, 3)], &[1.0; 2])), want);
+        // A count with no runs at all.
+        assert_eq!(runs_of(&runs_payload(1, &[], &[1.0])), want);
+    }
+
+    #[test]
+    fn key_runs_refuse_counts_beyond_the_remaining_input() {
+        let want = Err(CodecError::Invalid(
+            "key-run or record count exceeds remaining input",
+        ));
+        // A run table one entry longer than the bytes behind it …
+        let mut bytes = runs_payload(2, &[(5, 2)], &[1.0, 2.0]);
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(runs_of(&bytes), want);
+        // … a record count one past them …
+        bytes[4..12].copy_from_slice(&[3, 0, 0, 0, 1, 0, 0, 0]);
+        assert_eq!(runs_of(&bytes), want);
+        // … and counts claiming billions over an empty body, refused
+        // before anything is allocated.
+        assert_eq!(runs_of(&runs_payload(u32::MAX, &[], &[])), want);
+        let mut w = ByteWriter::new();
+        (0u32, 0u32, u32::MAX).put(&mut w);
+        assert_eq!(runs_of(&w.into_bytes()), want);
     }
 
     #[test]

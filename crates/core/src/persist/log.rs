@@ -17,8 +17,18 @@
 //! after it never acknowledges bytes a crash can lose; a crash
 //! mid-append leaves a strict prefix of one section, which the next
 //! open finds past the valid prefix and truncates.
+//!
+//! The ingest WAL's sections come in two layouts, told apart by the
+//! section id rather than by [`codec::FORMAT_VERSION`]. Id 1
+//! ([`WAL_SEC_BATCH`]) is a batch's columns — 21 bytes of frame and
+//! counts plus 16 a record — and is what builds before the key-run
+//! layout wrote. Id 2 ([`WAL_SEC_RUNS`]) is [`KeyRuns`] — 25 bytes plus
+//! 12 a key run and 8 a record — and is what the WAL writes now.
+//! [`wal_batch`] reads both, so a WAL left by the previous build
+//! replays and is appended to in place. A new WAL layout takes a new id
+//! the same way; an id's layout never changes.
 
-use super::codec::{self, ByteWriter, CodecError};
+use super::codec::{self, ByteWriter, CodecError, KeyRuns};
 use super::PersistError;
 use crate::columnar::RecordBatch;
 use std::fs::{self, File, OpenOptions};
@@ -29,8 +39,13 @@ use std::path::{Path, PathBuf};
 pub const JOURNAL_FILE: &str = "journal.blj";
 /// The ingest WAL's file name inside a state directory.
 pub const WAL_FILE: &str = "ingest.wal";
-/// Section id of one admitted batch in the ingest WAL.
+/// Section id of one admitted batch in the column layout
+/// ([`RecordBatch`]'s `Codec`, the wire `BATCH` body): the previous
+/// WAL layout, read but no longer written.
 pub const WAL_SEC_BATCH: u8 = 1;
+/// Section id of one admitted batch in the key-run layout
+/// ([`KeyRuns`]): what the ingest WAL appends.
+pub const WAL_SEC_RUNS: u8 = 2;
 
 /// The sealed segment `seq` of the log whose active file is `active`:
 /// a sibling named `<active>.<seq, zero-padded>` (`ingest.wal.0000000003`),
@@ -65,10 +80,15 @@ pub fn list_segments(active: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 }
 
 /// The ingest WAL's trust rule, shared by the daemon's replay and
-/// `fsck`: a section is one batch's columns and nothing else.
+/// `fsck`: a section is one batch, in either layout, and nothing else.
 pub fn wal_batch(id: u8, payload: &[u8]) -> Option<RecordBatch> {
-    let batch = codec::decode_exact(payload).ok()?;
-    (id == WAL_SEC_BATCH).then_some(batch)
+    match id {
+        WAL_SEC_BATCH => codec::decode_exact(payload).ok(),
+        WAL_SEC_RUNS => codec::decode_exact::<KeyRuns>(payload)
+            .ok()
+            .map(|runs| runs.0.into_owned()),
+        _ => None,
+    }
 }
 
 /// What lies past a log's valid prefix.

@@ -13,25 +13,32 @@
 //! 3. **Truncation fuzz** — every proper prefix of a valid snapshot is
 //!    rejected as an error, never a panic.
 //!
+//! Both layouts of an ingest batch — its columns and its key runs —
+//! round-trip canonically over batches of repeated, non-adjacent and
+//! singleton keys.
+//!
 //! And the one damage suite for `persist::log` (the journal and the
 //! ingest WAL are typed users of it and test only what is theirs): a
 //! torn, truncated or bit-flipped log either errors or yields a prefix
 //! of what was appended — never a panic, never an invented section —
 //! and appends after the truncation continue the sequence.
 
-use blameit::persist::codec::{write_section_with, ByteWriter, Codec, KIND_JOURNAL};
+use blameit::persist::codec::{
+    write_section_with, ByteReader, ByteWriter, Codec, KeyRuns, KIND_JOURNAL,
+};
 use blameit::persist::log::{self, Log, LogScan, Tail};
 use blameit::persist::snapshot::{decode, SnapshotState};
 use blameit::persist::SnapshotCounters;
 use blameit::{
     BackgroundScheduler, BaselineStore, ClientCountHistory, DurationHistory, EngineState,
-    ExpectedRttLearner, IncidentTracker, MiddleKey, ProbeTarget, RttKey,
+    ExpectedRttLearner, IncidentTracker, MiddleKey, ProbeTarget, RecordBatch, RttKey,
 };
 use blameit::{DetHashMap, DetHashSet};
 use blameit_simnet::{SimTime, TimeBucket};
 use blameit_topology::rng::DetRng;
 use blameit_topology::testkit::check;
 use blameit_topology::{Asn, CloudLocId, IpPrefix, MetroId, PathId, Prefix24};
+use std::borrow::Cow;
 
 /// A random expected-RTT series key, covering every variant.
 fn arbitrary_rtt_key(rng: &mut DetRng) -> RttKey {
@@ -387,6 +394,66 @@ fn truncation_fuzz_is_rejected_never_panics() {
         let mut extended = bytes.clone();
         extended.extend_from_slice(&[0xAB; 3]);
         assert!(decode(&extended).is_err());
+    });
+}
+
+/// A batch whose keys mix every shape a key run can take: long runs of
+/// one key, keys that come back after others (non-adjacent repeats),
+/// singletons, and an empty batch now and then; sorted or not.
+fn arbitrary_batch(rng: &mut DetRng) -> RecordBatch {
+    let alphabet: Vec<u64> = (0..rng.range_u64(1, 12)).map(|_| rng.next_u64()).collect();
+    let mut keys = Vec::new();
+    for _ in 0..rng.below(40) {
+        let key = alphabet[rng.index(alphabet.len())];
+        let run = if rng.below(3) == 0 {
+            1
+        } else {
+            rng.range_u64(1, 30)
+        };
+        keys.extend((0..run).map(|_| key));
+    }
+    if rng.below(2) == 0 {
+        keys.sort_unstable();
+    }
+    RecordBatch {
+        bucket: TimeBucket(rng.below(1 << 32) as u32),
+        rtt: keys
+            .iter()
+            .map(|_| f64::from_bits(rng.next_u64()))
+            .collect(),
+        keys,
+    }
+}
+
+/// `v` encodes to at least `MIN_BYTES` and decodes, reading every
+/// byte, to a value that encodes to the same bytes. Returns the
+/// decoded value.
+fn canonical<T: Codec>(v: &T) -> T {
+    let mut w = ByteWriter::new();
+    v.put(&mut w);
+    let bytes = w.into_bytes();
+    assert!(bytes.len() >= T::MIN_BYTES);
+    let mut r = ByteReader::new(&bytes);
+    let back = T::get(&mut r).expect("own bytes decode");
+    assert_eq!(r.remaining(), 0);
+    let mut again = ByteWriter::new();
+    back.put(&mut again);
+    assert_eq!(again.as_bytes(), bytes, "decode ∘ encode is the identity");
+    back
+}
+
+#[test]
+fn both_batch_layouts_round_trip_canonically() {
+    check("batch_layouts", 256, |rng| {
+        let batch = arbitrary_batch(rng);
+        let bits = |b: &RecordBatch| b.rtt.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        for back in [
+            canonical(&batch),
+            canonical(&KeyRuns(Cow::Borrowed(&batch))).0.into_owned(),
+        ] {
+            assert_eq!((back.bucket, &back.keys), (batch.bucket, &batch.keys));
+            assert_eq!(bits(&back), bits(&batch));
+        }
     });
 }
 

@@ -12,9 +12,13 @@
 //! On disk the WAL is a short sequence of [`blameit::persist::log`]
 //! files: `ingest.wal`, the *active* segment every append goes to, and
 //! zero or more *sealed* segments beside it
-//! ([`segment_path`]). Each holds one section per admitted batch, whose
-//! payload is the batch's columns (its `Codec` layout, the wire `BATCH`
-//! body) under the section's one CRC. At a snapshot tick
+//! ([`segment_path`]). Each holds one section per admitted batch under
+//! the section's one CRC: an append writes the key-run layout (id 2,
+//! [`KeyRuns`]), and replay also reads the column layout the previous
+//! build wrote (id 1; [`wal_batch`] reads both). The previous build
+//! reads no id 2 and truncates an active segment at the first one, so
+//! `TERM` this build before going back to it: that retires the whole
+//! WAL. At a snapshot tick
 //! [`IngestWal::rotate`] seals the active segment (a rename, no bytes
 //! copied) and unlinks the sealed segments a durable snapshot has made
 //! redundant. So the WAL recovers a **superset** of what the queue
@@ -26,13 +30,14 @@
 //! still needed. Only the active segment is ever appended to, so only
 //! it may end in a torn record; a damaged sealed segment fails the open.
 
-use blameit::persist::codec::{Codec, KIND_INGEST_WAL};
+use blameit::persist::codec::{Codec, KeyRuns, KIND_INGEST_WAL};
 use blameit::persist::log::{
-    list_segments, scan_file, segment_path, wal_batch, Log, Tail, WAL_SEC_BATCH,
+    list_segments, scan_file, segment_path, wal_batch, Log, Tail, WAL_SEC_RUNS,
 };
 use blameit::RecordBatch;
 use blameit_obs::Counter;
 use blameit_simnet::TimeBucket;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
@@ -111,10 +116,12 @@ impl IngestWal {
         Ok((wal, recovery))
     }
 
-    /// Appends one admitted batch and fsyncs. Only after this returns
-    /// may the batch become engine-visible. Returns the bytes appended.
+    /// Appends one admitted batch as key runs and fsyncs. Only after
+    /// this returns may the batch become engine-visible. Returns the
+    /// bytes appended: 25 + 12 per key run + 8 per record.
     pub fn append(&mut self, batch: &RecordBatch) -> io::Result<u64> {
-        let bytes = self.log.append(WAL_SEC_BATCH, |w| batch.put(w))?;
+        let runs = KeyRuns(Cow::Borrowed(batch));
+        let bytes = self.log.append(WAL_SEC_RUNS, |w| runs.put(w))?;
         self.active_max = self.active_max.max(Some(batch.bucket.0));
         Ok(bytes)
     }
@@ -160,7 +167,7 @@ impl IngestWal {
     /// [`rotate`](Self::rotate) for a caller that holds the batches to
     /// keep rather than the cutoff, and counts nothing. It survives only
     /// for the frozen `benchmark/` harness's shadow WAL and goes with
-    /// ROADMAP item 5; the daemon calls `rotate`.
+    /// ROADMAP item 1(c); the daemon calls `rotate`.
     pub fn compact(&mut self, retained: &[RecordBatch]) -> io::Result<()> {
         let lowest = retained.iter().map(|b| b.bucket.0).min();
         let uncounted = Counter::new();
@@ -175,6 +182,7 @@ impl IngestWal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blameit::persist::log::WAL_SEC_BATCH;
     use std::path::PathBuf;
 
     fn batch(bucket: u32, n: u64) -> RecordBatch {
@@ -216,19 +224,110 @@ mod tests {
         (sealed.get(), retired.get())
     }
 
+    /// One key-run section's bytes: the frame (id 1 B, length 8 B,
+    /// CRC 4 B), the counts (bucket, records, runs: 4 B each), 12 per
+    /// key run and 8 per record.
+    fn section_bytes(runs: u64, records: u64) -> u64 {
+        (1 + 8 + 4) + 3 * 4 + 12 * runs + 8 * records
+    }
+
     #[test]
     fn an_append_counts_its_section_and_a_reopen_every_segment_byte() {
         let path = tmp("bytes");
         let (mut wal, _) = reopen(&path);
-        // id + length + bucket + count + 16 per record + CRC.
-        assert_eq!(wal.append(&batch(0, 4)).unwrap(), 1 + 8 + 8 + 16 * 4 + 4);
-        assert_eq!(wal.append(&batch(1, 1)).unwrap(), 21 + 16);
+        // Four distinct keys are four runs; one key three times is one.
+        assert_eq!(wal.append(&batch(0, 4)).unwrap(), section_bytes(4, 4));
+        let one_key = RecordBatch {
+            bucket: TimeBucket(1),
+            keys: vec![9; 3],
+            rtt: vec![1.0, 2.0, 3.0],
+        };
+        assert_eq!(wal.append(&one_key).unwrap(), section_bytes(1, 3));
         assert_eq!(rotate(&mut wal, 0), (1, 0));
         wal.append(&batch(2, 2)).unwrap();
         let (_, rec) = IngestWal::open(&path).unwrap();
-        // Two preambles, three sections.
-        assert_eq!(rec.bytes, 2 * 7 + 3 * 21 + 16 * 7);
+        // Two preambles (7 B each), three sections.
+        let sections = section_bytes(4, 4) + section_bytes(1, 3) + section_bytes(2, 2);
+        assert_eq!(rec.bytes, 2 * 7 + sections);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// What `tests/fixtures/wal-id1` holds: a state directory the build
+    /// before the key-run layout left, every batch an id-1 (column)
+    /// section. The first two are in the sealed segment
+    /// `ingest.wal.0000000001` (one rotation at cutoff 40, nothing
+    /// retired), the third in the active `ingest.wal`.
+    fn id1_fixture_batches() -> Vec<RecordBatch> {
+        let b = |bucket, keys: &[u64], rtt: &[f64]| RecordBatch {
+            bucket: TimeBucket(bucket),
+            keys: keys.to_vec(),
+            rtt: rtt.to_vec(),
+        };
+        vec![
+            b(
+                40,
+                &[7, 7, 7, 9, 12, 12],
+                &[10.5, 11.0, 9.75, 30.0, 42.0, 41.5],
+            ),
+            b(41, &[5, 3, 5], &[-0.0, 1e300, 0.25]),
+            b(42, &[1, 1, 2], &[3.0, 4.0, 5.0]),
+        ]
+    }
+
+    /// The section ids of one WAL file, in order.
+    fn section_ids(file: &Path) -> Vec<u8> {
+        let mut ids = Vec::new();
+        scan_file(file, KIND_INGEST_WAL, |id, _| {
+            ids.push(id);
+            true
+        })
+        .unwrap();
+        ids
+    }
+
+    /// The previous layout's WAL is read, not truncated: opening the
+    /// fixture returns exactly its batches and counts every byte on
+    /// disk as replayed (what `blameit_wal_replayed_bytes` is set to);
+    /// an id-2 append lands behind the id-1 sections of the same active
+    /// segment and reopens in order; `fsck` calls the directory clean.
+    #[test]
+    fn a_wal_the_previous_layout_wrote_replays_and_takes_key_run_appends() {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wal-id1");
+        let path = tmp("id1");
+        let dir = path.parent().unwrap();
+        let sealed = segment_path(&path, 1);
+        for file in [&path, &sealed] {
+            std::fs::copy(fixture.join(file.file_name().unwrap()), file).unwrap();
+        }
+        assert_eq!(section_ids(&sealed), [WAL_SEC_BATCH, WAL_SEC_BATCH]);
+        assert_eq!(section_ids(&path), [WAL_SEC_BATCH]);
+        let active_bytes = std::fs::read(&path).unwrap();
+
+        let (mut wal, recovered) = reopen(&path);
+        assert_eq!(recovered, id1_fixture_batches());
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            active_bytes,
+            "nothing truncated"
+        );
+
+        let next = RecordBatch {
+            bucket: TimeBucket(43),
+            keys: vec![4, 4, 6],
+            rtt: vec![7.0, 8.0, 9.0],
+        };
+        wal.append(&next).unwrap();
+        drop(wal);
+        assert_eq!(section_ids(&path), [WAL_SEC_BATCH, WAL_SEC_RUNS]);
+        let (_, recovered) = reopen(&path);
+        let mut expect = id1_fixture_batches();
+        expect.push(next);
+        assert_eq!(recovered, expect);
+
+        let report = blameit::fsck(dir);
+        assert!(report.ok(), "{}", report.render());
+        assert_eq!((report.wal_segments, report.wal_batches), (2, 4));
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

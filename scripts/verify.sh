@@ -76,6 +76,9 @@ stage_benchmark_api() {
 
 stage_daemon() {
   step cargo build --release -p blameit-daemon -p blameit-cli
+  # The daemon's own unit tests, under the codegen that ships: the WAL's
+  # byte counts and the previous layout's committed fixture among them.
+  step cargo test --release -q -p blameit-daemon --lib
   BLAMEIT_THREADS=8 step cargo test --release -q \
     --test daemon_overload --test daemon_crash --test daemon_smoke
   echo "==> blameitd smoke: 10x surge feed, live scrapes, kill -9, fsck of the WAL segments, resume across them, TERM"

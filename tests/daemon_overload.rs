@@ -79,8 +79,12 @@ struct OverloadRun {
 /// It also sums, independently of the controller, the group counts of
 /// exactly the offers that arrive past the shed watermark without
 /// being refused — what the scoring work counter must read — and the
-/// WAL section bytes of every offer that admitted records: a 21-byte
-/// frame (id, length, bucket, count, CRC) plus 16 bytes a record.
+/// WAL section bytes of every offer that admitted records: 25 bytes of
+/// frame and counts (id, length, CRC; bucket, records, runs), 12 a key
+/// run and 8 a record. The runs are counted from the offer, never read
+/// back from the WAL: the admitted batch is key-sorted, so it holds one
+/// run per distinct key of the offer that was not shed, and each group
+/// the shed log gains on the offer is one shed key.
 struct CapChecked<'c, 'w> {
     inner: CoreSink<'c, WorldBackend<'w>>,
     groups_past_watermark: u64,
@@ -94,12 +98,13 @@ impl Sink for CapChecked<'_, '_> {
         let cfg = self.inner.core.admission().config();
         let (cap, watermark) = (cfg.queue_cap_records, cfg.shed_watermark_records);
         let arriving = self.inner.core.queue_depth() + batch.keys.len();
+        let mut keys = batch.keys.clone();
+        keys.sort_unstable();
+        keys.dedup();
         if arriving > watermark && arriving <= cap {
-            let mut keys = batch.keys.clone();
-            keys.sort_unstable();
-            keys.dedup();
             self.groups_past_watermark += keys.len() as u64;
         }
+        let shed_before = self.inner.core.shed_log().len();
         let reply = self.inner.offer(batch)?;
         match reply {
             OfferReply::SlowDown { queue_depth, .. } => assert!(
@@ -107,7 +112,9 @@ impl Sink for CapChecked<'_, '_> {
                 "refusal quotes a bounded depth"
             ),
             OfferReply::Ack { admitted, .. } if admitted > 0 => {
-                self.wal_bytes += 21 + 16 * admitted
+                let shed_groups = self.inner.core.shed_log().len() - shed_before;
+                let runs = (keys.len() - shed_groups) as u64;
+                self.wal_bytes += 25 + 12 * runs + 8 * admitted;
             }
             OfferReply::Ack { .. } => {}
         }
@@ -259,7 +266,7 @@ fn surged_feed_sheds_identically_at_any_thread_count() {
     assert_eq!(one.groups_scored, four.groups_scored);
     assert_eq!(
         (one.wal_bytes_appended, one.wal_segments),
-        (3_137_782, (3, 3)),
+        (1_639_702, (3, 3)),
         "WAL work on the surged feed"
     );
     assert_eq!(one.wal_bytes_appended, four.wal_bytes_appended);
@@ -282,7 +289,13 @@ fn quiet_feed_sheds_nothing() {
     );
     assert_eq!(
         (run.wal_bytes_appended, run.wal_segments),
-        (3_102_216, (4, 4)),
+        (1_696_524, (4, 4)),
         "WAL work on the quiet feed"
+    );
+    let four = run_surged(&world, "quiet", 4, &SurgePlan::default());
+    assert_eq!(
+        (four.wal_bytes_appended, four.wal_segments),
+        (run.wal_bytes_appended, run.wal_segments),
+        "WAL work on the quiet feed is thread-invariant"
     );
 }

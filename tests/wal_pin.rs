@@ -9,8 +9,12 @@
 //! Reopening the crashed state must read every one of those bytes back
 //! (`blameit_wal_replayed_bytes`).
 //!
-//! To re-pin after an intentional format change (with a
-//! `FORMAT_VERSION` bump):
+//! The sections are id 2, the key-run layout (`codec::KeyRuns`). A WAL
+//! layout change takes a new section id, which `log::wal_batch` reads
+//! beside the old ones: never an edited layout under an existing id,
+//! and never a `FORMAT_VERSION` bump, which would make every WAL on
+//! disk unreadable. Only with a new id (or a deliberate change to the
+//! feed or the world) re-pin:
 //!
 //! ```text
 //! BLESS=1 cargo test --test wal_pin
@@ -139,6 +143,6 @@ fn wal_bytes_match_the_pin_at_one_and_four_threads() {
     });
     assert_eq!(
         want, got,
-        "WAL bytes moved (re-pin with BLESS=1 only with a FORMAT_VERSION bump)"
+        "WAL bytes moved (a new WAL layout takes a new section id; re-pin with BLESS=1 only then)"
     );
 }
