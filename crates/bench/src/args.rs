@@ -50,12 +50,25 @@ impl Args {
 
     /// u64 with default.
     pub fn u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.int(key, default)
+    }
+
+    /// An integer narrowed to `T` by `try_from`, with default: a value
+    /// `T` cannot hold is refused, never wrapped.
+    ///
+    /// # Panics
+    /// Panics on a non-integer, or on a value that does not fit `T`.
+    pub fn int<T: TryFrom<u64>>(&self, key: &str, default: T) -> T {
+        let Some(raw) = self.get(key) else {
+            return default;
+        };
+        let v: u64 = raw
+            .parse()
+            .unwrap_or_else(|_| panic!("--{key} expects an integer, got {raw:?}"));
+        T::try_from(v).unwrap_or_else(|_| {
+            let bits = 8 * std::mem::size_of::<T>();
+            panic!("--{key} must fit in {bits} bits, got {v}")
+        })
     }
 
     /// f64 with default.
@@ -95,6 +108,20 @@ mod tests {
         assert_eq!(a.scale(Scale::Small), Scale::Tiny);
         assert_eq!(a.u64("days", 3), 3);
         assert_eq!(a.f64("tau", 0.8), 0.8);
+    }
+
+    #[test]
+    fn int_takes_the_largest_value_that_fits() {
+        let a = args(&["--ticks", "4294967295", "--loc", "65535"]);
+        assert_eq!(a.int::<u32>("ticks", 1), 0xFFFF_FFFF);
+        assert_eq!(a.int::<u16>("loc", 0), 0xFFFF);
+        assert_eq!(a.int::<u32>("absent", 7), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "--ticks must fit in 32 bits, got 4294967296")]
+    fn int_refuses_a_value_past_its_type() {
+        args(&["--ticks", "4294967296"]).int::<u32>("ticks", 1);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn run(args: &Args) {
     // (Ordered maps: the per-fault f64 sum must add up in the same
     // order every run.)
     let mut per_issue: BTreeMap<FaultId, BTreeMap<(u16, u32), f64>> = BTreeMap::new();
-    let mut first_detect: HashMap<FaultId, u32> = HashMap::new();
+    let mut first_detect: HashMap<FaultId, usize> = HashMap::new();
     for (tick_i, out) in engine.run(&mut backend, eval).into_iter().enumerate() {
         for p in &out.ranked_issues {
             let fault = p
@@ -71,7 +71,7 @@ pub fn run(args: &Args) {
                     .entry((p.issue.loc.0, p.issue.path.0))
                     .or_insert(0.0);
                 *e = e.max(p.client_time_product);
-                first_detect.entry(f).or_insert(tick_i as u32);
+                first_detect.entry(f).or_insert(tick_i);
             }
         }
     }

@@ -15,7 +15,7 @@ pub fn run(args: &Args) {
     let seed = args.u64("seed", 2019);
     let scale = args.scale(Scale::Small);
     // A busy mid-week bucket.
-    let bucket = TimeBucket(args.u64("bucket", 2 * 288 + 150) as u32);
+    let bucket = TimeBucket(args.int("bucket", 2 * 288 + 150));
 
     fmt::banner(
         "Figure 6",

@@ -393,7 +393,7 @@ pub(super) fn cmd_metrics(args: &Args) -> Result<String, CliError> {
 
 pub(super) fn cmd_trace(args: &Args) -> Result<String, CliError> {
     let scn = compiled("trace", args)?;
-    let ticks = args.u64("ticks", 1).max(1) as u32;
+    let ticks: u32 = args.int("ticks", 1).max(1);
     // Default to one thread: worker spans open at thread-local depth 0,
     // so a multi-threaded tick would flatten the rendered tree.
     let cfg = scn.engine_config(args.u64("threads", 1).max(1) as usize);

@@ -181,7 +181,7 @@ pub(super) fn cmd_simulate(args: &Args) -> Result<String, CliError> {
 
 pub(super) fn cmd_probe(args: &Args) -> Result<String, CliError> {
     let world = organic_world(args.scale(Scale::Small), 1, args.u64("seed", 2019));
-    let loc = CloudLocId(args.u64("loc", 0) as u16);
+    let loc = CloudLocId(args.int("loc", 0));
     if loc.0 as usize >= world.topology().cloud_locations.len() {
         return Err(err(format!("no cloud location {}", loc.0)));
     }
@@ -306,7 +306,14 @@ mod tests {
     #[test]
     fn probe_rejects_unknown() {
         assert!(run_s(&["probe", "--scale", "tiny", "--loc", "9999"]).is_err());
+        assert!(run_s(&["probe", "--scale", "tiny", "--loc", "65535"]).is_err());
         assert!(run_s(&["probe", "--scale", "tiny", "--p24", "9.9.9.0/24"]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "--loc must fit in 16 bits, got 65536")]
+    fn probe_refuses_a_location_past_u16() {
+        let _ = run_s(&["probe", "--scale", "tiny", "--loc", "65536"]);
     }
 
     #[test]

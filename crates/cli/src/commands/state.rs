@@ -28,7 +28,7 @@ pub(super) fn cmd_analyze_durable(args: &Args, dir: &str) -> Result<String, CliE
 
     let mut cfg = scn.engine_config(threads(args));
     cfg.state_dir = Some(PathBuf::from(dir));
-    cfg.snapshot_every_ticks = args.u64("snapshot-every", 4).max(1) as u32;
+    cfg.snapshot_every_ticks = args.int("snapshot-every", cfg.snapshot_every_ticks).max(1);
     if !resume {
         let store = StateStore::create(dir).map_err(|e| state_err(&e))?;
         store.wipe().map_err(|e| state_err(&e))?;

@@ -114,9 +114,7 @@ pub use persist::{
 pub use pipeline::{
     Alert, BlameItConfig, BlameItEngine, EngineState, MiddleLocalization, TickOutput,
 };
-pub use priority::{
-    prioritize, select_within_budget, select_within_budgets, MiddleIssue, PrioritizedIssue,
-};
+pub use priority::{prioritize, select_within_budgets, MiddleIssue, PrioritizedIssue};
 pub use provenance::{
     BaselineEvidence, IncidentEvidence, PassiveEvidence, PriorityEvidence, ProbeEvidence,
     Provenance,

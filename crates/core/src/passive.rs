@@ -71,35 +71,35 @@ impl fmt::Display for Blame {
     }
 }
 
-/// Algorithm 1 parameters.
+/// Algorithm 1 parameters: the two the paper's evaluation varies.
 #[derive(Clone, Copy, Debug)]
 pub struct BlameConfig {
     /// Bad-fraction threshold τ (paper: 0.8).
     pub tau: f64,
-    /// Aggregates with at most this many quartets are "insufficient"
-    /// (paper: 5).
-    pub min_aggregate_quartets: usize,
     /// Middle-segment grouping strategy.
     pub grouping: MiddleGrouping,
-    /// A quartet counts toward an aggregate's bad fraction when its
-    /// mean exceeds `expected × expected_margin`. At Azure's aggregate
-    /// sizes (hundreds of thousands of /24s per location) comparing
-    /// strictly against the median is safe; at simulation scale the
-    /// small margin keeps the ~50% of quartets that naturally sit just
-    /// above their median from tripping τ through noise.
-    pub expected_margin: f64,
 }
 
 impl Default for BlameConfig {
     fn default() -> Self {
         BlameConfig {
             tau: 0.8,
-            min_aggregate_quartets: 5,
             grouping: MiddleGrouping::BgpPath,
-            expected_margin: 1.1,
         }
     }
 }
+
+/// Aggregates with at most this many quartets are "insufficient"
+/// (paper: 5).
+const MIN_AGGREGATE_QUARTETS: usize = 5;
+
+/// A quartet counts toward an aggregate's bad fraction when its mean
+/// exceeds `expected × EXPECTED_MARGIN`. At Azure's aggregate sizes
+/// (hundreds of thousands of /24s per location) comparing strictly
+/// against the median is safe; at simulation scale the small margin
+/// keeps the ~50% of quartets that naturally sit just above their
+/// median from tripping τ through noise.
+const EXPECTED_MARGIN: f64 = 1.1;
 
 /// One bad quartet's verdict, with the keys needed downstream.
 #[derive(Clone, Debug, PartialEq)]
@@ -210,7 +210,7 @@ fn aggregate_pass(
     expected: &ExpectedRttLearner,
     cfg: &BlameConfig,
 ) -> PassiveAggregates {
-    let above = |key| expected.expected(key).map(|e| e * cfg.expected_margin);
+    let above = |key| expected.expected(key).map(|e| e * EXPECTED_MARGIN);
     let mut cloud = Groups(DetHashMap::default());
     let mut middle = Groups(DetHashMap::default());
     // Most quartets are good and few /24s reach two locations: size for them all.
@@ -279,12 +279,11 @@ fn eliminate(
     (mid_n, mid_bad): (usize, usize),
     good_elsewhere: bool,
 ) -> BlameResult {
-    let min_q = cfg.min_aggregate_quartets;
-    let blame = if cloud_n <= min_q {
+    let blame = if cloud_n <= MIN_AGGREGATE_QUARTETS {
         Blame::Insufficient
     } else if cloud_bad as f64 / cloud_n as f64 >= cfg.tau {
         Blame::Cloud
-    } else if mid_n <= min_q {
+    } else if mid_n <= MIN_AGGREGATE_QUARTETS {
         Blame::Insufficient
     } else if mid_bad as f64 / mid_n as f64 >= cfg.tau {
         Blame::Middle
@@ -303,7 +302,7 @@ fn eliminate(
         passive: PassiveEvidence {
             branch: blame,
             tau: cfg.tau,
-            min_aggregate: min_q,
+            min_aggregate: MIN_AGGREGATE_QUARTETS,
             cloud_n,
             cloud_bad,
             middle_n: mid_n,
@@ -432,7 +431,7 @@ mod tests {
         assert_eq!(ev.branch, Blame::Cloud);
         assert_eq!((ev.cloud_n, ev.cloud_bad), (10, 10));
         assert!((ev.tau - cfg.tau).abs() < 1e-12);
-        assert_eq!(ev.min_aggregate, cfg.min_aggregate_quartets);
+        assert_eq!(ev.min_aggregate, MIN_AGGREGATE_QUARTETS);
         assert!(!ev.good_elsewhere);
     }
 
@@ -662,9 +661,8 @@ mod tests {
                         break;
                     }
                     n += 1;
-                    bad += usize::from(
-                        exp.is_some_and(|e| q.obs.mean_rtt_ms > e * cfg.expected_margin),
-                    );
+                    bad +=
+                        usize::from(exp.is_some_and(|e| q.obs.mean_rtt_ms > e * EXPECTED_MARGIN));
                     i += 1;
                 }
             }
@@ -692,9 +690,8 @@ mod tests {
                         break;
                     }
                     n += 1;
-                    bad += usize::from(
-                        exp.is_some_and(|e| q.obs.mean_rtt_ms > e * cfg.expected_margin),
-                    );
+                    bad +=
+                        usize::from(exp.is_some_and(|e| q.obs.mean_rtt_ms > e * EXPECTED_MARGIN));
                     i += 1;
                 }
             }

@@ -47,8 +47,6 @@ pub struct BlameItConfig {
     pub blame: BlameConfig,
     /// Badness thresholds (region × device).
     pub thresholds: BadnessThresholds,
-    /// On-demand traceroutes allowed per cloud location per tick.
-    pub probe_budget_per_loc: usize,
     /// Background probe period per (location, path), seconds
     /// (paper default: twice a day).
     pub background_period_secs: u64,
@@ -56,17 +54,6 @@ pub struct BlameItConfig {
     pub churn_triggered: bool,
     /// Buckets per analysis tick (paper: 3 = 15 minutes).
     pub tick_buckets: u32,
-    /// Maximum operator alerts emitted per tick.
-    pub max_alerts: usize,
-    /// On-demand traceroute attempts per issue (first try + retries).
-    pub probe_max_attempts: u32,
-    /// Base of the deterministic exponential backoff between on-demand
-    /// attempts, seconds: retry `k` waits `base << (k-1)` after the
-    /// previous attempt's cost.
-    pub probe_backoff_base_secs: u64,
-    /// Per-probe deadline, seconds: a traceroute whose answer arrives
-    /// later than this after issue (or not at all) counts as lost.
-    pub probe_timeout_secs: u64,
     /// Per-tick time budget for on-demand probing, seconds. Issues the
     /// budget cannot cover get a `DeadlineBudget` degraded verdict
     /// instead of a probe. Probes that answer instantly cost nothing,
@@ -94,9 +81,6 @@ pub struct BlameItConfig {
     /// Flight trigger: a tick with at least this many degraded
     /// (`MiddleUnlocalized`) verdicts requests a dump. `0` disables.
     pub flight_degraded_spike: u64,
-    /// Flight trigger: a tick whose probe loop absorbed at least this
-    /// many lost/late attempts requests a dump. `0` disables.
-    pub flight_chaos_burst: u64,
     /// Directory flight dumps are written to when a trigger fires
     /// (`flight-<sim_secs>-<trigger>.jsonl`). `None` keeps the trigger
     /// log in memory only.
@@ -109,14 +93,9 @@ impl BlameItConfig {
         BlameItConfig {
             blame: BlameConfig::default(),
             thresholds,
-            probe_budget_per_loc: 5,
             background_period_secs: 43_200,
             churn_triggered: true,
             tick_buckets: 3,
-            max_alerts: 10,
-            probe_max_attempts: 3,
-            probe_backoff_base_secs: 30,
-            probe_timeout_secs: 30,
             probe_deadline_budget_secs: 600,
             baseline_max_age_secs: 4 * 86_400,
             seed: 0x0B1A_3E17,
@@ -124,7 +103,6 @@ impl BlameItConfig {
             snapshot_every_ticks: 4,
             parallelism: crate::shard::default_parallelism(),
             flight_degraded_spike: 3,
-            flight_chaos_burst: 4,
             flight_dump_dir: None,
         }
     }
@@ -205,6 +183,25 @@ pub struct TickOutput {
 /// Gap (buckets) under which two badness runs on one (location, path)
 /// count as the same episode (8 hours: spans an overnight lull).
 const EPISODE_GAP_BUCKETS: u32 = 96;
+
+/// On-demand traceroutes per cloud location per tick (§5.3's budget).
+const PROBE_BUDGET_PER_LOC: usize = 5;
+
+/// On-demand traceroute attempts per issue (first try + retries).
+const PROBE_MAX_ATTEMPTS: u32 = 3;
+
+/// Base of the deterministic exponential backoff between on-demand
+/// attempts, seconds: retry `k` waits `base << (k-1)` after the
+/// previous attempt's cost.
+const PROBE_BACKOFF_BASE_SECS: u64 = 30;
+
+/// Per-probe deadline, seconds: a traceroute whose answer arrives later
+/// than this after issue (or not at all) counts as lost.
+const PROBE_TIMEOUT_SECS: u64 = 30;
+
+/// Flight trigger: a tick whose probe loop absorbed at least this many
+/// lost/late attempts requests a dump.
+const FLIGHT_CHAOS_BURST: u64 = 4;
 
 /// Everything the engine has learned that a future tick reads — the
 /// durable state. [`BlameItEngine`] owns exactly one, a snapshot
@@ -455,7 +452,7 @@ impl BlameItEngine {
             out.on_demand_probes + out.background_probes
         );
 
-        out.alerts = assemble_alerts(acc.alerts, &out.localizations, self.cfg.max_alerts);
+        out.alerts = assemble_alerts(acc.alerts, &out.localizations);
         out.stage_timings = clock.finish();
         self.metrics.alerts.add(out.alerts.len() as u64);
         self.metrics.ticks.inc();
@@ -646,7 +643,7 @@ impl BlameItEngine {
         // probe deadline budget applied during the active phase.
         let selected: Vec<PrioritizedIssue> = select_within_budgets(
             &ranked,
-            self.cfg.probe_budget_per_loc,
+            PROBE_BUDGET_PER_LOC,
             self.cfg.probe_deadline_budget_secs.max(1) as usize,
         )
         .into_iter()
@@ -770,7 +767,6 @@ impl BlameItEngine {
         // taken shortly before *detection* — but possibly after the
         // true onset — is not trusted.
         let incident_start = incident_start - 9 * blameit_simnet::BUCKET_SECS;
-        let probe_timeout = self.cfg.probe_timeout_secs;
         let mut probed = ProbedIssue {
             issue: p,
             probe_at: first_at,
@@ -784,7 +780,7 @@ impl BlameItEngine {
                 attempts: 0,
                 lost_attempts: 0,
                 truncated: false,
-                deadline_dropped: *deadline_left < probe_timeout,
+                deadline_dropped: *deadline_left < PROBE_TIMEOUT_SECS,
                 backoff_secs: 0,
             },
         };
@@ -816,15 +812,15 @@ impl BlameItEngine {
                     self.metrics.probe_attempts_lost.inc();
                     probed.probe.lost_attempts += 1;
                     attempt_span.record("outcome", "lost");
-                    probe_timeout
+                    PROBE_TIMEOUT_SECS
                 }
                 Some(t) => {
                     let wait = t.at.secs().saturating_sub(at.secs());
-                    if wait > probe_timeout {
+                    if wait > PROBE_TIMEOUT_SECS {
                         self.metrics.probe_attempts_lost.inc();
                         probed.probe.lost_attempts += 1;
                         attempt_span.record("outcome", "late");
-                        probe_timeout
+                        PROBE_TIMEOUT_SECS
                     } else {
                         // Keep truncated evidence: a later complete
                         // answer overrides it, and a partial diff can
@@ -846,13 +842,12 @@ impl BlameItEngine {
             };
             *deadline_left = deadline_left.saturating_sub(cost);
             if done
-                || probed.probe.attempts >= self.cfg.probe_max_attempts
-                || *deadline_left < probe_timeout
+                || probed.probe.attempts >= PROBE_MAX_ATTEMPTS
+                || *deadline_left < PROBE_TIMEOUT_SECS
             {
                 break;
             }
-            let backoff =
-                self.cfg.probe_backoff_base_secs << (probed.probe.attempts - 1).min(16) as u64;
+            let backoff = PROBE_BACKOFF_BASE_SECS << (probed.probe.attempts - 1).min(16) as u64;
             at = at + cost + backoff;
             probed.probe.backoff_secs += backoff;
             self.metrics.probe_retries.inc();
@@ -1115,12 +1110,13 @@ impl BlameItEngine {
                 format!("{degraded} degraded verdicts in one tick (threshold {spike})"),
             );
         }
-        let burst = self.cfg.flight_chaos_burst;
-        if burst > 0 && absorbed >= burst {
+        if absorbed >= FLIGHT_CHAOS_BURST {
             self.fire_flight_trigger(
                 sim_secs,
                 FlightTrigger::ChaosBurst,
-                format!("{absorbed} probe attempts absorbed in one tick (threshold {burst})"),
+                format!(
+                    "{absorbed} probe attempts absorbed in one tick (threshold {FLIGHT_CHAOS_BURST})"
+                ),
             );
         }
     }
@@ -1288,13 +1284,15 @@ fn diff_against_baseline(
     (verdict, Some(d), baseline_ev)
 }
 
-/// Operator alerts: the tick's blamed aggregates, top `max_alerts` by
+/// Operator alerts emitted per tick.
+const MAX_ALERTS: usize = 10;
+
+/// Operator alerts: the tick's blamed aggregates, top [`MAX_ALERTS`] by
 /// impacted connections, middle alerts carrying the culprit their
 /// localization named.
 fn assemble_alerts(
     acc: DetHashMap<AlertKey, AlertAcc>,
     localizations: &[MiddleLocalization],
-    max_alerts: usize,
 ) -> Vec<Alert> {
     let culprit_by_issue: DetHashMap<(CloudLocId, PathId), Asn> = localizations
         .iter()
@@ -1331,7 +1329,7 @@ fn assemble_alerts(
             .cmp(&a.impacted_connections)
             .then_with(|| (a.loc, a.path, a.client_as).cmp(&(b.loc, b.path, b.client_as)))
     });
-    alerts.truncate(max_alerts);
+    alerts.truncate(MAX_ALERTS);
     alerts
 }
 
@@ -1414,28 +1412,43 @@ mod tests {
         assert!(saw_cloud_alert, "a high-confidence cloud alert must fire");
     }
 
+    /// The priority stage alone, over more middle issues at one location
+    /// than [`PROBE_BUDGET_PER_LOC`]: every issue is ranked, and the
+    /// selection keeps the budget's worth per location, highest product
+    /// first.
     #[test]
     fn engine_probe_budget_respected() {
-        let (w, _) = scenario();
-        let th = BadnessThresholds::default_for(&w);
-        let mut cfg = BlameItConfig::new(th);
-        cfg.probe_budget_per_loc = 2;
-        let mut engine = BlameItEngine::new(cfg);
-        let mut backend = WorldBackend::new(&w);
-        engine.warmup(
-            &backend,
-            TimeRange::new(SimTime::ZERO, SimTime::from_days(1)),
-            4,
-        );
-        let out = engine.tick(&mut backend, SimTime::from_days(2).bucket());
-        // On-demand probes per location ≤ budget.
-        let mut per_loc: DetHashMap<CloudLocId, u64> = DetHashMap::default();
-        for l in &out.localizations {
-            *per_loc.entry(l.issue.issue.loc).or_default() += 1;
-        }
+        let engine = BlameItEngine::new(BlameItConfig::new(BadnessThresholds::uniform(50.0)));
+        let per_loc = [
+            (CloudLocId(0), PROBE_BUDGET_PER_LOC + 3),
+            (CloudLocId(1), 2),
+        ];
+        let mut acc: DetHashMap<(CloudLocId, PathId), MiddleAcc> = DetHashMap::default();
         for (loc, n) in per_loc {
-            assert!(n <= 2, "{loc} got {n} probes");
+            for i in 0..n as u32 {
+                let path = PathId(u32::from(loc.0) * 100 + i);
+                let m = acc.entry((loc, path)).or_default();
+                m.clients = 100 + u64::from(i);
+                m.p24s.push(Prefix24::from_block(path.0));
+                m.bucket = TimeBucket(600);
+            }
         }
+        let mut out = TickOutput::default();
+        let selected = engine.rank_issues(acc, &mut out);
+        assert_eq!(out.ranked_issues.len(), PROBE_BUDGET_PER_LOC + 5);
+        for (loc, n) in per_loc {
+            let kept: Vec<&PrioritizedIssue> =
+                selected.iter().filter(|p| p.issue.loc == loc).collect();
+            assert_eq!(kept.len(), n.min(PROBE_BUDGET_PER_LOC), "{loc}");
+            let ranked = out.ranked_issues.iter().filter(|p| p.issue.loc == loc);
+            assert!(
+                kept.iter()
+                    .zip(ranked)
+                    .all(|(k, r)| k.issue.path == r.issue.path),
+                "{loc}: the budget keeps the top of the ranking"
+            );
+        }
+        assert_eq!(engine.metrics.probes_suppressed_budget.get(), 3);
     }
 
     #[test]
@@ -1542,7 +1555,7 @@ mod tests {
     }
 
     /// The active stage alone, over scripted probe answers: retries stay
-    /// within `probe_max_attempts`, the deadline budget is never
+    /// within [`PROBE_MAX_ATTEMPTS`], the deadline budget is never
     /// overspent, an issue the budget cannot cover is dropped unprobed
     /// with `DeadlineBudget`, and the kept evidence is the last usable
     /// answer — a later complete one overrides a truncated one.
@@ -1551,13 +1564,10 @@ mod tests {
         blameit_topology::testkit::check("pipeline::probe_stage", 128, |rng| {
             let mut cfg = BlameItConfig::new(BadnessThresholds::uniform(50.0));
             cfg.parallelism = 1;
-            cfg.probe_max_attempts = 1 + rng.below(4) as u32;
-            cfg.probe_timeout_secs = 5 + rng.below(36);
             cfg.probe_deadline_budget_secs = rng.below(201);
-            cfg.probe_backoff_base_secs = 1 + rng.below(30);
-            let (timeout, budget) = (cfg.probe_timeout_secs, cfg.probe_deadline_budget_secs);
+            let (timeout, budget) = (PROBE_TIMEOUT_SECS, cfg.probe_deadline_budget_secs);
             let n_issues = 1 + rng.below(6) as usize;
-            let script: Vec<Answer> = (0..n_issues * cfg.probe_max_attempts as usize)
+            let script: Vec<Answer> = (0..n_issues * PROBE_MAX_ATTEMPTS as usize)
                 .map(|_| match rng.below(4) {
                     0 => Answer::Lost,
                     1 => Answer::Late,
@@ -1596,7 +1606,7 @@ mod tests {
             let (mut next, mut spent) = (0usize, 0u64);
             for l in &out.localizations {
                 let probe = l.provenance.probe;
-                assert!(l.attempts <= cfg.probe_max_attempts);
+                assert!(l.attempts <= PROBE_MAX_ATTEMPTS);
                 assert_eq!(probe.attempts, l.attempts);
                 let dropped = LocalizationVerdict::MiddleUnlocalized {
                     reason: UnlocalizedReason::DeadlineBudget,

@@ -105,16 +105,10 @@ pub fn prioritize(
 
 /// Applies a per-location probe budget (the paper budgets per cloud
 /// location rather than per AS, §5.3): keeps at most `per_loc` issues
-/// for each location, preserving rank order.
-pub fn select_within_budget(ranked: &[PrioritizedIssue], per_loc: usize) -> Vec<&PrioritizedIssue> {
-    select_within_budgets(ranked, per_loc, usize::MAX)
-}
-
-/// [`select_within_budget`] with an additional global cap: at most
-/// `max_total` issues overall, rank order first. The global cap is the
-/// coarse safety valve for chaos runs — the fine-grained limit is the
-/// engine's per-tick probe *deadline* budget, which accounts for time
-/// actually spent retrying.
+/// for each location and `max_total` overall, preserving rank order.
+/// The global cap is the coarse safety valve for chaos runs — the
+/// fine-grained limit is the engine's per-tick probe *deadline* budget,
+/// which accounts for time actually spent retrying.
 pub fn select_within_budgets(
     ranked: &[PrioritizedIssue],
     per_loc: usize,
@@ -234,7 +228,7 @@ mod tests {
             issue(1, 4, 1, 100),
         ];
         let ranked = prioritize(issues, &durations, &clients);
-        let picked = select_within_budget(&ranked, 2);
+        let picked = select_within_budgets(&ranked, 2, usize::MAX);
         assert_eq!(picked.len(), 3);
         let loc0 = picked
             .iter()
@@ -262,10 +256,7 @@ mod tests {
         assert_eq!(picked[0].issue.path, PathId(1));
         assert_eq!(picked[1].issue.path, PathId(2));
         // usize::MAX cap reduces to the per-location rule.
-        assert_eq!(
-            select_within_budgets(&ranked, 5, usize::MAX).len(),
-            select_within_budget(&ranked, 5).len()
-        );
+        assert_eq!(select_within_budgets(&ranked, 5, usize::MAX).len(), 4);
     }
 
     #[test]

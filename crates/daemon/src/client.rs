@@ -48,7 +48,7 @@ pub struct FeedConfig {
 impl Default for FeedConfig {
     fn default() -> Self {
         FeedConfig {
-            addr: "127.0.0.1:4815".to_string(),
+            addr: crate::server::DEFAULT_INGEST_ADDR.to_string(),
             surge: SurgePlan::default(),
             max_attempts: 5,
             max_backoff_ms: 2_000,

@@ -8,7 +8,7 @@
 use crate::client::{feed_world, http_get, FeedConfig};
 use crate::clock::WallClock;
 use crate::core::{AdmissionConfig, DaemonConfig, DaemonCore};
-use crate::server::{Server, ServerConfig};
+use crate::server::{Server, ServerConfig, DEFAULT_HTTP_ADDR, DEFAULT_INGEST_ADDR};
 use blameit::{BadnessThresholds, BlameItConfig, StateStore, WorldBackend};
 use blameit_bench::{organic_world, Args, Scale};
 use blameit_obs::MetricsRegistry;
@@ -39,22 +39,13 @@ pub fn run_daemon(args: &Args) -> Result<String, String> {
     }
     cfg.state_dir = Some(PathBuf::from(&dir));
     cfg.flight_dump_dir = Some(PathBuf::from(&dir).join("flight"));
-    cfg.snapshot_every_ticks = args.u64("snapshot-every", 4).max(1) as u32;
+    cfg.snapshot_every_ticks = args.int("snapshot-every", cfg.snapshot_every_ticks).max(1);
     if !resume {
         let store = StateStore::create(&dir).map_err(|e| format!("state dir {dir}: {e}"))?;
         store.wipe().map_err(|e| format!("state dir {dir}: {e}"))?;
     }
 
-    let dcfg = DaemonConfig {
-        admission: AdmissionConfig {
-            queue_cap_records: args.u64("queue-cap", 50_000) as usize,
-            shed_watermark_records: args.u64("shed-watermark", 40_000) as usize,
-            per_loc_shed_cap: args.u64("per-loc-shed-cap", 1_000) as usize,
-            retry_after_secs: args.u64("retry-after", 30),
-        },
-        overload_sustained_ticks: args.u64("sustained-ticks", 3).max(1) as u32,
-    };
-
+    let dcfg = daemon_config(args);
     let backend = WorldBackend::with_parallelism(&world, cfg.parallelism);
     let registry = Arc::new(MetricsRegistry::new());
     let warmup = TimeRange::new(SimTime::ZERO, SimTime::from_days(warmup_days));
@@ -65,13 +56,9 @@ pub fn run_daemon(args: &Args) -> Result<String, String> {
     let server = Server::bind(&ServerConfig {
         ingest_addr: args
             .get("ingest-addr")
-            .unwrap_or("127.0.0.1:4815")
-            .to_string(),
-        http_addr: args
-            .get("http-addr")
-            .unwrap_or("127.0.0.1:4816")
-            .to_string(),
-        poll_ms: 5,
+            .unwrap_or(DEFAULT_INGEST_ADDR)
+            .into(),
+        http_addr: args.get("http-addr").unwrap_or(DEFAULT_HTTP_ADDR).into(),
     })
     .map_err(|e| format!("bind: {e}"))?;
     println!("ingest={}", server.ingest_addr);
@@ -120,24 +107,7 @@ pub fn run_feed(args: &Args) -> Result<String, String> {
     };
     let feed_range = TimeRange::new(SimTime::from_days(warmup_days), feed_end);
 
-    let mult = args.u64("surge-mult", 1).max(1) as u32;
-    let surge = if mult > 1 {
-        let start_hour = args.u64("surge-start-hour", warmup_days * 24) as u32;
-        let hours = args.u64("surge-hours", 2).max(1) as u32;
-        let start = TimeBucket(start_hour * BUCKETS_PER_HOUR);
-        let end = TimeBucket((start_hour + hours) * BUCKETS_PER_HOUR - 1);
-        SurgePlan::single(start, end, mult, args.u64("surge-seed", 0x5u64))
-    } else {
-        SurgePlan::default()
-    };
-
-    let cfg = FeedConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:4815").to_string(),
-        surge,
-        max_attempts: args.u64("max-attempts", 5).max(1) as u32,
-        max_backoff_ms: args.u64("max-backoff-ms", 2_000),
-        term: args.get("no-term").is_none_or(|v| v == "0"),
-    };
+    let cfg = feed_config(args, warmup_days);
     let summary =
         feed_world(&world, feed_range, &cfg, &WallClock).map_err(|e| format!("feed: {e}"))?;
     let mut out = String::new();
@@ -158,7 +128,105 @@ pub fn run_feed(args: &Args) -> Result<String, String> {
 
 /// One HTTP GET against a running daemon (default `/metrics`).
 pub fn run_scrape(args: &Args) -> Result<String, String> {
-    let addr = args.get("addr").unwrap_or("127.0.0.1:4816").to_string();
+    let addr = args.get("addr").unwrap_or(DEFAULT_HTTP_ADDR).to_string();
     let path = args.get("path").unwrap_or("/metrics").to_string();
     http_get(&addr, &path).map_err(|e| format!("scrape {addr}{path}: {e}"))
+}
+
+/// The daemon's ingest knobs: each flag overrides one field of
+/// [`DaemonConfig::default`].
+fn daemon_config(args: &Args) -> DaemonConfig {
+    let (d, a) = (DaemonConfig::default(), AdmissionConfig::default());
+    DaemonConfig {
+        admission: AdmissionConfig {
+            queue_cap_records: args.int("queue-cap", a.queue_cap_records),
+            shed_watermark_records: args.int("shed-watermark", a.shed_watermark_records),
+            per_loc_shed_cap: args.int("per-loc-shed-cap", a.per_loc_shed_cap),
+            retry_after_secs: args.u64("retry-after", a.retry_after_secs),
+        },
+        overload_sustained_ticks: args
+            .int("sustained-ticks", d.overload_sustained_ticks)
+            .max(1),
+    }
+}
+
+/// The feeder's knobs: each flag overrides one field of
+/// [`FeedConfig::default`]; a `--surge-mult` above 1 adds a surge.
+fn feed_config(args: &Args, warmup_days: u64) -> FeedConfig {
+    let d = FeedConfig::default();
+    let mult: u32 = args.int("surge-mult", 1).max(1);
+    let surge = if mult > 1 {
+        // Hours past the last bucket clamp to it: like hours past the
+        // fed days, they surge nothing.
+        let bucket = |hour: u64| {
+            let b = hour.saturating_mul(BUCKETS_PER_HOUR.into());
+            TimeBucket(u32::try_from(b).unwrap_or(u32::MAX))
+        };
+        let start_hour = args.u64("surge-start-hour", warmup_days * 24);
+        let end_hour = start_hour.saturating_add(args.u64("surge-hours", 2).max(1));
+        let (start, end) = (bucket(start_hour), bucket(end_hour).minus(1));
+        SurgePlan::single(start, end, mult, args.u64("surge-seed", 0x5))
+    } else {
+        d.surge
+    };
+    FeedConfig {
+        addr: args.get("addr").map_or(d.addr, str::to_string),
+        surge,
+        max_attempts: args.int("max-attempts", d.max_attempts).max(1),
+        max_backoff_ms: args.u64("max-backoff-ms", d.max_backoff_ms),
+        term: args.get("no-term").map_or(d.term, |v| v == "0"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(s: &[&str]) -> Args {
+        Args::parse_from(s.iter().map(|x| x.to_string()))
+    }
+
+    #[test]
+    fn no_flags_build_the_config_types_defaults() {
+        let none = Args::default();
+        let debug = |c: &dyn std::fmt::Debug| format!("{c:?}");
+        assert_eq!(
+            debug(&daemon_config(&none)),
+            debug(&DaemonConfig::default())
+        );
+        assert_eq!(debug(&feed_config(&none, 1)), debug(&FeedConfig::default()));
+    }
+
+    #[test]
+    fn flags_take_the_largest_value_their_field_holds() {
+        let max = args(&[
+            "--sustained-ticks",
+            "4294967295",
+            "--surge-mult",
+            "4294967295",
+        ]);
+        assert_eq!(daemon_config(&max).overload_sustained_ticks, 0xFFFF_FFFF);
+        let surge = feed_config(&max, 1).surge;
+        assert_eq!(
+            surge.multiplier_at(TimeBucket(24 * BUCKETS_PER_HOUR)),
+            0xFFFF_FFFF
+        );
+        // 4e8 hours × 12 buckets wrapped a `u32` to bucket 505 032 704.
+        let past = args(&["--surge-mult", "2", "--surge-start-hour", "400000000"]);
+        let surge = feed_config(&past, 1).surge;
+        assert_eq!(surge.multiplier_at(TimeBucket(505_032_704)), 1);
+        assert_eq!(surge.multiplier_at(TimeBucket(u32::MAX)), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "--sustained-ticks must fit in 32 bits, got 4294967296")]
+    fn a_watchdog_threshold_past_u32_is_refused() {
+        daemon_config(&args(&["--sustained-ticks", "4294967296"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "--surge-mult must fit in 32 bits, got 4294967297")]
+    fn a_surge_multiplier_past_u32_is_refused() {
+        let _ = feed_config(&args(&["--surge-mult", "4294967297"]), 1);
+    }
 }

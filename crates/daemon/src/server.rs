@@ -35,8 +35,6 @@ pub struct ServerConfig {
     pub ingest_addr: String,
     /// HTTP (metrics/alerts/health) listen address.
     pub http_addr: String,
-    /// Idle-loop pause, milliseconds.
-    pub poll_ms: u64,
 }
 
 impl Default for ServerConfig {
@@ -44,10 +42,15 @@ impl Default for ServerConfig {
         ServerConfig {
             ingest_addr: "127.0.0.1:0".to_string(),
             http_addr: "127.0.0.1:0".to_string(),
-            poll_ms: 5,
         }
     }
 }
+
+/// `blameitd`'s ingest address by default, and the feeder's.
+pub(crate) const DEFAULT_INGEST_ADDR: &str = "127.0.0.1:4815";
+
+/// `blameitd`'s HTTP address by default, and `scrape`'s.
+pub(crate) const DEFAULT_HTTP_ADDR: &str = "127.0.0.1:4816";
 
 /// What a serve loop did, for the exit report.
 #[derive(Clone, Debug, Default)]
@@ -62,6 +65,9 @@ pub struct ServeSummary {
     /// snapshot written.
     pub clean_shutdown: bool,
 }
+
+/// Idle-loop pause between accept polls, milliseconds.
+const IDLE_POLL_MS: u64 = 5;
 
 /// Read timeout on the feeder socket: how often a silent connection
 /// yields to the HTTP listener and the shutdown flag.
@@ -85,7 +91,6 @@ pub struct Server {
     pub ingest_addr: SocketAddr,
     /// Actual http address (resolves port 0).
     pub http_addr: SocketAddr,
-    poll_ms: u64,
 }
 
 impl Server {
@@ -100,7 +105,6 @@ impl Server {
             http_addr: http.local_addr()?,
             ingest,
             http,
-            poll_ms: cfg.poll_ms,
         })
     }
 
@@ -133,7 +137,7 @@ impl Server {
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    clock.sleep_ms(self.poll_ms);
+                    clock.sleep_ms(IDLE_POLL_MS);
                 }
                 Err(e) => return Err(DaemonError::Io(e)),
             }

@@ -101,12 +101,15 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "as-cast-truncation",
-        summary: "narrowing `as` casts in persist/, the daemon wire codec and the .scn parser: use try_from or annotate the range proof",
+        summary: "narrowing `as` casts in persist/, the daemon wire codec, the .scn parser and the flag parsers: use try_from or annotate the range proof",
         scope: Scope::Under(&[
             "crates/core/src/persist/",
             "crates/daemon/src/wire.rs",
             "crates/daemon/src/wal.rs",
             "crates/scenario/src/",
+            "crates/daemon/src/entry.rs",
+            "crates/cli/src/",
+            "crates/bench/src/",
         ]),
         exempt: &[],
         check: as_cast_truncation,
@@ -490,7 +493,7 @@ fn is_float_literal(text: &str) -> bool {
 
 // -------------------------------------------------------- as-cast-truncation
 
-/// Narrowing `as` casts in the codec paths.
+/// Narrowing `as` casts in the codec paths and the input parsers.
 ///
 /// `len() as u32` silently wraps past 4 GiB and `v as u8` drops high
 /// bits; in `persist/` and the daemon wire codec a wrapped length
@@ -498,9 +501,10 @@ fn is_float_literal(text: &str) -> bool {
 /// the decoder walks off the frame. In `crates/scenario` the value is
 /// an integer somebody typed into a `.scn` file: `tick_buckets =
 /// 4294967296` narrowed to 0 and the engine's run loop never advanced.
-/// Width changes on these paths must go through `try_from` (reject) or
-/// be annotated with the proof of range
-/// (`lint:allow(as-cast-truncation): …`).
+/// A flag parser's value comes from argv: `--sustained-ticks 4294967296`
+/// narrowed to 0. Width changes on these paths must go through
+/// `try_from` (reject; flags use `Args::int`) or be annotated with the
+/// proof of range (`lint:allow(as-cast-truncation): …`).
 fn as_cast_truncation(f: &FileCtx, out: &mut Vec<Diagnostic>) {
     let toks = f.toks;
     for i in 1..toks.len() {
@@ -1155,10 +1159,18 @@ mod tests {
             .len(),
             2
         );
-        assert_eq!(
-            check_one("as-cast-truncation", "crates/scenario/src/parse.rs", bad).len(),
-            2
-        );
+        for flags in [
+            "crates/scenario/src/parse.rs",
+            "crates/daemon/src/entry.rs",
+            "crates/cli/src/commands/inspect.rs",
+            "crates/bench/src/experiments/fig6.rs",
+        ] {
+            assert_eq!(
+                check_one("as-cast-truncation", flags, bad).len(),
+                2,
+                "{flags}"
+            );
+        }
         // Outside the codec scopes the rule is silent.
         assert!(check_one("as-cast-truncation", "crates/core/src/pipeline.rs", bad).is_empty());
         // Widening casts are fine.

@@ -28,10 +28,10 @@ fn lint_fixture(rule: &Rule, kind: &str) -> Report {
 #[test]
 fn every_fixture_expectation_holds() {
     let results = self_check(&repo_root()).expect("fixtures readable");
-    // {bad, good, allow} × (6 single-path lexical rules, the 4 + 6 + 3
+    // {bad, good, allow} × (6 single-path lexical rules, the 7 + 6 + 3
     // scope prefixes of as-cast-truncation, panic-in-decode and
     // sip-hasher, and the 2 workspace passes).
-    assert_eq!(results.len(), 3 * (6 + 13 + 2), "a fixture triple per path");
+    assert_eq!(results.len(), 3 * (6 + 16 + 2), "a fixture triple per path");
     let failures: Vec<String> = results
         .iter()
         .filter(|r| !r.pass)

@@ -10,7 +10,8 @@ pub fn encode_verdict_code(code: i64, out: &mut Vec<u8>) {
     out.push(code as u8);
 }
 
-// ... and so must a config integer read from a file: 2^32 becomes 0.
+// ... and so must a config integer read from a file or a flag: 2^32
+// becomes 0.
 pub fn tick_width(parsed: u64) -> u32 {
     parsed as u32
 }

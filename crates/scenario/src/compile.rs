@@ -75,11 +75,8 @@ pub fn compile(file: &str, spec: ScenarioSpec) -> Result<CompiledScenario, Scena
     }
     let eval = TimeRange::new(eval_start, eval_end);
 
-    // The tick width the engine will run with: the default or the
-    // file's override (thresholds play no part in it).
-    let mut engine = BlameItConfig::new(BadnessThresholds::uniform(0.0));
-    spec.apply(Target::Engine(&mut engine));
-    let tick_buckets = engine.tick_buckets;
+    // The tick width the engine will run with (thresholds play no part in it).
+    let tick_buckets = BlameItConfig::new(BadnessThresholds::uniform(0.0)).tick_buckets;
     let eval_ticks = eval.num_buckets() / tick_buckets;
     if eval_ticks == 0 {
         return Err(ScenarioError::whole(
@@ -515,18 +512,16 @@ duration_mins = 60
     #[test]
     fn engine_overrides_apply() {
         let text = format!(
-            "{BASE}[engine]\nprobe_deadline_budget_secs = 0\ntick_buckets = 2\nmax_alerts = 3\n"
+            "{BASE}[engine]\nprobe_deadline_budget_secs = 0\nbackground_period_secs = 3600\n\
+             flight_degraded_spike = 2\n"
         );
         let c = compiled(&text).unwrap();
         let cfg = c.engine_config(4);
         assert_eq!(cfg.probe_deadline_budget_secs, 0);
-        assert_eq!(cfg.tick_buckets, 2);
-        assert_eq!(cfg.max_alerts, 3);
+        assert_eq!(cfg.background_period_secs, 3600);
+        assert_eq!(cfg.flight_degraded_spike, 2);
         assert_eq!(cfg.parallelism, 4);
-        assert_eq!(
-            c.eval_ticks, 6,
-            "tick_buckets override reshapes the tick grid"
-        );
+        assert_eq!(c.eval_ticks, 4, "60 minutes of 15-minute ticks");
     }
 
     #[test]

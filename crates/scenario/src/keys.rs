@@ -319,16 +319,7 @@ pub const KEYS: &[Key] = &[
     Key::opt("world", "organic", head!(Bool => |s| Some(&mut s.world) => organic)),
     Key::opt("world", "churn_per_day", field!(F64 => World.churn_rate_per_day)),
     Key::opt("world", "evening_congestion_ms", field!(F64 => World.latency.evening_congestion_ms)),
-    Key::opt("world", "noise_sigma", field!(F64 => World.latency.noise_sigma)),
-    Key::opt("world", "spike_prob", field!(Rate => World.latency.spike_prob)),
-    Key::opt("world", "path_drift_prob", field!(Rate => World.latency.path_drift_prob)),
-    Key::opt("world", "broadband_per_metro", field!(Usize => World.topology.broadband_per_metro)),
-    Key::opt("world", "mobile_per_metro", field!(Usize => World.topology.mobile_per_metro)),
-    Key::opt("world", "tier1_count", field!(Usize => World.topology.tier1_count)),
-    Key::opt("world", "transits_per_region", field!(Usize => World.topology.transits_per_region)),
-    Key::opt("world", "secondary_loc_prob", field!(Rate => World.topology.secondary_loc_prob)),
     Key::opt("workload", "conns_per_client_bucket", field!(F64 => World.activity.conns_per_client_bucket)),
-    Key::opt("workload", "secondary_volume_frac", field!(Rate => World.activity.secondary_volume_frac)),
     Key::req("fault", "target", FAULT_TARGET),
     Key::req("fault", "start_hour", head!(F64 => |s| s.faults.last_mut() => start_hour)),
     Key::req("fault", "duration_mins", head!(U64 => |s| s.faults.last_mut() => duration_mins)),
@@ -337,13 +328,6 @@ pub const KEYS: &[Key] = &[
     Key::opt("chaos", "seed", head!(U64 => |s| s.chaos.as_mut() => seed)),
     Key::opt("chaos", "probe_timeout", field!(Rate => Chaos.probe_timeout)),
     Key::opt("chaos", "probe_truncate", field!(Rate => Chaos.probe_truncate)),
-    Key::opt("chaos", "probe_slow", field!(Rate => Chaos.probe_slow)),
-    Key::opt("chaos", "slow_by_secs", field!(U64 => Chaos.slow_by_secs)),
-    Key::opt("chaos", "drop_quartet_batch", field!(Rate => Chaos.drop_quartet_batch)),
-    Key::opt("chaos", "drop_route_info", field!(Rate => Chaos.drop_route_info)),
-    Key::opt("chaos", "churn_duplicate", field!(Rate => Chaos.churn_duplicate)),
-    Key::opt("chaos", "churn_delay", field!(Rate => Chaos.churn_delay)),
-    Key::opt("chaos", "churn_delay_secs", field!(U64 => Chaos.churn_delay_secs)),
     Key::req("crash", "kill_tick", head!(U64 => |s| s.crash.as_mut() => kill_tick)),
     Key::req("crash", "kill_point", head!(KillPoint => |s| s.crash.as_mut() => kill_point)),
     Key::opt("crash", "seed", head!(U64 => |s| s.crash.as_mut() => seed)),
@@ -354,21 +338,11 @@ pub const KEYS: &[Key] = &[
     Key::opt("overload", "queue_cap_records", field!(Usize => Daemon.admission.queue_cap_records)),
     Key::opt("overload", "shed_watermark_records", field!(Usize => Daemon.admission.shed_watermark_records)),
     Key::opt("overload", "per_loc_shed_cap", field!(Usize => Daemon.admission.per_loc_shed_cap)),
-    Key::opt("overload", "sustained_ticks", field!(U32 => Daemon.overload_sustained_ticks)),
     Key::opt("overload", "max_attempts", head!(U32 => |s| s.overload.as_mut() => max_attempts)),
-    Key::opt("engine", "probe_budget_per_loc", field!(Usize => Engine.probe_budget_per_loc)),
-    Key::opt("engine", "probe_max_attempts", field!(U32 => Engine.probe_max_attempts)),
-    Key::opt("engine", "probe_timeout_secs", field!(U64 => Engine.probe_timeout_secs)),
-    Key::opt("engine", "probe_backoff_base_secs", field!(U64 => Engine.probe_backoff_base_secs)),
     Key::opt("engine", "probe_deadline_budget_secs", field!(U64 => Engine.probe_deadline_budget_secs)),
     Key::opt("engine", "baseline_max_age_secs", field!(U64 => Engine.baseline_max_age_secs)),
     Key::opt("engine", "background_period_secs", field!(U64 => Engine.background_period_secs)),
-    Key::opt("engine", "churn_triggered", field!(Bool => Engine.churn_triggered)),
-    Key::opt("engine", "tick_buckets", field!(U32 => Engine.tick_buckets)).at_least(1),
-    Key::opt("engine", "max_alerts", field!(Usize => Engine.max_alerts)),
-    Key::opt("engine", "snapshot_every_ticks", field!(U32 => Engine.snapshot_every_ticks)),
     Key::opt("engine", "flight_degraded_spike", field!(U64 => Engine.flight_degraded_spike)),
-    Key::opt("engine", "flight_chaos_burst", field!(U64 => Engine.flight_chaos_burst)),
     Key::req("eval", "start_hour", head!(F64 => |s| Some(&mut s.eval) => start_hour)),
     Key::req("eval", "duration_mins", head!(U64 => |s| Some(&mut s.eval) => duration_mins)),
 ];
@@ -420,6 +394,33 @@ mod tests {
             undocumented.is_empty() && unknown.is_empty(),
             "docs/SCENARIOS.md and keys::KEYS disagree — in the table but not the \
              reference: {undocumented:?}; in the reference but not the table: {unknown:?}"
+        );
+    }
+
+    /// The rule that keeps the table small: a config-landing row is a
+    /// knob some scenario turns, so every one is set by at least one
+    /// file under `scenarios/` (tests and the CLI's heads do not count).
+    #[test]
+    fn every_override_row_is_set_by_some_scenario() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let mut set = BTreeSet::new();
+        for entry in std::fs::read_dir(dir).expect("scenarios/ is readable") {
+            let path = entry.expect("a scenarios/ entry").path();
+            if path.extension().is_some_and(|x| x == "scn") {
+                let spec = crate::parse::load_scenario(&path).expect("a shipped scenario loads");
+                set.extend(spec.overrides.iter().map(|o| (o.key.section, o.key.name)));
+            }
+        }
+        let unused: Vec<String> = KEYS
+            .iter()
+            .filter(|k| !matches!(k.land, Land::Spec(_)) && !set.contains(&(k.section, k.name)))
+            .map(|k| format!("[{}] {}", k.section, k.name))
+            .collect();
+        assert!(
+            unused.is_empty(),
+            "{} override rows no file under scenarios/ sets — make each a constant \
+             or add the scenario that needs it: {unused:?}",
+            unused.len()
         );
     }
 

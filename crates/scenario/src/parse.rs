@@ -410,15 +410,9 @@ duration_mins = 45
 
     #[test]
     fn an_integer_that_does_not_fit_its_field_is_rejected_where_it_is_written() {
-        // 2^32 used to be narrowed with `as u32`: `tick_buckets` became
-        // 0 and the engine's run loop never advanced; the others
-        // wrapped silently.
+        // 2^32 used to be narrowed with `as u32` and wrapped silently.
         for (section, key) in [
-            ("engine", "tick_buckets"),
-            ("engine", "probe_max_attempts"),
-            ("engine", "snapshot_every_ticks"),
             ("overload", "surge_mult"),
-            ("overload", "sustained_ticks"),
             ("overload", "max_attempts"),
             ("expect", "culprit_as"),
         ] {
@@ -432,9 +426,9 @@ duration_mins = 45
             let err = parse_scenario("m.scn", &fits).err();
             assert!(err.as_ref().is_none_or(|e| e.line != 9), "{key}: {err:?}");
         }
-        let zero = format!("{MINIMAL}\n[engine]\ntick_buckets = 0\n");
-        let err = parse_scenario("m.scn", &zero).unwrap_err();
-        assert_eq!(err.to_string(), "m.scn:9: tick_buckets must be ≥ 1, got 0");
+        let one = format!("{MINIMAL}\n[overload]\nsurge_mult = 1\n");
+        let err = parse_scenario("m.scn", &one).unwrap_err();
+        assert_eq!(err.to_string(), "m.scn:9: surge_mult must be ≥ 2, got 1");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Driven by the in-repo seeded harness in `blameit_topology::testkit`.
 
 use blameit::{
-    aggregate_batch_reuse, diff_contributions, ks_two_sample, prioritize, select_within_budget,
+    aggregate_batch_reuse, diff_contributions, ks_two_sample, prioritize, select_within_budgets,
     ClientCountHistory, DurationHistory, IngestArena, MiddleIssue, MiddleKey, QuartetStore,
     RecordBatch,
 };
@@ -171,7 +171,7 @@ fn budget_selection_is_ranked_prefix() {
         let total = issues.len();
         let ranked = prioritize(issues, &durations, &clients);
         let per_loc = rng.below(5) as usize;
-        let picked = select_within_budget(&ranked, per_loc);
+        let picked = select_within_budgets(&ranked, per_loc, usize::MAX);
         let mut used: std::collections::HashMap<CloudLocId, usize> =
             std::collections::HashMap::new();
         for p in &picked {
@@ -206,7 +206,7 @@ fn budget_selection_is_ranked_prefix() {
             assert!(std::ptr::eq(*g, *p));
         }
         // A budget covering everything selects everything, in order.
-        let all = select_within_budget(&ranked, total.max(1));
+        let all = select_within_budgets(&ranked, total.max(1), usize::MAX);
         assert_eq!(all.len(), ranked.len());
     });
 }

@@ -113,15 +113,16 @@ scenario_suite! {
 /// sections, truncation mid-file — the loader must return `Err` or a
 /// still-valid spec, never panic. Compilation of surviving specs must
 /// hold the same bar.
-/// A tick width of 2³²: narrowed with `as u32` it was 0, the windows
-/// were sized with `.max(1)`, the engine got 0 and its run loop never
-/// advanced. Now a load error on the line that says it.
-const TICK_WIDTH_PAST_U32: &str = "\
-name = zero-width-tick
+/// A surge multiplier of 2³²: narrowed with `as u32` it wrapped to 0.
+/// Now a load error on the line that says it.
+const SURGE_PAST_U32: &str = "\
+name = wrapped-surge
 [world]
 scale = tiny
-[engine]
-tick_buckets = 4294967296
+[overload]
+surge_mult = 4294967296
+surge_start_hour = 24
+surge_duration_mins = 30
 [eval]
 start_hour = 24
 duration_mins = 45
@@ -129,10 +130,10 @@ duration_mins = 45
 
 #[test]
 fn mutated_scenario_files_error_never_panic() {
-    let err = parse_scenario("wide.scn", TICK_WIDTH_PAST_U32).unwrap_err();
+    let err = parse_scenario("wide.scn", SURGE_PAST_U32).unwrap_err();
     assert_eq!(
         err.to_string(),
-        "wide.scn:5: tick_buckets must fit in 32 bits, got 4294967296"
+        "wide.scn:5: surge_mult must fit in 32 bits, got 4294967296"
     );
     let mut sources: Vec<String> = std::fs::read_dir(scenarios_dir())
         .expect("scenarios/ must exist")
@@ -141,7 +142,7 @@ fn mutated_scenario_files_error_never_panic() {
         .map(|p| std::fs::read_to_string(p).unwrap())
         .collect();
     assert!(sources.len() >= 7, "the shipped corpus feeds the fuzzer");
-    sources.push(TICK_WIDTH_PAST_U32.to_string());
+    sources.push(SURGE_PAST_U32.to_string());
     check("scenario_fuzz", 300, |rng| {
         let base = &sources[rng.index(sources.len())];
         let text = mutate(base, rng);
