@@ -56,7 +56,8 @@
 //!   retries, priority/budget position.
 //! * [`persist`] — durable engine state: versioned CRC'd snapshots, an
 //!   fsync'd tick journal, crash recovery by snapshot + deterministic
-//!   replay, and the kill-point crash harness hooks.
+//!   replay, all through one filesystem seam whose fault double is the
+//!   kill-point crash harness.
 //! * [`shard`] — the one scoped-thread fan-out primitive behind the
 //!   tick's parallel stages (`BlameItConfig::parallelism`); output is
 //!   byte-identical at any thread count.

@@ -1,24 +1,29 @@
 //! [`DurableEngine`]: the crash-safe tick loop.
 //!
-//! Wraps a [`BlameItEngine`] with the durable-tick protocol. Within
-//! one tick, the named kill points sit exactly where a real crash
-//! could interleave (protocol order):
+//! Wraps a [`BlameItEngine`] with the durable-tick protocol. Every
+//! file call goes through the engine's [`Fs`]; the crash harness is a
+//! [`FaultFs`](super::fs::FaultFs) whose kill-point table
+//! ([`Fault::crash`](super::fs::Fault::crash)) names the call each kill
+//! point interrupts (protocol order, kill points in brackets):
 //!
 //! ```text
-//! engine.tick ─► [mid-journal] ─► journal append+fsync ─► [post-journal]
-//!   ─► (snapshot due?) ─► [pre-snapshot] ─► encode
-//!   ─► [mid-snapshot-write] ─► temp+fsync+rename ─► prune
+//! engine.tick ─► journal write [mid-journal: torn]
+//!   ─► journal sync_data [post-journal: dies once it returns]
+//!   ─► (snapshot due?) ─► encode
+//!   ─► temp create+write+fsync [pre-snapshot: dies first;
+//!                               mid-snapshot-write: torn]
+//!   ─► rename ─► dir fsync ─► prune (a failure is counted, not fatal)
 //! ```
 //!
-//! A [`CrashPlan`] (from `blameit-simnet`) aborts the tick at a kill
-//! point, leaving the disk exactly as a real crash would: a torn
-//! journal record at `mid-journal`, a half-written temp file at
-//! `mid-snapshot-write`. Recovery ([`DurableEngine::open`]) loads the
-//! newest snapshot that passes its CRCs (falling back and counting
-//! rejects), truncates any torn journal tail, and deterministically
-//! replays the journaled ticks — verifying each tick's digest — so
-//! the resumed run is byte-identical to one that never crashed.
+//! A killed filesystem refuses every later call, so the tick returns
+//! the error and the disk stays exactly as a real crash would leave it.
+//! Recovery ([`DurableEngine::open`]) loads the newest snapshot that
+//! passes its CRCs (falling back and counting rejects), truncates any
+//! torn journal tail, and deterministically replays the journaled
+//! ticks — verifying each tick's digest — so the resumed run is
+//! byte-identical to one that never crashed.
 
+use super::fs::{Fs, StdFs};
 use super::journal::{fnv1a64, Journal, JournalRecord};
 use super::snapshot;
 use super::store::StateStore;
@@ -26,7 +31,7 @@ use super::PersistError;
 use crate::backend::Backend;
 use crate::pipeline::{BlameItConfig, BlameItEngine, TickOutput};
 use blameit_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use blameit_simnet::{CrashPlan, CrashPoint, TimeBucket, TimeRange};
+use blameit_simnet::{TimeBucket, TimeRange};
 use std::sync::Arc;
 
 /// Metric handles for the persistence layer.
@@ -34,6 +39,9 @@ use std::sync::Arc;
 pub struct PersistMetrics {
     /// `blameit_snapshots_written_total`.
     pub snapshots_written: Arc<Counter>,
+    /// `blameit_snapshot_prune_failures_total` — snapshot writes whose
+    /// unlink of a surplus older snapshot failed (not fatal).
+    pub snapshot_prune_failures: Arc<Counter>,
     /// `blameit_snapshots_rejected_total` — snapshots refused at load
     /// (CRC/version/structure failure).
     pub snapshots_rejected: Arc<Counter>,
@@ -66,6 +74,7 @@ impl PersistMetrics {
     pub fn new(registry: &MetricsRegistry) -> Self {
         PersistMetrics {
             snapshots_written: registry.counter("blameit_snapshots_written_total"),
+            snapshot_prune_failures: registry.counter("blameit_snapshot_prune_failures_total"),
             snapshots_rejected: registry.counter("blameit_snapshots_rejected_total"),
             snapshot_bytes: registry.histogram("blameit_snapshot_bytes"),
             snapshot_write_us: registry.histogram("blameit_snapshot_write_us"),
@@ -155,30 +164,41 @@ fn last_tick_digest(engine: &BlameItEngine) -> u64 {
 }
 
 /// A [`BlameItEngine`] wrapped in the durable-tick protocol.
-pub struct DurableEngine {
+pub struct DurableEngine<F: Fs = StdFs> {
     engine: BlameItEngine,
-    store: StateStore,
-    journal: Journal,
+    store: StateStore<F>,
+    journal: Journal<F>,
     metrics: PersistMetrics,
-    crash: Option<CrashPlan>,
     ticks_done: u64,
     last_snapshot_tick: u64,
     snapshot_every: u64,
 }
 
 impl DurableEngine {
-    /// Opens (or creates) the state directory in `cfg.state_dir`,
-    /// recovers state if any exists, and returns the engine plus a
-    /// [`RecoveryReport`]. `backend` is needed because recovery
-    /// *replays* journaled ticks through the real pipeline — that is
-    /// what guarantees the resumed run is byte-identical.
+    /// [`DurableEngine::open_in`] on the real filesystem.
     pub fn open<B: Backend>(
         cfg: BlameItConfig,
         registry: Arc<MetricsRegistry>,
         backend: &mut B,
     ) -> Result<(DurableEngine, RecoveryReport), PersistError> {
+        DurableEngine::open_in(StdFs, cfg, registry, backend)
+    }
+}
+
+impl<F: Fs> DurableEngine<F> {
+    /// Opens (or creates) the state directory in `cfg.state_dir` on
+    /// `fs`, recovers state if any exists, and returns the engine plus
+    /// a [`RecoveryReport`]. `backend` is needed because recovery
+    /// *replays* journaled ticks through the real pipeline — that is
+    /// what guarantees the resumed run is byte-identical.
+    pub fn open_in<B: Backend>(
+        fs: F,
+        cfg: BlameItConfig,
+        registry: Arc<MetricsRegistry>,
+        backend: &mut B,
+    ) -> Result<(DurableEngine<F>, RecoveryReport), PersistError> {
         let dir = cfg.state_dir.clone().ok_or(PersistError::NoStateDir)?;
-        let store = StateStore::create(&dir)?;
+        let store = StateStore::create_in(fs.clone(), &dir)?;
         let metrics = PersistMetrics::new(&registry);
         let snapshot_every = cfg.snapshot_every_ticks.max(1) as u64;
         let seed = cfg.seed;
@@ -189,7 +209,8 @@ impl DurableEngine {
         let mut rejected = 0usize;
         let mut loaded: Option<u64> = None;
         for (_, path) in store.list_snapshots()?.iter().rev() {
-            let outcome = std::fs::read(path)
+            let outcome = fs
+                .read(path)
                 .map_err(PersistError::from)
                 .and_then(|bytes| snapshot::decode(&bytes).map_err(PersistError::from))
                 .and_then(|state| state.apply(&mut engine));
@@ -212,7 +233,7 @@ impl DurableEngine {
         // Journal: opening checks the seed and drops a torn tail; then
         // replay everything the snapshot does not already cover,
         // verifying digests.
-        let (journal, scan) = Journal::open(&dir, seed)?;
+        let (journal, scan) = Journal::open_in(fs, &dir, seed)?;
         let mut replayed: Vec<TickOutput> = Vec::new();
         let mut ticks_done = 0;
         if let Some(snap_ticks) = loaded {
@@ -275,18 +296,12 @@ impl DurableEngine {
                 store,
                 journal,
                 metrics,
-                crash: None,
                 ticks_done,
                 last_snapshot_tick,
                 snapshot_every,
             },
             report,
         ))
-    }
-
-    /// Installs (or clears) a kill-point plan — crash-harness only.
-    pub fn set_crash_plan(&mut self, plan: Option<CrashPlan>) {
-        self.crash = plan;
     }
 
     /// The wrapped engine.
@@ -322,26 +337,25 @@ impl DurableEngine {
         Ok(())
     }
 
-    /// Writes a snapshot immediately (no kill points — this is the
-    /// deliberate checkpoint path, not the in-tick protocol).
+    /// Writes a snapshot immediately (the deliberate checkpoint path,
+    /// outside the in-tick protocol).
     pub fn checkpoint_now(&mut self) -> Result<(), PersistError> {
-        self.write_snapshot(None)
+        self.write_snapshot()
     }
 
     /// The one snapshot-write sequence: encode the engine's state after
-    /// `ticks_done` ticks, write it, account for it. With `tear` (the
-    /// `mid-snapshot-write` kill point) only that fraction of the temp
-    /// file reaches the disk and the call reports the crash.
-    fn write_snapshot(&mut self, tear: Option<f64>) -> Result<(), PersistError> {
+    /// `ticks_done` ticks, write it, prune, account for it. The snapshot
+    /// counts once its write returns: it is durable then. A failed
+    /// unlink of a surplus older snapshot is only counted — the next
+    /// snapshot's prune retries it.
+    fn write_snapshot(&mut self) -> Result<(), PersistError> {
         // lint:allow(wall-clock): times the snapshot write for the snapshot_write_us metric only; never reaches engine state
         let t0 = std::time::Instant::now();
         let bytes = snapshot::encode(&self.engine, self.ticks_done);
-        if let Some(tear) = tear {
-            self.store
-                .write_snapshot_torn(self.ticks_done, &bytes, tear)?;
-            return Err(PersistError::Crashed(CrashPoint::MidSnapshotWrite));
-        }
         self.store.write_snapshot(self.ticks_done, &bytes)?;
+        if self.store.prune().is_err() {
+            self.metrics.snapshot_prune_failures.inc();
+        }
         self.metrics.snapshots_written.inc();
         self.metrics.snapshot_bytes.observe(bytes.len() as f64);
         self.metrics
@@ -353,49 +367,29 @@ impl DurableEngine {
         Ok(())
     }
 
-    fn crash_fires(&self, tick: u64, point: CrashPoint) -> Option<f64> {
-        let plan = self.crash.as_ref()?;
-        if plan.fires(tick, point) {
-            Some(plan.tear_fraction(tick, point))
-        } else {
-            None
-        }
-    }
-
     /// One durable tick: run the engine, journal the output (fsync),
-    /// snapshot when due. On a simulated crash the tick's output is
-    /// *not* returned — exactly like a real crash, the caller never
-    /// sees it and recovery must re-derive it.
+    /// snapshot when due. On an error — a killed filesystem's included —
+    /// the tick's output is *not* returned: like a real crash, the
+    /// caller never sees it and recovery must re-derive it.
     pub fn tick<B: Backend>(
         &mut self,
         backend: &mut B,
         start: TimeBucket,
     ) -> Result<TickOutput, PersistError> {
-        let idx = self.ticks_done;
         let out = self.engine.tick(backend, start);
         let rec = JournalRecord {
-            tick: idx,
+            tick: self.ticks_done,
             bucket: start,
             digest: last_tick_digest(&self.engine),
         };
-        if let Some(tear) = self.crash_fires(idx, CrashPoint::MidJournal) {
-            self.journal.append_torn(&rec, tear)?;
-            return Err(PersistError::Crashed(CrashPoint::MidJournal));
-        }
         self.journal.append(&rec)?;
-        if self.crash_fires(idx, CrashPoint::PostJournal).is_some() {
-            return Err(PersistError::Crashed(CrashPoint::PostJournal));
-        }
         self.ticks_done += 1;
         self.metrics
             .journal_lag_ticks
             .set((self.ticks_done - self.last_snapshot_tick) as f64);
 
         if self.ticks_done - self.last_snapshot_tick >= self.snapshot_every {
-            if self.crash_fires(idx, CrashPoint::PreSnapshot).is_some() {
-                return Err(PersistError::Crashed(CrashPoint::PreSnapshot));
-            }
-            self.write_snapshot(self.crash_fires(idx, CrashPoint::MidSnapshotWrite))?;
+            self.write_snapshot()?;
         }
         Ok(out)
     }

@@ -18,6 +18,7 @@
 use super::codec::{
     codec_struct, decode_exact, write_section_with, Codec, CodecError, KIND_JOURNAL,
 };
+use super::fs::{Fs, StdFs};
 use super::log::{self, Log, LogScan, Tail, JOURNAL_FILE};
 use super::PersistError;
 use crate::pipeline::TickOutput;
@@ -131,7 +132,7 @@ impl Reader {
 /// still useful.
 pub fn scan(dir: &Path) -> Result<Option<JournalScan>, PersistError> {
     let mut reader = Reader::default();
-    log::scan_file(&journal_path(dir), KIND_JOURNAL, |id, p| {
+    log::scan_file(&StdFs, &journal_path(dir), KIND_JOURNAL, |id, p| {
         reader.accept(id, p)
     })?
     .map(|scan| reader.finish(scan))
@@ -140,19 +141,31 @@ pub fn scan(dir: &Path) -> Result<Option<JournalScan>, PersistError> {
 
 /// An open journal, appending fsync'd records.
 #[derive(Debug)]
-pub struct Journal {
-    log: Log,
+pub struct Journal<F: Fs = StdFs> {
+    log: Log<F>,
     seed: u64,
 }
 
 impl Journal {
-    /// Opens the journal in `dir` (creating it when absent), drops a
-    /// torn tail, and returns what it held. An existing journal must
-    /// carry the same seed — replaying another seed's records would
-    /// silently diverge.
+    /// [`Journal::open_in`] on the real filesystem.
     pub fn open(dir: &Path, seed: u64) -> Result<(Journal, JournalScan), PersistError> {
+        Journal::open_in(StdFs, dir, seed)
+    }
+}
+
+impl<F: Fs> Journal<F> {
+    /// Opens the journal in `dir` on `fs` (creating it when absent),
+    /// drops a torn tail, and returns what it held. An existing journal
+    /// must carry the same seed — replaying another seed's records
+    /// would silently diverge.
+    pub fn open_in(
+        fs: F,
+        dir: &Path,
+        seed: u64,
+    ) -> Result<(Journal<F>, JournalScan), PersistError> {
         let mut reader = Reader::default();
-        let (log, scan) = Log::open(
+        let (log, scan) = Log::open_in(
+            fs,
             &journal_path(dir),
             KIND_JOURNAL,
             |w| write_section_with(w, SEC_SEED, |w| seed.put(w)),
@@ -179,12 +192,6 @@ impl Journal {
     /// Appends one record and fsyncs — on return the tick is durable.
     pub fn append(&mut self, rec: &JournalRecord) -> std::io::Result<()> {
         self.log.append(SEC_TICK, |w| rec.put(w)).map(drop)
-    }
-
-    /// Appends only a prefix of the record — the kill-point harness's
-    /// torn write (see [`Log::append_torn`]).
-    pub fn append_torn(&mut self, rec: &JournalRecord, fraction: f64) -> std::io::Result<()> {
-        self.log.append_torn(SEC_TICK, |w| rec.put(w), fraction)
     }
 }
 

@@ -3,7 +3,8 @@
 //! the daemon's ingest WAL are this type, so the workspace has one
 //! valid-prefix scan ([`scan`]), one torn-tail truncation
 //! ([`Log::open`]) and one temp-file + fsync + rename + dir-fsync
-//! create ([`write_atomic`], shared with snapshots). A typed user
+//! create ([`write_atomic`], shared with snapshots). Every file call
+//! goes through the log's [`Fs`]. A typed user
 //! brings a file kind, its section payloads, and an `accept` callback
 //! saying whether a CRC-valid section is one it trusts.
 //!
@@ -29,10 +30,9 @@
 //! the same way; an id's layout never changes.
 
 use super::codec::{self, ByteWriter, CodecError, KeyRuns};
+use super::fs::{list_by, parent_dir, AppendFile, Fs, StdFs};
 use super::PersistError;
 use crate::columnar::RecordBatch;
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The tick journal's file name inside a state directory.
@@ -57,26 +57,14 @@ pub fn segment_path(active: &Path, seq: u64) -> PathBuf {
 
 /// Every sealed segment of `active` on disk as `(seq, path)`, oldest
 /// first. The active file itself is not listed.
-pub fn list_segments(active: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+pub fn list_segments(fs: &impl Fs, active: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     let prefix = format!(
         "{}.",
         active.file_name().unwrap_or_default().to_string_lossy()
     );
-    let dir = match active.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let seq = name.to_str().and_then(|n| n.strip_prefix(&prefix));
-        if let Some(Ok(seq)) = seq.map(str::parse::<u64>) {
-            out.push((seq, entry.path()));
-        }
-    }
-    out.sort_unstable();
-    Ok(out)
+    list_by(fs, parent_dir(active), |name| {
+        name.strip_prefix(&prefix)?.parse().ok()
+    })
 }
 
 /// The ingest WAL's trust rule, shared by the daemon's replay and
@@ -151,75 +139,91 @@ pub fn scan(
 
 /// [`scan`] over the file at `path`; `Ok(None)` when it does not exist.
 pub fn scan_file(
+    fs: &impl Fs,
     path: &Path,
     kind: u8,
     accept: impl FnMut(u8, &[u8]) -> bool,
 ) -> Result<Option<LogScan>, PersistError> {
-    match fs::read(path) {
+    match fs.read(path) {
         Ok(bytes) => Ok(Some(scan(&bytes, kind, accept)?)),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e.into()),
     }
 }
 
+/// The hidden temp name a file named `name` is staged under.
+pub fn tmp_name(name: &str) -> String {
+    format!(".{name}.tmp")
+}
+
 /// Where [`write_atomic`] stages the new contents of `path`: a hidden
-/// `.tmp` sibling, which `StateStore` lists as crash residue and
-/// loaders never open.
+/// `.tmp` sibling ([`tmp_name`]), which `StateStore` lists as crash
+/// residue and loaders never open.
 pub fn tmp_path(path: &Path) -> PathBuf {
     let name = path.file_name().unwrap_or_default().to_string_lossy();
-    path.with_file_name(format!(".{name}.tmp"))
+    path.with_file_name(tmp_name(&name))
 }
 
 /// Replaces `path` with `bytes` so that a crash at any point leaves
 /// either the old file or the new one, whole: write a temp sibling,
 /// fsync it, rename it over, fsync the directory so the rename itself
-/// is durable (a no-op where directories cannot be opened).
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// is durable. Any failure, the directory fsync's included, is an
+/// error: the replacement may not survive a power cut.
+pub fn write_atomic(fs: &impl Fs, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = tmp_path(path);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    if let Some(Ok(dir)) = path.parent().map(File::open) {
-        let _ = dir.sync_all();
-    }
-    Ok(())
+    fs.create_write(&tmp, bytes)?;
+    fs.rename(&tmp, path)?;
+    fs.sync_dir(path)
 }
 
 /// A log open for appending.
 #[derive(Debug)]
-pub struct Log {
+pub struct Log<F: Fs = StdFs> {
+    fs: F,
     path: PathBuf,
     kind: u8,
-    file: File,
+    file: F::File,
     /// Encode scratch, reused across appends.
     buf: ByteWriter,
 }
 
 impl Log {
-    /// Opens the log at `path` and truncates anything past its valid
-    /// prefix so the next append starts on a section boundary. An
-    /// absent or empty file is first created, atomically, holding the
-    /// sections `init` writes. `accept` sees every CRC-valid section in
-    /// order — it is both the typed user's trust check and its replay.
+    /// [`Log::open_in`] on the real filesystem.
     pub fn open(
         path: &Path,
         kind: u8,
         init: impl FnOnce(&mut ByteWriter),
         accept: impl FnMut(u8, &[u8]) -> bool,
     ) -> Result<(Log, LogScan), PersistError> {
+        Log::open_in(StdFs, path, kind, init, accept)
+    }
+}
+
+impl<F: Fs> Log<F> {
+    /// Opens the log at `path` on `fs` and truncates anything past its
+    /// valid prefix so the next append starts on a section boundary. An
+    /// absent or empty file is first created, atomically, holding the
+    /// sections `init` writes. `accept` sees every CRC-valid section in
+    /// order — it is both the typed user's trust check and its replay.
+    pub fn open_in(
+        fs: F,
+        path: &Path,
+        kind: u8,
+        init: impl FnOnce(&mut ByteWriter),
+        accept: impl FnMut(u8, &[u8]) -> bool,
+    ) -> Result<(Log<F>, LogScan), PersistError> {
         let mut log = Log {
+            file: fs.open_append(path)?,
+            fs,
             path: path.to_path_buf(),
             kind,
-            file: OpenOptions::new().append(true).create(true).open(path)?,
             buf: ByteWriter::new(),
         };
-        if log.file.metadata()?.len() == 0 {
+        let mut bytes = log.fs.read(path)?;
+        if bytes.is_empty() {
             log.rewrite(init)?;
+            bytes = log.fs.read(path)?;
         }
-        let bytes = fs::read(path)?;
         let scan = scan(&bytes, kind, accept)?;
         if scan.trailing_bytes > 0 {
             log.file.set_len(scan.valid_len)?;
@@ -233,6 +237,11 @@ impl Log {
         &self.path
     }
 
+    /// The filesystem the log reads and writes through.
+    pub fn fs(&self) -> &F {
+        &self.fs
+    }
+
     /// Atomically replaces the log's contents with exactly the sections
     /// `fill` writes; appends continue after them. A crash mid-rewrite
     /// leaves the old log intact. This is the create/reset primitive
@@ -244,8 +253,8 @@ impl Log {
         let mut w = ByteWriter::new();
         codec::write_preamble(&mut w, self.kind);
         fill(&mut w);
-        write_atomic(&self.path, w.as_bytes())?;
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        write_atomic(&self.fs, &self.path, w.as_bytes())?;
+        self.file = self.fs.open_append(&self.path)?;
         Ok(())
     }
 
@@ -253,44 +262,24 @@ impl Log {
     /// log under the old name (atomic create, directory fsync'd — which
     /// makes the rename durable too). Nothing is copied or re-encoded. A
     /// crash after the rename leaves no file under the old name, which
-    /// the next [`Log::open`] creates; a failure after it puts the name
-    /// back, so the log keeps appending to the file it had.
+    /// the next [`Log::open`] creates; a failure after it (the directory
+    /// fsync's included) puts the name back, so the log keeps appending
+    /// to the file it had and the next seal moves it.
     pub fn seal_to(&mut self, sealed: &Path) -> std::io::Result<()> {
-        fs::rename(&self.path, sealed)?;
+        self.fs.rename(&self.path, sealed)?;
         self.rewrite(|_| {}).inspect_err(|_| {
             // The open handle followed the file; make the name agree.
-            let _ = fs::rename(sealed, &self.path);
+            let _ = self.fs.rename(sealed, &self.path);
         })
-    }
-
-    fn encode(&mut self, id: u8, body: impl FnOnce(&mut ByteWriter)) {
-        self.buf.clear();
-        codec::write_section_with(&mut self.buf, id, body);
     }
 
     /// Appends one section whose payload `body` writes, and fsyncs — on
     /// return the section is durable. Returns the bytes appended.
     pub fn append(&mut self, id: u8, body: impl FnOnce(&mut ByteWriter)) -> std::io::Result<u64> {
-        self.encode(id, body);
+        self.buf.clear();
+        codec::write_section_with(&mut self.buf, id, body);
         self.file.write_all(self.buf.as_bytes())?;
         self.file.sync_data()?;
         Ok(self.buf.len() as u64)
-    }
-
-    /// Appends only a prefix of the section — the kill-point harness's
-    /// torn write. `fraction` of its bytes reach the file (at least 1,
-    /// never the whole CRC) and no fsync happens, exactly as a crash
-    /// mid-append would leave it.
-    pub fn append_torn(
-        &mut self,
-        id: u8,
-        body: impl FnOnce(&mut ByteWriter),
-        fraction: f64,
-    ) -> std::io::Result<()> {
-        self.encode(id, body);
-        let bytes = self.buf.as_bytes();
-        let n = ((bytes.len() as f64 * fraction) as usize).clamp(1, bytes.len() - 2);
-        // lint:allow(panic-in-decode): write path — n is clamped below the section's own length (≥ 13 bytes)
-        self.file.write_all(&bytes[..n])
     }
 }

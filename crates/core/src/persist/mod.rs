@@ -7,6 +7,14 @@
 //! `no_baseline`/`insufficient` for days. This module makes the engine
 //! survive crashes mid-tick:
 //!
+//! * [`fs`] — the filesystem seam: every file call below goes through
+//!   an [`fs::Fs`] — [`fs::StdFs`], the real one, by default. Its
+//!   double [`fs::FaultFs`] counts calls and is the crash harness:
+//!   [`fs::Fault::crash`] maps each kill point to the call it
+//!   interrupts (`mid-journal` tears the journal write, `post-journal`
+//!   dies once the journal's `sync_data` returns, `pre-snapshot` dies
+//!   at the snapshot temp file's create, `mid-snapshot-write` tears
+//!   that create), and a killed `FaultFs` refuses every later call.
 //! * [`codec`] — hand-rolled, versioned, CRC-per-section byte framing.
 //!   Any bit flip past the 7-byte preamble fails a CRC; preamble flips
 //!   fail a value check. Decoding never panics on garbage. Every
@@ -26,9 +34,9 @@
 //!   the seeded engine, verifying each digest.
 //! * [`store`] — snapshot files, last-N retention, `wipe`, and the
 //!   `fsck` invariant checker over snapshots and both logs.
-//! * [`durable`] — [`DurableEngine`], the tick loop with named kill
-//!   points wired to [`blameit_simnet::CrashPlan`] so the crash
-//!   harness can abort at exactly the moments a real crash would.
+//! * [`durable`] — [`DurableEngine`], the durable-tick protocol:
+//!   engine tick, journal append, snapshot when due. It carries no
+//!   harness; a crash is something its filesystem does.
 //!
 //! The durability contract leans entirely on the engine's
 //! byte-determinism: state + seed + backend fully determine every
@@ -41,18 +49,18 @@
 
 pub mod codec;
 pub mod durable;
+pub mod fs;
 pub mod journal;
 pub mod log;
 pub mod snapshot;
 pub mod store;
 
+pub use self::fs::{Fault, FaultFs, Fs, StdFs};
 pub use codec::CodecError;
 pub use durable::{DurableEngine, PersistMetrics, RecoveryReport, StartMode};
 pub use journal::{tick_digest, Journal, JournalRecord};
 pub use snapshot::{SnapshotCounters, SnapshotState};
 pub use store::{fsck, FsckReport, StateStore};
-
-use blameit_simnet::CrashPoint;
 
 /// Why a persistence operation failed.
 #[derive(Debug)]
@@ -76,10 +84,6 @@ pub enum PersistError {
         /// Digest the replay produced.
         got: u64,
     },
-    /// A simulated crash fired (kill-point harness only): the tick
-    /// aborted with on-disk state exactly as a real crash would leave
-    /// it.
-    Crashed(CrashPoint),
 }
 
 impl std::fmt::Display for PersistError {
@@ -97,7 +101,6 @@ impl std::fmt::Display for PersistError {
                 f,
                 "replay diverged at tick {tick}: journal digest {expected:016x}, replay {got:016x}"
             ),
-            PersistError::Crashed(p) => write!(f, "simulated crash at {p}"),
         }
     }
 }

@@ -3,45 +3,56 @@
 //! Snapshots are named `snapshot-<ticks_done, zero-padded>.snap` and
 //! written through [`log::write_atomic`] (temp sibling, fsync, rename,
 //! directory fsync). A crash mid-write leaves only a hidden `.tmp`
-//! file that loaders never look at. The last
-//! [`StateStore::DEFAULT_RETAIN`] snapshots are kept so a corrupted
-//! newest file falls back to an older one (the journal is never
-//! truncated, so older snapshots can always replay forward).
+//! file that loaders never look at. The last [`RETAIN`] snapshots are
+//! kept so a corrupted newest file falls back to an older one (the
+//! journal is never truncated, so older snapshots can always replay
+//! forward).
 
 use super::codec::KIND_INGEST_WAL;
+use super::fs::{list_by, Fs, StdFs};
 use super::log::{self, Tail, JOURNAL_FILE, WAL_FILE};
 use super::{journal, snapshot};
-use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 const SNAP_PREFIX: &str = "snapshot-";
 const SNAP_SUFFIX: &str = ".snap";
-const TMP_SUFFIX: &str = ".tmp";
+/// Snapshots kept on disk: the newest three.
+const RETAIN: usize = 3;
+
+/// The file name of the snapshot taken after `ticks_done` ticks.
+pub(super) fn snapshot_name(ticks_done: u64) -> String {
+    format!("{SNAP_PREFIX}{ticks_done:010}{SNAP_SUFFIX}")
+}
+
+/// The `ticks_done` a snapshot file name carries.
+pub(super) fn parse_snapshot_name(name: &str) -> Option<u64> {
+    name.strip_prefix(SNAP_PREFIX)?
+        .strip_suffix(SNAP_SUFFIX)?
+        .parse()
+        .ok()
+}
 
 /// A state directory holding snapshots (and the journal).
 #[derive(Clone, Debug)]
-pub struct StateStore {
+pub struct StateStore<F: Fs = StdFs> {
+    fs: F,
     dir: PathBuf,
-    retain: usize,
 }
 
 impl StateStore {
-    /// Snapshots kept on disk (newest N).
-    pub const DEFAULT_RETAIN: usize = 3;
-
-    /// Opens (creating if needed) the state directory.
-    pub fn create(dir: impl Into<PathBuf>) -> std::io::Result<StateStore> {
-        Self::with_retain(dir, Self::DEFAULT_RETAIN)
+    /// [`StateStore::create_in`] on the real filesystem.
+    pub fn create(dir: impl Into<PathBuf>) -> io::Result<StateStore> {
+        StateStore::create_in(StdFs, dir)
     }
+}
 
-    /// Opens with a custom retention count (≥ 1).
-    pub fn with_retain(dir: impl Into<PathBuf>, retain: usize) -> std::io::Result<StateStore> {
+impl<F: Fs> StateStore<F> {
+    /// Opens (creating if needed) the state directory on `fs`.
+    pub fn create_in(fs: F, dir: impl Into<PathBuf>) -> io::Result<StateStore<F>> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(StateStore {
-            dir,
-            retain: retain.max(1),
-        })
+        fs.create_dir_all(&dir)?;
+        Ok(StateStore { fs, dir })
     }
 
     /// The directory.
@@ -51,62 +62,26 @@ impl StateStore {
 
     /// The final path of the snapshot taken after `ticks_done` ticks.
     pub fn snapshot_path(&self, ticks_done: u64) -> PathBuf {
-        self.dir
-            .join(format!("{SNAP_PREFIX}{ticks_done:010}{SNAP_SUFFIX}"))
+        self.dir.join(snapshot_name(ticks_done))
     }
 
     /// Every snapshot on disk as `(ticks_done, path)`, ascending.
-    pub fn list_snapshots(&self) -> std::io::Result<Vec<(u64, PathBuf)>> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(tick) = parse_snapshot_name(name) {
-                out.push((tick, entry.path()));
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+    pub fn list_snapshots(&self) -> io::Result<Vec<(u64, PathBuf)>> {
+        list_by(&self.fs, &self.dir, parse_snapshot_name)
     }
 
     /// Leftover `.tmp` files (crash residue; harmless but reportable).
-    pub fn list_tmp_files(&self) -> std::io::Result<Vec<PathBuf>> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.ends_with(TMP_SUFFIX) && name.starts_with('.') {
-                out.push(entry.path());
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+    pub fn list_tmp_files(&self) -> io::Result<Vec<PathBuf>> {
+        let tmp = |name: &str| (name.starts_with('.') && name.ends_with(".tmp")).then_some(());
+        let found = list_by(&self.fs, &self.dir, tmp)?;
+        Ok(found.into_iter().map(|(_, path)| path).collect())
     }
 
-    /// Writes a snapshot atomically and prunes beyond the retention
-    /// count.
-    pub fn write_snapshot(&self, ticks_done: u64, bytes: &[u8]) -> std::io::Result<PathBuf> {
+    /// Writes a snapshot atomically; on `Ok` it is durable.
+    pub fn write_snapshot(&self, ticks_done: u64, bytes: &[u8]) -> io::Result<PathBuf> {
         let path = self.snapshot_path(ticks_done);
-        log::write_atomic(&path, bytes)?;
-        self.prune()?;
+        log::write_atomic(&self.fs, &path, bytes)?;
         Ok(path)
-    }
-
-    /// Writes only a prefix of the snapshot's temp file and *never*
-    /// renames — the kill-point harness's half-written snapshot. The
-    /// previous snapshot remains the newest valid one.
-    pub fn write_snapshot_torn(
-        &self,
-        ticks_done: u64,
-        bytes: &[u8],
-        fraction: f64,
-    ) -> std::io::Result<PathBuf> {
-        let tmp = log::tmp_path(&self.snapshot_path(ticks_done));
-        let n = ((bytes.len() as f64 * fraction) as usize).clamp(1, bytes.len().saturating_sub(1));
-        fs::write(&tmp, &bytes[..n])?;
-        Ok(tmp)
     }
 
     /// Removes every blameit-owned file in the directory — snapshots,
@@ -114,36 +89,34 @@ impl StateStore {
     /// segments included — so a fresh (non-resume) run neither trips
     /// over another run's identity nor replays its queued batches.
     /// Foreign files are left alone. Returns the number removed.
-    pub fn wipe(&self) -> std::io::Result<usize> {
-        let mut removed = 0usize;
-        for (_, path) in self.list_snapshots()? {
-            fs::remove_file(path)?;
-            removed += 1;
+    pub fn wipe(&self) -> io::Result<usize> {
+        let mut doomed: Vec<PathBuf> = self.list_tmp_files()?;
+        let segments = log::list_segments(&self.fs, &self.dir.join(WAL_FILE))?;
+        for (_, path) in self.list_snapshots()?.into_iter().chain(segments) {
+            doomed.push(path);
         }
-        for path in self.list_tmp_files()? {
-            fs::remove_file(path)?;
-            removed += 1;
+        for path in &doomed {
+            self.fs.remove_file(path)?;
         }
-        for (_, path) in log::list_segments(&self.dir.join(WAL_FILE))? {
-            fs::remove_file(path)?;
-            removed += 1;
-        }
+        let mut removed = doomed.len();
         for name in [JOURNAL_FILE, WAL_FILE] {
-            let path = self.dir.join(name);
-            if path.exists() {
-                fs::remove_file(path)?;
-                removed += 1;
+            match self.fs.remove_file(&self.dir.join(name)) {
+                Ok(()) => removed += 1,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(removed)
     }
 
-    fn prune(&self) -> std::io::Result<()> {
+    /// Unlinks the snapshots beyond the newest [`RETAIN`], oldest
+    /// first. An error leaves the rest for the next prune, which lists
+    /// the directory afresh.
+    pub fn prune(&self) -> io::Result<()> {
         let snaps = self.list_snapshots()?;
-        if snaps.len() > self.retain {
-            for (_, path) in &snaps[..snaps.len() - self.retain] {
-                fs::remove_file(path)?;
-            }
+        let surplus = snaps.len().saturating_sub(RETAIN);
+        for (_, path) in &snaps[..surplus] {
+            self.fs.remove_file(path)?;
         }
         Ok(())
     }
@@ -154,13 +127,6 @@ fn file_name(path: &Path) -> String {
     path.file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_default()
-}
-
-fn parse_snapshot_name(name: &str) -> Option<u64> {
-    name.strip_prefix(SNAP_PREFIX)?
-        .strip_suffix(SNAP_SUFFIX)?
-        .parse()
-        .ok()
 }
 
 /// One fsck finding.
@@ -283,12 +249,16 @@ pub fn fsck(dir: &Path) -> FsckReport {
         wal_batches: 0,
         wal_segments: 0,
     };
-    if !dir.is_dir() {
-        report.push(FsckSeverity::Error, "state directory does not exist");
-        return report;
-    }
-    let store = match StateStore::create(dir) {
-        Ok(s) => s,
+    let store = StateStore {
+        fs: StdFs,
+        dir: dir.to_path_buf(),
+    };
+    let snaps = match store.list_snapshots() {
+        Ok(snaps) => snaps,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            report.push(FsckSeverity::Error, "state directory does not exist");
+            return report;
+        }
         Err(e) => {
             report.push(FsckSeverity::Error, format!("cannot open directory: {e}"));
             return report;
@@ -298,11 +268,10 @@ pub fn fsck(dir: &Path) -> FsckReport {
     let mut seeds: Vec<(String, u64)> = Vec::new();
     let mut max_snapshot_ticks = 0u64;
     let mut newest_valid: Option<(String, Vec<u8>)> = None;
-    let snaps = store.list_snapshots().unwrap_or_default();
     for (tick, path) in &snaps {
         report.snapshots_checked += 1;
         let name = file_name(path);
-        let bytes = match fs::read(path) {
+        let bytes = match StdFs.read(path) {
             Ok(b) => b,
             Err(e) => {
                 report.push(FsckSeverity::Error, format!("{name}: unreadable: {e}"));
@@ -418,7 +387,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
 /// absent is normal.
 fn fsck_wal(dir: &Path, report: &mut FsckReport) {
     let active = dir.join(WAL_FILE);
-    let sealed = log::list_segments(&active).unwrap_or_default();
+    let sealed = log::list_segments(&StdFs, &active).unwrap_or_default();
     for pair in sealed.windows(2) {
         if pair[0].0 + 1 != pair[1].0 {
             report.push(
@@ -437,7 +406,7 @@ fn fsck_wal(dir: &Path, report: &mut FsckReport) {
         .chain([(&active, false)])
     {
         let name = file_name(path);
-        match log::scan_file(path, KIND_INGEST_WAL, is_batch) {
+        match log::scan_file(&StdFs, path, KIND_INGEST_WAL, is_batch) {
             Ok(None) => {}
             Ok(Some(scan)) => {
                 report.wal_segments += 1;
@@ -463,6 +432,7 @@ fn fsck_wal(dir: &Path, report: &mut FsckReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::fs::{Action, Fault, FaultFs, Op};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("blameit-store-{tag}-{}", std::process::id()));
@@ -473,9 +443,10 @@ mod tests {
     #[test]
     fn retention_prunes_oldest() {
         let dir = tmp_dir("retain");
-        let store = StateStore::with_retain(&dir, 2).unwrap();
-        for t in [4u64, 8, 12] {
+        let store = StateStore::create(&dir).unwrap();
+        for t in [4u64, 8, 12, 16] {
             store.write_snapshot(t, b"not-a-real-snapshot").unwrap();
+            store.prune().unwrap();
         }
         let ticks: Vec<u64> = store
             .list_snapshots()
@@ -483,15 +454,18 @@ mod tests {
             .into_iter()
             .map(|(t, _)| t)
             .collect();
-        assert_eq!(ticks, vec![8, 12]);
+        assert_eq!(ticks, vec![8, 12, 16]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_write_leaves_only_tmp() {
         let dir = tmp_dir("torn");
+        let tmp = log::tmp_name(&snapshot_name(4));
+        let fs = FaultFs::armed(Fault::first(Op::Create, &tmp, Action::Tear(0.5)));
+        let store = StateStore::create_in(fs.clone(), &dir).unwrap();
+        assert!(store.write_snapshot(4, &[1u8; 100]).is_err() && fs.killed());
         let store = StateStore::create(&dir).unwrap();
-        store.write_snapshot_torn(4, &[1u8; 100], 0.5).unwrap();
         assert!(store.list_snapshots().unwrap().is_empty());
         let tmps = store.list_tmp_files().unwrap();
         assert_eq!(tmps.len(), 1);
@@ -511,7 +485,7 @@ mod tests {
         let dir = tmp_dir("wipe");
         let store = StateStore::create(&dir).unwrap();
         store.write_snapshot(4, b"x").unwrap();
-        store.write_snapshot_torn(8, &[0u8; 16], 0.5).unwrap();
+        std::fs::write(log::tmp_path(&store.snapshot_path(8)), [0u8; 8]).unwrap();
         std::fs::write(journal::journal_path(&dir), b"j").unwrap();
         let wal = dir.join(WAL_FILE);
         std::fs::write(&wal, b"w").unwrap();
@@ -520,7 +494,7 @@ mod tests {
         assert_eq!(store.wipe().unwrap(), 5);
         assert!(store.list_snapshots().unwrap().is_empty());
         assert!(!journal::journal_path(&dir).exists());
-        assert!(!wal.exists() && log::list_segments(&wal).unwrap().is_empty());
+        assert!(!wal.exists() && log::list_segments(&StdFs, &wal).unwrap().is_empty());
         assert!(dir.join("keep.txt").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -26,6 +26,7 @@
 use blameit::persist::codec::{
     write_section_with, ByteReader, ByteWriter, Codec, KeyRuns, KIND_JOURNAL,
 };
+use blameit::persist::fs::{Action, Fault, FaultFs, Op, StdFs};
 use blameit::persist::log::{self, Log, LogScan, Tail};
 use blameit::persist::snapshot::{decode, SnapshotState};
 use blameit::persist::SnapshotCounters;
@@ -521,11 +522,15 @@ fn a_damaged_log_errors_or_yields_a_valid_prefix_and_appends_continue() {
             assert_eq!(got[..], sections[..got.len()]);
         }
 
-        // The kill-point harness's torn append: reopening reports the
+        // A kill mid-append tears the section: reopening reports the
         // residue and truncates it, so the next append lands on a
         // section boundary and the sequence continues.
-        log.append_torn(9, |w| w.put_bytes(&[0xAB; 40]), rng.f64())
-            .unwrap();
+        let name = path.file_name().unwrap().to_str().unwrap();
+        let fs = FaultFs::armed(Fault::first(Op::Write, name, Action::Tear(rng.f64())));
+        let (mut dying, _) =
+            Log::open_in(fs.clone(), &path, KIND_JOURNAL, |_| {}, |_, _| true).unwrap();
+        assert!(dying.append(9, |w| w.put_bytes(&[0xAB; 40])).is_err() && fs.killed());
+        drop((dying, log));
         let (mut log, scan) = open();
         assert_eq!(
             (scan.sections, scan.tail),
@@ -558,7 +563,10 @@ fn a_damaged_log_errors_or_yields_a_valid_prefix_and_appends_continue() {
         let sealed = log::segment_path(&path, 7);
         log.seal_to(&sealed).unwrap();
         assert_eq!(std::fs::read(&sealed).unwrap(), before);
-        assert_eq!(log::list_segments(&path).unwrap(), [(7, sealed.clone())]);
+        assert_eq!(
+            log::list_segments(&StdFs, &path).unwrap(),
+            [(7, sealed.clone())]
+        );
         log.append(5, |w| w.put_u64(9)).unwrap();
         let (scan, got) = scan_all(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(scan.tail, Tail::Clean);

@@ -24,6 +24,7 @@
 use crate::clock::Clock;
 use crate::core::{DaemonCore, DaemonError, OfferReply};
 use crate::wire::{read_frame, write_batch, write_frame, Frame, WIRE_VERSION};
+use blameit::persist::fs::{Fs, StdFs};
 use blameit::{Backend, RecordBatch, TickOutput, WorldBackend};
 use blameit_simnet::{SurgePlan, TimeRange, World};
 use std::io::{self, Read, Write};
@@ -202,16 +203,16 @@ impl<T: Read + Write> Sink for WireSink<'_, T> {
 /// The in-process sink: the daemon's decision core, driven the way the
 /// socket shell drives it — `offer`, then `pump` after every reply —
 /// with the ticks that fired collected in [`CoreSink::outs`].
-pub struct CoreSink<'c, B: Backend> {
+pub struct CoreSink<'c, B: Backend, F: Fs = StdFs> {
     /// The core offers go to (readable between deliveries).
-    pub core: &'c mut DaemonCore<B>,
+    pub core: &'c mut DaemonCore<B, F>,
     /// Every tick a pump has run so far, in order.
     pub outs: Vec<TickOutput>,
 }
 
-impl<'c, B: Backend> CoreSink<'c, B> {
+impl<'c, B: Backend, F: Fs> CoreSink<'c, B, F> {
     /// A sink into `core` with no ticks collected yet.
-    pub fn new(core: &'c mut DaemonCore<B>) -> Self {
+    pub fn new(core: &'c mut DaemonCore<B, F>) -> Self {
         CoreSink {
             core,
             outs: Vec::new(),
@@ -219,7 +220,7 @@ impl<'c, B: Backend> CoreSink<'c, B> {
     }
 }
 
-impl<B: Backend> Sink for CoreSink<'_, B> {
+impl<B: Backend, F: Fs> Sink for CoreSink<'_, B, F> {
     type Error = DaemonError;
 
     fn offer(&mut self, batch: &RecordBatch) -> Result<OfferReply, DaemonError> {

@@ -17,13 +17,14 @@
 
 use crate::queue::QueueBackend;
 use crate::wal::IngestWal;
+use blameit::persist::fs::{Fs, StdFs};
 use blameit::persist::log::WAL_FILE;
 use blameit::{
     metrics::shed_reason, AdmissionController, AdmissionDecision, Backend, BlameItConfig,
     BlameItEngine, DurableEngine, PersistError, RecordBatch, RecoveryReport, TickOutput,
 };
 use blameit_obs::{FlightTrigger, MetricsRegistry};
-use blameit_simnet::{CrashPlan, TimeBucket, TimeRange};
+use blameit_simnet::{TimeBucket, TimeRange};
 use std::io;
 use std::sync::Arc;
 
@@ -52,7 +53,7 @@ impl Default for DaemonConfig {
 /// A daemon failure: engine persistence or WAL IO.
 #[derive(Debug)]
 pub enum DaemonError {
-    /// The durable engine failed (or a simulated crash fired).
+    /// The durable engine failed.
     Persist(PersistError),
     /// The ingest WAL could not be written/read.
     Io(io::Error),
@@ -134,11 +135,11 @@ pub struct ShedEntry {
 }
 
 /// The daemon's decision core: bounded ingest → durable ticks.
-pub struct DaemonCore<B: Backend> {
-    durable: DurableEngine,
+pub struct DaemonCore<B: Backend, F: Fs = StdFs> {
+    durable: DurableEngine<F>,
     backend: QueueBackend<B>,
     admission: AdmissionController,
-    wal: IngestWal,
+    wal: IngestWal<F>,
     dcfg: DaemonConfig,
     tick_buckets: u32,
     snapshot_every: u64,
@@ -151,11 +152,7 @@ pub struct DaemonCore<B: Backend> {
 }
 
 impl<B: Backend> DaemonCore<B> {
-    /// Opens the daemon state: refills the queue from the ingest WAL,
-    /// then opens the durable engine (which replays journaled ticks
-    /// *through* the refilled queue), then warms up + checkpoints on a
-    /// cold start. The feed window begins at `warmup.end` — earlier
-    /// buckets are served by `inner`, later ones by the socket.
+    /// [`DaemonCore::open_in`] on the real filesystem.
     pub fn open(
         cfg: BlameItConfig,
         dcfg: DaemonConfig,
@@ -163,18 +160,37 @@ impl<B: Backend> DaemonCore<B> {
         inner: B,
         warmup: TimeRange,
     ) -> Result<(DaemonCore<B>, RecoveryReport), DaemonError> {
+        DaemonCore::open_in(StdFs, cfg, dcfg, registry, inner, warmup)
+    }
+}
+
+impl<B: Backend, F: Fs> DaemonCore<B, F> {
+    /// Opens the daemon state on `fs`: refills the queue from the
+    /// ingest WAL, then opens the durable engine (which replays
+    /// journaled ticks *through* the refilled queue), then warms up +
+    /// checkpoints on a cold start. The feed window begins at
+    /// `warmup.end` — earlier buckets are served by `inner`, later ones
+    /// by the socket.
+    pub fn open_in(
+        fs: F,
+        cfg: BlameItConfig,
+        dcfg: DaemonConfig,
+        registry: Arc<MetricsRegistry>,
+        inner: B,
+        warmup: TimeRange,
+    ) -> Result<(DaemonCore<B, F>, RecoveryReport), DaemonError> {
         let dir = cfg.state_dir.clone().ok_or(PersistError::NoStateDir)?;
-        std::fs::create_dir_all(&dir)?;
+        fs.create_dir_all(&dir)?;
         let feed_start = warmup.end.bucket();
         let backend = QueueBackend::new(inner, feed_start);
-        let (wal, wal_recovery) = IngestWal::open(&dir.join(WAL_FILE))?;
+        let (wal, wal_recovery) = IngestWal::open_in(fs.clone(), &dir.join(WAL_FILE))?;
         for batch in wal_recovery.batches {
             backend.push(batch);
         }
         let snapshot_every = cfg.snapshot_every_ticks.max(1) as u64;
         let tick_buckets = cfg.tick_buckets;
         let mut backend = backend;
-        let (mut durable, recovery) = DurableEngine::open(cfg, registry, &mut backend)?;
+        let (mut durable, recovery) = DurableEngine::open_in(fs, cfg, registry, &mut backend)?;
         let replayed = &durable.engine().metrics().wal_replayed_bytes;
         replayed.set(wal_recovery.bytes as f64);
         if recovery.mode == blameit::StartMode::Cold {
@@ -222,11 +238,6 @@ impl<B: Backend> DaemonCore<B> {
     /// with the same history [`offer`](Self::offer) will use).
     pub fn admission(&self) -> &AdmissionController {
         &self.admission
-    }
-
-    /// Arms (or clears) a simulated-kill plan on the durable engine.
-    pub fn set_crash_plan(&mut self, plan: Option<CrashPlan>) {
-        self.durable.set_crash_plan(plan);
     }
 
     /// The first bucket a tick has not yet consumed.

@@ -96,7 +96,7 @@ impl<B: Backend> QueueBackend<B> {
     /// The retained batches in (bucket, arrival) order. The daemon
     /// never clones its queue; this survives for the frozen
     /// `benchmark/` harness's shadow ([`IngestWal::compact`]) and goes
-    /// with it under ROADMAP item 5.
+    /// with it under the ROADMAP's benchmark harness diet.
     ///
     /// [`IngestWal::compact`]: crate::IngestWal::compact
     pub fn retained(&self) -> Vec<RecordBatch> {

@@ -31,6 +31,7 @@
 //! it may end in a torn record; a damaged sealed segment fails the open.
 
 use blameit::persist::codec::{Codec, KeyRuns, KIND_INGEST_WAL};
+use blameit::persist::fs::{Fs, StdFs};
 use blameit::persist::log::{
     list_segments, scan_file, segment_path, wal_batch, Log, Tail, WAL_SEC_RUNS,
 };
@@ -55,9 +56,9 @@ pub struct WalRecovery {
 }
 
 /// An append-only, fsync'd, segmented log of admitted ingest batches.
-pub struct IngestWal {
+pub struct IngestWal<F: Fs = StdFs> {
     /// The active segment; sealed segments are siblings of its path.
-    log: Log,
+    log: Log<F>,
     /// Highest bucket in the active segment; `None` while it is empty.
     active_max: Option<u32>,
     /// Sealed segments on disk, oldest first, as `(seq, highest
@@ -77,21 +78,28 @@ fn max_bucket(batches: &[RecordBatch], from: usize) -> Option<u32> {
 }
 
 impl IngestWal {
-    /// Opens (creating if absent) the WAL whose active segment is
-    /// `path` and replays what is on disk: every sealed segment in
+    /// [`IngestWal::open_in`] on the real filesystem.
+    pub fn open(path: &Path) -> io::Result<(IngestWal, WalRecovery)> {
+        IngestWal::open_in(StdFs, path)
+    }
+}
+
+impl<F: Fs> IngestWal<F> {
+    /// Opens (creating if absent) the WAL on `fs` whose active segment
+    /// is `path` and replays what is on disk: every sealed segment in
     /// sequence order, then the active one. Anything past the active
     /// segment's last decodable batch is the append that was racing the
     /// kill — the WAL's only writer appends whole sections — and is
     /// truncated away so subsequent appends start at a valid boundary.
     /// A kill between a seal's rename and its fresh active segment
     /// leaves no `path`; it is created here, empty.
-    pub fn open(path: &Path) -> io::Result<(IngestWal, WalRecovery)> {
+    pub fn open_in(fs: F, path: &Path) -> io::Result<(IngestWal<F>, WalRecovery)> {
         let mut batches = Vec::new();
         let mut sealed = VecDeque::new();
         let mut bytes = 0;
-        for (seq, segment) in list_segments(path)? {
+        for (seq, segment) in list_segments(&fs, path)? {
             let from = batches.len();
-            let scan = scan_file(&segment, KIND_INGEST_WAL, replay_into(&mut batches))?;
+            let scan = scan_file(&fs, &segment, KIND_INGEST_WAL, replay_into(&mut batches))?;
             if scan.is_some_and(|s| s.tail != Tail::Clean) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -102,7 +110,8 @@ impl IngestWal {
             sealed.push_back((seq, max_bucket(&batches, from)));
         }
         let from = batches.len();
-        let (log, scan) = Log::open(path, KIND_INGEST_WAL, |_| {}, replay_into(&mut batches))?;
+        let (log, scan) =
+            Log::open_in(fs, path, KIND_INGEST_WAL, |_| {}, replay_into(&mut batches))?;
         let wal = IngestWal {
             log,
             active_max: max_bucket(&batches, from),
@@ -155,7 +164,11 @@ impl IngestWal {
             if max >= Some(cutoff.0) {
                 break;
             }
-            match std::fs::remove_file(segment_path(self.log.path(), seq)) {
+            match self
+                .log
+                .fs()
+                .remove_file(&segment_path(self.log.path(), seq))
+            {
                 Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
                 _ => self.sealed.pop_front(),
             };
@@ -167,7 +180,7 @@ impl IngestWal {
     /// [`rotate`](Self::rotate) for a caller that holds the batches to
     /// keep rather than the cutoff, and counts nothing. It survives only
     /// for the frozen `benchmark/` harness's shadow WAL and goes with
-    /// ROADMAP item 1(c); the daemon calls `rotate`.
+    /// the ROADMAP's benchmark harness diet; the daemon calls `rotate`.
     pub fn compact(&mut self, retained: &[RecordBatch]) -> io::Result<()> {
         let lowest = retained.iter().map(|b| b.bucket.0).min();
         let uncounted = Counter::new();
@@ -182,7 +195,8 @@ impl IngestWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blameit::persist::log::WAL_SEC_BATCH;
+    use blameit::persist::fs::{Action, Fault, FaultFs, Op};
+    use blameit::persist::log::{WAL_FILE, WAL_SEC_BATCH};
     use std::path::PathBuf;
 
     fn batch(bucket: u32, n: u64) -> RecordBatch {
@@ -210,7 +224,7 @@ mod tests {
     fn reopen(path: &Path) -> (IngestWal, Vec<RecordBatch>) {
         let (wal, rec) = IngestWal::open(path).unwrap();
         assert!(!rec.torn_tail);
-        let segments = list_segments(path).unwrap();
+        let segments = list_segments(&StdFs, path).unwrap();
         let files = segments.iter().map(|(_, p)| p.as_path()).chain([path]);
         let on_disk: u64 = files.map(|p| std::fs::metadata(p).unwrap().len()).sum();
         assert_eq!(rec.bytes, on_disk);
@@ -218,7 +232,7 @@ mod tests {
     }
 
     /// Rotates at `cutoff`; returns the (seals, retirements) it counted.
-    fn rotate(wal: &mut IngestWal, cutoff: u32) -> (u64, u64) {
+    fn rotate<F: Fs>(wal: &mut IngestWal<F>, cutoff: u32) -> (u64, u64) {
         let (sealed, retired) = (Counter::new(), Counter::new());
         wal.rotate(TimeBucket(cutoff), &sealed, &retired).unwrap();
         (sealed.get(), retired.get())
@@ -277,7 +291,7 @@ mod tests {
     /// The section ids of one WAL file, in order.
     fn section_ids(file: &Path) -> Vec<u8> {
         let mut ids = Vec::new();
-        scan_file(file, KIND_INGEST_WAL, |id, _| {
+        scan_file(&StdFs, file, KIND_INGEST_WAL, |id, _| {
             ids.push(id);
             true
         })
@@ -347,7 +361,7 @@ mod tests {
         assert_eq!(rotate(&mut wal, 6), (1, 0));
         // Nothing retired yet: segment 1 ends at bucket 6, which the
         // cutoff does not cover. Order holds across segments.
-        assert_eq!(list_segments(&path).unwrap().len(), 2);
+        assert_eq!(list_segments(&StdFs, &path).unwrap().len(), 2);
         let (mut wal, recovered) = reopen(&path);
         assert_eq!(recovered, batches(0..13));
 
@@ -355,7 +369,7 @@ mod tests {
         assert_eq!(rotate(&mut wal, 7), (1, 1));
         // Segment 1 (buckets 0..=6) is gone, whole; what the queue
         // retains (7..) is a suffix of what comes back.
-        let seqs: Vec<u64> = list_segments(&path)
+        let seqs: Vec<u64> = list_segments(&StdFs, &path)
             .unwrap()
             .into_iter()
             .map(|s| s.0)
@@ -376,9 +390,37 @@ mod tests {
         // an empty active segment is not sealed again.
         wal.compact(&[]).unwrap();
         wal.compact(&[]).unwrap();
-        assert!(list_segments(&path).unwrap().is_empty());
+        assert!(list_segments(&StdFs, &path).unwrap().is_empty());
         let (_, recovered) = reopen(&path);
         assert!(recovered.is_empty());
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// A seal whose directory fsync fails may not have made its rename
+    /// durable: the rotation errs, the active name comes back, appends
+    /// continue into the same file and the next rotation seals it.
+    #[test]
+    fn a_failed_directory_fsync_in_a_seal_puts_the_active_name_back() {
+        let path = tmp("sync-dir");
+        let fs = FaultFs::new();
+        let (mut wal, _) = IngestWal::open_in(fs.clone(), &path).unwrap();
+        for b in batches(0..3) {
+            wal.append(&b).unwrap();
+        }
+        fs.arm(Fault::first(Op::SyncDir, WAL_FILE, Action::Fail));
+        let (sealed, retired) = (Counter::new(), Counter::new());
+        assert!(wal.rotate(TimeBucket(0), &sealed, &retired).is_err());
+        assert!(fs.fired() && !fs.killed());
+        assert_eq!((sealed.get(), retired.get()), (0, 0));
+        assert!(list_segments(&StdFs, &path).unwrap().is_empty());
+
+        wal.append(&batch(3, 4)).unwrap();
+        assert_eq!(rotate(&mut wal, 0), (1, 0));
+        assert_eq!(list_segments(&StdFs, &path).unwrap().len(), 1);
+        drop(wal);
+        let (_, recovered) = reopen(&path);
+        assert_eq!(recovered, batches(0..4));
+        assert_eq!(section_ids(&segment_path(&path, 1)).len(), 4);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

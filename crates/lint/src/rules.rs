@@ -115,6 +115,25 @@ pub const RULES: &[Rule] = &[
         check: as_cast_truncation,
     },
     Rule {
+        id: "file-io",
+        summary: "std::fs/File/OpenOptions in persist/ and the daemon: file IO goes through persist::fs::Fs",
+        scope: Scope::Under(&["crates/core/src/persist/", "crates/daemon/src/"]),
+        // The seam is the one place the real filesystem is named: every
+        // other persistence call goes through an `Fs`, so a fault
+        // filesystem sees (and can break) all of them.
+        exempt: &["crates/core/src/persist/fs.rs"],
+        check: |f, out| {
+            forbidden(
+                f,
+                out,
+                "file-io",
+                &["std::fs", "fs::", "File::", "OpenOptions::"],
+                "is raw file IO; call it through `persist::fs::Fs` (`StdFs` is the real \
+                 filesystem, `FaultFs` the one tests break)",
+            )
+        },
+    },
+    Rule {
         id: "float-order",
         summary: "partial_cmp or f32/f64 keys in sort/min/max comparators: use total_cmp/to_bits or integer keys",
         scope: Scope::All,
@@ -153,7 +172,16 @@ pub const RULES: &[Rule] = &[
             "crates/daemon/src/client.rs",
             "tests/daemon_smoke.rs",
         ],
-        check: socket_io,
+        check: |f, out| {
+            forbidden(
+                f,
+                out,
+                "socket-io",
+                &["TcpListener", "TcpStream", "UdpSocket"],
+                "is raw socket IO; decisions must stay in socket-free code (move the IO to \
+                 the daemon's server/feeder shell, or annotate why this edge is sanctioned)",
+            )
+        },
     },
     Rule {
         id: "thread-identity",
@@ -285,34 +313,45 @@ fn sip_hasher(f: &FileCtx, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ----------------------------------------------------------------- socket-io
+// ------------------------------------------------------ socket-io, file-io
 
-/// `TcpListener`/`TcpStream`/`UdpSocket` outside the daemon's IO
-/// shell.
+/// Non-test mentions of a forbidden path: the IO rows, `socket-io`
+/// and `file-io`.
 ///
 /// The standing architecture rule is *IO at the edges, determinism in
-/// the middle*: every decision `blameitd` makes lives in
+/// the middle*. Every decision `blameitd` makes lives in
 /// [`DaemonCore`], a pure function of the offered batches, and only
-/// the server/feeder shell may touch sockets (the row's `exempt`
-/// prefixes). A socket type appearing anywhere else — the engine,
-/// the daemon's decision core, the WAL — means IO is leaking into code
-/// that must replay byte-identically without a network.
-fn socket_io(f: &FileCtx, out: &mut Vec<Diagnostic>) {
-    for t in f.toks {
+/// the server/feeder shell may touch sockets; every file call of the
+/// persistence layer goes through one `Fs`, so a fault filesystem can
+/// break each of them. A pattern is a path (`std::fs`) or a bare name
+/// (`TcpStream`), matched anywhere; one ending in `::` is a path head
+/// and matches only where a path starts, so `fs::` fires on `fs::read`
+/// but not on `std::fs::read` (which `std::fs` reports) or
+/// `persist::fs::Fs`, and `File::` not on an associated `F::File`.
+fn forbidden(
+    f: &FileCtx,
+    out: &mut Vec<Diagnostic>,
+    rule: &'static str,
+    patterns: &[&str],
+    why: &str,
+) {
+    for (i, t) in f.toks.iter().enumerate() {
         if t.in_test {
             continue;
         }
-        for name in ["TcpListener", "TcpStream", "UdpSocket"] {
-            if t.is_ident(name) {
-                out.push(f.diag(
-                    "socket-io",
-                    t,
-                    format!(
-                        "`{name}` is raw socket IO; decisions must stay in socket-free code \
-                         (move the IO to the daemon's server/feeder shell, or annotate why \
-                         this edge is sanctioned)"
-                    ),
-                ));
+        let in_path = i >= 2 && f.toks[i - 1].is_punct(':') && f.toks[i - 2].is_punct(':');
+        for pat in patterns {
+            let mut toks = Vec::new();
+            for (k, segment) in pat.split("::").enumerate() {
+                if k > 0 {
+                    toks.extend([":", ":"]);
+                }
+                if !segment.is_empty() {
+                    toks.push(segment);
+                }
+            }
+            if seq(f.toks, i, &toks) && !(pat.ends_with("::") && in_path) {
+                out.push(f.diag(rule, t, format!("`{pat}` {why}")));
             }
         }
     }
@@ -976,9 +1015,10 @@ mod tests {
     fn every_check_reports_under_its_own_table_id() {
         // A `check` fn names its rule ID in a literal; the table is
         // what the driver, `--rules` and the fixtures key on. One
-        // source that trips all nine pins the two together.
+        // source that trips all ten pins the two together.
         let src = "use std::collections::HashMap;\nuse std::time::Instant;\n\
              fn f(m: HashMap<u32, f64>, b: &[u8], s: TcpStream) {\n\
+             let d = std::fs::read(\"x\");\n\
              let t = Instant::now(); let r = RandomState::new(); let id = thread::current();\n\
              let n = b.len() as u8; let x = b[0];\n\
              for (k, v) in &m { emit(k, v); }\n\
@@ -996,6 +1036,18 @@ mod tests {
             assert!(!diags.is_empty(), "{} did not fire", rule.id);
             assert!(diags.iter().all(|d| d.rule == rule.id), "{}", rule.id);
         }
+    }
+
+    #[test]
+    fn file_io_fires_on_the_real_filesystem_not_on_the_seam() {
+        let raw = "use std::fs;\nfn f(p: &Path) { fs::read(p); File::create(p); \
+                   OpenOptions::new(); std::fs::File::open(p); }";
+        // `std::fs::File::open` is one finding, at `std::fs`.
+        assert_eq!(check_one("file-io", "crates/daemon/src/x.rs", raw).len(), 5);
+        let seam = "use blameit::persist::fs::{Fs, StdFs};\n\
+                    fn f<F: Fs>(fs: F, p: &Path) -> F::File { fs.create_dir_all(p); fs.open_append(p) }";
+        assert!(check_one("file-io", "crates/daemon/src/x.rs", seam).is_empty());
+        assert!(check_one("file-io", "crates/core/src/x.rs", raw).is_empty());
     }
 
     #[test]

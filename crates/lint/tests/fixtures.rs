@@ -29,9 +29,9 @@ fn lint_fixture(rule: &Rule, kind: &str) -> Report {
 fn every_fixture_expectation_holds() {
     let results = self_check(&repo_root()).expect("fixtures readable");
     // {bad, good, allow} × (6 single-path lexical rules, the 7 + 6 + 3
-    // scope prefixes of as-cast-truncation, panic-in-decode and
-    // sip-hasher, and the 2 workspace passes).
-    assert_eq!(results.len(), 3 * (6 + 16 + 2), "a fixture triple per path");
+    // + 2 scope prefixes of as-cast-truncation, panic-in-decode,
+    // sip-hasher and file-io, and the 2 workspace passes).
+    assert_eq!(results.len(), 3 * (6 + 18 + 2), "a fixture triple per path");
     let failures: Vec<String> = results
         .iter()
         .filter(|r| !r.pass)
@@ -156,7 +156,11 @@ fn a_tree_holding_the_rule_table_but_no_exempted_site_reports_every_exemption_st
         .iter()
         .flat_map(|r| r.exempt.iter().map(|p| format!("`{p}` of `{}`", r.id)))
         .collect();
-    assert_eq!(want.len(), 5, "the five prefixes that came from lint.toml");
+    assert_eq!(
+        want.len(),
+        6,
+        "the five prefixes that came from lint.toml, and file-io's seam"
+    );
     let report = report.expect("temp tree lints");
     assert_eq!(
         report.diagnostics.len(),

@@ -4,7 +4,7 @@
 //! engine: the world (topology scale + model overrides), a workload
 //! shape, injected network faults, measurement-plane chaos
 //! ([`blameit_simnet::FaultPlan`]), process-crash kill points
-//! ([`blameit_simnet::CrashPlan`]), the evaluation window, and an
+//! ([`blameit_simnet::CrashPoint`]), the evaluation window, and an
 //! `[expect]` block of verdict assertions. The format is line-oriented
 //! key/value with `[section]` headers — no external parser dependency —
 //! and every load error carries a `file:line` position.

@@ -18,16 +18,17 @@
 
 use crate::compile::CompiledScenario;
 use crate::error::ScenarioError;
+use blameit::persist::fs::{Fault, FaultFs};
 use blameit::{
     fsck, render_tick_transcript, tally, Backend, BlameCounts, BlameItConfig, BlameItEngine,
-    ChaosBackend, ChaosStats, DurableEngine, LocalizationVerdict, PersistError, StartMode,
-    StateStore, TickOutput, UnlocalizedReason, WorldBackend,
+    ChaosBackend, ChaosStats, DurableEngine, LocalizationVerdict, StartMode, StateStore,
+    TickOutput, UnlocalizedReason, WorldBackend,
 };
 use blameit_daemon::{
     deliver, world_batches, CoreSink, DaemonConfig, DaemonCore, FeedSummary, IngestStats,
 };
 use blameit_obs::MetricsRegistry;
-use blameit_simnet::{CrashPlan, TimeBucket, TimeRange};
+use blameit_simnet::{TimeBucket, TimeRange};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -182,9 +183,14 @@ fn run_crash(
     let fail = |msg: String| ScenarioError::at(file, crash.line, msg);
     let (cfg, dir) = durable_config(scn, threads).map_err(|e| fail(format!("state dir: {e}")))?;
 
+    // The kill is the filesystem's: armed before the open, so its
+    // journal counts every tick, burn-in included.
+    let kill_tick = scn.burn_in_ticks + crash.kill_tick;
+    let fs = FaultFs::armed(Fault::crash(crash.kill_point, kill_tick, crash.seed));
     let mut backend = WorldBackend::with_parallelism(&scn.world, cfg.parallelism);
+    let registry = Arc::new(MetricsRegistry::new());
     let (mut durable, recovery) =
-        DurableEngine::open(cfg.clone(), Arc::new(MetricsRegistry::new()), &mut backend)
+        DurableEngine::open_in(fs.clone(), cfg.clone(), registry, &mut backend)
             .map_err(|e| fail(format!("open: {e}")))?;
     debug_assert_eq!(recovery.mode, StartMode::Cold, "wiped dir starts cold");
     durable
@@ -202,25 +208,15 @@ fn run_crash(
     let starts: Vec<TimeBucket> = (0..scn.eval_ticks)
         .map(|k| first.plus(k * cfg.tick_buckets))
         .collect();
-    durable.set_crash_plan(Some(CrashPlan::kill_at(
-        scn.burn_in_ticks + crash.kill_tick,
-        crash.kill_point,
-        crash.seed,
-    )));
     let mut outs: Vec<TickOutput> = Vec::new();
-    let mut killed = false;
     for &start in &starts {
         match durable.tick(&mut backend, start) {
             Ok(out) => outs.push(out),
-            Err(PersistError::Crashed(point)) => {
-                debug_assert_eq!(point, crash.kill_point);
-                killed = true;
-                break;
-            }
+            Err(_) if fs.killed() => break,
             Err(e) => return Err(fail(format!("durable tick: {e}"))),
         }
     }
-    if !killed {
+    if !fs.killed() {
         return Err(fail(format!(
             "crash plan never fired (kill_tick {} of {} eval tick(s))",
             crash.kill_tick,

@@ -1,24 +1,24 @@
-//! Process-crash plans for the persistence layer's kill-point harness.
+//! Process-crash points for the persistence layer's kill-point harness.
 //!
 //! The [`chaos`](crate::chaos) module degrades the *measurement plane*;
-//! this module kills the *process itself*, at the named points of the
-//! engine's durable-tick protocol (journal append, snapshot write). A
-//! [`CrashPlan`] is the seeded, deterministic schedule of those kills:
-//! the persistence layer consults it at every kill point and, when it
-//! fires, leaves the on-disk state exactly as a real crash would —
-//! a torn journal record, a half-written snapshot temp file — then
-//! aborts the tick. `tests/crash_recovery.rs` proves recovery from
-//! every point resumes byte-identically.
+//! this module names where the *process itself* can die inside the
+//! engine's durable-tick protocol (journal append, snapshot write). The
+//! persistence layer's fault table (`blameit::persist::fs`) maps each
+//! [`CrashPoint`] to the filesystem call a kill interrupts, and the
+//! fault filesystem leaves the disk exactly as a real crash would — a
+//! torn journal record, a half-written snapshot temp file.
+//! `tests/crash_recovery.rs` proves recovery from every point resumes
+//! byte-identically.
 //!
-//! Like [`FaultPlan`](crate::chaos::FaultPlan), every decision is a
-//! pure function of `(plan seed, kill point, tick index)` via
-//! [`DetRng::from_keys`] — never of call order or thread identity — so
-//! a crash schedule is reproducible at any thread count.
+//! Like [`FaultPlan`](crate::chaos::FaultPlan), the one random choice —
+//! how much of a torn write survives — is a pure function of `(seed,
+//! kill point, tick index)` via [`DetRng::from_keys`], never of call
+//! order or thread identity, so a crash is reproducible at any thread
+//! count.
 
 use blameit_topology::rng::DetRng;
 
-// Domain-separation tags, continuing the chaos module's series.
-const TAG_CRASH: u64 = 0xC4A0_0005;
+// Domain-separation tag, continuing the chaos module's series.
 const TAG_TEAR: u64 = 0xC4A0_0006;
 
 /// A named point in the durable-tick protocol where the process can be
@@ -31,7 +31,7 @@ pub enum CrashPoint {
     /// Immediately after the journal record is fully written and
     /// fsync'd, before any snapshot consideration.
     PostJournal,
-    /// A snapshot is due and about to be encoded; nothing of it reaches
+    /// A snapshot is due and about to be written; nothing of it reaches
     /// disk.
     PreSnapshot,
     /// Mid-write of the snapshot temp file: a prefix of the encoded
@@ -58,7 +58,7 @@ impl CrashPoint {
         }
     }
 
-    /// Stable id used as a key in the plan's RNG streams.
+    /// Stable id used as a key in the tear's RNG stream.
     fn id(self) -> u64 {
         match self {
             CrashPoint::MidJournal => 0,
@@ -75,73 +75,12 @@ impl std::fmt::Display for CrashPoint {
     }
 }
 
-/// A seeded schedule of process kills.
-///
-/// Two modes compose: a `forced` kill fires exactly once at a chosen
-/// `(tick, point)` — what the recovery test matrix sweeps — and
-/// `kill_rate` fires probabilistically at any point a tick reaches,
-/// keyed per `(seed, point, tick)` so the schedule is a pure function
-/// of identity, like every other plan in the simulator.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CrashPlan {
-    /// Seed for every kill decision.
-    pub seed: u64,
-    /// Probability of dying at any reached `(tick, point)`.
-    pub kill_rate: f64,
-    /// Deterministic kill: fire at exactly this `(tick index, point)`.
-    pub forced: Option<(u64, CrashPoint)>,
-}
-
-impl CrashPlan {
-    /// A plan that never fires.
-    pub fn none(seed: u64) -> Self {
-        CrashPlan {
-            seed,
-            kill_rate: 0.0,
-            forced: None,
-        }
-    }
-
-    /// A plan that kills exactly once, at `(tick, point)`.
-    pub fn kill_at(tick: u64, point: CrashPoint, seed: u64) -> Self {
-        CrashPlan {
-            seed,
-            kill_rate: 0.0,
-            forced: Some((tick, point)),
-        }
-    }
-
-    /// A plan that kills with probability `rate` at every reached
-    /// point.
-    pub fn random(rate: f64, seed: u64) -> Self {
-        CrashPlan {
-            seed,
-            kill_rate: rate,
-            forced: None,
-        }
-    }
-
-    /// Whether the process dies at this `(tick, point)`.
-    pub fn fires(&self, tick: u64, point: CrashPoint) -> bool {
-        if let Some((t, p)) = self.forced {
-            if t == tick && p == point {
-                return true;
-            }
-        }
-        if self.kill_rate <= 0.0 {
-            return false;
-        }
-        let mut rng = DetRng::from_keys(self.seed, &[TAG_CRASH, point.id(), tick]);
-        rng.chance(self.kill_rate)
-    }
-
-    /// How much of the in-flight write survives a mid-write kill, as a
-    /// fraction in `(0.05, 0.95)` — keyed on the tick so different
-    /// crashes tear at different offsets.
-    pub fn tear_fraction(&self, tick: u64, point: CrashPoint) -> f64 {
-        let mut rng = DetRng::from_keys(self.seed, &[TAG_TEAR, point.id(), tick]);
-        rng.range_f64(0.05, 0.95)
-    }
+/// How much of the in-flight write survives a kill at `point` during
+/// tick `tick`, as a fraction in `[0.05, 0.95)` — keyed on the tick so
+/// different crashes tear at different offsets.
+pub fn tear_fraction(seed: u64, point: CrashPoint, tick: u64) -> f64 {
+    let mut rng = DetRng::from_keys(seed, &[TAG_TEAR, point.id(), tick]);
+    rng.range_f64(0.05, 0.95)
 }
 
 #[cfg(test)]
@@ -149,52 +88,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn none_never_fires() {
-        let plan = CrashPlan::none(7);
-        for tick in 0..100 {
-            for p in CrashPoint::ALL {
-                assert!(!plan.fires(tick, p));
-            }
-        }
-    }
-
-    #[test]
-    fn forced_fires_exactly_once() {
-        let plan = CrashPlan::kill_at(3, CrashPoint::MidSnapshotWrite, 7);
-        let mut hits = 0;
-        for tick in 0..10 {
-            for p in CrashPoint::ALL {
-                if plan.fires(tick, p) {
-                    assert_eq!((tick, p), (3, CrashPoint::MidSnapshotWrite));
-                    hits += 1;
-                }
-            }
-        }
-        assert_eq!(hits, 1);
-    }
-
-    #[test]
-    fn random_is_deterministic_and_roughly_rated() {
-        let plan = CrashPlan::random(0.25, 11);
-        let count = (0..2_000)
-            .filter(|&t| plan.fires(t, CrashPoint::PostJournal))
-            .count();
-        let rate = count as f64 / 2_000.0;
-        assert!((rate - 0.25).abs() < 0.05, "observed kill rate {rate}");
-        for t in 0..50 {
-            for p in CrashPoint::ALL {
-                assert_eq!(plan.fires(t, p), plan.fires(t, p));
-            }
-        }
-    }
-
-    #[test]
-    fn tear_fraction_in_open_interval() {
-        let plan = CrashPlan::random(1.0, 5);
+    fn tear_fraction_is_deterministic_and_in_range() {
         for t in 0..100 {
             for p in [CrashPoint::MidJournal, CrashPoint::MidSnapshotWrite] {
-                let f = plan.tear_fraction(t, p);
+                let f = tear_fraction(5, p, t);
                 assert!((0.05..0.95).contains(&f), "{f}");
+                assert_eq!(f.to_bits(), tear_fraction(5, p, t).to_bits());
             }
         }
     }

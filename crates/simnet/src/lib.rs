@@ -22,9 +22,8 @@
 //! * [`chaos`] — seeded measurement-plane fault plans (probe timeouts,
 //!   truncated traceroutes, late/duplicated churn, dropped batches) for
 //!   the chaos test suite and the `ChaosBackend` decorator.
-//! * [`crash`] — seeded process-kill plans for the persistence layer's
-//!   kill-point crash harness (torn journal records, half-written
-//!   snapshots).
+//! * [`crash`] — the named kill points of the persistence layer's
+//!   crash harness and the seeded tear of a write a kill interrupts.
 //! * [`measure`] — RTT records and quartet observations.
 //! * [`surge`] — seeded ingest-surge plans that replay a world at a
 //!   multiple of its natural volume, for daemon overload testing.
@@ -58,7 +57,7 @@ pub use activity::ActivityModel;
 pub use chaos::{ChurnFault, FaultPlan, ProbeFault};
 pub use churn::ChurnModel;
 pub use collector::DatasetSummary;
-pub use crash::{CrashPlan, CrashPoint};
+pub use crash::{tear_fraction, CrashPoint};
 pub use fault::{Fault, FaultId, FaultRates, FaultSchedule, FaultTarget, Segment};
 pub use latency::{LatencyModel, SegRtt};
 pub use measure::{QuartetObs, RttRecord};

@@ -11,6 +11,7 @@
 //! `fsck` distinguishes crash residue (warnings) from corruption
 //! (errors).
 
+use blameit::persist::fs::{Action, FaultFs, Op};
 use blameit::{
     render_tick_transcript, BadnessThresholds, BlameItConfig, BlameItEngine, DurableEngine,
     PersistError, StartMode, StateStore, TickOutput, WorldBackend,
@@ -18,7 +19,7 @@ use blameit::{
 use blameit_bench::{quiet_world, Scale};
 use blameit_obs::MetricsRegistry;
 use blameit_simnet::{
-    CrashPlan, CrashPoint, Fault, FaultId, FaultTarget, SimTime, TimeBucket, TimeRange, World,
+    CrashPoint, Fault, FaultId, FaultTarget, SimTime, TimeBucket, TimeRange, World,
 };
 use blameit_topology::rng::DetRng;
 use blameit_topology::testkit::check;
@@ -102,41 +103,41 @@ fn reference_transcript(world: &World, eval: TimeRange, threads: usize) -> Strin
     render_tick_transcript(&outs)
 }
 
-/// Runs the durable engine from cold until `plan` kills it; returns
-/// the outputs delivered before the crash and the tick index it died
-/// on.
+/// Runs the durable engine from cold on a filesystem armed to kill it
+/// at `point` during tick `kill_tick` (the tear keyed on `seed`);
+/// returns the outputs delivered before the crash and the tick index it
+/// died on.
 fn run_until_crash(
     world: &World,
     dir: &Path,
     threads: usize,
     eval: TimeRange,
-    plan: CrashPlan,
-    expect_point: CrashPoint,
+    (point, kill_tick, seed): (CrashPoint, u64, u64),
 ) -> (Vec<TickOutput>, u64) {
     let cfg = config(world, dir, threads);
+    let fs = FaultFs::armed(blameit::persist::Fault::crash(point, kill_tick, seed));
     let mut backend = WorldBackend::with_parallelism(world, threads);
     let registry = Arc::new(MetricsRegistry::new());
-    let (mut durable, report) = DurableEngine::open(cfg, registry, &mut backend).unwrap();
+    let (mut durable, report) =
+        DurableEngine::open_in(fs.clone(), cfg, registry, &mut backend).unwrap();
     assert_eq!(report.mode, StartMode::Cold);
     durable
         .warmup_and_checkpoint(&backend, TimeRange::days(1), 2)
         .unwrap();
-    durable.set_crash_plan(Some(plan));
 
     let starts = tick_starts(eval, durable.engine().config().tick_buckets);
     let mut delivered = Vec::new();
     for start in &starts {
         match durable.tick(&mut backend, *start) {
             Ok(out) => delivered.push(out),
-            Err(PersistError::Crashed(p)) => {
-                assert_eq!(p, expect_point, "wrong kill point fired");
+            Err(e) => {
+                assert!(fs.killed(), "unexpected persist error ({point}): {e}");
                 let crash_tick = delivered.len() as u64;
                 return (delivered, crash_tick);
             }
-            Err(e) => panic!("unexpected persist error: {e}"),
         }
     }
-    panic!("crash plan never fired over {} ticks", starts.len());
+    panic!("the {point} kill never fired over {} ticks", starts.len());
 }
 
 /// Reopens the state dir, resumes the run, and returns the transcript
@@ -194,9 +195,8 @@ fn kill_point_matrix_recovery_is_byte_identical() {
                     CrashPoint::PreSnapshot | CrashPoint::MidSnapshotWrite => 1,
                 };
                 let dir = state_dir(&format!("matrix-{threads}-{point}"));
-                let plan = CrashPlan::kill_at(kill_tick, point, rng.next_u64());
-                let (delivered, crash_tick) =
-                    run_until_crash(&world, &dir, threads, eval, plan, point);
+                let kill = (point, kill_tick, rng.next_u64());
+                let (delivered, crash_tick) = run_until_crash(&world, &dir, threads, eval, kill);
                 assert_eq!(crash_tick, kill_tick, "{point}");
 
                 // Crash residue is survivable by design: fsck must
@@ -218,6 +218,42 @@ fn kill_point_matrix_recovery_is_byte_identical() {
             }
         }
     });
+}
+
+#[test]
+fn a_failed_directory_fsync_fails_the_snapshot_tick_uncounted() {
+    // The rename of a snapshot whose directory fsync failed may not
+    // survive a power cut: the tick fails and the snapshot is not
+    // counted as written.
+    let mut rng = DetRng::from_keys(21, &[0xF1]);
+    let (world, fault_start) = faulty_world(&mut rng);
+    let eval = TimeRange::new(fault_start, fault_start + 3_600);
+    let dir = state_dir("sync-dir");
+    // Tick 1 is the first snapshot tick after the checkpoint.
+    let snapshot = "snapshot-0000000002.snap";
+    let fs = FaultFs::armed(blameit::persist::Fault::first(
+        Op::SyncDir,
+        snapshot,
+        Action::Fail,
+    ));
+    let mut backend = WorldBackend::with_parallelism(&world, 1);
+    let registry = Arc::new(MetricsRegistry::new());
+    let cfg = config(&world, &dir, 1);
+    let (mut durable, _) = DurableEngine::open_in(fs.clone(), cfg, registry, &mut backend).unwrap();
+    durable
+        .warmup_and_checkpoint(&backend, TimeRange::days(1), 2)
+        .unwrap();
+    let starts = tick_starts(eval, durable.engine().config().tick_buckets);
+    durable.tick(&mut backend, starts[0]).unwrap();
+    assert!(durable.tick(&mut backend, starts[1]).is_err());
+    assert!(fs.fired() && !fs.killed());
+    assert_eq!(
+        durable.metrics().snapshots_written.get(),
+        1,
+        "only the checkpoint counts"
+    );
+    assert!(dir.join(snapshot).exists(), "the rename itself happened");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -249,8 +285,8 @@ fn flight_recorder_survives_crash_recovery() {
             CrashPoint::PreSnapshot | CrashPoint::MidSnapshotWrite => 1,
         };
         let dir = state_dir(&format!("flight-{point}"));
-        let plan = CrashPlan::kill_at(kill_tick, point, 0x5EED);
-        let (_, crash_tick) = run_until_crash(&world, &dir, 1, eval, plan, point);
+        let kill = (point, kill_tick, 0x5EED);
+        let (_, crash_tick) = run_until_crash(&world, &dir, 1, eval, kill);
         assert_eq!(crash_tick, kill_tick, "{point}");
 
         let cfg = config(&world, &dir, 1);
@@ -297,8 +333,7 @@ fn probe_counters_continue_across_crash_recovery() {
 
         for (point, kill_tick) in [(CrashPoint::PostJournal, 2), (CrashPoint::PreSnapshot, 1)] {
             let dir = state_dir(&format!("probes-{point}-t{threads}"));
-            let plan = CrashPlan::kill_at(kill_tick, point, 0x5EED);
-            run_until_crash(&world, &dir, threads, eval, plan, point);
+            run_until_crash(&world, &dir, threads, eval, (point, kill_tick, 0x5EED));
 
             let cfg = config(&world, &dir, threads);
             let mut backend = WorldBackend::with_parallelism(&world, threads);

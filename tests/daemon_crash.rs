@@ -5,18 +5,20 @@
 //! a run that never crashed. The same holds for a kill between any two
 //! steps of a WAL rotation (seal-rename, fresh active segment, unlinks).
 //! Also: a graceful TERM mid-surge leaves a state dir that reopens with
-//! zero journal replay and zero WAL refill.
+//! zero journal replay and zero WAL refill, and an unlink that fails
+//! (a surplus WAL segment or snapshot) is counted, not fatal.
 
 use blameit::persist::codec::{read_preamble, KIND_INGEST_WAL};
+use blameit::persist::fs::{Action, Fault, FaultFs, Fs, Op, StdFs};
 use blameit::persist::log::{list_segments, segment_path, WAL_FILE};
 use blameit::{
-    fsck, render_tick_transcript, BadnessThresholds, BlameItConfig, PersistError, RecordBatch,
-    StartMode, StateStore, TickOutput, WorldBackend,
+    fsck, render_tick_transcript, BadnessThresholds, BlameItConfig, RecordBatch, StartMode,
+    StateStore, TickOutput, WorldBackend,
 };
 use blameit_bench::{quiet_world, Scale};
 use blameit_daemon::{feed, world_batches, CoreSink, DaemonConfig, DaemonCore, DaemonError};
 use blameit_obs::MetricsRegistry;
-use blameit_simnet::{CrashPlan, CrashPoint, SurgePlan, TimeBucket, TimeRange, World};
+use blameit_simnet::{CrashPoint, SurgePlan, TimeBucket, TimeRange, World};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -53,9 +55,20 @@ fn open_core<'a>(
     dir: &Path,
     threads: usize,
 ) -> (DaemonCore<WorldBackend<'a>>, blameit::RecoveryReport) {
+    open_core_in(StdFs, world, dir, threads)
+}
+
+/// [`open_core`] on `fs`.
+fn open_core_in<'a, F: Fs>(
+    fs: F,
+    world: &'a World,
+    dir: &Path,
+    threads: usize,
+) -> (DaemonCore<WorldBackend<'a>, F>, blameit::RecoveryReport) {
     let cfg = config(world, dir, threads);
     let inner = WorldBackend::with_parallelism(world, threads);
-    DaemonCore::open(
+    DaemonCore::open_in(
+        fs,
         cfg,
         roomy_dcfg(),
         Arc::new(MetricsRegistry::new()),
@@ -71,36 +84,30 @@ fn buckets(from: u32, to: u32) -> TimeRange {
 }
 
 /// Delivers `batches` through the in-process sink, one attempt each.
-/// Returns the ticks that fired and whether a simulated kill cut the
-/// feed short — `batches` then stands at the first batch the killed
-/// daemon never saw, which is where the resumed feed picks up.
-fn feed_core(
-    core: &mut DaemonCore<WorldBackend<'_>>,
+/// Returns the ticks that fired and how the feed ended. When a kill cut
+/// it short, `batches` stands at the first batch the killed daemon
+/// never saw, which is where the resumed feed picks up.
+fn feed_core<F: Fs>(
+    core: &mut DaemonCore<WorldBackend<'_>, F>,
     batches: &mut impl Iterator<Item = RecordBatch>,
-) -> (Vec<TickOutput>, bool) {
+) -> (Vec<TickOutput>, Result<(), DaemonError>) {
     let mut sink = CoreSink::new(core);
-    let crashed = match feed(&mut sink, batches, 1) {
-        Ok(fed) => {
-            assert_eq!(fed.slow_downs, 0, "unsurged feed refused: {fed:?}");
-            false
-        }
-        Err(DaemonError::Persist(PersistError::Crashed(_))) => true,
-        Err(e) => panic!("feed failed: {e}"),
-    };
-    (sink.outs, crashed)
+    let fed = feed(&mut sink, batches, 1)
+        .map(|fed| assert_eq!(fed.slow_downs, 0, "unsurged feed refused: {fed:?}"));
+    (sink.outs, fed)
 }
 
-/// Feeds the unsurged world's buckets `from..to`, with no kill armed.
-fn feed_quiet(
-    core: &mut DaemonCore<WorldBackend<'_>>,
+/// Feeds the unsurged world's buckets `from..to`, which must not fail.
+fn feed_quiet<F: Fs>(
+    core: &mut DaemonCore<WorldBackend<'_>, F>,
     world: &World,
     from: u32,
     to: u32,
 ) -> Vec<TickOutput> {
     let backend = WorldBackend::new(world);
     let mut batches = world_batches(&backend, buckets(from, to), SurgePlan::default());
-    let (outs, crashed) = feed_core(core, &mut batches);
-    assert!(!crashed, "no crash armed");
+    let (outs, fed) = feed_core(core, &mut batches);
+    fed.expect("the feed fails nowhere");
     outs
 }
 
@@ -138,8 +145,8 @@ fn recover_and_finish(
     assert!(recovery.replayed.len() >= skip, "{what}");
     let mut full = delivered;
     full.extend(recovery.replayed.into_iter().skip(skip));
-    let (resumed, crashed) = feed_core(&mut core, batches);
-    assert!(!crashed, "no second crash ({what})");
+    let (resumed, fed) = feed_core(&mut core, batches);
+    fed.unwrap_or_else(|e| panic!("no second crash ({what}): {e}"));
     full.extend(resumed);
     full.extend(core.term().unwrap());
     render_tick_transcript(&full)
@@ -163,12 +170,12 @@ fn kill_points_recover_to_byte_identical_transcripts() {
                 CrashPoint::PreSnapshot | CrashPoint::MidSnapshotWrite => 1,
             };
             let dir = state_dir(&format!("kill-{threads}-{point}"));
-            let (mut core, recovery) = open_core(&world, &dir, threads);
+            let fs = FaultFs::armed(Fault::crash(point, kill_tick, 0x5EED));
+            let (mut core, recovery) = open_core_in(fs.clone(), &world, &dir, threads);
             assert_eq!(recovery.mode, StartMode::Cold, "{point}");
-            core.set_crash_plan(Some(CrashPlan::kill_at(kill_tick, point, 0x5EED)));
             let mut batches = world_batches(&backend, buckets(start, end), SurgePlan::default());
-            let (delivered, crashed) = feed_core(&mut core, &mut batches);
-            assert!(crashed, "the crash plan must fire ({point})");
+            let (delivered, fed) = feed_core(&mut core, &mut batches);
+            assert!(fed.is_err() && fs.killed(), "the kill must fire ({point})");
             assert_eq!(delivered.len() as u64, kill_tick, "{point}");
             drop(core); // hard kill: no term, no snapshot, WAL as-is
 
@@ -195,7 +202,7 @@ fn copy_dir(from: &Path, to: &Path) {
 
 /// Sequence numbers of the sealed WAL segments in `dir`.
 fn sealed(dir: &Path) -> Vec<u64> {
-    let segments = list_segments(&dir.join(WAL_FILE)).unwrap();
+    let segments = list_segments(&StdFs, &dir.join(WAL_FILE)).unwrap();
     segments.into_iter().map(|(seq, _)| seq).collect()
 }
 
@@ -224,13 +231,13 @@ fn a_kill_between_any_two_rotation_steps_resumes_byte_identically() {
         let mut graveyard: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         let mut delivered = Vec::new();
         for _ in 0..rotating {
-            for (seq, path) in list_segments(&wal).unwrap() {
+            for (seq, path) in list_segments(&StdFs, &wal).unwrap() {
                 graveyard
                     .entry(seq)
                     .or_insert_with(|| std::fs::read(path).unwrap());
             }
-            let (outs, crashed) = feed_core(&mut core, &mut batches.by_ref().take(1));
-            assert!(!crashed);
+            let (outs, fed) = feed_core(&mut core, &mut batches.by_ref().take(1));
+            fed.unwrap();
             delivered.extend(outs);
         }
         drop(core); // killed right after the rotation
@@ -269,7 +276,7 @@ fn a_kill_between_any_two_rotation_steps_resumes_byte_identically() {
         copy_dir(&dir, &copy);
         let active = copy.join(WAL_FILE);
         let mut one_file = Vec::new();
-        for (_, path) in list_segments(&active).unwrap() {
+        for (_, path) in list_segments(&StdFs, &active).unwrap() {
             let bytes = std::fs::read(&path).unwrap();
             let preamble = read_preamble(&bytes, KIND_INGEST_WAL).unwrap().pos();
             one_file.extend_from_slice(&bytes[if one_file.is_empty() { 0 } else { preamble }..]);
@@ -326,39 +333,83 @@ fn a_failed_wal_retirement_is_counted_and_the_next_prune_retries() {
     let world = quiet_world(Scale::Tiny, 2, 0xC4A5);
     let start = TimeRange::days(1).end.bucket().0;
     let dir = state_dir("retire-fails");
-    let (mut core, _) = open_core(&world, &dir, 1);
-    let failures =
-        |core: &DaemonCore<WorldBackend<'_>>| core.engine().metrics().wal_retire_failures.get();
+    let fs = FaultFs::new();
+    let (mut core, _) = open_core_in(fs.clone(), &world, &dir, 1);
+    let failures = |core: &DaemonCore<WorldBackend<'_>, FaultFs>| {
+        core.engine().metrics().wal_retire_failures.get()
+    };
     // Through tick 4: two rotations, nothing retired yet.
     assert_eq!(feed_quiet(&mut core, &world, start, start + 13).len(), 4);
     assert_eq!(sealed(&dir), vec![1, 2]);
 
-    // Segment 1 becomes something `unlink` refuses: a non-empty
-    // directory under its name.
-    let segment = segment_path(&dir.join(WAL_FILE), 1);
-    let bytes = std::fs::read(&segment).unwrap();
-    std::fs::remove_file(&segment).unwrap();
-    std::fs::create_dir(&segment).unwrap();
-    std::fs::write(segment.join("pin"), b"").unwrap();
     // Tick 6's rotation seals segment 3 and fails to retire segment 1;
     // the daemon ticks on and says so.
+    let segment = segment_path(Path::new(WAL_FILE), 1);
+    let segment = segment.to_str().unwrap();
+    fs.arm(Fault::first(Op::Remove, segment, Action::Fail));
     assert_eq!(
         feed_quiet(&mut core, &world, start + 13, start + 19).len(),
         2
     );
+    assert!(fs.fired());
     assert_eq!(failures(&core), 1);
     assert_eq!(sealed(&dir), vec![1, 2, 3]);
 
-    // With the obstacle gone, tick 8's rotation retires what tick 6's
-    // could not, along with its own.
-    std::fs::remove_dir_all(&segment).unwrap();
-    std::fs::write(&segment, bytes).unwrap();
+    // Tick 8's rotation retires what tick 6's could not, along with its
+    // own.
     assert_eq!(
         feed_quiet(&mut core, &world, start + 19, start + 25).len(),
         2
     );
     assert_eq!(failures(&core), 1);
     assert_eq!(sealed(&dir), vec![3, 4]);
+    drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_snapshot_prune_is_counted_and_the_next_prune_retries() {
+    let world = quiet_world(Scale::Tiny, 2, 0xC4A5);
+    let start = TimeRange::days(1).end.bucket().0;
+    let dir = state_dir("prune-fails");
+    let fs = FaultFs::new();
+    let (mut core, _) = open_core_in(fs.clone(), &world, &dir, 1);
+    let registry = core.engine().metrics().registry().clone();
+    let counter = |name: &str| registry.counter(name).get();
+    let snapshots = || -> Vec<u64> {
+        let listed = StateStore::create(&dir).unwrap().list_snapshots().unwrap();
+        listed.into_iter().map(|(ticks, _)| ticks).collect()
+    };
+    // The checkpoint and the snapshots after ticks 2 and 4 are the
+    // three kept.
+    assert_eq!(feed_quiet(&mut core, &world, start, start + 13).len(), 4);
+    assert_eq!(snapshots(), vec![0, 2, 4]);
+
+    // Tick 6's snapshot is durable before its prune fails to unlink the
+    // checkpoint: the tick returns, the snapshot counts, the failure is
+    // counted.
+    fs.arm(Fault::first(
+        Op::Remove,
+        "snapshot-0000000000.snap",
+        Action::Fail,
+    ));
+    assert_eq!(
+        feed_quiet(&mut core, &world, start + 13, start + 19).len(),
+        2
+    );
+    assert!(fs.fired());
+    assert_eq!(counter("blameit_snapshot_prune_failures_total"), 1);
+    assert_eq!(counter("blameit_snapshots_written_total"), 4);
+    assert_eq!(snapshots(), vec![0, 2, 4, 6]);
+
+    // Tick 8's prune lists the directory afresh and unlinks both.
+    assert_eq!(
+        feed_quiet(&mut core, &world, start + 19, start + 25).len(),
+        2
+    );
+    assert_eq!(counter("blameit_snapshot_prune_failures_total"), 1);
+    assert_eq!(counter("blameit_snapshots_written_total"), 5);
+    assert_eq!(snapshots(), vec![4, 6, 8]);
     drop(core);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -415,7 +466,9 @@ fn a_fresh_start_does_not_replay_the_last_runs_wal() {
     assert!(core.queue_depth() > 0, "the killed run left batches queued");
     drop(core);
     assert!(
-        !list_segments(&dir.join(WAL_FILE)).unwrap().is_empty(),
+        !list_segments(&StdFs, &dir.join(WAL_FILE))
+            .unwrap()
+            .is_empty(),
         "some of them in sealed segments"
     );
 
@@ -424,7 +477,7 @@ fn a_fresh_start_does_not_replay_the_last_runs_wal() {
     StateStore::create(&dir).unwrap().wipe().unwrap();
     assert!(!dir.join(WAL_FILE).exists(), "wipe owns the WAL too");
     assert_eq!(
-        list_segments(&dir.join(WAL_FILE)).unwrap(),
+        list_segments(&StdFs, &dir.join(WAL_FILE)).unwrap(),
         vec![],
         "and its sealed segments"
     );

@@ -14,13 +14,19 @@
 //! surged one, equal at 1 and 4 engine threads. The WAL's work
 //! counters ride along: `blameit_wal_bytes_appended_total` must equal
 //! an independent sum over the admitted offers, and the segments sealed
-//! and retired are pinned. A later deterministic work counter (ROADMAP
-//! item 1(c)) should extend `OverloadRun` and these two tests rather
-//! than invent a second shape.
+//! and retired are pinned. So does the IO shape: an unarmed `FaultFs`
+//! under the core counts its filesystem calls, and each count is tied
+//! to the work that makes it — one WAL `sync_data` per admitted offer
+//! (per ACK), one journal write per tick, one snapshot create, rename
+//! and directory fsync per snapshot written, one unlink per retired
+//! segment or pruned snapshot. A later deterministic work counter (the
+//! ROADMAP's in-tree work counters) should extend `OverloadRun` and
+//! these two tests rather than invent a second shape.
 
+use blameit::persist::fs::{FaultFs, FileKind, Op};
 use blameit::{
-    render_tick_transcript, BadnessThresholds, BlameItConfig, RecordBatch, StartMode, TickOutput,
-    WorldBackend,
+    render_tick_transcript, BadnessThresholds, BlameItConfig, RecordBatch, StartMode, StateStore,
+    TickOutput, WorldBackend,
 };
 use blameit_bench::{quiet_world, Scale};
 use blameit_daemon::{
@@ -70,6 +76,9 @@ struct OverloadRun {
     wal_bytes_appended: u64,
     /// `blameit_wal_segments_{sealed,retired}_total` after `TERM`.
     wal_segments: (u64, u64),
+    /// Filesystem calls after `TERM`: WAL `sync_data`s, journal writes,
+    /// snapshot creates, unlinks.
+    io: (u64, u64, u64, u64),
 }
 
 /// The in-process sink with the queue bounds checked at every reply:
@@ -86,9 +95,11 @@ struct OverloadRun {
 /// run per distinct key of the offer that was not shed, and each group
 /// the shed log gains on the offer is one shed key.
 struct CapChecked<'c, 'w> {
-    inner: CoreSink<'c, WorldBackend<'w>>,
+    inner: CoreSink<'c, WorldBackend<'w>, FaultFs>,
     groups_past_watermark: u64,
     wal_bytes: u64,
+    /// Offers that admitted records: each is one WAL append.
+    admitted_offers: u64,
 }
 
 impl Sink for CapChecked<'_, '_> {
@@ -115,6 +126,7 @@ impl Sink for CapChecked<'_, '_> {
                 let shed_groups = self.inner.core.shed_log().len() - shed_before;
                 let runs = (keys.len() - shed_groups) as u64;
                 self.wal_bytes += 25 + 12 * runs + 8 * admitted;
+                self.admitted_offers += 1;
             }
             OfferReply::Ack { .. } => {}
         }
@@ -137,7 +149,9 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
     let inner = WorldBackend::with_parallelism(world, threads);
     let source = WorldBackend::with_parallelism(world, threads);
     let warmup = TimeRange::days(1);
-    let (mut core, recovery) = DaemonCore::open(
+    let fs = FaultFs::new();
+    let (mut core, recovery) = DaemonCore::open_in(
+        fs.clone(),
         cfg,
         overload_dcfg(),
         Arc::new(MetricsRegistry::new()),
@@ -154,6 +168,7 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
         inner: CoreSink::new(&mut core),
         groups_past_watermark: 0,
         wal_bytes: 0,
+        admitted_offers: 0,
     };
     let fed = feed(
         &mut sink,
@@ -162,6 +177,7 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
     )
     .unwrap();
     let (groups_past_watermark, wal_bytes) = (sink.groups_past_watermark, sink.wal_bytes);
+    let admitted_offers = sink.admitted_offers;
     let mut outs: Vec<TickOutput> = sink.inner.outs;
     outs.extend(core.term().unwrap());
     assert_eq!(outs.len(), n_ticks as usize, "every tick window fired");
@@ -193,6 +209,8 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
         "TERM retires every segment a rotation sealed"
     );
 
+    let io = io_shape(&fs, &core, &dir, admitted_offers, outs.len() as u64);
+
     let overload_fired = core.engine().flight().with_ring(|_, events| {
         events
             .iter()
@@ -207,10 +225,59 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
         groups_scored,
         wal_bytes_appended: wal_bytes,
         wal_segments,
+        io,
     };
     drop(core);
     let _ = std::fs::remove_dir_all(&dir);
     run
+}
+
+/// The filesystem calls `fs` counted under `core`, each checked
+/// against the work that makes it: `admitted_offers` WAL appends,
+/// `ticks` journal appends, the snapshots written, the WAL segments
+/// retired and the snapshots pruned — every snapshot file made (the
+/// checkpoint, one per second tick, and TERM's, which rewrites the last
+/// when the feed ends on a snapshot tick) less those left in `dir`.
+/// Returns (WAL `sync_data`s, journal writes, snapshot creates,
+/// unlinks).
+fn io_shape(
+    fs: &FaultFs,
+    core: &DaemonCore<WorldBackend<'_>, FaultFs>,
+    dir: &Path,
+    admitted_offers: u64,
+    ticks: u64,
+) -> (u64, u64, u64, u64) {
+    let m = core.engine().metrics();
+    let written = m
+        .registry()
+        .counter("blameit_snapshots_written_total")
+        .get();
+    let files = 1 + ticks.div_ceil(2);
+    let kept = StateStore::create(dir)
+        .unwrap()
+        .list_snapshots()
+        .unwrap()
+        .len() as u64;
+    let unlinks = fs.count(Op::Remove, FileKind::Wal) + fs.count(Op::Remove, FileKind::Snapshot);
+    let io = (
+        fs.count(Op::SyncData, FileKind::Wal),
+        fs.count(Op::Write, FileKind::Journal),
+        fs.count(Op::Create, FileKind::Snapshot),
+        unlinks,
+    );
+    assert_eq!(io.0, admitted_offers, "one WAL fsync per ACK that admits");
+    assert_eq!(io.1, ticks, "one journal append per tick");
+    assert_eq!(fs.count(Op::SyncData, FileKind::Journal), ticks);
+    for op in [Op::Create, Op::Rename, Op::SyncDir] {
+        assert_eq!(
+            fs.count(op, FileKind::Snapshot),
+            written,
+            "{op:?} per snapshot"
+        );
+    }
+    let retired = m.wal_segments_retired.get();
+    assert_eq!(io.3, retired + (files - kept), "unlinks: retired + pruned");
+    io
 }
 
 #[test]
@@ -271,6 +338,8 @@ fn surged_feed_sheds_identically_at_any_thread_count() {
     );
     assert_eq!(one.wal_bytes_appended, four.wal_bytes_appended);
     assert_eq!(one.wal_segments, four.wal_segments);
+    assert_eq!(one.io, (14, 8, 6, 5), "IO shape of the surged feed");
+    assert_eq!(one.io, four.io);
 }
 
 #[test]
@@ -298,4 +367,6 @@ fn quiet_feed_sheds_nothing() {
         (run.wal_bytes_appended, run.wal_segments),
         "WAL work on the quiet feed is thread-invariant"
     );
+    assert_eq!(run.io, (24, 8, 6, 6), "IO shape of the quiet feed");
+    assert_eq!(run.io, four.io, "the IO shape is thread-invariant");
 }

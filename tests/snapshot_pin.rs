@@ -4,7 +4,8 @@
 //! change to the writer that moves a single byte of a `FORMAT_VERSION`
 //! 4 snapshot shows up here, per section; the transcript goldens cannot
 //! see that. It is also the first standing piece of the "every future
-//! version must open this" fixture (ROADMAP 4(b)).
+//! version must open this" fixture (the ROADMAP's previous-format
+//! snapshot fixture).
 //!
 //! To re-pin after an intentional format change (with a
 //! `FORMAT_VERSION` bump):

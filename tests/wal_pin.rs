@@ -21,6 +21,7 @@
 //! ```
 
 use blameit::persist::codec::{crc32, read_preamble, read_section, KIND_INGEST_WAL};
+use blameit::persist::fs::StdFs;
 use blameit::persist::log::{list_segments, WAL_FILE};
 use blameit::{BadnessThresholds, BlameItConfig, RecoveryReport, StartMode, WorldBackend};
 use blameit_bench::{quiet_world, Scale};
@@ -100,7 +101,7 @@ fn pinned_wal(world: &World, threads: usize) -> String {
     drop(core);
 
     let active = dir.join(WAL_FILE);
-    let sealed = list_segments(&active).unwrap();
+    let sealed = list_segments(&StdFs, &active).unwrap();
     assert_eq!(sealed.len(), 1, "one rotation sealed one segment");
     let (mut out, mut on_disk) = (String::new(), 0);
     for path in sealed.iter().map(|(_, p)| p).chain([&active]) {
