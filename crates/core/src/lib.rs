@@ -110,7 +110,7 @@ pub use metrics::{EngineMetrics, ShardMetrics};
 pub use passive::{assign_blames, blame_bucket, AggregateStats, Blame, BlameConfig, BlameResult};
 pub use persist::{
     fsck, tick_digest, CodecError, DurableEngine, FsckReport, PersistError, PersistMetrics,
-    RecoveryReport, StartMode, StateStore,
+    RecoveryReport, SnapshotLoad, StartMode, StateStore,
 };
 pub use pipeline::{
     Alert, BlameItConfig, BlameItEngine, EngineState, MiddleLocalization, TickOutput,

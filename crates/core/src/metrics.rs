@@ -187,6 +187,13 @@ pub struct EngineMetrics {
     pub wal_segments_retired: Arc<Counter>,
     /// Bytes the last open read back from the WAL, every segment.
     pub wal_replayed_bytes: Arc<Gauge>,
+    /// `{state="queued"}`: batches the last open materialised into the
+    /// queue — those at or past the loaded snapshot's first unconsumed
+    /// bucket.
+    pub wal_replayed_queued: Arc<Gauge>,
+    /// `{state="covered"}`: batches the last open only checked — those
+    /// the loaded snapshot already covers.
+    pub wal_replayed_covered: Arc<Gauge>,
     /// Quartet groups the admission controller scored — work it only
     /// does for offers past the shed watermark, so 0 on a feed that
     /// never sheds. Deterministic in the feed.
@@ -253,6 +260,10 @@ impl EngineMetrics {
             wal_segments_sealed: registry.counter("blameit_wal_segments_sealed_total"),
             wal_segments_retired: registry.counter("blameit_wal_segments_retired_total"),
             wal_replayed_bytes: registry.gauge("blameit_wal_replayed_bytes"),
+            wal_replayed_queued: registry
+                .gauge_with("blameit_wal_replayed_batches", &[("state", "queued")]),
+            wal_replayed_covered: registry
+                .gauge_with("blameit_wal_replayed_batches", &[("state", "covered")]),
             admission_groups_scored: registry.counter("blameit_admission_groups_scored_total"),
             admission_streak_groups: registry.gauge("blameit_admission_streak_groups"),
             registry,
@@ -500,6 +511,8 @@ mod tests {
         m.wal_segments_sealed.add(9);
         m.wal_segments_retired.add(10);
         m.wal_replayed_bytes.set(11.0);
+        m.wal_replayed_queued.set(14.0);
+        m.wal_replayed_covered.set(15.0);
         m.wal_append_us.observe(12.0);
         m.wal_rotate_us.observe(13.0);
         let text = reg.render_prometheus();
@@ -514,6 +527,8 @@ mod tests {
             "blameit_wal_segments_sealed_total 9",
             "blameit_wal_segments_retired_total 10",
             "blameit_wal_replayed_bytes 11",
+            "blameit_wal_replayed_batches{state=\"queued\"} 14",
+            "blameit_wal_replayed_batches{state=\"covered\"} 15",
             "blameit_wal_append_us_sum 12",
             "blameit_wal_rotate_us_sum 13",
         ] {

@@ -439,8 +439,18 @@ pub trait Codec: Sized {
 /// Reads one `T` that must span all of `payload` — a snapshot section,
 /// a journal record, a WAL batch; trailing bytes are an error.
 pub(crate) fn decode_exact<T: Codec>(payload: &[u8]) -> Result<T, CodecError> {
+    read_exact(payload, T::get)
+}
+
+/// Reads one value with `read` that must span all of `payload`:
+/// [`decode_exact`] for a reader that is not a [`Codec`] impl, such as
+/// a [`BatchView`] parse.
+pub(crate) fn read_exact<'a, T>(
+    payload: &'a [u8],
+    read: impl FnOnce(&mut ByteReader<'a>) -> Result<T, CodecError>,
+) -> Result<T, CodecError> {
     let mut r = ByteReader::new(payload);
-    let value = T::get(&mut r)?;
+    let value = read(&mut r)?;
     match r.remaining() {
         0 => Ok(value),
         _ => Err(CodecError::Invalid("trailing bytes after the value")),
@@ -841,23 +851,132 @@ pub fn read_section<'a>(r: &mut ByteReader<'a>) -> Result<(u8, &'a [u8]), CodecE
     Ok((id, payload))
 }
 
-/// Reads an eight-byte column of `n` items, which the caller has
-/// checked the input holds, into a vector of exactly its size.
-fn get_column<T>(
-    r: &mut ByteReader<'_>,
-    n: usize,
-    from: impl Fn([u8; 8]) -> T,
-) -> Result<Vec<T>, CodecError> {
-    let column = r.take(8 * n)?.as_chunks::<8>().0;
-    Ok(column.iter().map(|&b| from(b)).collect())
+/// One batch as its bytes hold it, in either layout: the counts read
+/// and every check a decode makes done, the columns still borrowed.
+/// It is the one reader of both layouts — [`RecordBatch::get`] and
+/// [`KeyRuns::get`] are a parse ([`columns`](Self::columns),
+/// [`key_runs`](Self::key_runs)) then [`materialise`](Self::materialise),
+/// and a caller that only has to know a payload is a batch, and its
+/// bucket, stops after the parse. Materialising cannot fail.
+#[derive(Clone, Copy, Debug)]
+pub struct BatchView<'a> {
+    /// The batch's bucket.
+    pub bucket: TimeBucket,
+    keys: KeyColumn<'a>,
+    rtt: &'a [[u8; 8]],
+}
+
+/// A [`BatchView`]'s keys as its layout stores them.
+#[derive(Clone, Copy, Debug)]
+enum KeyColumn<'a> {
+    /// One eight-byte key a record.
+    Plain(&'a [[u8; 8]]),
+    /// A checked table of `(key:u64 · len:u32)` runs.
+    Runs(&'a [[u8; 12]]),
+}
+
+/// One `(key, len)` entry of a key-run table.
+fn run_entry(&[k0, k1, k2, k3, k4, k5, k6, k7, l0, l1, l2, l3]: &[u8; 12]) -> (u64, u32) {
+    (
+        u64::from_le_bytes([k0, k1, k2, k3, k4, k5, k6, k7]),
+        u32::from_le_bytes([l0, l1, l2, l3]),
+    )
+}
+
+impl<'a> BatchView<'a> {
+    /// Parses the column layout, `bucket:u32 · n:u32 · keys[n]:u64 ·
+    /// rtt[n]:f64`, checking the record count against the bytes
+    /// remaining.
+    #[inline]
+    pub fn columns(r: &mut ByteReader<'a>) -> Result<Self, CodecError> {
+        let bucket = TimeBucket(r.u32()?);
+        let n = r.u32()? as usize;
+        if r.remaining() / 16 < n {
+            return Err(CodecError::Invalid(
+                "batch record count exceeds remaining input",
+            ));
+        }
+        let keys = KeyColumn::Plain(r.take(8 * n)?.as_chunks::<8>().0);
+        let rtt = r.take(8 * n)?.as_chunks::<8>().0;
+        Ok(BatchView { bucket, keys, rtt })
+    }
+
+    /// Parses the key-run layout, `bucket:u32 · n:u32 · runs:u32 ·
+    /// (key:u64 · len:u32)[runs] · rtt[n]:f64`, and checks its run
+    /// table: no zero-length run, no two adjacent runs of one key, run
+    /// lengths that sum to `n`, and counts the input can hold.
+    #[inline]
+    pub fn key_runs(r: &mut ByteReader<'a>) -> Result<Self, CodecError> {
+        let (bucket, n, runs) = <(TimeBucket, u32, u32)>::get(r)?;
+        let (n, runs) = (n as usize, runs as usize);
+        if r.remaining() / 12 < runs || (r.remaining() - 12 * runs) / 8 < n {
+            return Err(CodecError::Invalid(
+                "key-run or record count exceeds remaining input",
+            ));
+        }
+        let table = r.take(12 * runs)?.as_chunks::<12>().0;
+        let (mut total, mut last) = (0usize, None);
+        for (key, len) in table.iter().map(run_entry) {
+            if len == 0 {
+                return Err(CodecError::Invalid("zero-length key run"));
+            }
+            if last == Some(key) {
+                return Err(CodecError::Invalid("adjacent key runs share a key"));
+            }
+            (total, last) = (total + len as usize, Some(key));
+        }
+        if total != n {
+            return Err(CodecError::Invalid(
+                "key-run lengths do not sum to the record count",
+            ));
+        }
+        let rtt = r.take(8 * n)?.as_chunks::<8>().0;
+        Ok(BatchView {
+            bucket,
+            keys: KeyColumn::Runs(table),
+            rtt,
+        })
+    }
+
+    /// Records in the batch.
+    pub fn len(&self) -> usize {
+        self.rtt.len()
+    }
+
+    /// Whether the batch holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.rtt.is_empty()
+    }
+
+    /// The batch itself: each column read into a vector of exactly its
+    /// size.
+    #[inline]
+    pub fn materialise(&self) -> RecordBatch {
+        let keys = match self.keys {
+            KeyColumn::Plain(column) => column.iter().map(|&b| u64::from_le_bytes(b)).collect(),
+            KeyColumn::Runs(table) => {
+                let mut keys = Vec::with_capacity(self.len());
+                for (key, len) in table.iter().map(run_entry) {
+                    keys.resize(keys.len() + len as usize, key);
+                }
+                keys
+            }
+        };
+        let rtt = self.rtt.iter().map(|&b| f64::from_le_bytes(b)).collect();
+        RecordBatch {
+            bucket: self.bucket,
+            keys,
+            rtt,
+        }
+    }
 }
 
 /// A batch's columns: `bucket:u32 · n:u32 · keys[n]:u64 · rtt[n]:f64`.
 /// This is the wire `BATCH` body and WAL section id 1 (the WAL's
 /// layout before [`KeyRuns`]), byte for byte. On read the record count
 /// is checked against the bytes remaining before either column is
-/// allocated; each column is then one `take` read eight bytes at a
-/// time into a vector of exactly its size.
+/// allocated ([`BatchView::columns`]); each column is then one `take`
+/// read eight bytes at a time into a vector of exactly its size.
 impl Codec for RecordBatch {
     const MIN_BYTES: usize = <(TimeBucket, u32)>::MIN_BYTES;
     fn put(&self, w: &mut ByteWriter) {
@@ -870,16 +989,7 @@ impl Codec for RecordBatch {
     }
     #[inline]
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let bucket = TimeBucket(r.u32()?);
-        let n = r.u32()? as usize;
-        if r.remaining() / 16 < n {
-            return Err(CodecError::Invalid(
-                "batch record count exceeds remaining input",
-            ));
-        }
-        let keys = get_column(r, n, u64::from_le_bytes)?;
-        let rtt = get_column(r, n, f64::from_le_bytes)?;
-        Ok(RecordBatch { bucket, keys, rtt })
+        BatchView::columns(r).map(|view| view.materialise())
     }
 }
 
@@ -891,15 +1001,10 @@ impl Codec for RecordBatch {
 /// share of its group's 12. Encoding is canonical: the decoder refuses
 /// a zero-length run, two adjacent runs of one key and run lengths
 /// that do not sum to `n` (checked over the table before the key
-/// column is allocated), and counts the input cannot hold.
+/// column is allocated, [`BatchView::key_runs`]), and counts the input
+/// cannot hold.
 #[derive(Debug)]
 pub struct KeyRuns<'a>(pub Cow<'a, RecordBatch>);
-
-/// The `(key, len)` entries of a key-run table, read in order.
-fn run_entries(table: &[u8]) -> impl Iterator<Item = Result<(u64, u32), CodecError>> + '_ {
-    let mut r = ByteReader::new(table);
-    std::iter::from_fn(move || (r.remaining() > 0).then(|| <(u64, u32)>::get(&mut r)))
-}
 
 impl Codec for KeyRuns<'_> {
     const MIN_BYTES: usize = <(TimeBucket, u32, u32)>::MIN_BYTES;
@@ -927,37 +1032,7 @@ impl Codec for KeyRuns<'_> {
     }
     #[inline]
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let (bucket, n, runs) = <(TimeBucket, u32, u32)>::get(r)?;
-        let (n, runs) = (n as usize, runs as usize);
-        if r.remaining() / 12 < runs || (r.remaining() - 12 * runs) / 8 < n {
-            return Err(CodecError::Invalid(
-                "key-run or record count exceeds remaining input",
-            ));
-        }
-        let table = r.take(12 * runs)?;
-        let (mut total, mut last) = (0usize, None);
-        for entry in run_entries(table) {
-            let (key, len) = entry?;
-            if len == 0 {
-                return Err(CodecError::Invalid("zero-length key run"));
-            }
-            if last == Some(key) {
-                return Err(CodecError::Invalid("adjacent key runs share a key"));
-            }
-            (total, last) = (total + len as usize, Some(key));
-        }
-        if total != n {
-            return Err(CodecError::Invalid(
-                "key-run lengths do not sum to the record count",
-            ));
-        }
-        let mut keys = Vec::with_capacity(n);
-        for entry in run_entries(table) {
-            let (key, len) = entry?;
-            keys.resize(keys.len() + len as usize, key);
-        }
-        let rtt = get_column(r, n, f64::from_le_bytes)?;
-        Ok(KeyRuns(Cow::Owned(RecordBatch { bucket, keys, rtt })))
+        BatchView::key_runs(r).map(|view| KeyRuns(Cow::Owned(view.materialise())))
     }
 }
 

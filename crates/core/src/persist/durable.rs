@@ -17,21 +17,30 @@
 //!
 //! A killed filesystem refuses every later call, so the tick returns
 //! the error and the disk stays exactly as a real crash would leave it.
-//! Recovery ([`DurableEngine::open`]) loads the newest snapshot that
-//! passes its CRCs (falling back and counting rejects), truncates any
-//! torn journal tail, and deterministically replays the journaled
-//! ticks — verifying each tick's digest — so the resumed run is
-//! byte-identical to one that never crashed.
+//! Recovery ([`DurableEngine::open`]) has two phases. The first
+//! ([`DurableEngine::load_in`]) loads the newest snapshot that passes
+//! its CRCs, falling back and counting rejects. The second
+//! ([`SnapshotLoad::replay`]) truncates any torn journal tail and
+//! deterministically replays the journaled ticks — verifying each
+//! tick's digest — so the resumed run is byte-identical to one that
+//! never crashed. A caller whose backend must be refilled before the
+//! replay (the daemon's queue, from its ingest WAL) works between the
+//! two, knowing which snapshot loaded; everyone else calls `open`.
+//!
+//! `TERM`'s checkpoint ([`DurableEngine::checkpoint_if_changed`]) skips
+//! the write when the newest snapshot already holds the state, so a
+//! feed that ends on a snapshot tick writes that snapshot once.
 
 use super::fs::{Fs, StdFs};
 use super::journal::{fnv1a64, Journal, JournalRecord};
-use super::snapshot;
+use super::snapshot::{self, SnapshotCounters};
 use super::store::StateStore;
 use super::PersistError;
 use crate::backend::Backend;
 use crate::pipeline::{BlameItConfig, BlameItEngine, TickOutput};
 use blameit_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use blameit_simnet::{TimeBucket, TimeRange};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Metric handles for the persistence layer.
@@ -163,6 +172,26 @@ fn last_tick_digest(engine: &BlameItEngine) -> u64 {
     })
 }
 
+/// What the newest snapshot holds, as far as `TERM` can change it:
+/// the ticks it covers, the flight dumps it carries and the counters it
+/// persists. The engine state itself only moves with a tick.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct SnapshotMark {
+    ticks_done: u64,
+    flight_dumps: usize,
+    counters: SnapshotCounters,
+}
+
+impl SnapshotMark {
+    fn of(engine: &BlameItEngine, ticks_done: u64) -> SnapshotMark {
+        SnapshotMark {
+            ticks_done,
+            flight_dumps: engine.flight.with_ring(|_, dumps| dumps.len()),
+            counters: SnapshotCounters::capture(engine),
+        }
+    }
+}
+
 /// A [`BlameItEngine`] wrapped in the durable-tick protocol.
 pub struct DurableEngine<F: Fs = StdFs> {
     engine: BlameItEngine,
@@ -172,6 +201,27 @@ pub struct DurableEngine<F: Fs = StdFs> {
     ticks_done: u64,
     last_snapshot_tick: u64,
     snapshot_every: u64,
+    /// What the newest snapshot written or loaded holds; `None` before
+    /// the first.
+    newest_snapshot: Option<SnapshotMark>,
+}
+
+/// Recovery's first phase: the newest snapshot that loads, applied to a
+/// fresh engine, or a cold engine when none does. [`replay`](Self::replay)
+/// is the second phase. Between the two a caller learns which snapshot
+/// loaded ([`snapshot_ticks_done`](Self::snapshot_ticks_done)) — the
+/// daemon refills its queue from its WAL starting exactly there.
+pub struct SnapshotLoad<F: Fs = StdFs> {
+    engine: BlameItEngine,
+    store: StateStore<F>,
+    fs: F,
+    dir: PathBuf,
+    metrics: PersistMetrics,
+    seed: u64,
+    snapshot_every: u64,
+    /// `ticks_done` of the snapshot that loaded.
+    loaded: Option<u64>,
+    rejected: usize,
 }
 
 impl DurableEngine {
@@ -188,7 +238,8 @@ impl DurableEngine {
 impl<F: Fs> DurableEngine<F> {
     /// Opens (or creates) the state directory in `cfg.state_dir` on
     /// `fs`, recovers state if any exists, and returns the engine plus
-    /// a [`RecoveryReport`]. `backend` is needed because recovery
+    /// a [`RecoveryReport`]: [`load_in`](Self::load_in), then
+    /// [`SnapshotLoad::replay`]. `backend` is needed because recovery
     /// *replays* journaled ticks through the real pipeline — that is
     /// what guarantees the resumed run is byte-identical.
     pub fn open_in<B: Backend>(
@@ -197,6 +248,19 @@ impl<F: Fs> DurableEngine<F> {
         registry: Arc<MetricsRegistry>,
         backend: &mut B,
     ) -> Result<(DurableEngine<F>, RecoveryReport), PersistError> {
+        DurableEngine::load_in(fs, cfg, registry)?.replay(backend)
+    }
+
+    /// Recovery's first phase: opens (or creates) the state directory
+    /// in `cfg.state_dir` on `fs` and loads the newest snapshot that
+    /// decodes and matches this engine's identity. Corrupt ones are
+    /// rejected and counted, falling back to the next older one; a
+    /// snapshot of another identity is an error.
+    pub fn load_in(
+        fs: F,
+        cfg: BlameItConfig,
+        registry: Arc<MetricsRegistry>,
+    ) -> Result<SnapshotLoad<F>, PersistError> {
         let dir = cfg.state_dir.clone().ok_or(PersistError::NoStateDir)?;
         let store = StateStore::create_in(fs.clone(), &dir)?;
         let metrics = PersistMetrics::new(&registry);
@@ -204,8 +268,6 @@ impl<F: Fs> DurableEngine<F> {
         let seed = cfg.seed;
         let mut engine = BlameItEngine::with_metrics(cfg, registry);
 
-        // Newest snapshot that decodes and matches our identity wins;
-        // corrupt ones are rejected and counted, falling back.
         let mut rejected = 0usize;
         let mut loaded: Option<u64> = None;
         for (_, path) in store.list_snapshots()?.iter().rev() {
@@ -229,10 +291,169 @@ impl<F: Fs> DurableEngine<F> {
                 }
             }
         }
+        Ok(SnapshotLoad {
+            engine,
+            store,
+            fs,
+            dir,
+            metrics,
+            seed,
+            snapshot_every,
+            loaded,
+            rejected,
+        })
+    }
 
-        // Journal: opening checks the seed and drops a torn tail; then
-        // replay everything the snapshot does not already cover,
-        // verifying digests.
+    /// The wrapped engine.
+    pub fn engine(&self) -> &BlameItEngine {
+        &self.engine
+    }
+
+    /// Completed ticks since the post-warmup checkpoint.
+    pub fn ticks_done(&self) -> u64 {
+        self.ticks_done
+    }
+
+    /// The persistence metric handles.
+    pub fn metrics(&self) -> &PersistMetrics {
+        &self.metrics
+    }
+
+    /// Warms the engine up and writes the tick-0 checkpoint, resetting
+    /// the journal. This is the cold-start path: recovery from any
+    /// later crash loads this (or a newer) snapshot and never has to
+    /// repeat the warmup.
+    pub fn warmup_and_checkpoint<B: Backend>(
+        &mut self,
+        backend: &B,
+        range: TimeRange,
+        sample_every: u32,
+    ) -> Result<(), PersistError> {
+        self.engine.warmup(backend, range, sample_every);
+        self.journal.reset()?;
+        self.ticks_done = 0;
+        self.last_snapshot_tick = 0;
+        self.write_snapshot()
+    }
+
+    /// Writes a snapshot now (the deliberate checkpoint path, outside
+    /// the in-tick protocol) unless the newest snapshot already holds
+    /// this state: no tick ran, no flight dump was added and no
+    /// persisted counter moved since it was written or loaded. A feed
+    /// that ends on a snapshot tick then writes that snapshot once, not
+    /// twice. Returns whether it wrote one.
+    pub fn checkpoint_if_changed(&mut self) -> Result<bool, PersistError> {
+        let now = SnapshotMark::of(&self.engine, self.ticks_done);
+        if self.newest_snapshot.as_ref() == Some(&now) {
+            return Ok(false);
+        }
+        self.write_snapshot()?;
+        Ok(true)
+    }
+
+    /// The one snapshot-write sequence: encode the engine's state after
+    /// `ticks_done` ticks, write it, prune, account for it. The snapshot
+    /// counts once its write returns: it is durable then. A failed
+    /// unlink of a surplus older snapshot is only counted — the next
+    /// snapshot's prune retries it.
+    fn write_snapshot(&mut self) -> Result<(), PersistError> {
+        // lint:allow(wall-clock): times the snapshot write for the snapshot_write_us metric only; never reaches engine state
+        let t0 = std::time::Instant::now();
+        let bytes = snapshot::encode(&self.engine, self.ticks_done);
+        self.store.write_snapshot(self.ticks_done, &bytes)?;
+        if self.store.prune().is_err() {
+            self.metrics.snapshot_prune_failures.inc();
+        }
+        self.metrics.snapshots_written.inc();
+        self.metrics.snapshot_bytes.observe(bytes.len() as f64);
+        self.metrics
+            .snapshot_write_us
+            // lint:allow(wall-clock): metrics-only duration of the snapshot write; write-only observability
+            .observe(t0.elapsed().as_micros() as f64);
+        self.last_snapshot_tick = self.ticks_done;
+        self.newest_snapshot = Some(SnapshotMark::of(&self.engine, self.ticks_done));
+        self.metrics.journal_lag_ticks.set(0.0);
+        Ok(())
+    }
+
+    /// One durable tick: run the engine, journal the output (fsync),
+    /// snapshot when due. On an error — a killed filesystem's included —
+    /// the tick's output is *not* returned: like a real crash, the
+    /// caller never sees it and recovery must re-derive it.
+    pub fn tick<B: Backend>(
+        &mut self,
+        backend: &mut B,
+        start: TimeBucket,
+    ) -> Result<TickOutput, PersistError> {
+        let out = self.engine.tick(backend, start);
+        let rec = JournalRecord {
+            tick: self.ticks_done,
+            bucket: start,
+            digest: last_tick_digest(&self.engine),
+        };
+        self.journal.append(&rec)?;
+        self.ticks_done += 1;
+        self.metrics
+            .journal_lag_ticks
+            .set((self.ticks_done - self.last_snapshot_tick) as f64);
+
+        if self.ticks_done - self.last_snapshot_tick >= self.snapshot_every {
+            self.write_snapshot()?;
+        }
+        Ok(out)
+    }
+
+    /// Runs durable ticks across `range`, skipping the first
+    /// `ticks_done()` tick starts (already journaled/replayed — the
+    /// resume path after a recovery). Returns the outputs of the ticks
+    /// it actually ran.
+    pub fn run<B: Backend>(
+        &mut self,
+        backend: &mut B,
+        range: TimeRange,
+    ) -> Result<Vec<TickOutput>, PersistError> {
+        let tick_buckets = self.engine.config().tick_buckets as usize;
+        let buckets: Vec<TimeBucket> = range.buckets().collect();
+        let mut outs = Vec::new();
+        let mut i = 0usize;
+        let mut tick_no = 0u64;
+        while i + tick_buckets <= buckets.len() {
+            if tick_no >= self.ticks_done {
+                outs.push(self.tick(backend, buckets[i])?);
+            }
+            i += tick_buckets;
+            tick_no += 1;
+        }
+        Ok(outs)
+    }
+}
+
+impl<F: Fs> SnapshotLoad<F> {
+    /// `ticks_done` of the snapshot that loaded; `None` on a cold start.
+    pub fn snapshot_ticks_done(&self) -> Option<u64> {
+        self.loaded
+    }
+
+    /// Recovery's second phase: opens the journal (checking its seed
+    /// and dropping a torn tail), replays through `backend` every
+    /// journaled tick the loaded snapshot does not cover — verifying
+    /// each tick's digest — and counts how the engine came up.
+    pub fn replay<B: Backend>(
+        self,
+        backend: &mut B,
+    ) -> Result<(DurableEngine<F>, RecoveryReport), PersistError> {
+        let SnapshotLoad {
+            mut engine,
+            store,
+            fs,
+            dir,
+            metrics,
+            seed,
+            snapshot_every,
+            loaded,
+            rejected,
+        } = self;
+        let newest_snapshot = loaded.map(|ticks| SnapshotMark::of(&engine, ticks));
         let (journal, scan) = Journal::open_in(fs, &dir, seed)?;
         let mut replayed: Vec<TickOutput> = Vec::new();
         let mut ticks_done = 0;
@@ -299,122 +520,9 @@ impl<F: Fs> DurableEngine<F> {
                 ticks_done,
                 last_snapshot_tick,
                 snapshot_every,
+                newest_snapshot,
             },
             report,
         ))
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &BlameItEngine {
-        &self.engine
-    }
-
-    /// Completed ticks since the post-warmup checkpoint.
-    pub fn ticks_done(&self) -> u64 {
-        self.ticks_done
-    }
-
-    /// The persistence metric handles.
-    pub fn metrics(&self) -> &PersistMetrics {
-        &self.metrics
-    }
-
-    /// Warms the engine up and writes the tick-0 checkpoint, resetting
-    /// the journal. This is the cold-start path: recovery from any
-    /// later crash loads this (or a newer) snapshot and never has to
-    /// repeat the warmup.
-    pub fn warmup_and_checkpoint<B: Backend>(
-        &mut self,
-        backend: &B,
-        range: TimeRange,
-        sample_every: u32,
-    ) -> Result<(), PersistError> {
-        self.engine.warmup(backend, range, sample_every);
-        self.journal.reset()?;
-        self.ticks_done = 0;
-        self.last_snapshot_tick = 0;
-        self.checkpoint_now()?;
-        Ok(())
-    }
-
-    /// Writes a snapshot immediately (the deliberate checkpoint path,
-    /// outside the in-tick protocol).
-    pub fn checkpoint_now(&mut self) -> Result<(), PersistError> {
-        self.write_snapshot()
-    }
-
-    /// The one snapshot-write sequence: encode the engine's state after
-    /// `ticks_done` ticks, write it, prune, account for it. The snapshot
-    /// counts once its write returns: it is durable then. A failed
-    /// unlink of a surplus older snapshot is only counted — the next
-    /// snapshot's prune retries it.
-    fn write_snapshot(&mut self) -> Result<(), PersistError> {
-        // lint:allow(wall-clock): times the snapshot write for the snapshot_write_us metric only; never reaches engine state
-        let t0 = std::time::Instant::now();
-        let bytes = snapshot::encode(&self.engine, self.ticks_done);
-        self.store.write_snapshot(self.ticks_done, &bytes)?;
-        if self.store.prune().is_err() {
-            self.metrics.snapshot_prune_failures.inc();
-        }
-        self.metrics.snapshots_written.inc();
-        self.metrics.snapshot_bytes.observe(bytes.len() as f64);
-        self.metrics
-            .snapshot_write_us
-            // lint:allow(wall-clock): metrics-only duration of the snapshot write; write-only observability
-            .observe(t0.elapsed().as_micros() as f64);
-        self.last_snapshot_tick = self.ticks_done;
-        self.metrics.journal_lag_ticks.set(0.0);
-        Ok(())
-    }
-
-    /// One durable tick: run the engine, journal the output (fsync),
-    /// snapshot when due. On an error — a killed filesystem's included —
-    /// the tick's output is *not* returned: like a real crash, the
-    /// caller never sees it and recovery must re-derive it.
-    pub fn tick<B: Backend>(
-        &mut self,
-        backend: &mut B,
-        start: TimeBucket,
-    ) -> Result<TickOutput, PersistError> {
-        let out = self.engine.tick(backend, start);
-        let rec = JournalRecord {
-            tick: self.ticks_done,
-            bucket: start,
-            digest: last_tick_digest(&self.engine),
-        };
-        self.journal.append(&rec)?;
-        self.ticks_done += 1;
-        self.metrics
-            .journal_lag_ticks
-            .set((self.ticks_done - self.last_snapshot_tick) as f64);
-
-        if self.ticks_done - self.last_snapshot_tick >= self.snapshot_every {
-            self.write_snapshot()?;
-        }
-        Ok(out)
-    }
-
-    /// Runs durable ticks across `range`, skipping the first
-    /// `ticks_done()` tick starts (already journaled/replayed — the
-    /// resume path after a recovery). Returns the outputs of the ticks
-    /// it actually ran.
-    pub fn run<B: Backend>(
-        &mut self,
-        backend: &mut B,
-        range: TimeRange,
-    ) -> Result<Vec<TickOutput>, PersistError> {
-        let tick_buckets = self.engine.config().tick_buckets as usize;
-        let buckets: Vec<TimeBucket> = range.buckets().collect();
-        let mut outs = Vec::new();
-        let mut i = 0usize;
-        let mut tick_no = 0u64;
-        while i + tick_buckets <= buckets.len() {
-            if tick_no >= self.ticks_done {
-                outs.push(self.tick(backend, buckets[i])?);
-            }
-            i += tick_buckets;
-            tick_no += 1;
-        }
-        Ok(outs)
     }
 }

@@ -23,13 +23,14 @@
 //! section id rather than by [`codec::FORMAT_VERSION`]. Id 1
 //! ([`WAL_SEC_BATCH`]) is a batch's columns — 21 bytes of frame and
 //! counts plus 16 a record — and is what builds before the key-run
-//! layout wrote. Id 2 ([`WAL_SEC_RUNS`]) is [`KeyRuns`] — 25 bytes plus
-//! 12 a key run and 8 a record — and is what the WAL writes now.
-//! [`wal_batch`] reads both, so a WAL left by the previous build
-//! replays and is appended to in place. A new WAL layout takes a new id
-//! the same way; an id's layout never changes.
+//! layout wrote. Id 2 ([`WAL_SEC_RUNS`]) is [`codec::KeyRuns`] — 25
+//! bytes plus 12 a key run and 8 a record — and is what the WAL writes
+//! now. [`wal_section`] checks both and [`wal_batch`] reads both, so a
+//! WAL left by the previous build replays and is appended to in place.
+//! A new WAL layout takes a new id the same way; an id's layout never
+//! changes.
 
-use super::codec::{self, ByteWriter, CodecError, KeyRuns};
+use super::codec::{self, BatchView, ByteWriter, CodecError};
 use super::fs::{list_by, parent_dir, AppendFile, Fs, StdFs};
 use super::PersistError;
 use crate::columnar::RecordBatch;
@@ -44,7 +45,7 @@ pub const WAL_FILE: &str = "ingest.wal";
 /// WAL layout, read but no longer written.
 pub const WAL_SEC_BATCH: u8 = 1;
 /// Section id of one admitted batch in the key-run layout
-/// ([`KeyRuns`]): what the ingest WAL appends.
+/// ([`codec::KeyRuns`]): what the ingest WAL appends.
 pub const WAL_SEC_RUNS: u8 = 2;
 
 /// The sealed segment `seq` of the log whose active file is `active`:
@@ -69,14 +70,20 @@ pub fn list_segments(fs: &impl Fs, active: &Path) -> std::io::Result<Vec<(u64, P
 
 /// The ingest WAL's trust rule, shared by the daemon's replay and
 /// `fsck`: a section is one batch, in either layout, and nothing else.
-pub fn wal_batch(id: u8, payload: &[u8]) -> Option<RecordBatch> {
+/// The batch comes back checked but not materialised: a replay that
+/// does not need it (a bucket a snapshot already covers) and `fsck`
+/// read its bucket and stop there.
+pub fn wal_section(id: u8, payload: &[u8]) -> Option<BatchView<'_>> {
     match id {
-        WAL_SEC_BATCH => codec::decode_exact(payload).ok(),
-        WAL_SEC_RUNS => codec::decode_exact::<KeyRuns>(payload)
-            .ok()
-            .map(|runs| runs.0.into_owned()),
+        WAL_SEC_BATCH => codec::read_exact(payload, BatchView::columns).ok(),
+        WAL_SEC_RUNS => codec::read_exact(payload, BatchView::key_runs).ok(),
         _ => None,
     }
+}
+
+/// The batch a trusted WAL section holds: [`wal_section`], materialised.
+pub fn wal_batch(id: u8, payload: &[u8]) -> Option<RecordBatch> {
+    wal_section(id, payload).map(|view| view.materialise())
 }
 
 /// What lies past a log's valid prefix.

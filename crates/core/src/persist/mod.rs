@@ -57,7 +57,7 @@ pub mod store;
 
 pub use self::fs::{Fault, FaultFs, Fs, StdFs};
 pub use codec::CodecError;
-pub use durable::{DurableEngine, PersistMetrics, RecoveryReport, StartMode};
+pub use durable::{DurableEngine, PersistMetrics, RecoveryReport, SnapshotLoad, StartMode};
 pub use journal::{tick_digest, Journal, JournalRecord};
 pub use snapshot::{SnapshotCounters, SnapshotState};
 pub use store::{fsck, FsckReport, StateStore};

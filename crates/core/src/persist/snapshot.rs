@@ -118,7 +118,7 @@ impl SnapshotCounters {
     /// zero-valued instruments when no chaos backend ever attached —
     /// capture therefore never misses them.
     // lint:allow(transitive-effect): shed labels are drawn from shed_reason::ALL itself; the lookup expect cannot fire
-    fn capture(engine: &BlameItEngine) -> SnapshotCounters {
+    pub(crate) fn capture(engine: &BlameItEngine) -> SnapshotCounters {
         let m = &engine.metrics;
         SnapshotCounters {
             degraded: UnlocalizedReason::ALL.map(|r| m.degraded_counter(r).get()),

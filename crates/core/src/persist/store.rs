@@ -399,7 +399,7 @@ fn fsck_wal(dir: &Path, report: &mut FsckReport) {
             );
         }
     }
-    let is_batch = |id: u8, payload: &[u8]| log::wal_batch(id, payload).is_some();
+    let is_batch = |id: u8, payload: &[u8]| log::wal_section(id, payload).is_some();
     for (path, is_sealed) in sealed
         .iter()
         .map(|(_, path)| (path, true))

@@ -15,7 +15,8 @@
 //!
 //! Both layouts of an ingest batch — its columns and its key runs —
 //! round-trip canonically over batches of repeated, non-adjacent and
-//! singleton keys.
+//! singleton keys, and the WAL's check-only reader accepts exactly the
+//! damaged or non-canonical payloads its decode accepts.
 //!
 //! And the one damage suite for `persist::log` (the journal and the
 //! ingest WAL are typed users of it and test only what is theirs): a
@@ -456,6 +457,118 @@ fn both_batch_layouts_round_trip_canonically() {
             assert_eq!(bits(&back), bits(&batch));
         }
     });
+}
+
+/// A key-run payload written field by field, so a test can write
+/// tables the encoder never would: zero-length runs, adjacent runs of
+/// one key, lengths that miss the record count.
+fn raw_key_runs(bucket: u32, n: u32, runs: &[(u64, u32)], rtt: &[f64]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    (bucket, n, runs.len() as u32).put(&mut w);
+    for run in runs {
+        run.put(&mut w);
+    }
+    for r in rtt {
+        r.put(&mut w);
+    }
+    w.into_bytes()
+}
+
+/// The maximal runs of equal adjacent keys of `keys`.
+fn runs_of(keys: &[u64]) -> Vec<(u64, u32)> {
+    let mut runs: Vec<(u64, u32)> = Vec::new();
+    for &key in keys {
+        match runs.last_mut() {
+            Some((last, len)) if *last == key => *len += 1,
+            _ => runs.push((key, 1)),
+        }
+    }
+    runs
+}
+
+/// The WAL's check-only reader (`log::wal_section`, what a recovery
+/// runs on the batches its snapshot covers) accepts exactly the
+/// payloads `log::wal_batch` decodes, with the same bucket and record
+/// count — over both layouts as written, and over truncations, byte
+/// flips, trailing bytes, zero-length runs, adjacent runs of one key
+/// and miscounted records.
+#[test]
+fn the_wal_check_accepts_exactly_what_the_decode_reads() {
+    let mut accepted = [0u32; 2];
+    check("wal_check_vs_decode", 512, |rng| {
+        let batch = arbitrary_batch(rng);
+        let columns = {
+            let mut w = ByteWriter::new();
+            batch.put(&mut w);
+            w.into_bytes()
+        };
+        let key_runs = {
+            let mut w = ByteWriter::new();
+            KeyRuns(Cow::Borrowed(&batch)).put(&mut w);
+            w.into_bytes()
+        };
+        let n = batch.len() as u32;
+        let mut runs = runs_of(&batch.keys);
+        // A table the encoder never writes: a zero-length run spliced
+        // in, a run split into two adjacent runs of its key, or one
+        // run's length off by one.
+        match rng.below(3) {
+            0 => runs.insert(rng.index(runs.len() + 1), (rng.next_u64(), 0)),
+            1 if runs.iter().any(|r| r.1 > 1) => {
+                let at = runs.iter().position(|r| r.1 > 1).unwrap();
+                let (key, len) = runs[at];
+                let cut = rng.range_u64(1, u64::from(len)) as u32;
+                runs[at] = (key, cut);
+                runs.insert(at + 1, (key, len - cut));
+            }
+            _ if !runs.is_empty() => {
+                let at = rng.index(runs.len());
+                let len = &mut runs[at].1;
+                *len = if rng.below(2) == 0 {
+                    *len + 1
+                } else {
+                    *len - 1
+                };
+            }
+            _ => {}
+        }
+        let odd_table = raw_key_runs(batch.bucket.0, n, &runs, &batch.rtt);
+
+        for (id, payload) in [(1u8, columns), (2, key_runs), (2, odd_table)] {
+            let mut cases = vec![payload.clone()];
+            cases.push(payload[..rng.index(payload.len() + 1)].to_vec());
+            if !payload.is_empty() {
+                let mut flipped = payload.clone();
+                flipped[rng.index(payload.len())] ^= 1 << rng.below(8);
+                cases.push(flipped);
+            }
+            let mut longer = payload.clone();
+            longer.push(rng.below(256) as u8);
+            cases.push(longer);
+            for case in &cases {
+                for id in [id, 3 - id, 3] {
+                    let checked = log::wal_section(id, case);
+                    let decoded = log::wal_batch(id, case);
+                    assert_eq!(
+                        checked.map(|v| (v.bucket, v.len())),
+                        decoded.as_ref().map(|b| (b.bucket, b.len())),
+                        "section id {id}, {} bytes",
+                        case.len()
+                    );
+                    if let Some(b) = decoded {
+                        accepted[usize::from(id - 1)] += 1;
+                        if *case == payload && id == 2 {
+                            assert_eq!((&b.keys, b.bucket), (&batch.keys, batch.bucket));
+                        }
+                    }
+                }
+            }
+        }
+    });
+    assert!(
+        accepted.iter().all(|&a| a > 0),
+        "both layouts accepted: {accepted:?}"
+    );
 }
 
 type Sections = Vec<(u8, Vec<u8>)>;

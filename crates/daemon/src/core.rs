@@ -134,6 +134,12 @@ pub struct ShedEntry {
     pub records: u32,
 }
 
+/// The first bucket of tick `ticks` (0-based) of a feed that starts at
+/// `feed_start`.
+fn tick_start(feed_start: TimeBucket, ticks: u64, tick_buckets: u32) -> TimeBucket {
+    TimeBucket(feed_start.0 + (ticks as u32) * tick_buckets)
+}
+
 /// The daemon's decision core: bounded ingest → durable ticks.
 pub struct DaemonCore<B: Backend, F: Fs = StdFs> {
     durable: DurableEngine<F>,
@@ -165,12 +171,16 @@ impl<B: Backend> DaemonCore<B> {
 }
 
 impl<B: Backend, F: Fs> DaemonCore<B, F> {
-    /// Opens the daemon state on `fs`: refills the queue from the
-    /// ingest WAL, then opens the durable engine (which replays
-    /// journaled ticks *through* the refilled queue), then warms up +
-    /// checkpoints on a cold start. The feed window begins at
-    /// `warmup.end` — earlier buckets are served by `inner`, later ones
-    /// by the socket.
+    /// Opens the daemon state on `fs`: loads the newest snapshot,
+    /// refills the queue from the ingest WAL starting at that
+    /// snapshot's first unconsumed bucket (every batch on a cold
+    /// start), replays the journaled ticks *through* the refilled
+    /// queue, then warms up + checkpoints on a cold start. The feed
+    /// window begins at `warmup.end` — earlier buckets are served by
+    /// `inner`, later ones by the socket. The WAL batches below the
+    /// refill's start are checked, not materialised: the snapshot
+    /// covers them, and a fallback recovery (which loads an older
+    /// snapshot) refills from that one.
     pub fn open_in(
         fs: F,
         cfg: BlameItConfig,
@@ -182,17 +192,23 @@ impl<B: Backend, F: Fs> DaemonCore<B, F> {
         let dir = cfg.state_dir.clone().ok_or(PersistError::NoStateDir)?;
         fs.create_dir_all(&dir)?;
         let feed_start = warmup.end.bucket();
-        let backend = QueueBackend::new(inner, feed_start);
-        let (wal, wal_recovery) = IngestWal::open_in(fs.clone(), &dir.join(WAL_FILE))?;
+        let snapshot_every = cfg.snapshot_every_ticks.max(1) as u64;
+        let tick_buckets = cfg.tick_buckets;
+        let loaded = DurableEngine::load_in(fs.clone(), cfg, registry)?;
+        let keep_from = loaded.snapshot_ticks_done().map_or(TimeBucket(0), |ticks| {
+            tick_start(feed_start, ticks, tick_buckets)
+        });
+        let (wal, wal_recovery) = IngestWal::open_in(fs, &dir.join(WAL_FILE), keep_from)?;
+        let queued = wal_recovery.batches.len();
+        let mut backend = QueueBackend::new(inner, feed_start);
         for batch in wal_recovery.batches {
             backend.push(batch);
         }
-        let snapshot_every = cfg.snapshot_every_ticks.max(1) as u64;
-        let tick_buckets = cfg.tick_buckets;
-        let mut backend = backend;
-        let (mut durable, recovery) = DurableEngine::open_in(fs, cfg, registry, &mut backend)?;
-        let replayed = &durable.engine().metrics().wal_replayed_bytes;
-        replayed.set(wal_recovery.bytes as f64);
+        let (mut durable, recovery) = loaded.replay(&mut backend)?;
+        let m = durable.engine().metrics();
+        m.wal_replayed_bytes.set(wal_recovery.bytes as f64);
+        m.wal_replayed_queued.set(queued as f64);
+        m.wal_replayed_covered.set(wal_recovery.covered as f64);
         if recovery.mode == blameit::StartMode::Cold {
             durable.warmup_and_checkpoint(&backend, warmup, 2)?;
         }
@@ -242,7 +258,11 @@ impl<B: Backend, F: Fs> DaemonCore<B, F> {
 
     /// The first bucket a tick has not yet consumed.
     fn next_tick_start(&self) -> TimeBucket {
-        TimeBucket(self.backend.feed_start().0 + (self.ticks_done() as u32) * self.tick_buckets)
+        tick_start(
+            self.backend.feed_start(),
+            self.ticks_done(),
+            self.tick_buckets,
+        )
     }
 
     /// Records queued but not yet consumed by a tick — the admission
@@ -340,11 +360,13 @@ impl<B: Backend, F: Fs> DaemonCore<B, F> {
 
     /// Graceful shutdown: drains every window with *any* fed data
     /// (the feed has ended, so trailing windows can no longer grow),
-    /// snapshots, and retires the whole WAL. The daemon can be killed
-    /// and reopened after this with zero replay.
+    /// snapshots unless the newest snapshot already holds this state
+    /// (a feed that ends on a snapshot tick, with no flight dump or
+    /// counter since), and retires the whole WAL. The daemon can be
+    /// killed and reopened after this with zero replay.
     pub fn term(&mut self) -> Result<Vec<TickOutput>, DaemonError> {
         let outs = self.run_ready(true)?;
-        self.durable.checkpoint_now()?;
+        self.durable.checkpoint_if_changed()?;
         // Every fed bucket lies below the next tick's start now.
         let cutoff = self.next_tick_start();
         self.backend.prune_below(cutoff);

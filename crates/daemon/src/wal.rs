@@ -4,10 +4,12 @@
 //! *not-yet-ticked queue* durable. Every admitted batch is appended
 //! and fsync'd **before** it becomes engine-visible, so a hard kill
 //! between admission and the covering snapshot loses nothing: on
-//! restart the WAL refills the queue first, then
-//! [`DurableEngine::open`](blameit::DurableEngine::open) replays
-//! journaled ticks *through* the refilled queue — which is what makes
-//! the resumed run byte-identical to one that never crashed.
+//! restart the daemon loads the newest snapshot
+//! ([`DurableEngine::load_in`](blameit::DurableEngine::load_in)), the
+//! WAL refills the queue from that snapshot's first unconsumed bucket,
+//! and only then are the journaled ticks replayed *through* the
+//! refilled queue — which is what makes the resumed run byte-identical
+//! to one that never crashed.
 //!
 //! On disk the WAL is a short sequence of [`blameit::persist::log`]
 //! files: `ingest.wal`, the *active* segment every append goes to, and
@@ -15,15 +17,23 @@
 //! ([`segment_path`]). Each holds one section per admitted batch under
 //! the section's one CRC: an append writes the key-run layout (id 2,
 //! [`KeyRuns`]), and replay also reads the column layout the previous
-//! build wrote (id 1; [`wal_batch`] reads both). The previous build
+//! build wrote (id 1; [`wal_section`] checks both). The previous build
 //! reads no id 2 and truncates an active segment at the first one, so
 //! `TERM` this build before going back to it: that retires the whole
 //! WAL. At a snapshot tick
 //! [`IngestWal::rotate`] seals the active segment (a rename, no bytes
 //! copied) and unlinks the sealed segments a durable snapshot has made
-//! redundant. So the WAL recovers a **superset** of what the queue
-//! retains, in append order — the surplus is whole old buckets no tick
-//! reads again, and the queue's next prune drops them.
+//! redundant. Segments go whole, and the daemon keeps one extra
+//! snapshot period so a fallback recovery can replay, so the WAL holds
+//! more than the queue retains: whole old buckets that the snapshot
+//! the open loads already covers.
+//!
+//! [`IngestWal::open_in`] reads every segment and checks every section
+//! — the CRC, the batch structure, the bucket that decides which
+//! segments a rotation retires — but materialises a batch only when its
+//! bucket is at or past `keep_from`, the loaded snapshot's first
+//! unconsumed bucket. The covered batches are counted, never built:
+//! no tick reads them again. [`IngestWal::open`] keeps every batch.
 //!
 //! Scan, torn-tail truncation, the atomic create and the seal are the
 //! log's; this module says what a section holds and which segments are
@@ -33,7 +43,7 @@
 use blameit::persist::codec::{Codec, KeyRuns, KIND_INGEST_WAL};
 use blameit::persist::fs::{Fs, StdFs};
 use blameit::persist::log::{
-    list_segments, scan_file, segment_path, wal_batch, Log, Tail, WAL_SEC_RUNS,
+    list_segments, scan_file, segment_path, wal_section, Log, Tail, WAL_SEC_RUNS,
 };
 use blameit::RecordBatch;
 use blameit_obs::Counter;
@@ -43,12 +53,14 @@ use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 
-/// What [`IngestWal::open`] found on disk.
+/// What [`IngestWal::open_in`] found on disk.
 #[derive(Debug, Default)]
 pub struct WalRecovery {
-    /// Batches recovered, in append order (sealed segments oldest
-    /// first, then the active one).
+    /// Batches at or past `keep_from`, materialised in append order
+    /// (sealed segments oldest first, then the active one).
     pub batches: Vec<RecordBatch>,
+    /// Batches below `keep_from`: checked, not materialised.
+    pub covered: u64,
     /// A torn trailing record was found and discarded.
     pub torn_tail: bool,
     /// Bytes read: every segment's whole file, the active one included.
@@ -67,60 +79,76 @@ pub struct IngestWal<F: Fs = StdFs> {
 }
 
 /// The replay half of the WAL's trust rule: a trusted section is a
-/// batch, and it is pushed onto `batches`.
-fn replay_into(batches: &mut Vec<RecordBatch>) -> impl FnMut(u8, &[u8]) -> bool + '_ {
-    move |id, payload| wal_batch(id, payload).map(|b| batches.push(b)).is_some()
-}
-
-/// Highest bucket among `batches[from..]`.
-fn max_bucket(batches: &[RecordBatch], from: usize) -> Option<u32> {
-    batches.iter().skip(from).map(|b| b.bucket.0).max()
+/// batch. Its bucket raises `max`, the highest bucket of the segment
+/// being read; it is materialised onto the recovery's batches when the
+/// bucket is at or past `keep_from`, and only counted as covered below.
+fn replay_into<'r>(
+    recovery: &'r mut WalRecovery,
+    keep_from: TimeBucket,
+    max: &'r mut Option<u32>,
+) -> impl FnMut(u8, &[u8]) -> bool + 'r {
+    move |id, payload| {
+        let Some(view) = wal_section(id, payload) else {
+            return false;
+        };
+        *max = (*max).max(Some(view.bucket.0));
+        if view.bucket >= keep_from {
+            recovery.batches.push(view.materialise());
+        } else {
+            recovery.covered += 1;
+        }
+        true
+    }
 }
 
 impl IngestWal {
-    /// [`IngestWal::open_in`] on the real filesystem.
+    /// [`IngestWal::open_in`] on the real filesystem, keeping every
+    /// batch.
     pub fn open(path: &Path) -> io::Result<(IngestWal, WalRecovery)> {
-        IngestWal::open_in(StdFs, path)
+        IngestWal::open_in(StdFs, path, TimeBucket(0))
     }
 }
 
 impl<F: Fs> IngestWal<F> {
     /// Opens (creating if absent) the WAL on `fs` whose active segment
     /// is `path` and replays what is on disk: every sealed segment in
-    /// sequence order, then the active one. Anything past the active
-    /// segment's last decodable batch is the append that was racing the
+    /// sequence order, then the active one. Every section is checked;
+    /// only batches for buckets at or past `keep_from` are materialised
+    /// (the rest a loaded snapshot covers). Anything past the active
+    /// segment's last trusted batch is the append that was racing the
     /// kill — the WAL's only writer appends whole sections — and is
     /// truncated away so subsequent appends start at a valid boundary.
     /// A kill between a seal's rename and its fresh active segment
     /// leaves no `path`; it is created here, empty.
-    pub fn open_in(fs: F, path: &Path) -> io::Result<(IngestWal<F>, WalRecovery)> {
-        let mut batches = Vec::new();
+    pub fn open_in(
+        fs: F,
+        path: &Path,
+        keep_from: TimeBucket,
+    ) -> io::Result<(IngestWal<F>, WalRecovery)> {
+        let mut recovery = WalRecovery::default();
         let mut sealed = VecDeque::new();
-        let mut bytes = 0;
         for (seq, segment) in list_segments(&fs, path)? {
-            let from = batches.len();
-            let scan = scan_file(&fs, &segment, KIND_INGEST_WAL, replay_into(&mut batches))?;
+            let mut max = None;
+            let replay = replay_into(&mut recovery, keep_from, &mut max);
+            let scan = scan_file(&fs, &segment, KIND_INGEST_WAL, replay)?;
             if scan.is_some_and(|s| s.tail != Tail::Clean) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("{}: sealed segment is damaged", segment.display()),
                 ));
             }
-            bytes += scan.map_or(0, |s| s.valid_len);
-            sealed.push_back((seq, max_bucket(&batches, from)));
+            recovery.bytes += scan.map_or(0, |s| s.valid_len);
+            sealed.push_back((seq, max));
         }
-        let from = batches.len();
-        let (log, scan) =
-            Log::open_in(fs, path, KIND_INGEST_WAL, |_| {}, replay_into(&mut batches))?;
+        let mut active_max = None;
+        let replay = replay_into(&mut recovery, keep_from, &mut active_max);
+        let (log, scan) = Log::open_in(fs, path, KIND_INGEST_WAL, |_| {}, replay)?;
+        recovery.torn_tail = scan.trailing_bytes > 0;
+        recovery.bytes += scan.valid_len + scan.trailing_bytes;
         let wal = IngestWal {
             log,
-            active_max: max_bucket(&batches, from),
+            active_max,
             sealed,
-        };
-        let recovery = WalRecovery {
-            batches,
-            torn_tail: scan.trailing_bytes > 0,
-            bytes: bytes + scan.valid_len + scan.trailing_bytes,
         };
         Ok((wal, recovery))
     }
@@ -396,6 +424,42 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
+    /// An open from a snapshot's first unconsumed bucket materialises
+    /// only the batches at or past it and counts the rest as covered,
+    /// but reads every section's bucket: a sealed segment holding only
+    /// covered batches keeps its highest bucket, so the next rotation
+    /// retires exactly what it would after a full open.
+    #[test]
+    fn an_open_from_keep_from_queues_the_rest_and_retires_alike() {
+        let path = tmp("keep-from");
+        let (mut wal, _) = reopen(&path);
+        for b in batches(0..7) {
+            wal.append(&b).unwrap();
+        }
+        rotate(&mut wal, 0);
+        for b in batches(7..13) {
+            wal.append(&b).unwrap();
+        }
+        rotate(&mut wal, 0);
+        wal.append(&batch(13, 4)).unwrap();
+        drop(wal);
+
+        let (mut wal, rec) = IngestWal::open_in(StdFs, &path, TimeBucket(9)).unwrap();
+        assert_eq!(rec.batches, batches(9..14));
+        assert_eq!(rec.covered, 9);
+        let (_, full) = IngestWal::open(&path).unwrap();
+        assert_eq!(
+            (full.batches.len(), full.covered, full.bytes),
+            (14, 0, rec.bytes)
+        );
+        // Segment 1 (buckets 0..=6) goes at cutoff 7, segment 2 (7..=12)
+        // stays: it still holds bucket 12.
+        assert_eq!(rotate(&mut wal, 7), (1, 1));
+        let (_, kept) = reopen(&path);
+        assert_eq!(kept, batches(7..14));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
     /// A seal whose directory fsync fails may not have made its rename
     /// durable: the rotation errs, the active name comes back, appends
     /// continue into the same file and the next rotation seals it.
@@ -403,7 +467,7 @@ mod tests {
     fn a_failed_directory_fsync_in_a_seal_puts_the_active_name_back() {
         let path = tmp("sync-dir");
         let fs = FaultFs::new();
-        let (mut wal, _) = IngestWal::open_in(fs.clone(), &path).unwrap();
+        let (mut wal, _) = IngestWal::open_in(fs.clone(), &path, TimeBucket(0)).unwrap();
         for b in batches(0..3) {
             wal.append(&b).unwrap();
         }

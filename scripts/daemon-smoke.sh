@@ -8,8 +8,9 @@
 #
 # Needs target/release/{blameitd,blameit}. Leaves daemon.{out,err},
 # resume.{out,err}, reopen.{out,err}, fsck-{killed,drained}.txt,
-# metrics.prom and alerts.txt in <state-dir> for the caller to archive
-# or delete. The one copy: CI and verify.sh call it.
+# metrics.prom, resume-metrics.prom and alerts.txt in <state-dir> for
+# the caller to archive or delete. The one copy: CI and verify.sh call
+# it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 DSTATE=${1:?usage: daemon-smoke.sh <state-dir>}
@@ -53,10 +54,15 @@ ls "$DSTATE"/ingest.wal.* >/dev/null
 target/release/blameit fsck "$DSTATE" >"$DSTATE/fsck-killed.txt"
 grep -Eq ' in 3 segment\(s\), 0 error\(s\): CLEAN' "$DSTATE/fsck-killed.txt"
 
-# A restart with --resume replays the sealed segments and the active
-# one, then TERM drains the queued window and retires every segment.
+# A restart with --resume reads the sealed segments and the active
+# one: it queues the batches from the loaded snapshot's first
+# unconsumed bucket on and only checks the older ones that snapshot
+# covers. Then TERM drains the queued window and retires every segment.
 boot resume --resume 1
 grep -q 'recovered from snapshot' "$DSTATE/resume.err"
+target/release/blameit scrape --addr "$HTTP" --path /metrics >"$DSTATE/resume-metrics.prom"
+grep -Eq '^blameit_wal_replayed_batches\{state="queued"\} [1-9]' "$DSTATE/resume-metrics.prom"
+grep -Eq '^blameit_wal_replayed_batches\{state="covered"\} [1-9]' "$DSTATE/resume-metrics.prom"
 target/release/blameit feed --addr "$INGEST" "${WORLD_ARGS[@]}" --term-only 1
 wait "$DPID"; DPID=
 grep -q 'clean_shutdown=true' "$DSTATE/resume.out"

@@ -137,9 +137,28 @@ fn recover_and_finish(
     batches: &mut impl Iterator<Item = RecordBatch>,
     what: &str,
 ) -> String {
-    let (mut core, recovery) = open_core(world, dir, threads);
+    let (core, recovery) = open_core(world, dir, threads);
     assert_eq!(recovery.mode, StartMode::Recovered, "{what}");
     assert_eq!(recovery.snapshots_rejected, 0, "{what}");
+    finish(core, recovery, delivered, batches, what)
+}
+
+/// The WAL batches a core's open queued and only checked (covered).
+fn wal_replayed<F: Fs>(core: &DaemonCore<WorldBackend<'_>, F>) -> (u64, u64) {
+    let m = core.engine().metrics();
+    let gauges = (m.wal_replayed_queued.get(), m.wal_replayed_covered.get());
+    (gauges.0 as u64, gauges.1 as u64)
+}
+
+/// [`recover_and_finish`] past the open: resumes `core` with `batches`,
+/// terminates, and renders the composed history.
+fn finish(
+    mut core: DaemonCore<WorldBackend<'_>>,
+    recovery: blameit::RecoveryReport,
+    delivered: Vec<TickOutput>,
+    batches: &mut impl Iterator<Item = RecordBatch>,
+    what: &str,
+) -> String {
     // Everything before the crash tick was already delivered.
     let skip = (delivered.len() as u64 - recovery.snapshot_ticks_done) as usize;
     assert!(recovery.replayed.len() >= skip, "{what}");
@@ -187,6 +206,117 @@ fn kill_points_recover_to_byte_identical_transcripts() {
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// The newest snapshot torn by more than a crash: the reopen falls back
+/// to the one before it, refills the queue from *that* snapshot's first
+/// unconsumed bucket — the WAL keeps one extra snapshot period for
+/// exactly this — and replays its journaled ticks through it.
+#[test]
+fn a_fallback_recovery_refills_from_the_older_snapshot() {
+    let world = quiet_world(Scale::Tiny, 2, 0xC4A5);
+    let start = TimeRange::days(1).end.bucket().0;
+    let end = start + N_TICKS * 3;
+    let backend = WorldBackend::new(&world);
+
+    for threads in [1usize, 4] {
+        let reference = reference_run(&world, "fallback", threads, (start, end));
+        // Killed with four ticks done: snapshots 0, 2 and 4 on disk.
+        let dir = state_dir(&format!("fallback-{threads}"));
+        let (mut core, _) = open_core(&world, &dir, threads);
+        let mut batches = world_batches(&backend, buckets(start, end), SurgePlan::default());
+        let (delivered, fed) = feed_core(&mut core, &mut batches.by_ref().take(14));
+        fed.unwrap();
+        assert_eq!(delivered.len(), 4);
+        drop(core);
+
+        // The same directory reopened intact loads snapshot 4 and
+        // queues buckets 12 and 13 only.
+        let intact = state_dir(&format!("fallback-{threads}-intact"));
+        copy_dir(&dir, &intact);
+        let (core, recovery) = open_core(&world, &intact, threads);
+        assert_eq!(recovery.snapshot_ticks_done, 4);
+        assert_eq!(wal_replayed(&core), (2, 12));
+        drop(core);
+        let _ = std::fs::remove_dir_all(&intact);
+
+        let snapshots = StateStore::create(&dir).unwrap().list_snapshots().unwrap();
+        let (ticks, newest) = snapshots.last().unwrap();
+        assert_eq!(*ticks, 4);
+        let mut bytes = std::fs::read(newest).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(newest, bytes).unwrap();
+
+        let what = format!("fallback, {threads} threads");
+        let (core, recovery) = open_core(&world, &dir, threads);
+        assert_eq!(recovery.mode, StartMode::RecoveredFallback, "{what}");
+        assert_eq!(recovery.snapshots_rejected, 1, "{what}");
+        assert_eq!(recovery.snapshot_ticks_done, 2, "{what}");
+        assert_eq!(recovery.ticks_replayed, 2, "{what}");
+        // Snapshot 2's first unconsumed bucket is 6: six more batches
+        // queued, six fewer only checked.
+        assert_eq!(wal_replayed(&core), (8, 6), "{what}");
+        assert_eq!(
+            finish(core, recovery, delivered, &mut batches, &what),
+            reference,
+            "resumed transcript differs ({what})"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `TERM` after a feed that ends on a snapshot tick writes no second
+/// copy of that snapshot — unless something the snapshot persists
+/// changed after the tick wrote it: here the overload watchdog, which
+/// runs after the durable tick, adds a flight dump on that very tick.
+#[test]
+fn term_rewrites_the_last_snapshot_only_when_it_changed() {
+    let world = quiet_world(Scale::Tiny, 2, 0xC4A5);
+    let start = TimeRange::days(1).end.bucket().0;
+    let end = start + N_TICKS * 3;
+    let backend = WorldBackend::new(&world);
+    // Buckets 16 and 17 of the last window surged 10×: they shed, and a
+    // watchdog armed at one overloaded tick fires on tick 6, which TERM
+    // drains and which is due a snapshot.
+    let surged = SurgePlan::single(TimeBucket(start + 16), TimeBucket(end), 10, 0x7E);
+    for (surge, rewritten) in [(SurgePlan::default(), false), (surged, true)] {
+        let dir = state_dir(&format!("term-rewrite-{rewritten}"));
+        let cfg = config(&world, &dir, 1);
+        let mut dcfg = roomy_dcfg();
+        dcfg.overload_sustained_ticks = 1;
+        let registry = Arc::new(MetricsRegistry::new());
+        let inner = WorldBackend::new(&world);
+        let warmup = TimeRange::days(1);
+        let (mut core, _) = DaemonCore::open(cfg, dcfg, registry.clone(), inner, warmup).unwrap();
+        let mut sink = CoreSink::new(&mut core);
+        feed(
+            &mut sink,
+            world_batches(&backend, buckets(start, end), surge),
+            1,
+        )
+        .unwrap();
+        assert_eq!(sink.outs.len(), N_TICKS as usize - 1);
+        assert_eq!(core.stats().shed_low_impact > 0, rewritten);
+        assert_eq!(core.term().unwrap().len(), 1);
+        let dumps = |core: &DaemonCore<WorldBackend<'_>>| {
+            core.engine().flight().with_ring(|_, dumps| dumps.len())
+        };
+        assert_eq!(dumps(&core), usize::from(rewritten));
+        // The checkpoint and ticks 2, 4 and 6's snapshots, and TERM's
+        // rewrite of the last only when the watchdog fired.
+        let written = registry.counter("blameit_snapshots_written_total").get();
+        assert_eq!(written, 4 + u64::from(rewritten));
+        drop(core);
+
+        // Either way the reopened state is TERM's: the dump is there.
+        let (core, recovery) = open_core(&world, &dir, 1);
+        assert!(recovery.replayed.is_empty());
+        assert_eq!(recovery.snapshot_ticks_done, N_TICKS as u64);
+        assert_eq!(dumps(&core), usize::from(rewritten));
+        drop(core);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

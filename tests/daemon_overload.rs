@@ -19,9 +19,12 @@
 //! to the work that makes it — one WAL `sync_data` per admitted offer
 //! (per ACK), one journal write per tick, one snapshot create, rename
 //! and directory fsync per snapshot written, one unlink per retired
-//! segment or pruned snapshot. A later deterministic work counter (the
-//! ROADMAP's in-tree work counters) should extend `OverloadRun` and
-//! these two tests rather than invent a second shape.
+//! segment or pruned snapshot. The quiet feed is also killed once
+//! before `TERM` and reopened, which pins what the reopen did with the
+//! WAL: the batches it queued and the batches its snapshot already
+//! covered, which it only checked. A later deterministic work counter
+//! (the ROADMAP's in-tree work counters) should extend `OverloadRun`
+//! and these two tests rather than invent a second shape.
 
 use blameit::persist::fs::{FaultFs, FileKind, Op};
 use blameit::{
@@ -79,6 +82,40 @@ struct OverloadRun {
     /// Filesystem calls after `TERM`: WAL `sync_data`s, journal writes,
     /// snapshot creates, unlinks.
     io: (u64, u64, u64, u64),
+    /// On a run with a crash before `TERM`, the reopen's
+    /// `blameit_wal_replayed_batches{state="queued"|"covered"}`.
+    wal_replayed: Option<(u64, u64)>,
+}
+
+/// The deterministic work counters `OverloadRun` pins. They are not
+/// persisted, so a reopened core counts from zero; a run with a crash
+/// adds up both cores' counts.
+#[derive(Clone, Copy, Debug, Default)]
+struct Work {
+    groups_scored: u64,
+    wal_bytes_appended: u64,
+    wal_sealed: u64,
+    wal_retired: u64,
+    snapshots_written: u64,
+}
+
+impl Work {
+    /// `core`'s counts, plus those of the cores before it (`self`).
+    fn plus(self, core: &DaemonCore<WorldBackend<'_>, FaultFs>) -> Work {
+        let m = core.engine().metrics();
+        assert_eq!(
+            m.admission_groups_scored.get(),
+            core.admission().groups_scored()
+        );
+        let written = m.registry().counter("blameit_snapshots_written_total");
+        Work {
+            groups_scored: self.groups_scored + m.admission_groups_scored.get(),
+            wal_bytes_appended: self.wal_bytes_appended + m.wal_bytes_appended.get(),
+            wal_sealed: self.wal_sealed + m.wal_segments_sealed.get(),
+            wal_retired: self.wal_retired + m.wal_segments_retired.get(),
+            snapshots_written: self.snapshots_written + written.get(),
+        }
+    }
 }
 
 /// The in-process sink with the queue bounds checked at every reply:
@@ -141,24 +178,33 @@ impl Sink for CapChecked<'_, '_> {
 
 /// Feeds `n_ticks` windows of (surged) world telemetry through a fresh
 /// `DaemonCore` with the workspace's one feeder, abandoning a bucket
-/// after three refusals, and terminates gracefully.
-fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> OverloadRun {
+/// after three refusals, and terminates gracefully. With `crash`, the
+/// core is dropped once the feed ends — a kill: nothing flushed — and
+/// reopened on the same filesystem before `TERM`.
+fn run_surged(
+    world: &World,
+    tag: &str,
+    threads: usize,
+    surge: &SurgePlan,
+    crash: bool,
+) -> OverloadRun {
     let dir = state_dir(&format!("{tag}-t{threads}"));
-    let cfg = config(world, &dir, threads);
-    let tick_buckets = cfg.tick_buckets;
-    let inner = WorldBackend::with_parallelism(world, threads);
+    let tick_buckets = config(world, &dir, threads).tick_buckets;
     let source = WorldBackend::with_parallelism(world, threads);
     let warmup = TimeRange::days(1);
     let fs = FaultFs::new();
-    let (mut core, recovery) = DaemonCore::open_in(
-        fs.clone(),
-        cfg,
-        overload_dcfg(),
-        Arc::new(MetricsRegistry::new()),
-        inner,
-        warmup,
-    )
-    .unwrap();
+    let open = || {
+        DaemonCore::open_in(
+            fs.clone(),
+            config(world, &dir, threads),
+            overload_dcfg(),
+            Arc::new(MetricsRegistry::new()),
+            WorldBackend::with_parallelism(world, threads),
+            warmup,
+        )
+        .unwrap()
+    };
+    let (mut core, recovery) = open();
     assert_eq!(recovery.mode, StartMode::Cold);
 
     let n_ticks = 8u32;
@@ -179,37 +225,57 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
     let (groups_past_watermark, wal_bytes) = (sink.groups_past_watermark, sink.wal_bytes);
     let admitted_offers = sink.admitted_offers;
     let mut outs: Vec<TickOutput> = sink.inner.outs;
-    outs.extend(core.term().unwrap());
-    assert_eq!(outs.len(), n_ticks as usize, "every tick window fired");
+    // `TERM` offers nothing, so the feed's accounting is final here.
+    let (stats, shed_log) = (core.stats(), core.shed_log().to_vec());
     assert_eq!(
         (fed.records_admitted, fed.records_shed, fed.slow_downs),
         (
-            core.stats().admitted,
-            core.stats().shed_low_impact,
-            core.stats().backpressure_replies
+            stats.admitted,
+            stats.shed_low_impact,
+            stats.backpressure_replies
         ),
         "the feeder's summary and the daemon's stats count the same replies"
     );
 
-    let groups_scored = core.engine().metrics().admission_groups_scored.get();
+    let mut work = Work::default();
+    let mut wal_replayed = None;
+    if crash {
+        work = work.plus(&core);
+        drop(core);
+        let (reopened, recovery) = open();
+        assert_eq!(recovery.mode, StartMode::Recovered);
+        let snap = recovery.snapshot_ticks_done as usize;
+        assert_eq!(
+            render_tick_transcript(&recovery.replayed),
+            render_tick_transcript(&outs[snap..]),
+            "the reopen replays the ticks its snapshot does not cover"
+        );
+        let m = reopened.engine().metrics();
+        wal_replayed = Some((
+            m.wal_replayed_queued.get() as u64,
+            m.wal_replayed_covered.get() as u64,
+        ));
+        core = reopened;
+    }
+    outs.extend(core.term().unwrap());
+    assert_eq!(outs.len(), n_ticks as usize, "every tick window fired");
+    let work = work.plus(&core);
+
     assert_eq!(
-        groups_scored, groups_past_watermark,
+        work.groups_scored, groups_past_watermark,
         "scored exactly the groups of the offers that arrived past the watermark"
     );
-    assert_eq!(groups_scored, core.admission().groups_scored());
-    let m = core.engine().metrics();
     assert_eq!(
-        m.wal_bytes_appended.get(),
-        wal_bytes,
+        work.wal_bytes_appended, wal_bytes,
         "appended exactly the sections of the admitted offers"
     );
-    let wal_segments = (m.wal_segments_sealed.get(), m.wal_segments_retired.get());
+    let wal_segments = (work.wal_sealed, work.wal_retired);
     assert_eq!(
         wal_segments.0, wal_segments.1,
         "TERM retires every segment a rotation sealed"
     );
 
-    let io = io_shape(&fs, &core, &dir, admitted_offers, outs.len() as u64);
+    let io = io_shape(&fs, &work, &dir, admitted_offers, outs.len() as u64);
 
     let overload_fired = core.engine().flight().with_ring(|_, events| {
         events
@@ -218,40 +284,35 @@ fn run_surged(world: &World, tag: &str, threads: usize, surge: &SurgePlan) -> Ov
     });
     let run = OverloadRun {
         transcript: render_tick_transcript(&outs),
-        shed_log: core.shed_log().to_vec(),
-        stats: core.stats(),
+        shed_log,
+        stats,
         abandoned: fed.batches_abandoned,
         overload_fired,
-        groups_scored,
+        groups_scored: work.groups_scored,
         wal_bytes_appended: wal_bytes,
         wal_segments,
         io,
+        wal_replayed,
     };
     drop(core);
     let _ = std::fs::remove_dir_all(&dir);
     run
 }
 
-/// The filesystem calls `fs` counted under `core`, each checked
-/// against the work that makes it: `admitted_offers` WAL appends,
-/// `ticks` journal appends, the snapshots written, the WAL segments
-/// retired and the snapshots pruned — every snapshot file made (the
-/// checkpoint, one per second tick, and TERM's, which rewrites the last
-/// when the feed ends on a snapshot tick) less those left in `dir`.
-/// Returns (WAL `sync_data`s, journal writes, snapshot creates,
-/// unlinks).
+/// The filesystem calls `fs` counted under a run, each checked against
+/// the work that makes it: `admitted_offers` WAL appends, `ticks`
+/// journal appends, the snapshots written, the WAL segments retired and
+/// the snapshots pruned — every snapshot file made (the checkpoint and
+/// one per second tick; `TERM` writes none when the feed ends on a
+/// snapshot tick) less those left in `dir`. Returns (WAL `sync_data`s,
+/// journal writes, snapshot creates, unlinks).
 fn io_shape(
     fs: &FaultFs,
-    core: &DaemonCore<WorldBackend<'_>, FaultFs>,
+    work: &Work,
     dir: &Path,
     admitted_offers: u64,
     ticks: u64,
 ) -> (u64, u64, u64, u64) {
-    let m = core.engine().metrics();
-    let written = m
-        .registry()
-        .counter("blameit_snapshots_written_total")
-        .get();
     let files = 1 + ticks.div_ceil(2);
     let kept = StateStore::create(dir)
         .unwrap()
@@ -271,12 +332,15 @@ fn io_shape(
     for op in [Op::Create, Op::Rename, Op::SyncDir] {
         assert_eq!(
             fs.count(op, FileKind::Snapshot),
-            written,
+            work.snapshots_written,
             "{op:?} per snapshot"
         );
     }
-    let retired = m.wal_segments_retired.get();
-    assert_eq!(io.3, retired + (files - kept), "unlinks: retired + pruned");
+    assert_eq!(
+        io.3,
+        work.wal_retired + (files - kept),
+        "unlinks: retired + pruned"
+    );
     io
 }
 
@@ -292,8 +356,8 @@ fn surged_feed_sheds_identically_at_any_thread_count() {
         0xAB,
     );
 
-    let one = run_surged(&world, "det", 1, &surge);
-    let four = run_surged(&world, "det", 4, &surge);
+    let one = run_surged(&world, "det", 1, &surge, false);
+    let four = run_surged(&world, "det", 4, &surge, false);
 
     // The overload machinery actually engaged.
     assert!(one.stats.shed_low_impact > 0, "surge provoked shedding");
@@ -338,14 +402,16 @@ fn surged_feed_sheds_identically_at_any_thread_count() {
     );
     assert_eq!(one.wal_bytes_appended, four.wal_bytes_appended);
     assert_eq!(one.wal_segments, four.wal_segments);
-    assert_eq!(one.io, (14, 8, 6, 5), "IO shape of the surged feed");
+    assert_eq!(one.io, (14, 8, 5, 5), "IO shape of the surged feed");
     assert_eq!(one.io, four.io);
 }
 
+/// The quiet feed also crashes once, with the feed done and its last
+/// window still queued, and reopens before `TERM`.
 #[test]
 fn quiet_feed_sheds_nothing() {
     let world = quiet_world(Scale::Tiny, 2, 0xD5EED);
-    let run = run_surged(&world, "quiet", 1, &SurgePlan::default());
+    let run = run_surged(&world, "quiet", 1, &SurgePlan::default(), true);
     assert_eq!(run.stats.shed_low_impact, 0);
     assert_eq!(run.stats.backpressure_replies, 0);
     assert_eq!(run.abandoned, 0);
@@ -361,12 +427,27 @@ fn quiet_feed_sheds_nothing() {
         (1_696_524, (4, 4)),
         "WAL work on the quiet feed"
     );
-    let four = run_surged(&world, "quiet", 4, &SurgePlan::default());
+    let four = run_surged(&world, "quiet", 4, &SurgePlan::default(), true);
+    assert_eq!(
+        run.transcript, four.transcript,
+        "crash, reopen and TERM: byte-identical across thread counts"
+    );
     assert_eq!(
         (four.wal_bytes_appended, four.wal_segments),
         (run.wal_bytes_appended, run.wal_segments),
         "WAL work on the quiet feed is thread-invariant"
     );
-    assert_eq!(run.io, (24, 8, 6, 6), "IO shape of the quiet feed");
+    assert_eq!(run.io, (24, 8, 5, 6), "IO shape of the quiet feed");
     assert_eq!(run.io, four.io, "the IO shape is thread-invariant");
+    // Seven ticks ran before the kill. The reopen loads the tick-6
+    // snapshot and queues the batches from its first unconsumed bucket
+    // on (windows 7 and 8: six buckets); it only checks the eleven
+    // older ones the WAL still holds (segment 2 whole, segment 3 but
+    // for its last batch, which fired tick 6).
+    assert_eq!(
+        run.wal_replayed,
+        Some((6, 11)),
+        "WAL batches the reopen queued and covered"
+    );
+    assert_eq!(run.wal_replayed, four.wal_replayed);
 }
